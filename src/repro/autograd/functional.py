@@ -1,8 +1,14 @@
 """Differentiable operations on :class:`~repro.autograd.tensor.Tensor`.
 
 Each function computes the forward result eagerly with NumPy and attaches a
-backward closure to the output.  Convolution and pooling use im2col/col2im
-so that the NTK proxy's many backward passes stay fast.
+backward closure to the output.  Convolution uses im2col/col2im (a
+zero-copy reshape for 1×1 kernels) so that the NTK proxy's many backward
+passes stay fast; average pooling sums shifted strided windows instead of
+unfolding, and padding writes into one zero-bordered buffer
+(:func:`_zero_pad`) rather than calling ``np.pad``.  Inside
+:func:`keep_columns` each ``conv2d`` also hands its unfolded input columns
+to the caller, so the batched NTK kernel reuses them instead of unfolding
+every conv input a second time.
 
 Every op is dtype-preserving: forwards compute with NumPy (which keeps the
 operand dtype), outputs are wrapped by :class:`Tensor` (which allocates in
@@ -15,14 +21,22 @@ default is bit-identical to the historical hard-coded behaviour.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+import contextlib
+import threading
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, _as_tensor
+from repro.autograd.precision import default_dtype
+from repro.autograd.tensor import Tensor, _as_tensor, _unbroadcast
 from repro.errors import ShapeError
 
 Axis = Union[None, int, Tuple[int, ...]]
+
+#: Column sink of the innermost :func:`keep_columns` scope, *per thread*:
+#: the thread pool runs NTK kernels concurrently, so one thread's capture
+#: must never see another thread's convolutions.
+_COLUMNS = threading.local()
 
 
 # ----------------------------------------------------------------------
@@ -254,40 +268,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out._attach((a, b), backward)
 
 
+def _zero_pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` with its last two axes zero-bordered by ``padding``.
+
+    Writes ``x`` into the interior of a fresh zero buffer: the same values
+    as ``np.pad``, without its per-call Python overhead.
+    """
+    if not padding:
+        return x
+    *lead, h, w = x.shape
+    out = np.zeros((*lead, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    out[..., padding:padding + h, padding:padding + w] = x
+    return out
+
+
 def pad2d(a: Tensor, padding: int) -> Tensor:
     """Zero-pad the last two (spatial) axes of an NCHW tensor."""
     if padding == 0:
         return a
-    pad_spec = [(0, 0)] * (a.data.ndim - 2) + [(padding, padding)] * 2
-    out = Tensor(np.pad(a.data, pad_spec))
+    out = Tensor(_zero_pad(a.data, padding))
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            slicer = (
-                (slice(None),) * (a.data.ndim - 2)
-                + (slice(padding, -padding), slice(padding, -padding))
-            )
-            a._accumulate(grad[slicer])
+            a._accumulate(grad[..., padding:-padding, padding:-padding])
 
     return out._attach((a,), backward)
 
 
 # ----------------------------------------------------------------------
-# im2col-based convolution and pooling
+# Convolution (im2col) and pooling (shifted windows)
 # ----------------------------------------------------------------------
 def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _is_pointwise(kernel: int, stride: int, padding: int) -> bool:
+    """Whether unfolding is a pure reshape (1×1 kernel, stride 1, no pad)."""
+    return kernel == 1 and stride == 1 and padding == 0
+
+
 def _im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold NCHW ``x`` into columns of shape (N, C*K*K, OH*OW)."""
+    """Unfold NCHW ``x`` into columns of shape (N, C*K*K, OH*OW).
+
+    A pointwise unfold is a reshape view of ``x`` (no copy).
+    """
     n, c, h, w = x.shape
+    if _is_pointwise(kernel, stride, padding):
+        return x.reshape(n, c, h * w), (h, w)
     oh = _conv_out_size(h, kernel, stride, padding)
     ow = _conv_out_size(w, kernel, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    x = _zero_pad(x, padding)
     cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
     for ki in range(kernel):
         i_end = ki + stride * oh
@@ -304,7 +336,12 @@ def _col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Fold columns back onto the (padded) input, summing overlaps."""
+    """Fold columns back onto the (padded) input, summing overlaps.
+
+    A pointwise fold is a reshape view of ``cols`` (no copy).
+    """
+    if _is_pointwise(kernel, stride, padding):
+        return cols.reshape(x_shape)
     n, c, h, w = x_shape
     oh = _conv_out_size(h, kernel, stride, padding)
     ow = _conv_out_size(w, kernel, stride, padding)
@@ -318,6 +355,24 @@ def _col2im(
     if padding:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
+
+
+@contextlib.contextmanager
+def keep_columns() -> Iterator[Dict[int, np.ndarray]]:
+    """Collect each ``conv2d``'s unfolded input columns inside the scope.
+
+    Yields a dict mapping ``id(output)`` of every ``conv2d`` call made on
+    this thread to its ``(N, C*K*K, OH*OW)`` columns.  The dict is dropped
+    from the thread's state when the scope exits, normally or not; scopes
+    nest, and other threads never see it.
+    """
+    previous = getattr(_COLUMNS, "sink", None)
+    sink: Dict[int, np.ndarray] = {}
+    _COLUMNS.sink = sink
+    try:
+        yield sink
+    finally:
+        _COLUMNS.sink = previous
 
 
 def conv2d(
@@ -349,6 +404,9 @@ def conv2d(
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
     out = Tensor(out_data)
+    sink = getattr(_COLUMNS, "sink", None)
+    if sink is not None:
+        sink[id(out)] = cols
 
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(n, c_out, oh * ow)
@@ -367,28 +425,80 @@ def conv2d(
 
 def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None, padding: int = 0) -> Tensor:
     """Average pooling over NCHW input (count includes padded zeros,
-    matching the ``count_include_pad=True`` convention NAS-Bench-201 uses)."""
+    matching the ``count_include_pad=True`` convention NAS-Bench-201 uses).
+
+    The forward adds the K² shifted strided windows of the zero-bordered
+    input in window order and divides by K²; the backward scatters
+    ``grad / K²`` back through the same windows.  (An im2col ``mean``
+    sums the same order, except over a single output pixel with K² ≥ 8,
+    where numpy sums pairwise; no pool in the search space hits that.)
+    """
     if stride is None:
         stride = kernel
     n, c, h, w = x.shape
-    cols, (oh, ow) = _im2col(
-        x.data.reshape(n * c, 1, h, w), kernel, stride, padding
-    )
-    out_data = cols.mean(axis=1).reshape(n, c, oh, ow)
-    out = Tensor(out_data)
+    oh = _conv_out_size(h, kernel, stride, padding)
+    ow = _conv_out_size(w, kernel, stride, padding)
+    windows = [
+        (..., slice(ki, ki + stride * oh, stride), slice(kj, kj + stride * ow, stride))
+        for ki in range(kernel)
+        for kj in range(kernel)
+    ]
+    padded = _zero_pad(x.data, padding)
+    total = padded[windows[0]].copy()
+    for window in windows[1:]:
+        total += padded[window]
+    out = Tensor(total / (kernel * kernel))
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad_cols = np.repeat(
-            grad.reshape(n * c, 1, oh * ow) / (kernel * kernel),
-            kernel * kernel,
-            axis=1,
-        )
-        folded = _col2im(grad_cols, (n * c, 1, h, w), kernel, stride, padding)
-        x._accumulate(folded.reshape(n, c, h, w))
+        share = grad / (kernel * kernel)
+        folded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=share.dtype)
+        for window in windows:
+            folded[window] += share
+        if padding:
+            folded = folded[:, :, padding:-padding, padding:-padding]
+        x._accumulate(folded)
 
     return out._attach((x,), backward)
+
+
+def batch_norm_eval(
+    x: Tensor,
+    mean: np.ndarray,
+    var: np.ndarray,
+    eps: float,
+    weight: Optional[Tensor] = None,
+    bias: Optional[Tensor] = None,
+) -> Tensor:
+    """BatchNorm of NCHW ``x`` with fixed per-channel statistics: one node.
+
+    Computes ``(x - mean) * (var + eps) ** -0.5``, then ``* weight + bias``
+    when affine, with the statistics as constants.
+    """
+    shape = (1, x.shape[1], 1, 1)
+    # ``eps`` in the compute dtype, as a wrapped Tensor scalar would be.
+    inv_std = (var.reshape(shape) + np.asarray(eps, dtype=default_dtype())) ** -0.5
+    normalised = (x.data - mean.reshape(shape)) * inv_std
+    if weight is None:
+        out = Tensor(normalised)
+        parents: Tuple[Tensor, ...] = (x,)
+    else:
+        scale = weight.data.reshape(shape)
+        out = Tensor(normalised * scale + bias.data.reshape(shape))
+        parents = (x, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad * inv_std if weight is None
+                          else grad * scale * inv_std)
+        if weight is not None and weight.requires_grad:
+            weight._accumulate(
+                _unbroadcast(grad * normalised, shape).reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, shape).reshape(bias.shape))
+
+    return out._attach(parents, backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

@@ -12,10 +12,13 @@ batched passes:
   forward + ONE backward seeded with ones, captures each parameterised
   layer's input activation and output gradient via forward hooks, and
   reconstructs the per-sample parameter gradients layer-locally
-  (Goodfellow, 2015): an outer product for ``Linear``, an im2col
-  contraction for ``Conv2d``, and channel-wise reductions for the affine
-  ``BatchNorm2d`` terms.  The result is the exact ``(B, P)`` Jacobian the
-  per-sample loop produces, at ~1/B of the Python/tape overhead.
+  (Goodfellow, 2015): an outer product for ``Linear``, a contraction with
+  the im2col columns the forward ``conv2d`` already built for ``Conv2d``
+  (collected through :func:`repro.autograd.functional.keep_columns`, so no
+  conv input is unfolded twice), and channel-wise reductions for the
+  affine ``BatchNorm2d`` terms.  The result is the exact ``(B, P)``
+  Jacobian the per-sample loop produces, at ~1/B of the Python/tape
+  overhead.
 
 * **Line-region counting** — the reference path runs one forward per probe
   line.  :func:`batched_line_patterns` stacks all lines' sample points
@@ -41,12 +44,12 @@ reference paths (identical inputs), then cast once at the forward.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.autograd.functional import _im2col
+from repro.autograd.functional import keep_columns
 from repro.errors import ProxyError
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.linear import Linear
@@ -74,13 +77,15 @@ def _param_slices(params) -> Dict[int, List[slice]]:
 
 
 def _per_sample_grads(module: Module, x: Tensor, grad: np.ndarray,
-                      batch: int) -> List[Tuple[int, np.ndarray]]:
-    """``(param id, (B, size) gradient)`` pairs for one captured layer call."""
+                      batch: int,
+                      cols: Optional[np.ndarray]) -> List[Tuple[int, np.ndarray]]:
+    """``(param id, (B, size) gradient)`` pairs for one captured layer call.
+
+    ``cols`` are a ``Conv2d`` call's forward im2col columns (else None).
+    """
     out: List[Tuple[int, np.ndarray]] = []
     if isinstance(module, Conv2d):
         n, c_out, oh, ow = grad.shape
-        cols, _ = _im2col(x.data, module.kernel_size, module.stride,
-                          module.padding)
         grad_mat = grad.reshape(n, c_out, oh * ow)
         grad_w = np.matmul(grad_mat, cols.transpose(0, 2, 1))
         out.append((id(module.weight), grad_w.reshape(batch, -1)))
@@ -130,11 +135,13 @@ def batched_ntk_jacobian(network: Module, images: np.ndarray,
     batch = images.shape[0]
     slices = _param_slices(params)
 
-    captures: List[Tuple[Module, Tensor, Tensor]] = []
+    captures: List[Tuple[Module, Tensor, Tensor, Optional[np.ndarray]]] = []
     handles: List[Tuple[Module, int]] = []
 
     def capture(module: Module, inputs: Tuple, output: Tensor) -> None:
-        captures.append((module, inputs[0], output))
+        # ``columns`` is the keep_columns() sink of the forward below.
+        captures.append((module, inputs[0], output,
+                         columns.pop(id(output), None)))
 
     batchnorms = []
     for module in network.modules():
@@ -160,7 +167,8 @@ def batched_ntk_jacobian(network: Module, images: np.ndarray,
                 bn.freeze_stats_on_forward = True
         for p in params:
             p.requires_grad = False
-        output = network(Tensor(images, requires_grad=True))
+        with keep_columns() as columns:
+            output = network(Tensor(images, requires_grad=True))
         if output.ndim != 2:
             raise ProxyError(
                 f"expected (batch, classes) logits, got {output.shape}"
@@ -180,13 +188,13 @@ def batched_ntk_jacobian(network: Module, images: np.ndarray,
     # the Gram matmul downstream — in float32 instead of upcasting.
     jacobian = np.zeros((batch, sum(p.size for p in params)),
                         dtype=params[0].data.dtype)
-    for module, x, out in captures:
+    for module, x, out, cols in captures:
         grad = out.grad
         if grad is None:
             # Layer output never reached the logits (dead branch): the
             # reference loop leaves these parameter gradients at zero too.
             continue
-        for pid, per_sample in _per_sample_grads(module, x, grad, batch):
+        for pid, per_sample in _per_sample_grads(module, x, grad, batch, cols):
             for column_slice in slices[pid]:
                 jacobian[:, column_slice] += per_sample
     output.clear_tape_grads()

@@ -2,7 +2,8 @@
 
 Kendall-τ is the paper's headline correlation (Fig. 2a/2b).  We wrap SciPy
 where available but keep a pure-NumPy fallback so the implementations are
-testable against each other.
+testable against each other.  SciPy is imported on first use: importing
+``scipy.stats`` costs about a second, and no search path needs it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ReproError
 
@@ -27,6 +27,8 @@ def _validate(a: Sequence[float], b: Sequence[float]) -> tuple:
 
 def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     """Kendall rank correlation τ-b (handles ties)."""
+    from scipy import stats
+
     x, y = _validate(a, b)
     tau = stats.kendalltau(x, y).statistic
     return float(tau) if np.isfinite(tau) else 0.0
@@ -53,6 +55,8 @@ def kendall_tau_naive(a: Sequence[float], b: Sequence[float]) -> float:
 
 def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
     """Spearman rank correlation."""
+    from scipy import stats
+
     x, y = _validate(a, b)
     rho = stats.spearmanr(x, y).statistic
     return float(rho) if np.isfinite(rho) else 0.0

@@ -50,26 +50,29 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got {x.shape}")
-        if not self.training and self.freeze_stats_on_forward:
-            mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x.data - mean
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            self.running_mean[...] = mean.reshape(-1)
-            self.running_var[...] = var.reshape(-1)
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            inv_std = (var + self.eps) ** -0.5
-            normalised = centered * inv_std
-            batch_mean = mean.data.reshape(-1)
-            batch_var = var.data.reshape(-1)
-            self.running_mean += self.momentum * (batch_mean - self.running_mean)
-            self.running_var += self.momentum * (batch_var - self.running_var)
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-            normalised = (x - mean) * ((var + self.eps) ** -0.5)
+        if not self.training:
+            if self.freeze_stats_on_forward:
+                mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
+                centered = x.data - mean
+                var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+                self.running_mean[...] = mean.reshape(-1)
+                self.running_var[...] = var.reshape(-1)
+            # Statistics are constants here: the whole normalisation is
+            # one tape node.
+            return F.batch_norm_eval(
+                x, self.running_mean, self.running_var, self.eps,
+                self.weight if self.affine else None,
+                self.bias if self.affine else None,
+            )
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        inv_std = (var + self.eps) ** -0.5
+        normalised = centered * inv_std
+        batch_mean = mean.data.reshape(-1)
+        batch_var = var.data.reshape(-1)
+        self.running_mean += self.momentum * (batch_mean - self.running_mean)
+        self.running_var += self.momentum * (batch_var - self.running_var)
         if not self.affine:
             return normalised
         scale = F.reshape(self.weight, (1, self.num_features, 1, 1))

@@ -1,5 +1,9 @@
 """Rank correlations: cross-checks and edge cases."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,3 +80,15 @@ class TestValidation:
     def test_2d_rejected(self):
         with pytest.raises(ReproError):
             kendall_tau(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_harness_import_does_not_load_scipy():
+    """SciPy is imported lazily: the search harness never pays for it."""
+    code = ("import sys, repro.runtime.harness; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
