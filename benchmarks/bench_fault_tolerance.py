@@ -4,12 +4,13 @@ Two measurements, both writing ``BENCH_faults.json``:
 
 1. **Fault-free overhead** — the same sleep-padded population warm is
    pushed through :class:`~repro.runtime.async_pool.AsyncPopulationExecutor`
-   twice: once with ``fault_policy=None`` (the legacy batch-gather path)
-   and once with a full :class:`~repro.runtime.faults.FaultPolicy`
+   twice: once under the executor's default policy
+   (``FaultPolicy(max_retries=0, quarantine=False)``: any failure
+   raises) and once with a full :class:`~repro.runtime.faults.FaultPolicy`
    (deadlines armed, retry budget armed, quarantine on).  No fault ever
-   fires, so the gap is pure policy bookkeeping — per-chunk gather
-   loops, deadline arithmetic, claim tracking.  The policy must cost
-   under 2% wall-clock.
+   fires, so the gap is what arming recovery costs when nothing fails —
+   deadline arithmetic, retry and quarantine bookkeeping.  The armed
+   policy must cost under 2% wall-clock.
 
 2. **Recovery under a 20% fault rate** — a fixed sampled population is
    evaluated on fork workers wrapped in a fuzzing
@@ -90,13 +91,14 @@ def _warm_once(proxy_config, population, fault_policy) -> float:
 
 def _run_overhead(proxy_config) -> Dict:
     population = NasBench201Space().sample(OVERHEAD_CANDIDATES, rng=5)
+    default = FaultPolicy(max_retries=0, quarantine=False)
     policy = FaultPolicy(chunk_timeout=30.0, max_retries=2)
     baseline, policed = [], []
     # Alternate which arm goes first each round so machine drift within
     # a round hits both arms equally; compare minima (the
     # least-disturbed observation of each arm).
     for repeat in range(OVERHEAD_REPEATS):
-        arms = [(baseline, None), (policed, policy)]
+        arms = [(baseline, default), (policed, policy)]
         for times, arm_policy in (arms if repeat % 2 == 0
                                   else reversed(arms)):
             times.append(_warm_once(proxy_config, population, arm_policy))

@@ -5,7 +5,8 @@ Times one population evaluation four ways:
 * **serial cold** — a fresh engine, no executor, empty cache: the PR-1
   baseline every run used to pay.
 * **pool cold** — a fresh engine fanned out over
-  :class:`~repro.runtime.pool.PopulationExecutor` worker processes.
+  :class:`~repro.runtime.async_pool.AsyncPopulationExecutor` fork
+  workers (the executor every harness run uses).
   Verifies the acceptance criterion that pool-evaluated populations are
   **bit-identical** to serial evaluation (same ``IndicatorTable`` rows).
 * **store warm** — a fresh engine whose cache is warm-started from a
@@ -34,7 +35,11 @@ import numpy as np
 
 from repro.engine import Engine
 from repro.eval.benchconfig import bench_scale, search_proxy_config
-from repro.runtime import PopulationExecutor, RuntimeStore, cache_fingerprint
+from repro.runtime import (
+    AsyncPopulationExecutor,
+    RuntimeStore,
+    cache_fingerprint,
+)
 from repro.searchspace.network import MacroConfig
 from repro.searchspace.space import NasBench201Space
 from repro.utils.timing import Timer, format_duration
@@ -62,11 +67,12 @@ def run_parallel_speedup() -> Dict:
     with Timer() as serial_timer:
         serial_table = serial_engine.evaluate_population(population)
 
-    executor = PopulationExecutor(n_workers=N_WORKERS, chunk_size=4)
     pool_engine = _fresh_engine(proxy_config)
-    with Timer() as pool_timer:
-        pool_table = pool_engine.evaluate_population(population,
-                                                     executor=executor)
+    with AsyncPopulationExecutor(n_workers=N_WORKERS,
+                                 chunk_size=4) as executor:
+        with Timer() as pool_timer:
+            pool_table = pool_engine.evaluate_population(population,
+                                                         executor=executor)
 
     with tempfile.TemporaryDirectory() as tmp:
         store = RuntimeStore(tmp)

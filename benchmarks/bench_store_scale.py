@@ -1,31 +1,22 @@
-"""Store scaling: O(delta) format-2 appends vs the format-1 rewrite.
+"""Store scaling: O(delta) appends and O(population) indexed loads.
 
-The format-1 store made every ``save_cache`` a locked read-merge-rewrite
-of one monolithic JSON file, so persisting the handful of rows a run just
-computed cost O(total store size) — exactly the wrong scaling for process
-fleets flushing into one shared directory.  Store format 2 appends only
-the dirty delta to per-shard segment logs.
-
-This benchmark pins the scaling claim: with a pre-existing store of
-``size`` rows, it times persisting a fixed 256-row delta
-
-* **format 2** — :meth:`~repro.runtime.store.RuntimeStore.save_cache`
-  against a compacted store (auto-compaction disabled so the append cost
-  is measured in isolation), and
-* **format 1** — a faithful replica of the seed's read-merge-rewrite
-  against a monolithic file of the same ``size`` rows,
-
-then asserts the format-2 cost stays roughly flat across store sizes
-while the rewrite grows linearly (≥10× slower by ~100k rows).  A
-round-trip check guards against benchmarking a store that drops rows.
+The store appends only a save's dirty delta to per-shard segment logs,
+so persisting the handful of rows a run just computed must not cost
+O(total store size) — the scaling process fleets flushing into one
+shared directory need.  With a pre-existing, compacted store of ``size``
+rows, this benchmark times persisting a fixed 256-row delta through
+:meth:`~repro.runtime.store.RuntimeStore.save_cache` (auto-compaction
+disabled so the append cost is measured in isolation) and asserts the
+cost stays roughly flat across store sizes.  A round-trip check guards
+against benchmarking a store that drops rows.
 
 **Warm-start load scaling** (the read-side claim): against stores of up
-to 1M+ rows, loading a fixed ~16-key population is timed through all
-three ``load_cache_into`` read modes — ``full`` (whole-store replay,
-O(store)), ``selective`` (only the shards the keys hash to) and
-``index`` (per-shard index point lookups, O(population)).  The bench
-asserts the three modes return bit-identical rows, that the index path
-stays flat as the store grows 100×, and reports the index hit rate.
+to 1M+ rows, loading a fixed ~16-key population is timed through both
+``load_cache_into`` read modes — ``full`` (whole-store replay,
+O(store)) and ``index`` (per-shard index point lookups,
+O(population)).  The bench asserts the two modes return bit-identical
+rows, that the index path stays flat as the store grows 100×, and
+reports the index hit rate.
 
 Results land in ``BENCH_store.json`` at the repo root.  Run directly
 (``python benchmarks/bench_store_scale.py``) or via pytest
@@ -41,12 +32,7 @@ from typing import Dict, Tuple
 
 from repro.engine.cache import IndicatorCache
 from repro.proxies.base import ProxyConfig
-from repro.runtime.store import (
-    RuntimeStore,
-    _decode_key,
-    _encode_key,
-    cache_fingerprint,
-)
+from repro.runtime.store import RuntimeStore, cache_fingerprint
 from repro.searchspace.network import MacroConfig
 from repro.utils.timing import Timer, format_duration
 
@@ -70,27 +56,6 @@ def _filled_cache(start: int, count: int) -> IndicatorCache:
     for i in range(start, start + count):
         cache.put(_key(i), float(i) * 1.5)
     return cache
-
-
-def _format1_rewrite_save(path: Path, fingerprint: Dict,
-                          cache: IndicatorCache) -> int:
-    """The seed store's save algorithm: read the whole monolithic file,
-    merge the cache in, sort, rewrite — O(total store size)."""
-    entries = {}
-    if path.exists():
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if payload.get("fingerprint") == fingerprint:
-            for encoded_key, value in payload.get("entries", []):
-                entries[_decode_key(encoded_key)] = value
-    for key, value in cache.items():
-        entries[key] = value
-    ordered = sorted(entries.items(), key=lambda kv: repr(kv[0]))
-    payload = {
-        "fingerprint": fingerprint,
-        "entries": [[_encode_key(key), value] for key, value in ordered],
-    }
-    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-    return len(ordered)
 
 
 def run_load_scale() -> Dict:
@@ -122,7 +87,7 @@ def run_load_scale() -> Dict:
 
             timings = {}
             results = {}
-            for mode in ("full", "selective", "index"):
+            for mode in ("full", "index"):
                 target = IndicatorCache()
                 with Timer() as timer:
                     loaded = store.load_cache_into(target, fingerprint,
@@ -132,20 +97,16 @@ def run_load_scale() -> Dict:
                 timings[mode] = timer.elapsed
                 results[mode] = dict(target.items())
             stats = store.last_load_stats  # the index-mode load's stats
-            if not (results["full"] == results["selective"]
-                    == results["index"]):
+            if results["full"] != results["index"]:
                 bit_identical = False
 
             load_points.append({
                 "store_size": size,
                 "requested": LOAD_POPULATION,
                 "full_load_seconds": timings["full"],
-                "selective_load_seconds": timings["selective"],
                 "index_load_seconds": timings["index"],
                 "index_hit_rate": (stats["index_hits"]
                                    / max(stats["requested"], 1)),
-                "selective_speedup": (timings["full"]
-                                      / max(timings["selective"], 1e-9)),
                 "index_speedup": (timings["full"]
                                   / max(timings["index"], 1e-9)),
             })
@@ -161,8 +122,6 @@ def run_load_scale() -> Dict:
         # ~1.0 means warm-start latency is O(population), flat in store
         # size across a 100x growth.
         "index_load_flatness_ratio": index_flat,
-        "selective_load_speedup_at_largest":
-            load_points[-1]["selective_speedup"],
         "index_load_speedup_at_largest": load_points[-1]["index_speedup"],
         "index_hit_rate": load_points[-1]["index_hit_rate"],
         "read_paths_bit_identical": bit_identical,
@@ -173,7 +132,6 @@ def run_store_scale() -> Dict:
     proxy_config = ProxyConfig()
     macro_config = MacroConfig.full()
     fingerprint = cache_fingerprint(proxy_config, macro_config)
-    legacy_fingerprint = dict(fingerprint, format=1)
 
     points = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -187,7 +145,7 @@ def run_store_scale() -> Dict:
             store.compact_cache(fingerprint)
 
             delta = _filled_cache(size, DELTA_ROWS)
-            with Timer() as format2_timer:
+            with Timer() as append_timer:
                 appended = store.save_cache(delta, fingerprint)
             assert appended == DELTA_ROWS
 
@@ -196,34 +154,21 @@ def run_store_scale() -> Dict:
             loaded = store.load_cache_into(check, fingerprint, strict=True)
             assert loaded == size + DELTA_ROWS
 
-            # Format-1 baseline: same pre-existing size, same delta,
-            # via the monolithic read-merge-rewrite.
-            legacy_path = root / "format1_cache.json"
-            _format1_rewrite_save(legacy_path, legacy_fingerprint, pre)
-            with Timer() as format1_timer:
-                _format1_rewrite_save(legacy_path, legacy_fingerprint,
-                                      delta)
-
             points.append({
                 "store_size": size,
                 "delta_rows": DELTA_ROWS,
-                "format2_save_seconds": format2_timer.elapsed,
-                "format1_save_seconds": format1_timer.elapsed,
-                "rewrite_over_append":
-                    format1_timer.elapsed / max(format2_timer.elapsed,
-                                                1e-9),
+                "append_save_seconds": append_timer.elapsed,
             })
 
-    flat_ratio = (points[-1]["format2_save_seconds"]
-                  / max(points[0]["format2_save_seconds"], 1e-9))
+    flat_ratio = (points[-1]["append_save_seconds"]
+                  / max(points[0]["append_save_seconds"], 1e-9))
     result = {
         "store_sizes": list(STORE_SIZES),
         "delta_rows": DELTA_ROWS,
         "points": points,
-        # Format-2 append cost at the largest store over the smallest:
-        # ~1.0 means save cost is independent of store size.
-        "format2_flatness_ratio": flat_ratio,
-        "speedup_at_largest": points[-1]["rewrite_over_append"],
+        # Append cost at the largest store over the smallest: ~1.0
+        # means save cost is independent of store size.
+        "append_flatness_ratio": flat_ratio,
     }
     result.update(run_load_scale())
     OUTPUT_PATH.write_text(json.dumps(result, indent=2) + "\n",
@@ -234,13 +179,11 @@ def run_store_scale() -> Dict:
 def test_store_scale(benchmark):
     result = benchmark.pedantic(run_store_scale, rounds=1, iterations=1)
     _report(result)
-    # The acceptance criterion: appending a fixed delta to a ~100k-row
-    # store beats the monolithic rewrite by >= 10x...
-    assert result["speedup_at_largest"] >= 10.0
-    # ...and append cost is roughly flat in store size (generous bound:
-    # the rewrite grows ~100x over the same range).
-    assert result["format2_flatness_ratio"] <= 10.0
-    # Read side: the three read modes must agree bit-for-bit...
+    # The acceptance criterion: appending a fixed delta costs roughly
+    # the same whatever the store size (generous bound: anything that
+    # rewrote the store would grow ~100x over the same range).
+    assert result["append_flatness_ratio"] <= 10.0
+    # Read side: the two read modes must agree bit-for-bit...
     assert result["read_paths_bit_identical"] is True
     # ...every requested key must come off the index (fresh after
     # compaction; hit rate 1.0 means zero replay fallbacks)...
@@ -249,10 +192,6 @@ def test_store_scale(benchmark):
     # grows 100x (generous bound — full replay grows ~100x; a truly
     # store-size-dependent index path would blow far past this).
     assert result["index_load_flatness_ratio"] <= 10.0
-    # Selective replay reads shards_touched/shards of the store; with 16
-    # keys over 64 shards that is at most a quarter, so even the weakest
-    # selective win must beat full replay clearly at 1M rows.
-    assert result["selective_load_speedup_at_largest"] >= 2.0
 
 
 def _report(result: Dict) -> None:
@@ -260,23 +199,15 @@ def _report(result: Dict) -> None:
     for point in result["points"]:
         print(f"store {point['store_size']:>9,} rows | "
               f"append {point['delta_rows']}: "
-              f"{format_duration(point['format2_save_seconds'])}"
-              f" | format-1 rewrite: "
-              f"{format_duration(point['format1_save_seconds'])}"
-              f" | {point['rewrite_over_append']:.1f}x")
-    print(f"format-2 flatness ratio : "
-          f"{result['format2_flatness_ratio']:.2f} "
+              f"{format_duration(point['append_save_seconds'])}")
+    print(f"append flatness ratio   : "
+          f"{result['append_flatness_ratio']:.2f} "
           f"(largest/smallest store)")
-    print(f"speedup at largest      : "
-          f"{result['speedup_at_largest']:.1f}x")
     print()
     for point in result["load_points"]:
         print(f"store {point['store_size']:>9,} rows | "
               f"load {point['requested']} keys | "
               f"full: {format_duration(point['full_load_seconds'])} | "
-              f"selective: "
-              f"{format_duration(point['selective_load_seconds'])} "
-              f"({point['selective_speedup']:.1f}x) | "
               f"index: {format_duration(point['index_load_seconds'])} "
               f"({point['index_speedup']:.1f}x, "
               f"hit rate {point['index_hit_rate']:.2f})")

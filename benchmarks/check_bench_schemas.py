@@ -72,11 +72,9 @@ SCHEMAS: Dict[str, List[str]] = {
         "int8_vs_float32_spearman", "default_bit_identical",
     ],
     "BENCH_store.json": [
-        "store_sizes", "delta_rows", "points", "format2_flatness_ratio",
-        "speedup_at_largest",
-        # Read-side (warm-start) scaling: selective/index load modes.
+        "store_sizes", "delta_rows", "points", "append_flatness_ratio",
+        # Read-side (warm-start) scaling: full vs index load modes.
         "load_store_sizes", "load_points", "index_load_flatness_ratio",
-        "selective_load_speedup_at_largest",
         "index_load_speedup_at_largest", "index_hit_rate",
         "read_paths_bit_identical",
     ],

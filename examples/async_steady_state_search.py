@@ -13,9 +13,9 @@ Demonstrates the async evaluation runtime end-to-end:
    drops.  (With a parallel executor the trajectory may still explore a
    few new candidates: it is a function of completion order — run with
    ``n_workers=1`` for an exact replay.);
-3. the same config through :class:`repro.runtime.RunHarness`
-   (``async_mode=True``), which is what ``micronas runtime --async
-   --algorithm steady-state`` runs, with deterministic executor shutdown.
+3. the same config through :class:`repro.runtime.RunHarness`, which is
+   what ``micronas runtime --algorithm steady-state`` runs (every harness
+   run uses this executor), with deterministic executor shutdown.
 
 Runtime: a few seconds (reduced proxy scale, pure NumPy).
 """
@@ -69,7 +69,6 @@ def run_once(store_dir: str, label: str) -> None:
 def run_harness(store_dir: str) -> None:
     report = RunHarness(RuntimeConfig(
         algorithm="steady-state",
-        async_mode=True,
         n_workers=4,
         chunk_size=1,
         population_size=12,
@@ -89,7 +88,7 @@ def run_harness(store_dir: str) -> None:
              else f"{report.pool['idle_fraction']:.1%}"],
             ["wall time", f"{report.wall_seconds:.2f} s"],
         ],
-        title="the same run through RunHarness (async_mode=True)",
+        title="the same run through RunHarness",
     ))
 
 

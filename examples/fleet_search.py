@@ -7,11 +7,13 @@ Demonstrates the socket-broker evaluation fleet end-to-end:
    ``fleet_workers=2`` binds a :class:`repro.runtime.fleet.FleetBroker`
    on an ephemeral localhost port, forks two worker processes against
    it, and runs the steady-state search over the fleet transport.  This
-   is what ``micronas runtime --async --fleet-workers 2 --store DIR``
-   runs.  Workers flush every computed indicator row into the shared
-   store, so the run is resumable and late joiners warm-start;
-2. a **warm re-run** of the same config — the workers serve nearly all
-   rows straight from the store (index reads) instead of recomputing;
+   is what ``micronas runtime --fleet-workers 2 --store DIR`` runs.
+   Workers flush every computed indicator row into the shared store
+   (and read rows already there by index), so the run is resumable and
+   late joiners warm-start;
+2. a **warm re-run** of the same config — the driver replays the store
+   the workers filled, so only candidates the (completion-order
+   dependent) trajectory newly explores ship to the workers;
 3. a **manual broker + remote-shaped worker** — the same wiring split
    into its two halves, the way you run it across machines: the driver
    builds a :class:`FleetPool` bound to an address, and each worker host
@@ -48,7 +50,6 @@ def harness_fleet_run(store_dir: str) -> None:
         cycles=24,
         seed=0,
         fast=True,
-        async_mode=True,        # the fleet rides the async executor
         fleet_workers=2,        # fork 2 local workers on an ephemeral port
         store_dir=store_dir,    # shared store: flush + warm starts
         chunk_size=2,

@@ -131,7 +131,6 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         n_workers=args.workers,
         chunk_size=args.chunk_size,
-        async_mode=args.async_mode,
         store_dir=args.store,
         store_read_mode=args.store_read_mode,
         max_cache_rows=args.max_cache_rows,
@@ -174,23 +173,20 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         ["algorithm", report.algorithm],
         ["architecture", report.arch_str],
         ["precision", config.precision],
-        ["workers (mode)", f"{report.pool.get('n_workers', config.n_workers)}"
-                           f" ({report.pool['mode']}"
-                           f"{', async' if config.async_mode else ''})"],
+        ["workers (mode)", f"{report.pool['n_workers']}"
+                           f" ({report.pool['mode']})"],
         ["pool tasks / chunks", f"{report.pool['tasks']} / "
                                f"{report.pool['chunks']}"],
     ]
-    if config.async_mode:
-        idle = report.pool.get("idle_fraction")
-        rows.append(["worker idle fraction",
-                     "n/a" if idle is None else f"{idle:.1%}"])
-        faults = [f"{report.pool[key]} {key}"
-                  for key in ("retries", "timeouts", "respawns",
-                              "quarantined")
-                  if report.pool.get(key)]
-        rows.append(["faults recovered", ", ".join(faults) or "none"])
-        if report.status != "completed":
-            rows.append(["status", report.status])
+    idle = report.pool["idle_fraction"]
+    rows.append(["worker idle fraction",
+                 "n/a" if idle is None else f"{idle:.1%}"])
+    faults = [f"{report.pool[key]} {key}"
+              for key in ("retries", "timeouts", "respawns", "quarantined")
+              if report.pool[key]]
+    rows.append(["faults recovered", ", ".join(faults) or "none"])
+    if report.status != "completed":
+        rows.append(["status", report.status])
     if config.fleet_bind or config.fleet_workers:
         rows.append(["fleet", f"{config.fleet_workers} local workers"
                              f" ({report.pool['mode']} transport)"])
@@ -281,7 +277,6 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
     try:
         stats = run_worker(args.connect, store_dir=args.store,
                            token=args.token, poll_seconds=args.poll,
-                           read_mode=args.read_mode,
                            max_chunks=args.max_chunks)
     except ReproError as exc:
         raise SystemExit(str(exc))
@@ -631,7 +626,8 @@ def cmd_proxies(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 _RUNTIME_EXAMPLES = """\
 parallel evaluation runtime examples:
-  # fan population evaluation out over 8 worker processes
+  # fan population evaluation out over 8 worker processes; chunks
+  # merge into the cache as they land
   micronas runtime --algorithm random --samples 256 --workers 8
 
   # persist the indicator cache + latency LUTs; re-runs warm-start
@@ -647,8 +643,13 @@ parallel evaluation runtime examples:
 
   # steady-state asynchronous evolution: 4 candidates stay in flight,
   # children are mutated from the Pareto set as each future resolves
-  micronas runtime --async --algorithm steady-state --workers 4 \\
+  micronas runtime --algorithm steady-state --workers 4 \\
       --population 20 --cycles 100 --store ~/.cache/micronas
+
+  # million-row store: warm-start by per-shard index point lookups
+  # (O(population)) instead of replaying the whole store up front
+  micronas runtime --algorithm random --samples 256 \\
+      --store ~/.cache/micronas --store-read-mode index
 
   # float32 proxy substrate: ~2x kernel throughput, rank-preserving
   # (Spearman >= 0.99 vs float64 — see BENCH_precision.json); cached
@@ -657,16 +658,16 @@ parallel evaluation runtime examples:
       --store ~/.cache/micronas
   micronas search --algorithm micronas --fast --precision float32
 
-  # fault-tolerant async run: 30s per-chunk deadline, 3 retries for
+  # fault-tolerant run: 30s per-chunk deadline, 3 retries for
   # transient failures; poison candidates are quarantined in the store
   # (inspect with 'micronas store quarantine')
-  micronas runtime --async --algorithm steady-state --workers 4 \\
+  micronas runtime --algorithm steady-state --workers 4 \\
       --chunk-timeout 30 --max-retries 3 --store ~/.cache/micronas
 
   # distributed fleet: the driver binds a broker and forks 4 local
   # workers; more workers (local or remote) join and leave freely with
   # 'micronas fleet worker' and warm-start from the shared store
-  micronas runtime --async --algorithm steady-state \\
+  micronas runtime --algorithm steady-state \\
       --fleet-bind 127.0.0.1:7707 --fleet-workers 4 --fleet-lease 30 \\
       --store ~/.cache/micronas
   micronas fleet worker --connect 127.0.0.1:7707 \\
@@ -722,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_runtime.add_argument("--algorithm", default="random",
                            help="registered algorithm: random, "
                                 "trainless-evolutionary, steady-state "
-                                "(async-only event-driven evolution), "
+                                "(event-driven evolution), "
                                 "pruning, macro, or evolutionary "
                                 "(train-based surrogate baseline; ignores "
                                 "indicator weights and the pool)")
@@ -730,26 +731,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker processes (1 = serial)")
     p_runtime.add_argument("--chunk-size", type=int, default=8,
                            help="candidates per worker task")
-    p_runtime.add_argument("--async", dest="async_mode", action="store_true",
-                           help="futures-per-chunk async executor: chunks "
-                                "merge into the cache as they land instead "
-                                "of behind a population barrier (required "
-                                "by --algorithm steady-state)")
     p_runtime.add_argument("--store", default=None,
                            help="directory for the persistent indicator/LUT "
                                 "store (created if missing)")
     p_runtime.add_argument("--store-read-mode", dest="store_read_mode",
-                           choices=("auto", "full", "selective", "index"),
-                           default="auto",
+                           choices=("full", "index"), default="full",
                            help="how warm-start reads the store: full "
-                                "(eager whole-store replay), selective "
-                                "(replay only the shards each population's "
-                                "keys hash to) or index (per-shard index "
-                                "point lookups — O(population), for "
-                                "million-row stores); the default auto "
-                                "picks index for --async runs and full "
-                                "for synchronous ones (--store-read-mode "
-                                "full is the async opt-out)")
+                                "(default: eager whole-store replay) or "
+                                "index (per-shard index point lookups of "
+                                "each population's rows — O(population), "
+                                "for million-row stores)")
     p_runtime.add_argument("--max-cache-rows", dest="max_cache_rows",
                            type=int, default=None,
                            help="LRU bound on in-memory cache rows "
@@ -780,12 +771,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="steady-state Pareto parent pick: crowding-"
                                 "distance-weighted (default) or uniform")
     p_runtime.add_argument("--chunk-timeout", type=float, default=None,
-                           help="async runs: per-chunk deadline in seconds "
+                           help="per-chunk deadline in seconds "
                                 "— a chunk running longer is abandoned, "
                                 "counted as a timeout, and retried under "
                                 "--max-retries (default: no deadline)")
     p_runtime.add_argument("--max-retries", type=int, default=2,
-                           help="async runs: retry budget for transient "
+                           help="retry budget for transient "
                                 "chunk failures (timeouts, I/O errors); "
                                 "deterministic-poison candidates are "
                                 "bisected out and quarantined in the store "
@@ -805,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "in-flight, idle %%, retries, store rows)")
     p_runtime.add_argument("--fleet-bind", dest="fleet_bind", default=None,
                            metavar="HOST:PORT",
-                           help="async runs: bind a fleet broker here and "
+                           help="bind a fleet broker here and "
                                 "evaluate chunks on fleet workers instead "
                                 "of the fork pool (port 0 picks a free "
                                 "port; workers join with 'micronas fleet "
@@ -813,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "only: the wire format is pickle")
     p_runtime.add_argument("--fleet-workers", dest="fleet_workers",
                            type=int, default=0,
-                           help="async runs: fork this many local fleet "
+                           help="fork this many local fleet "
                                 "workers against the broker at start "
                                 "(implies a broker on 127.0.0.1 when "
                                 "--fleet-bind is not given)")
@@ -849,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="join a distributed evaluation fleet as a worker",
         description="Fleet worker client: connect to a broker started by "
-                    "'micronas runtime --async --fleet-bind HOST:PORT', "
+                    "'micronas runtime --fleet-bind HOST:PORT', "
                     "lease evaluation chunks, compute them, and report "
                     "back — warm-starting from (and flushing results "
                     "into) the shared --store directory when given. "
@@ -865,17 +856,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      "driver / chosen via --fleet-bind)")
     p_fleet_worker.add_argument("--store", default=None,
                                 help="shared store directory: rows already "
-                                     "persisted are read instead of "
-                                     "recomputed, and freshly computed "
-                                     "rows are flushed back immediately")
+                                     "persisted are read (by index point "
+                                     "lookups) instead of recomputed, and "
+                                     "freshly computed rows are flushed "
+                                     "back immediately")
     p_fleet_worker.add_argument("--token", default="",
                                 help="shared fleet token (must match the "
                                      "broker's --fleet-token)")
-    p_fleet_worker.add_argument("--read-mode", dest="read_mode",
-                                choices=("full", "selective", "index"),
-                                default="index",
-                                help="store read mode for warm starts "
-                                     "(default: index point lookups)")
     p_fleet_worker.add_argument("--poll", type=float, default=0.2,
                                 metavar="SECS",
                                 help="sleep between lease attempts while "

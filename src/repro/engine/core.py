@@ -424,10 +424,11 @@ class Engine:
 
         ``executor`` is the composition seam for the parallel runtime: any
         object with a ``warm_population(engine, genotypes, with_latency=...)``
-        method (e.g. :class:`repro.runtime.pool.PopulationExecutor`) may
-        pre-compute missing indicator rows — in worker processes, from a
-        persisted store, in any completion order — and merge them into
-        :attr:`cache` before the serial pass below assembles the table.
+        method (e.g. :class:`~repro.runtime.async_pool.\
+AsyncPopulationExecutor`) may pre-compute missing indicator rows — in
+        worker processes, from a persisted store, in any completion order —
+        and merge them into :attr:`cache` before the serial pass below
+        assembles the table.
         The hook receives the population's *canonical* forms (computed
         once below), so executors need not re-canonicalize.
         Because assembly always happens here, in request order against the

@@ -1,11 +1,10 @@
-"""Futures-per-chunk asynchronous population evaluation.
+"""Futures-per-chunk population evaluation: the runtime's one executor.
 
-PR 2's :class:`~repro.runtime.pool.PopulationExecutor` is a *barrier*
-executor: ``warm_population`` blocks until every chunk of a population has
-been computed, so a search loop sits idle while the slowest chunk
-finishes.  This module splits that barrier into DeepHyper-style
-**submit/gather** halves (their evaluator abstraction keeps ``num_workers``
-jobs in flight and lets the search react to whichever result lands first):
+A barrier executor blocks until every chunk of a population has been
+computed, so a search loop sits idle while the slowest chunk finishes.
+This module splits that barrier into DeepHyper-style **submit/gather**
+halves (their evaluator abstraction keeps ``num_workers`` jobs in flight
+and lets the search react to whichever result lands first):
 
 * :class:`FuturePool` — the transport: submit picklable ``(worker,
   payload)`` tasks, gather completed results **in completion order**, with
@@ -37,22 +36,24 @@ fleet needs (policy objects in :mod:`repro.runtime.faults`):
   (``BrokenProcessPool``): it terminates the carcass, spawns a fresh
   pool, and resubmits every lost in-flight task exactly once per death,
   up to ``max_respawns``;
-* the executor — when given a :class:`~repro.runtime.faults.FaultPolicy`
-  — classifies chunk failures: *transient* ones retry with deterministic
-  exponential backoff under a retry budget; *poison* ones bisect, so one
-  bad genotype cannot sink its chunk-mates, and the lone offender left
-  at the bottom lands in the (optionally persistent)
+* the executor classifies chunk failures under its
+  :class:`~repro.runtime.faults.FaultPolicy`: *transient* ones retry
+  with deterministic exponential backoff under a retry budget; *poison*
+  ones bisect, so one bad genotype cannot sink its chunk-mates, and the
+  lone offender left at the bottom lands in the (optionally persistent)
   :class:`~repro.runtime.faults.QuarantineLedger`, after which it is
-  never shipped again.  Without a policy the legacy semantics hold: any
-  worker failure surfaces as :class:`ChunkGatherError` after siblings
-  merge.
+  never shipped again.  The default policy retries and quarantines
+  nothing: any worker failure surfaces as :class:`ChunkGatherError`
+  after siblings merge.
 
-The executor also implements the synchronous ``warm_population`` /
-``warm_supernets`` hooks (submit + gather-all), so it is a drop-in
-``executor=`` for every existing search loop; the steady-state
-evolutionary search (:class:`~repro.search.evolutionary.
-SteadyStateEvolutionarySearch`) is the loop that actually exploits the
-split halves.
+The executor also implements the blocking ``warm_population`` /
+``warm_supernets`` hooks (submit + gather-all) that
+``Engine.evaluate_population`` and the generational search loops
+duck-type; the steady-state evolutionary search
+(:class:`~repro.search.evolutionary.SteadyStateEvolutionarySearch`) is
+the loop that exploits the split halves.  With ``n_workers=1`` the
+transport is the serial :class:`FuturePool`: chunks run inline, in the
+parent, at gather time.
 
 Worker functions are injectable (``genotype_worker=`` /
 ``supernet_worker=``): the seam through which a remote transport (or a
@@ -662,17 +663,17 @@ class AsyncPopulationExecutor:
     mutation loops revisit architectures constantly, and double-computing
     them would waste exactly the capacity the async runtime frees up.
 
-    **Fault policy.**  Pass ``fault_policy=`` to enable failure recovery
-    (and ``quarantine_ledger=`` to persist quarantine decisions in the
-    store directory): transient failures retry with deterministic
-    backoff, poison chunks bisect down to the offending candidate which
-    is quarantined and never re-shipped — submits consult the quarantine
+    **Fault policy.**  Pass a recovering ``fault_policy=`` (and
+    ``quarantine_ledger=`` to persist quarantine decisions in the store
+    directory): transient failures retry with deterministic backoff,
+    poison chunks bisect down to the offending candidate which is
+    quarantined and never re-shipped — submits consult the quarantine
     sets, which are seeded from the ledger, so a restart keeps earlier
-    decisions.  Without a policy, failures raise :class:`ChunkGatherError`
-    exactly as before.
+    decisions.  The default, ``FaultPolicy(max_retries=0,
+    quarantine=False)``, recovers nothing: every worker failure raises
+    :class:`ChunkGatherError` once the sibling chunks have merged.
 
-    The synchronous ``warm_population`` / ``warm_supernets`` hooks make
-    this a drop-in for :class:`~repro.runtime.pool.PopulationExecutor`
+    The blocking ``warm_population`` / ``warm_supernets`` hooks serve
     anywhere an ``executor=`` is accepted.
     """
 
@@ -688,15 +689,16 @@ class AsyncPopulationExecutor:
                  ) -> None:
         if chunk_size < 1:
             raise SearchError("chunk_size must be >= 1")
+        if fault_policy is None:
+            fault_policy = FaultPolicy(max_retries=0, quarantine=False)
         self.fault_policy = fault_policy
         self.quarantine_ledger = quarantine_ledger
         #: Optional warm-start hook: called at submit time with the
         #: candidate cache keys neither cached nor owned by an in-flight
         #: chunk, and expected to merge whatever the persistent store
         #: holds for them into the engine's cache (the harness wires it
-        #: to a shard-selective / indexed store read — see
-        #: ``RuntimeConfig.store_read_mode``).  Keys the loader fills are
-        #: then never shipped for recompute.
+        #: to an indexed store read — see ``RuntimeConfig.store_read_mode``).
+        #: Keys the loader fills are then never shipped for recompute.
         self.cache_loader = cache_loader
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry.disabled())
@@ -709,10 +711,8 @@ class AsyncPopulationExecutor:
         else:
             self.pool = FuturePool(
                 n_workers=n_workers, mode=mode,
-                chunk_timeout=(fault_policy.chunk_timeout
-                               if fault_policy else None),
-                max_respawns=(fault_policy.max_respawns
-                              if fault_policy else 3),
+                chunk_timeout=fault_policy.chunk_timeout,
+                max_respawns=fault_policy.max_respawns,
                 telemetry=self.telemetry,
             )
         self.n_workers = self.pool.n_workers
@@ -866,10 +866,9 @@ class AsyncPopulationExecutor:
         tel = self.telemetry
         pending = self._pending_keys(engine)
         shipped = 0
-        for chunk_index in range(0, len(missing), self.chunk_size):
-            chunk = tuple(missing[chunk_index:chunk_index + self.chunk_size])
-            chunk_claims = tuple(
-                claimed[chunk_index:chunk_index + self.chunk_size])
+        for chunk, chunk_claims in zip(
+                _chunked(tuple(missing), self.chunk_size),
+                _chunked(tuple(claimed), self.chunk_size)):
             chunk_id = self._next_chunk_id
             self._next_chunk_id += 1
             context = _ChunkContext(kind, engine, proxy_key, macro_key,
@@ -1030,15 +1029,15 @@ class AsyncPopulationExecutor:
         everything when fewer than ``k`` chunks are pending; returns
         ``[]`` when nothing is.
 
-        Without a fault policy, a chunk whose worker raised surfaces as
-        :class:`ChunkGatherError` — but only after the sibling chunks
-        gathered in the same call have merged (they ride along on the
-        error's ``gathered`` attribute) and the failed chunk's in-flight
-        key claims have been released, so the executor stays drainable
-        and the candidates can be resubmitted (or computed serially by
-        the engine).  With a policy, transient failures retry and poison
-        chunks bisect/quarantine first; only unrecoverable failures
-        raise.
+        A chunk failure the fault policy cannot recover (with the default
+        policy: every failure) surfaces as :class:`ChunkGatherError` —
+        but only after the sibling chunks gathered in the same call have
+        merged (they ride along on the error's ``gathered`` attribute)
+        and the failed chunk's in-flight key claims have been released,
+        so the executor stays drainable and the candidates can be
+        resubmitted (or computed serially by the engine).  Transient
+        failures within the retry budget retry, and poison chunks
+        bisect/quarantine when the policy quarantines.
         """
         tel = self.telemetry
         if not tel.enabled:
@@ -1050,8 +1049,6 @@ class AsyncPopulationExecutor:
             return chunks
 
     def _gather_inner(self, k: int) -> List[GatheredChunk]:
-        if self.fault_policy is None:
-            return self._gather_legacy(k)
         gathered: List[GatheredChunk] = []
         failures: List[BaseException] = []
         drain_all = k >= self.pool.num_pending
@@ -1069,22 +1066,6 @@ class AsyncPopulationExecutor:
                     resolved += self._handle_failure(context, result.error,
                                                      failures, gathered)
         return self._finish_gather(gathered, failures, saw_results)
-
-    def _gather_legacy(self, k: int) -> List[GatheredChunk]:
-        """Policy-free gather: any worker failure is surfaced as-is."""
-        gathered: List[GatheredChunk] = []
-        failures: List[BaseException] = []
-        results = self.pool.gather(k)
-        for result in results:
-            context: _ChunkContext = result.tag
-            if result.error is not None:
-                self._pending_keys(context.engine).difference_update(
-                    context.keys
-                )
-                failures.append(result.error)
-                continue
-            gathered.append(self._merge_landed(context, result.value))
-        return self._finish_gather(gathered, failures, bool(results))
 
     def _finish_gather(self, gathered: List[GatheredChunk],
                        failures: List[BaseException],
@@ -1127,18 +1108,18 @@ class AsyncPopulationExecutor:
         return self.gather(self.num_pending)
 
     # ------------------------------------------------------------------
-    # Synchronous executor hooks (drop-in for PopulationExecutor)
+    # Blocking executor hooks (duck-typed by the engine and search loops)
     # ------------------------------------------------------------------
     def warm_population(self, engine, genotypes: Sequence[Genotype],
                         with_latency: bool = False,
                         assume_canonical: bool = True) -> int:
         """Submit + gather-all: the blocking hook the engine duck-types.
 
-        Note the ``assume_canonical`` default matches
-        :meth:`~repro.runtime.pool.PopulationExecutor.warm_population`
-        (the engine passes already-canonical forms), while
-        :meth:`submit_population` defaults to ``False`` because search
-        loops submit raw mutants directly.
+        ``assume_canonical`` defaults to ``True`` because the engine
+        passes already-canonical forms (canonicalizing again would build
+        a cell graph per candidate), while :meth:`submit_population`
+        defaults to ``False`` because search loops submit raw mutants
+        directly.
         """
         self.submit_population(engine, genotypes, with_latency=with_latency,
                                assume_canonical=assume_canonical)

@@ -5,10 +5,11 @@ evaluation run — which search algorithm, how many worker processes, which
 device, which store directory to warm-start from.  :class:`RunHarness`
 materialises it: builds the :class:`~repro.engine.Engine` (loading any
 persisted indicator cache and letting latency estimators pull profiled
-LUTs from the store), builds the :class:`~repro.runtime.pool.\
-PopulationExecutor`, runs the selected algorithm from :data:`ALGORITHMS`
-and emits a structured :class:`RunReport` (optionally persisting the
-warmed cache back).
+LUTs from the store), builds the :class:`~repro.runtime.async_pool.\
+AsyncPopulationExecutor` with its :class:`~repro.runtime.faults.\
+FaultPolicy`, runs the selected algorithm from :data:`ALGORITHMS` and
+emits a structured :class:`RunReport` (persisting computed rows to the
+store on every gather and once more at the end).
 
 New algorithms register with :func:`register_algorithm`; the builder
 receives the harness and returns a
@@ -28,7 +29,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SearchError
 from repro.proxies.base import ProxyConfig
-from repro.runtime.pool import PopulationExecutor
+from repro.runtime.async_pool import AsyncPopulationExecutor
+from repro.runtime.faults import FaultPolicy
 from repro.runtime.store import READ_MODES, RuntimeStore, cache_fingerprint
 from repro.runtime.telemetry import Heartbeat, Telemetry
 from repro.search.result import SearchResult
@@ -48,19 +50,14 @@ class RuntimeConfig:
     algorithm: str = "random"
     n_workers: int = 1
     chunk_size: int = 8
-    async_mode: bool = False   # futures-per-chunk async executor
     store_dir: Optional[str] = None
     #: How warm-start reads the store: "full" (eager whole-store replay
     #: at harness construction — right when the run will touch most of
-    #: it), "selective" (replay only the shards each population's keys
-    #: hash to, at submit time) or "index" (point lookups through the
-    #: per-shard index sidecars — O(population), the million-row-store
-    #: mode).  The default "auto" resolves to "index" for async runs
-    #: (submit-time preloads only ever want each population's keys, and
-    #: fleet workers warm-start the same way) and "full" for synchronous
-    #: runs (which still replay eagerly); pass "full" explicitly to opt
-    #: an async run out.  See :mod:`repro.runtime.store`.
-    store_read_mode: str = "auto"
+    #: it) or "index" (point lookups through the per-shard index
+    #: sidecars at submit time, for each population's candidate and
+    #: cost keys — O(population), the million-row-store mode).  See
+    #: :mod:`repro.runtime.store`.
+    store_read_mode: str = "full"
     #: LRU bound on in-memory cache rows (None = unbounded).  Dirty rows
     #: are pinned until flushed; see :mod:`repro.engine.cache`.
     max_cache_rows: Optional[int] = None
@@ -77,14 +74,14 @@ class RuntimeConfig:
     save_store: bool = True     # persist the warmed cache after the run
     precision: str = "float64"  # proxy compute policy (float32|float64)
     parent_selection: str = "crowding"  # steady-state Pareto parent pick
-    chunk_timeout: Optional[float] = None  # async per-chunk deadline (s)
-    max_retries: int = 2        # async transient-failure retry budget
-    graceful_shutdown: bool = True  # SIGINT/SIGTERM drain (async runs)
+    chunk_timeout: Optional[float] = None  # per-chunk deadline (s)
+    max_retries: int = 2        # transient-failure retry budget
+    graceful_shutdown: bool = True  # SIGINT/SIGTERM drain
     trace_path: Optional[str] = None  # write a Chrome trace JSON here
     heartbeat: Optional[float] = None  # progress line every N seconds
     #: Bind address for a fleet broker ("HOST:PORT"; port 0 picks one).
-    #: Setting this (or ``fleet_workers``) swaps the async transport for
-    #: the socket-broker :class:`~repro.runtime.fleet.FleetPool` —
+    #: Setting this (or ``fleet_workers``) swaps the executor's transport
+    #: for the socket-broker :class:`~repro.runtime.fleet.FleetPool` —
     #: external workers join with ``micronas fleet worker --connect``.
     fleet_bind: Optional[str] = None
     #: Local worker processes to fork against the broker at start (the
@@ -316,18 +313,12 @@ def _run_trainless_evolutionary(harness: "RunHarness") -> SearchResult:
 
 @register_algorithm("steady-state")
 def _run_steady_state(harness: "RunHarness") -> SearchResult:
-    """Asynchronous steady-state evolution (needs the async runtime)."""
+    """Event-driven steady-state evolution over the executor's futures."""
     from repro.search.evolutionary import (
         EvolutionConfig,
         SteadyStateEvolutionarySearch,
     )
 
-    if not hasattr(harness.executor, "submit_population"):
-        raise SearchError(
-            "the steady-state algorithm is event-driven and needs the "
-            "asynchronous executor: set RuntimeConfig.async_mode=True "
-            "(CLI: micronas runtime --async --algorithm steady-state)"
-        )
     return SteadyStateEvolutionarySearch(
         harness.objective(),
         EvolutionConfig(
@@ -432,16 +423,10 @@ class RunHarness:
         from repro.autograd.precision import resolve_policy
 
         resolve_policy(config.precision)
-        if config.store_read_mode not in READ_MODES + ("auto",):
+        if config.store_read_mode not in READ_MODES:
             raise SearchError(
                 f"unknown store_read_mode {config.store_read_mode!r}; "
-                f"valid: {('auto',) + READ_MODES}"
-            )
-        if (config.fleet_bind or config.fleet_workers) \
-                and not config.async_mode:
-            raise SearchError(
-                "fleet transport rides the async executor: set "
-                "async_mode=True (CLI: micronas runtime --async)"
+                f"valid: {READ_MODES}"
             )
         if config.fleet_workers < 0:
             raise SearchError("fleet_workers must be >= 0")
@@ -476,72 +461,55 @@ class RunHarness:
         self.fingerprint = cache_fingerprint(self.proxy_config,
                                              self.macro_config,
                                              cost_axes=extra_axes)
-        #: The resolved read mode ("auto" picks "index" for async runs,
-        #: "full" for synchronous ones — see :class:`RuntimeConfig`).
-        self.store_read_mode = (
-            config.store_read_mode if config.store_read_mode != "auto"
-            else ("index" if config.async_mode else "full"))
+        self.store_read_mode = config.store_read_mode
         # Rows warm-started from the store (eagerly below for "full";
-        # accumulated per submit-time preload for selective/index reads).
+        # accumulated per submit-time preload for "index").
         self.warm_entries = 0
-        # The executors' warm-start seam: selective/index read modes
-        # defer store reads to submit time, loading only what each
-        # population actually asks for — O(population), not O(store).
+        # The executor's warm-start seam: index reads defer store reads
+        # to submit time, loading only what each population actually
+        # asks for — O(population), not O(store).
         cache_loader = (
             self._load_store_keys
-            if self.store is not None and self.store_read_mode != "full"
+            if self.store is not None and self.store_read_mode == "index"
             else None
         )
-        if config.async_mode:
-            from repro.runtime.async_pool import AsyncPopulationExecutor
-            from repro.runtime.faults import FaultPolicy
+        pool = None
+        if config.fleet_bind or config.fleet_workers:
+            from repro.runtime.fleet import FleetPool, parse_address
 
-            pool = None
-            if config.fleet_bind or config.fleet_workers:
-                from repro.runtime.fleet import FleetPool, parse_address
-
-                host, port = (parse_address(config.fleet_bind)
-                              if config.fleet_bind else ("127.0.0.1", 0))
-                pool = FleetPool(
-                    host=host, port=port,
-                    n_workers=max(config.fleet_workers, 1),
-                    lease_seconds=(config.fleet_lease_seconds
-                                   if config.fleet_lease_seconds
-                                   is not None
-                                   else config.chunk_timeout),
-                    token=config.fleet_token,
-                    telemetry=self.telemetry,
-                )
-            self.executor = AsyncPopulationExecutor(
-                n_workers=config.n_workers, chunk_size=config.chunk_size,
-                fault_policy=FaultPolicy(
-                    chunk_timeout=config.chunk_timeout,
-                    max_retries=config.max_retries,
-                ),
-                # Quarantine decisions persist in the store directory
-                # (and pre-seed the executor) when a store is configured;
-                # store-less runs quarantine in memory only.
-                quarantine_ledger=(
-                    self.store.quarantine_ledger(self.fingerprint)
-                    if self.store is not None else None
-                ),
+            host, port = (parse_address(config.fleet_bind)
+                          if config.fleet_bind else ("127.0.0.1", 0))
+            pool = FleetPool(
+                host=host, port=port,
+                n_workers=max(config.fleet_workers, 1),
+                lease_seconds=(config.fleet_lease_seconds
+                               if config.fleet_lease_seconds is not None
+                               else config.chunk_timeout),
+                token=config.fleet_token,
                 telemetry=self.telemetry,
-                cache_loader=cache_loader,
-                pool=pool,
             )
-            if pool is not None and config.fleet_workers:
-                # Local fan-out: forked workers share the store for
-                # warm starts and flush their rows under its flocks.
-                pool.spawn_local_workers(
-                    config.fleet_workers, store_dir=config.store_dir,
-                    read_mode=(self.store_read_mode
-                               if self.store_read_mode != "full"
-                               else "index"))
-        else:
-            self.executor = PopulationExecutor(n_workers=config.n_workers,
-                                               chunk_size=config.chunk_size,
-                                               telemetry=self.telemetry,
-                                               cache_loader=cache_loader)
+        self.executor = AsyncPopulationExecutor(
+            n_workers=config.n_workers, chunk_size=config.chunk_size,
+            fault_policy=FaultPolicy(
+                chunk_timeout=config.chunk_timeout,
+                max_retries=config.max_retries,
+            ),
+            # Quarantine decisions persist in the store directory (and
+            # pre-seed the executor) when a store is configured;
+            # store-less runs quarantine in memory only.
+            quarantine_ledger=(
+                self.store.quarantine_ledger(self.fingerprint)
+                if self.store is not None else None
+            ),
+            telemetry=self.telemetry,
+            cache_loader=cache_loader,
+            pool=pool,
+        )
+        if pool is not None and config.fleet_workers:
+            # Local fan-out: forked workers share the store for warm
+            # starts and flush their rows under its flocks.
+            pool.spawn_local_workers(config.fleet_workers,
+                                     store_dir=config.store_dir)
         from repro.engine.cache import IndicatorCache
 
         self.engine = Engine(
@@ -555,14 +523,15 @@ class RunHarness:
         if self.store is not None and self.store_read_mode == "full":
             self.warm_entries = self.store.load_cache_into(
                 self.engine.cache, self.fingerprint)
-        #: Rows appended to the store by mid-run flushes (async only).
+        #: Rows appended to the store by mid-run flushes.
         self.flushed_entries = 0
         #: Set by the first SIGINT/SIGTERM during :meth:`run`: the run is
         #: draining and its report will carry ``status="interrupted"``.
         self._drain_requested = False
-        if (config.async_mode and config.save_store
-                and self.store is not None):
-            # Store format 2 appends only dirty rows (O(delta)), so
+        #: Cost models this run prices driver-side (built on first use).
+        self._priced_models: Optional[List] = None
+        if config.save_store and self.store is not None:
+            # The store appends only dirty rows (O(delta)), so
             # flushing on *every* gather is affordable: a crashed or
             # killed run leaves everything it computed persisted, and
             # sibling processes warm-start from it while this run is
@@ -574,13 +543,46 @@ class RunHarness:
                                                       self.fingerprint)
 
     def _load_store_keys(self, keys) -> int:
-        """The executors' ``cache_loader`` hook: pull exactly the
-        requested keys from the store via the configured read mode."""
+        """The executor's ``cache_loader`` hook: pull the requested keys
+        from the store by index — plus, for every genotype among them,
+        the cost rows this run prices driver-side (latency, energy,
+        peak memory, ...), which the executor never asks for but a warm
+        restart must not recompute and re-append."""
+        keys = list(keys)
+        indices = sorted({key[1] for key in keys
+                          if key[0] in ("ntk", "linear_regions", "flops")})
+        cache = self.engine.cache
+        keys += [key for index in indices for model in self._cost_models()
+                 for key in (model.cache_key(index),) if key not in cache]
         loaded = self.store.load_cache_into(
-            self.engine.cache, self.fingerprint, keys=keys,
+            cache, self.fingerprint, keys=keys,
             read_mode=self.store_read_mode)
         self.warm_entries += loaded
         return loaded
+
+    def _cost_models(self) -> List:
+        """The cost axes this run prices per genotype, driver-side: the
+        matrix cells' axes on every board, or the objective's latency
+        and extra axes (``flops`` rows are trainless-indicator rows)."""
+        if self._priced_models is None:
+            config = self.config
+            if config.devices:
+                from repro.hardware.device import get_device
+
+                axes = sorted({axis for axes in (config.objective_sets()
+                                                 or (("latency",),))
+                               for axis in axes} - {"flops"})
+                models = []
+                for device in config.devices:
+                    engine = self.engine.for_device(get_device(device))
+                    models += [engine.cost_model(axis) for axis in axes]
+            else:
+                objective = self.objective()
+                models = list(objective.cost_models())
+                if objective.weights.uses_latency:
+                    models.append(self.engine.cost_model("latency"))
+            self._priced_models = models
+        return self._priced_models
 
     def _heartbeat_source(self) -> Dict:
         """One reading for the heartbeat line (reads shared counters only,
@@ -598,12 +600,11 @@ class RunHarness:
     def close(self) -> None:
         """Shut worker pools down *now* (idempotent).
 
-        :class:`~repro.runtime.pool.PopulationExecutor` used to lean on
-        ``__del__`` for cleanup, which runs at GC's convenience — forked
-        workers could outlive the run that spawned them.  The harness is
-        the object with the executor's lifecycle in hand, so it closes
-        deterministically: :meth:`run` on completion (success or not), or
-        the context manager on scope exit.
+        Leaning on ``__del__`` for cleanup runs at GC's convenience, so
+        forked workers could outlive the run that spawned them.  The
+        harness is the object with the executor's lifecycle in hand, so
+        it closes deterministically: :meth:`run` on completion (success
+        or not), or the context manager on scope exit.
         """
         self.executor.close()
 
@@ -657,13 +658,10 @@ class RunHarness:
         """Route SIGINT/SIGTERM into a graceful drain; returns the
         ``(signum, previous_handler)`` pairs to restore afterwards.
 
-        Only armed for async runs (the executor must expose
-        ``request_drain``) from the main thread — synchronous runs keep
-        stock Ctrl-C semantics, and signal handlers cannot be installed
-        off the main thread anyway.
+        Only armed from the main thread: signal handlers cannot be
+        installed off it.
         """
         if (not self.config.graceful_shutdown
-                or not hasattr(self.executor, "request_drain")
                 or threading.current_thread()
                 is not threading.main_thread()):
             return []
@@ -677,11 +675,12 @@ class RunHarness:
     def run(self) -> RunReport:
         """Run the configured algorithm; persist and report.
 
-        For async runs, SIGINT/SIGTERM triggers a **graceful drain**
-        rather than an abort: submission stops, in-flight chunks are
-        gathered and flushed, and the report comes back marked
-        ``status="interrupted"`` with everything computed so far
-        persisted (a second signal aborts immediately).
+        SIGINT/SIGTERM triggers a **graceful drain** rather than an
+        abort: submission stops (in loops that consult the executor's
+        ``drain_requested``), in-flight chunks are gathered and flushed,
+        and the report comes back marked ``status="interrupted"`` with
+        everything computed so far persisted (a second signal aborts
+        immediately).
         """
         stats_before = self.engine.cache.stats
         installed = self._install_drain_handlers()
@@ -717,7 +716,7 @@ class RunHarness:
         saved_entries = self.flushed_entries
         if self.store is not None and self.config.save_store:
             # Appends whatever the mid-run flushes have not already
-            # persisted (everything, for the sync executor).
+            # persisted (e.g. cost rows priced driver-side).
             saved_entries += self.store.save_cache(self.engine.cache,
                                                    self.fingerprint)
         return RunReport(
@@ -764,7 +763,7 @@ class RunHarness:
 
         Trainless indicators (κ_NTK, linear regions) are computed exactly
         once per unique canonical form — through the same executor hook a
-        plain run uses, so pool/async/fleet transports compose unchanged
+        plain run uses, so serial/fork/fleet transports compose unchanged
         and workers stay oblivious to cost axes.  Each device then prices
         its cost axes against the shared cache via the registered
         :class:`~repro.search.costs.CostModel` adapters (LUT-mediated,

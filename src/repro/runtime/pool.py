@@ -1,26 +1,21 @@
-"""Process-pool fan-out for population evaluation.
+"""Worker-side chunk functions and the cache keys their rows merge under.
 
-:class:`PopulationExecutor` parallelises the expensive part of
-``Engine.evaluate_population`` — computing indicators for the *unique
-canonical* survivors of a population — across worker processes:
+The async executor (:mod:`repro.runtime.async_pool`) ships chunks of
+*unique canonical* candidates to the functions here and merges the
+returned indicator rows into the shared
+:class:`~repro.engine.cache.IndicatorCache`:
 
 * **Determinism.**  Every proxy seeds its RNG from the canonical key
   (``stable_seed(tag, config.seed, repeat, canonical_index)``), so a
-  worker computes bit-for-bit the value the serial path would.  Results
-  are merged into the shared :class:`~repro.engine.cache.IndicatorCache`
-  under the engine's exact cache keys, and the engine then assembles the
-  table serially in request order — worker count, chunking and completion
-  order can never reorder or re-dedupe rows.
-* **Chunked dispatch.**  Candidates ship in chunks of ``chunk_size`` so
-  per-task pickling overhead amortises over several proxy evaluations.
-* **Serial fallback.**  ``n_workers=1``, platforms without ``fork`` (the
-  only start method that inherits the pure-NumPy substrate for free), or
-  degenerate workloads (a single chunk) run the same chunk function
-  inline in the parent; behaviour is identical by construction.
-
-The executor never imports search code and the engine never imports this
-module: the engine's ``executor=`` hook duck-types ``warm_population`` /
-``warm_supernets`` only.
+  worker computes bit-for-bit the value the serial path would, whatever
+  the worker count, chunking or completion order.
+* **One key contract.**  :func:`genotype_indicator_keys` and
+  :func:`supernet_indicator_keys` build the engine's exact cache keys;
+  every transport (fork pool, serial fallback, fleet workers) merges
+  through them.
+* **Partial warmth.**  Each chunk item carries a per-indicator need mask,
+  so a partially warm cache (e.g. FLOPs missing under a new macro config)
+  never re-pays the expensive proxies.
 
 Cache accounting note: rows a worker computed are recorded as cache
 *misses* when merged (they were genuinely computed, not found), after
@@ -33,14 +28,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import astuple, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.engine.core import supernet_state_key
-from repro.errors import SearchError
-from repro.runtime.telemetry import Telemetry
-from repro.runtime.tracing import CAT_DISPATCH
-from repro.searchspace.canonical import canonicalize
 from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.genotype import Genotype
 
@@ -139,250 +128,7 @@ def _evaluate_supernet_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
     return rows, time.perf_counter() - start
 
 
-# ----------------------------------------------------------------------
-# Executor
-# ----------------------------------------------------------------------
-@dataclass
-class PoolStats:
-    """Cumulative dispatch accounting of one :class:`PopulationExecutor`."""
-
-    mode: str = "serial"
-    n_workers: int = 1
-    dispatches: int = 0
-    chunks: int = 0
-    tasks: int = 0
-    merged_rows: int = 0
-    worker_seconds: float = 0.0
-
-    def to_dict(self) -> Dict:
-        return {
-            "mode": self.mode,
-            "n_workers": self.n_workers,
-            "dispatches": self.dispatches,
-            "chunks": self.chunks,
-            "tasks": self.tasks,
-            "merged_rows": self.merged_rows,
-            "worker_seconds": self.worker_seconds,
-        }
-
-
-class PopulationExecutor:
-    """Maps engine proxy evaluation over worker processes.
-
-    Pass an instance to ``Engine.evaluate_population(..., executor=...)``
-    (or to any search loop's ``executor=`` hook) to fan unique-candidate
-    evaluation out over ``n_workers`` fork-based processes.  The executor
-    holds no engine state: the same instance may serve many engines, and
-    each call reads the engine's configs to build matching cache keys.
-    """
-
-    def __init__(self, n_workers: Optional[int] = None,
-                 chunk_size: int = 8,
-                 telemetry: Optional[Telemetry] = None,
-                 cache_loader: Optional[Callable] = None) -> None:
-        if n_workers is None:
-            n_workers = multiprocessing.cpu_count()
-        if n_workers < 1:
-            raise SearchError("n_workers must be >= 1")
-        if chunk_size < 1:
-            raise SearchError("chunk_size must be >= 1")
-        self.n_workers = n_workers
-        self.chunk_size = chunk_size
-        self.telemetry = (telemetry if telemetry is not None
-                          else Telemetry.disabled())
-        #: Optional warm-start hook: called with the candidate cache keys
-        #: still missing before any compute ships, and expected to merge
-        #: whatever the persistent store holds for them into the engine's
-        #: cache (the harness wires it to a shard-selective / indexed
-        #: store read — see ``RuntimeConfig.store_read_mode``).  Keys the
-        #: loader fills are then not recomputed.
-        self.cache_loader = cache_loader
-        self.stats = PoolStats(n_workers=n_workers)
-        self._pool = None
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; also runs on ``del``).
-
-        Workers are forked lazily on the first parallel dispatch and then
-        reused — a pruning search dispatches once per round, and paying
-        pool startup each time would dominate small rounds.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "PopulationExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        return self._pool
-
-    def _run_chunks(self, worker, payloads: List[Tuple]) -> List[Tuple]:
-        """Run chunk payloads through the pool (or inline), in order."""
-        parallel = (self.n_workers > 1 and len(payloads) > 1
-                    and _fork_available())
-        if parallel:
-            # Sticky: "fork-pool" means the pool ran at least once this
-            # lifetime (later single-chunk dispatches go inline without
-            # re-labelling the whole run serial).
-            self.stats.mode = "fork-pool"
-        self.stats.dispatches += 1
-        self.stats.chunks += len(payloads)
-        tel = self.telemetry
-        run_worker = tel.wrap_worker(worker, local=not parallel)
-        with tel.span("pool_run_chunks", CAT_DISPATCH,
-                      chunks=len(payloads), parallel=parallel):
-            if not parallel:
-                return [run_worker(payload) for payload in payloads]
-            # Results come back in submission order regardless of which
-            # worker finishes first; merge order is thus deterministic
-            # (and irrelevant anyway — keys are unique after dedupe).
-            return list(self._ensure_pool().map(run_worker, payloads))
-
-    def _merge(self, engine, keyed_rows: List[Tuple[Tuple, float]]) -> int:
-        merged = engine.merge_indicator_rows(keyed_rows)
-        self.stats.merged_rows += merged
-        return merged
-
-    def _preload(self, engine, key_sets: List[Dict]) -> None:
-        """Give :attr:`cache_loader` one shot at the candidate keys still
-        missing from the cache, before needs masks are computed — rows it
-        pulls from the store are never shipped for recompute."""
-        if self.cache_loader is None:
-            return
-        wanted = [key for keys in key_sets for key in keys.values()
-                  if key not in engine.cache]
-        if wanted:
-            self.cache_loader(wanted)
-
-    # ------------------------------------------------------------------
-    # Engine hooks (duck-typed from Engine.evaluate_population and
-    # HybridObjective.supernet_population)
-    # ------------------------------------------------------------------
-    def warm_population(self, engine, genotypes: Sequence[Genotype],
-                        with_latency: bool = False,
-                        assume_canonical: bool = True) -> int:
-        """Compute missing unique-canonical indicator rows in the pool.
-
-        Returns the number of cache entries merged.  ``with_latency`` is
-        accepted for hook-signature compatibility; latency stays in the
-        parent (see :func:`_evaluate_genotype_chunk`).
-
-        ``Engine.evaluate_population`` passes already-canonical forms, so
-        canonicalization (a cell-graph build per genotype — the dominant
-        cost on a warm cache) is skipped by default; pass
-        ``assume_canonical=False`` when warming raw genotypes directly.
-        Raw forms under the default would only waste worker compute on
-        keys the engine never reads — canonical indices are keyed by
-        canonical forms only — never corrupt served values.
-        """
-        proxy_key = astuple(engine.proxy_config)
-        macro_key = astuple(engine.macro_config)
-        candidates: List[Tuple] = []  # (canon, key dict), unique
-        seen = set()
-        for genotype in genotypes:
-            canon = (genotype if assume_canonical
-                     else canonicalize(genotype))
-            index = canon.to_index()
-            if index in seen:
-                continue
-            seen.add(index)
-            candidates.append(
-                (canon, genotype_indicator_keys(index, proxy_key,
-                                                macro_key)))
-        self._preload(engine, [keys for _, keys in candidates])
-        missing: List[Tuple] = []  # (ops, per-indicator need mask)
-        for canon, keys in candidates:
-            needs = (
-                keys["ntk"] not in engine.cache,
-                keys["linear_regions"] not in engine.cache,
-                keys["flops"] not in engine.cache,
-            )
-            if any(needs):
-                missing.append((canon.ops, needs))
-        if not missing:
-            return 0
-        payloads = [
-            (tuple(chunk), engine.proxy_config, engine.macro_config)
-            for chunk in _chunked(missing, self.chunk_size)
-        ]
-        keyed: List[Tuple[Tuple, float]] = []
-        for rows, seconds in self._run_chunks(_evaluate_genotype_chunk,
-                                              payloads):
-            self.stats.tasks += len(rows)
-            self.stats.worker_seconds += seconds
-            self.telemetry.observe("chunk_seconds", seconds)
-            self.telemetry.count("executor.evals", len(rows))
-            engine.ledger.add("pool_eval", seconds=seconds, count=len(rows))
-            for index, row in rows:
-                keys = genotype_indicator_keys(index, proxy_key, macro_key)
-                for name, value in row.items():
-                    keyed.append((keys[name], value))
-        return self._merge(engine, keyed)
-
-    def warm_supernets(self, engine,
-                       spec_lists: Sequence[Sequence[EdgeSpec]]) -> int:
-        """Compute missing supernet-state indicator rows in the pool."""
-        proxy_key = astuple(engine.proxy_config)
-        candidates: List[Tuple] = []  # (state, key dict), unique
-        seen = set()
-        for specs in spec_lists:
-            state = supernet_state_key(specs)
-            if state in seen:
-                continue
-            seen.add(state)
-            candidates.append(
-                (state, supernet_indicator_keys(state, proxy_key)))
-        self._preload(engine, [keys for _, keys in candidates])
-        missing: List[Tuple] = []  # (state, per-indicator need mask)
-        for state, keys in candidates:
-            needs = (
-                keys["supernet_ntk"] not in engine.cache,
-                keys["supernet_lr"] not in engine.cache,
-            )
-            if any(needs):
-                missing.append((state, needs))
-        if not missing:
-            return 0
-        payloads = [
-            (tuple(chunk), engine.proxy_config)
-            for chunk in _chunked(missing, self.chunk_size)
-        ]
-        keyed: List[Tuple[Tuple, float]] = []
-        for rows, seconds in self._run_chunks(_evaluate_supernet_chunk,
-                                              payloads):
-            self.stats.tasks += len(rows)
-            self.stats.worker_seconds += seconds
-            self.telemetry.observe("chunk_seconds", seconds)
-            self.telemetry.count("executor.evals", len(rows))
-            engine.ledger.add("pool_eval", seconds=seconds, count=len(rows))
-            for state, row in rows:
-                keys = supernet_indicator_keys(state, proxy_key)
-                for name, value in row.items():
-                    keyed.append((keys[name], value))
-        return self._merge(engine, keyed)
-
-
 __all__ = [
-    "PopulationExecutor",
-    "PoolStats",
     "genotype_indicator_keys",
     "supernet_indicator_keys",
 ]

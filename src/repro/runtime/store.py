@@ -6,18 +6,16 @@ again from scratch: the in-memory
 device re-profiles its LUT.  :class:`RuntimeStore` is a directory-backed
 store that makes both survive:
 
-* **Indicator cache — store format 2, a sharded append-only segment
-  log with per-shard compacted bases and key indexes.**  Each
-  fingerprint (see :func:`cache_fingerprint`) owns one directory::
+* **Indicator cache — a sharded append-only segment log with
+  per-shard compacted bases and key indexes.**  Each fingerprint (see
+  :func:`cache_fingerprint`) owns one directory::
 
       cache2__<digest>/
           meta.json                       # fingerprint + shard count
           shard-03.base.jsonl             # compacted rows of shard 3
           shard-03.idx.json               # key index sidecar of shard 3
           shard-03.seg-00000002.4711.jsonl  # one append per save
-          base.json                       # pre-index monolithic base
-                                          # (legacy; folded away by the
-                                          # next compaction)
+          base.lock                       # reader/compactor lock
 
   ``save_cache`` appends only the cache's **dirty rows** (those written
   since the last load/save — :meth:`~repro.engine.cache.IndicatorCache.
@@ -26,9 +24,9 @@ store that makes both survive:
   under the shard's own ``flock``.  Persistence cost is therefore O(rows
   this run computed), independent of how large the store already is — the
   property process fleets sharing one store directory need.  Loading
-  replays monolithic ``base.json`` (oldest), then each shard's
-  ``.base.jsonl``, then every segment in ``(shard, sequence, pid)``
-  order with **last-write-wins** per key; a **compaction** pass
+  replays each shard's ``.base.jsonl``, then every segment in
+  ``(shard, sequence, pid)`` order with **last-write-wins** per key; a
+  **compaction** pass
   (:meth:`RuntimeStore.compact_cache`, the ``micronas store compact`` CLI,
   or automatically once accumulated segments rival the bases in bytes,
   past an :attr:`RuntimeStore.auto_compact_segments` file-count floor —
@@ -43,9 +41,6 @@ store that makes both survive:
   * ``"full"`` (default, and always used when ``keys`` is ``None``) —
     replay the whole directory: O(store), the right call when a run
     genuinely wants everything resident;
-  * ``"selective"`` — replay only the shards the requested keys hash
-    to: O(store ÷ shards × shards touched), a constant-factor win that
-    grows with the shard count;
   * ``"index"`` — point lookups through each shard's ``.idx.json``
     sidecar: O(population · log shard), independent of store size.  The
     index maps key digests to ``[file, byte offset, length]`` of the
@@ -73,12 +68,11 @@ store that makes both survive:
   fingerprint guards the global assumptions (store format, indicator
   schema, proxy/macro config, proxy compute precision) — a mismatched
   directory loads nothing, so stale entries can never poison results, and
-  float32/float64 runs keep separate directories.
-
-  **Format-1 read-compat:** the monolithic ``indicator_cache__*.json``
-  files earlier versions wrote still load (validated under their own
-  format-1 fingerprint), and the first ``save_cache`` migrates them into
-  the format-2 directory, after which the legacy file is removed.
+  float32/float64 runs keep separate directories.  The store is a cache:
+  files an older store format wrote (the format-1 monolithic
+  ``indicator_cache__*.json``, format-2 directories) are never read —
+  they key other fingerprint digests, so a run against them starts
+  cold and recomputes bit-identical rows.
 
 * **Latency LUTs** — one file per ``(device, precision, macro config)``
   key, written under a ``flock`` with :meth:`~repro.hardware.profiler.
@@ -127,10 +121,11 @@ from repro.runtime.tracing import CAT_STORE
 from repro.searchspace.network import MacroConfig
 
 #: Bump when the meaning of cached values or the on-disk layout changes;
-#: old store files then self-invalidate (LUTs) or are migrated (indicator
-#: caches — format 1 has an explicit read path below).  Format 2: sharded
-#: append-only indicator segments + device-name-keyed LUT digests.
-STORE_FORMAT = 2
+#: old store files then self-invalidate: they read as misses and
+#: recompute bit-identically.  Format 2: sharded append-only indicator
+#: segments + device-name-keyed LUT digests.  Format 3: the same layout
+#: without the monolithic ``base.json`` replay layer.
+STORE_FORMAT = 3
 
 #: Shard count for new cache directories (recorded in ``meta.json``).
 DEFAULT_SHARDS = 8
@@ -171,7 +166,7 @@ _SHARD_BASE_RE = re.compile(r"^shard-(?P<shard>\d+)\.base\.jsonl$")
 _TMP_PID_RE = re.compile(r"\.(?P<pid>\d+)\.tmp$")
 
 #: Valid ``read_mode`` values for :meth:`RuntimeStore.load_cache_into`.
-READ_MODES = ("full", "selective", "index")
+READ_MODES = ("full", "index")
 
 #: Fixed byte width of one sorted index record:
 #: ``digest(16) + " " + file(6) + " " + offset(12) + " " + length(8) +
@@ -218,9 +213,8 @@ def cache_fingerprint(proxy_config: ProxyConfig,
 
     ``cost_axes`` names any *extra* registered cost models the run
     scores (beyond the built-in indicator schema) so rows never alias
-    across objective sets.  Empty (the default) adds no key, keeping
-    legacy fingerprints — and every store written before the cost
-    registry existed — bit-compatible.
+    across objective sets.  Empty (the default) adds no key, so plain
+    runs and latency-only objective sets share one fingerprint.
     """
     fingerprint = {
         "format": STORE_FORMAT,
@@ -232,13 +226,6 @@ def cache_fingerprint(proxy_config: ProxyConfig,
     if cost_axes:
         fingerprint["costs"] = sorted(cost_axes)
     return fingerprint
-
-
-def _legacy_fingerprint(fingerprint: Dict) -> Dict:
-    """The same identity as format 1 wrote it (only ``format`` differs
-    — indicator values are bit-compatible across the layout change, which
-    is what makes read-side migration sound)."""
-    return dict(fingerprint, format=1)
 
 
 def _encode_key(key):
@@ -394,20 +381,16 @@ class RuntimeStore:
     # Indicator cache — paths and directory plumbing
     # ------------------------------------------------------------------
     def cache_dir(self, fingerprint: Dict) -> Path:
-        """Format-2 cache directory for this fingerprint.  Directories are
+        """Cache directory for this fingerprint.  Directories are
         fingerprint-keyed so runs under different configurations (seed,
         proxy scale, macro, precision) sharing one store coexist instead
         of overwriting each other's warm-start data."""
         return self.root / f"cache2__{_fingerprint_digest(fingerprint)}"
 
-    def legacy_cache_path(self, fingerprint: Dict) -> Path:
-        """Where store format 1 kept this fingerprint's monolithic file
-        (still read, and migrated into :meth:`cache_dir` on first save)."""
-        digest = _fingerprint_digest(_legacy_fingerprint(fingerprint))
-        return self.root / f"indicator_cache__{digest}.json"
-
-    def _base_path(self, directory: Path) -> Path:
-        return directory / "base.json"
+    def _lock_target(self, directory: Path) -> Path:
+        # The reader/compactor lock: _file_lock appends ".lock"; the
+        # target itself is never created.
+        return directory / "base"
 
     def _shard_base_path(self, directory: Path, shard: int) -> Path:
         return directory / f"shard-{shard:02d}.base.jsonl"
@@ -501,10 +484,7 @@ class RuntimeStore:
     def _shard_state(self, directory: Path, shard: int) -> List[List]:
         """``[name, bytes]`` of every file holding this shard's rows, in
         replay order (base first, then segments) — the coverage token the
-        index's staleness check compares against.  The monolithic
-        ``base.json`` is deliberately excluded: no index ever covers it,
-        so index-mode readers always merge it separately while it still
-        exists."""
+        index's staleness check compares against."""
         state = []
         for path in self._shard_base_files(directory, shard=shard):
             with contextlib.suppress(OSError):
@@ -604,12 +584,10 @@ class RuntimeStore:
         anyway.  A caller without dirty tracking (any mapping exposing
         ``items()``) falls back to appending everything.
 
-        First save against a fingerprint also migrates its format-1
-        monolithic file into the directory, and once the directory
-        accumulates :attr:`auto_compact_segments` segment files the save
-        triggers a compaction.  A zero-delta save with nothing to
-        migrate returns without touching the directory at all, so the
-        harness's every-gather flush is free on cache-hit-heavy gathers.
+        Once the directory accumulates :attr:`auto_compact_segments`
+        segment files the save triggers a compaction.  A zero-delta save
+        returns without touching the directory at all, so the harness's
+        every-gather flush is free on cache-hit-heavy gathers.
         Non-JSON-serialisable values, which the engine never produces,
         are skipped rather than corrupting the store (and stay dirty).
 
@@ -631,10 +609,9 @@ class RuntimeStore:
     def _save_cache_impl(self, cache: IndicatorCache,
                          fingerprint: Dict) -> int:
         rows = list(getattr(cache, "dirty_items", cache.items)())
-        if not rows and not self.legacy_cache_path(fingerprint).exists():
+        if not rows:
             return 0
         directory, n_shards = self._ensure_dir(fingerprint)
-        self._migrate_legacy(directory, fingerprint)
         by_shard: Dict[int, List[Tuple[str, str]]] = {}
         appended_keys = []
         for key, value in rows:
@@ -740,8 +717,7 @@ class RuntimeStore:
         if len(segments) > threshold * 16:
             return True
         base_bytes = 0
-        for path in ([self._base_path(directory)]
-                     + self._shard_base_files(directory)):
+        for path in self._shard_base_files(directory):
             with contextlib.suppress(OSError):
                 base_bytes += path.stat().st_size
         if base_bytes == 0:
@@ -751,72 +727,6 @@ class RuntimeStore:
             with contextlib.suppress(OSError):
                 segment_bytes += segment.stat().st_size
         return segment_bytes >= base_bytes
-
-    def _migrate_legacy(self, directory: Path, fingerprint: Dict) -> int:
-        """Fold a format-1 monolithic file into ``base.json`` and remove
-        it; returns rows migrated (0 when there is nothing to migrate).
-        Rows already in the format-2 base win — they are newer."""
-        legacy_path = self.legacy_cache_path(fingerprint)
-        if not legacy_path.exists():
-            return 0
-        with _file_lock(legacy_path):
-            if not legacy_path.exists():  # another process migrated first
-                return 0
-            entries = self._read_legacy(legacy_path, fingerprint)
-            if entries is None:
-                return 0  # unreadable/foreign: leave it for diagnosis
-            base_path = self._base_path(directory)
-            with _file_lock(base_path):
-                merged = dict(entries)
-                merged.update(self._read_base(directory, fingerprint) or {})
-                self._write_base(directory, fingerprint, merged)
-            legacy_path.unlink()
-            return len(entries)
-
-    def _read_entries(self, path: Path, expected_fingerprint: Dict
-                      ) -> Tuple[Optional[Dict[Tuple, object]],
-                                 Optional[str]]:
-        """Parse one monolithic payload file (legacy or base): returns
-        ``(entries, problem)`` with exactly one of them ``None`` — the
-        single parse/validate path every reader shares."""
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, OSError) as exc:
-            return None, f"unreadable cache file: {exc}"
-        if (not isinstance(payload, dict)
-                or payload.get("fingerprint") != expected_fingerprint):
-            return None, (
-                "fingerprint mismatch: persisted cache was written under a "
-                "different proxy/macro configuration or store format"
-            )
-        try:
-            return ({_decode_key(encoded): value
-                     for encoded, value in payload.get("entries", [])},
-                    None)
-        except (TypeError, ValueError):
-            return None, f"malformed cache payload: {path.name}"
-
-    def _read_legacy(self, path: Path,
-                     fingerprint: Dict) -> Optional[Dict[Tuple, object]]:
-        return self._read_entries(path, _legacy_fingerprint(fingerprint))[0]
-
-    def _read_base(self, directory: Path,
-                   fingerprint: Dict) -> Optional[Dict[Tuple, object]]:
-        """Base entries, or ``None`` when absent/unreadable/mismatched."""
-        base_path = self._base_path(directory)
-        if not base_path.exists():
-            return None
-        return self._read_entries(base_path, fingerprint)[0]
-
-    def _write_base(self, directory: Path, fingerprint: Dict,
-                    entries: Dict[Tuple, object]) -> None:
-        ordered = sorted(entries.items(), key=lambda kv: repr(kv[0]))
-        payload = {
-            "fingerprint": fingerprint,
-            "entries": [[_encode_key(key), value] for key, value in ordered],
-        }
-        _atomic_write_text(self._base_path(directory),
-                           json.dumps(payload) + "\n")
 
     # ------------------------------------------------------------------
     # Indicator cache — load (replay with last-write-wins)
@@ -828,20 +738,18 @@ class RuntimeStore:
         """Merge persisted entries into ``cache``; returns how many landed.
 
         With ``keys=None`` (the default) the whole store replays:
-        monolithic ``base.json``, per-shard ``.base.jsonl`` files, then
-        every segment in order (last write wins per key), plus any
-        not-yet-migrated format-1 file (oldest, so format-2 rows override
-        it).  With ``keys=`` an iterable of cache keys, only those keys
-        are merged, and ``read_mode`` picks the I/O strategy — ``"full"``
-        (replay everything, filter), ``"selective"`` (replay only the
-        shards the keys hash to) or ``"index"`` (point lookups through
-        the per-shard index sidecars, falling back to replaying any shard
-        whose index is stale or missing).  All three are bit-identical in
-        what they merge; they differ only in read cost (see the module
-        docstring).  ``last_load_stats`` records how the load went.
+        per-shard ``.base.jsonl`` files, then every segment in order
+        (last write wins per key).  With ``keys=`` an iterable of cache
+        keys, only those keys are merged, and ``read_mode`` picks the
+        I/O strategy — ``"full"`` (replay everything, filter) or
+        ``"index"`` (point lookups through the per-shard index sidecars,
+        falling back to replaying any shard whose index is stale or
+        missing).  Both are bit-identical in what they merge; they
+        differ only in read cost (see the module docstring).
+        ``last_load_stats`` records how the load went.
 
-        A missing store, unreadable JSON or a fingerprint mismatch loads
-        nothing from the offending part (``last_rejection`` says why);
+        A missing store, an unreadable ``meta.json`` or a fingerprint
+        mismatch is reported in ``last_rejection``;
         with ``strict=True`` a *present but rejected* file raises
         :class:`StoreError` instead, so CI can distinguish "cold" from
         "poisoned".  Entries already in the cache keep their in-memory
@@ -877,8 +785,8 @@ class RuntimeStore:
         if read_mode == "full":
             return self._load_cache_impl(cache, fingerprint, strict,
                                          requested=requested)
-        return self._load_selected_impl(cache, fingerprint, strict,
-                                        requested, read_mode)
+        return self._load_indexed_impl(cache, fingerprint, strict,
+                                       requested)
 
     def _load_cache_impl(self, cache: IndicatorCache, fingerprint: Dict,
                          strict: bool,
@@ -891,132 +799,80 @@ class RuntimeStore:
                  "index_filtered": 0, "shards_touched": None}
         self.last_load_stats = stats
         directory = self.cache_dir(fingerprint)
-        legacy_path = self.legacy_cache_path(fingerprint)
-        entries: Dict[Tuple, object] = {}
-        problems: List[str] = []
-        if legacy_path.exists():
-            legacy_entries, problem = self._read_entries(
-                legacy_path, _legacy_fingerprint(fingerprint))
-            if problem is not None:
-                # A concurrent first-save may have migrated the file
-                # away between exists() and the read: that is a healthy
-                # store (the rows are in the format-2 directory read
-                # below), not a poisoned one.
-                if legacy_path.exists():
-                    problems.append(problem)
-            else:
-                entries.update(legacy_entries)
-        if directory.exists():
-            # Under the base lock, *shared*: concurrent warm-starting
-            # readers replay side by side, while the compactor (which
-            # holds it exclusively across fold-and-unlink) cannot swap
-            # the base and delete segments between our base read and
-            # segment glob — the reader half of the "racing a compaction
-            # loses nothing" guarantee.
-            with _file_lock(self._base_path(directory), shared=True):
-                entries.update(self._replay(directory, fingerprint,
-                                            problems))
-        elif not legacy_path.exists():
+        if not directory.exists():
             self.last_rejection = "no persisted cache"
             return 0
+        problems: List[str] = []
+        # Under the base lock, *shared*: concurrent warm-starting readers
+        # replay side by side, while the compactor (which holds it
+        # exclusively across fold-and-unlink) cannot swap the bases and
+        # delete segments between our base read and segment glob — the
+        # reader half of the "racing a compaction loses nothing"
+        # guarantee.
+        with _file_lock(self._lock_target(directory), shared=True):
+            entries = self._replay(directory, fingerprint, problems)
         if requested is not None:
             entries = {key: entries[key] for key in requested
                        if key in entries}
         stats["found"] = len(entries)
         return self._finish_load(cache, entries, problems, strict)
 
-    def _load_selected_impl(self, cache: IndicatorCache, fingerprint: Dict,
-                            strict: bool, requested: List,
-                            read_mode: str) -> int:
-        """The ``keys=`` fast path: touch only the shards the requested
-        keys hash to (``selective``), or just their index slots
-        (``index``)."""
+    def _load_indexed_impl(self, cache: IndicatorCache, fingerprint: Dict,
+                           strict: bool, requested: List) -> int:
+        """The ``keys=`` fast path: touch only the index slots of the
+        shards the requested keys hash to."""
         self.last_rejection = None
-        stats = {"mode": read_mode, "requested": len(requested),
+        stats = {"mode": "index", "requested": len(requested),
                  "found": 0, "index_hits": 0, "index_fallback_shards": 0,
                  "index_filtered": 0, "shards_touched": 0}
         self.last_load_stats = stats
         directory = self.cache_dir(fingerprint)
-        legacy_path = self.legacy_cache_path(fingerprint)
+        if not directory.exists():
+            self.last_rejection = "no persisted cache"
+            return 0
         entries: Dict[Tuple, object] = {}
         problems: List[str] = []
-        if legacy_path.exists():
-            legacy_entries, problem = self._read_entries(
-                legacy_path, _legacy_fingerprint(fingerprint))
-            if problem is not None:
-                if legacy_path.exists():  # not a concurrent migration
-                    problems.append(problem)
-            else:
-                for key in requested:
-                    if key in legacy_entries:
-                        entries[key] = legacy_entries[key]
-        if not directory.exists():
-            if not legacy_path.exists():
-                self.last_rejection = "no persisted cache"
-                return 0
+        meta = self._read_meta(directory)
+        if meta is None:
+            # Damaged meta: the key→shard map is unknowable, so degrade
+            # to a full replay filtered to the requested keys — still
+            # correct, just O(store) for this load.
+            stats["shards_touched"] = None
+            with _file_lock(self._lock_target(directory), shared=True):
+                replayed = self._replay(directory, fingerprint, problems)
+            entries = {key: replayed[key] for key in requested
+                       if key in replayed}
+        elif "fingerprint" in meta and meta["fingerprint"] != fingerprint:
+            problems.append(
+                "fingerprint mismatch: persisted cache was written under "
+                "a different proxy/macro configuration or store format"
+            )
         else:
-            meta = self._read_meta(directory)
-            if meta is None:
-                # Damaged meta: the key→shard map is unknowable, so
-                # degrade to a full replay filtered to the requested
-                # keys — still correct, just O(store) for this load.
-                stats["shards_touched"] = None
-                with _file_lock(self._base_path(directory), shared=True):
-                    replayed = self._replay(directory, fingerprint,
-                                            problems)
-                for key in requested:
-                    if key in replayed:
-                        entries[key] = replayed[key]
-            elif ("fingerprint" in meta
-                    and meta["fingerprint"] != fingerprint):
-                problems.append(
-                    "fingerprint mismatch: persisted cache was written "
-                    "under a different proxy/macro configuration or "
-                    "store format"
-                )
-            else:
-                n_shards = int(meta.get("shards", self.shards))
-                by_shard: Dict[int, List[Tuple]] = {}
-                for key in requested:
-                    encoded = _encode_key(key)
-                    by_shard.setdefault(_shard_of(encoded, n_shards),
-                                        []).append((key, encoded))
-                stats["shards_touched"] = len(by_shard)
-                with _file_lock(self._base_path(directory), shared=True):
-                    # The monolithic base.json (pre-index layout) is
-                    # outside every shard's coverage: merge it first
-                    # whenever present — shard files replay after it,
-                    # so their rows win, preserving last-write-wins.
-                    base_path = self._base_path(directory)
-                    if base_path.exists():
-                        base_entries, problem = self._read_entries(
-                            base_path, fingerprint)
-                        if problem is not None:
-                            problems.append(problem)
-                        else:
-                            for key in requested:
-                                if key in base_entries:
-                                    entries[key] = base_entries[key]
-                    for shard in sorted(by_shard):
-                        entries.update(self._load_shard_keys(
-                            directory, shard, by_shard[shard],
-                            read_mode, stats))
+            n_shards = int(meta.get("shards", self.shards))
+            by_shard: Dict[int, List[Tuple]] = {}
+            for key in requested:
+                encoded = _encode_key(key)
+                by_shard.setdefault(_shard_of(encoded, n_shards),
+                                    []).append((key, encoded))
+            stats["shards_touched"] = len(by_shard)
+            with _file_lock(self._lock_target(directory), shared=True):
+                for shard in sorted(by_shard):
+                    entries.update(self._load_shard_keys(
+                        directory, shard, by_shard[shard], stats))
         stats["found"] = len(entries)
         return self._finish_load(cache, entries, problems, strict)
 
     def _load_shard_keys(self, directory: Path, shard: int,
-                         pairs: List[Tuple], read_mode: str,
+                         pairs: List[Tuple],
                          stats: Dict) -> Dict[Tuple, object]:
         """Rows for the requested ``(key, encoded)`` pairs of one shard
-        (call under the shared base lock).  ``index`` mode consults the
-        sidecar first; a stale/missing/lying index falls back to
-        replaying the whole shard, so the result never depends on index
-        health."""
-        if read_mode == "index":
-            rows = self._index_lookup(directory, shard, pairs, stats)
-            if rows is not None:
-                return rows
-            stats["index_fallback_shards"] += 1
+        (call under the shared base lock).  The index sidecar answers
+        first; a stale/missing/lying index falls back to replaying the
+        whole shard, so the result never depends on index health."""
+        rows = self._index_lookup(directory, shard, pairs, stats)
+        if rows is not None:
+            return rows
+        stats["index_fallback_shards"] += 1
         replayed = self._replay_shard(directory, shard)
         return {key: replayed[key] for key, _ in pairs if key in replayed}
 
@@ -1182,15 +1038,16 @@ class RuntimeStore:
 
     def _replay(self, directory: Path, fingerprint: Dict,
                 problems: List[str]) -> Dict[Tuple, object]:
-        """Bases + segments, later writes winning; unreadable parts are
-        reported into ``problems`` and skipped (readable rows still
-        load).  Replay order: monolithic ``base.json`` (oldest — the
-        pre-index layout), per-shard ``.base.jsonl`` files, then
-        segments.  Callers racing a compactor must hold the base lock
-        (``load_cache_into`` does; ``_compact_dir`` already holds it), or
-        the base-swap-then-unlink sequence could hide segment-only rows
-        from them."""
+        """Per-shard bases, then segments, later writes winning; torn
+        lines are skipped (readable rows still load), and an unreadable
+        ``meta.json`` is reported into ``problems``.  Callers racing a
+        compactor must hold the base lock (``load_cache_into`` does;
+        ``_compact_dir`` already holds it), or the base-swap-then-unlink
+        sequence could hide segment-only rows from them."""
         meta = self._read_meta(directory)
+        if meta is None and self._meta_path(directory).exists():
+            problems.append(f"unreadable store meta: "
+                            f"{self._meta_path(directory)}")
         if (isinstance(meta, dict) and "fingerprint" in meta
                 and meta["fingerprint"] != fingerprint):
             problems.append(
@@ -1199,14 +1056,6 @@ class RuntimeStore:
             )
             return {}
         entries: Dict[Tuple, object] = {}
-        base_path = self._base_path(directory)
-        if base_path.exists():
-            base_entries, problem = self._read_entries(base_path,
-                                                       fingerprint)
-            if problem is not None:
-                problems.append(problem)
-            else:
-                entries.update(base_entries)
         for path in self._shard_base_files(directory):
             self._read_jsonl_rows(path, entries)
         for segment in self._segment_files(directory):
@@ -1216,9 +1065,7 @@ class RuntimeStore:
     def _replay_shard(self, directory: Path,
                       shard: int) -> Dict[Tuple, object]:
         """One shard's base + segments, later writes winning (call under
-        the shared base lock).  The monolithic ``base.json`` is *not*
-        included — selective callers merge it separately, before shard
-        rows."""
+        the shared base lock)."""
         entries: Dict[Tuple, object] = {}
         for path in self._shard_base_files(directory, shard=shard):
             self._read_jsonl_rows(path, entries)
@@ -1230,17 +1077,13 @@ class RuntimeStore:
     # Indicator cache — compaction and maintenance
     # ------------------------------------------------------------------
     def compact_cache(self, fingerprint: Dict) -> Dict:
-        """Fold this fingerprint's segments (and any monolithic
-        ``base.json``) into per-shard ``.base.jsonl`` files with freshly
-        rebuilt ``.idx.json`` sidecars; returns ``{"segments_folded",
-        "entries", "migrated"}``.  Idempotent: with no segments pending
-        the bases are rewritten unchanged.  Also migrates a lingering
-        format-1 file and sweeps stale staging files."""
+        """Fold this fingerprint's segments into per-shard
+        ``.base.jsonl`` files with freshly rebuilt ``.idx.json``
+        sidecars; returns ``{"segments_folded", "entries"}``.
+        Idempotent: with no segments pending the bases are rewritten
+        unchanged.  Also sweeps stale staging files."""
         directory, _ = self._ensure_dir(fingerprint)
-        migrated = self._migrate_legacy(directory, fingerprint)
-        stats = self._compact_dir(directory, fingerprint)
-        stats["migrated"] = migrated
-        return stats
+        return self._compact_dir(directory, fingerprint)
 
     def _compact_dir(self, directory: Path, fingerprint: Dict) -> Dict:
         """Segments → per-shard bases under the base lock plus *every*
@@ -1253,8 +1096,7 @@ class RuntimeStore:
         filenames, so a damaged/missing meta can never leave a live
         appender's shard unlocked while its segments are swept.  Each
         surviving shard gets its index rebuilt atomically alongside its
-        base; the monolithic ``base.json`` (pre-index layout) is folded
-        in and removed."""
+        base."""
         tel = self.telemetry
         with tel.span("compaction", CAT_STORE) as span:
             meta = self._read_meta(directory)
@@ -1266,7 +1108,7 @@ class RuntimeStore:
                 if match is not None:
                     n_shards = max(n_shards, int(match.group("shard")) + 1)
             with contextlib.ExitStack() as stack:
-                stack.enter_context(_file_lock(self._base_path(directory)))
+                stack.enter_context(_file_lock(self._lock_target(directory)))
                 for shard in range(n_shards):
                     stack.enter_context(
                         _file_lock(self._shard_lock_target(directory, shard))
@@ -1291,8 +1133,6 @@ class RuntimeStore:
                 for segment in segments:
                     with contextlib.suppress(OSError):
                         segment.unlink()
-                with contextlib.suppress(OSError):
-                    self._base_path(directory).unlink()
             self._sweep_sidecars(directory)
             span.note(segments_folded=len(segments), entries=len(entries))
             tel.count("store.compactions")
@@ -1352,38 +1192,15 @@ class RuntimeStore:
 
     def compact_all(self) -> List[Dict]:
         """Compact every indicator cache in the store; returns one stats
-        dict per cache.  Format-1 monoliths are migrated first (each
-        embeds the fingerprint it was written under, which maps it to
-        its format-2 directory), then every format-2 directory — keyed
-        by its ``meta.json`` fingerprint — has its segments folded."""
+        dict per cache.  Every cache directory — keyed by its
+        ``meta.json`` fingerprint — has its segments folded."""
         results = []
-        done = set()
-        for path in sorted(self.root.glob("indicator_cache__*.json")):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (ValueError, OSError):
-                continue
-            legacy = (payload.get("fingerprint")
-                      if isinstance(payload, dict) else None)
-            if not isinstance(legacy, dict) or legacy.get("format") != 1:
-                continue
-            fingerprint = dict(legacy, format=STORE_FORMAT)
-            if self.legacy_cache_path(fingerprint) != path:
-                continue  # hand-copied under a foreign digest: leave it
-            stats = self.compact_cache(fingerprint)
-            directory = self.cache_dir(fingerprint)
-            stats["digest"] = directory.name.split("__", 1)[1]
-            results.append(stats)
-            done.add(directory.name)
         for directory in sorted(self.root.glob("cache2__*")):
-            if directory.name in done:
-                continue
             meta = self._read_meta(directory)
             if not isinstance(meta, dict) or "fingerprint" not in meta:
                 continue
             stats = self._compact_dir(directory, meta["fingerprint"])
             stats["digest"] = directory.name.split("__", 1)[1]
-            stats["migrated"] = 0
             results.append(stats)
         return results
 
@@ -1463,7 +1280,7 @@ class RuntimeStore:
     def quarantine_path(self, fingerprint: Dict) -> Path:
         """Where this fingerprint's quarantine ledger lives.
 
-        It sits inside the format-2 cache directory: quarantine is a
+        It sits inside the cache directory: quarantine is a
         property of the candidate *under this configuration* (a genotype
         poisoning the float32 proxies may be fine under float64), and it
         shares the directory's lifecycle (``gc`` of the cache dir drops
@@ -1494,17 +1311,16 @@ class RuntimeStore:
         return entries
 
     def cache_inventory(self) -> List[Dict]:
-        """One summary dict per persisted indicator cache (format-2
-        directories and any not-yet-migrated format-1 files)."""
+        """One summary dict per persisted indicator cache (cache
+        directories of every store format, and format-1 files, which
+        are listed but never read)."""
         inventory = []
         for directory in sorted(self.root.glob("cache2__*")):
             meta = self._read_meta(directory) or {}  # damaged: still listed
             fingerprint = meta.get("fingerprint")
             if not isinstance(fingerprint, dict):
-                fingerprint = None
-            base = (self._read_base(directory, fingerprint)
-                    if fingerprint else None)
-            base_rows: Dict[Tuple, object] = dict(base or {})
+                fingerprint = {}
+            base_rows: Dict[Tuple, object] = {}
             for path in self._shard_base_files(directory):
                 self._read_jsonl_rows(path, base_rows)
             segments = self._segment_files(directory)
@@ -1524,8 +1340,8 @@ class RuntimeStore:
                 quarantined = len(QuarantineLedger(quarantine))
             inventory.append({
                 "digest": directory.name.split("__", 1)[1],
-                "format": 2,
-                "precision": (fingerprint or {}).get("precision"),
+                "format": fingerprint.get("format"),
+                "precision": fingerprint.get("precision"),
                 "shards": meta.get("shards"),
                 "base_rows": len(base_rows),
                 "segments": len(segments),
@@ -1544,7 +1360,7 @@ class RuntimeStore:
                 fingerprint = {}
             entries = payload.get("entries")
             size = 0
-            with contextlib.suppress(OSError):  # migrated away mid-listing
+            with contextlib.suppress(OSError):  # removed mid-listing
                 size = path.stat().st_size
             inventory.append({
                 "digest": path.stem.split("__", 1)[1],

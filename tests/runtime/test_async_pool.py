@@ -494,17 +494,22 @@ class TestSteadyStateSearch:
         assert rerun.genotype is not None
 
     def test_sync_executor_rejected(self, tiny_proxy_config):
-        from repro.runtime.pool import PopulationExecutor
         from repro.search.evolutionary import (
             EvolutionConfig,
             SteadyStateEvolutionarySearch,
         )
 
+        class BarrierOnlyExecutor:
+            """Has the blocking hook only, no submit/gather halves."""
+
+            def warm_population(self, engine, genotypes, **kwargs):
+                return 0
+
         with pytest.raises(SearchError):
             SteadyStateEvolutionarySearch(
                 self._objective(tiny_proxy_config),
                 EvolutionConfig(population_size=4, sample_size=2, cycles=2),
-                executor=PopulationExecutor(n_workers=1),
+                executor=BarrierOnlyExecutor(),
             )
 
     def test_fork_mode_completes_and_closes(self, tiny_proxy_config):

@@ -544,7 +544,7 @@ from repro.runtime.store import RuntimeStore, cache_fingerprint
 
 store_dir, out_path = sys.argv[1], sys.argv[2]
 config = RuntimeConfig(algorithm="steady-state", n_workers=2, chunk_size=1,
-                       async_mode=True, store_dir=store_dir,
+                       store_dir=store_dir,
                        population_size=6, cycles=60, seed=3)
 harness = RunHarness(config)
 flush = harness.executor.on_gather
@@ -598,7 +598,7 @@ class TestGracefulDrain:
         from repro.runtime import RunHarness, RuntimeConfig
 
         harness = RunHarness(RuntimeConfig(algorithm="steady-state",
-                                           async_mode=True, n_workers=1,
+                                           n_workers=1,
                                            population_size=4, cycles=2))
         try:
             harness._handle_drain_signal(signal.SIGTERM, None)

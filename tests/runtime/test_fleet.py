@@ -503,24 +503,18 @@ class TestHarnessIntegration:
         serial = RunHarness(RuntimeConfig(algorithm="random", samples=8,
                                           seed=3)).run()
         fleet_config = RuntimeConfig(algorithm="random", samples=8,
-                                     seed=3, async_mode=True,
-                                     fleet_workers=2, store_dir=store,
-                                     chunk_size=4, chunk_timeout=120.0)
+                                     seed=3, fleet_workers=2,
+                                     store_dir=store, chunk_size=4,
+                                     chunk_timeout=120.0)
         fleet = RunHarness(fleet_config).run()
         assert fleet.pool["mode"] == "fleet"
         assert fleet.arch_index == serial.arch_index
         assert fleet.indicators == serial.indicators
-        assert fleet.store["read_mode"] == "index"  # satellite: auto
+        assert fleet.store["read_mode"] == "full"
         # A rerun warm-starts entirely from what the workers flushed.
         warm = RunHarness(fleet_config).run()
         assert warm.arch_index == serial.arch_index
         assert warm.cache["misses"] == 0
-
-    def test_fleet_requires_async(self):
-        from repro.runtime import RunHarness, RuntimeConfig
-
-        with pytest.raises(SearchError, match="async"):
-            RunHarness(RuntimeConfig(fleet_workers=2))
 
 
 class TestCli:
@@ -528,14 +522,14 @@ class TestCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["runtime", "--async", "--fleet-bind", "127.0.0.1:0",
+            ["runtime", "--fleet-bind", "127.0.0.1:0",
              "--fleet-workers", "3", "--fleet-lease", "20",
              "--fleet-token", "t"])
         assert args.fleet_bind == "127.0.0.1:0"
         assert args.fleet_workers == 3
         assert args.fleet_lease_seconds == 20.0
         assert args.fleet_token == "t"
-        assert args.store_read_mode == "auto"
+        assert args.store_read_mode == "full"
 
     def test_fleet_worker_subcommand(self):
         from repro.cli import build_parser
@@ -545,4 +539,4 @@ class TestCli:
              "--store", "/tmp/s", "--max-chunks", "2"])
         assert args.fn.__name__ == "cmd_fleet_worker"
         assert args.connect == "localhost:7707"
-        assert args.read_mode == "index"
+        assert not hasattr(args, "read_mode")

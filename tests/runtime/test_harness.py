@@ -1,5 +1,8 @@
 """One RuntimeConfig wires engine + pool + store and runs any algorithm."""
 
+import multiprocessing
+from collections import Counter
+
 import pytest
 
 from repro.errors import SearchError
@@ -97,35 +100,26 @@ class TestRunHarness:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["algorithm"] == "random-zeroshot"
         assert payload["config"]["algorithm"] == "random"
-        assert payload["pool"]["mode"] in ("serial", "fork-pool")
+        assert payload["pool"]["mode"] == "serial"
 
     def test_async_mode_runs_any_algorithm(self):
-        report = RunHarness(_quick_config(async_mode=True)).run()
+        report = RunHarness(_quick_config()).run()
         assert report.algorithm == "random-zeroshot"
         assert report.pool["mode"] == "serial"  # n_workers=1 fallback
         assert "idle_fraction" in report.pool
 
-    def test_steady_state_needs_async_executor(self):
-        with pytest.raises(SearchError):
-            RunHarness(_quick_config(algorithm="steady-state",
-                                     population_size=4, cycles=3)).run()
-        report = RunHarness(_quick_config(algorithm="steady-state",
-                                          async_mode=True,
-                                          population_size=4,
-                                          cycles=3)).run()
-        assert report.algorithm == "evolutionary-steady-state"
-        assert set(report.indicators) >= {"ntk", "linear_regions", "flops"}
-
     def test_steady_state_serial_reproducible(self):
-        config = _quick_config(algorithm="steady-state", async_mode=True,
+        config = _quick_config(algorithm="steady-state",
                                population_size=4, cycles=3)
         first = RunHarness(config).run()
+        assert first.algorithm == "evolutionary-steady-state"
+        assert set(first.indicators) >= {"ntk", "linear_regions", "flops"}
         second = RunHarness(config).run()
         assert first.arch_index == second.arch_index
         assert first.indicators == second.indicators
 
     def test_steady_state_warm_starts_from_store(self, tmp_path):
-        config = _quick_config(algorithm="steady-state", async_mode=True,
+        config = _quick_config(algorithm="steady-state",
                                population_size=4, cycles=3,
                                store_dir=str(tmp_path / "store"))
         cold = RunHarness(config).run()
@@ -135,20 +129,46 @@ class TestRunHarness:
         assert warm.cache["misses"] == 0
         assert warm.arch_index == cold.arch_index
 
+    @pytest.mark.store
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_fresh_store_accounting(self, tmp_path, n_workers):
+        """Every store-backed run flushes on each gather and once more at
+        the end: a fresh store then holds exactly one trainless row per
+        canonical cell, and replaying it yields every row the run saved
+        (mid-run flushes plus the final save)."""
+        from repro.engine.cache import IndicatorCache
+        from repro.runtime.store import RuntimeStore
+
+        if n_workers > 1 and "fork" not in \
+                multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        harness = RunHarness(_quick_config(
+            samples=12, n_workers=n_workers, chunk_size=2,
+            latency_weight=0.5, store_dir=str(tmp_path / "store")))
+        report = harness.run()
+        assert report.pool["mode"] == ("serial" if n_workers == 1
+                                       else "fork")
+        assert harness.flushed_entries > 0  # rows landed mid-run
+        cache = IndicatorCache()
+        loaded = RuntimeStore(report.config.store_dir).load_cache_into(
+            cache, harness.fingerprint)
+        rows = Counter(key[0] for key, _ in cache.items())
+        cells = {key[1] for key, _ in cache.items() if key[0] == "ntk"}
+        assert cells
+        for kind in ("ntk", "linear_regions", "flops"):
+            assert rows[kind] == len(cells)
+        assert loaded == report.store["cache_saved"]
+
     def test_executors_closed_deterministically_no_leaked_processes(self):
         """The harness (not GC timing) ends worker lifetimes: after run()
         or the context manager, no forked worker may survive."""
-        import multiprocessing
-
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
-        for async_mode in (False, True):
-            config = _quick_config(n_workers=2, chunk_size=2,
-                                   async_mode=async_mode)
-            with RunHarness(config) as harness:
-                harness.run()  # run() closes on completion...
-                assert multiprocessing.active_children() == []
+        config = _quick_config(n_workers=2, chunk_size=2)
+        with RunHarness(config) as harness:
+            harness.run()  # run() closes on completion...
             assert multiprocessing.active_children() == []
+        assert multiprocessing.active_children() == []
 
         # ...and the context manager alone closes a pool that was used
         # without run() (executor handed straight to an engine).

@@ -118,7 +118,7 @@ class TestIndicatorCachePersistence:
         fingerprint = cache_fingerprint_default()
         directory = store.cache_dir(fingerprint)
         directory.mkdir(parents=True)
-        (directory / "base.json").write_text("{not json", encoding="utf-8")
+        (directory / "meta.json").write_text("{not json", encoding="utf-8")
         assert store.load_cache_into(IndicatorCache(), fingerprint) == 0
         assert "unreadable" in store.last_rejection
         with pytest.raises(StoreError):
@@ -177,16 +177,16 @@ class TestConcurrentWriters:
         fingerprint = cache_fingerprint_default()
         directory = store.cache_dir(fingerprint)
         directory.mkdir(parents=True)
-        (directory / "base.json").write_text("{torn", encoding="utf-8")
+        (directory / "shard-00.base.jsonl").write_text('[["flops", 9',
+                                                       encoding="utf-8")
         cache = IndicatorCache()
         cache.put(("flops", 7, (4,)), 7.0)
         assert store.save_cache(cache, fingerprint) == 1
         restored = IndicatorCache()
         assert store.load_cache_into(restored, fingerprint) == 1
         assert restored.get(("flops", 7, (4,))) == 7.0
-        # Compaction discards the unreadable base and rebuilds it from
-        # the surviving segments (the format-1 rebuild-from-memory
-        # behaviour, now at the compaction layer).
+        # Compaction discards the torn base line and rebuilds the bases
+        # from the surviving segments.
         store.compact_cache(fingerprint)
         fresh = IndicatorCache()
         assert store.load_cache_into(fresh, fingerprint, strict=True) == 1

@@ -1,8 +1,8 @@
-"""Store format 2: append-only shards, compaction, migration, LUT keys.
+"""The sharded store: append-only shards, compaction, LUT keys.
 
 The properties this file pins are the acceptance criteria of the sharded
-store: saves append only the dirty delta, format-1 monoliths still load
-and migrate on first save, compaction is idempotent and preserves
+store: saves append only the dirty delta, files older store formats
+wrote read as misses, compaction is idempotent and preserves
 last-write-wins, concurrent appenders to one shard drop no rows, and
 slug-colliding device names no longer clobber each other's LUTs.
 """
@@ -18,11 +18,12 @@ from repro.engine.cache import IndicatorCache
 from repro.hardware.profiler import LatencyLUT
 from repro.proxies.base import ProxyConfig
 from repro.runtime.store import (
+    STORE_FORMAT,
     RuntimeStore,
     StoreError,
     cache_fingerprint,
     _encode_key,
-    _legacy_fingerprint,
+    _fingerprint_digest,
 )
 from repro.searchspace.network import MacroConfig
 
@@ -45,14 +46,15 @@ def key(i):
 
 def write_format1_file(store, fingerprint, entries):
     """What the pre-sharding store wrote: one monolithic JSON file keyed
-    by the format-1 fingerprint digest."""
+    by the format-1 fingerprint digest.  Returns its path."""
+    legacy = dict(fingerprint, format=1)
     payload = {
-        "fingerprint": _legacy_fingerprint(fingerprint),
+        "fingerprint": legacy,
         "entries": [[_encode_key(k), v] for k, v in entries.items()],
     }
-    store.legacy_cache_path(fingerprint).write_text(
-        json.dumps(payload) + "\n", encoding="utf-8"
-    )
+    path = store.root / f"indicator_cache__{_fingerprint_digest(legacy)}.json"
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    return path
 
 
 def segment_files(store, fingerprint):
@@ -97,70 +99,32 @@ class TestDirtyDelta:
 
 
 class TestFormat1Compat:
-    """Old monolithic files load, and the first save migrates them."""
+    """Files an older store format wrote are never read: a run against
+    them starts cold and recomputes (the store is a cache)."""
 
-    def test_format1_file_loads(self, store, fingerprint):
-        write_format1_file(store, fingerprint, {key(1): 1.0, key(2): 2.0})
+    def test_format1_file_reads_as_miss(self, store, fingerprint):
+        legacy = write_format1_file(store, fingerprint, {key(1): 1.0})
         cache = IndicatorCache()
-        assert store.load_cache_into(cache, fingerprint, strict=True) == 2
-        assert cache.get(key(1)) == 1.0
-
-    def test_first_save_migrates_and_removes_legacy(self, store,
-                                                    fingerprint):
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        cache = IndicatorCache()
-        cache.put(key(2), 2.0)
-        store.save_cache(cache, fingerprint)
-        assert not store.legacy_cache_path(fingerprint).exists()
-        restored = IndicatorCache()
-        assert store.load_cache_into(restored, fingerprint, strict=True) == 2
-        assert restored.get(key(1)) == 1.0
-        assert restored.get(key(2)) == 2.0
-
-    def test_format2_rows_beat_migrated_legacy_rows(self, store,
-                                                    fingerprint):
-        # A row re-computed since the legacy file was written is newer:
-        # the format-2 value must win both before and after migration.
-        cache = IndicatorCache()
-        cache.put(key(1), 99.0)
-        store.save_cache(cache, fingerprint)
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        peek = IndicatorCache()
-        store.load_cache_into(peek, fingerprint)
-        assert peek.get(key(1)) == 99.0  # read-side: legacy is oldest
-        store.compact_cache(fingerprint)  # migrates + folds
-        assert not store.legacy_cache_path(fingerprint).exists()
-        restored = IndicatorCache()
-        store.load_cache_into(restored, fingerprint, strict=True)
-        assert restored.get(key(1)) == 99.0
-
-    def test_compact_all_migrates_legacy_files(self, store, fingerprint):
-        # `micronas store compact` must migrate monoliths even when no
-        # run has saved under their fingerprint yet.
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        results = store.compact_all()
-        assert len(results) == 1
-        assert results[0]["migrated"] == 1
-        assert not store.legacy_cache_path(fingerprint).exists()
+        assert store.load_cache_into(cache, fingerprint, strict=True) == 0
+        assert store.last_rejection == "no persisted cache"
+        assert store.compact_all() == []  # nothing to fold or migrate
+        fresh = IndicatorCache()
+        fresh.put(key(1), 99.0)  # the recomputed row
+        assert store.save_cache(fresh, fingerprint) == 1
+        assert legacy.exists()  # left alone, never migrated
         restored = IndicatorCache()
         assert store.load_cache_into(restored, fingerprint, strict=True) == 1
-        # Second pass: already-migrated stores report nothing to migrate
-        # and each directory appears once.
-        results = store.compact_all()
-        assert len(results) == 1
-        assert results[0]["migrated"] == 0
+        assert restored.get(key(1)) == 99.0
 
-    def test_mismatched_legacy_file_rejected(self, store, fingerprint):
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        legacy = store.legacy_cache_path(fingerprint)
-        payload = json.loads(legacy.read_text(encoding="utf-8"))
-        payload["fingerprint"]["precision"] = "float16"
-        legacy.write_text(json.dumps(payload), encoding="utf-8")
+    def test_format2_directory_reads_as_miss(self, store, fingerprint):
+        older = dict(fingerprint, format=2)
         cache = IndicatorCache()
-        assert store.load_cache_into(cache, fingerprint) == 0
-        assert "fingerprint mismatch" in store.last_rejection
-        with pytest.raises(StoreError):
-            store.load_cache_into(cache, fingerprint, strict=True)
+        cache.put(key(1), 1.0)
+        store.save_cache(cache, older)
+        assert store.cache_dir(older) != store.cache_dir(fingerprint)
+        assert store.load_cache_into(IndicatorCache(), fingerprint) == 0
+        assert store.load_cache_into(IndicatorCache(), fingerprint,
+                                     keys=[key(1)], read_mode="index") == 0
 
 
 class TestCompaction:
@@ -200,25 +164,6 @@ class TestCompaction:
         stats = store.compact_cache(fingerprint)
         assert stats["segments_folded"] == 0
         assert layout() == first
-
-    def test_compaction_folds_monolithic_base_away(self, store,
-                                                   fingerprint):
-        # A pre-index directory (monolithic base.json) compacts into
-        # per-shard bases + indexes; the monolith does not linger.
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        cache = IndicatorCache()
-        cache.put(key(2), 2.0)
-        store.save_cache(cache, fingerprint)  # migration writes base.json
-        directory = store.cache_dir(fingerprint)
-        assert (directory / "base.json").exists()
-        store.compact_cache(fingerprint)
-        assert not (directory / "base.json").exists()
-        assert list(directory.glob("shard-*.base.jsonl"))
-        assert list(directory.glob("shard-*.idx.json"))
-        restored = IndicatorCache()
-        assert store.load_cache_into(restored, fingerprint, strict=True) == 2
-        assert restored.get(key(1)) == 1.0
-        assert restored.get(key(2)) == 2.0
 
     def test_auto_compaction_past_segment_threshold(self, tmp_path,
                                                     fingerprint):
@@ -475,8 +420,8 @@ class TestInventory:
         write_format1_file(store, stale, {key(9): 9.0})
         inventory = store.cache_inventory()
         formats = sorted(entry["format"] for entry in inventory)
-        assert formats == [1, 2]
-        modern = next(e for e in inventory if e["format"] == 2)
+        assert formats == [1, STORE_FORMAT]
+        modern = next(e for e in inventory if e["format"] == STORE_FORMAT)
         assert modern["segments"] == 1
         assert modern["shards"] == store.shards
         legacy = next(e for e in inventory if e["format"] == 1)

@@ -1,8 +1,8 @@
-"""Shard-selective loads and the per-shard key index sidecar.
+"""Indexed loads through the per-shard key index sidecar.
 
 This file pins the read-side acceptance criteria of the million-row
-store tier: ``selective``/``index`` loads are **bit-identical** to full
-replay under fuzzed write orders, torn tails and damaged sidecars (the
+store tier: ``index`` loads are **bit-identical** to full replay under
+fuzzed write orders, torn tails and damaged sidecars (the
 index is an accelerator, never an authority over row data); flushes
 extend the index by pure append (the structural O(delta) property);
 stale indexes fall back to shard replay and heal at the next
@@ -66,15 +66,15 @@ class TestReadModeBasics:
             store.load_cache_into(IndicatorCache(), fingerprint,
                                   keys=[key(1)], read_mode="psychic")
 
-    def test_selective_touches_only_hashed_shards(self, store, fingerprint):
+    def test_index_touches_only_hashed_shards(self, store, fingerprint):
         fill(store, fingerprint, 0, 100)
         store.compact_cache(fingerprint)
         population = [key(i) for i in (3, 17, 42)]
-        loaded, rows = load(store, fingerprint, population, "selective")
+        loaded, rows = load(store, fingerprint, population, "index")
         assert loaded == 3
         assert rows == {key(i): float(i) * 1.5 for i in (3, 17, 42)}
         stats = store.last_load_stats
-        assert stats["mode"] == "selective"
+        assert stats["mode"] == "index"
         assert 1 <= stats["shards_touched"] <= 3
 
     def test_index_serves_every_hit_without_fallback(self, store,
@@ -220,19 +220,17 @@ class TestReadPathEquivalence:
         population = [key(i) for i in rng.sample(range(60), 20)]
         want = {k: expected[k] for k in population if k in expected}
         results = {}
-        for mode in ("full", "selective", "index"):
+        for mode in ("full", "index"):
             loaded, rows = load(store, fingerprint, population, mode)
             assert loaded == len(want), (mode, seed)
             results[mode] = rows
-        assert results["full"] == results["selective"] \
-            == results["index"] == want, seed
+        assert results["full"] == results["index"] == want, seed
 
 
 class TestConcurrentReaders:
-    def test_selective_and_index_reads_race_a_compactor(
-            self, tmp_path, fingerprint):
+    def test_index_reads_race_a_compactor(self, tmp_path, fingerprint):
         """A churning writer+compactor must never make a concurrent
-        selective/index load miss a row or see a wrong value: appends
+        full/index load miss a row or see a wrong value: appends
         hold the shard flock, compaction holds base + every shard lock,
         loads replay under the shared base lock, and a mid-churn index
         is either fresh (covers match) or ignored."""
@@ -258,7 +256,7 @@ class TestConcurrentReaders:
         process.start()
         try:
             for _ in range(25):
-                for mode in ("selective", "index"):
+                for mode in ("full", "index"):
                     loaded, rows = load(store, fingerprint, population,
                                         mode)
                     assert loaded == len(population), mode
@@ -308,7 +306,7 @@ class TestConcurrentReaders:
         for process in processes:
             process.join(timeout=30)
             assert process.exitcode == 0
-        for mode in ("full", "selective", "index"):
+        for mode in ("full", "index"):
             loaded, rows = load(store, fingerprint, all_keys, mode)
             assert loaded == len(want), mode
             assert rows == want, mode
@@ -335,7 +333,7 @@ class TestIndexTailCompaction:
         assert state is not None
         assert state["tail_records"] <= 4
         # Rows all survive, through every read mode.
-        for mode in ("full", "selective", "index"):
+        for mode in ("full", "index"):
             loaded, rows = load(store, fingerprint,
                                 [key(i) for i in range(6)], mode)
             assert loaded == 6, mode
@@ -454,7 +452,7 @@ class TestHarnessReadModes:
             store_dir=store_dir)).run()
         assert cold.store["cache_saved"] > 0
         assert cold.store["read_mode"] == "full"
-        for mode in ("selective", "index"):
+        for mode in ("full", "index"):
             warm = RunHarness(RuntimeConfig(
                 algorithm="random", samples=6, seed=3, fast=True,
                 store_dir=store_dir, store_read_mode=mode)).run()
@@ -463,6 +461,37 @@ class TestHarnessReadModes:
             assert warm.cache["warm_start_entries"] > 0
             assert warm.arch_str == cold.arch_str
             assert warm.indicators == cold.indicators
+
+    @pytest.mark.parametrize("mode", ["full", "index"])
+    @pytest.mark.parametrize("matrix", [False, True],
+                             ids=["latency-run", "matrix"])
+    def test_warm_restart_computes_and_saves_nothing(self, tmp_path, mode,
+                                                     matrix):
+        """A warm restart reads every row it needs — the trainless rows
+        and the cost rows priced driver-side (latency; energy and peak
+        memory per board in matrix mode) — so it computes and appends
+        nothing, whichever way it reads the store."""
+        from repro.runtime import RunHarness, RuntimeConfig
+
+        if matrix:
+            fields = dict(devices=("nucleo-f746zg", "nucleo-l432kc"),
+                          objectives=("latency", "energy,peak-mem"))
+        else:
+            fields = dict(algorithm="random", latency_weight=0.5)
+        config = RuntimeConfig(samples=16, seed=0, fast=True,
+                               store_dir=str(tmp_path / "store"),
+                               store_read_mode=mode, **fields)
+
+        def run():
+            harness = RunHarness(config)
+            return harness.run_matrix() if matrix else harness.run()
+
+        cold = run()
+        assert cold.store["cache_saved"] > 0
+        warm = run()
+        assert warm.cache["misses"] == 0
+        assert warm.store["cache_saved"] == 0
+        assert warm.cache["warm_start_entries"] == cold.store["cache_saved"]
 
     def test_harness_rejects_unknown_read_mode(self):
         from repro.errors import SearchError

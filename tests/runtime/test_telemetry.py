@@ -379,8 +379,7 @@ class TestHarnessTelemetry:
 
     def test_traced_run_writes_valid_chrome_trace(self, tmp_path):
         trace = tmp_path / "run.json"
-        report = RunHarness(_quick_config(
-            async_mode=True, trace_path=str(trace))).run()
+        report = RunHarness(_quick_config(trace_path=str(trace))).run()
         payload = load_trace(trace)
         assert payload["otherData"]["run_id"] == report.run_id
         assert payload["otherData"]["interrupted"] is False
@@ -399,7 +398,7 @@ class TestHarnessTelemetry:
             self, tmp_path):
         trace = tmp_path / "run.json"
         harness = RunHarness(_quick_config(
-            algorithm="steady-state", async_mode=True, population_size=4,
+            algorithm="steady-state", population_size=4,
             cycles=40, trace_path=str(trace)))
 
         def hook(gathered):
@@ -415,8 +414,7 @@ class TestHarnessTelemetry:
         assert summarize_trace(payload)["n_spans"] > 0
 
     def test_heartbeat_config_emits_progress_lines(self, capsys):
-        report = RunHarness(_quick_config(heartbeat=0.01,
-                                          async_mode=True)).run()
+        report = RunHarness(_quick_config(heartbeat=0.01)).run()
         # The harness armed telemetry for the heartbeat even with no
         # trace path, so the metrics snapshot rides in the report.
         assert report.telemetry is not None
@@ -550,8 +548,7 @@ class TestTraceAnalysis:
         from repro.cli import main
 
         trace = tmp_path / "run.json"
-        RunHarness(_quick_config(async_mode=True,
-                                 trace_path=str(trace))).run()
+        RunHarness(_quick_config(trace_path=str(trace))).run()
         assert main(["trace", "summarize", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "span coverage" in out

@@ -60,7 +60,11 @@ class TestStoreMaintenance:
         from repro.hardware.device import NUCLEO_F746ZG
         from repro.hardware.latency import LatencyEstimator
         from repro.proxies.base import ProxyConfig
-        from repro.runtime.store import RuntimeStore, cache_fingerprint
+        from repro.runtime.store import (
+            STORE_FORMAT,
+            RuntimeStore,
+            cache_fingerprint,
+        )
         from repro.searchspace.network import MacroConfig
 
         store_dir = str(tmp_path / "store")
@@ -73,7 +77,7 @@ class TestStoreMaintenance:
                          lut_store=store)
         assert main(["store", "inventory", "--store", store_dir]) == 0
         out = capsys.readouterr().out
-        assert "format 2" in out
+        assert f"format {STORE_FORMAT}" in out
         assert "lut nucleo-f746zg" in out
 
         assert main(["store", "compact", "--store", store_dir]) == 0
