@@ -297,7 +297,7 @@ def ntk_condition_number(
 
 def condition_numbers(gram: np.ndarray, max_index: int) -> np.ndarray:
     """``K_1..K_max_index`` from a Gram matrix (see :meth:`NtkResult.k`)."""
-    eigenvalues = np.linalg.eigvalsh(gram)[::-1]
+    eigenvalues = _eigvalsh_desc(gram)
     result = NtkResult(eigenvalues=eigenvalues, batch_size=gram.shape[0])
     return np.array([result.k(i) for i in range(1, max_index + 1)])
 

@@ -21,7 +21,9 @@ Contract:
 * ``fingerprint() -> tuple`` — hashable identity of everything the value
   depends on *besides* the genotype (device name, kernel precision,
   power figures, macro configuration...).  It is folded into cache keys
-  so rows never alias across devices, precisions or objective sets;
+  so rows never alias across devices, precisions or objective sets.
+  Everything it reads is fixed at construction, so ``cache_key`` calls
+  it once per model and reuses the tuple;
 * ``cache`` — optionally, the :class:`~repro.engine.cache.IndicatorCache`
   the model itself memoizes into.  Estimator-backed models set it so the
   engine can detect "model and engine share one cache" and not
@@ -38,6 +40,7 @@ and ``int8-latency`` (quantized kernels, backed by the
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import SearchError
@@ -110,9 +113,14 @@ class CostModel:
         the genotype."""
         raise NotImplementedError
 
+    @cached_property
+    def _key_suffix(self) -> Tuple:
+        """:meth:`fingerprint`, computed on first use and kept."""
+        return self.fingerprint()
+
     def cache_key(self, canon_index: int) -> Tuple:
         """Engine cache key for the canonical form with this index."""
-        return ("cost", self.name, canon_index) + self.fingerprint()
+        return ("cost", self.name, canon_index) + self._key_suffix
 
 
 class LatencyCostModel(CostModel):
@@ -138,7 +146,7 @@ class LatencyCostModel(CostModel):
                 astuple(self.estimator.config))
 
     def cache_key(self, canon_index: int) -> Tuple:
-        return ("latency", canon_index) + self.fingerprint()
+        return ("latency", canon_index) + self._key_suffix
 
 
 class FlopsCostModel(CostModel):
@@ -160,7 +168,7 @@ class FlopsCostModel(CostModel):
         return (astuple(self.config),)
 
     def cache_key(self, canon_index: int) -> Tuple:
-        return ("flops", canon_index, astuple(self.config))
+        return ("flops", canon_index) + self._key_suffix
 
 
 class EnergyCostModel(CostModel):

@@ -18,6 +18,13 @@ cheap enough to score a sample directly) over
 
 The deliverable is the first front plus a knee point, which a user can
 hand to the secondary stage (:mod:`repro.search.macro`) per deployment.
+
+:func:`non_dominated_sort` is array-native but keeps the list order of
+the classic pairwise NSGA-II loop: front 0 in ascending index order, and
+each later front ordered by the position, in the previous front, of each
+member's last dominator, ties broken by index.  It compares ``≤ 256``
+rows against all points at a time, so its memory stays ``O(256 · N)``
+and never reaches ``N × N`` — a whole-space sort (N = 15,625) included.
 """
 
 from __future__ import annotations
@@ -43,34 +50,76 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+#: Rows of the dominance relation built at once by :func:`non_dominated_sort`.
+_SORT_BLOCK = 256
+
+
+def _dominance_rows(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``out[r, c]`` is ``dominates(rows[r], columns[c])``.
+
+    Built one objective at a time from 2-D comparisons, so no temporary
+    exceeds ``len(rows) × len(columns)`` booleans.  NaN compares False,
+    exactly as in :func:`dominates`.
+    """
+    shape = (len(rows), len(columns))
+    no_worse = np.ones(shape, dtype=bool)
+    better = np.zeros(shape, dtype=bool)
+    for k in range(rows.shape[1]):
+        row = rows[:, k, None]
+        column = columns[None, :, k]
+        no_worse &= row <= column
+        better |= row < column
+    return no_worse & better
+
+
 def non_dominated_sort(points: np.ndarray) -> List[List[int]]:
     """NSGA-II fast non-dominated sort (minimisation).
 
     Returns fronts as lists of row indices; front 0 is the Pareto set.
+    The lists come in the order the classic pairwise loop appends them:
+
+    * front 0 in ascending index order;
+    * each later front ordered by the position, in the previous front,
+      of each member's *last* dominator, ties broken by index.
+
+    Dominance is :func:`dominates`, NaN and ±inf included.  Domination
+    counts and front peeling both work in blocks of at most 256 rows
+    against the points, so memory is ``O(256 · N)``: nothing ``N × N``
+    is ever allocated.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = np.zeros(n, dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(points[i], points[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(points[j], points[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
+    if n == 0:
+        return []
+    points = points.reshape(n, -1)
+    count = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, _SORT_BLOCK):
+        block = _dominance_rows(points[start:start + _SORT_BLOCK], points)
+        count += np.count_nonzero(block, axis=0)
     fronts: List[List[int]] = []
-    current = [i for i in range(n) if domination_count[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt: List[int] = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        current = nxt
+    current = np.flatnonzero(count == 0)
+    remaining = np.flatnonzero(count)
+    while current.size:
+        fronts.append(current.tolist())
+        if not remaining.size:
+            break
+        # Peel: each front member releases the points it dominates; a
+        # point joins the next front when its last dominator is released.
+        # ``last[c]`` is that dominator's position in ``current``.
+        rest = points[remaining]
+        last = np.zeros(remaining.size, dtype=np.int64)
+        for start in range(0, current.size, _SORT_BLOCK):
+            block = _dominance_rows(
+                points[current[start:start + _SORT_BLOCK]], rest)
+            hits = np.count_nonzero(block, axis=0)
+            count[remaining] -= hits
+            stop = start + len(block)
+            last = np.where(hits > 0, stop - 1 - block[::-1].argmax(axis=0),
+                            last)
+        released = count[remaining] == 0
+        order = np.argsort(last[released], kind="stable")
+        current = remaining[released][order]
+        remaining = remaining[~released]
     return fronts
 
 

@@ -19,25 +19,27 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Set, Tuple
 
-import networkx as nx
-
-from repro.searchspace.features import cell_graph
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.ops import EDGES
 
 
 def live_edges(genotype: Genotype) -> Set[int]:
     """Indices of edges on some input→output path of non-``none`` ops."""
-    graph = cell_graph(genotype)
-    reaches_from_input = set(nx.descendants(graph, 0)) | {0}
-    reaches_output = set(nx.ancestors(graph, 3)) | {3}
-    alive: Set[int] = set()
-    for edge_idx, (src, dst) in enumerate(EDGES):
-        if genotype.ops[edge_idx] == "none":
-            continue
-        if src in reaches_from_input and dst in reaches_output:
-            alive.add(edge_idx)
-    return alive
+    passing = [(idx, src, dst) for idx, (src, dst) in enumerate(EDGES)
+               if genotype.ops[idx] != "none"]
+    # EDGES is sorted by destination node, so one pass in order settles
+    # reachability from the input, and one pass in reverse settles
+    # reachability of the output.
+    reaches_from_input = {0}
+    for _, src, dst in passing:
+        if src in reaches_from_input:
+            reaches_from_input.add(dst)
+    reaches_output = {3}
+    for _, src, dst in reversed(passing):
+        if dst in reaches_output:
+            reaches_output.add(src)
+    return {idx for idx, src, dst in passing
+            if src in reaches_from_input and dst in reaches_output}
 
 
 @lru_cache(maxsize=None)

@@ -8,12 +8,13 @@ depth, skip connectivity, and disconnection detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.ops import EDGES
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Operations that propagate information (everything except ``none``).
 _PASSING_OPS = {"skip_connect", "nor_conv_1x1", "nor_conv_3x3", "avg_pool_3x3"}
@@ -45,6 +46,8 @@ class TopologyFeatures:
 
 def cell_graph(genotype: Genotype) -> nx.DiGraph:
     """Build the effective DAG of a genotype (``none`` edges removed)."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(range(4))
     for edge_idx, (src, dst) in enumerate(EDGES):
@@ -55,14 +58,24 @@ def cell_graph(genotype: Genotype) -> nx.DiGraph:
 
 
 def effective_paths(genotype: Genotype) -> List[Tuple[str, ...]]:
-    """All input→output op sequences through non-``none`` edges."""
-    graph = cell_graph(genotype)
+    """All input→output op sequences through non-``none`` edges.
+
+    Depth-first from node 0, taking each node's outgoing edges in
+    ``EDGES`` order — the order ``networkx.all_simple_paths`` yields on
+    :func:`cell_graph`.
+    """
     paths: List[Tuple[str, ...]] = []
-    for node_path in nx.all_simple_paths(graph, source=0, target=3):
-        ops = tuple(
-            graph.edges[u, v]["op"] for u, v in zip(node_path[:-1], node_path[1:])
-        )
-        paths.append(ops)
+
+    def walk(node: int, ops: Tuple[str, ...]) -> None:
+        if node == 3:
+            paths.append(ops)
+            return
+        for edge_idx, (src, dst) in enumerate(EDGES):
+            op = genotype.ops[edge_idx]
+            if src == node and op in _PASSING_OPS:
+                walk(dst, ops + (op,))
+
+    walk(0, ())
     return paths
 
 

@@ -50,6 +50,21 @@ class TestNtkResult:
         ks = condition_numbers(gram, 3)
         assert np.allclose(ks, [9.0, 3.0, 1.0])
 
+    def test_condition_numbers_promote_float32_gram(self, rng):
+        """Under the float32 policy the helper eigensolves in the
+        accumulate dtype (float64), like every other NTK path."""
+        from repro.autograd.precision import precision
+
+        jac = rng.normal(size=(8, 40)).astype(np.float32)
+        gram = jac @ jac.T
+        assert gram.dtype == np.float32
+        promoted = np.linalg.eigvalsh(gram.astype(np.float64))[::-1]
+        expected = [NtkResult(promoted, batch_size=8).k(i)
+                    for i in range(1, 9)]
+        with precision("float32"):
+            ks = condition_numbers(gram, 8)
+        assert ks.tolist() == expected
+
 
 class TestGramComputation:
     def test_gram_symmetric_psd(self, tiny_proxy_config, heavy_genotype, rng):

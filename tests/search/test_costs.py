@@ -89,6 +89,41 @@ class TestFingerprints:
         assert (engine.cost_model("latency").cache_key(7)
                 != engine.cost_model("int8-latency").cache_key(7))
 
+    def test_every_builtin_key_layout_pinned(self, engine):
+        """Keys stay the exact tuples stores already hold."""
+        from dataclasses import astuple
+
+        macro = astuple(TINY)
+        board = NUCLEO_F746ZG.name
+        profile = engine.cost_model("energy").energy.profile
+        expected = {
+            "latency": ("latency", 5, board, "float32", macro),
+            "int8-latency": ("latency", 5, board, "int8", macro),
+            "flops": ("flops", 5, macro),
+            "energy": ("cost", "energy", 5, board, "float32",
+                       profile.active_mw, profile.sleep_mw, profile.wake_uj,
+                       macro),
+            "peak-mem": ("cost", "peak-mem", 5, "greedy_by_size", 4, macro),
+        }
+        for name, key in expected.items():
+            assert engine.cost_model(name).cache_key(5) == key
+
+    def test_fingerprint_computed_once_per_model(self):
+        from repro.search.costs import CostModel
+
+        class Counting(CostModel):
+            name = "counting"
+            calls = 0
+
+            def fingerprint(self):
+                self.calls += 1
+                return ("board", 1)
+
+        model = Counting()
+        keys = [model.cache_key(i) for i in range(4)]
+        assert keys == [("cost", "counting", i, "board", 1) for i in range(4)]
+        assert model.calls == 1
+
 
 class TestEngineCost:
     def test_values_positive_and_cached(self, engine, heavy_genotype):

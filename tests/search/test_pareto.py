@@ -1,5 +1,8 @@
 """Multi-objective Pareto zero-shot search."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from repro.search.pareto import (
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.network import MacroConfig
 
+pytestmark = pytest.mark.hw
+
 FAST_PROXY = ProxyConfig(init_channels=4, cells_per_stage=1, input_size=8,
                          ntk_batch_size=8, lr_num_samples=32, lr_input_size=4,
                          lr_channels=2, seed=9)
@@ -26,6 +31,49 @@ objective_vectors = st.lists(
     st.tuples(st.floats(0, 100), st.floats(0, 100)),
     min_size=2, max_size=30,
 )
+
+
+def pairwise_fronts(points):
+    """Oracle: the classic pairwise NSGA-II loop over :func:`dominates`.
+
+    Fronts come in the order this loop appends them, which
+    :func:`non_dominated_sort` must reproduce list for list.
+    """
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    dominated_by = [[] for _ in range(n)]
+    domination_count = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dominates(points[i], points[j]):
+                dominated_by[i].append(j)
+                domination_count[j] += 1
+            elif dominates(points[j], points[i]):
+                dominated_by[j].append(i)
+                domination_count[i] += 1
+    fronts = []
+    current = [i for i in range(n) if domination_count[i] == 0]
+    while current:
+        fronts.append(current)
+        nxt = []
+        for i in current:
+            for j in dominated_by[i]:
+                domination_count[j] -= 1
+                if domination_count[j] == 0:
+                    nxt.append(j)
+        current = nxt
+    return fronts
+
+
+@st.composite
+def tied_points(draw):
+    """Small-integer points (ties are common) with injected ±inf and NaN."""
+    n = draw(st.integers(0, 60))
+    m = draw(st.integers(1, 4))
+    values = st.one_of(st.integers(0, 4).map(float),
+                       st.sampled_from([np.inf, -np.inf, np.nan]))
+    flat = draw(st.lists(values, min_size=n * m, max_size=n * m))
+    return np.array(flat, dtype=float).reshape(n, m)
 
 
 class TestDominates:
@@ -58,6 +106,44 @@ class TestNonDominatedSort:
         fronts = non_dominated_sort(points)
         assert len(fronts) == 1
         assert sorted(fronts[0]) == list(range(5))
+
+    def test_empty_input(self):
+        assert non_dominated_sort(np.zeros((0, 2))) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=tied_points())
+    def test_matches_pairwise_oracle_in_order(self, points):
+        fronts = non_dominated_sort(points)
+        assert fronts == pairwise_fronts(points)
+        assert all(type(i) is int for front in fronts for i in front)
+
+    def test_later_fronts_follow_last_dominator(self):
+        # Front 0 is [0, 1].  Point 4's only front-0 dominator is 0, so it
+        # comes first; 2 and 5 both have 1 as their last dominator, so the
+        # index breaks their tie.
+        points = np.array([[0, 5], [5, 0], [6, 1], [6, 6], [1, 6],
+                           [5.5, 5.5]])
+        expected = [[0, 1], [4, 2, 5], [3]]
+        assert pairwise_fronts(points) == expected
+        assert non_dominated_sort(points) == expected
+
+    def test_large_input_memory_stays_blocked(self):
+        """8,000 points sort without any N×N temporary: an 8,000² boolean
+        matrix alone would take 64 MB."""
+        points = np.random.default_rng(0).random((8000, 3))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            fronts = non_dominated_sort(points)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert elapsed < 30.0
+        assert sorted(i for front in fronts for i in front) == list(range(8000))
+        first = points[fronts[0]]
+        assert not any(dominates(p, q) for p in points[::97] for q in first)
 
     @settings(max_examples=50, deadline=None)
     @given(vectors=objective_vectors)

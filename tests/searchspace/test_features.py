@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.searchspace.canonical import live_edges
 from repro.searchspace.features import cell_graph, effective_paths, extract_features
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.ops import CANDIDATE_OPS, NUM_EDGES
+from repro.searchspace.ops import CANDIDATE_OPS, EDGES, NUM_EDGES
 
 ops_strategy = st.tuples(*[st.sampled_from(CANDIDATE_OPS) for _ in range(NUM_EDGES)])
 
@@ -74,6 +75,33 @@ class TestGraphHelpers:
         ops[4] = "nor_conv_3x3"   # 1->3
         paths = effective_paths(Genotype(tuple(ops)))
         assert paths == [("nor_conv_1x1", "nor_conv_3x3")]
+
+
+def _networkx_reference(genotype):
+    """Paths and live edges computed with networkx on :func:`cell_graph`."""
+    import networkx as nx
+
+    graph = cell_graph(genotype)
+    paths = [tuple(graph.edges[u, v]["op"] for u, v in zip(path, path[1:]))
+             for path in nx.all_simple_paths(graph, source=0, target=3)]
+    from_input = nx.descendants(graph, 0) | {0}
+    to_output = nx.ancestors(graph, 3) | {3}
+    live = {idx for idx, (src, dst) in enumerate(EDGES)
+            if genotype.ops[idx] != "none"
+            and src in from_input and dst in to_output}
+    return paths, live
+
+
+def test_direct_walks_match_networkx_on_whole_space():
+    """The direct DAG walks agree with networkx on all 15,625 cells:
+    the same paths in the same order, the same live-edge sets."""
+    count = 0
+    for genotype in Genotype.all_genotypes():
+        paths, live = _networkx_reference(genotype)
+        assert effective_paths(genotype) == paths, genotype
+        assert live_edges(genotype) == live, genotype
+        count += 1
+    assert count == 15625
 
 
 class TestInvariants:
