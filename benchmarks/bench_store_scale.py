@@ -1,4 +1,4 @@
-"""Store scaling: O(delta) appends and O(population) indexed loads.
+"""Store scaling: O(delta) appends, and reads at the reachable maximum.
 
 The store appends only a save's dirty delta to per-shard segment logs,
 so persisting the handful of rows a run just computed must not cost
@@ -10,13 +10,16 @@ disabled so the append cost is measured in isolation) and asserts the
 cost stays roughly flat across store sizes.  A round-trip check guards
 against benchmarking a store that drops rows.
 
-**Warm-start load scaling** (the read-side claim): against stores of up
-to 1M+ rows, loading a fixed ~16-key population is timed through both
-``load_cache_into`` read modes — ``full`` (whole-store replay,
-O(store)) and ``index`` (per-shard index point lookups,
-O(population)).  The bench asserts the two modes return bit-identical
-rows, that the index path stays flat as the store grows 100×, and
-reports the index hit rate.
+**Reads at the reachable maximum** (the read-side claim): one store
+shaped like the whole space a fingerprint can cache — every canonical
+NAS-Bench-201 cell's three trainless rows plus the device-matrix cost
+rows (latency, energy, peak memory) on two boards, with the real key
+layouts — compacted, as a long-lived store is.  The bench times a full
+replay (a harness warm start), a fleet worker's first follow (one
+replay), and its per-chunk follow after each 24-row flush (one
+8-genotype chunk) by a sibling.  It asserts the follower ends up holding
+exactly what a fresh replay returns, and that a per-chunk follow costs a
+small fraction of a replay.
 
 Results land in ``BENCH_store.json`` at the repo root.  Run directly
 (``python benchmarks/bench_store_scale.py``) or via pytest
@@ -26,23 +29,31 @@ Results land in ``BENCH_store.json`` at the repo root.  Run directly
 from __future__ import annotations
 
 import json
+import statistics
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
+from repro.engine import Engine
 from repro.engine.cache import IndicatorCache
+from repro.hardware.device import get_device
 from repro.proxies.base import ProxyConfig
+from repro.runtime.pool import genotype_indicator_keys
 from repro.runtime.store import RuntimeStore, cache_fingerprint
+from repro.searchspace.canonical import canonicalize
 from repro.searchspace.network import MacroConfig
+from repro.searchspace.space import NasBench201Space
 from repro.utils.timing import Timer, format_duration
 
 STORE_SIZES = (1_000, 10_000, 100_000)
 DELTA_ROWS = 256
-#: Read-side scaling: stores of these sizes, a fixed small population.
-LOAD_STORE_SIZES = (10_000, 100_000, 1_000_000)
-LOAD_SHARDS = 64          # a fleet-scale shard count
-LOAD_POPULATION = 16      # keys one warm-start asks for
-LOAD_FILL_BATCH = 100_000  # rows per save while building big stores
+#: Read side: the device-matrix boards and cost axes of the space store.
+SPACE_DEVICES = ("nucleo-f746zg", "nucleo-l432kc")
+SPACE_COST_AXES = ("latency", "energy", "peak-mem")
+REPLAY_REPEATS = 5        # full replays timed (median reported)
+FOLLOW_CHUNKS = 16        # sibling flushes the follower catches up on
+CHUNK_ROWS = 24           # one 8-genotype chunk's trainless rows
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
 
@@ -58,72 +69,82 @@ def _filled_cache(start: int, count: int) -> IndicatorCache:
     return cache
 
 
-def run_load_scale() -> Dict:
-    """Warm-start read cost for a fixed population vs store size."""
-    proxy_config = ProxyConfig()
-    macro_config = MacroConfig.full()
-    fingerprint = cache_fingerprint(proxy_config, macro_config)
+def _space_keys(engine: Engine) -> List[Tuple]:
+    """Every key a fingerprint's store can hold for the whole space:
+    the trainless rows of each canonical cell plus its cost rows on
+    every matrix board (keys shared across boards counted once)."""
+    canon = sorted({canonicalize(genotype).to_index()
+                    for genotype in NasBench201Space()})
+    models = [engine.for_device(get_device(device)).cost_model(axis)
+              for device in SPACE_DEVICES for axis in SPACE_COST_AXES]
+    proxy_key = astuple(engine.proxy_config)
+    macro_key = astuple(engine.macro_config)
+    keys = {}
+    for index in canon:
+        for key in genotype_indicator_keys(index, proxy_key,
+                                           macro_key).values():
+            keys[key] = None
+        for model in models:
+            keys[model.cache_key(index)] = None
+    return list(keys)
 
-    load_points = []
-    bit_identical = True
+
+def run_space_reads() -> Dict:
+    """Replay and follow costs against a store holding the whole space."""
+    engine = Engine(proxy_config=ProxyConfig())
+    fingerprint = cache_fingerprint(engine.proxy_config,
+                                    engine.macro_config)
+    keys = _space_keys(engine)
     with tempfile.TemporaryDirectory() as tmp:
-        for size in LOAD_STORE_SIZES:
-            root = Path(tmp) / f"load_store_{size}"
-            store = RuntimeStore(root, shards=LOAD_SHARDS,
-                                 auto_compact_segments=None)
-            # Build in batches (one cache of 1M rows would be most of a
-            # GB of tuples); compact once, so reads hit per-shard bases
-            # + fresh indexes — the steady state of a long-lived store.
-            filled = 0
-            while filled < size:
-                batch = min(LOAD_FILL_BATCH, size - filled)
-                store.save_cache(_filled_cache(filled, batch), fingerprint)
-                filled += batch
-            store.compact_cache(fingerprint)
+        store = RuntimeStore(Path(tmp) / "space")
+        cache = IndicatorCache()
+        for slot, key in enumerate(keys):
+            cache.put(key, slot * 1e-3)
+        store.save_cache(cache, fingerprint)
+        store.compact_cache(fingerprint)
 
-            # A population's worth of keys, spread across the store.
-            stride = size // LOAD_POPULATION
-            population = [_key(j * stride) for j in range(LOAD_POPULATION)]
+        replay_times = []
+        for _ in range(REPLAY_REPEATS):
+            target = IndicatorCache()
+            with Timer() as timer:
+                loaded = store.load_cache_into(target, fingerprint)
+            assert loaded == len(keys)
+            replay_times.append(timer.elapsed)
 
-            timings = {}
-            results = {}
-            for mode in ("full", "index"):
-                target = IndicatorCache()
-                with Timer() as timer:
-                    loaded = store.load_cache_into(target, fingerprint,
-                                                   keys=population,
-                                                   read_mode=mode)
-                assert loaded == LOAD_POPULATION, (mode, loaded)
-                timings[mode] = timer.elapsed
-                results[mode] = dict(target.items())
-            stats = store.last_load_stats  # the index-mode load's stats
-            if results["full"] != results["index"]:
-                bit_identical = False
+        follower, seen = IndicatorCache(), {}
+        with Timer() as first:
+            store.follow_cache_into(follower, fingerprint, seen)
+        assert len(follower) == len(keys)
 
-            load_points.append({
-                "store_size": size,
-                "requested": LOAD_POPULATION,
-                "full_load_seconds": timings["full"],
-                "index_load_seconds": timings["index"],
-                "index_hit_rate": (stats["index_hits"]
-                                   / max(stats["requested"], 1)),
-                "index_speedup": (timings["full"]
-                                  / max(timings["index"], 1e-9)),
-            })
+        chunk_times = []
+        for chunk in range(FOLLOW_CHUNKS):
+            flush = IndicatorCache()
+            for row in range(CHUNK_ROWS):
+                flush.put(("chunk", chunk, row), float(row))
+            store.save_cache(flush, fingerprint)
+            with Timer() as timer:
+                store.follow_cache_into(follower, fingerprint, seen)
+            chunk_times.append(timer.elapsed)
+        segments = len(list(store.cache_dir(fingerprint)
+                            .glob("shard-*.seg-*.jsonl")))
 
-    index_flat = (load_points[-1]["index_load_seconds"]
-                  / max(load_points[0]["index_load_seconds"], 1e-9))
+        fresh = IndicatorCache()
+        store.load_cache_into(fresh, fingerprint)
+        bit_identical = (
+            {key: float(value).hex() for key, value in follower.items()}
+            == {key: float(value).hex() for key, value in fresh.items()})
     return {
-        "load_store_sizes": list(LOAD_STORE_SIZES),
-        "load_shards": LOAD_SHARDS,
-        "load_population": LOAD_POPULATION,
-        "load_points": load_points,
-        # Index-mode load time at the largest store over the smallest:
-        # ~1.0 means warm-start latency is O(population), flat in store
-        # size across a 100x growth.
-        "index_load_flatness_ratio": index_flat,
-        "index_load_speedup_at_largest": load_points[-1]["index_speedup"],
-        "index_hit_rate": load_points[-1]["index_hit_rate"],
+        "space_rows": len(keys),
+        "space_devices": list(SPACE_DEVICES),
+        "space_cost_axes": list(SPACE_COST_AXES),
+        "full_replay_seconds": statistics.median(replay_times),
+        "follow_first_read_seconds": first.elapsed,
+        "follow_chunk_rows": CHUNK_ROWS,
+        "follow_chunks": FOLLOW_CHUNKS,
+        "follow_chunk_seconds_median": statistics.median(chunk_times),
+        "follow_chunk_seconds_max": max(chunk_times),
+        "follow_segments_pending": segments,
+        # The follower's resident rows equal a fresh full replay.
         "read_paths_bit_identical": bit_identical,
     }
 
@@ -170,7 +191,7 @@ def run_store_scale() -> Dict:
         # means save cost is independent of store size.
         "append_flatness_ratio": flat_ratio,
     }
-    result.update(run_load_scale())
+    result.update(run_space_reads())
     OUTPUT_PATH.write_text(json.dumps(result, indent=2) + "\n",
                            encoding="utf-8")
     return result
@@ -183,15 +204,13 @@ def test_store_scale(benchmark):
     # the same whatever the store size (generous bound: anything that
     # rewrote the store would grow ~100x over the same range).
     assert result["append_flatness_ratio"] <= 10.0
-    # Read side: the two read modes must agree bit-for-bit...
+    # Read side: the follower holds exactly what a replay returns...
     assert result["read_paths_bit_identical"] is True
-    # ...every requested key must come off the index (fresh after
-    # compaction; hit rate 1.0 means zero replay fallbacks)...
-    assert result["index_hit_rate"] == 1.0
-    # ...and indexed warm-start latency must stay flat while the store
-    # grows 100x (generous bound — full replay grows ~100x; a truly
-    # store-size-dependent index path would blow far past this).
-    assert result["index_load_flatness_ratio"] <= 10.0
+    # ...and catching up on one chunk's flush costs a small fraction of
+    # a replay (generous bound: a follower that re-read the whole store
+    # per chunk would sit near 1.0).
+    assert (result["follow_chunk_seconds_median"]
+            <= result["full_replay_seconds"] / 10)
 
 
 def _report(result: Dict) -> None:
@@ -204,16 +223,14 @@ def _report(result: Dict) -> None:
           f"{result['append_flatness_ratio']:.2f} "
           f"(largest/smallest store)")
     print()
-    for point in result["load_points"]:
-        print(f"store {point['store_size']:>9,} rows | "
-              f"load {point['requested']} keys | "
-              f"full: {format_duration(point['full_load_seconds'])} | "
-              f"index: {format_duration(point['index_load_seconds'])} "
-              f"({point['index_speedup']:.1f}x, "
-              f"hit rate {point['index_hit_rate']:.2f})")
-    print(f"index flatness ratio    : "
-          f"{result['index_load_flatness_ratio']:.2f} "
-          f"(largest/smallest store)")
+    print(f"space store {result['space_rows']:,} rows | "
+          f"full replay: {format_duration(result['full_replay_seconds'])}"
+          f" | follower first read: "
+          f"{format_duration(result['follow_first_read_seconds'])}")
+    print(f"follow per {result['follow_chunk_rows']}-row chunk: "
+          f"median {format_duration(result['follow_chunk_seconds_median'])}"
+          f", max {format_duration(result['follow_chunk_seconds_max'])} "
+          f"({result['follow_segments_pending']} segments pending)")
     print(f"read paths bit-identical: "
           f"{result['read_paths_bit_identical']}")
     print(f"written                 : {OUTPUT_PATH}")

@@ -73,10 +73,10 @@ SCHEMAS: Dict[str, List[str]] = {
     ],
     "BENCH_store.json": [
         "store_sizes", "delta_rows", "points", "append_flatness_ratio",
-        # Read-side (warm-start) scaling: full vs index load modes.
-        "load_store_sizes", "load_points", "index_load_flatness_ratio",
-        "index_load_speedup_at_largest", "index_hit_rate",
-        "read_paths_bit_identical",
+        # Read side, against a store holding the whole space: full
+        # replay vs a fleet worker following the segment log.
+        "space_rows", "full_replay_seconds", "follow_first_read_seconds",
+        "follow_chunk_seconds_median", "read_paths_bit_identical",
     ],
     "BENCH_telemetry.json": [
         "bench_scale", "overhead", "traced",

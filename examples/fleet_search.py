@@ -9,8 +9,8 @@ Demonstrates the socket-broker evaluation fleet end-to-end:
    it, and runs the steady-state search over the fleet transport.  This
    is what ``micronas runtime --fleet-workers 2 --store DIR`` runs.
    Workers flush every computed indicator row into the shared store
-   (and read rows already there by index), so the run is resumable and
-   late joiners warm-start;
+   (and follow its segment log, reading only files they have not read
+   yet), so the run is resumable and late joiners warm-start;
 2. a **warm re-run** of the same config — the driver replays the store
    the workers filled, so only candidates the (completion-order
    dependent) trajectory newly explores ship to the workers;
@@ -61,7 +61,6 @@ def harness_fleet_run(store_dir: str) -> None:
             ["architecture", report.arch_str],
             ["pool mode", report.pool["mode"]],
             ["chunk futures", report.pool["chunks"]],
-            ["store read mode", report.store["read_mode"]],
             ["rows loaded from store", report.store["cache_loaded"]],
             ["rows flushed to store", report.store["cache_saved"]],
             ["wall seconds", f"{report.wall_seconds:.2f}"],

@@ -132,8 +132,6 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         n_workers=args.workers,
         chunk_size=args.chunk_size,
         store_dir=args.store,
-        store_read_mode=args.store_read_mode,
-        max_cache_rows=args.max_cache_rows,
         device=args.device,
         samples=args.samples,
         population_size=args.population,
@@ -190,8 +188,6 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     if config.fleet_bind or config.fleet_workers:
         rows.append(["fleet", f"{config.fleet_workers} local workers"
                              f" ({report.pool['mode']} transport)"])
-    if config.store_dir:
-        rows.append(["store read mode", report.store["read_mode"]])
     rows.append(["cache warm-start",
                  f"{report.cache['warm_start_entries']} entries"])
     rows.append(["cache hits / misses", f"{report.cache['hits']} / "
@@ -646,11 +642,6 @@ parallel evaluation runtime examples:
   micronas runtime --algorithm steady-state --workers 4 \\
       --population 20 --cycles 100 --store ~/.cache/micronas
 
-  # million-row store: warm-start by per-shard index point lookups
-  # (O(population)) instead of replaying the whole store up front
-  micronas runtime --algorithm random --samples 256 \\
-      --store ~/.cache/micronas --store-read-mode index
-
   # float32 proxy substrate: ~2x kernel throughput, rank-preserving
   # (Spearman >= 0.99 vs float64 — see BENCH_precision.json); cached
   # rows are precision-keyed, so both policies warm-start side by side
@@ -733,19 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="candidates per worker task")
     p_runtime.add_argument("--store", default=None,
                            help="directory for the persistent indicator/LUT "
-                                "store (created if missing)")
-    p_runtime.add_argument("--store-read-mode", dest="store_read_mode",
-                           choices=("full", "index"), default="full",
-                           help="how warm-start reads the store: full "
-                                "(default: eager whole-store replay) or "
-                                "index (per-shard index point lookups of "
-                                "each population's rows — O(population), "
-                                "for million-row stores)")
-    p_runtime.add_argument("--max-cache-rows", dest="max_cache_rows",
-                           type=int, default=None,
-                           help="LRU bound on in-memory cache rows "
-                                "(default: unbounded; dirty rows stay "
-                                "pinned until flushed to the store)")
+                                "store (created if missing); a run "
+                                "warm-starts by replaying it once")
     p_runtime.add_argument("--device", default="nucleo-f746zg")
     p_runtime.add_argument("--samples", type=int, default=64,
                            help="population for random search")
@@ -855,11 +835,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="the broker's address (printed by the "
                                      "driver / chosen via --fleet-bind)")
     p_fleet_worker.add_argument("--store", default=None,
-                                help="shared store directory: rows already "
-                                     "persisted are read (by index point "
-                                     "lookups) instead of recomputed, and "
-                                     "freshly computed rows are flushed "
-                                     "back immediately")
+                                help="shared store directory: the worker "
+                                     "follows its segment log (before each "
+                                     "chunk it reads only the files it has "
+                                     "not read yet), serves rows already "
+                                     "persisted instead of recomputing "
+                                     "them, and flushes freshly computed "
+                                     "rows back immediately")
     p_fleet_worker.add_argument("--token", default="",
                                 help="shared fleet token (must match the "
                                      "broker's --fleet-token)")

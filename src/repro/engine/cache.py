@@ -11,29 +11,10 @@ single-threaded) and values are opaque.  ``float('inf')`` and ``nan`` are
 legal cached values, so presence is tracked explicitly rather than via
 ``get(...) is None``.
 
-Memory is **optionally bounded**: ``IndicatorCache(max_rows=N)`` turns
-the cache into an LRU tier over the persistent store — once more than
-``N`` rows are resident, the least-recently-used *clean* rows are
-dropped.  Two invariants make the bound safe:
-
-* **Dirty rows are pinned.**  A row written since the last
-  :meth:`mark_clean` has not been persisted anywhere; evicting it would
-  lose computed work (and break the O(delta) save contract).  Dirty rows
-  are never evicted, so a burst of fresh computation may transiently
-  exceed ``max_rows`` until the next store flush marks them clean.
-* **Eviction never changes results.**  An evicted row is simply absent:
-  the next lookup recomputes it (bit-identically — proxies seed from the
-  canonical key) or reloads it from the store.  Presence only affects
-  *cost*, never values.
-
-Recency: :meth:`lookup` hits and :meth:`put` refresh a row's position;
-:meth:`get` and ``in`` are deliberately non-promoting peeks (persistence
-layers and executors probe with them constantly, which must not distort
-the eviction order the *evaluation* access pattern establishes).
-``max_rows=None`` (the default) keeps the unbounded behaviour: the
-NAS-Bench-201 space tops out at 15,625 architectures × a handful of
-indicators, but a long-lived process serving a million-row store needs
-the bound.
+Memory is not bounded: the cache only ever holds rows the NAS-Bench-201
+search can produce — 9,445 canonical cells × three trainless indicators,
+plus a few cost rows per cell and board — about 76k rows at most, so
+every row a run has seen stays resident.
 
 Precision is part of the *key*, not the cache: proxy keys embed
 ``astuple(ProxyConfig)`` — which includes the ``precision`` policy name —
@@ -52,9 +33,9 @@ marks them clean in turn.  Tracking is a set of keys (no value copies), so
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
+                    Tuple)
 
 _MISSING = object()
 
@@ -66,7 +47,6 @@ class CacheStats:
     hits: int
     misses: int
     entries: int
-    evictions: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -75,22 +55,13 @@ class CacheStats:
 
 
 class IndicatorCache:
-    """Memoizes indicator values under caller-supplied hashable keys.
+    """Memoizes indicator values under caller-supplied hashable keys."""
 
-    ``max_rows`` bounds resident rows LRU-style (``None`` = unbounded);
-    dirty rows are pinned until a persistence layer flushes them — see
-    the module docstring for the eviction invariants.
-    """
-
-    def __init__(self, max_rows: Optional[int] = None) -> None:
-        if max_rows is not None and max_rows < 1:
-            raise ValueError("max_rows must be >= 1 (or None: unbounded)")
-        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+    def __init__(self) -> None:
+        self._data: Dict[Hashable, Any] = {}
         self._dirty: set = set()
-        self.max_rows = max_rows
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -99,7 +70,7 @@ class IndicatorCache:
         return key in self._data
 
     def get(self, key: Hashable, default: Any = None) -> Any:
-        """Peek without touching the hit/miss counters (non-promoting)."""
+        """Peek without touching the hit/miss counters."""
         return self._data.get(key, default)
 
     def items(self) -> list:
@@ -108,31 +79,8 @@ class IndicatorCache:
 
     def put(self, key: Hashable, value: Any) -> Any:
         self._data[key] = value
-        self._data.move_to_end(key)
         self._dirty.add(key)
-        self._evict_overflow()
         return value
-
-    def _evict_overflow(self) -> None:
-        """Drop least-recently-used *clean* rows past ``max_rows``.
-
-        Dirty rows are skipped (pinned until flushed), so the cache may
-        transiently exceed the bound while unflushed work accumulates —
-        losing computed rows would be worse than exceeding the budget.
-        """
-        if self.max_rows is None or len(self._data) <= self.max_rows:
-            return
-        excess = len(self._data) - self.max_rows
-        victims = []
-        for key in self._data:  # oldest (least recently used) first
-            if key in self._dirty:
-                continue
-            victims.append(key)
-            if len(victims) >= excess:
-                break
-        for key in victims:
-            del self._data[key]
-        self.evictions += len(victims)
 
     def dirty_items(self) -> List[Tuple[Hashable, Any]]:
         """``(key, value)`` pairs written since the last :meth:`mark_clean`.
@@ -146,15 +94,11 @@ class IndicatorCache:
 
     def mark_clean(self, keys: Optional[Iterable[Hashable]] = None) -> None:
         """Forget dirtiness for ``keys`` (all, when ``None``) — called by
-        persistence layers after loading or appending those rows.  Newly
-        clean rows become evictable, so an over-budget cache shrinks back
-        under ``max_rows`` here (the flush that pinned-row accumulation
-        was waiting for)."""
+        persistence layers after loading or appending those rows."""
         if keys is None:
             self._dirty.clear()
         else:
             self._dirty.difference_update(keys)
-        self._evict_overflow()
 
     @property
     def dirty_count(self) -> int:
@@ -165,7 +109,6 @@ class IndicatorCache:
         value = self._data.get(key, _MISSING)
         if value is not _MISSING:
             self.hits += 1
-            self._data.move_to_end(key)  # refresh LRU recency
             return value
         self.misses += 1
         return self.put(key, compute())
@@ -180,13 +123,11 @@ class IndicatorCache:
         self._dirty.clear()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     @property
     def stats(self) -> CacheStats:
         return CacheStats(hits=self.hits, misses=self.misses,
-                          entries=len(self._data),
-                          evictions=self.evictions)
+                          entries=len(self._data))
 
     def counters(self) -> Tuple[int, int]:
         """Current ``(hits, misses)`` snapshot (for delta accounting)."""

@@ -23,8 +23,8 @@ engine ever importing it:
 2. **Persistent store** (:mod:`repro.runtime.store`) —
    :class:`RuntimeStore` persists the indicator cache as a sharded
    append-only log with fingerprint validation (stale proxy/macro
-   configurations never poison results), read back by full replay or
-   per-shard index lookups, and keeps a device-keyed latency-LUT store
+   configurations never poison results), read back by one full replay
+   (or followed file by file by long-lived fleet workers), and keeps a device-keyed latency-LUT store
    built on :meth:`~repro.hardware.profiler.LatencyLUT.save_json`, so
    repeated runs, multi-device Pareto searches and CI all warm-start.
 3. **Run harness** (:mod:`repro.runtime.harness`) — one

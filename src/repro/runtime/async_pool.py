@@ -55,6 +55,10 @@ the loop that exploits the split halves.  With ``n_workers=1`` the
 transport is the serial :class:`FuturePool`: chunks run inline, in the
 parent, at gather time.
 
+The executor never reads the persistent store: the harness replays it
+into the engine's cache once, before the first submit, so the submit-time
+dedupe against the cache already skips every warm row.
+
 Worker functions are injectable (``genotype_worker=`` /
 ``supernet_worker=``): the seam through which a remote transport (or a
 test/benchmark wrapping workers with simulated device latency — or a
@@ -684,7 +688,6 @@ class AsyncPopulationExecutor:
                  fault_policy: Optional[FaultPolicy] = None,
                  quarantine_ledger=None,
                  telemetry: Optional[Telemetry] = None,
-                 cache_loader: Optional[Callable] = None,
                  pool=None,
                  ) -> None:
         if chunk_size < 1:
@@ -693,13 +696,6 @@ class AsyncPopulationExecutor:
             fault_policy = FaultPolicy(max_retries=0, quarantine=False)
         self.fault_policy = fault_policy
         self.quarantine_ledger = quarantine_ledger
-        #: Optional warm-start hook: called at submit time with the
-        #: candidate cache keys neither cached nor owned by an in-flight
-        #: chunk, and expected to merge whatever the persistent store
-        #: holds for them into the engine's cache (the harness wires it
-        #: to an indexed store read — see ``RuntimeConfig.store_read_mode``).
-        #: Keys the loader fills are then never shipped for recompute.
-        self.cache_loader = cache_loader
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry.disabled())
         if pool is not None:
@@ -754,19 +750,6 @@ class AsyncPopulationExecutor:
     def _pending_keys(self, engine) -> set:
         return self._in_flight.setdefault(id(engine), set())
 
-    def _preload(self, engine, pending: set, key_sets: List[Dict]) -> None:
-        """Give :attr:`cache_loader` one shot at the candidate keys that
-        are neither cached nor in flight, before needs masks are computed
-        — rows it pulls from the store are never shipped for recompute.
-        In-flight keys are excluded: their chunk already owns them, and
-        the store cannot have them yet anyway."""
-        if self.cache_loader is None:
-            return
-        wanted = [key for keys in key_sets for key in keys.values()
-                  if key not in engine.cache and key not in pending]
-        if wanted:
-            self.cache_loader(wanted)
-
     def request_drain(self) -> None:
         """Ask search loops to stop proposing new work (sticky flag).
 
@@ -799,7 +782,6 @@ class AsyncPopulationExecutor:
             candidates.append(
                 (canon, genotype_indicator_keys(index, proxy_key,
                                                 macro_key)))
-        self._preload(engine, pending, [keys for _, keys in candidates])
         missing: List[Tuple] = []   # (ops, need mask)
         claimed: List[Tuple] = []   # keys each list item claims
         for canon, keys in candidates:
@@ -837,7 +819,6 @@ class AsyncPopulationExecutor:
             seen.add(state)
             candidates.append(
                 (state, supernet_indicator_keys(state, proxy_key)))
-        self._preload(engine, pending, [keys for _, keys in candidates])
         missing: List[Tuple] = []
         claimed: List[Tuple] = []
         for state, keys in candidates:

@@ -31,9 +31,13 @@ multi-process / multi-host transport into that seam:
   worker --connect HOST:PORT --store DIR``: lease, evaluate through the
   shipped picklable chunk worker, report back, repeat until the broker
   says *drain*.  With a ``--store`` the worker **warm-starts from the
-  shared store** before computing (index-mode point lookups, so
-  a late joiner inherits everything already computed in O(chunk) reads)
-  and **flushes freshly computed rows back** under the store's existing
+  shared store** before computing: it keeps one resident cache per
+  fingerprint for its lifetime and, before each chunk, **follows the
+  segment log** — it reads only the base and segment files it has not
+  read yet (:meth:`~repro.runtime.store.RuntimeStore.follow_cache_into`),
+  so a late joiner inherits everything already computed with one replay,
+  and each later chunk costs the new segments alone.  It
+  **flushes freshly computed rows back** under the store's existing
   per-shard flocks — the store is the fleet's shared medium, and
   duplicate appends from racing workers are harmless under the store's
   last-write-wins replay because the determinism contract makes the
@@ -834,50 +838,46 @@ def _genotype_payload(payload: object) -> bool:
 
 
 def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
-                         fingerprint_cache: Dict,
+                         resident: Dict,
                          stats: FleetWorkerStats) -> Tuple:
-    """Evaluate one genotype chunk with the store as warm-start medium:
-    rows the shared store already holds are *read* (index point lookups,
-    falling back to shard replay when an index is stale) instead of
-    recomputed, the rest are computed through the
-    shipped worker and flushed back under the store's shard flocks.
-    The combined result is bit-identical to a cold evaluation — stored
-    rows were produced by the same deterministic proxies."""
+    """Evaluate one genotype chunk with the store as warm-start medium.
+
+    ``resident`` maps each fingerprint this worker has served to its
+    ``(fingerprint, cache, seen)``: a cache that lives as long as the
+    worker, and the record of which store files it has read.  Before
+    the chunk the cache follows the store (only files not read yet), so
+    rows the shared store already holds are served instead of
+    recomputed; the rest are computed through the shipped worker and
+    flushed back under the store's shard flocks.  The combined result
+    is bit-identical to a cold evaluation — stored rows were produced
+    by the same deterministic proxies."""
     from repro.runtime.store import cache_fingerprint
 
     items, proxy_config, macro_config = payload
     finger_key = (astuple(proxy_config), astuple(macro_config))
-    fingerprint = fingerprint_cache.get(finger_key)
-    if fingerprint is None:
-        fingerprint = cache_fingerprint(proxy_config, macro_config)
-        fingerprint_cache[finger_key] = fingerprint
+    if finger_key not in resident:
+        resident[finger_key] = (
+            cache_fingerprint(proxy_config, macro_config),
+            IndicatorCache(), {})
+    fingerprint, cache, seen = resident[finger_key]
+    store.follow_cache_into(cache, fingerprint, seen)
     proxy_key, macro_key = finger_key
-    per_item = []
-    wanted: List[Tuple] = []
+    stored_rows: List[Tuple] = []
+    reduced: List[Tuple] = []
     for ops, needs in items:
         index = Genotype(tuple(ops)).to_index()
         keys = genotype_indicator_keys(index, proxy_key, macro_key)
-        per_item.append((ops, needs, index, keys))
-        wanted.extend(keys[name]
-                      for name, need in zip(_GENOTYPE_NAMES, needs)
-                      if need)
-    scratch = IndicatorCache()
-    if wanted:
-        stats.store_rows_loaded += store.load_cache_into(
-            scratch, fingerprint, keys=wanted, read_mode="index")
-    stored_rows: List[Tuple] = []
-    reduced: List[Tuple] = []
-    for ops, needs, index, keys in per_item:
         hit_row = {}
         remaining = []
         for name, need in zip(_GENOTYPE_NAMES, needs):
-            if need and keys[name] in scratch:
-                hit_row[name] = scratch.get(keys[name])
+            if need and keys[name] in cache:
+                hit_row[name] = cache.get(keys[name])
                 remaining.append(False)
             else:
                 remaining.append(need)
         if hit_row:
             stored_rows.append((index, hit_row))
+            stats.store_rows_loaded += len(hit_row)
         if any(remaining):
             reduced.append((ops, tuple(remaining)))
     if not reduced:
@@ -887,11 +887,11 @@ def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
     for index, row in computed_rows:
         keys = genotype_indicator_keys(index, proxy_key, macro_key)
         for name, value in row.items():
-            scratch.put(keys[name], value)
-    # Only the freshly computed rows are dirty (warm-start loads were
-    # marked clean), so this append is O(computed delta) and runs under
-    # the store's per-shard flocks like every other writer.
-    stats.store_rows_flushed += store.save_cache(scratch, fingerprint)
+            cache.put(keys[name], value)
+    # Only the freshly computed rows are dirty (followed rows land
+    # clean), so this append is O(computed delta) and runs under the
+    # store's per-shard flocks like every other writer.
+    stats.store_rows_flushed += store.save_cache(cache, fingerprint)
     return stored_rows + list(computed_rows), seconds
 
 
@@ -931,7 +931,7 @@ def run_worker(connect: str, store_dir=None, token: str = "",
 
         store = RuntimeStore(store_dir)
     stats = FleetWorkerStats()
-    fingerprint_cache: Dict = {}
+    resident: Dict = {}
     sock = socket.create_connection((host, port), timeout=socket_timeout)
     try:
         sock.settimeout(socket_timeout)
@@ -966,7 +966,7 @@ def run_worker(connect: str, store_dir=None, token: str = "",
             try:
                 if store is not None and _genotype_payload(payload):
                     value = _warm_start_evaluate(
-                        worker_fn, payload, store, fingerprint_cache, stats)
+                        worker_fn, payload, store, resident, stats)
                 else:
                     value = worker_fn(payload)
             except Exception as exc:

@@ -3,9 +3,10 @@
 :class:`RuntimeConfig` is the single declarative description of an
 evaluation run — which search algorithm, how many worker processes, which
 device, which store directory to warm-start from.  :class:`RunHarness`
-materialises it: builds the :class:`~repro.engine.Engine` (loading any
-persisted indicator cache and letting latency estimators pull profiled
-LUTs from the store), builds the :class:`~repro.runtime.async_pool.\
+materialises it: builds the :class:`~repro.engine.Engine` (replaying the
+persisted indicator cache once, eagerly — the store holds at most the
+~76k rows the search space can produce — and letting latency
+estimators pull profiled LUTs from the store), builds the :class:`~repro.runtime.async_pool.\
 AsyncPopulationExecutor` with its :class:`~repro.runtime.faults.\
 FaultPolicy`, runs the selected algorithm from :data:`ALGORITHMS` and
 emits a structured :class:`RunReport` (persisting computed rows to the
@@ -31,7 +32,7 @@ from repro.errors import SearchError
 from repro.proxies.base import ProxyConfig
 from repro.runtime.async_pool import AsyncPopulationExecutor
 from repro.runtime.faults import FaultPolicy
-from repro.runtime.store import READ_MODES, RuntimeStore, cache_fingerprint
+from repro.runtime.store import RuntimeStore, cache_fingerprint
 from repro.runtime.telemetry import Heartbeat, Telemetry
 from repro.search.result import SearchResult
 from repro.searchspace.genotype import Genotype
@@ -51,16 +52,6 @@ class RuntimeConfig:
     n_workers: int = 1
     chunk_size: int = 8
     store_dir: Optional[str] = None
-    #: How warm-start reads the store: "full" (eager whole-store replay
-    #: at harness construction — right when the run will touch most of
-    #: it) or "index" (point lookups through the per-shard index
-    #: sidecars at submit time, for each population's candidate and
-    #: cost keys — O(population), the million-row-store mode).  See
-    #: :mod:`repro.runtime.store`.
-    store_read_mode: str = "full"
-    #: LRU bound on in-memory cache rows (None = unbounded).  Dirty rows
-    #: are pinned until flushed; see :mod:`repro.engine.cache`.
-    max_cache_rows: Optional[int] = None
     device: str = "nucleo-f746zg"
     samples: int = 64          # random / pareto population size
     population_size: int = 20  # evolutionary population
@@ -423,15 +414,8 @@ class RunHarness:
         from repro.autograd.precision import resolve_policy
 
         resolve_policy(config.precision)
-        if config.store_read_mode not in READ_MODES:
-            raise SearchError(
-                f"unknown store_read_mode {config.store_read_mode!r}; "
-                f"valid: {READ_MODES}"
-            )
         if config.fleet_workers < 0:
             raise SearchError("fleet_workers must be >= 0")
-        if config.max_cache_rows is not None and config.max_cache_rows < 1:
-            raise SearchError("max_cache_rows must be >= 1 (or None)")
         self.config = config
         self.device = devices[config.device]
         self.proxy_config = config.proxy_config()
@@ -461,18 +445,6 @@ class RunHarness:
         self.fingerprint = cache_fingerprint(self.proxy_config,
                                              self.macro_config,
                                              cost_axes=extra_axes)
-        self.store_read_mode = config.store_read_mode
-        # Rows warm-started from the store (eagerly below for "full";
-        # accumulated per submit-time preload for "index").
-        self.warm_entries = 0
-        # The executor's warm-start seam: index reads defer store reads
-        # to submit time, loading only what each population actually
-        # asks for — O(population), not O(store).
-        cache_loader = (
-            self._load_store_keys
-            if self.store is not None and self.store_read_mode == "index"
-            else None
-        )
         pool = None
         if config.fleet_bind or config.fleet_workers:
             from repro.runtime.fleet import FleetPool, parse_address
@@ -502,7 +474,6 @@ class RunHarness:
                 if self.store is not None else None
             ),
             telemetry=self.telemetry,
-            cache_loader=cache_loader,
             pool=pool,
         )
         if pool is not None and config.fleet_workers:
@@ -510,26 +481,22 @@ class RunHarness:
             # starts and flush their rows under its flocks.
             pool.spawn_local_workers(config.fleet_workers,
                                      store_dir=config.store_dir)
-        from repro.engine.cache import IndicatorCache
-
         self.engine = Engine(
             proxy_config=self.proxy_config,
             macro_config=self.macro_config,
             device=self.device,
             lut_store=self.store,
             telemetry=self.telemetry,
-            cache=IndicatorCache(max_rows=config.max_cache_rows),
         )
-        if self.store is not None and self.store_read_mode == "full":
-            self.warm_entries = self.store.load_cache_into(
-                self.engine.cache, self.fingerprint)
+        #: Rows warm-started from the store (one eager replay).
+        self.warm_entries = (
+            self.store.load_cache_into(self.engine.cache, self.fingerprint)
+            if self.store is not None else 0)
         #: Rows appended to the store by mid-run flushes.
         self.flushed_entries = 0
         #: Set by the first SIGINT/SIGTERM during :meth:`run`: the run is
         #: draining and its report will carry ``status="interrupted"``.
         self._drain_requested = False
-        #: Cost models this run prices driver-side (built on first use).
-        self._priced_models: Optional[List] = None
         if config.save_store and self.store is not None:
             # The store appends only dirty rows (O(delta)), so
             # flushing on *every* gather is affordable: a crashed or
@@ -541,48 +508,6 @@ class RunHarness:
     def _flush_store(self, gathered) -> None:
         self.flushed_entries += self.store.save_cache(self.engine.cache,
                                                       self.fingerprint)
-
-    def _load_store_keys(self, keys) -> int:
-        """The executor's ``cache_loader`` hook: pull the requested keys
-        from the store by index — plus, for every genotype among them,
-        the cost rows this run prices driver-side (latency, energy,
-        peak memory, ...), which the executor never asks for but a warm
-        restart must not recompute and re-append."""
-        keys = list(keys)
-        indices = sorted({key[1] for key in keys
-                          if key[0] in ("ntk", "linear_regions", "flops")})
-        cache = self.engine.cache
-        keys += [key for index in indices for model in self._cost_models()
-                 for key in (model.cache_key(index),) if key not in cache]
-        loaded = self.store.load_cache_into(
-            cache, self.fingerprint, keys=keys,
-            read_mode=self.store_read_mode)
-        self.warm_entries += loaded
-        return loaded
-
-    def _cost_models(self) -> List:
-        """The cost axes this run prices per genotype, driver-side: the
-        matrix cells' axes on every board, or the objective's latency
-        and extra axes (``flops`` rows are trainless-indicator rows)."""
-        if self._priced_models is None:
-            config = self.config
-            if config.devices:
-                from repro.hardware.device import get_device
-
-                axes = sorted({axis for axes in (config.objective_sets()
-                                                 or (("latency",),))
-                               for axis in axes} - {"flops"})
-                models = []
-                for device in config.devices:
-                    engine = self.engine.for_device(get_device(device))
-                    models += [engine.cost_model(axis) for axis in axes]
-            else:
-                objective = self.objective()
-                models = list(objective.cost_models())
-                if objective.weights.uses_latency:
-                    models.append(self.engine.cost_model("latency"))
-            self._priced_models = models
-        return self._priced_models
 
     def _heartbeat_source(self) -> Dict:
         """One reading for the heartbeat line (reads shared counters only,
@@ -737,7 +662,6 @@ class RunHarness:
             pool=self.executor.stats.to_dict(),
             store={
                 "dir": self.config.store_dir,
-                "read_mode": self.store_read_mode,
                 "cache_loaded": self.warm_entries,
                 "cache_saved": saved_entries,
                 "luts": (self.store.lut_keys()
@@ -845,7 +769,6 @@ class RunHarness:
             },
             store={
                 "dir": config.store_dir,
-                "read_mode": self.store_read_mode,
                 "cache_loaded": self.warm_entries,
                 "cache_saved": saved_entries,
                 "luts": (self.store.lut_keys()

@@ -7,13 +7,12 @@ device re-profiles its LUT.  :class:`RuntimeStore` is a directory-backed
 store that makes both survive:
 
 * **Indicator cache — a sharded append-only segment log with
-  per-shard compacted bases and key indexes.**  Each fingerprint (see
+  per-shard compacted bases.**  Each fingerprint (see
   :func:`cache_fingerprint`) owns one directory::
 
       cache2__<digest>/
           meta.json                       # fingerprint + shard count
           shard-03.base.jsonl             # compacted rows of shard 3
-          shard-03.idx.json               # key index sidecar of shard 3
           shard-03.seg-00000002.4711.jsonl  # one append per save
           base.lock                       # reader/compactor lock
 
@@ -23,9 +22,7 @@ store that makes both survive:
   shard gets one new atomically-renamed JSONL segment per save, numbered
   under the shard's own ``flock``.  Persistence cost is therefore O(rows
   this run computed), independent of how large the store already is — the
-  property process fleets sharing one store directory need.  Loading
-  replays each shard's ``.base.jsonl``, then every segment in
-  ``(shard, sequence, pid)`` order with **last-write-wins** per key; a
+  property process fleets sharing one store directory need.  A
   **compaction** pass
   (:meth:`RuntimeStore.compact_cache`, the ``micronas store compact`` CLI,
   or automatically once accumulated segments rival the bases in bytes,
@@ -35,32 +32,17 @@ store that makes both survive:
   under the base lock too, so readers and concurrent appenders racing a
   compaction lose nothing.
 
-  **Read paths.**  :meth:`RuntimeStore.load_cache_into` takes
-  ``keys=`` + ``read_mode=``:
-
-  * ``"full"`` (default, and always used when ``keys`` is ``None``) —
-    replay the whole directory: O(store), the right call when a run
-    genuinely wants everything resident;
-  * ``"index"`` — point lookups through each shard's ``.idx.json``
-    sidecar: O(population · log shard), independent of store size.  The
-    index maps key digests to ``[file, byte offset, length]`` of the
-    key's newest row, LSM-style so neither reads nor writes ever touch
-    the whole sidecar: line 1 is a JSON header (``row`` width,
-    ``sorted`` record count, ``files`` table, ``covers``), followed by
-    ``sorted`` digest-ordered **fixed-width records** that lookups
-    binary-search with seeks, followed by one appended JSON tail record
-    per flush (``{"e": {digest: slot}, "c": [segment, bytes]}``) —
-    compaction rebuilds the whole sidecar atomically with everything
-    folded into the sorted region; each flush *appends one tail line
-    under the shard flock*, keeping save cost O(delta).  Staleness is
-    detected by comparing the merged ``covers`` — the ``[name, bytes]``
-    of every shard file the index reflects (header covers plus one per
-    tail record) — against the directory: any mismatch (a writer
-    without index support, a torn segment or index tail, a hand-edited
-    file) falls back to replaying that shard, so indexed reads are
-    always bit-identical to replay.  A fresh index is authoritative: a
-    digest in neither the tail nor the sorted region is a miss, served
-    without touching segment data at all.
+  **One read path.**  :meth:`RuntimeStore.load_cache_into` replays each
+  shard's ``.base.jsonl``, then every segment in ``(shard, sequence,
+  pid)`` order, **last write wins** per key.  The store only caches rows
+  the NAS-Bench-201 search can produce — about 76k at most per
+  fingerprint (every canonical cell's trainless rows plus the cost
+  rows of a two-board matrix), which replays in well under a second — so
+  there is no index and no partial read.  A long-lived reader (a fleet
+  worker) **follows** the log instead of replaying it per chunk:
+  :meth:`RuntimeStore.follow_cache_into` re-reads, per shard, only the
+  files from the first one it has not seen (by name, size, mtime and
+  inode) onward, which after an append is just the new segments.
 
   Cache keys are plain nested tuples of strings and integers (the key
   contract in :mod:`repro.engine`), round-tripped through JSON with a
@@ -137,23 +119,6 @@ DEFAULT_SHARDS = 8
 #: amortized instead of rewriting the whole store every ``shards`` saves.
 DEFAULT_AUTO_COMPACT_SEGMENTS = 64
 
-#: Index-tail record bound for auto-compaction: every index-mode lookup
-#: linearly merges the tail records appended since the last compaction
-#: (the O(appends) part of an otherwise O(log shard) read), so once any
-#: shard's tail grows past this many records a save triggers compaction
-#: — which rebuilds the sidecars with everything in the sorted region
-#: and the tails empty again.  ``None`` disables the tail trigger.
-DEFAULT_AUTO_COMPACT_INDEX_TAIL = 128
-
-#: Bits per row in the compaction-built per-shard bloom filter (two
-#: probes per digest; ~2.7% theoretical false-positive rate at this
-#: sizing, and a false positive just costs the bisect the filter would
-#: have skipped).
-_BLOOM_BITS_PER_ROW = 8
-
-#: Bloom floor so tiny shards still get a useful filter.
-_BLOOM_MIN_BITS = 64
-
 _SEGMENT_RE = re.compile(
     r"^shard-(?P<shard>\d+)\.seg-(?P<seq>\d+)\.(?P<pid>\d+)\.jsonl$"
 )
@@ -164,30 +129,6 @@ _SHARD_BASE_RE = re.compile(r"^shard-(?P<shard>\d+)\.base\.jsonl$")
 #: (see :func:`_atomic_write_text`); ``gc`` parses it back out to spare
 #: a *live* writer's staging file regardless of age.
 _TMP_PID_RE = re.compile(r"\.(?P<pid>\d+)\.tmp$")
-
-#: Valid ``read_mode`` values for :meth:`RuntimeStore.load_cache_into`.
-READ_MODES = ("full", "index")
-
-#: Fixed byte width of one sorted index record:
-#: ``digest(16) + " " + file(6) + " " + offset(12) + " " + length(8) +
-#: "\n"`` — fixed width is what lets lookups binary-search the sorted
-#: region with seeks instead of parsing the whole file.
-_IDX_ROW_WIDTH = 46
-
-#: Upper bound on the index header line (a covers list of base +
-#: pending segments — compaction keeps it tiny; a header past this is
-#: treated as damage, i.e. stale).
-_IDX_HEADER_LIMIT = 1 << 20
-
-
-def _format_idx_row(digest: str, file_idx: int, offset: int,
-                    length: int) -> str:
-    return f"{digest} {file_idx:06d} {offset:012d} {length:08d}\n"
-
-
-class _IndexUnusable(Exception):
-    """Internal: the index lied or is damaged — fall back to replay."""
-
 
 class StoreError(ReproError):
     """Raised for unusable store contents in strict mode."""
@@ -296,27 +237,12 @@ def _fingerprint_digest(fingerprint: Dict) -> str:
     return hashlib.sha1(material.encode("utf-8")).hexdigest()[:12]
 
 
-def _key_material(encoded_key) -> bytes:
-    """The canonical bytes both the shard map and the index digest hash —
-    one definition, so a key can never index into a shard it does not
-    hash to."""
-    return json.dumps(encoded_key, sort_keys=True,
-                      default=str).encode("utf-8")
-
-
 def _shard_of(encoded_key, n_shards: int) -> int:
     """Stable shard assignment from the JSON-encoded key (process- and
     run-independent, unlike ``hash()`` under PYTHONHASHSEED)."""
-    digest = hashlib.sha1(_key_material(encoded_key)).hexdigest()[:8]
+    material = json.dumps(encoded_key, sort_keys=True, default=str)
+    digest = hashlib.sha1(material.encode("utf-8")).hexdigest()[:8]
     return int(digest, 16) % n_shards
-
-
-def _key_digest(encoded_key) -> str:
-    """Index digest of one JSON-encoded key (16 hex chars).  Collisions
-    are astronomically unlikely, and harmless anyway: indexed reads
-    verify the stored key against the requested one and fall back to
-    replay on any mismatch."""
-    return hashlib.sha1(_key_material(encoded_key)).hexdigest()[:16]
 
 
 def _pid_alive(pid: int) -> bool:
@@ -344,19 +270,12 @@ class RuntimeStore:
     :meth:`save_cache` *considers* folding a directory's segments into
     its base — the fold actually triggers on the byte-amortized rule in
     :meth:`_should_auto_compact` (``None`` disables auto-compaction —
-    e.g. for benchmarks isolating append cost — including the
-    index-tail trigger below).  ``auto_compact_index_tail`` bounds how
-    many tail records any one shard's index may accumulate before a
-    save compacts regardless of segment bytes: tail records are the
-    O(appends-since-compaction) part of every index-mode lookup, so the
-    bound keeps warm-start reads flat under every-gather flushing.
+    e.g. for benchmarks isolating append cost).
     """
 
     def __init__(self, root, shards: int = DEFAULT_SHARDS,
                  auto_compact_segments: Optional[int]
                  = DEFAULT_AUTO_COMPACT_SEGMENTS,
-                 auto_compact_index_tail: Optional[int]
-                 = DEFAULT_AUTO_COMPACT_INDEX_TAIL,
                  telemetry: Optional[Telemetry] = None) -> None:
         if shards < 1:
             raise StoreError("shards must be >= 1")
@@ -364,18 +283,10 @@ class RuntimeStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.shards = shards
         self.auto_compact_segments = auto_compact_segments
-        self.auto_compact_index_tail = auto_compact_index_tail
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry.disabled())
         #: Why the last load/get returned nothing (diagnostics/reporting).
         self.last_rejection: Optional[str] = None
-        #: How the last :meth:`load_cache_into` call did its reads —
-        #: ``{"mode", "requested", "found", "index_hits",
-        #: "index_fallback_shards", "index_filtered",
-        #: "shards_touched"}`` (``None`` until the first load;
-        #: ``requested``/``shards_touched`` are ``None`` for whole-store
-        #: loads).  Diagnostics + benchmark surface.
-        self.last_load_stats: Optional[Dict] = None
 
     # ------------------------------------------------------------------
     # Indicator cache — paths and directory plumbing
@@ -394,9 +305,6 @@ class RuntimeStore:
 
     def _shard_base_path(self, directory: Path, shard: int) -> Path:
         return directory / f"shard-{shard:02d}.base.jsonl"
-
-    def _index_path(self, directory: Path, shard: int) -> Path:
-        return directory / f"shard-{shard:02d}.idx.json"
 
     def _meta_path(self, directory: Path) -> Path:
         return directory / "meta.json"
@@ -458,19 +366,14 @@ class RuntimeStore:
                           int(match.group("pid")), path))
         return [item[3] for item in sorted(found)]
 
-    def _shard_base_files(self, directory: Path,
-                          shard: Optional[int] = None) -> List[Path]:
+    def _shard_base_files(self, directory: Path) -> List[Path]:
         """Per-shard compacted base files, in shard order (a key lives in
         exactly one shard, so cross-shard order is irrelevant)."""
         found = []
         for path in directory.glob("shard-*.base.jsonl"):
             match = _SHARD_BASE_RE.match(path.name)
-            if match is None:
-                continue
-            index = int(match.group("shard"))
-            if shard is not None and index != shard:
-                continue
-            found.append((index, path))
+            if match is not None:
+                found.append((int(match.group("shard")), path))
         return [item[1] for item in sorted(found)]
 
     def _next_segment_path(self, directory: Path, shard: int) -> Path:
@@ -480,92 +383,6 @@ class RuntimeStore:
             last = max(last, int(_SEGMENT_RE.match(path.name).group("seq")))
         return directory / (f"shard-{shard:02d}.seg-{last + 1:08d}"
                             f".{os.getpid()}.jsonl")
-
-    def _shard_state(self, directory: Path, shard: int) -> List[List]:
-        """``[name, bytes]`` of every file holding this shard's rows, in
-        replay order (base first, then segments) — the coverage token the
-        index's staleness check compares against."""
-        state = []
-        for path in self._shard_base_files(directory, shard=shard):
-            with contextlib.suppress(OSError):
-                state.append([path.name, path.stat().st_size])
-        for path in self._segment_files(directory, shard=shard):
-            with contextlib.suppress(OSError):
-                state.append([path.name, path.stat().st_size])
-        return state
-
-    def _read_index_state(self, directory: Path,
-                          shard: int) -> Optional[Dict]:
-        """This shard's index sidecar decoded *without* parsing its
-        sorted region: the JSON header line, where the fixed-width
-        records start, and the appended tail records merged into one
-        dict (later records win).  The sorted region itself is only ever
-        touched by :meth:`_bisect_index` seeks, which is what keeps
-        lookups O(log shard) instead of O(shard).  ``None`` means
-        absent, unreadable, mis-shaped, or torn mid-append — every
-        ``None`` reads as "treat as stale"."""
-        path = self._index_path(directory, shard)
-        try:
-            with open(path, "rb") as handle:
-                first = handle.readline(_IDX_HEADER_LIMIT)
-                if not first.endswith(b"\n"):
-                    return None
-                try:
-                    header = json.loads(first.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    return None
-                if (not isinstance(header, dict)
-                        or header.get("row") != _IDX_ROW_WIDTH
-                        or not isinstance(header.get("sorted"), int)
-                        or isinstance(header.get("sorted"), bool)
-                        or header["sorted"] < 0
-                        or not isinstance(header.get("files"), list)
-                        or not isinstance(header.get("covers"), list)):
-                    return None
-                handle.seek(len(first) + header["sorted"] * _IDX_ROW_WIDTH)
-                tail_blob = handle.read()
-        except OSError:
-            return None
-        covers = [list(item) for item in header["covers"]]
-        tail: Dict[str, object] = {}
-        tail_records = 0
-        for line in tail_blob.split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                return None  # torn tail from a crashed appender
-            if (not isinstance(record, dict)
-                    or not isinstance(record.get("e"), dict)
-                    or not isinstance(record.get("c"), list)):
-                return None
-            tail.update(record["e"])
-            covers.append(list(record["c"]))
-            tail_records += 1
-        # Fence and bloom are pure lookup accelerators over the sorted
-        # region: validation is lenient — anything mis-shaped reads as
-        # "no filter" (None), never as a stale index.
-        fence = header.get("fence")
-        if not (isinstance(fence, list) and len(fence) == 2
-                and all(isinstance(edge, str) for edge in fence)):
-            fence = None
-        bloom = header.get("bloom")
-        if isinstance(bloom, list) and len(bloom) == 2 \
-                and isinstance(bloom[0], int) and not isinstance(
-                    bloom[0], bool) and bloom[0] > 0 \
-                and isinstance(bloom[1], str):
-            try:
-                bloom = (bloom[0], int(bloom[1], 16))
-            except ValueError:
-                bloom = None
-        else:
-            bloom = None
-        return {"path": path, "header_len": len(first),
-                "sorted": header["sorted"], "files": header["files"],
-                "covers": covers, "tail": tail,
-                "tail_records": tail_records,
-                "fence": fence, "bloom": bloom}
 
     # ------------------------------------------------------------------
     # Indicator cache — save (O(delta) append)
@@ -612,7 +429,7 @@ class RuntimeStore:
         if not rows:
             return 0
         directory, n_shards = self._ensure_dir(fingerprint)
-        by_shard: Dict[int, List[Tuple[str, str]]] = {}
+        by_shard: Dict[int, List[str]] = {}
         appended_keys = []
         for key, value in rows:
             encoded = _encode_key(key)
@@ -621,96 +438,30 @@ class RuntimeStore:
             except (TypeError, ValueError):
                 continue
             by_shard.setdefault(_shard_of(encoded, n_shards), []).append(
-                (_key_digest(encoded), line))
+                line)
             appended_keys.append(key)
-        max_tail_records = 0
         for shard in sorted(by_shard):
             with _file_lock(self._shard_lock_target(directory, shard)):
-                # The shard state *before* this append is what a fresh
-                # index must already cover for the append to be able to
-                # extend it — captured under the flock, so no other
-                # writer can slip a segment in between.
-                pre_state = self._shard_state(directory, shard)
-                segment_path = self._next_segment_path(directory, shard)
                 _atomic_write_text(
-                    segment_path,
-                    "\n".join(line for _, line in by_shard[shard]) + "\n")
-                max_tail_records = max(max_tail_records, self._append_index(
-                    directory, shard, segment_path, by_shard[shard],
-                    pre_state))
+                    self._next_segment_path(directory, shard),
+                    "\n".join(by_shard[shard]) + "\n")
         if hasattr(cache, "mark_clean"):
             cache.mark_clean(appended_keys)
-        if self._should_auto_compact(directory,
-                                     index_tail_records=max_tail_records):
+        if self._should_auto_compact(directory):
             self._compact_dir(directory, fingerprint)
         return len(appended_keys)
 
-    def _append_index(self, directory: Path, shard: int,
-                      segment_path: Path,
-                      rows: List[Tuple[str, str]],
-                      pre_state: List[List]) -> int:
-        """Extend this shard's index with the rows just appended (call
-        under the shard flock, ``pre_state`` captured before the segment
-        write), in O(delta): the new rows become one JSON tail record
-        *appended* after the sorted region — the sorted region and the
-        earlier tail are never rewritten.  A *stale* index — one whose
-        merged ``covers`` does not match the pre-append state — is left
-        stale for the next compaction to rebuild, never patched:
-        patching would claim coverage of shard files this writer never
-        read.  A brand-new shard (empty ``pre_state``) starts a fresh
-        empty-header index first.  Offsets count bytes; segment lines
-        are ASCII (``json.dumps`` default), so ``len(line)`` is exact.
-        Returns the shard's tail record count after the append (0 when
-        the index was left stale) — the compaction-scheduling signal:
-        every lookup merges the tail linearly, so a long tail means the
-        index is degrading toward O(appends) reads."""
-        index_path = self._index_path(directory, shard)
-        state = self._read_index_state(directory, shard)
-        tail_records = 0
-        if state is None or state["covers"] != pre_state:
-            if pre_state:
-                return 0  # uncovered pre-existing data: leave stale
-            header = {"row": _IDX_ROW_WIDTH, "sorted": 0, "files": [],
-                      "covers": []}
-            _atomic_write_text(index_path, json.dumps(header) + "\n")
-        else:
-            tail_records = state["tail_records"]
-        entries = {}
-        offset = 0
-        for digest, line in rows:
-            entries[digest] = [segment_path.name, offset, len(line)]
-            offset += len(line) + 1  # the "\n" after every line
-        try:
-            size = segment_path.stat().st_size
-        except OSError:  # pragma: no cover - we just wrote it
-            return 0
-        record = json.dumps({"e": entries,
-                             "c": [segment_path.name, size]})
-        with open(index_path, "a", encoding="utf-8") as handle:
-            handle.write(record + "\n")
-        return tail_records + 1
-
-    def _should_auto_compact(self, directory: Path,
-                             index_tail_records: int = 0) -> bool:
+    def _should_auto_compact(self, directory: Path) -> bool:
         """Compact when the segment *bytes* have grown to rival the base
         (a rewrite then costs at most ~2× what appending those rows
         cost — classic log-structured amortization, keeping save cost
         O(delta) amortized even with every-gather flushing), or when the
-        file count alone gets excessive (glob/replay overhead), or when
-        some shard's index tail has grown past
-        :attr:`auto_compact_index_tail` records (every index-mode
-        lookup merges the tail linearly, so an unbounded tail would
-        quietly turn O(log shard) reads into O(appends) reads — the
-        caller reports the longest tail it touched, so the check adds
-        no extra shard scans).  A bare file-count trigger would fire
-        every ``shards`` saves and rewrite the whole store on the hot
-        path."""
+        file count alone gets excessive (glob/replay overhead).  A bare
+        file-count trigger would fire every ``shards`` saves and rewrite
+        the whole store on the hot path."""
         threshold = self.auto_compact_segments
         if threshold is None:
             return False  # auto-compaction disabled entirely
-        if (self.auto_compact_index_tail is not None
-                and index_tail_records > self.auto_compact_index_tail):
-            return True
         segments = self._segment_files(directory)
         if len(segments) <= threshold:
             return False
@@ -732,72 +483,29 @@ class RuntimeStore:
     # Indicator cache — load (replay with last-write-wins)
     # ------------------------------------------------------------------
     def load_cache_into(self, cache: IndicatorCache, fingerprint: Dict,
-                        strict: bool = False,
-                        keys: Optional[Iterable] = None,
-                        read_mode: str = "full") -> int:
+                        strict: bool = False) -> int:
         """Merge persisted entries into ``cache``; returns how many landed.
 
-        With ``keys=None`` (the default) the whole store replays:
-        per-shard ``.base.jsonl`` files, then every segment in order
-        (last write wins per key).  With ``keys=`` an iterable of cache
-        keys, only those keys are merged, and ``read_mode`` picks the
-        I/O strategy — ``"full"`` (replay everything, filter) or
-        ``"index"`` (point lookups through the per-shard index sidecars,
-        falling back to replaying any shard whose index is stale or
-        missing).  Both are bit-identical in what they merge; they
-        differ only in read cost (see the module docstring).
-        ``last_load_stats`` records how the load went.
-
-        A missing store, an unreadable ``meta.json`` or a fingerprint
-        mismatch is reported in ``last_rejection``;
-        with ``strict=True`` a *present but rejected* file raises
-        :class:`StoreError` instead, so CI can distinguish "cold" from
-        "poisoned".  Entries already in the cache keep their in-memory
-        value; loaded rows are marked clean, so the next
-        :meth:`save_cache` does not re-append them.
+        Replays the whole store: per-shard ``.base.jsonl`` files, then
+        every segment in order (last write wins per key).  A missing
+        store, an unreadable ``meta.json`` or a fingerprint mismatch is
+        reported in ``last_rejection``; with ``strict=True`` a *present
+        but rejected* file raises :class:`StoreError` instead, so CI can
+        distinguish "cold" from "poisoned".  Entries already in the cache
+        keep their in-memory value; loaded rows are marked clean, so the
+        next :meth:`save_cache` does not re-append them.
         """
-        if read_mode not in READ_MODES:
-            raise StoreError(f"unknown read_mode {read_mode!r}: expected "
-                             f"one of {READ_MODES}")
         tel = self.telemetry
         if not tel.enabled:
-            return self._load_any_impl(cache, fingerprint, strict, keys,
-                                       read_mode)
+            return self._load_cache_impl(cache, fingerprint, strict)
         with tel.span("store_load", CAT_STORE) as span:
-            loaded = self._load_any_impl(cache, fingerprint, strict, keys,
-                                         read_mode)
-            stats = self.last_load_stats or {}
-            span.note(rows=loaded, mode=stats.get("mode", read_mode),
-                      index_hits=stats.get("index_hits", 0))
-            tel.count("store.index_hits", stats.get("index_hits", 0))
-            tel.count("store.index_fallbacks",
-                      stats.get("index_fallback_shards", 0))
-            tel.count("store.index_filtered",
-                      stats.get("index_filtered", 0))
+            loaded = self._load_cache_impl(cache, fingerprint, strict)
+            span.note(rows=loaded)
             return loaded
 
-    def _load_any_impl(self, cache: IndicatorCache, fingerprint: Dict,
-                       strict: bool, keys: Optional[Iterable],
-                       read_mode: str) -> int:
-        if keys is None:
-            return self._load_cache_impl(cache, fingerprint, strict)
-        requested = list(dict.fromkeys(keys))  # dedupe, keep order
-        if read_mode == "full":
-            return self._load_cache_impl(cache, fingerprint, strict,
-                                         requested=requested)
-        return self._load_indexed_impl(cache, fingerprint, strict,
-                                       requested)
-
     def _load_cache_impl(self, cache: IndicatorCache, fingerprint: Dict,
-                         strict: bool,
-                         requested: Optional[List] = None) -> int:
+                         strict: bool) -> int:
         self.last_rejection = None
-        stats = {"mode": "full",
-                 "requested": (len(requested) if requested is not None
-                               else None),
-                 "found": 0, "index_hits": 0, "index_fallback_shards": 0,
-                 "index_filtered": 0, "shards_touched": None}
-        self.last_load_stats = stats
         directory = self.cache_dir(fingerprint)
         if not directory.exists():
             self.last_rejection = "no persisted cache"
@@ -811,198 +519,6 @@ class RuntimeStore:
         # guarantee.
         with _file_lock(self._lock_target(directory), shared=True):
             entries = self._replay(directory, fingerprint, problems)
-        if requested is not None:
-            entries = {key: entries[key] for key in requested
-                       if key in entries}
-        stats["found"] = len(entries)
-        return self._finish_load(cache, entries, problems, strict)
-
-    def _load_indexed_impl(self, cache: IndicatorCache, fingerprint: Dict,
-                           strict: bool, requested: List) -> int:
-        """The ``keys=`` fast path: touch only the index slots of the
-        shards the requested keys hash to."""
-        self.last_rejection = None
-        stats = {"mode": "index", "requested": len(requested),
-                 "found": 0, "index_hits": 0, "index_fallback_shards": 0,
-                 "index_filtered": 0, "shards_touched": 0}
-        self.last_load_stats = stats
-        directory = self.cache_dir(fingerprint)
-        if not directory.exists():
-            self.last_rejection = "no persisted cache"
-            return 0
-        entries: Dict[Tuple, object] = {}
-        problems: List[str] = []
-        meta = self._read_meta(directory)
-        if meta is None:
-            # Damaged meta: the key→shard map is unknowable, so degrade
-            # to a full replay filtered to the requested keys — still
-            # correct, just O(store) for this load.
-            stats["shards_touched"] = None
-            with _file_lock(self._lock_target(directory), shared=True):
-                replayed = self._replay(directory, fingerprint, problems)
-            entries = {key: replayed[key] for key in requested
-                       if key in replayed}
-        elif "fingerprint" in meta and meta["fingerprint"] != fingerprint:
-            problems.append(
-                "fingerprint mismatch: persisted cache was written under "
-                "a different proxy/macro configuration or store format"
-            )
-        else:
-            n_shards = int(meta.get("shards", self.shards))
-            by_shard: Dict[int, List[Tuple]] = {}
-            for key in requested:
-                encoded = _encode_key(key)
-                by_shard.setdefault(_shard_of(encoded, n_shards),
-                                    []).append((key, encoded))
-            stats["shards_touched"] = len(by_shard)
-            with _file_lock(self._lock_target(directory), shared=True):
-                for shard in sorted(by_shard):
-                    entries.update(self._load_shard_keys(
-                        directory, shard, by_shard[shard], stats))
-        stats["found"] = len(entries)
-        return self._finish_load(cache, entries, problems, strict)
-
-    def _load_shard_keys(self, directory: Path, shard: int,
-                         pairs: List[Tuple],
-                         stats: Dict) -> Dict[Tuple, object]:
-        """Rows for the requested ``(key, encoded)`` pairs of one shard
-        (call under the shared base lock).  The index sidecar answers
-        first; a stale/missing/lying index falls back to replaying the
-        whole shard, so the result never depends on index health."""
-        rows = self._index_lookup(directory, shard, pairs, stats)
-        if rows is not None:
-            return rows
-        stats["index_fallback_shards"] += 1
-        replayed = self._replay_shard(directory, shard)
-        return {key: replayed[key] for key, _ in pairs if key in replayed}
-
-    def _index_lookup(self, directory: Path, shard: int,
-                      pairs: List[Tuple],
-                      stats: Dict) -> Optional[Dict[Tuple, object]]:
-        """Point lookups through one shard's index, or ``None`` when the
-        index cannot be trusted (absent, mis-shaped, ``covers`` out of
-        date, or a slice that fails to parse back to the requested key).
-        A trusted index is authoritative: a digest in neither the tail
-        records nor the sorted region is a miss, served without reading
-        any row data.  Cost is O(keys · log shard): tail probes are a
-        dict lookup, the sorted region is binary-searched with seeks —
-        it is never parsed wholesale, so warm-start latency stays flat
-        as the store grows.  When the header carries a compaction-built
-        fence/bloom filter, misses it can prove (digest outside the
-        sorted region's range, or bloom bits unset) skip the bisect
-        entirely — counted in ``stats["index_filtered"]``."""
-        state = self._read_index_state(directory, shard)
-        if (state is None
-                or state["covers"] != self._shard_state(directory, shard)):
-            return None
-        rows: Dict[Tuple, object] = {}
-        hits = 0
-        handles = {}
-        try:
-            with open(state["path"], "rb") as index_handle:
-                for key, encoded in pairs:
-                    digest = _key_digest(encoded)
-                    slot = state["tail"].get(digest)
-                    if slot is None and state["sorted"]:
-                        if self._index_filtered(state, digest):
-                            # The filter proves the sorted region does
-                            # not hold this digest: authoritative miss
-                            # with zero seeks.
-                            stats["index_filtered"] += 1
-                            continue
-                        slot = self._bisect_index(index_handle, state,
-                                                  digest)
-                    if slot is None:
-                        continue  # authoritative miss
-                    if not (isinstance(slot, list) and len(slot) == 3):
-                        return None
-                    name, offset, length = slot
-                    handle = handles.get(name)
-                    if handle is None:
-                        try:
-                            handle = open(directory / name, "rb")
-                        except (OSError, TypeError):
-                            return None
-                        handles[name] = handle
-                    try:
-                        handle.seek(offset)
-                        blob = handle.read(length)
-                    except (OSError, ValueError, TypeError):
-                        return None
-                    try:
-                        record = json.loads(blob.decode("utf-8"))
-                    except (ValueError, UnicodeDecodeError):
-                        return None
-                    if (not isinstance(record, list) or len(record) != 2
-                            or _decode_key(record[0]) != key):
-                        return None  # digest collision or corrupt slot
-                    rows[key] = record[1]
-                    hits += 1
-        except (OSError, _IndexUnusable):
-            return None
-        finally:
-            for handle in handles.values():
-                handle.close()
-        stats["index_hits"] += hits
-        return rows
-
-    @staticmethod
-    def _index_filtered(state: Dict, digest: str) -> bool:
-        """Can the fence/bloom prove ``digest`` is not in the sorted
-        region?  False negatives are impossible by construction (the
-        filters are built from exactly the sorted digests at compaction)
-        — so ``True`` is always safe to serve as a miss; ``False`` just
-        means "bisect to find out"."""
-        fence = state.get("fence")
-        if fence is not None and not fence[0] <= digest <= fence[1]:
-            return True
-        bloom = state.get("bloom")
-        if bloom is not None:
-            m_bits, bits = bloom
-            if not (bits >> (int(digest[:8], 16) % m_bits)) & 1:
-                return True
-            if not (bits >> (int(digest[8:16], 16) % m_bits)) & 1:
-                return True
-        return False
-
-    def _bisect_index(self, handle, state: Dict,
-                      digest: str) -> Optional[List]:
-        """Binary-search the sorted fixed-width region for ``digest``
-        via seeks — O(log rows) reads of one record each, never a full
-        parse.  A record that does not decode as expected means the
-        sidecar is damaged: raises :class:`_IndexUnusable` so the
-        caller falls back to shard replay."""
-        lo, hi = 0, state["sorted"]
-        base = state["header_len"]
-        files = state["files"]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            handle.seek(base + mid * _IDX_ROW_WIDTH)
-            row = handle.read(_IDX_ROW_WIDTH)
-            if len(row) != _IDX_ROW_WIDTH:
-                raise _IndexUnusable(f"short index record at slot {mid}")
-            row_digest = row[:16].decode("ascii", "replace")
-            if row_digest == digest:
-                try:
-                    file_idx = int(row[17:23])
-                    offset = int(row[24:36])
-                    length = int(row[37:45])
-                except ValueError:
-                    raise _IndexUnusable(
-                        f"unparseable index record at slot {mid}")
-                if not 0 <= file_idx < len(files):
-                    raise _IndexUnusable(
-                        f"file ordinal {file_idx} out of range")
-                return [files[file_idx], offset, length]
-            if row_digest < digest:
-                lo = mid + 1
-            else:
-                hi = mid
-        return None
-
-    def _finish_load(self, cache: IndicatorCache,
-                     entries: Dict[Tuple, object], problems: List[str],
-                     strict: bool) -> int:
         if problems:
             self.last_rejection = "; ".join(problems)
             if strict:
@@ -1014,6 +530,36 @@ class RuntimeStore:
                 merged_keys.append(key)
         if hasattr(cache, "mark_clean"):
             cache.mark_clean(merged_keys)
+        return len(merged_keys)
+
+    def follow_cache_into(self, cache: IndicatorCache, fingerprint: Dict,
+                          seen: Dict) -> int:
+        """Bring a resident ``cache`` up to date with the store; returns
+        how many rows it merged.
+
+        ``seen`` is the caller's record of what it has read, kept beside
+        the cache it owns (start with ``{}``, then pass the same dict
+        every time).  It maps each base and segment file name to its
+        ``(bytes, mtime_ns, inode)``.  Per shard, the files from the first
+        one whose token differs onward are read again in replay order,
+        so an append costs only the new segments.  A compaction rewrites
+        the shard's base, which makes the whole shard read again, and
+        names that no longer exist are forgotten.  Rows read here win
+        over clean resident rows (last write wins, exactly as in
+        :meth:`load_cache_into`'s replay) but never over dirty ones, and
+        they land clean.
+        """
+        directory = self.cache_dir(fingerprint)
+        if not directory.exists():
+            return 0
+        problems: List[str] = []
+        with _file_lock(self._lock_target(directory), shared=True):
+            entries = self._replay(directory, fingerprint, problems, seen)
+        dirty = {key for key, _ in cache.dirty_items()}
+        merged_keys = [key for key in entries if key not in dirty]
+        for key in merged_keys:
+            cache.put(key, entries[key])
+        cache.mark_clean(merged_keys)
         return len(merged_keys)
 
     def _read_jsonl_rows(self, path: Path,
@@ -1037,11 +583,14 @@ class RuntimeStore:
                 entries[_decode_key(record[0])] = record[1]
 
     def _replay(self, directory: Path, fingerprint: Dict,
-                problems: List[str]) -> Dict[Tuple, object]:
+                problems: List[str],
+                seen: Optional[Dict] = None) -> Dict[Tuple, object]:
         """Per-shard bases, then segments, later writes winning; torn
         lines are skipped (readable rows still load), and an unreadable
-        ``meta.json`` is reported into ``problems``.  Callers racing a
-        compactor must hold the base lock (``load_cache_into`` does;
+        ``meta.json`` is reported into ``problems``.  With ``seen`` (see
+        :meth:`follow_cache_into`) only each shard's files from its first
+        unseen one onward are read, and ``seen`` is updated.  Callers
+        racing a compactor must hold the base lock (the loaders do;
         ``_compact_dir`` already holds it), or the base-swap-then-unlink
         sequence could hide segment-only rows from them."""
         meta = self._read_meta(directory)
@@ -1055,31 +604,47 @@ class RuntimeStore:
                 "different proxy/macro configuration or store format"
             )
             return {}
+        files = (self._shard_base_files(directory)
+                 + self._segment_files(directory))
+        if seen is not None:
+            files = self._unseen_files(files, seen)
         entries: Dict[Tuple, object] = {}
-        for path in self._shard_base_files(directory):
+        for path in files:
             self._read_jsonl_rows(path, entries)
-        for segment in self._segment_files(directory):
-            self._read_jsonl_rows(segment, entries)
         return entries
 
-    def _replay_shard(self, directory: Path,
-                      shard: int) -> Dict[Tuple, object]:
-        """One shard's base + segments, later writes winning (call under
-        the shared base lock)."""
-        entries: Dict[Tuple, object] = {}
-        for path in self._shard_base_files(directory, shard=shard):
-            self._read_jsonl_rows(path, entries)
-        for segment in self._segment_files(directory, shard=shard):
-            self._read_jsonl_rows(segment, entries)
-        return entries
+    @staticmethod
+    def _unseen_files(files: List[Path], seen: Dict) -> List[Path]:
+        """The files of ``files`` (in replay order) from each shard's
+        first new or changed one onward; records every file's token in
+        ``seen`` and drops the names that are gone."""
+        tokens = {}
+        stale_shards = set()
+        unseen = []
+        for path in files:
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # compacted away between glob and stat
+            # Size alone misses a base compaction rewrote to the same
+            # length, and a segment name reused once compaction emptied
+            # its shard; the rewrite is a new inode with a new mtime.
+            token = (stat.st_size, stat.st_mtime_ns, stat.st_ino)
+            tokens[path.name] = token
+            shard = path.name.split(".", 1)[0]
+            if shard in stale_shards or seen.get(path.name) != token:
+                stale_shards.add(shard)
+                unseen.append(path)
+        seen.clear()
+        seen.update(tokens)
+        return unseen
 
     # ------------------------------------------------------------------
     # Indicator cache — compaction and maintenance
     # ------------------------------------------------------------------
     def compact_cache(self, fingerprint: Dict) -> Dict:
         """Fold this fingerprint's segments into per-shard
-        ``.base.jsonl`` files with freshly rebuilt ``.idx.json``
-        sidecars; returns ``{"segments_folded", "entries"}``.
+        ``.base.jsonl`` files; returns ``{"segments_folded", "entries"}``.
         Idempotent: with no segments pending the bases are rewritten
         unchanged.  Also sweeps stale staging files."""
         directory, _ = self._ensure_dir(fingerprint)
@@ -1094,9 +659,9 @@ class RuntimeStore:
         deleting it.  The lock span covers the recorded shard count
         *and* every shard index actually present in segment/base
         filenames, so a damaged/missing meta can never leave a live
-        appender's shard unlocked while its segments are swept.  Each
-        surviving shard gets its index rebuilt atomically alongside its
-        base."""
+        appender's shard unlocked while its segments are swept.  Key
+        index sidecars (``shard-NN.idx.json``) that earlier versions
+        wrote are unlinked too: nothing maintains them any more."""
         tel = self.telemetry
         with tel.span("compaction", CAT_STORE) as span:
             meta = self._read_meta(directory)
@@ -1116,7 +681,7 @@ class RuntimeStore:
                 segments = self._segment_files(directory)
                 problems: List[str] = []
                 entries = self._replay(directory, fingerprint, problems)
-                by_shard: Dict[int, List[Tuple[str, str]]] = {}
+                by_shard: Dict[int, List[str]] = {}
                 for key, value in sorted(entries.items(),
                                          key=lambda kv: repr(kv[0])):
                     encoded = _encode_key(key)
@@ -1125,70 +690,23 @@ class RuntimeStore:
                     except (TypeError, ValueError):
                         continue
                     by_shard.setdefault(_shard_of(encoded, n_shards),
-                                        []).append(
-                        (_key_digest(encoded), line))
+                                        []).append(line)
                 for shard in range(n_shards):
-                    self._write_shard_base(directory, shard,
-                                           by_shard.get(shard, []))
-                for segment in segments:
+                    base_path = self._shard_base_path(directory, shard)
+                    if shard in by_shard:
+                        _atomic_write_text(
+                            base_path, "\n".join(by_shard[shard]) + "\n")
+                    else:  # absence is an empty shard's compact form
+                        with contextlib.suppress(OSError):
+                            base_path.unlink()
+                for path in segments + list(
+                        directory.glob("shard-*.idx.json")):
                     with contextlib.suppress(OSError):
-                        segment.unlink()
+                        path.unlink()
             self._sweep_sidecars(directory)
             span.note(segments_folded=len(segments), entries=len(entries))
             tel.count("store.compactions")
         return {"segments_folded": len(segments), "entries": len(entries)}
-
-    def _write_shard_base(self, directory: Path, shard: int,
-                          rows: List[Tuple[str, str]]) -> None:
-        """One shard's compacted base + rebuilt index (call under the
-        compaction locks).  An empty shard loses both files — absence is
-        the compact representation, and a fresh index over zero files
-        would be pointless."""
-        base_path = self._shard_base_path(directory, shard)
-        index_path = self._index_path(directory, shard)
-        if not rows:
-            with contextlib.suppress(OSError):
-                base_path.unlink()
-            with contextlib.suppress(OSError):
-                index_path.unlink()
-            return
-        text = "\n".join(line for _, line in rows) + "\n"
-        _atomic_write_text(base_path, text)
-        records = []
-        offset = 0
-        for digest, line in rows:
-            records.append((digest, offset, len(line)))
-            offset += len(line) + 1
-        records.sort()
-        body = [_format_idx_row(digest, 0, start, length)
-                for digest, start, length in records]
-        if any(len(row) != _IDX_ROW_WIDTH for row in body):
-            # A pathological offset/length overflowed the fixed width:
-            # no index beats a lying one (absence just means replay).
-            with contextlib.suppress(OSError):
-                index_path.unlink()
-            return
-        # Fence + bloom over the sorted region: index-mode misses that
-        # fall outside the digest range, or whose bloom bits are unset,
-        # skip the bisect entirely (miss-heavy cold populations against
-        # huge shards pay O(1) per miss instead of O(log shard) seeks).
-        # Tail appends are not covered — readers probe the tail dict
-        # before consulting the filter, so correctness never depends on
-        # it.  Filters only exist compaction-fresh; an append-created
-        # index has no sorted region to guard anyway.
-        digests = [digest for digest, _, _ in records]
-        m_bits = max(_BLOOM_MIN_BITS, _BLOOM_BITS_PER_ROW * len(digests))
-        bits = 0
-        for digest in digests:
-            bits |= 1 << (int(digest[:8], 16) % m_bits)
-            bits |= 1 << (int(digest[8:16], 16) % m_bits)
-        header = {"row": _IDX_ROW_WIDTH, "sorted": len(body),
-                  "files": [base_path.name],
-                  "covers": [[base_path.name, len(text)]],
-                  "fence": [digests[0], digests[-1]],
-                  "bloom": [m_bits, format(bits, "x")]}
-        _atomic_write_text(index_path,
-                           json.dumps(header) + "\n" + "".join(body))
 
     def compact_all(self) -> List[Dict]:
         """Compact every indicator cache in the store; returns one stats
@@ -1463,5 +981,4 @@ __all__ = [
     "STORE_FORMAT",
     "DEFAULT_SHARDS",
     "DEFAULT_AUTO_COMPACT_SEGMENTS",
-    "READ_MODES",
 ]

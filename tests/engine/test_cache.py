@@ -193,93 +193,3 @@ class TestRepeatsReuse:
                                       images=images)
         averaged = ntk_condition_number(heavy_genotype, cfg2, images=images)
         assert averaged != single
-
-
-class TestBoundedCache:
-    """LRU bound (``max_rows``): dirty rows are pinned, eviction is
-    invisible to results, and flushes stay O(dirty delta)."""
-
-    def test_evicts_oldest_clean_rows(self):
-        cache = IndicatorCache(max_rows=3)
-        for name in ("a", "b", "c"):
-            cache.put(name, 1.0)
-        cache.mark_clean()
-        cache.put("d", 4.0)
-        cache.mark_clean()
-        assert len(cache) == 3
-        assert "a" not in cache and "d" in cache
-        assert cache.stats.evictions == 1
-
-    def test_dirty_rows_never_evicted_before_flush(self):
-        cache = IndicatorCache(max_rows=2)
-        for i in range(5):
-            cache.put(("dirty", i), float(i))
-        # All five are unflushed: losing one would lose computed work,
-        # so the bound is allowed to overshoot until the flush.
-        assert len(cache) == 5
-        assert cache.stats.evictions == 0
-        assert len(cache.dirty_items()) == 5
-        cache.mark_clean()
-        assert len(cache) == 2
-        assert cache.stats.evictions == 3
-
-    def test_hits_refresh_recency(self):
-        cache = IndicatorCache(max_rows=2)
-        cache.put("a", 1.0)
-        cache.put("b", 2.0)
-        cache.mark_clean()
-        assert cache.lookup("a", lambda: -1.0) == 1.0  # promotes "a"
-        cache.put("c", 3.0)
-        cache.mark_clean()
-        assert "a" in cache and "b" not in cache
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            IndicatorCache(max_rows=0)
-
-    def test_eviction_recompute_is_bit_identical(
-            self, tiny_proxy_config, shared_latency_estimator):
-        """A max_rows=1 cache evicts (after simulated flushes) and
-        recomputes constantly; every indicator must still match an
-        unbounded run bit-for-bit — eviction may cost time, never
-        correctness."""
-        a = Genotype(("nor_conv_3x3", "none", "none",
-                      "none", "nor_conv_1x1", "nor_conv_3x3"))
-        b = Genotype(("nor_conv_1x1",) * 6)
-        unbounded = Engine(proxy_config=tiny_proxy_config,
-                           latency_estimator=shared_latency_estimator)
-        bounded_cache = IndicatorCache(max_rows=1)
-        bounded = Engine(proxy_config=tiny_proxy_config,
-                         latency_estimator=shared_latency_estimator,
-                         cache=bounded_cache)
-        want = {g: unbounded.evaluate(g) for g in (a, b)}
-        for _ in range(2):  # second pass re-evaluates after eviction
-            for g in (a, b):
-                assert bounded.evaluate(g) == want[g]
-                bounded_cache.mark_clean()  # simulate a store flush
-        assert bounded_cache.stats.evictions > 0
-        assert len(bounded_cache) == 1
-
-    def test_save_after_eviction_appends_exactly_the_dirty_delta(
-            self, tmp_path):
-        from repro.proxies.base import ProxyConfig
-        from repro.runtime.store import RuntimeStore, cache_fingerprint
-        from repro.searchspace.network import MacroConfig
-
-        store = RuntimeStore(tmp_path / "store")
-        fingerprint = cache_fingerprint(ProxyConfig(), MacroConfig.full())
-        cache = IndicatorCache(max_rows=2)
-        for i in range(10):
-            cache.put(("row", i), float(i))
-        assert store.save_cache(cache, fingerprint) == 10
-        assert len(cache) == 2  # flush marked clean, LRU trimmed
-        cache.put(("row", 10), 10.0)
-        cache.put(("row", 11), 11.0)
-        # Only the two new rows flush — evicted rows are already
-        # persisted and must not be re-appended (or worse, required).
-        assert store.save_cache(cache, fingerprint) == 2
-        restored = IndicatorCache()
-        assert store.load_cache_into(restored, fingerprint,
-                                     strict=True) == 12
-        assert dict(restored.items()) == {("row", i): float(i)
-                                          for i in range(12)}

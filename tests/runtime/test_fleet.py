@@ -17,8 +17,9 @@ The contracts under test, bottom-up:
   bit-identical to a fault-free serial run minus quarantined
   candidates, and everything computed is persisted in the shared store.
 * **Store-mediated warm starts** — a worker with a ``--store`` serves
-  already-persisted rows from the store (index reads) instead of
-  recomputing them, and flushes only the freshly computed delta back.
+  already-persisted rows from the store instead of recomputing them,
+  follows the segment log (each chunk reads only the files added since
+  the last one) and flushes only the freshly computed delta back.
 """
 
 import os
@@ -44,8 +45,10 @@ from repro.runtime.fleet import (
     FleetBroker,
     FleetPool,
     FleetWorkerLostError,
+    FleetWorkerStats,
     _recv_msg,
     _send_msg,
+    _warm_start_evaluate,
     parse_address,
     run_worker,
 )
@@ -56,6 +59,7 @@ from repro.runtime.pool import (
 )
 from repro.runtime.store import RuntimeStore, cache_fingerprint
 from repro.searchspace.canonical import canonicalize
+from repro.searchspace.genotype import Genotype
 from repro.searchspace.network import MacroConfig
 from repro.searchspace.space import NasBench201Space
 
@@ -142,6 +146,55 @@ def slow_genotype_chunk(payload):
     rows, seconds = _evaluate_genotype_chunk(payload)
     time.sleep(0.3)
     return rows, seconds
+
+
+def constant_chunk(payload):
+    """A deterministic stand-in for the genotype chunk worker: each
+    (genotype, indicator) gets a fixed value, with no proxy compute."""
+    items, _, _ = payload
+    rows = []
+    for ops, needs in items:
+        index = Genotype(tuple(ops)).to_index()
+        rows.append((index, {name: index + 0.25 * slot
+                             for slot, (name, need) in enumerate(
+                                 zip(("ntk", "linear_regions", "flops"),
+                                     needs))
+                             if need}))
+    return rows, 0.0
+
+
+def chunk_payload(genotypes, proxy_config, macro_config):
+    return (tuple((g.ops, (True, True, True)) for g in genotypes),
+            proxy_config, macro_config)
+
+
+def seed_rows(store, fingerprint, genotypes, proxy_config, macro_config):
+    """Flush ``constant_chunk`` rows for ``genotypes``, as a sibling
+    worker would."""
+    rows, _ = constant_chunk(chunk_payload(genotypes, proxy_config,
+                                           macro_config))
+    cache = IndicatorCache()
+    for index, row in rows:
+        keys = genotype_indicator_keys(index, astuple(proxy_config),
+                                       astuple(macro_config))
+        for name, value in row.items():
+            cache.put(keys[name], value)
+    return store.save_cache(cache, fingerprint)
+
+
+def distinct_genotypes(n):
+    """``n`` canonical genotypes with distinct canonical indices."""
+    found = {}
+    for genotype in NasBench201Space().sample(4 * n, rng=11):
+        canon = canonicalize(genotype)
+        found.setdefault(canon.to_index(), canon)
+    assert len(found) >= n
+    return list(found.values())[:n]
+
+
+def store_files(directory):
+    """Names of the base and segment files in a cache directory."""
+    return {path.name for path in directory.glob("shard-*.jsonl")}
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +526,99 @@ class TestWarmStart:
         probe = IndicatorCache()
         assert store.load_cache_into(probe, fingerprint) == 12
 
+    def test_second_chunk_reads_only_new_segments(
+            self, tmp_path, tiny_proxy_config, monkeypatch):
+        """The follow path: a worker's first chunk replays the store
+        once; its second reads only the segment files added since —
+        its own flush and a sibling's — never a base again."""
+        macro = MacroConfig.full()
+        fingerprint = cache_fingerprint(tiny_proxy_config, macro)
+        store = RuntimeStore(tmp_path / "store", shards=2)
+        directory = store.cache_dir(fingerprint)
+        genotypes = distinct_genotypes(6)
+        seed_rows(store, fingerprint, genotypes[:2], tiny_proxy_config,
+                  macro)
+        store.compact_cache(fingerprint)
+        seed_rows(store, fingerprint, genotypes[2:3], tiny_proxy_config,
+                  macro)
+        read = []
+        original = RuntimeStore._read_jsonl_rows
+
+        def spy(self, path, entries):
+            read.append(path.name)
+            return original(self, path, entries)
+
+        monkeypatch.setattr(RuntimeStore, "_read_jsonl_rows", spy)
+        resident, stats = {}, FleetWorkerStats()
+        before_first = store_files(directory)
+        _warm_start_evaluate(
+            constant_chunk,
+            chunk_payload(genotypes[:4], tiny_proxy_config, macro),
+            store, resident, stats)
+        assert sorted(read) == sorted(before_first)
+        assert stats.store_rows_loaded == 9  # the three seeded genotypes
+        # A sibling flushes a genotype this worker has never seen.
+        seed_rows(store, fingerprint, genotypes[4:5], tiny_proxy_config,
+                  macro)
+        before_second = store_files(directory)
+        read.clear()
+        _warm_start_evaluate(
+            constant_chunk,
+            chunk_payload(genotypes[3:], tiny_proxy_config, macro),
+            store, resident, stats)
+        # Exactly the worker's own first flush plus the sibling's.
+        assert set(read) == before_second - before_first
+        assert len(read) == len(set(read))
+        assert all(".seg-" in name for name in read)
+        # Genotype 3 (own flush) and genotype 4 (sibling) were served.
+        assert stats.store_rows_loaded == 9 + 6
+
+    @needs_fork
+    def test_follower_matches_replay_after_foreign_compaction(
+            self, tmp_path, tiny_proxy_config):
+        """Another process appends and compacts the directory between a
+        worker's chunks: the worker's resident cache must then equal a
+        fresh full replay, float for float."""
+        import multiprocessing
+
+        macro = MacroConfig.full()
+        fingerprint = cache_fingerprint(tiny_proxy_config, macro)
+        store = RuntimeStore(tmp_path / "store", shards=4)
+        genotypes = distinct_genotypes(7)
+        seed_rows(store, fingerprint, genotypes[:3], tiny_proxy_config,
+                  macro)
+        resident, stats = {}, FleetWorkerStats()
+        _warm_start_evaluate(
+            constant_chunk,
+            chunk_payload(genotypes[:4], tiny_proxy_config, macro),
+            store, resident, stats)
+
+        def sibling():
+            other = RuntimeStore(tmp_path / "store", shards=4)
+            seed_rows(other, fingerprint, genotypes[4:6],
+                      tiny_proxy_config, macro)
+            other.compact_cache(fingerprint)
+
+        process = multiprocessing.get_context("fork").Process(
+            target=sibling)
+        process.start()
+        process.join(timeout=30)
+        assert process.exitcode == 0
+        assert not list(store.cache_dir(fingerprint).glob("*.seg-*"))
+        _warm_start_evaluate(
+            constant_chunk,
+            chunk_payload(genotypes[3:], tiny_proxy_config, macro),
+            store, resident, stats)
+        (_, cache, _), = resident.values()
+        fresh = IndicatorCache()
+        store.load_cache_into(fresh, fingerprint, strict=True)
+        assert len(fresh) == 7 * 3
+
+        def as_hex(rows):
+            return {key: float(value).hex() for key, value in rows}
+
+        assert as_hex(cache.items()) == as_hex(fresh.items())
+
     def test_storeless_worker_still_computes(self, tiny_proxy_config):
         macro = MacroConfig.full()
         genotypes = [canonicalize(g)
@@ -510,7 +656,6 @@ class TestHarnessIntegration:
         assert fleet.pool["mode"] == "fleet"
         assert fleet.arch_index == serial.arch_index
         assert fleet.indicators == serial.indicators
-        assert fleet.store["read_mode"] == "full"
         # A rerun warm-starts entirely from what the workers flushed.
         warm = RunHarness(fleet_config).run()
         assert warm.arch_index == serial.arch_index
@@ -529,7 +674,7 @@ class TestCli:
         assert args.fleet_workers == 3
         assert args.fleet_lease_seconds == 20.0
         assert args.fleet_token == "t"
-        assert args.store_read_mode == "full"
+        assert not hasattr(args, "store_read_mode")
 
     def test_fleet_worker_subcommand(self):
         from repro.cli import build_parser

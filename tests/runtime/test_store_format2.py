@@ -123,8 +123,8 @@ class TestFormat1Compat:
         store.save_cache(cache, older)
         assert store.cache_dir(older) != store.cache_dir(fingerprint)
         assert store.load_cache_into(IndicatorCache(), fingerprint) == 0
-        assert store.load_cache_into(IndicatorCache(), fingerprint,
-                                     keys=[key(1)], read_mode="index") == 0
+        assert store.follow_cache_into(IndicatorCache(), fingerprint,
+                                       {}) == 0
 
 
 class TestCompaction:
