@@ -10,8 +10,17 @@ Times a 64-candidate ``HybridObjective`` population evaluation two ways:
 
 Also validates the vectorization: batched proxies must match the
 reference-mode values within 1e-6 relative tolerance on the whole
-population.  Results land in ``BENCH_engine.json`` at the repo root so the
-perf trajectory is tracked from this PR onward.
+population.
+
+A second section times the NTK of the 84 supernet states a reduced
+pruning search scores, as the median of alternating passes: through
+compiled plans over one weight bank (:mod:`repro.engine.plan`, what the
+search runs) and through ``build_supernet`` + ``batched_ntk_jacobian``
+(the module-tree oracle), and checks that both give the same Jacobians
+and κ as float hex.
+
+Results land in ``BENCH_engine.json`` at the repo root, where the perf
+trajectory is tracked from one change to the next.
 
 Run directly (``python benchmarks/bench_engine_speedup.py``) or via pytest
 (``pytest benchmarks/bench_engine_speedup.py``).
@@ -20,23 +29,36 @@ Run directly (``python benchmarks/bench_engine_speedup.py``) or via pytest
 from __future__ import annotations
 
 import json
+import statistics
+import time
 from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
 
-from repro.eval.benchconfig import bench_scale, search_proxy_config
+from repro.autograd.precision import precision
+from repro.engine.kernels import batched_ntk_jacobian
+from repro.engine.plan import NtkPlan, supernet_ntk_bank
+from repro.eval.benchconfig import (
+    bench_scale,
+    reduced_proxy_config,
+    search_proxy_config,
+)
 from repro.eval.correlation import kendall_tau
 from repro.proxies.flops import count_flops
 from repro.proxies.linear_regions import count_line_regions
-from repro.proxies.ntk import ntk_condition_number
+from repro.proxies.ntk import NtkResult, _eigvalsh_desc, ntk_condition_number
 from repro.search.objective import HybridObjective, ObjectiveWeights
+from repro.search.pruning import MicroNASSearch
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.network import MacroConfig, build_supernet
 from repro.searchspace.space import NasBench201Space
+from repro.utils.rng import new_rng, stable_seed
 from repro.utils.timing import Timer, format_duration
 
 POPULATION_SIZE = 64
+#: Alternating passes per supernet timing (the median is recorded).
+SUPERNET_PASSES = 5
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
@@ -53,6 +75,72 @@ def _old_path_rows(population: List[Genotype], proxy_config,
             "latency": 0.0,
         })
     return rows
+
+
+class _StateRecorder:
+    """An executor hook that only records the supernet states scored."""
+
+    def __init__(self) -> None:
+        self.states: List = []
+
+    def warm_supernets(self, engine, spec_lists) -> int:
+        self.states.extend(spec_lists)
+        return 0
+
+
+def _pruning_states(proxy_config) -> List:
+    """The supernet states one reduced pruning search scores, in order."""
+    recorder = _StateRecorder()
+    objective = HybridObjective(proxy_config=proxy_config,
+                                weights=ObjectiveWeights(flops=0.5),
+                                macro_config=MacroConfig.full())
+    MicroNASSearch(objective, executor=recorder).search()
+    return recorder.states
+
+
+def run_supernet_section() -> Dict:
+    """Plan vs module-tree NTK over a reduced pruning search's states."""
+    config = reduced_proxy_config()
+    macro = config.macro_config()
+    states = _pruning_states(config)
+    bank = supernet_ntk_bank(config, 0)
+
+    def plan(specs):
+        return NtkPlan([spec.alive_ops for spec in specs], macro,
+                       supercell=True).jacobian(bank)
+
+    def autograd(specs):
+        generator = new_rng(stable_seed("ntk-super", config.seed, 0))
+        images = generator.normal(size=(config.ntk_batch_size, 3,
+                                        config.input_size, config.input_size))
+        network = build_supernet(specs, macro, rng=generator)
+        return batched_ntk_jacobian(network, images)
+
+    def kappa(jacobian) -> str:
+        gram = jacobian @ jacobian.T
+        return NtkResult(_eigvalsh_desc(gram), gram.shape[0]).k(1).hex()
+
+    seconds = {plan: [], autograd: []}
+    with precision(config.precision_policy()):
+        for _ in range(SUPERNET_PASSES):
+            for path in (plan, autograd):
+                start = time.perf_counter()
+                for specs in states:
+                    path(specs)
+                seconds[path].append(time.perf_counter() - start)
+        identical = True
+        for specs in states:
+            a, b = plan(specs), autograd(specs)
+            identical &= (a.dtype == b.dtype and a.shape == b.shape
+                          and a.tobytes() == b.tobytes()
+                          and kappa(a) == kappa(b))
+    return {
+        "supernet_states": len(states),
+        "supernet_passes": SUPERNET_PASSES,
+        "supernet_plan_seconds": statistics.median(seconds[plan]),
+        "supernet_autograd_seconds": statistics.median(seconds[autograd]),
+        "supernet_rows_bit_identical": bool(identical),
+    }
 
 
 def run_engine_speedup() -> Dict:
@@ -114,6 +202,7 @@ def run_engine_speedup() -> Dict:
         "cache": {"hits": stats.hits, "misses": stats.misses,
                   "entries": stats.entries},
     }
+    result.update(run_supernet_section())
     OUTPUT_PATH.write_text(json.dumps(result, indent=2) + "\n",
                            encoding="utf-8")
     return result
@@ -126,6 +215,9 @@ def test_engine_speedup(benchmark):
     assert result["max_ntk_rel_err"] < 1e-6
     assert result["ntk_nonfinite_agree"]
     assert result["lr_bit_identical"]
+    assert result["supernet_states"] == 84
+    assert result["supernet_rows_bit_identical"]
+    assert result["supernet_plan_seconds"] < result["supernet_autograd_seconds"]
 
 
 def _report(result: Dict) -> None:
@@ -141,6 +233,11 @@ def _report(result: Dict) -> None:
           f"  -> {result['warm_speedup']:.0f}x")
     print(f"max NTK rel error     : {result['max_ntk_rel_err']:.2e}")
     print(f"LR bit-identical      : {result['lr_bit_identical']}")
+    print(f"supernet NTK, {result['supernet_states']} states "
+          f"(median of {result['supernet_passes']}): plan "
+          f"{format_duration(result['supernet_plan_seconds'])}, module tree "
+          f"{format_duration(result['supernet_autograd_seconds'])}, "
+          f"bit-identical {result['supernet_rows_bit_identical']}")
     print(f"written               : {OUTPUT_PATH}")
 
 

@@ -46,7 +46,8 @@ SCHEMAS: Dict[str, List[str]] = {
         "old_path_seconds", "engine_seconds", "warm_engine_seconds",
         "speedup", "warm_speedup", "max_ntk_rel_err",
         "ntk_nonfinite_agree", "lr_bit_identical", "score_kendall_tau",
-        "cache",
+        "cache", "supernet_plan_seconds", "supernet_autograd_seconds",
+        "supernet_rows_bit_identical",
     ],
     "BENCH_faults.json": ["bench_scale", "overhead", "faulted"],
     "BENCH_fleet.json": [

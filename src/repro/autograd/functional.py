@@ -1,11 +1,14 @@
 """Differentiable operations on :class:`~repro.autograd.tensor.Tensor`.
 
 Each function computes the forward result eagerly with NumPy and attaches a
-backward closure to the output.  Convolution uses im2col/col2im (a
-zero-copy reshape for 1×1 kernels) so that the NTK proxy's many backward
-passes stay fast; average pooling sums shifted strided windows instead of
-unfolding, and padding writes into one zero-bordered buffer
-(:func:`_zero_pad`) rather than calling ``np.pad``.  Inside
+backward closure to the output.  Convolution uses im2col (one gather from
+the zero-bordered input) and col2im, both zero-copy reshapes for 1×1
+kernels, so that the NTK proxy's many backward passes stay fast; average
+pooling sums shifted strided windows instead of unfolding, and padding
+writes into one zero-bordered buffer (:func:`_zero_pad`) rather than
+calling ``np.pad``.  The array-level helpers (``_im2col``, ``_col2im``,
+``_avg_pool``, ``_avg_pool_grad``) are shared with the compiled proxy
+plans of :mod:`repro.engine.plan`.  Inside
 :func:`keep_columns` each ``conv2d`` also hands its unfolded input columns
 to the caller, so the batched NTK kernel reuses them instead of unfolding
 every conv input a second time.
@@ -22,6 +25,7 @@ default is bit-identical to the historical hard-coded behaviour.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
@@ -307,25 +311,36 @@ def _is_pointwise(kernel: int, stride: int, padding: int) -> bool:
     return kernel == 1 and stride == 1 and padding == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _unfold_index(h: int, w: int, kernel: int, stride: int,
+                  padding: int) -> np.ndarray:
+    """Flat positions, in the zero-bordered ``h``×``w`` plane, of every
+    ``(ki, kj, oi, oj)`` entry an unfold reads (read-only, memoized)."""
+    oh = _conv_out_size(h, kernel, stride, padding)
+    ow = _conv_out_size(w, kernel, stride, padding)
+    ki, kj, oi, oj = np.ix_(range(kernel), range(kernel), range(oh), range(ow))
+    index = ((ki + stride * oi) * (w + 2 * padding) + kj + stride * oj).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Unfold NCHW ``x`` into columns of shape (N, C*K*K, OH*OW).
 
-    A pointwise unfold is a reshape view of ``x`` (no copy).
+    One ``np.take`` gathers every window entry from the zero-bordered
+    input (a pure copy: the same values as K² strided slice copies, in
+    fewer numpy calls).  A pointwise unfold is a reshape view of ``x``
+    (no copy).
     """
     n, c, h, w = x.shape
     if _is_pointwise(kernel, stride, padding):
         return x.reshape(n, c, h * w), (h, w)
     oh = _conv_out_size(h, kernel, stride, padding)
     ow = _conv_out_size(w, kernel, stride, padding)
-    x = _zero_pad(x, padding)
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
-    for ki in range(kernel):
-        i_end = ki + stride * oh
-        for kj in range(kernel):
-            j_end = kj + stride * ow
-            cols[:, :, ki, kj, :, :] = x[:, :, ki:i_end:stride, kj:j_end:stride]
+    padded = _zero_pad(x, padding).reshape(n, c, -1)
+    cols = np.take(padded, _unfold_index(h, w, kernel, stride, padding), axis=2)
     return cols.reshape(n, c * kernel * kernel, oh * ow), (oh, ow)
 
 
@@ -423,6 +438,38 @@ def conv2d(
     return out._attach(parents, backward)
 
 
+def _pool_windows(kernel: int, stride: int, oh: int, ow: int) -> list:
+    """The K² shifted strided window indices of a pool, in window order."""
+    return [
+        (..., slice(ki, ki + stride * oh, stride), slice(kj, kj + stride * ow, stride))
+        for ki in range(kernel)
+        for kj in range(kernel)
+    ]
+
+
+def _avg_pool(x: np.ndarray, kernel: int, padding: int, windows: list) -> np.ndarray:
+    """Average-pool forward: the windows of the zero-bordered ``x``, summed
+    in window order, divided by K²."""
+    padded = _zero_pad(x, padding)
+    total = padded[windows[0]].copy()
+    for window in windows[1:]:
+        total += padded[window]
+    return total / (kernel * kernel)
+
+
+def _avg_pool_grad(grad: np.ndarray, x_shape: Tuple[int, int, int, int],
+                   kernel: int, padding: int, windows: list) -> np.ndarray:
+    """Average-pool adjoint: ``grad / K²`` scattered back through the windows."""
+    n, c, h, w = x_shape
+    share = grad / (kernel * kernel)
+    folded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=share.dtype)
+    for window in windows:
+        folded[window] += share
+    if padding:
+        folded = folded[:, :, padding:-padding, padding:-padding]
+    return folded
+
+
 def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None, padding: int = 0) -> Tensor:
     """Average pooling over NCHW input (count includes padded zeros,
     matching the ``count_include_pad=True`` convention NAS-Bench-201 uses).
@@ -438,27 +485,13 @@ def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None, padding: in
     n, c, h, w = x.shape
     oh = _conv_out_size(h, kernel, stride, padding)
     ow = _conv_out_size(w, kernel, stride, padding)
-    windows = [
-        (..., slice(ki, ki + stride * oh, stride), slice(kj, kj + stride * ow, stride))
-        for ki in range(kernel)
-        for kj in range(kernel)
-    ]
-    padded = _zero_pad(x.data, padding)
-    total = padded[windows[0]].copy()
-    for window in windows[1:]:
-        total += padded[window]
-    out = Tensor(total / (kernel * kernel))
+    windows = _pool_windows(kernel, stride, oh, ow)
+    out = Tensor(_avg_pool(x.data, kernel, padding, windows))
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        share = grad / (kernel * kernel)
-        folded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=share.dtype)
-        for window in windows:
-            folded[window] += share
-        if padding:
-            folded = folded[:, :, padding:-padding, padding:-padding]
-        x._accumulate(folded)
+        if x.requires_grad:
+            x._accumulate(_avg_pool_grad(grad, x.data.shape, kernel, padding,
+                                         windows))
 
     return out._attach((x,), backward)
 

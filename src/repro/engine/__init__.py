@@ -8,8 +8,13 @@ inline.  The engine has three layers:
 1. **Vectorized kernels** (:mod:`repro.engine.kernels`) — the full NTK
    Jacobian from ONE batched forward + ONE backward (per-sample gradients
    reconstructed layer-locally), and all probe lines of the region count
-   in a single stacked ``no_grad`` forward.  The original per-sample /
-   per-line loops remain available as ``mode="reference"`` for validation.
+   in a single stacked ``no_grad`` forward.  The proxies' ``"batched"``
+   mode runs both as compiled straight-line plans over a per-search
+   weight bank (:mod:`repro.engine.plan`, imported on first use), with
+   no module tree or autograd tape; the module-tree kernels serve
+   caller-built networks and are the plans' oracle.  The original
+   per-sample / per-line loops remain available as ``mode="reference"``
+   for validation.
 2. **Canonicalization-aware cache** (:mod:`repro.engine.cache`) — memoizes
    every indicator across repeats, search cycles and algorithms.
 3. **Population API** (:meth:`Engine.evaluate_population`) — deduplicates

@@ -1,7 +1,7 @@
-"""Vectorized proxy kernels (layer 1 of the evaluation engine).
+"""Vectorized proxy kernels over caller-built Modules, and their oracle role.
 
 Two hot loops dominate trainless evaluation, and both collapse to single
-batched passes:
+batched passes over a module tree:
 
 * **NTK Jacobian** — the reference path runs one forward/backward per
   sample (batch-size-1 tapes).  With BatchNorm statistics frozen, no
@@ -27,7 +27,15 @@ batched passes:
   matrix.  Per-sample arithmetic is bit-identical to the per-line path.
 
 Both kernels assume (and assert) per-sample independence: networks must be
-in eval mode with frozen normalisation statistics.  The engine's cache and
+in eval mode with frozen normalisation statistics.
+
+The proxies' ``"batched"`` mode no longer builds module trees: it runs
+straight-line plans over a per-search weight bank
+(:mod:`repro.engine.plan`), which replay these kernels' numpy calls
+step for step.  The two kernels here serve networks a caller built
+(``compute_ntk_gram(network, ...)``, ``ntk_spectrum(network=...)``) and
+are the plans' test oracle: a plan must match them as float hex.  The
+eigensolve helpers below serve both paths.  The engine's cache and
 population layers live in :mod:`repro.engine.core`.
 
 **Precision semantics** (see :mod:`repro.autograd.precision`): every
@@ -117,17 +125,16 @@ def _per_sample_grads(module: Module, x: Tensor, grad: np.ndarray,
     return out
 
 
-def batched_ntk_jacobian(network: Module, images: np.ndarray,
-                         freeze_stats: bool = True) -> np.ndarray:
+def batched_ntk_jacobian(network: Module, images: np.ndarray) -> np.ndarray:
     """Exact per-sample summed-logit Jacobian in one forward + one backward.
 
-    With ``freeze_stats=True`` (the default) every BatchNorm computes this
-    batch's statistics on the fly and normalises with them as constants —
-    numerically identical to the reference path's separate momentum-1.0
-    freeze pass, without paying a second forward.  The network must be in
-    eval mode.  Returns the ``(B, P)`` matrix whose rows are
-    ``∂ Σ_c f_c(x_i) / ∂θ`` in ``network.parameters()`` order — the same
-    layout as the reference per-sample loop, up to float summation order.
+    Every BatchNorm computes this batch's statistics on the fly and
+    normalises with them as constants — numerically identical to the
+    reference path's separate momentum-1.0 freeze pass, without paying a
+    second forward.  The network is put in eval mode.  Returns the
+    ``(B, P)`` matrix whose rows are ``∂ Σ_c f_c(x_i) / ∂θ`` in
+    ``network.parameters()`` order — the same layout as the reference
+    per-sample loop, up to float summation order.
     """
     params = network.parameters()
     if not params:
@@ -161,10 +168,9 @@ def batched_ntk_jacobian(network: Module, images: np.ndarray,
     # produce (one tensordot per conv) are pure waste here.
     saved_flags = [p.requires_grad for p in params]
     try:
-        if freeze_stats:
-            network.train(False)
-            for bn in batchnorms:
-                bn.freeze_stats_on_forward = True
+        network.train(False)
+        for bn in batchnorms:
+            bn.freeze_stats_on_forward = True
         for p in params:
             p.requires_grad = False
         with keep_columns() as columns:
@@ -179,9 +185,8 @@ def batched_ntk_jacobian(network: Module, images: np.ndarray,
             module.remove_forward_hook(handle)
         for p, flag in zip(params, saved_flags):
             p.requires_grad = flag
-        if freeze_stats:
-            for bn in batchnorms:
-                bn.freeze_stats_on_forward = False
+        for bn in batchnorms:
+            bn.freeze_stats_on_forward = False
 
     # The Jacobian inherits the network's compute dtype (precision-policy
     # controlled): a float32 network keeps the whole reconstruction — and
@@ -216,6 +221,17 @@ def batched_line_patterns(
     """
     from repro.proxies.linear_regions import _forward_patterns
 
+    lines = line_points(starts, stops, num_points)
+    num_lines = lines.shape[0]
+    stacked = lines.reshape(num_lines * num_points, *lines.shape[2:])
+    patterns = _forward_patterns(network, stacked)
+    return patterns.reshape(num_lines, num_points, -1)
+
+
+def line_points(starts: np.ndarray, stops: np.ndarray,
+                num_points: int) -> np.ndarray:
+    """``(L, num_points, C, H, W)`` evenly spaced points on each segment,
+    interpolated in float64 from ``(L, C, H, W)`` endpoints."""
     starts = np.asarray(starts, dtype=float)
     stops = np.asarray(stops, dtype=float)
     if starts.shape != stops.shape or starts.ndim != 4:
@@ -223,12 +239,8 @@ def batched_line_patterns(
             f"need matching (L, C, H, W) endpoints, got {starts.shape} "
             f"and {stops.shape}"
         )
-    num_lines = starts.shape[0]
     ts = np.linspace(0.0, 1.0, num_points).reshape(1, -1, 1, 1, 1)
-    lines = starts[:, None] * (1.0 - ts) + stops[:, None] * ts
-    stacked = lines.reshape(num_lines * num_points, *starts.shape[1:])
-    patterns = _forward_patterns(network, stacked)
-    return patterns.reshape(num_lines, num_points, -1)
+    return starts[:, None] * (1.0 - ts) + stops[:, None] * ts
 
 
 def count_regions_per_line(patterns: np.ndarray) -> np.ndarray:
@@ -308,4 +320,5 @@ __all__ = [
     "batched_eigvalsh",
     "batched_condition_numbers",
     "count_regions_per_line",
+    "line_points",
 ]

@@ -8,6 +8,9 @@ from repro.autograd import Tensor, functional as F
 from repro.autograd.precision import default_dtype
 from repro.nn.module import Module, Parameter
 
+#: Default variance epsilon (every network in the library uses it).
+DEFAULT_EPS = 1e-5
+
 
 class BatchNorm2d(Module):
     """Batch normalisation over NCHW tensors.
@@ -18,7 +21,7 @@ class BatchNorm2d(Module):
     the reference TE-NAS/NAS-Bench-201 setup.
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1,
+    def __init__(self, num_features: int, eps: float = DEFAULT_EPS, momentum: float = 0.1,
                  affine: bool = True) -> None:
         super().__init__()
         if num_features <= 0:

@@ -17,6 +17,15 @@ Two estimators are provided:
   inputs (the TE-NAS estimator); kept for comparison and ablations.
 
 Higher is better.
+
+``ProxyConfig.lr_mode`` selects how line counts run.  ``"batched"``
+(default) sends every line's points through one forward of a compiled,
+forward-only :class:`~repro.engine.plan.LinePlan` over a weight bank: no
+module tree is built.  Supernet states share one bank (weights, then the
+probe lines) per process and ``(config, repeat)``.  The patterns equal
+:func:`repro.engine.kernels.batched_line_patterns` over the
+:class:`LinearRegionNetwork` the same seed builds.  ``"reference"``
+builds that network and runs one forward per line.
 """
 
 from __future__ import annotations
@@ -179,28 +188,36 @@ def _draw_lines(generator, shape, num_lines: int):
     return starts, stops
 
 
-def _count_lines(network: Module, generator, shape, num_lines: int,
-                 num_points: int, mode: str) -> List[int]:
+def _count_lines(edge_op_sets, config: ProxyConfig, generator, num_lines: int,
+                 mode: str, bank=None) -> List[int]:
     """Region counts for ``num_lines`` random segments in the given mode.
 
-    ``"batched"`` stacks every line's sample points into one forward pass
-    (bit-identical per-sample arithmetic, ~1/L the Python overhead);
-    ``"reference"`` runs the original one-forward-per-line loop.
+    ``"batched"`` runs every line's sample points through one compiled
+    :class:`~repro.engine.plan.LinePlan` forward over a weight bank drawn
+    from ``generator`` (or the given ``bank``), bit-identical to the
+    stacked ``batched_line_patterns`` forward; ``"reference"`` builds the
+    network and runs the original one-forward-per-line loop.
     """
     if mode == "batched":
         # Deferred import: the engine package imports this module.
-        from repro.engine.kernels import batched_count_line_regions
+        from repro.engine.plan import LinePlan, draw_lr_bank
 
-        starts, stops = _draw_lines(generator, shape, num_lines)
-        return [int(c) for c in
-                batched_count_line_regions(network, starts, stops, num_points)]
+        if bank is None:
+            bank = draw_lr_bank(edge_op_sets, config, generator, num_lines)
+        plan = LinePlan(edge_op_sets, config.lr_channels, config.lr_num_cells,
+                        config.lr_input_size)
+        return [int(c) for c in plan.count(bank)]
     if mode != "reference":
         raise ProxyError(f"unknown linear-region mode {mode!r}")
+    network = LinearRegionNetwork(edge_op_sets, channels=config.lr_channels,
+                                  num_cells=config.lr_num_cells, rng=generator)
+    shape = (3, config.lr_input_size, config.lr_input_size)
     counts = []
     for _ in range(num_lines):
         start = generator.normal(size=shape) * 2.0
         stop = generator.normal(size=shape) * 2.0
-        counts.append(_regions_along_line(network, start, stop, num_points))
+        counts.append(_regions_along_line(network, start, stop,
+                                          config.lr_num_samples))
     return counts
 
 
@@ -222,15 +239,8 @@ def count_line_regions(
                 if rng is None
                 else rng
             )
-            network = LinearRegionNetwork.from_genotype(
-                genotype,
-                channels=config.lr_channels,
-                num_cells=config.lr_num_cells,
-                rng=generator,
-            )
-            shape = (3, config.lr_input_size, config.lr_input_size)
-            counts.extend(_count_lines(network, generator, shape, num_lines,
-                                       config.lr_num_samples, mode))
+            counts.extend(_count_lines([(op,) for op in genotype.ops], config,
+                                       generator, num_lines, mode))
     return float(np.mean(counts))
 
 
@@ -289,19 +299,19 @@ def supernet_line_regions(
     with precision(config.precision_policy()):
         for repeat in range(config.repeats):
             # Config-only seed: candidate prunings share weights and test
-            # lines (see supernet_ntk_condition_number).
-            generator = new_rng(
-                stable_seed("lr-super", config.seed, repeat)
-                if rng is None
-                else rng
-            )
-            network = LinearRegionNetwork(
-                edge_op_sets,
-                channels=config.lr_channels,
-                num_cells=config.lr_num_cells,
-                rng=generator,
-            )
-            shape = (3, config.lr_input_size, config.lr_input_size)
-            counts.extend(_count_lines(network, generator, shape, num_lines,
-                                       config.lr_num_samples, mode))
+            # lines (see supernet_ntk_condition_number); in batched mode the
+            # process draws them once per (config, repeat).
+            generator = bank = None
+            if mode == "batched" and rng is None:
+                from repro.engine.plan import supernet_lr_bank
+
+                bank = supernet_lr_bank(config, repeat, num_lines)
+            else:
+                generator = new_rng(
+                    stable_seed("lr-super", config.seed, repeat)
+                    if rng is None
+                    else rng
+                )
+            counts.extend(_count_lines(edge_op_sets, config, generator,
+                                       num_lines, mode, bank=bank))
     return float(np.mean(counts))

@@ -9,6 +9,24 @@ where ``f(x_i)`` is the summed logit of sample ``i`` (TE-NAS convention).
 The paper's trainability indicator is the condition number of Θ, and
 Fig. 2a studies the family ``K_i = λ_max / λ_(i-th smallest)``; ``K_1`` is
 the classic condition number.  Lower is better (more trainable).
+
+``ProxyConfig.ntk_mode`` selects how the Gram is computed:
+
+* ``"batched"`` (default) — frozen-BatchNorm NTK from ONE batched forward
+  and backward.  Genotypes and supernet states run as compiled
+  straight-line plans over a weight bank (:mod:`repro.engine.plan`): no
+  module tree, no autograd tape.  Supernet states share one bank per
+  process and ``(config, repeat)``; a genotype's bank is drawn from its
+  own seed stream.  The values equal
+  :func:`repro.engine.kernels.batched_ntk_jacobian` over the module tree
+  the same seed builds, as float hex.
+* ``"reference"`` — frozen BatchNorm, one batch-size-1 forward/backward
+  per sample through the module tree; kept for validation.
+* ``"coupled"`` — TE-NAS's training-mode BatchNorm with cross-sample
+  coupling, one backward per sample; kept for validation.
+
+:func:`compute_ntk_gram` takes a caller-built network and runs any mode
+on it through the module tree.
 """
 
 from __future__ import annotations
@@ -168,8 +186,7 @@ def compute_ntk_gram(
         # so the separate freeze pass is skipped entirely.
         from repro.engine.kernels import batched_ntk_jacobian
 
-        network.train(False)
-        jacobian = batched_ntk_jacobian(network, images, freeze_stats=True)
+        jacobian = batched_ntk_jacobian(network, images)
         return jacobian @ jacobian.T
     _freeze_batch_stats(network, images)
     jacobian = np.empty((batch_size, sum(p.size for p in params)),
@@ -212,9 +229,14 @@ def ntk_spectrum(
             )
         else:
             images = resize_batch(images, config.input_size)
-        if network is None:
-            network = build_network(genotype, config.macro_config(), rng=generator)
-        gram = compute_ntk_gram(network, images, mode=config.ntk_mode)
+        plan = _genotype_plan(genotype, config) if network is None else None
+        if plan is not None:
+            gram = plan.gram(_genotype_bank(genotype, config, generator), images)
+        else:
+            if network is None:
+                network = build_network(genotype, config.macro_config(),
+                                        rng=generator)
+            gram = compute_ntk_gram(network, images, mode=config.ntk_mode)
         eigenvalues = _eigvalsh_desc(gram)
     return NtkResult(eigenvalues=eigenvalues, batch_size=images.shape[0])
 
@@ -241,8 +263,21 @@ def ntk_grams(
     """
     config = config or ProxyConfig()
     grams: List[np.ndarray] = []
-    network: Optional[Module] = None
+    network = None
     with precision(config.precision_policy()):
+        plan = _genotype_plan(genotype, config)
+        if plan is None:
+            def build(generator):
+                return build_network(genotype, config.macro_config(),
+                                     rng=generator)
+
+            def gram(net, batch):
+                return compute_ntk_gram(net, batch, mode=config.ntk_mode)
+        else:
+            def build(generator):
+                return _genotype_bank(genotype, config, generator)
+
+            gram = plan.gram
         for repeat in range(config.repeats):
             rep_rng = new_rng(
                 stable_seed("ntk", config.seed, repeat, genotype.to_index())
@@ -251,8 +286,7 @@ def ntk_grams(
             )
             if images is not None:
                 batch = resize_batch(images, config.input_size)
-                network = build_network(genotype, config.macro_config(),
-                                        rng=rep_rng)
+                network = build(rep_rng)
             elif network is None:
                 # First repeat also builds the shared network (drawing images
                 # first matches the historical seed stream exactly).
@@ -260,14 +294,13 @@ def ntk_grams(
                     size=(config.ntk_batch_size, 3,
                           config.input_size, config.input_size)
                 )
-                network = build_network(genotype, config.macro_config(),
-                                        rng=rep_rng)
+                network = build(rep_rng)
             else:
                 batch = rep_rng.normal(
                     size=(config.ntk_batch_size, 3,
                           config.input_size, config.input_size)
                 )
-            grams.append(compute_ntk_gram(network, batch, mode=config.ntk_mode))
+            grams.append(gram(network, batch))
     return grams
 
 
@@ -313,28 +346,69 @@ def supernet_ntk_condition_number(
     Builds the reduced supernet for the given alive-op sets and measures
     ``K_{k_index}`` exactly as for concrete genotypes.
     """
-    from repro.searchspace.network import build_supernet
-
     config = config or ProxyConfig()
     values = []
     with precision(config.precision_policy()):
+        plan = None
+        if config.ntk_mode == "batched":
+            from repro.engine.plan import NtkPlan
+
+            plan = NtkPlan([spec.alive_ops for spec in edge_specs],
+                           config.macro_config(), supercell=True)
         for repeat in range(config.repeats):
             # Seed from the config only (NOT the alive-op sets): every
             # candidate pruning evaluated under one seed shares supernet
             # weights and the input batch, so score differences isolate the
             # removed op.
-            generator = new_rng(
-                stable_seed("ntk-super", config.seed, repeat)
-                if rng is None
-                else rng
-            )
-            images = generator.normal(
-                size=(config.ntk_batch_size, 3,
-                      config.input_size, config.input_size)
-            )
-            network = build_supernet(edge_specs, config.macro_config(),
-                                     rng=generator)
-            gram = compute_ntk_gram(network, images, mode=config.ntk_mode)
+            if plan is not None:
+                gram = plan.gram(_supernet_bank(config, repeat, rng))
+            else:
+                gram = _supernet_gram(edge_specs, config, repeat, rng)
             eigenvalues = _eigvalsh_desc(gram)
-            values.append(NtkResult(eigenvalues, images.shape[0]).k(k_index))
+            values.append(NtkResult(eigenvalues, gram.shape[0]).k(k_index))
     return float(np.mean(values))
+
+
+def _supernet_generator(config: ProxyConfig, repeat: int, rng: SeedLike):
+    return new_rng(stable_seed("ntk-super", config.seed, repeat)
+                   if rng is None else rng)
+
+
+def _supernet_gram(edge_specs, config: ProxyConfig, repeat: int,
+                   rng: SeedLike) -> np.ndarray:
+    """One repeat's supernet Gram on a built module tree (non-batched modes)."""
+    from repro.searchspace.network import build_supernet
+
+    generator = _supernet_generator(config, repeat, rng)
+    images = generator.normal(
+        size=(config.ntk_batch_size, 3, config.input_size, config.input_size)
+    )
+    network = build_supernet(edge_specs, config.macro_config(), rng=generator)
+    return compute_ntk_gram(network, images, mode=config.ntk_mode)
+
+
+def _supernet_bank(config: ProxyConfig, repeat: int, rng: SeedLike):
+    """The process's memoized supernet bank, or one drawn from ``rng``."""
+    from repro.engine.plan import draw_supernet_ntk_bank, supernet_ntk_bank
+
+    if rng is None:
+        return supernet_ntk_bank(config, repeat)
+    return draw_supernet_ntk_bank(config, _supernet_generator(config, repeat, rng))
+
+
+def _genotype_plan(genotype: Genotype, config: ProxyConfig):
+    """The genotype's compiled NTK plan in ``"batched"`` mode, else None."""
+    if config.ntk_mode != "batched":
+        return None
+    from repro.engine.plan import NtkPlan
+
+    return NtkPlan([(op,) for op in genotype.ops], config.macro_config(),
+                   supercell=False)
+
+
+def _genotype_bank(genotype: Genotype, config: ProxyConfig, generator):
+    """The weights ``build_network(genotype, ...)`` draws from ``generator``."""
+    from repro.engine.plan import draw_ntk_bank
+
+    return draw_ntk_bank([(op,) for op in genotype.ops],
+                         config.macro_config(), generator)
