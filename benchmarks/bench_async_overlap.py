@@ -133,7 +133,7 @@ def _padded_worker(payload):
     """
     rows, seconds = _evaluate_genotype_chunk(payload)
     padded = 0.0
-    for index, _ in rows:
+    for index, _, _ in rows:
         padded += (STRAGGLER_S if index % STRAGGLER_MODULUS == 0
                    else SHORT_S)
     time.sleep(padded)
@@ -151,15 +151,15 @@ def _run_barrier_search(proxy_config) -> Dict:
     """Generational evolution: every batch of children is a barrier."""
     rng = new_rng(11)
     space = NasBench201Space()
-    objective = HybridObjective(engine=Engine(proxy_config=proxy_config))
     generations = CYCLES // POPULATION_SIZE
     with AsyncPopulationExecutor(n_workers=N_WORKERS, chunk_size=1,
                                  mode="fork",
                                  genotype_worker=_padded_worker) as executor:
+        objective = HybridObjective(engine=Engine(proxy_config=proxy_config,
+                                                  executor=executor))
         with Timer() as timer:
             current = space.sample(POPULATION_SIZE, rng=rng, unique=False)
-            table = objective.evaluate_population(current,
-                                                  executor=executor)
+            table = objective.evaluate_population(current)
             population = deque(zip(current, table.rows()),
                                maxlen=POPULATION_SIZE)
             for _ in range(generations):
@@ -171,8 +171,7 @@ def _run_barrier_search(proxy_config) -> Dict:
                 ]
                 # The barrier: nothing mutates until the whole generation
                 # (straggler included) has been evaluated.
-                table = objective.evaluate_population(children,
-                                                      executor=executor)
+                table = objective.evaluate_population(children)
                 population.extend(zip(children, table.rows()))
         stats = executor.stats
         return {
@@ -184,17 +183,17 @@ def _run_barrier_search(proxy_config) -> Dict:
 
 
 def _run_steady_search(proxy_config) -> Dict:
-    objective = HybridObjective(engine=Engine(proxy_config=proxy_config))
     with AsyncPopulationExecutor(n_workers=N_WORKERS, chunk_size=1,
                                  mode="fork",
                                  genotype_worker=_padded_worker) as executor:
+        objective = HybridObjective(engine=Engine(proxy_config=proxy_config,
+                                                  executor=executor))
         with Timer() as timer:
             SteadyStateEvolutionarySearch(
                 objective,
                 EvolutionConfig(population_size=POPULATION_SIZE,
                                 cycles=CYCLES),
                 seed=11,
-                executor=executor,
             ).search()
         stats = executor.stats
         return {
@@ -210,9 +209,8 @@ def _check_bit_identical(proxy_config) -> bool:
     serial = Engine(proxy_config=proxy_config).evaluate_population(population)
     with AsyncPopulationExecutor(n_workers=N_WORKERS, chunk_size=3,
                                  mode="fork") as executor:
-        table = Engine(proxy_config=proxy_config).evaluate_population(
-            population, executor=executor
-        )
+        table = Engine(proxy_config=proxy_config,
+                       executor=executor).evaluate_population(population)
     return all(np.array_equal(serial.columns[name], table.columns[name])
                for name in serial.columns)
 

@@ -37,6 +37,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.autograd.precision import precision
+from repro.engine import Engine
 from repro.engine.kernels import batched_ntk_jacobian
 from repro.engine.plan import NtkPlan, supernet_ntk_bank
 from repro.eval.benchconfig import (
@@ -48,6 +49,7 @@ from repro.eval.correlation import kendall_tau
 from repro.proxies.flops import count_flops
 from repro.proxies.linear_regions import count_line_regions
 from repro.proxies.ntk import NtkResult, _eigvalsh_desc, ntk_condition_number
+from repro.runtime.async_pool import AsyncPopulationExecutor
 from repro.search.objective import HybridObjective, ObjectiveWeights
 from repro.search.pruning import MicroNASSearch
 from repro.searchspace.genotype import Genotype
@@ -77,24 +79,26 @@ def _old_path_rows(population: List[Genotype], proxy_config,
     return rows
 
 
-class _StateRecorder:
-    """An executor hook that only records the supernet states scored."""
+class _StateRecorder(AsyncPopulationExecutor):
+    """A serial executor that also records the supernet states scored."""
 
     def __init__(self) -> None:
+        super().__init__(n_workers=1)
         self.states: List = []
 
     def warm_supernets(self, engine, spec_lists) -> int:
         self.states.extend(spec_lists)
-        return 0
+        return super().warm_supernets(engine, spec_lists)
 
 
 def _pruning_states(proxy_config) -> List:
     """The supernet states one reduced pruning search scores, in order."""
     recorder = _StateRecorder()
-    objective = HybridObjective(proxy_config=proxy_config,
-                                weights=ObjectiveWeights(flops=0.5),
-                                macro_config=MacroConfig.full())
-    MicroNASSearch(objective, executor=recorder).search()
+    engine = Engine(proxy_config=proxy_config,
+                    macro_config=MacroConfig.full(), executor=recorder)
+    objective = HybridObjective(weights=ObjectiveWeights(flops=0.5),
+                                engine=engine)
+    MicroNASSearch(objective).search()
     return recorder.states
 
 

@@ -165,7 +165,7 @@ def _run_elastic(proxy_config: ProxyConfig) -> Dict:
         merged = IndicatorCache()
         for result in results:
             assert result.error is None, result.error
-            for index, row in result.value[0]:
+            for index, row, _ in result.value[0]:
                 for name, value in row.items():
                     key = {"ntk": ("ntk", index, 1, proxy_key),
                            "linear_regions": ("linear_regions", index,

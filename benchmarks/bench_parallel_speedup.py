@@ -2,11 +2,11 @@
 
 Times one population evaluation four ways:
 
-* **serial cold** — a fresh engine, no executor, empty cache: the PR-1
-  baseline every run used to pay.
-* **pool cold** — a fresh engine fanned out over
-  :class:`~repro.runtime.async_pool.AsyncPopulationExecutor` fork
-  workers (the executor every harness run uses).
+* **serial cold** — a fresh engine on its default serial executor,
+  empty cache: the one-process baseline.
+* **pool cold** — a fresh engine whose executor
+  (:class:`~repro.runtime.async_pool.AsyncPopulationExecutor`) fans out
+  over fork workers (what every multi-worker harness run uses).
   Verifies the acceptance criterion that pool-evaluated populations are
   **bit-identical** to serial evaluation (same ``IndicatorTable`` rows).
 * **store warm** — a fresh engine whose cache is warm-started from a
@@ -49,8 +49,9 @@ N_WORKERS = max(2, multiprocessing.cpu_count())
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 
-def _fresh_engine(proxy_config) -> Engine:
-    return Engine(proxy_config=proxy_config, macro_config=MacroConfig.full())
+def _fresh_engine(proxy_config, executor=None) -> Engine:
+    return Engine(proxy_config=proxy_config, macro_config=MacroConfig.full(),
+                  executor=executor)
 
 
 def _tables_bit_identical(a, b) -> bool:
@@ -67,12 +68,11 @@ def run_parallel_speedup() -> Dict:
     with Timer() as serial_timer:
         serial_table = serial_engine.evaluate_population(population)
 
-    pool_engine = _fresh_engine(proxy_config)
     with AsyncPopulationExecutor(n_workers=N_WORKERS,
                                  chunk_size=4) as executor:
+        pool_engine = _fresh_engine(proxy_config, executor)
         with Timer() as pool_timer:
-            pool_table = pool_engine.evaluate_population(population,
-                                                         executor=executor)
+            pool_table = pool_engine.evaluate_population(population)
 
     with tempfile.TemporaryDirectory() as tmp:
         store = RuntimeStore(tmp)

@@ -40,15 +40,15 @@ def run_once(store_dir: str, label: str) -> None:
     store = RuntimeStore(store_dir)
     fingerprint = cache_fingerprint(proxy_config, macro_config)
 
-    engine = Engine(proxy_config=proxy_config, macro_config=macro_config)
-    loaded = store.load_cache_into(engine.cache, fingerprint)
-
     with AsyncPopulationExecutor(n_workers=4, chunk_size=1) as executor:
+        # The search runs on its objective engine's executor.
+        engine = Engine(proxy_config=proxy_config, macro_config=macro_config,
+                        executor=executor)
+        loaded = store.load_cache_into(engine.cache, fingerprint)
         result = SteadyStateEvolutionarySearch(
             HybridObjective(engine=engine),
             EvolutionConfig(population_size=12, cycles=36),
             seed=0,
-            executor=executor,
         ).search()
         saved = store.save_cache(engine.cache, fingerprint)
         print(format_table(

@@ -18,7 +18,9 @@ inline.  The engine has three layers:
 2. **Canonicalization-aware cache** (:mod:`repro.engine.cache`) — memoizes
    every indicator across repeats, search cycles and algorithms.
 3. **Population API** (:meth:`Engine.evaluate_population`) — deduplicates
-   a population by canonical form and returns an
+   a population by canonical form, has the engine's executor compute the
+   missing proxy rows (its chunk workers are the only code that computes
+   NTK and line-region rows) and returns an
    :class:`~repro.engine.table.IndicatorTable` in request order.
 
 Cache-key contract
@@ -36,7 +38,7 @@ rely on:
   can never alias: proxy values are keyed by
   ``(indicator, canonical_index, astuple(ProxyConfig))`` (covering sizes,
   seeds, repeats, the ``ntk_mode``/``lr_mode`` kernel selection and the
-  ``precision`` policy name, plus ``k_index`` for κ); FLOPs/params by
+  ``precision`` policy name, plus κ's eigenvalue index ``1``); FLOPs/params by
   ``(indicator, canonical_index, astuple(MacroConfig))``; latency by
   ``(indicator, canonical_index, device name, precision,
   astuple(MacroConfig))``.  Supernet states replace the canonical index

@@ -6,15 +6,22 @@ indicator values.  It owns
 * the **canonicalization-aware cache** — indicators are properties of the
   canonical cell function, so every value is computed on (and keyed by)
   ``canonicalize(genotype)``; see :mod:`repro.engine` for the key contract,
-* the **vectorized proxy kernels** — genotype evaluations dispatch to the
-  batched NTK / line-counting paths via ``ProxyConfig.ntk_mode``/``lr_mode``,
+* the **executor** — every NTK and line-region row, for genotypes and for
+  pruning-supernet states, is computed by the chunk workers of one
+  :class:`~repro.runtime.async_pool.AsyncPopulationExecutor`, set once
+  as ``Engine(executor=...)`` (a run harness hands in its own) or built
+  serial on the first miss.  A miss on any accessor asks the executor to
+  compute and merge the row, then reads it from the cache,
 * the **population API** — :meth:`evaluate_population` deduplicates a
-  population by canonical form, evaluates only the unique survivors and
-  returns an :class:`~repro.engine.table.IndicatorTable` in request order.
+  population by canonical form, has the executor compute only the unique
+  missing rows and returns an
+  :class:`~repro.engine.table.IndicatorTable` in request order.
 
-Latency estimators are built lazily per macro configuration and share the
-engine's cache (the per-estimator memo that used to live in
-``hardware/latency.py`` now writes the same keys).
+FLOPs, parameter counts, LUT latencies and registered cost axes stay
+driver-side: they are closed-form or LUT lookups.  Latency estimators are
+built lazily per macro configuration and share the engine's cache (the
+per-estimator memo that used to live in ``hardware/latency.py`` now
+writes the same keys).
 
 Precision: proxies scope themselves under
 ``ProxyConfig.precision_policy()`` (forward/backward in the compute
@@ -32,16 +39,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.cache import IndicatorCache
-from repro.engine.kernels import batched_condition_numbers
 from repro.engine.table import IndicatorTable
+from repro.errors import ProxyError
 from repro.proxies.base import ProxyConfig
 from repro.proxies.flops import count_flops, count_params
-from repro.proxies.linear_regions import count_line_regions, supernet_line_regions
-from repro.proxies.ntk import (
-    ntk_condition_number,
-    ntk_grams,
-    supernet_ntk_condition_number,
-)
 from repro.searchspace.canonical import canonicalize
 from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.genotype import Genotype
@@ -53,15 +54,31 @@ INDICATOR_NAMES = ("ntk", "linear_regions", "flops", "latency")
 
 
 def supernet_state_key(edge_specs: Sequence[EdgeSpec]) -> Tuple:
-    """Hashable identity of a supernet state (alive-op sets in edge order).
-
-    Exposed for composing layers (the parallel runtime builds the same
-    cache keys the engine does when merging worker results back in).
-    """
+    """Hashable identity of a supernet state (alive-op sets in edge order)."""
     return tuple(tuple(spec.alive_ops) for spec in edge_specs)
 
 
-_supernet_key = supernet_state_key
+def genotype_indicator_keys(index: int, proxy_key: Tuple,
+                            macro_key: Tuple) -> Dict[str, Tuple]:
+    """The cache keys of one canonical genotype's worker rows, by indicator.
+
+    The one key contract: the engine reads, and the executor merges
+    worker rows, under exactly these tuples (the ``1`` is κ's eigenvalue
+    index, part of every persisted NTK key).
+    """
+    return {
+        "ntk": ("ntk", index, 1, proxy_key),
+        "linear_regions": ("linear_regions", index, proxy_key),
+        "flops": ("flops", index, macro_key),
+    }
+
+
+def supernet_indicator_keys(state: Tuple, proxy_key: Tuple) -> Dict[str, Tuple]:
+    """The cache keys of one supernet state's worker rows, by indicator."""
+    return {
+        "supernet_ntk": ("supernet_ntk", state, proxy_key),
+        "supernet_lr": ("supernet_lr", state, proxy_key),
+    }
 
 
 class Engine:
@@ -78,17 +95,19 @@ class Engine:
         ledger: Optional[CostLedger] = None,
         lut_store=None,
         telemetry=None,
+        executor=None,
     ) -> None:
         self.proxy_config = proxy_config or ProxyConfig()
         self.macro_config = macro_config or MacroConfig.full()
         self.cache = cache if cache is not None else IndicatorCache()
         self.ledger = ledger if ledger is not None else CostLedger()
         self.lut_store = lut_store
-        #: Duck-typed run telemetry (``span``/``gauge``/``count`` with an
-        #: ``enabled`` flag) or ``None``.  Deliberately untyped: the
-        #: engine never imports the runtime package, the runtime hands
-        #: the object in — the same direction as the ``executor=`` hook.
+        #: Run telemetry (``span``/``gauge``/``count`` with an
+        #: ``enabled`` flag) or ``None``.  Untyped so that importing the
+        #: engine never loads :mod:`repro.runtime`: the runtime hands the
+        #: object in, as it hands in the executor.
         self.telemetry = telemetry
+        self._executor = executor
         self._device = device
         self._profiler = profiler
         self._latency_estimator = latency_estimator
@@ -97,6 +116,23 @@ class Engine:
             self._estimators[astuple(latency_estimator.config)] = latency_estimator
         self._cost_models: Dict[str, object] = {}
         self._proxy_key = astuple(self.proxy_config)
+        self._macro_key = astuple(self.macro_config)
+
+    @property
+    def executor(self):
+        """The :class:`~repro.runtime.async_pool.AsyncPopulationExecutor`
+        that computes every proxy row of this engine.
+
+        Built on first use as a serial executor when none was given; the
+        runtime is imported only then, so ``import repro.engine`` does
+        not load it.
+        """
+        if self._executor is None:
+            from repro.runtime.async_pool import AsyncPopulationExecutor
+
+            self._executor = AsyncPopulationExecutor(
+                n_workers=1, telemetry=self.telemetry)
+        return self._executor
 
     # ------------------------------------------------------------------
     # Latency estimator plumbing
@@ -131,8 +167,9 @@ class Engine:
     def for_device(self, device, profiler=None) -> "Engine":
         """This engine if it already prices ``device``, else a sibling.
 
-        The sibling shares the cache and ledger (latency keys embed the
-        device name, so entries never alias) but builds its own estimators
+        The sibling shares the cache, ledger and executor (latency keys
+        embed the device name, so entries never alias) but builds its own
+        estimators
         — callers like :class:`~repro.search.macro.MacroStageSearch` must
         never silently receive another board's latencies.
         """
@@ -147,6 +184,7 @@ class Engine:
             ledger=self.ledger,
             lut_store=self.lut_store,
             telemetry=self.telemetry,
+            executor=self.executor,
         )
 
     def _estimator_for(self, config: MacroConfig):
@@ -177,32 +215,21 @@ class Engine:
     # ------------------------------------------------------------------
     # Single-indicator accessors (all canonicalization-aware and cached)
     # ------------------------------------------------------------------
-    def ntk(self, genotype: Genotype, k_index: int = 1) -> float:
+    def ntk(self, genotype: Genotype) -> float:
         """Cached NTK condition number of the canonical form."""
         canon = canonicalize(genotype)
-        key = ("ntk", canon.to_index(), k_index, self._proxy_key)
-
-        def compute() -> float:
-            with Timer() as timer:
-                value = ntk_condition_number(canon, self.proxy_config,
-                                             k_index=k_index)
-            self.ledger.add("ntk_eval", timer.elapsed)
-            return value
-
-        return self._lookup(key, compute, "ntk")
+        key = genotype_indicator_keys(canon.to_index(), self._proxy_key,
+                                      self._macro_key)["ntk"]
+        return self._proxy_row(
+            key, "ntk", lambda: self.executor.warm_population(self, [canon]))
 
     def linear_regions(self, genotype: Genotype) -> float:
         """Cached linear-region count of the canonical form."""
         canon = canonicalize(genotype)
-        key = ("linear_regions", canon.to_index(), self._proxy_key)
-
-        def compute() -> float:
-            with Timer() as timer:
-                value = count_line_regions(canon, self.proxy_config)
-            self.ledger.add("lr_eval", timer.elapsed)
-            return value
-
-        return self._lookup(key, compute, "lr")
+        key = genotype_indicator_keys(canon.to_index(), self._proxy_key,
+                                      self._macro_key)["linear_regions"]
+        return self._proxy_row(
+            key, "lr", lambda: self.executor.warm_population(self, [canon]))
 
     def flops(self, genotype: Genotype,
               config: Optional[MacroConfig] = None) -> float:
@@ -328,12 +355,12 @@ class Engine:
 
     def merge_indicator_rows(self, keyed_rows: Sequence[Tuple[Tuple, float]]
                              ) -> int:
-        """Merge externally computed indicator rows into the cache.
+        """Merge worker-computed indicator rows into the cache.
 
-        The incremental seam for the parallel/async runtimes: executors
-        hand back ``(cache_key, value)`` pairs — in any completion order,
-        possibly containing keys another chunk (or the serial path) already
-        landed — and this method folds them in under first-write-wins.
+        The seam every proxy row enters the cache through: the executor
+        hands back ``(cache_key, value)`` pairs — in any completion order,
+        possibly containing keys another chunk already landed — and this
+        method folds them in under first-write-wins.
         Rows that do land are counted as cache *misses* (they were
         genuinely computed, not found); rows already present are dropped,
         so duplicate or re-ordered chunks can never change a served value.
@@ -364,56 +391,10 @@ class Engine:
             "latency": self.latency_ms(genotype) if with_latency else 0.0,
         }
 
-    def ntk_population(self, genotypes: Sequence[Genotype],
-                       k_index: int = 1) -> None:
-        """Warm the NTK cache for a population with ONE stacked eigensolve.
-
-        All missing unique canonical forms have their Gram matrices
-        computed, stacked into an ``(N·repeats, B, B)`` array and
-        eigendecomposed in a single ``np.linalg.eigvalsh`` gufunc dispatch
-        (bit-identical per matrix to the per-candidate path — see
-        :func:`repro.engine.kernels.batched_eigvalsh`).  Subsequent
-        :meth:`ntk` calls resolve from the cache.
-        """
-        self._warm_ntk_canonical([canonicalize(g) for g in genotypes],
-                                 k_index=k_index)
-
-    def _warm_ntk_canonical(self, canons: Sequence[Genotype],
-                            k_index: int = 1) -> None:
-        """:meth:`ntk_population` for already-canonical genotypes."""
-        missing: Dict[Tuple, Genotype] = {}
-        for canon in canons:
-            key = ("ntk", canon.to_index(), k_index, self._proxy_key)
-            if key not in self.cache and key not in missing:
-                missing[key] = canon
-        if not missing:
-            return
-        grams: List[np.ndarray] = []
-        spans: List[int] = []
-        policy = self.proxy_config.precision_policy()
-        with Timer() as timer:
-            for canon in missing.values():
-                candidate_grams = ntk_grams(canon, self.proxy_config)
-                spans.append(len(candidate_grams))
-                grams.extend(candidate_grams)
-            # Grams were computed at the policy's compute dtype; the
-            # stacked eigensolve promotes to its accumulate dtype, exactly
-            # like the per-candidate path (see kernels.batched_eigvalsh).
-            values = batched_condition_numbers(
-                np.stack(grams), k_index=k_index,
-                accumulate_dtype=policy.accumulate_dtype)
-        self.ledger.add("ntk_eval", timer.elapsed, count=len(missing))
-        offset = 0
-        for key, span in zip(missing, spans):
-            self.cache.misses += 1  # computed here, not via lookup()
-            self.cache.put(key, float(np.mean(values[offset:offset + span])))
-            offset += span
-
     def evaluate_population(
         self,
         genotypes: Sequence[Genotype],
         with_latency: bool = False,
-        executor=None,
         cost_models: Optional[Sequence] = None,
     ) -> IndicatorTable:
         """Indicator table for a population, deduplicated canonically.
@@ -422,18 +403,13 @@ class Engine:
         canonical form is evaluated at most once, and repeat populations
         hit the cache outright.
 
-        ``executor`` is the composition seam for the parallel runtime: any
-        object with a ``warm_population(engine, genotypes, with_latency=...)``
-        method (e.g. :class:`~repro.runtime.async_pool.\
-AsyncPopulationExecutor`) may pre-compute missing indicator rows — in
-        worker processes, from a persisted store, in any completion order —
-        and merge them into :attr:`cache` before the serial pass below
-        assembles the table.
-        The hook receives the population's *canonical* forms (computed
-        once below), so executors need not re-canonicalize.
-        Because assembly always happens here, in request order against the
-        shared cache, the resulting table is identical no matter how (or
-        whether) an executor warmed it.
+        The population's canonical forms (computed once here) go to
+        :attr:`executor` in one ``warm_population`` call: its chunk
+        workers compute every missing proxy row — in worker processes,
+        on a fleet, in any completion order — and merge them into
+        :attr:`cache`.  The table is then assembled here, in request
+        order, from cache reads alone, so it is identical whatever the
+        executor's transport, worker count or completion order.
 
         ``cost_models`` optionally appends one column per registered
         :class:`~repro.search.costs.CostModel` (by ``model.name``), each
@@ -446,11 +422,11 @@ AsyncPopulationExecutor`) may pre-compute missing indicator rows — in
         tel = self.telemetry
         if tel is None or not tel.enabled:
             return self._evaluate_population_impl(genotypes, with_latency,
-                                                  executor, cost_models)
+                                                  cost_models)
         with tel.span("evaluate_population", "engine",
                       candidates=len(genotypes)) as span:
             table = self._evaluate_population_impl(genotypes, with_latency,
-                                                   executor, cost_models)
+                                                   cost_models)
             span.note(unique=table.unique_canonical,
                       cache_hits=table.cache_hits,
                       cache_misses=table.cache_misses)
@@ -463,19 +439,15 @@ AsyncPopulationExecutor`) may pre-compute missing indicator rows — in
         self,
         genotypes: Sequence[Genotype],
         with_latency: bool = False,
-        executor=None,
         cost_models: Optional[Sequence] = None,
     ) -> IndicatorTable:
         genotypes = list(genotypes)
-        # One canonicalization pass serves the executor hook, the stacked
-        # eigensolve and the dedupe below (canonicalize builds a cell
-        # graph per call — repeating it would dominate the warm path).
+        # One canonicalization pass serves the executor and the dedupe
+        # below (canonicalize builds a cell graph per call — repeating it
+        # would dominate the warm path).
         canons = [canonicalize(g) for g in genotypes]
         hits0, misses0 = self.cache.counters()
-        if executor is not None:
-            executor.warm_population(self, canons, with_latency=with_latency)
-        # Whatever κ values are still missing get one stacked eigensolve.
-        self._warm_ntk_canonical(canons)
+        self.executor.warm_population(self, canons)
         unique_rows: Dict[int, Dict[str, float]] = {}
         unique_canons: Dict[int, Genotype] = {}
         canon_indices: List[int] = []
@@ -511,26 +483,28 @@ AsyncPopulationExecutor`) may pre-compute missing indicator rows — in
     # ------------------------------------------------------------------
     def supernet_ntk(self, edge_specs: Sequence[EdgeSpec]) -> float:
         """Cached NTK condition number of a pruning-supernet state."""
-        key = ("supernet_ntk", _supernet_key(edge_specs), self._proxy_key)
-
-        def compute() -> float:
-            with Timer() as timer:
-                value = supernet_ntk_condition_number(edge_specs,
-                                                      self.proxy_config)
-            self.ledger.add("ntk_eval", timer.elapsed)
-            return value
-
-        return self._lookup(key, compute, "ntk")
+        key = supernet_indicator_keys(supernet_state_key(edge_specs),
+                                      self._proxy_key)["supernet_ntk"]
+        return self._proxy_row(
+            key, "ntk",
+            lambda: self.executor.warm_supernets(self, [edge_specs]))
 
     def supernet_linear_regions(self, edge_specs: Sequence[EdgeSpec]) -> float:
         """Cached line-region count of a pruning-supernet state."""
-        key = ("supernet_lr", _supernet_key(edge_specs), self._proxy_key)
+        key = supernet_indicator_keys(supernet_state_key(edge_specs),
+                                      self._proxy_key)["supernet_lr"]
+        return self._proxy_row(
+            key, "lr",
+            lambda: self.executor.warm_supernets(self, [edge_specs]))
 
-        def compute() -> float:
-            edge_op_sets = [spec.alive_ops for spec in edge_specs]
-            with Timer() as timer:
-                value = supernet_line_regions(edge_op_sets, self.proxy_config)
-            self.ledger.add("lr_eval", timer.elapsed)
-            return value
-
-        return self._lookup(key, compute, "lr")
+    def _proxy_row(self, key: Tuple, tag: str, warm) -> float:
+        """The cached proxy row under ``key``.  On a miss ``warm`` has the
+        executor's chunk workers compute and merge it (the merge counts
+        the miss and records the ``{tag}_eval`` ledger entry) first."""
+        if key in self.cache:
+            return self._lookup(key, None, tag)
+        warm()
+        if key not in self.cache:
+            raise ProxyError(f"the executor computed no row for {key[:2]!r}: "
+                             "it quarantined the candidate as poison")
+        return self.cache.get(key)

@@ -124,13 +124,11 @@ def _collect_param_grads(params) -> np.ndarray:
 def compute_ntk_gram(
     network: Module,
     images: np.ndarray,
-    coupled: bool = False,
-    mode: Optional[str] = None,
+    mode: str = "batched",
 ) -> np.ndarray:
     """Compute the empirical NTK Gram matrix over an NCHW batch.
 
-    Three modes (``coupled=True`` forces ``"coupled"`` for backward
-    compatibility; otherwise ``mode`` defaults to ``"batched"``):
+    Three modes:
 
     * ``"batched"`` (default, fastest): BatchNorm statistics are frozen to
       this batch's statistics, then ONE batched forward + ONE backward
@@ -147,10 +145,6 @@ def compute_ntk_gram(
 
     All modes return the (B, B) Gram of per-sample summed-logit gradients.
     """
-    if coupled:
-        mode = "coupled"
-    elif mode is None:
-        mode = "batched"
     if mode not in ("batched", "reference", "coupled"):
         raise ProxyError(f"unknown NTK mode {mode!r}")
     batch_size = images.shape[0]

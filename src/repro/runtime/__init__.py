@@ -2,11 +2,11 @@
 
 :mod:`repro.engine` owns *what* trainless evaluation computes (vectorized
 proxy kernels, the canonicalization-aware cache, the population API).
-This package owns *how* populations get evaluated at scale — without the
-engine ever importing it:
+This package owns *how* populations get evaluated at scale; importing the
+engine does not import it:
 
 1. **Executor** (:mod:`repro.runtime.async_pool`, worker chunk functions
-   and cache-key builders in :mod:`repro.runtime.pool`) —
+   in :mod:`repro.runtime.pool`) —
    :class:`AsyncPopulationExecutor` maps proxy evaluation over the
    unique canonical genotypes (or supernet states) of a population as
    DeepHyper-style submit/gather halves: per-chunk futures whose
@@ -14,11 +14,12 @@ engine ever importing it:
    :class:`~repro.engine.cache.IndicatorCache` **the moment each chunk
    lands** (via :meth:`~repro.engine.core.Engine.merge_indicator_rows`),
    in any completion order.  Every proxy seeds from the canonical key,
-   so results are bit-identical to serial evaluation regardless of
-   worker count or completion order.  The blocking ``warm_population`` /
-   ``warm_supernets`` hooks serve the generational loops; the
-   steady-state evolutionary search keeps ``n_workers`` candidates in
-   flight on the split halves.  With one worker the transport is a
+   so results are bit-identical regardless of worker count or
+   completion order.  Its chunk workers are the only code that computes
+   NTK and line-region rows.  The blocking ``warm_population`` /
+   ``warm_supernets`` calls serve the engine and the generational loops;
+   the steady-state evolutionary search keeps ``n_workers`` candidates
+   in flight on the split halves.  With one worker the transport is a
    serial queue that runs chunks inline at gather time.
 2. **Persistent store** (:mod:`repro.runtime.store`) —
    :class:`RuntimeStore` persists the indicator cache as a sharded
@@ -63,13 +64,16 @@ engine ever importing it:
    warm-start from — and flush freshly computed rows into — the shared
    store, so late joiners inherit everything already computed.
 
-The composition seam is deliberately thin: ``Engine.evaluate_population``
-and every search loop accept an optional ``executor=`` object they only
-duck-type (``warm_population`` / ``warm_supernets`` for barrier-style
-warming, ``submit_population`` / ``gather`` for event-driven loops), the
-engine/estimator accept a duck-typed ``lut_store``, and the executor
-accepts any ``pool=`` honouring the ``FuturePool`` contract — which is
-exactly how the fleet transport plugs in.
+The composition seam is one object: the executor is a property of the
+engine, set once as ``Engine(executor=...)`` (the harness hands in its
+own; an engine given none builds a serial one on its first miss, and its
+``for_device`` siblings share it).  The engine's accessors and
+population API call ``warm_population`` / ``warm_supernets`` on it, and
+the search loops reach it as ``objective.engine.executor`` —
+``submit_population`` / ``gather`` for the event-driven loop.  The
+engine/estimator accept a ``lut_store``, and the executor accepts any
+``pool=`` honouring the ``FuturePool`` contract — which is exactly how
+the fleet transport plugs in.
 """
 
 from repro.runtime.async_pool import (

@@ -20,9 +20,9 @@ and lets the search react to whichever result lands first):
   :meth:`~repro.engine.core.Engine.merge_indicator_rows`, under the
   engine's exact cache keys.
 
-**Determinism.**  Indicator values are bit-identical to serial evaluation
-no matter how futures resolve: every proxy seeds its RNG from the
-canonical key, merges are first-write-wins under unique keys, and the
+**Determinism.**  Indicator values are bit-identical to a serial
+executor's no matter how futures resolve: every proxy seeds its RNG from
+the canonical key, merges are first-write-wins under unique keys, and the
 engine's serial assembly pass (``evaluate_population``) reads the cache in
 request order.  Completion order can therefore reorder *when* rows land,
 never *what* they say — the property the completion-order fuzzing tests
@@ -46,10 +46,12 @@ fleet needs (policy objects in :mod:`repro.runtime.faults`):
   nothing: any worker failure surfaces as :class:`ChunkGatherError`
   after siblings merge.
 
-The executor also implements the blocking ``warm_population`` /
-``warm_supernets`` hooks (submit + gather-all) that
-``Engine.evaluate_population`` and the generational search loops
-duck-type; the steady-state evolutionary search
+The executor is a property of the :class:`~repro.engine.core.Engine`
+(``Engine(executor=...)``, or a serial one the engine builds on its first
+miss), and its chunk workers are the only code that computes proxy rows.
+The blocking ``warm_population`` / ``warm_supernets`` calls (submit +
+gather-all) serve the engine's accessors, ``Engine.evaluate_population``
+and the pruning rounds; the steady-state evolutionary search
 (:class:`~repro.search.evolutionary.SteadyStateEvolutionarySearch`) is
 the loop that exploits the split halves.  With ``n_workers=1`` the
 transport is the serial :class:`FuturePool`: chunks run inline, in the
@@ -74,7 +76,11 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.core import supernet_state_key
+from repro.engine.core import (
+    genotype_indicator_keys,
+    supernet_indicator_keys,
+    supernet_state_key,
+)
 from repro.errors import SearchError
 from repro.runtime.faults import (
     POISON,
@@ -89,8 +95,6 @@ from repro.runtime.pool import (
     _evaluate_genotype_chunk,
     _evaluate_supernet_chunk,
     _fork_available,
-    genotype_indicator_keys,
-    supernet_indicator_keys,
 )
 from repro.runtime.telemetry import Telemetry
 from repro.runtime.tracing import (
@@ -677,8 +681,8 @@ class AsyncPopulationExecutor:
     quarantine=False)``, recovers nothing: every worker failure raises
     :class:`ChunkGatherError` once the sibling chunks have merged.
 
-    The blocking ``warm_population`` / ``warm_supernets`` hooks serve
-    anywhere an ``executor=`` is accepted.
+    The blocking ``warm_population`` / ``warm_supernets`` calls serve
+    the engine that owns this executor (``Engine(executor=...)``).
     """
 
     def __init__(self, n_workers: Optional[int] = None, chunk_size: int = 8,
@@ -759,14 +763,12 @@ class AsyncPopulationExecutor:
         self.drain_requested = True
 
     def submit_population(self, engine, genotypes: Sequence[Genotype],
-                          with_latency: bool = False,
                           assume_canonical: bool = False) -> int:
         """Submit missing unique-canonical indicator rows; returns the
         number of chunk futures shipped (0 = everything cached or already
         in flight).  Never blocks.  Quarantined candidates are skipped.
-        ``with_latency`` is accepted for hook compatibility; latency
-        stays in the parent (LUT composition is cheap, the profiled
-        estimator lives there)."""
+        Latency stays in the parent (LUT composition is cheap, the
+        profiled estimator lives there)."""
         proxy_key = astuple(engine.proxy_config)
         macro_key = astuple(engine.macro_config)
         pending = self._pending_keys(engine)
@@ -915,7 +917,9 @@ class AsyncPopulationExecutor:
         keyed: List[Tuple[Tuple, float]] = []
         indices: List[int] = []
         states: List[Tuple] = []
-        for identity, row in rows:
+        for identity, row, spent in rows:
+            for entry, entry_seconds in spent.items():
+                engine.ledger.add(entry, entry_seconds)
             if context.kind == "genotype":
                 keys = genotype_indicator_keys(identity,
                                                context.proxy_key,
@@ -930,7 +934,6 @@ class AsyncPopulationExecutor:
         merged = engine.merge_indicator_rows(keyed)
         self._pending_keys(engine).difference_update(context.keys)
         self.pool.record_busy(seconds)
-        engine.ledger.add("pool_eval", seconds=seconds, count=len(rows))
         self.stats.tasks += len(rows)
         self.stats.merged_rows += merged
         self.stats.worker_seconds += seconds
@@ -1016,9 +1019,8 @@ class AsyncPopulationExecutor:
         merged (they ride along on the error's ``gathered`` attribute)
         and the failed chunk's in-flight key claims have been released,
         so the executor stays drainable and the candidates can be
-        resubmitted (or computed serially by the engine).  Transient
-        failures within the retry budget retry, and poison chunks
-        bisect/quarantine when the policy quarantines.
+        resubmitted.  Transient failures within the retry budget retry,
+        and poison chunks bisect/quarantine when the policy quarantines.
         """
         tel = self.telemetry
         if not tel.enabled:
@@ -1089,12 +1091,11 @@ class AsyncPopulationExecutor:
         return self.gather(self.num_pending)
 
     # ------------------------------------------------------------------
-    # Blocking executor hooks (duck-typed by the engine and search loops)
+    # Blocking calls (the engine's compute path)
     # ------------------------------------------------------------------
     def warm_population(self, engine, genotypes: Sequence[Genotype],
-                        with_latency: bool = False,
                         assume_canonical: bool = True) -> int:
-        """Submit + gather-all: the blocking hook the engine duck-types.
+        """Submit + gather-all: how the engine computes genotype rows.
 
         ``assume_canonical`` defaults to ``True`` because the engine
         passes already-canonical forms (canonicalizing again would build
@@ -1102,7 +1103,7 @@ class AsyncPopulationExecutor:
         defaults to ``False`` because search loops submit raw mutants
         directly.
         """
-        self.submit_population(engine, genotypes, with_latency=with_latency,
+        self.submit_population(engine, genotypes,
                                assume_canonical=assume_canonical)
         return sum(chunk.merged_rows for chunk in self.gather_all())
 

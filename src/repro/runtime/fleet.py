@@ -80,11 +80,11 @@ from dataclasses import astuple, dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.engine.cache import IndicatorCache
+from repro.engine.core import genotype_indicator_keys
 from repro.errors import SearchError
 from repro.proxies.base import ProxyConfig
 from repro.runtime.async_pool import TaskResult
 from repro.runtime.faults import ChunkTimeoutError
-from repro.runtime.pool import genotype_indicator_keys
 from repro.runtime.telemetry import Telemetry
 from repro.runtime.tracing import CAT_DISPATCH, CAT_WORKER
 from repro.searchspace.genotype import Genotype
@@ -876,7 +876,8 @@ def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
             else:
                 remaining.append(need)
         if hit_row:
-            stored_rows.append((index, hit_row))
+            # Served, not computed here: no proxy seconds to record.
+            stored_rows.append((index, hit_row, {}))
             stats.store_rows_loaded += len(hit_row)
         if any(remaining):
             reduced.append((ops, tuple(remaining)))
@@ -884,7 +885,7 @@ def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
         return stored_rows, 0.0
     computed_rows, seconds = worker_fn(
         (tuple(reduced), proxy_config, macro_config))
-    for index, row in computed_rows:
+    for index, row, _ in computed_rows:
         keys = genotype_indicator_keys(index, proxy_key, macro_key)
         for name, value in row.items():
             cache.put(keys[name], value)

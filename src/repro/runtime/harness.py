@@ -191,10 +191,10 @@ class DeviceMatrixReport:
     unique_canonical: int
     #: Trainless evaluation accounting.  ``rows_computed`` is the cache
     #: miss delta of the single population pass — the number of indicator
-    #: rows genuinely computed (driver- or worker-side) before any cell
-    #: was priced, proving the exactly-once sharing across cells;
-    #: ``ntk``/``linear_regions`` are the driver-side ledger counts (zero
-    #: when an executor computed the rows in workers).
+    #: rows genuinely computed before any cell was priced, proving the
+    #: exactly-once sharing across cells; ``ntk``/``linear_regions`` are
+    #: the ledger's ``ntk_eval``/``lr_eval`` counts, one per proxy value
+    #: the executor's workers computed (0 on a fully warm restart).
     trainless_evals: Dict[str, int]
     cache: Dict[str, float]
     store: Dict[str, object]
@@ -245,7 +245,6 @@ def _run_random(harness: "RunHarness") -> SearchResult:
         harness.objective(),
         num_samples=harness.config.samples,
         seed=harness.config.seed,
-        executor=harness.executor,
     ).search()
 
 
@@ -298,7 +297,6 @@ def _run_trainless_evolutionary(harness: "RunHarness") -> SearchResult:
             cycles=harness.config.cycles,
         ),
         seed=harness.config.seed,
-        executor=harness.executor,
     ).search()
 
 
@@ -318,7 +316,6 @@ def _run_steady_state(harness: "RunHarness") -> SearchResult:
             cycles=harness.config.cycles,
         ),
         seed=harness.config.seed,
-        executor=harness.executor,
         parent_selection=harness.config.parent_selection,
     ).search()
 
@@ -330,7 +327,6 @@ def _run_pruning(harness: "RunHarness") -> SearchResult:
     return MicroNASSearch(
         harness.objective(),
         seed=harness.config.seed,
-        executor=harness.executor,
     ).search()
 
 
@@ -487,6 +483,7 @@ class RunHarness:
             device=self.device,
             lut_store=self.store,
             telemetry=self.telemetry,
+            executor=self.executor,
         )
         #: Rows warm-started from the store (one eager replay).
         self.warm_entries = (
@@ -541,7 +538,8 @@ class RunHarness:
 
     # ------------------------------------------------------------------
     def objective(self):
-        """A hybrid objective wired to this harness's engine and pool.
+        """A hybrid objective over this harness's engine (and so its
+        executor).
 
         ``RuntimeConfig.objectives`` axes fold in at weight 1.0 unless an
         explicit weight already covers them (``latency``/``flops`` via
@@ -565,7 +563,6 @@ class RunHarness:
                                      flops=flops_weight,
                                      costs=extra),
             engine=self.engine,
-            executor=self.executor,
         )
 
     # ------------------------------------------------------------------
@@ -686,8 +683,8 @@ class RunHarness:
         objective-set) cell; return one Pareto front per cell.
 
         Trainless indicators (κ_NTK, linear regions) are computed exactly
-        once per unique canonical form — through the same executor hook a
-        plain run uses, so serial/fork/fleet transports compose unchanged
+        once per unique canonical form — by the engine's executor, as in a
+        plain run, so serial/fork/fleet transports compose unchanged
         and workers stay oblivious to cost axes.  Each device then prices
         its cost axes against the shared cache via the registered
         :class:`~repro.search.costs.CostModel` adapters (LUT-mediated,
@@ -711,8 +708,7 @@ class RunHarness:
         # Quality is the trainless part only — hardware enters as cost
         # axes, so cells stay comparable across devices.
         trainless = HybridObjective(weights=ObjectiveWeights(),
-                                    engine=self.engine,
-                                    executor=self.executor)
+                                    engine=self.engine)
         try:
             with Timer() as timer:
                 genotypes = NasBench201Space().sample(config.samples,

@@ -1,35 +1,40 @@
-"""Worker-side chunk functions and the cache keys their rows merge under.
+"""Worker-side chunk functions: the only code that computes proxy rows.
 
 The async executor (:mod:`repro.runtime.async_pool`) ships chunks of
 *unique canonical* candidates to the functions here and merges the
-returned indicator rows into the shared
+returned indicator rows into the engine's
 :class:`~repro.engine.cache.IndicatorCache`:
 
 * **Determinism.**  Every proxy seeds its RNG from the canonical key
   (``stable_seed(tag, config.seed, repeat, canonical_index)``), so a
-  worker computes bit-for-bit the value the serial path would, whatever
-  the worker count, chunking or completion order.
-* **One key contract.**  :func:`genotype_indicator_keys` and
-  :func:`supernet_indicator_keys` build the engine's exact cache keys;
-  every transport (fork pool, serial fallback, fleet workers) merges
+  worker computes the same bits whatever the worker count, chunking or
+  completion order.
+* **One key contract.**  Rows merge under
+  :func:`~repro.engine.core.genotype_indicator_keys` and
+  :func:`~repro.engine.core.supernet_indicator_keys`, the keys the engine
+  reads; every transport (fork pool, serial queue, fleet workers) merges
   through them.
 * **Partial warmth.**  Each chunk item carries a per-indicator need mask,
   so a partially warm cache (e.g. FLOPs missing under a new macro config)
   never re-pays the expensive proxies.
+* **One ledger contract.**  Each row carries the seconds its proxies
+  took, keyed by the engine's ledger entries (``ntk_eval``,
+  ``lr_eval``); the executor's merge records them, one count per
+  computed proxy value.
 
 Cache accounting note: rows a worker computed are recorded as cache
 *misses* when merged (they were genuinely computed, not found), after
-which the engine's serial assembly pass sees hits.  A pool-warmed table
-therefore reports one extra hit per computed row compared to serial
-evaluation; the indicator values themselves are identical.
+which the engine's assembly pass sees hits.  A population table
+therefore reports one hit per computed row on top of its misses.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from repro.engine.core import genotype_indicator_keys, supernet_indicator_keys
 from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.genotype import Genotype
 
@@ -42,28 +47,10 @@ def _chunked(items: Sequence, size: int) -> List[Sequence]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def genotype_indicator_keys(index: int, proxy_key: Tuple,
-                            macro_key: Tuple) -> Dict[str, Tuple]:
-    """The engine's cache keys for one canonical genotype, by indicator.
-
-    Single source of truth for every executor that merges worker rows
-    back into an :class:`~repro.engine.cache.IndicatorCache` — the key
-    tuples here must stay bit-compatible with the ones
-    :class:`~repro.engine.core.Engine` builds internally.
-    """
-    return {
-        "ntk": ("ntk", index, 1, proxy_key),
-        "linear_regions": ("linear_regions", index, proxy_key),
-        "flops": ("flops", index, macro_key),
-    }
-
-
-def supernet_indicator_keys(state: Tuple, proxy_key: Tuple) -> Dict[str, Tuple]:
-    """The engine's cache keys for one supernet state, by indicator."""
-    return {
-        "supernet_ntk": ("supernet_ntk", state, proxy_key),
-        "supernet_lr": ("supernet_lr", state, proxy_key),
-    }
+def _timed(proxy, *args) -> Tuple[float, float]:
+    start = time.perf_counter()
+    value = proxy(*args)
+    return value, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -75,8 +62,8 @@ def _evaluate_genotype_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
     Each chunk item is ``(ops, (need_ntk, need_lr, need_flops))``: only
     the indicators the parent found missing are computed, so a partially
     warm cache (e.g. FLOPs missing under a new macro config) never re-pays
-    the expensive proxies.  Returns
-    ``([(canonical_index, {indicator: value}), ...], seconds)``.
+    the expensive proxies.  Returns ``([(canonical_index, {indicator:
+    value}, {ledger entry: seconds}), ...], seconds)``.
     Latency is deliberately absent: LUT composition is cheap and the
     profiled estimator lives in the parent; workers only pay for the
     proxy-network indicators.
@@ -90,14 +77,16 @@ def _evaluate_genotype_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
     rows: List[Tuple] = []
     for ops, (need_ntk, need_lr, need_flops) in items:
         genotype = Genotype(tuple(ops))
-        row = {}
+        row, spent = {}, {}
         if need_ntk:
-            row["ntk"] = ntk_condition_number(genotype, proxy_config)
+            row["ntk"], spent["ntk_eval"] = _timed(
+                ntk_condition_number, genotype, proxy_config)
         if need_lr:
-            row["linear_regions"] = count_line_regions(genotype, proxy_config)
+            row["linear_regions"], spent["lr_eval"] = _timed(
+                count_line_regions, genotype, proxy_config)
         if need_flops:
             row["flops"] = float(count_flops(genotype, macro_config))
-        rows.append((genotype.to_index(), row))
+        rows.append((genotype.to_index(), row, spent))
     return rows, time.perf_counter() - start
 
 
@@ -106,7 +95,7 @@ def _evaluate_supernet_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
 
     Each chunk item is ``(state, (need_ntk, need_lr))`` — as with the
     genotype chunks, only the indicators the parent found missing are
-    computed.
+    computed, and each row carries its per-proxy seconds.
     """
     items, proxy_config = payload
     from repro.proxies.linear_regions import supernet_line_regions
@@ -116,15 +105,15 @@ def _evaluate_supernet_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
     rows: List[Tuple] = []
     for state, (need_ntk, need_lr) in items:
         specs = [EdgeSpec(i, tuple(ops)) for i, ops in enumerate(state)]
-        row = {}
+        row, spent = {}, {}
         if need_ntk:
-            row["supernet_ntk"] = supernet_ntk_condition_number(specs,
-                                                                proxy_config)
+            row["supernet_ntk"], spent["ntk_eval"] = _timed(
+                supernet_ntk_condition_number, specs, proxy_config)
         if need_lr:
-            row["supernet_lr"] = supernet_line_regions(
-                [spec.alive_ops for spec in specs], proxy_config
-            )
-        rows.append((tuple(tuple(ops) for ops in state), row))
+            row["supernet_lr"], spent["lr_eval"] = _timed(
+                supernet_line_regions, [spec.alive_ops for spec in specs],
+                proxy_config)
+        rows.append((tuple(tuple(ops) for ops in state), row, spent))
     return rows, time.perf_counter() - start
 
 

@@ -152,9 +152,9 @@ class SteadyStateEvolutionarySearch:
     evaluated, so workers idle while the slowest candidate finishes.  This
     loop is *event-driven* instead — the DeepHyper submit/gather shape:
 
-    1. the initial population is submitted as per-chunk futures
-       (:meth:`~repro.runtime.async_pool.AsyncPopulationExecutor.
-       submit_population`), none of which block;
+    1. the initial population is submitted as per-chunk futures on the
+       objective engine's executor (:meth:`~repro.runtime.async_pool.
+       AsyncPopulationExecutor.submit_population`), none of which block;
     2. the moment **any** future resolves (``gather(1)``), its candidates
        are committed to the aging population and new children are mutated
        from the *current Pareto set* and submitted — enough to keep
@@ -188,7 +188,6 @@ class SteadyStateEvolutionarySearch:
         constraints: Optional[HardwareConstraints] = None,
         space: Optional[NasBench201Space] = None,
         seed: SeedLike = 0,
-        executor=None,
         parent_selection: str = "crowding",
     ) -> None:
         self.config = config or EvolutionConfig()
@@ -204,20 +203,6 @@ class SteadyStateEvolutionarySearch:
         self.constraints = constraints
         self.space = space or NasBench201Space()
         self.seed = seed
-        if executor is None:
-            from repro.runtime.async_pool import AsyncPopulationExecutor
-
-            executor = AsyncPopulationExecutor(n_workers=1, chunk_size=1,
-                                               mode="serial")
-        for hook in ("submit_population", "gather", "gather_all"):
-            if not hasattr(executor, hook):
-                raise SearchError(
-                    "steady-state search needs an asynchronous executor "
-                    "(submit_population/gather), e.g. "
-                    "repro.runtime.async_pool.AsyncPopulationExecutor; got "
-                    f"{type(executor).__name__} without {hook!r}"
-                )
-        self.executor = executor
         self._checker = (
             ConstraintChecker(
                 constraints,
@@ -273,7 +258,8 @@ class SteadyStateEvolutionarySearch:
         #: Submitted candidates awaiting their future, by canonical index.
         outstanding: Dict[int, List[Genotype]] = {}
         engine = self.objective.engine
-        n_workers = getattr(self.executor, "n_workers", 1)
+        executor = engine.executor
+        n_workers = executor.n_workers
         children_spawned = 0
         committed = 0
         last_logged = 0
@@ -299,24 +285,14 @@ class SteadyStateEvolutionarySearch:
                 pareto_cache = self._pareto_parents(population)
             return pareto_cache
 
-        def quarantined() -> set:
-            # Canonical indices the executor has quarantined as poison
-            # (empty for executors without fault tolerance).
-            return getattr(self.executor, "quarantined_genotypes", set())
-
-        def draining() -> bool:
-            # Sticky graceful-drain flag (the harness's signal handlers
-            # set it): finish what's in flight, propose nothing new.
-            return getattr(self.executor, "drain_requested", False)
-
         def submit(genotype: Genotype) -> None:
             """Submit one candidate; commit immediately on a warm cache."""
             canon_index = canonicalize(genotype).to_index()
-            if canon_index in quarantined():
+            if canon_index in executor.quarantined_genotypes:
                 # Poison candidate (possibly from a previous run's
                 # ledger): proposing it again would just re-poison.
                 return
-            shipped = self.executor.submit_population(engine, [genotype])
+            shipped = executor.submit_population(engine, [genotype])
             self.objective.ledger.add("evolution_candidates", count=1)
             if shipped == 0 and canon_index not in outstanding:
                 # Every indicator already cached: no future to wait for.
@@ -329,9 +305,11 @@ class SteadyStateEvolutionarySearch:
         def spawn_children() -> None:
             """Top the pipeline back up to ``n_workers`` futures."""
             nonlocal children_spawned
-            while (not draining()
+            # The drain flag is sticky (the harness's signal handlers set
+            # it): finish what's in flight, propose nothing new.
+            while (not executor.drain_requested
                    and children_spawned < self.config.cycles
-                   and self.executor.num_pending < n_workers):
+                   and executor.num_pending < n_workers):
                 parents, weights = pareto_parents()
                 if weights is not None:
                     pick = int(rng.choice(len(parents), p=weights))
@@ -346,12 +324,12 @@ class SteadyStateEvolutionarySearch:
             for genotype in self.space.sample(self.config.population_size,
                                               rng=rng, unique=False):
                 submit(genotype)
-            if population and self.executor.num_pending == 0:
+            if population and executor.num_pending == 0:
                 # Fully warm start: the whole initial population committed
                 # without a single future; enter the loop spawning.
                 spawn_children()
-            while self.executor.num_pending or outstanding:
-                if self.executor.num_pending == 0:
+            while executor.num_pending or outstanding:
+                if executor.num_pending == 0:
                     # Only possible if commits above drained the pipeline
                     # while canonical twins were still bookkept; flush them.
                     for index in list(outstanding):
@@ -359,11 +337,11 @@ class SteadyStateEvolutionarySearch:
                             commit(genotype)
                     spawn_children()
                     continue
-                for chunk in self.executor.gather(1):
+                for chunk in executor.gather(1):
                     for index in chunk.canonical_indices:
                         for genotype in outstanding.pop(index, []):
                             commit(genotype)
-                    for index in getattr(chunk, "quarantined_indices", ()):
+                    for index in chunk.quarantined_indices:
                         # Poison candidate: drop its waiters uncommitted —
                         # nothing will ever land for them.
                         outstanding.pop(index, None)
@@ -375,7 +353,7 @@ class SteadyStateEvolutionarySearch:
                     history.append({
                         "committed": committed,
                         "children_spawned": children_spawned,
-                        "in_flight": self.executor.num_pending,
+                        "in_flight": executor.num_pending,
                         "pareto_size": (len(pareto_parents()[0])
                                         if population else 0),
                         "cache_hit_rate": stats.hit_rate,
@@ -385,7 +363,7 @@ class SteadyStateEvolutionarySearch:
             # canonical-sort order so ties never break on arrival order.
             # Quarantined candidates are excluded — their indicators are
             # uncomputable by definition.
-            banned = quarantined()
+            banned = executor.quarantined_genotypes
             candidates = [seen[index] for index in sorted(seen)
                           if not banned
                           or canonicalize(seen[index]).to_index()
@@ -404,9 +382,7 @@ class SteadyStateEvolutionarySearch:
                 else:
                     candidates = [min(candidates,
                                       key=self._checker.total_violation)]
-            table = self.objective.evaluate_population(
-                candidates, executor=self.executor
-            )
+            table = self.objective.evaluate_population(candidates)
             scores = self.objective.combined_ranks(table.rows())
             genotype = candidates[table.argbest(scores)]
 
@@ -443,7 +419,6 @@ class TrainlessEvolutionarySearch:
         constraints: Optional[HardwareConstraints] = None,
         space: Optional[NasBench201Space] = None,
         seed: SeedLike = 0,
-        executor=None,
     ) -> None:
         self.config = config or EvolutionConfig()
         if self.config.population_size < 2 or self.config.sample_size < 1:
@@ -452,7 +427,6 @@ class TrainlessEvolutionarySearch:
         self.constraints = constraints
         self.space = space or NasBench201Space()
         self.seed = seed
-        self.executor = executor
         self._checker = (
             ConstraintChecker(
                 constraints,
@@ -477,9 +451,8 @@ class TrainlessEvolutionarySearch:
             initial = self.space.sample(self.config.population_size, rng=rng,
                                         unique=False)
             # Population API: one batched, canonically-deduplicated call
-            # (fanned out over worker processes when an executor is set).
-            self.objective.evaluate_population(initial,
-                                               executor=self.executor)
+            # (fanned out over the engine executor's workers).
+            self.objective.evaluate_population(initial)
             self.objective.ledger.add("evolution_candidates",
                                       count=len(initial))
             population: Deque[Genotype] = deque(initial,
@@ -487,7 +460,7 @@ class TrainlessEvolutionarySearch:
             for genotype in initial:
                 note(genotype)
             for cycle in range(self.config.cycles):
-                if getattr(self.executor, "drain_requested", False):
+                if self.objective.engine.executor.drain_requested:
                     # Graceful drain: stop proposing; the final selection
                     # below runs over everything committed so far.
                     break
@@ -519,8 +492,7 @@ class TrainlessEvolutionarySearch:
                 else:
                     candidates = [min(candidates,
                                       key=self._checker.total_violation)]
-            table = self.objective.evaluate_population(candidates,
-                                                       executor=self.executor)
+            table = self.objective.evaluate_population(candidates)
             scores = self.objective.combined_ranks(table.rows())
             genotype = candidates[table.argbest(scores)]
 

@@ -132,10 +132,8 @@ class HybridObjective:
         latency_estimator: Optional[LatencyEstimator] = None,
         ledger: Optional[CostLedger] = None,
         engine: Optional[Engine] = None,
-        executor=None,
     ) -> None:
         self.weights = weights or ObjectiveWeights()
-        self.executor = executor
         if engine is None:
             engine = Engine(
                 proxy_config=proxy_config,
@@ -181,8 +179,7 @@ class HybridObjective:
 
     def with_weights(self, weights: ObjectiveWeights) -> "HybridObjective":
         """Same engine (estimators, cache, ledger), different weights."""
-        return HybridObjective(weights=weights, engine=self.engine,
-                               executor=self.executor)
+        return HybridObjective(weights=weights, engine=self.engine)
 
     # ------------------------------------------------------------------
     # Genotype-level indicators (engine-cached, canonicalization-aware)
@@ -198,17 +195,11 @@ class HybridObjective:
 
     def evaluate_population(
         self, genotypes: Sequence[Genotype],
-        executor=None,
     ) -> IndicatorTable:
-        """Indicator table for a population (the search loops' entry point).
-
-        ``executor`` overrides the objective's default executor for this
-        call; either is handed to the engine's parallel-runtime hook.
-        """
+        """Indicator table for a population (the search loops' entry point)."""
         return self.engine.evaluate_population(
             genotypes,
             with_latency=self.weights.uses_latency,
-            executor=executor if executor is not None else self.executor,
             cost_models=self.cost_models() or None,
         )
 
@@ -236,18 +227,15 @@ class HybridObjective:
 
     def supernet_population(
         self, spec_lists: Sequence[Sequence[EdgeSpec]],
-        executor=None,
     ) -> List[Dict[str, float]]:
         """Indicator rows for a batch of supernet states (pruning rounds).
 
         Repeated states — e.g. identical candidate prunings re-scored by
         the constraint-adaptation outer loop — resolve from the cache.
-        An ``executor`` (the objective's by default) pre-computes missing
-        states in worker processes before the serial assembly below.
+        The engine's executor computes the missing states as one batch
+        before the assembly below reads them.
         """
-        executor = executor if executor is not None else self.executor
-        if executor is not None:
-            executor.warm_supernets(self.engine, spec_lists)
+        self.engine.executor.warm_supernets(self.engine, spec_lists)
         return [self.supernet_indicators(specs) for specs in spec_lists]
 
     def expected_flops(self, edge_specs: Sequence[EdgeSpec]) -> float:

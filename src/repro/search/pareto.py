@@ -307,8 +307,8 @@ class ParetoZeroShotSearch:
     def _score_population(
         self, genotypes: Sequence[Genotype]
     ) -> List[ParetoPoint]:
-        # One population call first: canonical dedupe plus the parallel
-        # runtime's executor hook (when the objective carries one); the
+        # One population call first: canonical dedupe, and the engine's
+        # executor computes the missing rows as one batch; the
         # per-candidate reads below then resolve from the shared cache.
         self.objective.evaluate_population(genotypes)
         rows: List[Dict[str, float]] = []

@@ -38,14 +38,12 @@ class MicroNASSearch:
         objective: HybridObjective,
         candidate_ops: Sequence[str] = CANDIDATE_OPS,
         seed: int = 0,
-        executor=None,
     ) -> None:
         if len(candidate_ops) < 2:
             raise SearchError("need at least two candidate operations")
         self.objective = objective
         self.candidate_ops = tuple(candidate_ops)
         self.seed = seed
-        self.executor = executor
 
     # ------------------------------------------------------------------
     def _initial_specs(self) -> List[EdgeSpec]:
@@ -84,8 +82,7 @@ class MicroNASSearch:
                     for edge_index, op in candidates
                 ]
                 indicator_rows = self.objective.supernet_population(
-                    pruned_states, executor=self.executor
-                )
+                    pruned_states)
                 self.objective.ledger.add("pruning_candidates",
                                           count=len(candidates))
                 ranks = self.objective.combined_ranks(indicator_rows)

@@ -29,7 +29,6 @@ class ZeroShotRandomSearch:
         num_samples: int = 64,
         space: Optional[NasBench201Space] = None,
         seed: SeedLike = 0,
-        executor=None,
     ) -> None:
         if num_samples < 1:
             raise SearchError("num_samples must be >= 1")
@@ -37,7 +36,6 @@ class ZeroShotRandomSearch:
         self.num_samples = num_samples
         self.space = space or NasBench201Space()
         self.seed = seed
-        self.executor = executor
 
     def search(self, constraints: Optional[HardwareConstraints] = None,
                checker: Optional[ConstraintChecker] = None) -> SearchResult:
@@ -64,12 +62,9 @@ class ZeroShotRandomSearch:
                     samples = feasible
                 else:
                     samples = [min(samples, key=checker.total_violation)]
-            # One engine call for the whole population: canonical dedupe +
-            # cached indicators instead of per-candidate inline evaluation.
-            # The executor (ours, or the objective's) fans unique
-            # candidates out over worker processes first.
-            table = self.objective.evaluate_population(samples,
-                                                       executor=self.executor)
+            # One engine call for the whole population: canonical dedupe,
+            # and the engine's executor computes the unique missing rows.
+            table = self.objective.evaluate_population(samples)
             scores = self.objective.combined_ranks(table.rows())
             self.objective.ledger.add("random_candidates", count=len(samples))
             best_idx = table.argbest(scores)

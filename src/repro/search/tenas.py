@@ -28,7 +28,6 @@ class TENASSearch(MicroNASSearch):
         objective: Optional[HybridObjective] = None,
         candidate_ops: Sequence[str] = CANDIDATE_OPS,
         seed: int = 0,
-        executor=None,
     ) -> None:
         if objective is None:
             objective = HybridObjective(
@@ -43,5 +42,4 @@ class TENASSearch(MicroNASSearch):
                                  linear_regions=objective.weights.linear_regions,
                                  flops=0.0, latency=0.0)
             )
-        super().__init__(objective, candidate_ops=candidate_ops, seed=seed,
-                         executor=executor)
+        super().__init__(objective, candidate_ops=candidate_ops, seed=seed)

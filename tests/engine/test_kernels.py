@@ -184,16 +184,3 @@ class TestBatchedEigensolve:
             batched_eigvalsh(rng.normal(size=(2, 4, 3)))
         with pytest.raises(ProxyError):
             batched_condition_numbers(self._grams(rng, n=2, b=4), k_index=5)
-
-    def test_engine_population_ntk_matches_per_candidate(self,
-                                                         tiny_proxy_config):
-        from repro.engine import Engine
-        from repro.searchspace.space import NasBench201Space
-
-        population = NasBench201Space().sample(5, rng=11)
-        stacked = Engine(proxy_config=tiny_proxy_config)
-        stacked.ntk_population(population)
-        serial = Engine(proxy_config=tiny_proxy_config)
-        for genotype in population:
-            # Per-candidate path: one eigvalsh per Gram inside ntk().
-            assert stacked.ntk(genotype) == serial.ntk(genotype)

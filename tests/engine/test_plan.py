@@ -238,7 +238,7 @@ def test_supernet_rows_on_the_thread_pool_match_serial(tiny_proxy_config):
     with AsyncPopulationExecutor(n_workers=2, chunk_size=1,
                                  mode="thread") as executor:
         threaded = HybridObjective(
-            engine=Engine(proxy_config=tiny_proxy_config), executor=executor
+            engine=Engine(proxy_config=tiny_proxy_config, executor=executor)
         ).supernet_population(state_list)
         assert executor.stats.mode == "thread"
     assert threaded == serial

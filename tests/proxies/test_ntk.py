@@ -89,8 +89,8 @@ class TestGramComputation:
         net1 = nn.Sequential(nn.Flatten(), nn.Linear(12, 3, rng=1))
         net2 = nn.Sequential(nn.Flatten(), nn.Linear(12, 3, rng=1))
         images = rng.normal(size=(4, 3, 2, 2))
-        g_frozen = compute_ntk_gram(net1, images, coupled=False)
-        g_coupled = compute_ntk_gram(net2, images, coupled=True)
+        g_frozen = compute_ntk_gram(net1, images, mode="batched")
+        g_coupled = compute_ntk_gram(net2, images, mode="coupled")
         assert np.allclose(g_frozen, g_coupled, atol=1e-8)
 
     def test_parameterless_network_rejected(self, rng):

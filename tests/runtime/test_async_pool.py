@@ -32,8 +32,8 @@ def population():
     return sample + sample[:3]  # duplicates exercise canonical dedupe
 
 
-def _engine(tiny_proxy_config):
-    return Engine(proxy_config=tiny_proxy_config)
+def _engine(tiny_proxy_config, executor=None):
+    return Engine(proxy_config=tiny_proxy_config, executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -91,9 +91,8 @@ class TestCompletionOrderFuzzing:
                                                population, order):
         serial = _engine(tiny_proxy_config).evaluate_population(population)
         executor = OrderFuzzedAsyncExecutor(order, chunk_size=2)
-        fuzzed = _engine(tiny_proxy_config).evaluate_population(
-            population, executor=executor
-        )
+        fuzzed = _engine(tiny_proxy_config,
+                         executor).evaluate_population(population)
         assert fuzzed.unique_canonical == serial.unique_canonical
         for name in serial.columns:
             np.testing.assert_array_equal(serial.columns[name],
@@ -324,9 +323,8 @@ class TestDropInExecutorHooks:
         for mode, workers in (("serial", 1), ("fork", 2), ("thread", 2)):
             with AsyncPopulationExecutor(n_workers=workers, chunk_size=3,
                                          mode=mode) as executor:
-                table = _engine(tiny_proxy_config).evaluate_population(
-                    population, executor=executor
-                )
+                table = _engine(tiny_proxy_config,
+                                executor).evaluate_population(population)
                 assert executor.stats.mode == mode
                 for name in serial.columns:
                     np.testing.assert_array_equal(serial.columns[name],
@@ -341,8 +339,8 @@ class TestDropInExecutorHooks:
         ).supernet_population(states)
         with AsyncPopulationExecutor(n_workers=1, chunk_size=1,
                                      mode="serial") as executor:
-            async_obj = HybridObjective(engine=_engine(tiny_proxy_config),
-                                        executor=executor)
+            async_obj = HybridObjective(
+                engine=_engine(tiny_proxy_config, executor))
             assert async_obj.supernet_population(states) == serial_rows
             assert executor.stats.tasks == len(states)
 
@@ -356,8 +354,8 @@ class TestDropInExecutorHooks:
         with AsyncPopulationExecutor(n_workers=1, chunk_size=2,
                                      mode="serial") as executor:
             pooled = ZeroShotRandomSearch(
-                HybridObjective(engine=_engine(tiny_proxy_config)),
-                num_samples=6, seed=4, executor=executor,
+                HybridObjective(engine=_engine(tiny_proxy_config, executor)),
+                num_samples=6, seed=4,
             ).search()
         assert pooled.genotype == serial.genotype
         assert executor.stats.merged_rows > 0
@@ -423,8 +421,8 @@ class TestFuturePoolMechanics:
 
 
 class TestSteadyStateSearch:
-    def _objective(self, tiny_proxy_config):
-        return HybridObjective(engine=_engine(tiny_proxy_config))
+    def _objective(self, tiny_proxy_config, executor=None):
+        return HybridObjective(engine=_engine(tiny_proxy_config, executor))
 
     def _search(self, tiny_proxy_config, executor=None, seed=5, cycles=8):
         from repro.search.evolutionary import (
@@ -433,10 +431,9 @@ class TestSteadyStateSearch:
         )
 
         return SteadyStateEvolutionarySearch(
-            self._objective(tiny_proxy_config),
+            self._objective(tiny_proxy_config, executor),
             EvolutionConfig(population_size=5, sample_size=2, cycles=cycles),
             seed=seed,
-            executor=executor,
         )
 
     def test_serial_runs_are_reproducible(self, tiny_proxy_config):
@@ -486,31 +483,15 @@ class TestSteadyStateSearch:
         SteadyStateEvolutionarySearch(objective, config, seed=5).search()
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=1,
                                            mode="serial")
-        rerun = SteadyStateEvolutionarySearch(objective, config, seed=5,
-                                              executor=executor).search()
+        # A second engine over the same cache, running on a fresh executor.
+        warm = HybridObjective(engine=Engine(
+            proxy_config=tiny_proxy_config, cache=objective.engine.cache,
+            executor=executor))
+        rerun = SteadyStateEvolutionarySearch(warm, config, seed=5).search()
         # Same seed over a warm cache: the whole trajectory replays from
         # cache hits; at most a handful of late-breaking children miss.
         assert executor.stats.chunks <= 2
         assert rerun.genotype is not None
-
-    def test_sync_executor_rejected(self, tiny_proxy_config):
-        from repro.search.evolutionary import (
-            EvolutionConfig,
-            SteadyStateEvolutionarySearch,
-        )
-
-        class BarrierOnlyExecutor:
-            """Has the blocking hook only, no submit/gather halves."""
-
-            def warm_population(self, engine, genotypes, **kwargs):
-                return 0
-
-        with pytest.raises(SearchError):
-            SteadyStateEvolutionarySearch(
-                self._objective(tiny_proxy_config),
-                EvolutionConfig(population_size=4, sample_size=2, cycles=2),
-                executor=BarrierOnlyExecutor(),
-            )
 
     def test_fork_mode_completes_and_closes(self, tiny_proxy_config):
         import multiprocessing

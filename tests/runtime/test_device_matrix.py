@@ -111,10 +111,17 @@ class TestStoreMediatedWarmStart:
         cold = run_matrix(_matrix_config(store_dir=store))
         assert cold.trainless_evals["rows_computed"] == \
             3 * cold.unique_canonical
+        # The executor's workers computed one κ and one LR per unique
+        # canonical cell, and the ledger says so.
+        assert cold.trainless_evals["ntk"] == cold.unique_canonical
+        assert cold.trainless_evals["linear_regions"] == \
+            cold.unique_canonical
         assert cold.store["cache_saved"] > 0
 
         warm = run_matrix(_matrix_config(store_dir=store))
         assert warm.trainless_evals["rows_computed"] == 0
+        assert warm.trainless_evals["ntk"] == 0
+        assert warm.trainless_evals["linear_regions"] == 0
         assert warm.trainless_evals["rows_hit"] > 0
         # Same fronts either way: the store round-trip is lossless.
         for cell in cold.cells:

@@ -506,17 +506,16 @@ class TestSteadyStateUnderFaults:
         plan = FaultPlan(state_path=str(tmp_path / "s"), hash_rate=0.2,
                          hash_actions=("flake", "poison"))
         ledger = QuarantineLedger(tmp_path / "q.jsonl")
-        engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(
             n_workers=1, chunk_size=1, mode="serial",
             genotype_worker=plan.wrap(_evaluate_genotype_chunk),
             fault_policy=_policy(max_retries=2), quarantine_ledger=ledger,
         )
+        engine = Engine(proxy_config=tiny_proxy_config, executor=executor)
         result = SteadyStateEvolutionarySearch(
             HybridObjective(engine=engine),
             EvolutionConfig(population_size=6, sample_size=2, cycles=10),
             seed=11,
-            executor=executor,
         ).search()
         assert result.genotype is not None
         banned = executor.quarantined_genotypes
@@ -619,12 +618,11 @@ class TestGracefulDrain:
                                            mode="serial",
                                            fault_policy=_policy())
         executor.request_drain()  # drained before the search even starts
-        engine = _engine(tiny_proxy_config)
+        engine = Engine(proxy_config=tiny_proxy_config, executor=executor)
         result = SteadyStateEvolutionarySearch(
             HybridObjective(engine=engine),
             EvolutionConfig(population_size=4, sample_size=2, cycles=50),
             seed=2,
-            executor=executor,
         ).search()
         # The initial population landed (it was already submitted), but
         # no children were spawned on top of it.

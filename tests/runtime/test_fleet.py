@@ -150,7 +150,8 @@ def slow_genotype_chunk(payload):
 
 def constant_chunk(payload):
     """A deterministic stand-in for the genotype chunk worker: each
-    (genotype, indicator) gets a fixed value, with no proxy compute."""
+    (genotype, indicator) gets a fixed value, with no proxy compute (so
+    no proxy seconds either)."""
     items, _, _ = payload
     rows = []
     for ops, needs in items:
@@ -159,7 +160,7 @@ def constant_chunk(payload):
                              for slot, (name, need) in enumerate(
                                  zip(("ntk", "linear_regions", "flops"),
                                      needs))
-                             if need}))
+                             if need}, {}))
     return rows, 0.0
 
 
@@ -174,7 +175,7 @@ def seed_rows(store, fingerprint, genotypes, proxy_config, macro_config):
     rows, _ = constant_chunk(chunk_payload(genotypes, proxy_config,
                                            macro_config))
     cache = IndicatorCache()
-    for index, row in rows:
+    for index, row, _ in rows:
         keys = genotype_indicator_keys(index, astuple(proxy_config),
                                        astuple(macro_config))
         for name, value in row.items():
@@ -382,13 +383,12 @@ class TestFleetPool:
         population = NasBench201Space().sample(8, rng=11)
         serial = Engine(proxy_config=tiny_proxy_config) \
             .evaluate_population(population)
-        engine = Engine(proxy_config=tiny_proxy_config)
         pool = FleetPool(n_workers=2, lease_seconds=60.0)
         executor = AsyncPopulationExecutor(chunk_size=2, pool=pool)
+        engine = Engine(proxy_config=tiny_proxy_config, executor=executor)
         pool.spawn_local_workers(2)
         try:
-            fleet = engine.evaluate_population(population,
-                                               executor=executor)
+            fleet = engine.evaluate_population(population)
         finally:
             executor.close()
         assert fleet.unique_canonical == serial.unique_canonical
@@ -498,7 +498,7 @@ class TestWarmStart:
         proxy_key = astuple(tiny_proxy_config)
         macro_key = astuple(macro)
         seed_cache = IndicatorCache()
-        for index, row in warm_rows:
+        for index, row, _ in warm_rows:
             keys = genotype_indicator_keys(index, proxy_key, macro_key)
             for name, value in row.items():
                 seed_cache.put(keys[name], value)
@@ -516,10 +516,10 @@ class TestWarmStart:
         # the other 2 candidates were computed and flushed back.
         assert stats.store_rows_loaded == 6
         assert stats.store_rows_flushed == 6
-        rows = {index: row for index, row in done.value[0]}
+        rows = {index: row for index, row, _ in done.value[0]}
         direct, _ = _evaluate_genotype_chunk(
             (items, tiny_proxy_config, macro))
-        for index, row in direct:
+        for index, row, _ in direct:
             for name, value in row.items():
                 assert rows[index][name] == value  # bit-identical
         # The store now holds all four candidates.
@@ -634,7 +634,9 @@ class TestWarmStart:
         assert stats.store_rows_loaded == 0
         direct, _ = _evaluate_genotype_chunk(
             (items, tiny_proxy_config, macro))
-        assert done.value[0] == direct
+        # Same rows; only the per-proxy seconds differ between runs.
+        assert [row[:2] for row in done.value[0]] == \
+            [row[:2] for row in direct]
 
 
 # ----------------------------------------------------------------------

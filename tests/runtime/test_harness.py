@@ -171,15 +171,13 @@ class TestRunHarness:
         assert multiprocessing.active_children() == []
 
         # ...and the context manager alone closes a pool that was used
-        # without run() (executor handed straight to an engine).
+        # without run() (through the harness engine's executor).
         from repro.searchspace.space import NasBench201Space
 
         config = _quick_config(n_workers=2, chunk_size=2)
         with RunHarness(config) as harness:
             harness.engine.evaluate_population(
-                NasBench201Space().sample(5, rng=2),
-                executor=harness.executor,
-            )
+                NasBench201Space().sample(5, rng=2))
             assert len(multiprocessing.active_children()) > 0
         assert multiprocessing.active_children() == []
 

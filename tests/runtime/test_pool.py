@@ -31,8 +31,8 @@ def population():
     return sample + sample[:3]  # duplicates exercise canonical dedupe
 
 
-def _engine(tiny_proxy_config):
-    return Engine(proxy_config=tiny_proxy_config)
+def _engine(tiny_proxy_config, executor=None):
+    return Engine(proxy_config=tiny_proxy_config, executor=executor)
 
 
 class ShuffledFakeExecutor(AsyncPopulationExecutor):
@@ -52,9 +52,8 @@ class TestBitIdentical:
     def test_fork_pool_matches_serial(self, tiny_proxy_config, population):
         serial = _engine(tiny_proxy_config).evaluate_population(population)
         with AsyncPopulationExecutor(n_workers=2, chunk_size=3) as executor:
-            pooled = _engine(tiny_proxy_config).evaluate_population(
-                population, executor=executor
-            )
+            pooled = _engine(tiny_proxy_config,
+                             executor).evaluate_population(population)
         assert executor.stats.mode == "fork"
         assert executor.stats.tasks == serial.unique_canonical
         for name in serial.columns:
@@ -68,9 +67,9 @@ class TestBitIdentical:
                                                        population):
         serial = _engine(tiny_proxy_config).evaluate_population(population)
         for seed in (1, 2, 3):
-            shuffled = _engine(tiny_proxy_config).evaluate_population(
-                population, executor=ShuffledFakeExecutor(seed=seed)
-            )
+            shuffled = _engine(
+                tiny_proxy_config, ShuffledFakeExecutor(seed=seed)
+            ).evaluate_population(population)
             assert shuffled.unique_canonical == serial.unique_canonical
             for name in serial.columns:
                 np.testing.assert_array_equal(serial.columns[name],
@@ -86,7 +85,7 @@ class TestBitIdentical:
                          ShuffledFakeExecutor(chunk_size=1, seed=9)):
             with executor:
                 pooled_obj = HybridObjective(
-                    engine=_engine(tiny_proxy_config), executor=executor)
+                    engine=_engine(tiny_proxy_config, executor))
                 assert pooled_obj.supernet_population(states) == serial_rows
 
     def test_search_loop_executor_hook(self, tiny_proxy_config):
@@ -98,8 +97,8 @@ class TestBitIdentical:
         ).search()
         with AsyncPopulationExecutor(n_workers=2, chunk_size=2) as executor:
             pooled = ZeroShotRandomSearch(
-                HybridObjective(engine=_engine(tiny_proxy_config)),
-                num_samples=6, seed=4, executor=executor,
+                HybridObjective(engine=_engine(tiny_proxy_config, executor)),
+                num_samples=6, seed=4,
             ).search()
         assert pooled.genotype == serial.genotype
         assert executor.stats.merged_rows > 0
@@ -133,8 +132,7 @@ class TestDispatchMechanics:
     def test_serial_fallback_single_worker(self, tiny_proxy_config,
                                            population):
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4)
-        _engine(tiny_proxy_config).evaluate_population(population,
-                                                       executor=executor)
+        _engine(tiny_proxy_config, executor).evaluate_population(population)
         assert executor.stats.mode == "serial"
 
     def test_serial_fallback_single_chunk(self, tiny_proxy_config,
@@ -144,8 +142,8 @@ class TestDispatchMechanics:
                             lambda: False)
         executor = AsyncPopulationExecutor(n_workers=4, chunk_size=64)
         serial = _engine(tiny_proxy_config).evaluate_population(population)
-        table = _engine(tiny_proxy_config).evaluate_population(
-            population, executor=executor)
+        table = _engine(tiny_proxy_config,
+                        executor).evaluate_population(population)
         assert executor.stats.mode == "serial"
         assert executor.stats.chunks == 1
         for name in serial.columns:
@@ -155,10 +153,16 @@ class TestDispatchMechanics:
     def test_partially_warm_cache_skips_cached_indicators(
         self, tiny_proxy_config, heavy_genotype
     ):
-        engine = _engine(tiny_proxy_config)
-        engine.ntk(heavy_genotype)
-        engine.linear_regions(heavy_genotype)
-        # Only FLOPs missing: the worker must not re-pay the proxies.
+        from repro.searchspace.network import MacroConfig
+
+        warm = _engine(tiny_proxy_config)
+        warm.evaluate(heavy_genotype)
+        # Same cache, new macro config: only FLOPs are missing, and the
+        # worker must not re-pay the proxies.
+        engine = Engine(proxy_config=tiny_proxy_config, cache=warm.cache,
+                        macro_config=MacroConfig(init_channels=4,
+                                                 cells_per_stage=1,
+                                                 image_size=8))
         rows, _ = _evaluate_genotype_chunk(
             (((heavy_genotype.ops, (False, False, True)),),
              tiny_proxy_config, engine.macro_config)
@@ -175,7 +179,8 @@ class TestDispatchMechanics:
         engine = _engine(tiny_proxy_config)
         engine.evaluate_population(population)
         with AsyncPopulationExecutor(n_workers=2, chunk_size=2) as executor:
-            engine.evaluate_population(population, executor=executor)
+            Engine(proxy_config=tiny_proxy_config, cache=engine.cache,
+                   executor=executor).evaluate_population(population)
         assert executor.stats.dispatches == 0
         assert executor.stats.tasks == 0
 

@@ -111,6 +111,37 @@ class TestHardwareAwareness:
         assert outer, "outer adaptation history missing"
         assert checker.total_violation(result.genotype) < 0.5  # near-feasible
 
+    def test_constrained_search_computes_on_the_engine_executor(
+            self, tiny_proxy_config, shared_latency_estimator):
+        """The outer loop's inner searches run on the objective engine's
+        executor: every supernet row comes from its worker."""
+        from repro.engine import Engine
+        from repro.runtime.async_pool import AsyncPopulationExecutor
+        from repro.runtime.pool import _evaluate_supernet_chunk
+
+        computed = []
+
+        def counting_worker(payload):
+            rows, seconds = _evaluate_supernet_chunk(payload)
+            computed.extend(state for state, _, _ in rows)
+            return rows, seconds
+
+        executor = AsyncPopulationExecutor(n_workers=1,
+                                           supernet_worker=counting_worker)
+        engine = Engine(proxy_config=tiny_proxy_config,
+                        latency_estimator=shared_latency_estimator,
+                        executor=executor)
+        objective = HybridObjective(weights=ObjectiveWeights(), engine=engine)
+        constraints = HardwareConstraints(max_latency_ms=400.0)
+        checker = ConstraintChecker(constraints,
+                                    latency_estimator=shared_latency_estimator)
+        MicroNASSearch(objective, seed=0).search_with_constraints(
+            constraints, checker=checker, max_outer_rounds=2)
+        cached = [key[1] for key, _ in engine.cache.items()
+                  if key[0] == "supernet_ntk"]
+        assert computed
+        assert sorted(computed) == sorted(cached)
+
 
 class TestTENAS:
     def test_tenas_ignores_hardware(self, tiny_proxy_config):
