@@ -26,6 +26,10 @@ Wall-clock and the measured **worker idle fraction** are recorded for
 both policies; steady-state must win both comparisons.  Indicator
 determinism (async == serial bit-for-bit) is re-checked at bench scale.
 
+An orchestration microbenchmark: its timings are of sleep-padded
+chunks, not of proxy compute, so they measure the scheduling policy
+alone.  ``perfbench/`` times the searches on real proxy compute.
+
 Run directly (``python benchmarks/bench_async_overlap.py``) or via
 pytest (``pytest benchmarks/bench_async_overlap.py``).
 """

@@ -21,6 +21,10 @@ Two measurements, both writing ``BENCH_faults.json``:
    every surviving row must be **bit-identical** to a fault-free serial
    run of the same candidates.
 
+An orchestration microbenchmark: its timings are of sleep-padded
+chunks, not of proxy compute, so they measure the fault-handling machinery
+alone.  ``perfbench/`` times the searches on real proxy compute.
+
 Run directly (``python benchmarks/bench_fault_tolerance.py``) or via
 pytest (``pytest benchmarks/bench_fault_tolerance.py``).
 """

@@ -20,6 +20,10 @@ Two measurements, both writing ``BENCH_fleet.json``:
    store holding every computed row — the zero-loss property the fleet
    is for.
 
+An orchestration microbenchmark: its timings are of sleep-padded
+chunks, not of proxy compute, so they measure the lease and socket transport
+alone.  ``perfbench/`` times the searches on real proxy compute.
+
 Run directly (``python benchmarks/bench_fleet.py``) or via pytest
 (``pytest benchmarks/bench_fleet.py``).
 """

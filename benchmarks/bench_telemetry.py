@@ -18,6 +18,10 @@ Two measurements, both writing ``BENCH_telemetry.json``:
    span — the timeline an operator would actually debug from, faults,
    backoff waits and respawns included.
 
+An orchestration microbenchmark: its timings are of sleep-padded
+chunks, not of proxy compute, so they measure the telemetry layer
+alone.  ``perfbench/`` times the searches on real proxy compute.
+
 Run directly (``python benchmarks/bench_telemetry.py``) or via pytest
 (``pytest benchmarks/bench_telemetry.py``).
 """

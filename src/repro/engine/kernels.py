@@ -35,8 +35,11 @@ straight-line plans over a per-search weight bank
 step for step.  The two kernels here serve networks a caller built
 (``compute_ntk_gram(network, ...)``, ``ntk_spectrum(network=...)``) and
 are the plans' test oracle: a plan must match them as float hex.  The
-eigensolve helpers below serve both paths.  The engine's cache and
-population layers live in :mod:`repro.engine.core`.
+eigensolve helpers below are stacked twins of the per-candidate solve in
+:mod:`repro.proxies.ntk`; no proxy path calls them (every row is one
+candidate's solve in a chunk worker), only tests and the perfbench
+tracer do.  The engine's cache and population layers live in
+:mod:`repro.engine.core`.
 
 **Precision semantics** (see :mod:`repro.autograd.precision`): every
 kernel runs in the dtype of the network it is handed — forward passes,

@@ -251,9 +251,9 @@ def ntk_grams(
     its own independently seeded network (otherwise repeats would average
     identical evaluations).
 
-    Returning the Grams *before* eigendecomposition lets population-level
-    callers stack them and run one batched ``eigvalsh`` over the whole
-    population (see :func:`repro.engine.kernels.batched_condition_numbers`).
+    :func:`ntk_condition_number` eigendecomposes each Gram returned here;
+    no caller stacks them.  Every engine row is computed one genotype at a
+    time by the executor's chunk workers (:mod:`repro.runtime.pool`).
     """
     config = config or ProxyConfig()
     grams: List[np.ndarray] = []

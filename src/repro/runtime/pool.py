@@ -21,6 +21,19 @@ returned indicator rows into the engine's
   took, keyed by the engine's ledger entries (``ntk_eval``,
   ``lr_eval``); the executor's merge records them, one count per
   computed proxy value.
+* **Memory.**  Each chunk function first applies a fixed allocator
+  policy, once per process: glibc ``mallopt`` raises the mmap and trim
+  thresholds above the largest per-evaluation array (a paper-scale
+  Jacobian or im2col column block).  Without it glibc hands every such
+  array back to the OS when it is freed, and the next plan run faults in
+  freshly zeroed pages: about a fifth of a paper-scale random search's
+  CPU time went to the kernel.  With it a worker keeps freed memory in
+  its heap, for the next plan run to reuse, until it exits.  Peak RSS
+  does not change (within 0.5% on the benchmark searches): the next run
+  reuses the freed memory instead of adding to it.  Where the C library
+  has no ``mallopt`` the policy does nothing.  It changes where arrays
+  live, never a numpy call or its operands, so rows are the same bits
+  either way.
 
 Cache accounting note: rows a worker computed are recorded as cache
 *misses* when merged (they were genuinely computed, not found), after
@@ -30,7 +43,9 @@ therefore reports one hit per computed row on top of its misses.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
+import os
 import time
 from typing import List, Sequence, Tuple
 
@@ -45,6 +60,40 @@ def _fork_available() -> bool:
 
 def _chunked(items: Sequence, size: int) -> List[Sequence]:
     return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Arrays below this size come from the heap instead of their own
+#: mapping.  Above every per-evaluation array: the largest, a paper-scale
+#: full-supernet Jacobian, is 25.8 MB.
+MMAP_THRESHOLD = 1 << 30
+#: Free memory at the top of the heap goes back to the OS only above this.
+TRIM_THRESHOLD = 1 << 30
+
+#: The pid that applied the allocator policy (a forked child re-applies).
+_policy_pid = None
+
+
+def _libc():
+    """The process's C library, or ``None`` where ctypes cannot load it."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+def _apply_allocator_policy() -> None:
+    """Keep freed proxy arrays in this process's heap (see "Memory")."""
+    global _policy_pid
+    if _policy_pid == os.getpid():
+        return
+    _policy_pid = os.getpid()
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _timed(proxy, *args) -> Tuple[float, float]:
@@ -68,6 +117,7 @@ def _evaluate_genotype_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
     profiled estimator lives in the parent; workers only pay for the
     proxy-network indicators.
     """
+    _apply_allocator_policy()
     items, proxy_config, macro_config = payload
     from repro.proxies.flops import count_flops
     from repro.proxies.linear_regions import count_line_regions
@@ -97,6 +147,7 @@ def _evaluate_supernet_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
     genotype chunks, only the indicators the parent found missing are
     computed, and each row carries its per-proxy seconds.
     """
+    _apply_allocator_policy()
     items, proxy_config = payload
     from repro.proxies.linear_regions import supernet_line_regions
     from repro.proxies.ntk import supernet_ntk_condition_number

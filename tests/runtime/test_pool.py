@@ -4,13 +4,20 @@ Covers the worker chunk functions and cache-key builders of
 :mod:`repro.runtime.pool` through the executor that ships them.
 """
 
+import ctypes
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.engine import Engine, supernet_state_key
 from repro.errors import SearchError
+from repro.runtime import pool
 from repro.runtime.async_pool import AsyncPopulationExecutor
 from repro.runtime.pool import (
     _chunked,
@@ -220,3 +227,139 @@ class TestDispatchMechanics:
             (((state, (False, True)),), tiny_proxy_config)
         )
         assert set(partial[0][1]) == {"supernet_lr"}
+
+
+# ----------------------------------------------------------------------
+# Allocator policy
+# ----------------------------------------------------------------------
+def _chunk_rows(proxy_config, macro_config, genotype):
+    """One genotype chunk and one supernet chunk, rows without seconds."""
+    rows, _ = _evaluate_genotype_chunk(
+        (((genotype.ops, (True, True, True)),), proxy_config, macro_config))
+    state = supernet_state_key([EdgeSpec(i, tuple(CANDIDATE_OPS))
+                                for i in range(6)])
+    srows, _ = _evaluate_supernet_chunk(
+        (((state, (True, True)),), proxy_config))
+    return [(ident, row) for ident, row, _ in rows + srows]
+
+
+class _MalloptRecorder:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestAllocatorPolicy:
+    def test_applied_once_per_process(self, monkeypatch, tiny_proxy_config,
+                                      tiny_macro_config, heavy_genotype):
+        recorder = _MalloptRecorder()
+        monkeypatch.setattr(pool, "_libc", lambda: recorder)
+        monkeypatch.setattr(pool, "_policy_pid", None)
+        _chunk_rows(tiny_proxy_config, tiny_macro_config, heavy_genotype)
+        _chunk_rows(tiny_proxy_config, tiny_macro_config, heavy_genotype)
+        assert recorder.calls == [
+            (pool._M_MMAP_THRESHOLD, pool.MMAP_THRESHOLD),
+            (pool._M_TRIM_THRESHOLD, pool.TRIM_THRESHOLD),
+        ]
+
+    @pytest.mark.parametrize("libc", [object(), None],
+                             ids=["no-mallopt", "no-libc"])
+    def test_missing_mallopt_is_a_no_op(self, monkeypatch, libc,
+                                        tiny_proxy_config, tiny_macro_config,
+                                        heavy_genotype):
+        expected = _chunk_rows(tiny_proxy_config, tiny_macro_config,
+                               heavy_genotype)
+        monkeypatch.setattr(pool, "_libc", lambda: libc)
+        monkeypatch.setattr(pool, "_policy_pid", None)
+        assert _chunk_rows(tiny_proxy_config, tiny_macro_config,
+                           heavy_genotype) == expected
+
+
+#: Runs a chunk of three paper-scale genotypes twice, counting the minor
+#: page faults of the second run, then two reduced-scale supernet states.
+#: With argument ``off`` the allocator policy is replaced by a no-op.
+#: Prints the fault count and every row value as float hex.
+_ALLOCATOR_SCRIPT = """
+import json, resource, sys
+from repro.eval.benchconfig import reduced_proxy_config
+from repro.proxies.base import ProxyConfig
+from repro.runtime import pool
+from repro.searchspace.genotype import Genotype
+from repro.searchspace.network import MacroConfig
+from repro.searchspace.ops import CANDIDATE_OPS
+
+if sys.argv[1] == "off":
+    pool._apply_allocator_policy = lambda: None
+archs = (
+    "|nor_conv_3x3~0|+|nor_conv_3x3~0|nor_conv_3x3~1|"
+    "+|skip_connect~0|nor_conv_3x3~1|nor_conv_3x3~2|",
+    "|nor_conv_1x1~0|+|skip_connect~0|nor_conv_1x1~1|"
+    "+|skip_connect~0|skip_connect~1|nor_conv_3x3~2|",
+    "|nor_conv_3x3~0|+|avg_pool_3x3~0|nor_conv_1x1~1|"
+    "+|nor_conv_3x3~0|none~1|nor_conv_3x3~2|",
+)
+items = tuple((Genotype.from_arch_str(a).ops, (True, True, True))
+              for a in archs)
+payload = (items, ProxyConfig(), MacroConfig())
+pool._evaluate_genotype_chunk(payload)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rows, _ = pool._evaluate_genotype_chunk(payload)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+full = tuple(tuple(CANDIDATE_OPS) for _ in range(6))
+states = (full, (tuple(CANDIDATE_OPS[1:]),) + full[1:])
+srows, _ = pool._evaluate_supernet_chunk(
+    (tuple((state, (True, True)) for state in states),
+     reduced_proxy_config()))
+print(json.dumps({
+    "warm_faults": faults,
+    "rows": [[ident, sorted((k, float(v).hex()) for k, v in row.items())]
+             for ident, row, _ in rows + srows],
+}))
+"""
+
+#: Minor faults allowed for the warm run of the three genotypes.  Measured
+#: on a 2-CPU host with glibc 2.36 and one BLAS thread: 72 with the policy,
+#: in every run; 22.2k without it (the code before the policy), about 7.4k
+#: per genotype.
+WARM_FAULT_BOUND = 1500
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.fixture(scope="module")
+def allocator_runs():
+    """``{"on": result, "off": result}`` of two fresh interpreters."""
+    pytest.importorskip("resource")
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    runs = {}
+    for policy in ("on", "off"):
+        proc = subprocess.run([sys.executable, "-c", _ALLOCATOR_SCRIPT, policy],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[policy] = json.loads(proc.stdout)
+    return runs
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="C library has no mallopt")
+def test_warm_chunk_faults_in_almost_no_pages(allocator_runs):
+    on, off = allocator_runs["on"], allocator_runs["off"]
+    assert on["warm_faults"] < WARM_FAULT_BOUND, (on["warm_faults"],
+                                                  off["warm_faults"])
+
+
+def test_rows_do_not_depend_on_the_allocator(allocator_runs):
+    on, off = allocator_runs["on"], allocator_runs["off"]
+    assert len(on["rows"]) == 5
+    assert on["rows"] == off["rows"]
