@@ -12,13 +12,14 @@ Two measurements, both writing ``BENCH_fleet.json``:
    lease/result round-trips).
 
 2. **Elastic membership** — real genotype chunks (padded so a kill can
-   land mid-lease) run against a fleet of two store-attached workers;
-   one worker is SIGKILLed while it holds a lease and a replacement
-   joins mid-run.  The run must finish with every indicator row
-   bit-identical to a fault-free serial evaluation, the requeue/lost
-   counters showing the recovery actually happened, and the shared
-   store holding every computed row — the zero-loss property the fleet
-   is for.
+   land mid-lease) run through an ``AsyncPopulationExecutor`` over a
+   fleet of store-attached workers; one worker is SIGKILLed while it
+   holds a lease and a replacement joins mid-run.  The broker fails the
+   lost chunk as transient and the executor's ``FaultPolicy`` retries
+   it.  The run must finish with every indicator row bit-identical to a
+   fault-free serial evaluation, the lost-task and retry counters
+   showing the recovery actually happened, and the shared store holding
+   every computed row — the zero-loss property the fleet is for.
 
 An orchestration microbenchmark: its timings are of sleep-padded
 chunks, not of proxy compute, so they measure the lease and socket transport
@@ -34,7 +35,6 @@ import json
 import os
 import signal
 import time
-from dataclasses import astuple
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Dict
@@ -45,10 +45,11 @@ from repro.engine import Engine
 from repro.engine.cache import IndicatorCache
 from repro.eval.benchconfig import bench_scale
 from repro.proxies.base import ProxyConfig
+from repro.runtime.async_pool import AsyncPopulationExecutor
+from repro.runtime.faults import FaultPolicy
 from repro.runtime.fleet import FleetPool
 from repro.runtime.pool import _evaluate_genotype_chunk
 from repro.runtime.store import RuntimeStore, cache_fingerprint
-from repro.searchspace.canonical import canonicalize
 from repro.searchspace.space import NasBench201Space
 from repro.utils.timing import Timer, format_duration
 
@@ -119,6 +120,17 @@ def _padded_genotype_chunk(payload):
     return rows, seconds + ELASTIC_PAD
 
 
+def _victim_freshly_leased(pool: FleetPool, pid: int) -> bool:
+    """Worker process ``pid`` holds a lease granted under 0.12 s ago, so
+    a kill now lands while the chunk is still computing."""
+    broker = pool.broker
+    with broker._lock:
+        return any(time.time() - broker._tasks[task_id].leased_wall < 0.12
+                   for session in broker._workers.values()
+                   if session.pid == pid
+                   for task_id in session.leased)
+
+
 def _run_elastic(proxy_config: ProxyConfig) -> Dict:
     population = NasBench201Space().sample(ELASTIC_POPULATION, rng=5)
     serial_engine = Engine(proxy_config=proxy_config)
@@ -126,57 +138,34 @@ def _run_elastic(proxy_config: ProxyConfig) -> Dict:
     serial_rows = dict(serial_engine.cache.items())
 
     engine = Engine(proxy_config=proxy_config)
-    proxy_key = astuple(engine.proxy_config)
-    macro_key = astuple(engine.macro_config)
-    chunks = []
-    seen = set()
-    for genotype in population:
-        canon = canonicalize(genotype)
-        if canon.to_index() in seen:
-            continue
-        seen.add(canon.to_index())
-        chunks.append((canon.ops, (True, True, True)))
-    payloads = [tuple(chunks[i:i + ELASTIC_CHUNK])
-                for i in range(0, len(chunks), ELASTIC_CHUNK)]
-
     with TemporaryDirectory() as tmp:
         store_dir = os.path.join(tmp, "store")
-        with FleetPool(n_workers=2, lease_seconds=60.0) as pool:
+        pool = FleetPool(n_workers=2, lease_seconds=60.0)
+        executor = AsyncPopulationExecutor(
+            chunk_size=ELASTIC_CHUNK,
+            genotype_worker=_padded_genotype_chunk,
+            fault_policy=FaultPolicy(chunk_timeout=60.0, backoff_base=0.01),
+            pool=pool,
+        )
+        try:
             victim = pool.spawn_local_workers(
                 1, store_dir=store_dir, poll_seconds=0.01)[0]
             _wait_for_workers(pool, 1)
-            for payload in payloads:
-                pool.submit(_padded_genotype_chunk,
-                            (payload, engine.proxy_config,
-                             engine.macro_config))
-
-            def freshly_leased() -> bool:
-                with pool.broker._lock:
-                    return any(t.state == "leased"
-                               and t.leased_wall is not None
-                               and time.time() - t.leased_wall < 0.12
-                               for t in pool.broker._tasks.values())
-
+            chunks = executor.submit_population(engine, population)
             deadline = time.monotonic() + 30.0
-            while not freshly_leased() and time.monotonic() < deadline:
+            while (not _victim_freshly_leased(pool, victim.pid)
+                   and time.monotonic() < deadline):
                 time.sleep(0.005)
             os.kill(victim.pid, signal.SIGKILL)
             pool.spawn_local_workers(1, store_dir=store_dir,
                                      poll_seconds=0.01)
-            results = pool.gather_all()
+            while executor.num_pending:
+                executor.gather(1)
             counters = pool.broker.counters()
+        finally:
+            executor.close()
 
-        merged = IndicatorCache()
-        for result in results:
-            assert result.error is None, result.error
-            for index, row, _ in result.value[0]:
-                for name, value in row.items():
-                    key = {"ntk": ("ntk", index, 1, proxy_key),
-                           "linear_regions": ("linear_regions", index,
-                                              proxy_key),
-                           "flops": ("flops", index, macro_key)}[name]
-                    merged.put(key, value)
-        gathered = dict(merged.items())
+        gathered = dict(engine.cache.items())
         bit_identical = gathered == serial_rows
 
         probe = IndicatorCache()
@@ -190,11 +179,12 @@ def _run_elastic(proxy_config: ProxyConfig) -> Dict:
 
     return {
         "population": ELASTIC_POPULATION,
-        "unique_chunks": len(payloads),
+        "unique_chunks": chunks,
         "rows_expected": len(serial_rows),
         "rows_recovered": len(gathered),
         "workers_lost": counters["workers_lost"],
-        "requeues": counters["requeues"],
+        "lost_tasks": counters["lost_tasks"],
+        "retries": executor.stats.retries,
         "joined_mid_run": True,
         "bit_identical": bit_identical,
         "store_rows_persisted": len(persisted),
@@ -245,7 +235,8 @@ def _report(result: Dict) -> None:
     print(f"speedup 4 vs 1     : {result['speedup_4x_vs_1']:.2f}x")
     elastic = result["elastic"]
     print(f"elastic            : lost={elastic['workers_lost']} "
-          f"requeues={elastic['requeues']} "
+          f"lost_tasks={elastic['lost_tasks']} "
+          f"retries={elastic['retries']} "
           f"rows {elastic['rows_recovered']}/{elastic['rows_expected']} "
           f"(store {elastic['store_rows_persisted']}, "
           f"lost {elastic['lost_rows']})")

@@ -20,7 +20,7 @@ Demonstrates the socket-broker evaluation fleet end-to-end:
    runs ``micronas fleet worker --connect HOST:PORT --store DIR``
    (here: :func:`repro.runtime.fleet.run_worker` in-process).  Workers
    can join or leave at any point mid-search; chunks a dead worker held
-   are re-leased and nothing is lost.
+   fail as transient, the executor retries them, and nothing is lost.
 
 The broker pickles chunk payloads over the wire: bind only on
 localhost or a trusted network.

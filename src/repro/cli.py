@@ -791,9 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_runtime.add_argument("--fleet-lease", dest="fleet_lease_seconds",
                            type=float, default=None, metavar="SECS",
                            help="fleet runs: per-chunk lease deadline — an "
-                                "expired lease is re-leased once, then "
-                                "counts as a transient timeout (default: "
-                                "--chunk-timeout)")
+                                "expired lease fails the chunk as a "
+                                "transient timeout, which --max-retries "
+                                "retries (default: --chunk-timeout)")
     p_runtime.add_argument("--fleet-token", dest="fleet_token", default="",
                            help="shared fleet token workers must present "
                                 "(identity check against cross-talk, not "
@@ -824,8 +824,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "lease evaluation chunks, compute them, and report "
                     "back — warm-starting from (and flushing results "
                     "into) the shared --store directory when given. "
-                    "Workers may join and leave at any time; the broker "
-                    "requeues chunks a lost worker held.",
+                    "Workers may join and leave at any time; chunks a "
+                    "lost worker held fail as transient and the driver "
+                    "retries them.",
     )
     fleet_sub = p_fleet.add_subparsers(dest="fleet_cmd", required=True)
     p_fleet_worker = fleet_sub.add_parser(

@@ -56,8 +56,10 @@ engine does not import it:
 6. **Distributed fleet** (:mod:`repro.runtime.fleet`, imported on first
    use) — a TCP socket broker (:class:`FleetBroker`) leasing picklable
    chunk payloads to an elastic set of worker processes (``micronas
-   fleet worker``), with per-lease deadlines, exactly-once re-lease of
-   expired chunks, and requeue of chunks a disconnected worker held.
+   fleet worker``), with per-lease deadlines.  The broker only reports
+   failures: an expired lease fails its chunk with a timeout, and a
+   disconnected worker fails the chunks it held as transient, so the
+   executor's fault policy is the one owner of retries.
    The driver-side :class:`FleetPool` implements the ``FuturePool``
    submit/gather contract, so the executor, fault taxonomy, quarantine
    ledger, telemetry and graceful drain compose unchanged; workers

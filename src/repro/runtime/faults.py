@@ -31,8 +31,11 @@ pool respawn) and the policy objects here decide what happens next:
   randomness anywhere, so every failure mode is replayable.
 
 Everything here is transport-agnostic: the same classification, ledger
-and plan drive the single-host fork pool today and are the failure
-semantics the distributed fleet (ROADMAP item 1) inherits.
+and plan drive the local fork and thread pools and the distributed
+fleet (:mod:`repro.runtime.fleet`).  Transports only report failures —
+an expired deadline or lease as :class:`ChunkTimeoutError`, a fleet
+worker lost mid-lease as a :class:`TransientWorkerError` — and the
+executor's :class:`FaultPolicy` is the one place that retries a chunk.
 """
 
 from __future__ import annotations
@@ -89,12 +92,13 @@ WORKER_LOST = "worker-lost"
 def classify_failure(error: BaseException) -> str:
     """Sort one chunk failure into the retry taxonomy.
 
-    * :data:`WORKER_LOST` — the pool itself died (``BrokenExecutor``).
-      The transport already respawned and resubmitted once per death
-      within its budget; seeing this here means that budget is spent.
-    * :data:`TRANSIENT` — deadline expiry, explicit transient markers,
-      and the I/O-shaped exceptions (``OSError``/``EOFError``/
-      ``TimeoutError``) infrastructure produces: retry with backoff.
+    * :data:`WORKER_LOST` — a local fork pool died (``BrokenExecutor``)
+      and has used up its ``max_respawns`` budget: the pool already
+      respawned and resubmitted its pending chunks once per death.
+    * :data:`TRANSIENT` — deadline or lease expiry, explicit transient
+      markers (including the fleet's lost-worker error), and the
+      I/O-shaped exceptions (``OSError``/``EOFError``/``TimeoutError``)
+      infrastructure produces: retry with backoff.
     * :data:`POISON` — everything else.  A deterministic exception from
       the worker's own compute re-raises on every retry by the runtime's
       determinism contract, so it is bisected down to the offending

@@ -8,17 +8,14 @@ multi-process / multi-host transport into that seam:
 
 * :class:`FleetBroker` — a TCP socket broker living in the driver
   process.  Workers *register*, then *lease* chunk payloads one at a
-  time; each lease carries a deadline, and a chunk whose lease expires
-  is **re-leased exactly once** before it completes with a
-  :class:`~repro.runtime.faults.ChunkTimeoutError` (classified
-  *transient*, so the executor's :class:`~repro.runtime.faults.
-  FaultPolicy` retries it under the normal budget).  A worker that
-  disconnects mid-lease has its chunk requeued (the fleet analogue of
-  the fork pool's respawn-and-resubmit); past the per-task disconnect
-  budget the chunk completes with :class:`FleetWorkerLostError` — a
-  ``BrokenExecutor`` subclass, so :func:`~repro.runtime.faults.
-  classify_failure` maps it to ``worker-lost`` exactly like a dead fork
-  pool.
+  time; each lease carries a deadline.  The broker reports failures and
+  never retries: a chunk whose lease expires completes with a
+  :class:`~repro.runtime.faults.ChunkTimeoutError`, and a chunk whose
+  worker disconnects mid-lease completes with
+  :class:`FleetWorkerLostError`.  Both are classified *transient*, so
+  the executor's :class:`~repro.runtime.faults.FaultPolicy` — the one
+  owner of retries — resubmits them under its normal budget and
+  deterministic backoff.
 * :class:`FleetPool` — the driver-side transport implementing the
   ``FuturePool`` duck type (``submit`` / ``gather`` in completion order /
   ``record_busy`` / ``idle_fraction`` / ``timeouts`` / ``respawns`` /
@@ -44,14 +41,14 @@ multi-process / multi-host transport into that seam:
   values bit-identical.
 
 **Elastic membership.**  Workers may join and leave (or be killed) at
-any point mid-search: a lost worker's leased chunks are requeued and
-recomputed bit-identically by whoever leases them next, straggler
-results for chunks that already completed elsewhere are counted and
-dropped (first result wins; determinism makes the copies equal), and
-nothing a worker already flushed to the store is ever lost.  The
-``fleet``-marked tests pin the headline property: SIGKILL a worker
-mid-lease, join another mid-run, and the surviving rows are
-bit-identical to a fault-free serial run.
+any point mid-search: a lost worker's leased chunks fail as transient,
+the executor resubmits them, and whoever leases them next recomputes
+them bit-identically.  A result for a chunk the broker has already
+completed (an expired lease whose worker finished after all) is
+counted as a straggler and dropped.  Nothing a worker already flushed
+to the store is ever lost.  The ``fleet``-marked tests pin the
+headline property: SIGKILL a worker mid-lease, join another mid-run,
+and the surviving rows are bit-identical to a fault-free serial run.
 
 **Security.**  The wire format is length-prefixed :mod:`pickle` —
 deserializing a pickle executes code, so the broker must only ever be
@@ -75,7 +72,6 @@ import struct
 import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -84,7 +80,7 @@ from repro.engine.core import genotype_indicator_keys
 from repro.errors import SearchError
 from repro.proxies.base import ProxyConfig
 from repro.runtime.async_pool import TaskResult
-from repro.runtime.faults import ChunkTimeoutError
+from repro.runtime.faults import ChunkTimeoutError, TransientWorkerError
 from repro.runtime.telemetry import Telemetry
 from repro.runtime.tracing import CAT_DISPATCH, CAT_WORKER
 from repro.searchspace.genotype import Genotype
@@ -109,12 +105,13 @@ class FleetRemoteError(SearchError):
     """
 
 
-class FleetWorkerLostError(BrokenExecutor, SearchError):
-    """A chunk's worker disconnected and the requeue budget is spent.
+class FleetWorkerLostError(TransientWorkerError):
+    """A chunk's worker disconnected while it held the lease.
 
-    Subclasses ``BrokenExecutor`` so :func:`~repro.runtime.faults.
-    classify_failure` maps it to ``worker-lost`` — the same label a dead
-    fork pool earns once its respawn budget runs out.
+    A :class:`~repro.runtime.faults.TransientWorkerError`, so
+    :func:`~repro.runtime.faults.classify_failure` maps it to
+    ``transient`` and the executor retries the chunk under its normal
+    budget: the candidate is fine, only the host running it went away.
     """
 
 
@@ -190,17 +187,12 @@ def parse_address(text: str) -> Tuple[str, int]:
 # ----------------------------------------------------------------------
 # Broker
 # ----------------------------------------------------------------------
-_QUEUED = "queued"
-_LEASED = "leased"
-_DONE = "done"
-
-
 class _FleetTask:
-    """One submitted chunk as the broker tracks it."""
+    """One submitted chunk as the broker tracks it: queued until a
+    worker leases it (``leased_to`` set), then completed once."""
 
-    __slots__ = ("task_id", "worker_fn", "payload", "tag", "state",
-                 "leased_to", "deadline", "expiries", "disconnects",
-                 "queued_wall", "leased_wall", "done_wall",
+    __slots__ = ("task_id", "worker_fn", "payload", "tag", "leased_to",
+                 "deadline", "queued_wall", "leased_wall", "done_wall",
                  "compute_seconds", "value", "error")
 
     def __init__(self, task_id: int, worker_fn: Callable, payload: object,
@@ -209,11 +201,8 @@ class _FleetTask:
         self.worker_fn = worker_fn
         self.payload = payload
         self.tag = tag
-        self.state = _QUEUED
         self.leased_to: Optional[int] = None
         self.deadline: Optional[float] = None  # monotonic seconds
-        self.expiries = 0
-        self.disconnects = 0
         self.queued_wall = time.time()
         self.leased_wall: Optional[float] = None
         self.done_wall: Optional[float] = None
@@ -245,35 +234,35 @@ class FleetBroker:
     lease-expiry sweep, so expiries are detected even when no worker
     traffic arrives — the hung-worker case).
 
-    Lease semantics: a leased chunk whose deadline passes is requeued
-    (to the queue *front*, so recovery latency stays low) exactly once;
-    the second expiry completes it with
-    :class:`~repro.runtime.faults.ChunkTimeoutError`.  A worker
-    disconnect requeues its leased chunks while each chunk's disconnect
-    count stays within ``max_task_disconnects``; past the budget the
-    chunk completes with :class:`FleetWorkerLostError`.  Results for
-    chunks that already completed elsewhere (stragglers: the first
-    expiry requeued the chunk, then the original worker finished after
-    all) are counted and dropped — first result wins, and the
-    determinism contract makes the dropped copy bit-identical anyway.
+    Lease semantics: a task moves one way, queued → leased → completed,
+    and the broker never retries it.  A lease whose deadline passes
+    completes its chunk with :class:`~repro.runtime.faults.
+    ChunkTimeoutError`; a worker that disconnects (or cannot be sent
+    its task) completes every chunk it held with
+    :class:`FleetWorkerLostError`.  Retrying either is the executor's
+    :class:`~repro.runtime.faults.FaultPolicy`'s call, and a retry is a
+    fresh submit.  A completed task is forgotten at once, so a result
+    or error for an unknown task id — or for a chunk the reporting
+    worker no longer holds — is a straggler: counted and dropped.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  lease_seconds: Optional[float] = None,
-                 max_task_disconnects: int = 3,
                  token: str = "") -> None:
         if lease_seconds is not None and lease_seconds <= 0:
             raise SearchError("lease_seconds must be positive (or None)")
         self.lease_seconds = lease_seconds
-        self.max_task_disconnects = max_task_disconnects
         self.token = token
         self._listener = socket.create_server((host, port))
+        # Set before the accept thread starts: a broker closed at once
+        # must not fail the thread on a closed listener.
+        self._listener.settimeout(0.25)
         bound = self._listener.getsockname()
         self.host, self.port = bound[0], bound[1]
         self._lock = threading.Lock()
         self._queue_cv = threading.Condition(self._lock)
         self._completed_cv = threading.Condition(self._lock)
-        self._tasks: Dict[int, _FleetTask] = {}
+        self._tasks: Dict[int, _FleetTask] = {}  # queued + leased only
         self._queue: Deque[int] = deque()
         self._completed: Deque[_FleetTask] = deque()
         self._workers: Dict[int, _WorkerSession] = {}
@@ -285,11 +274,9 @@ class FleetBroker:
         self.workers_joined = 0
         self.workers_lost = 0       # non-graceful disconnects
         self.leases = 0
-        self.lease_expiries = 0     # expiry events (requeue or fail)
-        self.expired_tasks = 0      # chunks failed with ChunkTimeoutError
-        self.requeues = 0           # chunks put back after a lost worker
+        self.lease_expiries = 0     # chunks failed with ChunkTimeoutError
         self.lost_tasks = 0         # chunks failed with FleetWorkerLostError
-        self.stragglers = 0         # results for already-completed chunks
+        self.stragglers = 0         # results for chunks no longer held
         self.rejected = 0           # registrations refused (bad token)
         self._threads: List[threading.Thread] = []
         self._accept_thread = threading.Thread(
@@ -311,8 +298,7 @@ class FleetBroker:
     @property
     def num_pending(self) -> int:
         with self._lock:
-            return sum(1 for task in self._tasks.values()
-                       if task.state != _DONE)
+            return len(self._tasks)
 
     def counters(self) -> Dict[str, int]:
         with self._lock:
@@ -321,8 +307,6 @@ class FleetBroker:
                 "workers_lost": self.workers_lost,
                 "leases": self.leases,
                 "lease_expiries": self.lease_expiries,
-                "expired_tasks": self.expired_tasks,
-                "requeues": self.requeues,
                 "lost_tasks": self.lost_tasks,
                 "stragglers": self.stragglers,
             }
@@ -375,6 +359,9 @@ class FleetBroker:
             self._queue_cv.notify_all()
             self._completed_cv.notify_all()
         with contextlib.suppress(OSError):
+            # Wakes an accept() blocked in its poll at once.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(OSError):
             self._listener.close()
         self._accept_thread.join(timeout=2.0)
         for thread in list(self._threads):
@@ -391,95 +378,70 @@ class FleetBroker:
     # ------------------------------------------------------------------
     def _complete_locked(self, task: _FleetTask, value: object = None,
                          error: Optional[BaseException] = None) -> None:
-        if task.state == _LEASED and task.leased_to is not None:
-            session = self._workers.get(task.leased_to)
-            if session is not None:
-                session.leased.discard(task.task_id)
-        if task.state == _QUEUED:
-            with contextlib.suppress(ValueError):
-                self._queue.remove(task.task_id)
-        task.state = _DONE
-        task.leased_to = None
+        """Finish a leased task and forget it: its result now lives only
+        in the completed queue the driver drains."""
+        del self._tasks[task.task_id]
+        session = self._workers.get(task.leased_to)
+        if session is not None:
+            session.leased.discard(task.task_id)
         task.value = value
         task.error = error
         task.done_wall = time.time()
         self._completed.append(task)
         self._completed_cv.notify_all()
 
-    def _requeue_locked(self, task: _FleetTask) -> None:
-        """Back to the queue front: a recovered chunk has already waited
-        a full lease, so it should not also wait behind the backlog."""
-        if task.leased_to is not None:
-            session = self._workers.get(task.leased_to)
-            if session is not None:
-                session.leased.discard(task.task_id)
-        task.state = _QUEUED
-        task.leased_to = None
-        task.deadline = None
-        self._queue.appendleft(task.task_id)
-        self._queue_cv.notify()
-
     def _sweep_expired_locked(self) -> None:
         if self.lease_seconds is None:
             return
         now = time.monotonic()
-        for task in list(self._tasks.values()):
-            if (task.state != _LEASED or task.deadline is None
-                    or now < task.deadline):
-                continue
-            task.expiries += 1
+        expired = [task for task in self._tasks.values()
+                   if task.deadline is not None and now >= task.deadline]
+        for task in expired:
             self.lease_expiries += 1
-            if task.expiries <= 1:
-                # Re-lease exactly once: the first expiry may be a slow
-                # worker, not a dead one.
-                self._requeue_locked(task)
-            else:
-                self.expired_tasks += 1
-                self._complete_locked(task, error=ChunkTimeoutError(
-                    f"chunk lease expired twice "
-                    f"({self.lease_seconds:g}s each)"))
+            self._complete_locked(task, error=ChunkTimeoutError(
+                f"chunk lease expired ({self.lease_seconds:g}s)"))
 
     def _lease_locked(self, session: _WorkerSession
                       ) -> Optional[_FleetTask]:
         self._sweep_expired_locked()
-        while self._queue:
-            task = self._tasks.get(self._queue.popleft())
-            if task is None or task.state != _QUEUED:
-                continue  # completed by a straggler while queued
-            task.state = _LEASED
-            task.leased_to = session.worker_id
-            task.leased_wall = time.time()
-            task.deadline = (time.monotonic() + self.lease_seconds
-                             if self.lease_seconds is not None else None)
-            session.leased.add(task.task_id)
-            self.leases += 1
-            return task
-        return None
+        if not self._queue:
+            return None
+        task = self._tasks[self._queue.popleft()]
+        task.leased_to = session.worker_id
+        task.leased_wall = time.time()
+        task.deadline = (time.monotonic() + self.lease_seconds
+                         if self.lease_seconds is not None else None)
+        session.leased.add(task.task_id)
+        self.leases += 1
+        return task
 
     def _drop_worker_locked(self, session: _WorkerSession) -> None:
         self._workers.pop(session.worker_id, None)
         if not session.graceful:
             self.workers_lost += 1
         for task_id in list(session.leased):
-            task = self._tasks.get(task_id)
-            if (task is None or task.state != _LEASED
-                    or task.leased_to != session.worker_id):
-                continue
-            task.disconnects += 1
-            if task.disconnects <= self.max_task_disconnects:
-                self.requeues += 1
-                self._requeue_locked(task)
-            else:
-                self.lost_tasks += 1
-                self._complete_locked(task, error=FleetWorkerLostError(
-                    f"chunk lost {task.disconnects} workers mid-lease "
-                    f"(budget {self.max_task_disconnects})"))
+            self.lost_tasks += 1
+            self._complete_locked(self._tasks[task_id],
+                                  error=FleetWorkerLostError(
+                                      f"worker {session.worker_id} "
+                                      f"({session.address}) disconnected "
+                                      f"mid-lease"))
+
+    def _held_task_locked(self, session: _WorkerSession,
+                          message: Dict) -> Optional[_FleetTask]:
+        """The live task a worker reports on, or ``None`` (counted as a
+        straggler) when it no longer holds that lease: the task expired,
+        or was never its to report."""
+        task_id = message.get("task_id")
+        if task_id in session.leased:
+            return self._tasks[task_id]
+        self.stragglers += 1
+        return None
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
-        self._listener.settimeout(0.25)
         while not self._closing:
             try:
                 conn, addr = self._listener.accept()
@@ -534,7 +496,7 @@ class FleetBroker:
                     raise FleetProtocolError(f"unknown worker op {op!r}")
         except (EOFError, OSError, FleetProtocolError,
                 pickle.UnpicklingError, struct.error):
-            pass  # disconnect path below requeues anything leased
+            pass  # the disconnect path below fails anything leased
         finally:
             with contextlib.suppress(OSError):
                 conn.close()
@@ -564,30 +526,22 @@ class FleetBroker:
                 session.graceful = True
                 _send_msg(conn, {"op": "drain"})
                 return
-        try:
-            _send_msg(conn, {
-                "op": "task",
-                "task_id": task.task_id,
-                "worker": task.worker_fn,
-                "payload": task.payload,
-                "lease_seconds": self.lease_seconds,
-            })
-        except Exception:
-            # The reply failed after the lease was granted: put the
-            # chunk straight back so it is not stuck until expiry.
-            with self._lock:
-                if task.state == _LEASED \
-                        and task.leased_to == session.worker_id:
-                    self._requeue_locked(task)
-            raise
+        # A reply that cannot be sent ends the connection, and the
+        # disconnect path fails the chunk just leased.
+        _send_msg(conn, {
+            "op": "task",
+            "task_id": task.task_id,
+            "worker": task.worker_fn,
+            "payload": task.payload,
+            "lease_seconds": self.lease_seconds,
+        })
 
     def _handle_result(self, session: _WorkerSession,
                        message: Dict) -> None:
         value = message.get("value")
         with self._lock:
-            task = self._tasks.get(message.get("task_id"))
-            if task is None or task.state == _DONE:
-                self.stragglers += 1
+            task = self._held_task_locked(session, message)
+            if task is None:
                 return
             if isinstance(value, tuple) and len(value) == 2 \
                     and isinstance(value[1], (int, float)):
@@ -600,11 +554,9 @@ class FleetBroker:
         if not isinstance(error, BaseException):
             error = FleetRemoteError(f"malformed worker error: {error!r}")
         with self._lock:
-            task = self._tasks.get(message.get("task_id"))
-            if task is None or task.state == _DONE:
-                self.stragglers += 1
-                return
-            self._complete_locked(task, error=error)
+            task = self._held_task_locked(session, message)
+            if task is not None:
+                self._complete_locked(task, error=error)
 
 
 # ----------------------------------------------------------------------
@@ -623,23 +575,21 @@ class FleetPool:
     ``n_workers`` is the *expected* worker count (used for utilisation
     capacity in :meth:`idle_fraction` and reporting); actual membership
     is elastic — ``broker.num_workers`` is live.  ``timeouts`` counts
-    lease-expiry events and ``respawns`` counts lost-worker recoveries,
-    the fleet analogues of the fork pool's deadline expiries and
-    backend respawns.
+    expired leases and ``respawns`` counts chunks lost with their
+    worker, the fleet analogues of the fork pool's deadline expiries
+    and backend respawns; the executor retries both kinds of chunk.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  n_workers: int = 1,
                  lease_seconds: Optional[float] = None,
-                 max_task_disconnects: int = 3,
                  token: str = "",
                  broker: Optional[FleetBroker] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
         if n_workers < 1:
             raise SearchError("n_workers must be >= 1")
         self.broker = broker if broker is not None else FleetBroker(
-            host=host, port=port, lease_seconds=lease_seconds,
-            max_task_disconnects=max_task_disconnects, token=token)
+            host=host, port=port, lease_seconds=lease_seconds, token=token)
         self._owns_broker = broker is None
         self.mode = "fleet"
         self.n_workers = n_workers
@@ -732,7 +682,7 @@ class FleetPool:
         while len(results) < k and self._pending and not self._closed:
             for task in self.broker.wait_completed():
                 self._collect(task, results)
-        self.respawns = self.broker.requeues + self.broker.lost_tasks
+        self.respawns = self.broker.lost_tasks
         self._last_gather = time.perf_counter()
         return results
 

@@ -4,16 +4,20 @@ The contracts under test, bottom-up:
 
 * **Wire protocol** — length-prefixed pickled op dicts survive a
   roundtrip; bad handshakes are rejected.
-* **Lease semantics** — an expired lease is re-leased exactly once,
-  then the chunk completes with a *transient* ``ChunkTimeoutError``; a
-  worker disconnect requeues its chunk within the per-task budget and
-  completes it with a *worker-lost* ``FleetWorkerLostError`` past it;
-  straggler results for chunks that completed elsewhere are dropped.
+* **Lease semantics** — the broker reports and never retries: the
+  first expiry completes the chunk with ``ChunkTimeoutError``, the
+  first disconnect with ``FleetWorkerLostError``, and both classify
+  *transient*; completed tasks are forgotten, and a late result for one
+  is counted as a straggler and dropped.
+* **One retry owner** — over a ``FleetPool`` the executor's
+  ``FaultPolicy`` alone retries, so a chunk that keeps hanging is
+  leased at most ``max_retries + 1`` times.
 * **FuturePool contract** — ``FleetPool`` slots into
   ``AsyncPopulationExecutor`` unchanged, and results are bit-identical
   to serial no matter how many workers serve the chunks.
 * **Elastic membership** (the headline): a worker SIGKILLed mid-lease
-  plus another joining mid-run lose zero rows — surviving results stay
+  plus another joining mid-run lose zero rows — the executor retries
+  the lost chunk, surviving results stay
   bit-identical to a fault-free serial run minus quarantined
   candidates, and everything computed is persisted in the shared store.
 * **Store-mediated warm starts** — a worker with a ``--store`` serves
@@ -25,6 +29,7 @@ The contracts under test, bottom-up:
 import os
 import signal
 import socket
+import threading
 import time
 from dataclasses import astuple
 
@@ -34,11 +39,12 @@ import pytest
 from repro.engine import Engine
 from repro.engine.cache import IndicatorCache
 from repro.errors import SearchError
-from repro.runtime.async_pool import AsyncPopulationExecutor
+from repro.runtime.async_pool import AsyncPopulationExecutor, ChunkGatherError
 from repro.runtime.faults import (
     ChunkTimeoutError,
     FaultPlan,
     FaultPolicy,
+    chunk_item_identity,
     classify_failure,
 )
 from repro.runtime.fleet import (
@@ -246,6 +252,15 @@ class TestProtocol:
             assert wait_until(lambda: broker.num_workers == 0)
             assert broker.workers_lost == 0
 
+    def test_immediate_close_does_not_kill_accept_thread(self, monkeypatch):
+        """A broker closed right after it was built must not fail its
+        accept thread on the closed listener."""
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        for _ in range(200):
+            FleetBroker().close()
+        assert raised == []
+
 
 # ----------------------------------------------------------------------
 # Lease semantics
@@ -267,65 +282,82 @@ class TestLeases:
             assert done.tag == "t0"
             client.close()
 
-    def test_expired_lease_releases_exactly_once(self):
+    def test_first_expiry_completes_the_chunk(self):
         with FleetBroker(lease_seconds=0.15) as broker:
-            task_id = broker.submit(echo_chunk, [1])
+            broker.submit(echo_chunk, [1])
             client = Client(broker)
             client.register()
             assert client.lease()["op"] == "task"
-            # First expiry: requeued, not failed.
-            time.sleep(0.2)
-            assert broker.wait_completed() == []
-            assert broker.lease_expiries == 1
-            reply = client.lease()  # the same chunk comes back around
-            assert reply["op"] == "task" and reply["task_id"] == task_id
-            # Second expiry: completes as a transient timeout.
             time.sleep(0.2)
             (done,) = drain_completed(broker, 1)
             assert isinstance(done.error, ChunkTimeoutError)
             assert classify_failure(done.error) == "transient"
-            assert broker.expired_tasks == 1
+            assert broker.lease_expiries == 1
+            # Nothing is requeued: retrying is the executor's call.
+            assert broker.num_pending == 0
+            assert client.lease()["op"] == "idle"
+            assert broker.leases == 1
             client.close()
 
-    def test_disconnect_requeues_then_worker_lost(self):
-        with FleetBroker(max_task_disconnects=1) as broker:
+    def test_first_disconnect_completes_the_chunk(self):
+        with FleetBroker() as broker:
             broker.submit(echo_chunk, [1])
             first = Client(broker)
             first.register()
             assert first.lease()["op"] == "task"
             first.close()  # SIGKILL looks exactly like this to the broker
-            assert wait_until(lambda: broker.requeues == 1)
+            (done,) = drain_completed(broker, 1)
+            assert isinstance(done.error, FleetWorkerLostError)
+            assert classify_failure(done.error) == "transient"
+            assert broker.lost_tasks == 1
             assert broker.workers_lost == 1
             second = Client(broker)
             second.register()
-            assert second.lease()["op"] == "task"  # requeued chunk
-            second.close()  # budget (1) now spent
-            done = drain_completed(broker, 1)
-            assert len(done) == 1
-            assert isinstance(done[0].error, FleetWorkerLostError)
-            assert classify_failure(done[0].error) == "worker-lost"
-            assert broker.lost_tasks == 1
+            assert second.lease()["op"] == "idle"  # nothing requeued
+            second.close()
 
-    def test_straggler_result_dropped_first_wins(self):
+    def test_straggler_result_for_expired_task_dropped(self):
         with FleetBroker(lease_seconds=0.15) as broker:
             task_id = broker.submit(echo_chunk, [5])
             slow = Client(broker)
             slow.register()
             assert slow.lease()["op"] == "task"
             time.sleep(0.2)
-            broker.wait_completed()  # sweep: requeue to a second worker
+            (expired,) = drain_completed(broker, 1)
+            assert isinstance(expired.error, ChunkTimeoutError)
+            # The executor's retry is a fresh task on another worker.
+            retry_id = broker.submit(echo_chunk, [5])
             fast = Client(broker)
             fast.register()
-            assert fast.lease()["task_id"] == task_id
-            # The original (slow) worker finishes after all: first
-            # result wins — determinism makes the copies identical.
-            assert slow.result(task_id, "first")["op"] == "ok"
-            (done,) = drain_completed(broker, 1)
-            assert done.value == "first"
-            assert fast.result(task_id, "second")["op"] == "ok"
+            assert fast.lease()["task_id"] == retry_id != task_id
+            # The slow worker finishes after all: the broker has
+            # forgotten its task, so the result is a straggler.
+            assert slow.result(task_id, "late")["op"] == "ok"
             assert wait_until(lambda: broker.stragglers == 1)
+            assert fast.result(retry_id, "retried")["op"] == "ok"
+            (done,) = drain_completed(broker, 1)
+            assert done.task_id == retry_id and done.value == "retried"
+            assert broker.stragglers == 1
             slow.close()
             fast.close()
+
+    def test_completed_tasks_are_forgotten(self):
+        with FleetBroker() as broker:
+            client = Client(broker)
+            client.register()
+            ids = [broker.submit(echo_chunk, [k]) for k in range(5)]
+            for _ in ids:
+                reply = client.lease()
+                client.result(reply["task_id"], reply["task_id"])
+            done = drain_completed(broker, len(ids))
+            assert sorted(task.value for task in done) == ids
+            assert len(broker._tasks) == 0
+            assert broker.num_pending == 0
+            # A late duplicate for a forgotten task is one straggler.
+            assert client.result(ids[0], "late")["op"] == "ok"
+            assert wait_until(lambda: broker.stragglers == 1)
+            assert broker.wait_completed(timeout=0.0) == []
+            client.close()
 
     def test_drain_serves_queue_before_retiring_workers(self):
         with FleetBroker() as broker:
@@ -371,6 +403,37 @@ class TestFleetPool:
             (result,) = pool.gather(1)
             assert isinstance(result.error, ValueError)
             assert classify_failure(result.error) == "poison"
+
+    def test_hanging_chunk_leased_at_most_max_retries_plus_one(
+            self, tmp_path, tiny_proxy_config):
+        """The executor is the one retry owner: a chunk whose leases
+        keep expiring is leased ``max_retries + 1`` times, then fails."""
+        genotype = canonicalize(NasBench201Space().sample(1, rng=3)[0])
+        plan = FaultPlan(state_path=str(tmp_path / "faults"),
+                         script={genotype.to_index(): ("hang",) * 6},
+                         hang_seconds=1.0)
+        pool = FleetPool(n_workers=4, lease_seconds=0.2)
+        executor = AsyncPopulationExecutor(
+            chunk_size=1,
+            genotype_worker=plan.wrap(constant_chunk),
+            fault_policy=FaultPolicy(max_retries=2, quarantine=False,
+                                     backoff_base=0.01),
+            pool=pool,
+        )
+        pool.spawn_local_workers(4)
+        try:
+            assert wait_until(lambda: pool.broker.num_workers == 4)
+            executor.submit_population(
+                Engine(proxy_config=tiny_proxy_config), [genotype])
+            with pytest.raises(ChunkGatherError) as info:
+                executor.gather(1)
+        finally:
+            executor.close()
+        (error,) = info.value.failures
+        assert isinstance(error, ChunkTimeoutError)
+        assert pool.broker.leases == 3
+        assert pool.broker.lease_expiries == 3
+        assert executor.stats.retries == 2
 
     def test_close_idempotent_and_reaps_workers(self):
         pool = FleetPool(n_workers=1)
@@ -430,15 +493,25 @@ class TestElasticMembership:
         victim = pool.spawn_local_workers(1, store_dir=store_dir)[0]
         executor.submit_population(engine, population)
 
-        def victim_freshly_leased():
-            with pool.broker._lock:
-                return any(task.state == "leased"
-                           and task.leased_wall is not None
-                           and time.time() - task.leased_wall < 0.15
-                           for task in pool.broker._tasks.values())
+        def victim_computing():
+            """The victim holds a fresh lease on a chunk without the
+            poison candidate.  The poison chunk fails before any compute,
+            so a lease on it may be over before the kill lands."""
+            broker = pool.broker
+            with broker._lock:
+                held = [broker._tasks[task_id]
+                        for session in broker._workers.values()
+                        if session.pid == victim.pid
+                        for task_id in session.leased]
+                return any(
+                    time.time() - task.leased_wall < 0.15
+                    and poison_identity not in {
+                        chunk_item_identity("genotype", item)
+                        for item in task.payload[0]}
+                    for task in held)
 
-        assert wait_until(victim_freshly_leased, timeout=30.0), \
-            "victim never held a fresh lease"
+        assert wait_until(victim_computing, timeout=30.0), \
+            "victim never held a fresh lease on a clean chunk"
         os.kill(victim.pid, signal.SIGKILL)
         joiner = pool.spawn_local_workers(1, store_dir=store_dir)[0]
         try:
@@ -447,9 +520,10 @@ class TestElasticMembership:
         finally:
             executor.close()
         assert not victim.is_alive()
-        counters = pool.broker.counters()
-        assert counters["workers_lost"] >= 1
-        assert counters["requeues"] >= 1  # the mid-lease chunk recovered
+        assert pool.broker.workers_lost >= 1
+        # The mid-lease chunk failed as lost, and the executor retried it.
+        assert pool.broker.lost_tasks >= 1
+        assert executor.stats.retries >= 1
         assert executor.quarantined_genotypes == {poison_identity}
 
         # Surviving rows: serial minus the quarantined candidate's.
