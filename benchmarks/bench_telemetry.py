@@ -3,13 +3,14 @@
 Two measurements, both writing ``BENCH_telemetry.json``:
 
 1. **Armed overhead** — the same sleep-padded population warm is pushed
-   through :class:`~repro.runtime.async_pool.AsyncPopulationExecutor`
-   twice: once with telemetry disabled (the default) and once armed with
-   a trace file — spans recording, metrics counting, fork-worker sidecar
-   appends, and the end-of-run Chrome-trace export all included in the
-   armed wall-clock.  Telemetry is a strict observer, so the gap must
-   stay under 2% **and** the indicator rows computed by both arms must
-   be bit-identical.
+   through a serial (``n_workers=1``)
+   :class:`~repro.runtime.async_pool.AsyncPopulationExecutor` twice:
+   once with telemetry disabled (the default) and once armed with a
+   trace file — spans recording (one ``worker_compute`` span per chunk
+   included), metrics counting and the end-of-run Chrome-trace export
+   all included in the armed wall-clock.  Telemetry is a strict
+   observer, so the gap must stay under 2% **and** the indicator rows
+   computed by both arms must be bit-identical.
 
 2. **Trace completeness under faults** — a fuzzed-fault fork run (the
    fault bench's 20% crash/hang/poison mix) with tracing armed must
@@ -52,9 +53,9 @@ from repro.utils.timing import Timer, format_duration
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
 
-# Overhead part: enough chunks that per-span/per-sidecar-append cost
-# would show up if it were expensive, padded so the workload duration is
-# stable against scheduler noise (the pad dominates proxy compute).
+# Overhead part: enough chunks that per-span cost would show up if it
+# were expensive, padded so the workload duration is stable against
+# scheduler noise (the pad dominates proxy compute).
 OVERHEAD_CANDIDATES = 64
 OVERHEAD_PAD_S = 0.004
 OVERHEAD_REPEATS = 7
@@ -229,7 +230,8 @@ def test_telemetry(benchmark):
     assert overhead["rows_bit_identical"]
     # Acceptance: the fuzzed-fault trace is complete — spans cover >= 95%
     # of the window from first dispatch to last span — and every layer
-    # shows up, workers (cross-process sidecar) included.
+    # shows up, fork workers' compute spans (returned with each chunk
+    # result) included.
     assert traced["coverage"] >= COVERAGE_BAR
     assert traced["worker_spans"] >= 1
     assert set(traced["span_names"]) >= {"dispatch", "gather", "merge",

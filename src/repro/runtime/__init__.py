@@ -48,8 +48,8 @@ engine does not import it:
    substrate: one run-scoped :class:`Telemetry` object threaded through
    harness → executor → pool → store → engine records spans (dispatch,
    worker compute, gather, merge, flush, compaction, backoff, respawn)
-   and a lock-free metrics registry; fork workers self-report through a
-   ``flock``'d JSONL sidecar.  Exports Chrome ``trace_event`` JSON
+   and a lock-free metrics registry; every transport returns a chunk's
+   compute span with its result.  Exports Chrome ``trace_event`` JSON
    (Perfetto-loadable) plus a metrics snapshot in the
    :class:`RunReport`; disabled by default with <2% armed overhead and
    zero effect on computed rows.

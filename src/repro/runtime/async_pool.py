@@ -71,10 +71,12 @@ plugs in without touching scheduling.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import astuple, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.core import (
     genotype_indicator_keys,
@@ -102,6 +104,7 @@ from repro.runtime.tracing import (
     CAT_FAULT,
     CAT_GATHER,
     CAT_MERGE,
+    CAT_WORKER,
 )
 from repro.searchspace.canonical import canonicalize
 from repro.searchspace.genotype import Genotype
@@ -110,6 +113,35 @@ from repro.searchspace.genotype import Genotype
 # ----------------------------------------------------------------------
 # The transport: submit/gather over futures with a serial-lazy fallback
 # ----------------------------------------------------------------------
+class WorkerSpan(NamedTuple):
+    """Where and when one task's worker ran: its process and thread, the
+    epoch second it started and how long it took."""
+
+    pid: int
+    tid: int
+    start: float
+    duration: float
+
+
+def _timed_call(worker: Callable, payload: object):
+    """``(worker(payload), span)``, timed where the worker runs.
+
+    A raising worker's exception is re-raised unchanged, with the span
+    attached as ``worker_span`` (an exception pickles its attributes, so
+    the span crosses the fork pipe with it).  The value is never touched.
+    """
+    start = time.time()
+    perf = time.perf_counter()
+    try:
+        value = worker(payload)
+    except BaseException as exc:
+        exc.worker_span = WorkerSpan(os.getpid(), threading.get_ident(),
+                                     start, time.perf_counter() - perf)
+        raise
+    return value, WorkerSpan(os.getpid(), threading.get_ident(), start,
+                             time.perf_counter() - perf)
+
+
 @dataclass
 class TaskResult:
     """One completed task, in the order :meth:`FuturePool.gather` saw it.
@@ -118,13 +150,17 @@ class TaskResult:
     ``None`` — it still leaves the pending queue, so one poisoned chunk
     can neither wedge the pool nor drop the results of siblings gathered
     in the same call.  A task that outlived its deadline completes with a
-    :class:`~repro.runtime.faults.ChunkTimeoutError`.
+    :class:`~repro.runtime.faults.ChunkTimeoutError`.  ``span`` is the
+    worker's :class:`WorkerSpan` whenever the worker returned or raised;
+    it is ``None`` only when no worker reported (a deadline expiry, a
+    lost worker).
     """
 
     task_id: int
     tag: object
     value: object
     error: Optional[BaseException] = None
+    span: Optional[WorkerSpan] = None
 
 
 class _PendingTask:
@@ -269,13 +305,15 @@ class FuturePool:
             future = None
         else:
             try:
-                future = self._ensure_pool().submit(worker, payload)
+                future = self._ensure_pool().submit(_timed_call, worker,
+                                                    payload)
             except (BrokenExecutor, RuntimeError):
                 # Broken (or shut-down-by-breakage) backend: recover and
                 # retry once; a spent budget propagates the failure.
                 if not self._respawn():
                     raise
-                future = self._ensure_pool().submit(worker, payload)
+                future = self._ensure_pool().submit(_timed_call, worker,
+                                                    payload)
         self._pending.append(_PendingTask(task_id, tag, worker, payload,
                                           future, self._deadline()))
         if self.telemetry.enabled:
@@ -318,7 +356,8 @@ class FuturePool:
                     pass
             fresh = self._ensure_pool()
             for task in self._pending:
-                task.future = fresh.submit(task.worker, task.payload)
+                task.future = fresh.submit(_timed_call, task.worker,
+                                           task.payload)
                 task.deadline = self._deadline()
         return True
 
@@ -391,11 +430,12 @@ class FuturePool:
             take, self._pending = self._pending[:k], self._pending[k:]
             for task in take:
                 try:
-                    results.append(TaskResult(task.task_id, task.tag,
-                                              task.worker(task.payload)))
+                    value, span = _timed_call(task.worker, task.payload)
+                    results.append(TaskResult(task.task_id, task.tag, value,
+                                              span=span))
                 except Exception as exc:
                     results.append(TaskResult(task.task_id, task.tag, None,
-                                              exc))
+                                              exc, exc.worker_span))
         else:
             from concurrent.futures import FIRST_COMPLETED, wait
 
@@ -421,16 +461,18 @@ class FuturePool:
                         still_pending.append(task)
                         continue
                     try:
+                        value, span = task.future.result()
                         results.append(TaskResult(task.task_id, task.tag,
-                                                  task.future.result()))
+                                                  value, span=span))
                     except BrokenExecutor as exc:
                         # The pool died under this task — keep it (and
                         # everything else) pending for resubmission.
                         broken = exc
                         still_pending.append(task)
                     except Exception as exc:
-                        results.append(TaskResult(task.task_id, task.tag,
-                                                  None, exc))
+                        results.append(TaskResult(
+                            task.task_id, task.tag, None, exc,
+                            getattr(exc, "worker_span", None)))
                 self._pending = still_pending
                 if broken is not None and not self._respawn():
                     self._expire_all(results, error=broken)
@@ -447,10 +489,10 @@ class FuturePool:
     def record_busy(self, seconds: float) -> None:
         """Credit measured task-execution time toward utilisation.
 
-        Task durations are opaque to the pool (fork workers run in other
-        processes), so callers whose workers self-report duration — the
-        chunk functions return ``(rows, seconds)`` — feed it back here;
-        :meth:`idle_fraction` is meaningless without it.
+        Busy time is what the workers report as compute — the chunk
+        functions return ``(rows, seconds)`` — not the span of the whole
+        call, so callers feed it back here; :meth:`idle_fraction` is
+        meaningless without it.
         """
         self.busy_seconds += seconds
         self._busy_reported = True
@@ -860,11 +902,7 @@ class AsyncPopulationExecutor:
             pending.update(context.keys)
             with tel.span("dispatch", CAT_DISPATCH, chunk=chunk_id,
                           kind=kind, items=len(chunk)):
-                self.pool.submit(
-                    tel.wrap_worker(
-                        worker, chunk=chunk_id,
-                        local=self.pool.mode in ("serial", "thread")),
-                    build_payload(chunk), tag=context)
+                self.pool.submit(worker, build_payload(chunk), tag=context)
             shipped += 1
         self.stats.dispatches += 1
         self.stats.chunks += shipped
@@ -878,11 +916,9 @@ class AsyncPopulationExecutor:
         with tel.span("dispatch", CAT_DISPATCH, chunk=context.chunk_id,
                       kind=context.kind, items=len(context.items),
                       resubmit=True):
-            self.pool.submit(
-                tel.wrap_worker(
-                    context.worker, chunk=context.chunk_id,
-                    local=self.pool.mode in ("serial", "thread")),
-                context.build_payload(context.items), tag=context)
+            self.pool.submit(context.worker,
+                             context.build_payload(context.items),
+                             tag=context)
 
     # ------------------------------------------------------------------
     # Gathering
@@ -891,6 +927,25 @@ class AsyncPopulationExecutor:
     def num_pending(self) -> int:
         """Chunk futures submitted but not yet gathered."""
         return self.pool.num_pending
+
+    def _record_worker_span(self, result: TaskResult) -> None:
+        """Record one gathered task's compute span on its worker's
+        pid/tid track, plus the per-chunk worker metrics: the one place
+        worker telemetry lands, whichever transport ran the chunk."""
+        tel = self.telemetry
+        span = result.span
+        args = {"chunk": result.tag.chunk_id}
+        if result.error is not None:
+            args["error"] = type(result.error).__name__
+        else:
+            rows, compute_seconds = result.value
+            args.update(rows=len(rows), compute_seconds=compute_seconds)
+            tel.count("worker.chunks")
+            tel.count("worker.rows", len(rows))
+            tel.observe("worker_chunk_seconds", span.duration)
+        tel.tracer.record("worker_compute", CAT_WORKER, span.start,
+                          span.duration, pid=span.pid, tid=span.tid,
+                          args=args)
 
     def _merge_landed(self, context: _ChunkContext,
                       value: Tuple) -> GatheredChunk:
@@ -1041,6 +1096,8 @@ class AsyncPopulationExecutor:
             for result in self.pool.gather(1):
                 saw_results = True
                 context: _ChunkContext = result.tag
+                if self.telemetry.enabled and result.span is not None:
+                    self._record_worker_span(result)
                 if result.error is None:
                     gathered.append(self._merge_landed(context,
                                                        result.value))
@@ -1138,4 +1195,5 @@ __all__ = [
     "FuturePool",
     "GatheredChunk",
     "TaskResult",
+    "WorkerSpan",
 ]

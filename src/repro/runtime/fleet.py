@@ -20,10 +20,13 @@ multi-process / multi-host transport into that seam:
   ``FuturePool`` duck type (``submit`` / ``gather`` in completion order /
   ``record_busy`` / ``idle_fraction`` / ``timeouts`` / ``respawns`` /
   ``close``), so the executor, fault taxonomy, quarantine ledger,
-  telemetry spans and graceful drain all compose unchanged.  Completed
-  chunks additionally emit ``fleet_lease`` (queue wait) and
-  ``fleet_remote_compute`` (worker-reported duration) spans, correlated
-  with the dispatch/merge spans by chunk id.
+  telemetry spans and graceful drain all compose unchanged.  Each
+  result or error frame carries the worker's pid, thread id and compute
+  duration, which come back as the chunk's
+  :class:`~repro.runtime.async_pool.WorkerSpan`, anchored on the
+  driver's clock at arrival; completed chunks also emit a
+  ``fleet_lease`` (queue wait) span, correlated with the dispatch/merge
+  spans by chunk id.
 * :func:`run_worker` — the worker client loop behind ``micronas fleet
   worker --connect HOST:PORT --store DIR``: lease, evaluate through the
   shipped picklable chunk worker, report back, repeat until the broker
@@ -79,10 +82,10 @@ from repro.engine.cache import IndicatorCache
 from repro.engine.core import genotype_indicator_keys
 from repro.errors import SearchError
 from repro.proxies.base import ProxyConfig
-from repro.runtime.async_pool import TaskResult
+from repro.runtime.async_pool import TaskResult, WorkerSpan
 from repro.runtime.faults import ChunkTimeoutError, TransientWorkerError
 from repro.runtime.telemetry import Telemetry
-from repro.runtime.tracing import CAT_DISPATCH, CAT_WORKER
+from repro.runtime.tracing import CAT_DISPATCH
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.network import MacroConfig
 
@@ -133,9 +136,14 @@ _LEASE_BLOCK_SECONDS = 0.05
 _SWEEP_SECONDS = 0.05
 
 
-def _send_msg(sock: socket.socket, message: Dict) -> None:
+def _encode(message: Dict) -> bytes:
+    """One wire frame: the length prefix plus the pickled message."""
     blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(struct.pack(">I", len(blob)) + blob)
+    return struct.pack(">I", len(blob)) + blob
+
+
+def _send_msg(sock: socket.socket, message: Dict) -> None:
+    sock.sendall(_encode(message))
 
 
 def _recv_exact(sock: socket.socket, n: int,
@@ -189,16 +197,17 @@ def parse_address(text: str) -> Tuple[str, int]:
 # ----------------------------------------------------------------------
 class _FleetTask:
     """One submitted chunk as the broker tracks it: queued until a
-    worker leases it (``leased_to`` set), then completed once."""
+    worker leases it (``leased_to`` set), then completed once.  ``frame``
+    is the task message, encoded once at submit."""
 
-    __slots__ = ("task_id", "worker_fn", "payload", "tag", "leased_to",
+    __slots__ = ("task_id", "frame", "payload", "tag", "leased_to",
                  "deadline", "queued_wall", "leased_wall", "done_wall",
-                 "compute_seconds", "value", "error")
+                 "span", "value", "error")
 
-    def __init__(self, task_id: int, worker_fn: Callable, payload: object,
+    def __init__(self, task_id: int, frame: bytes, payload: object,
                  tag: object) -> None:
         self.task_id = task_id
-        self.worker_fn = worker_fn
+        self.frame = frame
         self.payload = payload
         self.tag = tag
         self.leased_to: Optional[int] = None
@@ -206,7 +215,7 @@ class _FleetTask:
         self.queued_wall = time.time()
         self.leased_wall: Optional[float] = None
         self.done_wall: Optional[float] = None
-        self.compute_seconds: Optional[float] = None
+        self.span: Optional[WorkerSpan] = None
         self.value: object = None
         self.error: Optional[BaseException] = None
 
@@ -317,11 +326,20 @@ class FleetBroker:
     def submit(self, worker_fn: Callable, payload: object,
                tag: object = None) -> int:
         """Queue one chunk for leasing; returns its task id.  Never
-        blocks (workers pull — nothing is pushed)."""
+        blocks (workers pull — nothing is pushed).  The task frame is
+        pickled here, so an unpicklable worker or payload raises in the
+        caller and nothing is queued."""
         with self._lock:
             task_id = self._next_task_id
+            frame = _encode({
+                "op": "task",
+                "task_id": task_id,
+                "worker": worker_fn,
+                "payload": payload,
+                "lease_seconds": self.lease_seconds,
+            })
             self._next_task_id += 1
-            task = _FleetTask(task_id, worker_fn, payload, tag)
+            task = _FleetTask(task_id, frame, payload, tag)
             self._tasks[task_id] = task
             self._queue.append(task_id)
             self._queue_cv.notify()
@@ -377,9 +395,13 @@ class FleetBroker:
     # Internal mechanics (all *_locked helpers assume self._lock held)
     # ------------------------------------------------------------------
     def _complete_locked(self, task: _FleetTask, value: object = None,
-                         error: Optional[BaseException] = None) -> None:
+                         error: Optional[BaseException] = None,
+                         report: Optional[Dict] = None) -> None:
         """Finish a leased task and forget it: its result now lives only
-        in the completed queue the driver drains."""
+        in the completed queue the driver drains.  ``report`` is the
+        worker's result or error frame; its compute span is anchored on
+        this clock at arrival, since a remote host's clock is not the
+        driver's."""
         del self._tasks[task.task_id]
         session = self._workers.get(task.leased_to)
         if session is not None:
@@ -387,6 +409,10 @@ class FleetBroker:
         task.value = value
         task.error = error
         task.done_wall = time.time()
+        if report is not None and isinstance(report.get("dur"), float):
+            duration = report["dur"]
+            task.span = WorkerSpan(report.get("pid"), report.get("tid"),
+                                   task.done_wall - duration, duration)
         self._completed.append(task)
         self._completed_cv.notify_all()
 
@@ -449,6 +475,8 @@ class FleetBroker:
                 continue
             except OSError:
                 break  # listener closed under us: shutting down
+            self._threads = [thread for thread in self._threads
+                             if thread.is_alive()]
             thread = threading.Thread(
                 target=self._serve, args=(conn, f"{addr[0]}:{addr[1]}"),
                 name="fleet-broker-conn", daemon=True)
@@ -528,25 +556,15 @@ class FleetBroker:
                 return
         # A reply that cannot be sent ends the connection, and the
         # disconnect path fails the chunk just leased.
-        _send_msg(conn, {
-            "op": "task",
-            "task_id": task.task_id,
-            "worker": task.worker_fn,
-            "payload": task.payload,
-            "lease_seconds": self.lease_seconds,
-        })
+        conn.sendall(task.frame)
 
     def _handle_result(self, session: _WorkerSession,
                        message: Dict) -> None:
-        value = message.get("value")
         with self._lock:
             task = self._held_task_locked(session, message)
-            if task is None:
-                return
-            if isinstance(value, tuple) and len(value) == 2 \
-                    and isinstance(value[1], (int, float)):
-                task.compute_seconds = float(value[1])
-            self._complete_locked(task, value=value)
+            if task is not None:
+                self._complete_locked(task, value=message.get("value"),
+                                      report=message)
 
     def _handle_error(self, session: _WorkerSession,
                       message: Dict) -> None:
@@ -556,7 +574,7 @@ class FleetBroker:
         with self._lock:
             task = self._held_task_locked(session, message)
             if task is not None:
-                self._complete_locked(task, error=error)
+                self._complete_locked(task, error=error, report=message)
 
 
 # ----------------------------------------------------------------------
@@ -568,9 +586,8 @@ class FleetPool:
     Drop this in as ``AsyncPopulationExecutor(pool=FleetPool(...))`` and
     the executor's scheduling, dedupe, fault policy, quarantine and
     drain logic run unchanged — chunks just travel over TCP instead of a
-    fork pipe.  ``mode`` is ``"fleet"``; the executor ships workers with
-    the cross-process telemetry sidecar (not the in-process tracer), the
-    same as fork mode.
+    fork pipe.  ``mode`` is ``"fleet"``; each result comes back with its
+    worker's compute span, as from every other transport.
 
     ``n_workers`` is the *expected* worker count (used for utilisation
     capacity in :meth:`idle_fraction` and reporting); actual membership
@@ -655,17 +672,11 @@ class FleetPool:
                     "fleet_lease", CAT_DISPATCH, task.queued_wall,
                     max(0.0, task.leased_wall - task.queued_wall),
                     args=args)
-            if task.compute_seconds and task.done_wall is not None:
-                # Worker-reported compute, anchored at result arrival.
-                self.telemetry.tracer.record(
-                    "fleet_remote_compute", CAT_WORKER,
-                    task.done_wall - task.compute_seconds,
-                    task.compute_seconds, args=args)
             self.telemetry.count("fleet.chunks_completed")
             if task.error is not None:
                 self.telemetry.count("fleet.chunk_errors")
         results.append(TaskResult(task.task_id, tag, task.value,
-                                  task.error))
+                                  task.error, task.span))
 
     def gather(self, k: int = 1) -> List[TaskResult]:
         """Block until at least ``k`` pending chunks complete; returns
@@ -921,24 +932,25 @@ def run_worker(connect: str, store_dir=None, token: str = "",
                 else:
                     value = worker_fn(payload)
             except Exception as exc:
+                duration = time.perf_counter() - started
                 stats.errors += 1
-                stats.busy_seconds += time.perf_counter() - started
-                _send_msg(sock, {"op": "error",
-                                 "worker_id": stats.worker_id,
-                                 "task_id": task_id,
-                                 "error": _picklable_error(exc)})
+                frame = {"op": "error", "error": _picklable_error(exc)}
             else:
+                duration = time.perf_counter() - started
                 stats.chunks += 1
-                stats.busy_seconds += time.perf_counter() - started
                 if isinstance(value, tuple) and len(value) == 2:
                     try:
                         stats.rows += len(value[0])
                     except TypeError:
                         pass
-                _send_msg(sock, {"op": "result",
-                                 "worker_id": stats.worker_id,
-                                 "task_id": task_id,
-                                 "value": value})
+                frame = {"op": "result", "value": value}
+            stats.busy_seconds += duration
+            # The compute span rides home on the frame; the broker
+            # anchors it on the driver's clock at arrival.
+            frame.update(worker_id=stats.worker_id, task_id=task_id,
+                         pid=os.getpid(), tid=threading.get_ident(),
+                         dur=duration)
+            _send_msg(sock, frame)
             _recv_msg(sock)  # the broker's "ok" acknowledgement
     finally:
         with contextlib.suppress(OSError):

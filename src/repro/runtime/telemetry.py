@@ -1,4 +1,4 @@
-"""Run-scoped telemetry: metrics registry, worker-side log, heartbeat.
+"""Run-scoped telemetry: metrics registry, run facade, heartbeat.
 
 This module owns the runtime's observability substrate.  One
 :class:`Telemetry` object is minted per harness run and threaded through
@@ -7,7 +7,7 @@ This module owns the runtime's observability substrate.  One
 :mod:`repro.runtime.tracing`) and metrics against it.  The contract:
 
 * **Strict observer.**  Nothing here may change what the runtime
-  computes.  Worker wrappers return the inner result untouched; the
+  computes.  Worker timing never touches a chunk's value; the
   bit-identity assertions in ``benchmarks/bench_telemetry.py`` and the
   ``obs``-marked tests hold the line.
 * **Disabled by default, cheap when armed.**  The disabled singleton
@@ -15,13 +15,11 @@ This module owns the runtime's observability substrate.  One
   overhead must stay under 2% (``BENCH_telemetry.json``).  Metric
   updates are single int/float ops on plain attributes — GIL-atomic, no
   locks on the hot path.
-* **Cross-process merge by append-only JSONL.**  Fork workers cannot
-  share the parent's in-memory registry, so :class:`TracedWorker`
-  appends span + metrics records to a ``flock``'d sidecar
-  (``<trace>.workers.jsonl``) — the same discipline as the format-2
-  store segments and the quarantine ledger — which the parent drains
-  into the trace at export time.  Torn tail lines (a worker killed
-  mid-write) are skipped, never fatal.
+* **Worker spans ride home with the result.**  Every transport times
+  each chunk where it runs and hands the span (pid, tid, start,
+  duration) back with the chunk result — over the fork pipe, the fleet
+  socket or the same process — and the executor records it here.  No
+  worker ever writes telemetry of its own, so nothing needs merging.
 
 The engine never imports this module: ``Engine`` takes a duck-typed
 ``telemetry`` object, keeping the engine→runtime layering acyclic.
@@ -30,7 +28,6 @@ The engine never imports this module: ``Engine`` takes a duck-typed
 from __future__ import annotations
 
 import json
-import os
 import sys
 import threading
 import time
@@ -38,16 +35,10 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.tracing import (
-    CAT_WORKER,
     NULL_SPAN,
     Tracer,
     write_chrome_trace,
 )
-
-try:  # pragma: no cover - platform dependent
-    import fcntl
-except ImportError:  # pragma: no cover - platform dependent
-    fcntl = None
 
 
 # ----------------------------------------------------------------------
@@ -94,8 +85,7 @@ class Histogram:
 
     Fixed upper-bound buckets plus an overflow slot; ``observe`` is a
     linear scan over ~a dozen bounds and two adds — cheap enough for the
-    per-chunk hot path, and mergeable across processes by summing
-    counts.
+    per-chunk hot path.
     """
 
     __slots__ = ("buckets", "counts", "total", "count")
@@ -163,23 +153,6 @@ class MetricsRegistry:
             with self._create_lock:
                 return self._histograms.setdefault(name, Histogram(buckets))
 
-    # ------------------------------------------------------------------
-    def merge_record(self, record: Dict) -> None:
-        """Fold one worker-side metrics record into this registry.
-
-        Worker records carry raw observation lists rather than
-        pre-bucketed counts so the parent's bucket layout is the single
-        source of truth.
-        """
-        for name, n in record.get("counters", {}).items():
-            self.counter(name).inc(int(n))
-        for name, value in record.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, values in record.get("observations", {}).items():
-            histogram = self.histogram(name)
-            for value in values:
-                histogram.observe(value)
-
     def snapshot(self) -> Dict:
         return {
             "counters": {name: c.value
@@ -188,182 +161,6 @@ class MetricsRegistry:
                        for name, g in sorted(self._gauges.items())},
             "histograms": {name: h.snapshot()
                            for name, h in sorted(self._histograms.items())},
-        }
-
-
-# ----------------------------------------------------------------------
-# Cross-process worker log
-# ----------------------------------------------------------------------
-class TelemetryLog:
-    """``flock``'d append-only JSONL sidecar for worker-side telemetry.
-
-    Appends hold the file's own ``flock`` (the quarantine-ledger
-    discipline); reads skip torn tail lines, so a worker killed
-    mid-write — the fault machinery does exactly that on purpose —
-    costs at most its final record, never the file.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-
-    def append(self, record: Dict) -> None:
-        self.append_many([record])
-
-    def append_many(self, records: Sequence[Dict]) -> None:
-        """Append several records under one lock/open (what the worker
-        wrapper uses: one span + one metrics record per chunk)."""
-        text = "".join(json.dumps(record, sort_keys=True) + "\n"
-                       for record in records)
-        handle = open(self.path, "a", encoding="utf-8")
-        try:
-            if fcntl is not None:
-                fcntl.flock(handle, fcntl.LOCK_EX)
-            handle.write(text)
-            handle.flush()
-        finally:
-            if fcntl is not None:
-                try:
-                    fcntl.flock(handle, fcntl.LOCK_UN)
-                finally:
-                    handle.close()
-            else:
-                handle.close()
-
-    def read(self) -> List[Dict]:
-        if not self.path.exists():
-            return []
-        records: List[Dict] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail from a killed writer
-            if isinstance(record, dict):
-                records.append(record)
-        return records
-
-    def unlink(self) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def _chunk_result_shape(result):
-    """``(rows_count, compute_seconds)`` when ``result`` has the chunk
-    workers' ``(rows, seconds)`` shape; ``(None, None)`` otherwise."""
-    if isinstance(result, tuple) and len(result) == 2:
-        rows, compute_seconds = result
-        try:
-            return len(rows), compute_seconds
-        except TypeError:
-            pass
-    return None, None
-
-
-class LocalTracedWorker:
-    """In-process counterpart of :class:`TracedWorker`.
-
-    Serial/thread pools run the worker in the parent process, so the
-    compute span can record straight into the parent's tracer and
-    registry — no sidecar file, no ``flock``, which is what keeps the
-    armed overhead of a serial run inside the <2% budget.  Same
-    strict-observer contract: the inner result passes through untouched
-    and a raising inner records (with the error noted) and re-raises.
-    """
-
-    __slots__ = ("telemetry", "inner", "chunk")
-
-    def __init__(self, telemetry: "Telemetry", inner: Callable,
-                 chunk: Optional[int] = None) -> None:
-        self.telemetry = telemetry
-        self.inner = inner
-        self.chunk = chunk
-
-    def __call__(self, payload):
-        telemetry = self.telemetry
-        with telemetry.tracer.span("worker_compute", CAT_WORKER,
-                                   {"chunk": self.chunk}) as span:
-            perf = time.perf_counter()
-            result = self.inner(payload)
-            duration = time.perf_counter() - perf
-            rows_count, compute_seconds = _chunk_result_shape(result)
-            if rows_count is not None:
-                span.note(rows=rows_count, compute_seconds=compute_seconds)
-        metrics = telemetry.metrics
-        metrics.counter("worker.chunks").inc()
-        if rows_count is not None:
-            metrics.counter("worker.rows").inc(rows_count)
-        metrics.histogram("worker_chunk_seconds").observe(duration)
-        return result
-
-
-class TracedWorker:
-    """Picklable worker wrapper that self-reports compute spans.
-
-    Ships to fork workers by value (path string + inner callable), times
-    the inner call, appends one span record and one metrics record to
-    the telemetry log, and returns the inner result **untouched** — the
-    bit-identity contract.  A raising inner still logs (with the error
-    type noted) and re-raises; a crashing worker (``os._exit``) simply
-    never logs, which the torn-tail-tolerant reader absorbs.
-    """
-
-    def __init__(self, log_path: str, inner: Callable,
-                 chunk: Optional[int] = None, run_id: str = "") -> None:
-        self.log_path = log_path
-        self.inner = inner
-        self.chunk = chunk
-        self.run_id = run_id
-
-    def __call__(self, payload):
-        wall = time.time()
-        perf = time.perf_counter()
-        log = TelemetryLog(self.log_path)
-        try:
-            result = self.inner(payload)
-        except BaseException as exc:
-            duration = time.perf_counter() - perf
-            try:
-                log.append(self._span_record(wall, duration,
-                                             error=type(exc).__name__))
-            except OSError:
-                pass  # telemetry must never mask the real failure
-            raise
-        duration = time.perf_counter() - perf
-        rows_count, compute_seconds = _chunk_result_shape(result)
-        try:
-            counters = {"worker.chunks": 1}
-            if rows_count is not None:
-                counters["worker.rows"] = rows_count
-            log.append_many([
-                self._span_record(wall, duration, rows=rows_count,
-                                  compute_seconds=compute_seconds),
-                {
-                    "kind": "metrics",
-                    "counters": counters,
-                    "observations": {"worker_chunk_seconds": [duration]},
-                },
-            ])
-        except OSError:
-            pass
-        return result
-
-    def _span_record(self, wall: float, duration: float, **extra) -> Dict:
-        args = {"chunk": self.chunk}
-        args.update({k: v for k, v in extra.items() if v is not None})
-        return {
-            "kind": "span",
-            "name": "worker_compute",
-            "cat": CAT_WORKER,
-            "ts": wall,
-            "dur": duration,
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-            "args": args,
         }
 
 
@@ -389,9 +186,6 @@ class Telemetry:
         self.trace_path = Path(trace_path) if trace_path else None
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.worker_log = (TelemetryLog(f"{self.trace_path}.workers.jsonl")
-                           if self.trace_path else None)
-        self._drained = False
 
     # ------------------------------------------------------------------
     @classmethod
@@ -426,60 +220,15 @@ class Telemetry:
         if self.enabled:
             self.metrics.histogram(name).observe(value)
 
-    def wrap_worker(self, worker: Callable, chunk: Optional[int] = None,
-                    local: bool = False) -> Callable:
-        """``worker`` wrapped to self-report compute spans.
-
-        ``local=True`` (serial/thread pools: the worker runs in this
-        process) records straight into the tracer; otherwise the wrapper
-        writes through the cross-process sidecar, which requires an
-        armed trace path — without one, ``worker`` returns unwrapped.
-        """
-        if not self.enabled:
-            return worker
-        if local:
-            return LocalTracedWorker(self, worker, chunk=chunk)
-        if self.worker_log is None:
-            return worker
-        return TracedWorker(str(self.worker_log.path), worker,
-                            chunk=chunk, run_id=self.run_id)
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def drain_worker_log(self) -> int:
-        """Fold worker-side records into the tracer/registry; returns the
-        number of records absorbed.  Idempotent: the sidecar is consumed
-        (unlinked) on first drain."""
-        if self.worker_log is None or self._drained:
-            return 0
-        records = self.worker_log.read()
-        for record in records:
-            kind = record.get("kind")
-            if kind == "span":
-                self.tracer.record(
-                    record.get("name", "worker_compute"),
-                    record.get("cat", CAT_WORKER),
-                    float(record.get("ts", 0.0)),
-                    float(record.get("dur", 0.0)),
-                    pid=record.get("pid"),
-                    tid=record.get("tid"),
-                    args=record.get("args"),
-                )
-            elif kind == "metrics":
-                self.metrics.merge_record(record)
-        self.worker_log.unlink()
-        self._drained = True
-        return len(records)
-
     def metrics_snapshot(self) -> Dict:
         return self.metrics.snapshot()
 
     def export(self, other_data: Optional[Dict] = None) -> Dict:
         """The full trace payload (Chrome ``trace_event`` object form),
-        with worker records drained in and the metrics snapshot embedded
-        in ``otherData``."""
-        self.drain_worker_log()
+        with the metrics snapshot embedded in ``otherData``."""
         data = {
             "run_id": self.run_id,
             "pid": self.tracer.pid,
@@ -679,11 +428,8 @@ __all__ = [
     "Gauge",
     "Heartbeat",
     "Histogram",
-    "LocalTracedWorker",
     "MetricsRegistry",
-    "TelemetryLog",
     "Telemetry",
-    "TracedWorker",
     "load_trace",
     "span_coverage",
     "summarize_trace",

@@ -21,11 +21,12 @@ owns the run-scoped facade):
   a shared no-op context manager (:data:`NULL_SPAN`) — no allocation, no
   timestamping — which is what keeps armed-but-unused overhead inside the
   <2% budget ``benchmarks/bench_telemetry.py`` enforces.
-* **Cross-process mergeable.**  Timestamps are epoch seconds
-  (``time.time()``) so spans recorded by fork workers on the same host —
-  shipped back through the flock'd JSONL sidecar in
-  :mod:`repro.runtime.telemetry` — land on one coherent timeline with the
-  parent's spans; durations come from ``perf_counter`` deltas.
+* **One timeline across processes.**  Timestamps are epoch seconds
+  (``time.time()``) so the compute spans fork workers on the same host
+  send back with their chunk results land on one coherent timeline with
+  the parent's spans (a fleet worker's span is re-anchored on the
+  driver's clock at arrival); durations come from ``perf_counter``
+  deltas.
 
 Span *nesting* needs no explicit parent ids: Chrome's trace model nests
 complete (``"ph": "X"``) events on the same ``pid``/``tid`` track by
@@ -137,8 +138,8 @@ class Tracer:
         """Record one externally measured span.
 
         ``ts`` is epoch seconds (``time.time()``), ``duration`` seconds.
-        The explicit ``pid``/``tid`` override is how worker-side spans —
-        read back from the telemetry sidecar — keep their own track
+        The explicit ``pid``/``tid`` override is how worker compute
+        spans — returned with each chunk result — keep their own track
         identity instead of inheriting the parent's.
         """
         self._events.append({

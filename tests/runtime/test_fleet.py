@@ -27,6 +27,7 @@ The contracts under test, bottom-up:
 """
 
 import os
+import pickle
 import signal
 import socket
 import threading
@@ -261,6 +262,21 @@ class TestProtocol:
             FleetBroker().close()
         assert raised == []
 
+    def test_finished_handler_threads_are_dropped(self):
+        with FleetBroker() as broker:
+            for _ in range(50):
+                client = Client(broker)
+                client.register()
+                client.close()
+            assert wait_until(lambda: not any(
+                thread.is_alive() for thread in list(broker._threads)))
+            live = Client(broker)
+            live.register()
+            # Accepting the live client pruned every finished handler.
+            assert len(broker._threads) == 1
+            assert all(thread.is_alive() for thread in broker._threads)
+            live.close()
+
 
 # ----------------------------------------------------------------------
 # Lease semantics
@@ -395,6 +411,23 @@ class TestFleetPool:
                 (item,) = result.value[0]
                 assert item == (int(result.tag[1:]),
                                 {"v": int(result.tag[1:]) * 2})
+
+    def test_unpicklable_task_raises_at_submit(self, monkeypatch):
+        """The task frame is pickled at submit: an unpicklable worker
+        raises in the driver and costs no worker."""
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        with FleetPool(n_workers=1, lease_seconds=30.0) as pool:
+            pool.spawn_local_workers(1)
+            assert wait_until(lambda: pool.broker.num_workers == 1)
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                pool.submit(lambda payload: payload, [1])
+            assert pool.num_pending == 0
+            pool.submit(echo_chunk, [2])
+            (result,) = pool.gather(1)
+            assert result.error is None
+            assert pool.broker.num_workers == 1
+        assert raised == []
 
     def test_worker_exception_travels_back(self):
         with FleetPool(n_workers=1, lease_seconds=30.0) as pool:

@@ -1,21 +1,33 @@
 """Telemetry is a strict observer: spans/metrics record, results don't change.
 
 Covers the tracing substrate (spans, Chrome export), the metrics
-registry, the cross-process worker log, the run-scoped ``Telemetry``
-facade, executor/harness integration (trace files, run ids, drain), the
-heartbeat, and the schema-stability contracts downstream report readers
-rely on.
+registry, worker spans returned with each task result (one
+``worker_compute`` span per gathered chunk on every transport), the
+run-scoped ``Telemetry`` facade, executor/harness integration (trace
+files, run ids, drain), the heartbeat, and the schema-stability
+contracts downstream report readers rely on.
 """
 
 import json
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
 
 from repro.engine import Engine
 from repro.runtime import RunHarness, RuntimeConfig
-from repro.runtime.async_pool import AsyncPoolStats, AsyncPopulationExecutor
+from repro.runtime.async_pool import (
+    AsyncPoolStats,
+    AsyncPopulationExecutor,
+    ChunkGatherError,
+    FuturePool,
+    _timed_call,
+)
+from repro.runtime.faults import FaultPlan
+from repro.runtime.fleet import FleetPool
+from repro.runtime.pool import _evaluate_genotype_chunk, _fork_available
 from repro.runtime.telemetry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -24,12 +36,11 @@ from repro.runtime.telemetry import (
     Histogram,
     MetricsRegistry,
     Telemetry,
-    TelemetryLog,
-    TracedWorker,
     load_trace,
     span_coverage,
     summarize_trace,
 )
+from repro.searchspace.canonical import canonicalize
 from repro.searchspace.space import NasBench201Space
 from repro.runtime.tracing import (
     CAT_DISPATCH,
@@ -42,6 +53,9 @@ from repro.runtime.tracing import (
 )
 
 pytestmark = pytest.mark.obs
+
+needs_fork = pytest.mark.skipif(not _fork_available(),
+                                reason="needs fork start method")
 
 
 def _quick_config(**overrides):
@@ -154,80 +168,140 @@ class TestMetrics:
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
 
-    def test_merge_record_folds_worker_side_records(self):
-        registry = MetricsRegistry()
-        registry.counter("worker.chunks").inc()
-        registry.merge_record({
-            "counters": {"worker.chunks": 2, "worker.rows": 7},
-            "gauges": {"depth": 3},
-            "observations": {"worker_chunk_seconds": [0.2, 0.4]},
-        })
-        snap = registry.snapshot()
-        assert snap["counters"] == {"worker.chunks": 3, "worker.rows": 7}
-        assert snap["gauges"] == {"depth": 3.0}
-        assert snap["histograms"]["worker_chunk_seconds"]["count"] == 2
-
 
 # ----------------------------------------------------------------------
-# Cross-process worker log
+# Worker spans: timed where the worker runs, returned with the result
 # ----------------------------------------------------------------------
-class TestTelemetryLog:
-    def test_append_read_round_trip(self, tmp_path):
-        log = TelemetryLog(tmp_path / "w.jsonl")
-        log.append({"kind": "metrics", "counters": {"x": 1}})
-        log.append({"kind": "span", "name": "worker_compute"})
-        records = log.read()
-        assert [r["kind"] for r in records] == ["metrics", "span"]
-
-    def test_torn_tail_line_is_skipped_not_fatal(self, tmp_path):
-        log = TelemetryLog(tmp_path / "w.jsonl")
-        log.append({"kind": "metrics", "counters": {"x": 1}})
-        with open(log.path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "span", "name": "worker_co')  # killed writer
-        records = log.read()
-        assert len(records) == 1
-        assert records[0]["kind"] == "metrics"
-
-    def test_read_missing_file_is_empty(self, tmp_path):
-        assert TelemetryLog(tmp_path / "absent.jsonl").read() == []
-
-
 class TestTracedWorker:
-    def test_result_passes_through_bit_identical(self, tmp_path):
+    """A worker is timed where it runs by ``_timed_call``; the executor
+    records the span that comes back with the result."""
+
+    def test_result_passes_through_bit_identical(self):
         rows = [("key", np.arange(4, dtype=np.float64))]
 
         def inner(payload):
             return rows, 0.125
 
-        worker = TracedWorker(str(tmp_path / "w.jsonl"), inner, chunk=7,
-                              run_id="ab")
-        result = worker("payload")
-        assert result[0] is rows  # the very same object, untouched
-        assert result[1] == 0.125
+        value, span = _timed_call(inner, "payload")
+        assert value[0] is rows  # the very same object, untouched
+        assert value[1] == 0.125
+        assert span.pid == os.getpid()
+        assert span.tid == threading.get_ident()
+        assert span.duration >= 0.0
 
-    def test_records_span_and_metrics(self, tmp_path):
-        worker = TracedWorker(str(tmp_path / "w.jsonl"),
-                              lambda payload: ([1, 2, 3], 0.5), chunk=7)
-        worker(None)
-        records = TelemetryLog(tmp_path / "w.jsonl").read()
-        span = next(r for r in records if r["kind"] == "span")
-        metrics = next(r for r in records if r["kind"] == "metrics")
-        assert span["name"] == "worker_compute"
+    def test_records_span_and_metrics(self, tiny_proxy_config):
+        tel = Telemetry.armed(run_id="ab")
+        engine = Engine(proxy_config=tiny_proxy_config)
+        population = NasBench201Space().sample(2, rng=5)
+        with AsyncPopulationExecutor(n_workers=1, chunk_size=2,
+                                     mode="serial",
+                                     telemetry=tel) as executor:
+            executor.warm_population(engine, population,
+                                     assume_canonical=False)
+        (span,) = [event for event in tel.tracer.events()
+                   if event["name"] == "worker_compute"]
         assert span["cat"] == CAT_WORKER
-        assert span["args"]["chunk"] == 7
-        assert span["args"]["rows"] == 3
-        assert metrics["counters"] == {"worker.chunks": 1, "worker.rows": 3}
-        assert metrics["observations"]["worker_chunk_seconds"]
+        assert span["args"]["chunk"] == 0
+        assert span["args"]["rows"] == 2
+        assert span["args"]["compute_seconds"] > 0.0
+        snap = tel.metrics_snapshot()
+        assert snap["counters"]["worker.chunks"] == 1
+        assert snap["counters"]["worker.rows"] == 2
+        assert snap["histograms"]["worker_chunk_seconds"]["count"] == 1
 
-    def test_raising_inner_logs_error_and_reraises(self, tmp_path):
+    def test_raising_inner_logs_error_and_reraises(self):
+        error = RuntimeError("poison")
+
         def inner(payload):
-            raise RuntimeError("poison")
+            raise error
 
-        worker = TracedWorker(str(tmp_path / "w.jsonl"), inner, chunk=1)
-        with pytest.raises(RuntimeError):
-            worker(None)
-        (span,) = TelemetryLog(tmp_path / "w.jsonl").read()
-        assert span["args"]["error"] == "RuntimeError"
+        with pytest.raises(RuntimeError) as info:
+            _timed_call(inner, None)
+        assert info.value is error  # re-raised unchanged
+        assert info.value.worker_span.pid == os.getpid()
+        # The pool hands the exception and its span back together.
+        pool = FuturePool(n_workers=1, mode="serial")
+        pool.submit(inner, None)
+        (result,) = pool.gather_all()
+        assert result.error is error
+        assert result.span is error.worker_span
+
+
+TRANSPORTS = [
+    "serial",
+    "thread",
+    pytest.param("fork", marks=needs_fork),
+    pytest.param("fleet", marks=[needs_fork, pytest.mark.fleet]),
+]
+
+
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["heartbeat", "trace"])
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_one_worker_compute_span_per_gathered_chunk(
+        transport, traced, tiny_proxy_config, tmp_path):
+    """Every transport, armed with or without a trace path, yields one
+    ``worker_compute`` span per gathered chunk on the track of the
+    process that computed it, and the per-chunk worker metrics."""
+    population = NasBench201Space().sample(6, rng=5)
+    poison = canonicalize(population[0]).to_index()
+    worker = FaultPlan(state_path=str(tmp_path / "faults"),
+                       script={poison: ("poison",)}).wrap(
+                           _evaluate_genotype_chunk)
+    trace = tmp_path / "run.json" if traced else None
+    tel = Telemetry.armed(run_id="ab", trace_path=trace)
+    if transport == "fleet":
+        pool = FleetPool(n_workers=1, lease_seconds=60.0, telemetry=tel)
+        worker_pids = {proc.pid for proc in pool.spawn_local_workers(1)}
+        executor = AsyncPopulationExecutor(chunk_size=2,
+                                           genotype_worker=worker,
+                                           pool=pool, telemetry=tel)
+    else:
+        executor = AsyncPopulationExecutor(
+            n_workers=1 if transport == "serial" else 2, chunk_size=2,
+            mode=transport, genotype_worker=worker, telemetry=tel)
+    engine = Engine(proxy_config=tiny_proxy_config)
+    gathered, failures = [], []
+    with executor:
+        executor.submit_population(engine, population)
+        while executor.num_pending:
+            try:
+                gathered += executor.gather(1)
+            except ChunkGatherError as error:
+                gathered += error.gathered
+                failures += error.failures
+        if transport in ("serial", "thread"):
+            worker_pids = {os.getpid()}
+        elif transport == "fork":
+            worker_pids = set(executor.pool._pool._processes)
+    assert len(failures) == 1
+
+    if traced:
+        tel.write_trace()
+        payload = load_trace(trace)
+    else:
+        payload = tel.export()
+    spans = [event for event in payload["traceEvents"]
+             if event.get("ph") == "X"]
+    computes = [event for event in spans
+                if event["name"] == "worker_compute"]
+    dispatched = sorted(event["args"]["chunk"] for event in spans
+                        if event["name"] == "dispatch")
+    assert len(computes) == len(gathered) + len(failures)
+    assert sorted(event["args"]["chunk"] for event in computes) \
+        == dispatched
+    assert {event["pid"] for event in computes} <= worker_pids
+    (errored,) = [event for event in computes if "error" in event["args"]]
+    assert errored["args"]["error"] == type(failures[0]).__name__
+    counters = tel.metrics_snapshot()["counters"]
+    assert counters["worker.chunks"] == len(gathered)
+    assert counters["worker.rows"] == sum(
+        len(chunk.canonical_indices) for chunk in gathered)
+    if transport == "fleet":
+        phases = {phase["name"]: phase
+                  for phase in summarize_trace(payload)["phases"]}
+        assert phases["worker"]["share"] <= 1.0
+    assert not list(tmp_path.glob("*.workers.jsonl"))
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +313,6 @@ class TestTelemetryFacade:
         assert tel is Telemetry.disabled()
         assert not tel.enabled
         assert tel.span("anything") is NULL_SPAN
-        worker = object()
-        assert tel.wrap_worker(worker) is worker
         tel.count("c")
         tel.gauge("g", 1)
         tel.observe("h", 1)  # all silently dropped
@@ -257,20 +329,6 @@ class TestTelemetryFacade:
         snap = tel.metrics_snapshot()
         assert snap["counters"]["executor.evals"] == 3
         assert snap["histograms"]["chunk_seconds"]["count"] == 1
-
-    def test_drain_worker_log_is_idempotent_and_consumes_sidecar(
-            self, tmp_path):
-        trace = tmp_path / "t.json"
-        tel = Telemetry.armed(run_id="ab", trace_path=trace)
-        tel.wrap_worker(lambda payload: ([1], 0.1), chunk=0)(None)
-        assert tel.worker_log.path.exists()
-        first = tel.drain_worker_log()
-        assert first == 2  # one span + one metrics record
-        assert not tel.worker_log.path.exists()
-        assert tel.drain_worker_log() == 0  # idempotent
-        names = [e["name"] for e in tel.tracer.events()]
-        assert names == ["worker_compute"]
-        assert tel.metrics_snapshot()["counters"]["worker.chunks"] == 1
 
     def test_export_payload_shape(self, tmp_path):
         tel = Telemetry.armed(run_id="ab", trace_path=tmp_path / "t.json")
@@ -307,7 +365,6 @@ class TestExecutorTelemetry:
             executor.submit_population(engine, population)
             while executor.num_pending:
                 executor.gather(1)
-        tel.drain_worker_log()
         events = tel.tracer.events()
         by_name = {}
         for event in events:
