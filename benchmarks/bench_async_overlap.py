@@ -87,26 +87,33 @@ def _durations() -> List[List[float]]:
     ]
 
 
-def _sleep_task(seconds: float) -> float:
+def _sleep_task(seconds: float) -> None:
     time.sleep(seconds)
-    return seconds
+
+
+def _pool_result(busy: float, wall: float) -> Dict:
+    """Wall time, and the fraction of ``N_WORKERS × wall`` no task spent
+    running (``busy`` sums the tasks' worker spans)."""
+    return {"wall_seconds": wall,
+            "idle_fraction": max(0.0, 1.0 - busy / (N_WORKERS * wall))}
 
 
 def _run_barrier_pool() -> Dict:
+    busy = 0.0
     with FuturePool(n_workers=N_WORKERS, mode="thread") as pool:
         with Timer() as timer:
             for generation in _durations():
                 for seconds in generation:
                     pool.submit(_sleep_task, seconds)
                 for result in pool.gather_all():  # the generation barrier
-                    pool.record_busy(result.value)
-        return {"wall_seconds": timer.elapsed,
-                "idle_fraction": pool.idle_fraction()}
+                    busy += result.span.duration
+    return _pool_result(busy, timer.elapsed)
 
 
 def _run_steady_pool() -> Dict:
     tasks = [seconds for generation in _durations()
              for seconds in generation]
+    busy = 0.0
     with FuturePool(n_workers=N_WORKERS, mode="thread") as pool:
         with Timer() as timer:
             queue = deque(tasks)
@@ -114,11 +121,10 @@ def _run_steady_pool() -> Dict:
                 pool.submit(_sleep_task, queue.popleft())
             while pool.num_pending:
                 for result in pool.gather(1):
-                    pool.record_busy(result.value)
+                    busy += result.span.duration
                 while queue and pool.num_pending < N_WORKERS:
                     pool.submit(_sleep_task, queue.popleft())
-        return {"wall_seconds": timer.elapsed,
-                "idle_fraction": pool.idle_fraction()}
+    return _pool_result(busy, timer.elapsed)
 
 
 # ----------------------------------------------------------------------
@@ -135,13 +141,13 @@ def _padded_worker(payload):
     design — the benchmark isolates *scheduling*, and CPU-bound compute
     serialises on 1-core CI boxes for both policies equally anyway.
     """
-    rows, seconds = _evaluate_genotype_chunk(payload)
+    rows = _evaluate_genotype_chunk(payload)
     padded = 0.0
     for index, _, _ in rows:
         padded += (STRAGGLER_S if index % STRAGGLER_MODULUS == 0
                    else SHORT_S)
     time.sleep(padded)
-    return rows, seconds + padded
+    return rows
 
 
 def _pareto_parents(population):

@@ -71,10 +71,9 @@ def _padded_worker(payload):
 
     The pad makes each run long enough (~0.26s) that wall-clock deltas
     measure policy bookkeeping rather than timer granularity."""
-    rows, seconds = _evaluate_genotype_chunk(payload)
-    pad = OVERHEAD_PAD_S * len(rows)
-    time.sleep(pad)
-    return rows, seconds + pad
+    rows = _evaluate_genotype_chunk(payload)
+    time.sleep(OVERHEAD_PAD_S * len(rows))
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _padded_echo_chunk(payload):
     """GIL-free fixed-cost chunk: models remote proxy evaluation whose
     cost dwarfs the lease/result round-trip."""
     time.sleep(PAD_SECONDS)
-    return ([(payload, {"v": float(payload)})], PAD_SECONDS)
+    return [(payload, {"v": float(payload)})]
 
 
 def _wait_for_workers(pool: FleetPool, n: int, timeout: float = 30.0) -> None:
@@ -115,9 +115,9 @@ def _run_scaling(n_workers: int) -> Dict:
 # Part 2: elastic membership (SIGKILL mid-lease + mid-run join)
 # ----------------------------------------------------------------------
 def _padded_genotype_chunk(payload):
-    rows, seconds = _evaluate_genotype_chunk(payload)
+    rows = _evaluate_genotype_chunk(payload)
     time.sleep(ELASTIC_PAD)
-    return rows, seconds + ELASTIC_PAD
+    return rows
 
 
 def _victim_freshly_leased(pool: FleetPool, pid: int) -> bool:

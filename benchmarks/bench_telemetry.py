@@ -72,10 +72,9 @@ COVERAGE_BAR = 0.95
 
 def _padded_worker(payload):
     """Real chunk evaluation plus a fixed per-candidate pad."""
-    rows, seconds = _evaluate_genotype_chunk(payload)
-    pad = OVERHEAD_PAD_S * len(rows)
-    time.sleep(pad)
-    return rows, seconds + pad
+    rows = _evaluate_genotype_chunk(payload)
+    time.sleep(OVERHEAD_PAD_S * len(rows))
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -94,7 +94,7 @@ def manual_broker_and_worker(store_dir: str) -> None:
                          macro_config))
         results = pool.gather_all()
         worker.join(timeout=10)
-        rows = sum(len(r.value[0]) for r in results if r.error is None)
+        rows = sum(len(r.value) for r in results if r.error is None)
         print(format_table([
             ["chunks completed", len(results)],
             ["indicator rows", rows],

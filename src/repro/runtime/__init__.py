@@ -60,9 +60,9 @@ engine does not import it:
    failures: an expired lease fails its chunk with a timeout, and a
    disconnected worker fails the chunks it held as transient, so the
    executor's fault policy is the one owner of retries.
-   The driver-side :class:`FleetPool` implements the ``FuturePool``
-   submit/gather contract, so the executor, fault taxonomy, quarantine
-   ledger, telemetry and graceful drain compose unchanged; workers
+   The driver-side :class:`FleetPool` implements the executor's pool
+   contract, so the executor, fault taxonomy, quarantine ledger,
+   telemetry and graceful drain compose unchanged; workers
    warm-start from — and flush freshly computed rows into — the shared
    store, so late joiners inherit everything already computed.
 
@@ -74,8 +74,11 @@ population API call ``warm_population`` / ``warm_supernets`` on it, and
 the search loops reach it as ``objective.engine.executor`` —
 ``submit_population`` / ``gather`` for the event-driven loop.  The
 engine/estimator accept a ``lut_store``, and the executor accepts any
-``pool=`` honouring the ``FuturePool`` contract — which is exactly how
-the fleet transport plugs in.
+``pool=`` with ``FuturePool``'s ``submit``, ``gather``, ``num_pending``,
+``close``, ``mode``, ``n_workers`` and ``respawns`` — which is exactly
+how the fleet transport plugs in.  The transports only run chunks; the
+executor keeps the books (worker seconds, utilisation, timeouts) from
+the task results they return.
 """
 
 from repro.runtime.async_pool import (

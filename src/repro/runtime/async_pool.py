@@ -9,8 +9,9 @@ and lets the search react to whichever result lands first):
 * :class:`FuturePool` — the transport: submit picklable ``(worker,
   payload)`` tasks, gather completed results **in completion order**, with
   a serial fallback that defers execution to gather time so single-process
-  runs interleave exactly like a pool would (FIFO completion).  It also
-  accounts busy/span time, from which the worker idle fraction is derived.
+  runs interleave exactly like a pool would (FIFO completion).  Each
+  result carries the worker's :class:`WorkerSpan`; the transport keeps
+  no other books.
 * :class:`AsyncPopulationExecutor` — the engine adapter:
   :meth:`~AsyncPopulationExecutor.submit_population` dedupes a population
   against the cache *and against chunks already in flight*, ships one
@@ -18,7 +19,9 @@ and lets the search react to whichever result lands first):
   gather` merges each chunk's indicator rows into the shared
   :class:`~repro.engine.cache.IndicatorCache` the moment it lands — via
   :meth:`~repro.engine.core.Engine.merge_indicator_rows`, under the
-  engine's exact cache keys.
+  engine's exact cache keys.  It also keeps the books every transport
+  shares: worker seconds, utilisation and timeouts, all read from the
+  gathered task results.
 
 **Determinism.**  Indicator values are bit-identical to a serial
 executor's no matter how futures resolve: every proxy seeds its RNG from
@@ -31,7 +34,7 @@ pin down.
 **Fault tolerance.**  Both layers carry the failure semantics a worker
 fleet needs (policy objects in :mod:`repro.runtime.faults`):
 
-* the transport enforces per-chunk deadlines (``chunk_timeout``), counts
+* the transport enforces per-chunk deadlines (``chunk_timeout``), tracks
   hung futures it had to abandon, and survives pool death
   (``BrokenProcessPool``): it terminates the carcass, spawns a fresh
   pool, and resubmits every lost in-flight task exactly once per death,
@@ -217,11 +220,6 @@ class FuturePool:
     in-flight task exactly once per death.  Each recovery — death or
     hung-worker sweep — spends one unit of the ``max_respawns`` budget;
     past the budget, pending tasks complete with the error instead.
-
-    Span accounting starts at the first submit and advances on every
-    gather; :meth:`idle_fraction` is the fraction of ``n_workers × span``
-    no worker spent computing — the number the async-overlap benchmark
-    reports.
     """
 
     #: Poll interval while waiting for queued tasks to start running
@@ -260,12 +258,7 @@ class FuturePool:
         #: Abandoned (timed-out, uncancellable) futures still occupying
         #: worker slots.
         self._hung: List[object] = []
-        self.timeouts = 0            # tasks expired past their deadline
         self.respawns = 0            # backend recoveries performed
-        self.busy_seconds = 0.0      # sum of measured task durations
-        self._busy_reported = False  # has record_busy ever been fed?
-        self._first_submit: Optional[float] = None
-        self._last_gather: Optional[float] = None
 
     # ------------------------------------------------------------------
     def _ensure_pool(self):
@@ -297,8 +290,6 @@ class FuturePool:
         """
         task_id = self._next_id
         self._next_id += 1
-        if self._first_submit is None:
-            self._first_submit = time.perf_counter()
         if self.mode == "serial":
             # Deferred thunk: runs inside gather(), so submission really is
             # instantaneous and completion order is FIFO by construction.
@@ -316,9 +307,6 @@ class FuturePool:
                                                     payload)
         self._pending.append(_PendingTask(task_id, tag, worker, payload,
                                           future, self._deadline()))
-        if self.telemetry.enabled:
-            self.telemetry.gauge("pool.queue_depth", len(self._pending))
-            self.telemetry.observe("queue_depth", len(self._pending))
         return task_id
 
     @property
@@ -376,8 +364,6 @@ class FuturePool:
                 task.deadline = now + self.chunk_timeout
                 still.append(task)
             elif task.deadline is not None and now >= task.deadline:
-                self.timeouts += 1
-                self.telemetry.count("pool.timeouts")
                 if not future.cancel():
                     # Uncancellable = genuinely executing = hung worker.
                     self._hung.append(future)
@@ -396,7 +382,6 @@ class FuturePool:
         """Fail every pending task (respawn budget spent, can't progress)."""
         for task in self._pending:
             if error is None:
-                self.timeouts += 1
                 task_error: BaseException = ChunkTimeoutError(
                     "all workers hung and the respawn budget is spent")
             else:
@@ -476,7 +461,6 @@ class FuturePool:
                 self._pending = still_pending
                 if broken is not None and not self._respawn():
                     self._expire_all(results, error=broken)
-        self._last_gather = time.perf_counter()
         return results
 
     def gather_all(self) -> List[TaskResult]:
@@ -484,39 +468,6 @@ class FuturePool:
         if not self._pending:
             return []
         return self.gather(len(self._pending))
-
-    # ------------------------------------------------------------------
-    def record_busy(self, seconds: float) -> None:
-        """Credit measured task-execution time toward utilisation.
-
-        Busy time is what the workers report as compute — the chunk
-        functions return ``(rows, seconds)`` — not the span of the whole
-        call, so callers feed it back here; :meth:`idle_fraction` is
-        meaningless without it.
-        """
-        self.busy_seconds += seconds
-        self._busy_reported = True
-
-    def span_seconds(self) -> float:
-        """Wall-clock from the first submit to the last gather so far."""
-        if self._first_submit is None or self._last_gather is None:
-            return 0.0
-        return max(0.0, self._last_gather - self._first_submit)
-
-    def idle_fraction(self) -> Optional[float]:
-        """Fraction of worker capacity (``n_workers × span``) left idle.
-
-        ``None`` means *no data* — no gather has landed yet, or no caller
-        ever fed :meth:`record_busy` — which is distinct from ``0.0``
-        ("fully utilised").  Conflating the two made fresh pools read as
-        perfectly busy in reports.
-        """
-        if not self._busy_reported:
-            return None
-        capacity = self.n_workers * self.span_seconds()
-        if capacity <= 0.0:
-            return None
-        return max(0.0, 1.0 - self.busy_seconds / capacity)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -581,11 +532,12 @@ class AsyncPoolStats:
     timeouts: int = 0         # chunks expired past their deadline
     respawns: int = 0         # pool backends replaced after death/hang
     quarantined: int = 0      # poison candidates quarantined
+    # Summed worker spans of every gathered task, landed or raised.
     worker_seconds: float = 0.0
-    # None = no utilisation data yet (nothing gathered / record_busy never
-    # fed) — deliberately distinct from 0.0, "no idle at all".
+    # None = no utilisation data yet (no worker has reported a span) —
+    # deliberately distinct from 0.0, "no idle at all".
     idle_fraction: Optional[float] = None
-    span_seconds: float = 0.0
+    span_seconds: float = 0.0  # first submit to last gather
 
     def to_dict(self) -> Dict:
         return {
@@ -745,10 +697,11 @@ class AsyncPopulationExecutor:
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry.disabled())
         if pool is not None:
-            # Transport injection: anything honouring the FuturePool
-            # submit/gather contract (e.g. the fleet's socket-broker
-            # FleetPool) slots in here; scheduling, dedupe, fault policy
-            # and drain logic below never look past the contract.
+            # Transport injection: anything with FuturePool's submit,
+            # gather, num_pending, close, mode, n_workers and respawns
+            # (e.g. the fleet's socket-broker FleetPool) slots in here;
+            # scheduling, dedupe, fault policy, drain logic and the
+            # books below never look past those seven members.
             self.pool = pool
         else:
             self.pool = FuturePool(
@@ -766,6 +719,9 @@ class AsyncPopulationExecutor:
         #: Monotone chunk ids — the telemetry correlation key tying a
         #: dispatch span to its worker-compute and merge spans.
         self._next_chunk_id = 0
+        #: The utilisation window opens at the first submit
+        #: (``perf_counter`` seconds) and closes at the latest gather.
+        self._first_submit: Optional[float] = None
         #: Cache keys owned by in-flight chunks, per engine identity —
         #: the in-flight half of the dedupe (the cache is the landed half).
         self._in_flight: Dict[int, set] = {}
@@ -900,9 +856,7 @@ class AsyncPopulationExecutor:
                                     worker, build_payload, chunk,
                                     chunk_claims, chunk_id=chunk_id)
             pending.update(context.keys)
-            with tel.span("dispatch", CAT_DISPATCH, chunk=chunk_id,
-                          kind=kind, items=len(chunk)):
-                self.pool.submit(worker, build_payload(chunk), tag=context)
+            self._dispatch(context)
             shipped += 1
         self.stats.dispatches += 1
         self.stats.chunks += shipped
@@ -910,12 +864,14 @@ class AsyncPopulationExecutor:
             tel.gauge("executor.in_flight", self.pool.num_pending)
         return shipped
 
-    def _resubmit(self, context: _ChunkContext) -> None:
-        """Ship a retry/bisection context (claims are already held)."""
-        tel = self.telemetry
-        with tel.span("dispatch", CAT_DISPATCH, chunk=context.chunk_id,
-                      kind=context.kind, items=len(context.items),
-                      resubmit=True):
+    def _dispatch(self, context: _ChunkContext, **args) -> None:
+        """Submit one chunk context to the transport (its claims are
+        already held); the first submit opens the utilisation window."""
+        if self._first_submit is None:
+            self._first_submit = time.perf_counter()
+        with self.telemetry.span("dispatch", CAT_DISPATCH,
+                                 chunk=context.chunk_id, kind=context.kind,
+                                 items=len(context.items), **args):
             self.pool.submit(context.worker,
                              context.build_payload(context.items),
                              tag=context)
@@ -928,46 +884,53 @@ class AsyncPopulationExecutor:
         """Chunk futures submitted but not yet gathered."""
         return self.pool.num_pending
 
-    def _record_worker_span(self, result: TaskResult) -> None:
-        """Record one gathered task's compute span on its worker's
-        pid/tid track, plus the per-chunk worker metrics: the one place
-        worker telemetry lands, whichever transport ran the chunk."""
+    def _account(self, result: TaskResult) -> float:
+        """Book one gathered task and return its worker's seconds (0.0
+        when no worker reported): the one place the runtime's books and
+        worker telemetry are kept, whichever transport ran the chunk."""
         tel = self.telemetry
+        if isinstance(result.error, ChunkTimeoutError):
+            self.stats.timeouts += 1
+            tel.count("executor.timeouts")
         span = result.span
-        args = {"chunk": result.tag.chunk_id}
-        if result.error is not None:
-            args["error"] = type(result.error).__name__
-        else:
-            rows, compute_seconds = result.value
-            args.update(rows=len(rows), compute_seconds=compute_seconds)
-            tel.count("worker.chunks")
-            tel.count("worker.rows", len(rows))
-            tel.observe("worker_chunk_seconds", span.duration)
-        tel.tracer.record("worker_compute", CAT_WORKER, span.start,
-                          span.duration, pid=span.pid, tid=span.tid,
-                          args=args)
+        if span is None:
+            return 0.0
+        self.stats.worker_seconds += span.duration
+        if tel.enabled:
+            # One compute span on the worker's pid/tid track, plus the
+            # per-chunk worker metrics.
+            args = {"chunk": result.tag.chunk_id}
+            if result.error is not None:
+                args["error"] = type(result.error).__name__
+            else:
+                args["rows"] = len(result.value)
+                tel.count("worker.chunks")
+                tel.count("worker.rows", len(result.value))
+                tel.observe("worker_chunk_seconds", span.duration)
+            tel.tracer.record("worker_compute", CAT_WORKER, span.start,
+                              span.duration, pid=span.pid, tid=span.tid,
+                              args=args)
+        return span.duration
 
-    def _merge_landed(self, context: _ChunkContext,
-                      value: Tuple) -> GatheredChunk:
+    def _merge_landed(self, context: _ChunkContext, rows: List[Tuple],
+                      seconds: float) -> GatheredChunk:
         """Merge one landed chunk into its engine's cache; release its
         claims; return the search-loop event."""
         tel = self.telemetry
         if not tel.enabled:
-            return self._merge_landed_impl(context, value)
+            return self._merge_landed_impl(context, rows, seconds)
         with tel.span("merge", CAT_MERGE, chunk=context.chunk_id,
                       kind=context.kind) as span:
-            chunk = self._merge_landed_impl(context, value)
+            chunk = self._merge_landed_impl(context, rows, seconds)
             evals = len(chunk.canonical_indices) + len(chunk.states)
             span.note(rows=evals, merged=chunk.merged_rows)
             tel.count("executor.evals", evals)
             tel.count("executor.merged_rows", chunk.merged_rows)
-            tel.observe("chunk_seconds", chunk.worker_seconds)
             tel.gauge("executor.in_flight", self.pool.num_pending)
             return chunk
 
-    def _merge_landed_impl(self, context: _ChunkContext,
-                           value: Tuple) -> GatheredChunk:
-        rows, seconds = value
+    def _merge_landed_impl(self, context: _ChunkContext, rows: List[Tuple],
+                           seconds: float) -> GatheredChunk:
         engine = context.engine
         keyed: List[Tuple[Tuple, float]] = []
         indices: List[int] = []
@@ -988,10 +951,8 @@ class AsyncPopulationExecutor:
                 keyed.append((keys[name], value_))
         merged = engine.merge_indicator_rows(keyed)
         self._pending_keys(engine).difference_update(context.keys)
-        self.pool.record_busy(seconds)
         self.stats.tasks += len(rows)
         self.stats.merged_rows += merged
-        self.stats.worker_seconds += seconds
         return GatheredChunk(
             kind=context.kind,
             canonical_indices=tuple(indices),
@@ -1045,14 +1006,14 @@ class AsyncPopulationExecutor:
                                      attempt=context.attempts,
                                      delay_seconds=delay):
                 policy.sleep(delay)
-            self._resubmit(context)
+            self._dispatch(context, resubmit=True)
             return 0
         if label == POISON and policy.quarantine:
             if len(context.items) > 1:
                 # One bad candidate mustn't sink its chunk-mates: split
                 # and retry the halves (claims follow their items).
                 for half in context.split():
-                    self._resubmit(half)
+                    self._dispatch(half, resubmit=True)
                 return 0
             gathered.append(self._quarantine(context, error))
             return 1
@@ -1096,11 +1057,10 @@ class AsyncPopulationExecutor:
             for result in self.pool.gather(1):
                 saw_results = True
                 context: _ChunkContext = result.tag
-                if self.telemetry.enabled and result.span is not None:
-                    self._record_worker_span(result)
+                seconds = self._account(result)
                 if result.error is None:
-                    gathered.append(self._merge_landed(context,
-                                                       result.value))
+                    gathered.append(self._merge_landed(context, result.value,
+                                                       seconds))
                     resolved += 1
                 else:
                     resolved += self._handle_failure(context, result.error,
@@ -1110,15 +1070,18 @@ class AsyncPopulationExecutor:
     def _finish_gather(self, gathered: List[GatheredChunk],
                        failures: List[BaseException],
                        saw_results: bool) -> List[GatheredChunk]:
+        stats = self.stats
         if saw_results:
             # Count the gather even when every chunk in it failed —
             # the loop still synchronised with the pool, and reports
             # must not understate that.
-            self.stats.gathers += 1
-        self.stats.idle_fraction = self.pool.idle_fraction()
-        self.stats.span_seconds = self.pool.span_seconds()
-        self.stats.timeouts = self.pool.timeouts
-        self.stats.respawns = self.pool.respawns
+            stats.gathers += 1
+            stats.span_seconds = time.perf_counter() - self._first_submit
+            capacity = self.n_workers * stats.span_seconds
+            if stats.worker_seconds > 0.0 and capacity > 0.0:
+                stats.idle_fraction = max(
+                    0.0, 1.0 - stats.worker_seconds / capacity)
+        stats.respawns = self.pool.respawns
         flush_error: Optional[BaseException] = None
         if saw_results and self.on_gather is not None:
             # Flush before surfacing failures: the sibling chunks that

@@ -17,16 +17,17 @@ multi-process / multi-host transport into that seam:
   owner of retries — resubmits them under its normal budget and
   deterministic backoff.
 * :class:`FleetPool` — the driver-side transport implementing the
-  ``FuturePool`` duck type (``submit`` / ``gather`` in completion order /
-  ``record_busy`` / ``idle_fraction`` / ``timeouts`` / ``respawns`` /
-  ``close``), so the executor, fault taxonomy, quarantine ledger,
-  telemetry spans and graceful drain all compose unchanged.  Each
-  result or error frame carries the worker's pid, thread id and compute
-  duration, which come back as the chunk's
+  contract the executor relies on (``submit`` / ``gather`` in
+  completion order / ``num_pending`` / ``close`` / ``mode`` /
+  ``n_workers`` / ``respawns``), so the executor, fault taxonomy,
+  quarantine ledger, telemetry spans and graceful drain all compose
+  unchanged.  Each result or error frame carries the worker's pid,
+  thread id and compute duration, which come back as the chunk's
   :class:`~repro.runtime.async_pool.WorkerSpan`, anchored on the
-  driver's clock at arrival; completed chunks also emit a
-  ``fleet_lease`` (queue wait) span, correlated with the dispatch/merge
-  spans by chunk id.
+  driver's clock at arrival.  The pool records no telemetry and keeps
+  no books: the executor times, counts and traces every chunk from
+  those results.  A chunk's queue wait is the gap between its
+  ``dispatch`` span and its ``worker_compute`` span.
 * :func:`run_worker` — the worker client loop behind ``micronas fleet
   worker --connect HOST:PORT --store DIR``: lease, evaluate through the
   shipped picklable chunk worker, report back, repeat until the broker
@@ -84,8 +85,6 @@ from repro.errors import SearchError
 from repro.proxies.base import ProxyConfig
 from repro.runtime.async_pool import TaskResult, WorkerSpan
 from repro.runtime.faults import ChunkTimeoutError, TransientWorkerError
-from repro.runtime.telemetry import Telemetry
-from repro.runtime.tracing import CAT_DISPATCH
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.network import MacroConfig
 
@@ -201,8 +200,7 @@ class _FleetTask:
     is the task message, encoded once at submit."""
 
     __slots__ = ("task_id", "frame", "payload", "tag", "leased_to",
-                 "deadline", "queued_wall", "leased_wall", "done_wall",
-                 "span", "value", "error")
+                 "deadline", "leased_wall", "span", "value", "error")
 
     def __init__(self, task_id: int, frame: bytes, payload: object,
                  tag: object) -> None:
@@ -212,9 +210,7 @@ class _FleetTask:
         self.tag = tag
         self.leased_to: Optional[int] = None
         self.deadline: Optional[float] = None  # monotonic seconds
-        self.queued_wall = time.time()
         self.leased_wall: Optional[float] = None
-        self.done_wall: Optional[float] = None
         self.span: Optional[WorkerSpan] = None
         self.value: object = None
         self.error: Optional[BaseException] = None
@@ -408,11 +404,10 @@ class FleetBroker:
             session.leased.discard(task.task_id)
         task.value = value
         task.error = error
-        task.done_wall = time.time()
         if report is not None and isinstance(report.get("dur"), float):
             duration = report["dur"]
             task.span = WorkerSpan(report.get("pid"), report.get("tid"),
-                                   task.done_wall - duration, duration)
+                                   time.time() - duration, duration)
         self._completed.append(task)
         self._completed_cv.notify_all()
 
@@ -578,49 +573,38 @@ class FleetBroker:
 
 
 # ----------------------------------------------------------------------
-# Driver-side transport: the FuturePool duck type over a broker
+# Driver-side transport: the executor's pool contract over a broker
 # ----------------------------------------------------------------------
 class FleetPool:
-    """``FuturePool``-contract transport backed by a :class:`FleetBroker`.
+    """The executor's transport contract, backed by a :class:`FleetBroker`.
 
     Drop this in as ``AsyncPopulationExecutor(pool=FleetPool(...))`` and
     the executor's scheduling, dedupe, fault policy, quarantine and
     drain logic run unchanged — chunks just travel over TCP instead of a
     fork pipe.  ``mode`` is ``"fleet"``; each result comes back with its
-    worker's compute span, as from every other transport.
+    worker's compute span, as from every other transport, and an
+    expired lease as a :class:`~repro.runtime.faults.ChunkTimeoutError`.
 
-    ``n_workers`` is the *expected* worker count (used for utilisation
-    capacity in :meth:`idle_fraction` and reporting); actual membership
-    is elastic — ``broker.num_workers`` is live.  ``timeouts`` counts
-    expired leases and ``respawns`` counts chunks lost with their
-    worker, the fleet analogues of the fork pool's deadline expiries
-    and backend respawns; the executor retries both kinds of chunk.
+    ``n_workers`` is the *expected* worker count (the executor's
+    utilisation capacity, and reporting); actual membership is elastic —
+    ``broker.num_workers`` is live.  ``respawns`` counts chunks lost
+    with their worker, the fleet analogue of the fork pool's backend
+    respawns; the executor retries them.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  n_workers: int = 1,
                  lease_seconds: Optional[float] = None,
-                 token: str = "",
-                 broker: Optional[FleetBroker] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 token: str = "") -> None:
         if n_workers < 1:
             raise SearchError("n_workers must be >= 1")
-        self.broker = broker if broker is not None else FleetBroker(
-            host=host, port=port, lease_seconds=lease_seconds, token=token)
-        self._owns_broker = broker is None
+        self.broker = FleetBroker(host=host, port=port,
+                                  lease_seconds=lease_seconds, token=token)
         self.mode = "fleet"
         self.n_workers = n_workers
-        self.chunk_timeout = self.broker.lease_seconds
-        self.telemetry = (telemetry if telemetry is not None
-                          else Telemetry.disabled())
         self._pending: Dict[int, object] = {}  # task id -> tag
         self._local_procs: List = []
-        self.timeouts = 0
         self.respawns = 0
-        self.busy_seconds = 0.0
-        self._busy_reported = False
-        self._first_submit: Optional[float] = None
-        self._last_gather: Optional[float] = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -644,39 +628,13 @@ class FleetPool:
     # ------------------------------------------------------------------
     def submit(self, worker: Callable, payload: object,
                tag: object = None) -> int:
-        if self._first_submit is None:
-            self._first_submit = time.perf_counter()
         task_id = self.broker.submit(worker, payload, tag=tag)
         self._pending[task_id] = tag
-        if self.telemetry.enabled:
-            self.telemetry.gauge("pool.queue_depth", len(self._pending))
-            self.telemetry.observe("queue_depth", len(self._pending))
         return task_id
 
     @property
     def num_pending(self) -> int:
         return len(self._pending)
-
-    def _collect(self, task: _FleetTask,
-                 results: List[TaskResult]) -> None:
-        tag = self._pending.pop(task.task_id, task.tag)
-        if isinstance(task.error, ChunkTimeoutError):
-            self.timeouts += 1
-            self.telemetry.count("pool.timeouts")
-        if self.telemetry.enabled:
-            chunk = getattr(tag, "chunk_id", None)
-            args = {"chunk": chunk, "task": task.task_id}
-            if task.leased_wall is not None:
-                # Queue wait: submit (queued) -> lease grant.
-                self.telemetry.tracer.record(
-                    "fleet_lease", CAT_DISPATCH, task.queued_wall,
-                    max(0.0, task.leased_wall - task.queued_wall),
-                    args=args)
-            self.telemetry.count("fleet.chunks_completed")
-            if task.error is not None:
-                self.telemetry.count("fleet.chunk_errors")
-        results.append(TaskResult(task.task_id, tag, task.value,
-                                  task.error, task.span))
 
     def gather(self, k: int = 1) -> List[TaskResult]:
         """Block until at least ``k`` pending chunks complete; returns
@@ -692,33 +650,16 @@ class FleetPool:
         results: List[TaskResult] = []
         while len(results) < k and self._pending and not self._closed:
             for task in self.broker.wait_completed():
-                self._collect(task, results)
+                tag = self._pending.pop(task.task_id, task.tag)
+                results.append(TaskResult(task.task_id, tag, task.value,
+                                          task.error, task.span))
         self.respawns = self.broker.lost_tasks
-        self._last_gather = time.perf_counter()
         return results
 
     def gather_all(self) -> List[TaskResult]:
         if not self._pending:
             return []
         return self.gather(len(self._pending))
-
-    # ------------------------------------------------------------------
-    def record_busy(self, seconds: float) -> None:
-        self.busy_seconds += seconds
-        self._busy_reported = True
-
-    def span_seconds(self) -> float:
-        if self._first_submit is None or self._last_gather is None:
-            return 0.0
-        return max(0.0, self._last_gather - self._first_submit)
-
-    def idle_fraction(self) -> Optional[float]:
-        if not self._busy_reported:
-            return None
-        capacity = self.n_workers * self.span_seconds()
-        if capacity <= 0.0:
-            return None
-        return max(0.0, 1.0 - self.busy_seconds / capacity)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -738,8 +679,7 @@ class FleetPool:
                     with contextlib.suppress(Exception):
                         proc.terminate()
                         proc.join(timeout=1.0)
-            if self._owns_broker:
-                self.broker.close()
+            self.broker.close()
         except Exception:
             pass  # cleanup must not mask the error that triggered it
 
@@ -800,7 +740,7 @@ def _genotype_payload(payload: object) -> bool:
 
 def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
                          resident: Dict,
-                         stats: FleetWorkerStats) -> Tuple:
+                         stats: FleetWorkerStats) -> List[Tuple]:
     """Evaluate one genotype chunk with the store as warm-start medium.
 
     ``resident`` maps each fingerprint this worker has served to its
@@ -843,9 +783,8 @@ def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
         if any(remaining):
             reduced.append((ops, tuple(remaining)))
     if not reduced:
-        return stored_rows, 0.0
-    computed_rows, seconds = worker_fn(
-        (tuple(reduced), proxy_config, macro_config))
+        return stored_rows
+    computed_rows = worker_fn((tuple(reduced), proxy_config, macro_config))
     for index, row, _ in computed_rows:
         keys = genotype_indicator_keys(index, proxy_key, macro_key)
         for name, value in row.items():
@@ -854,7 +793,7 @@ def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
     # clean), so this append is O(computed delta) and runs under the
     # store's per-shard flocks like every other writer.
     stats.store_rows_flushed += store.save_cache(cache, fingerprint)
-    return stored_rows + list(computed_rows), seconds
+    return stored_rows + list(computed_rows)
 
 
 def _picklable_error(error: BaseException) -> BaseException:
@@ -931,6 +870,7 @@ def run_worker(connect: str, store_dir=None, token: str = "",
                         worker_fn, payload, store, resident, stats)
                 else:
                     value = worker_fn(payload)
+                rows = len(value)
             except Exception as exc:
                 duration = time.perf_counter() - started
                 stats.errors += 1
@@ -938,11 +878,7 @@ def run_worker(connect: str, store_dir=None, token: str = "",
             else:
                 duration = time.perf_counter() - started
                 stats.chunks += 1
-                if isinstance(value, tuple) and len(value) == 2:
-                    try:
-                        stats.rows += len(value[0])
-                    except TypeError:
-                        pass
+                stats.rows += rows
                 frame = {"op": "result", "value": value}
             stats.busy_seconds += duration
             # The compute span rides home on the frame; the broker

@@ -454,7 +454,6 @@ class RunHarness:
                                if config.fleet_lease_seconds is not None
                                else config.chunk_timeout),
                 token=config.fleet_token,
-                telemetry=self.telemetry,
             )
         self.executor = AsyncPopulationExecutor(
             n_workers=config.n_workers, chunk_size=config.chunk_size,

@@ -20,7 +20,9 @@ returned indicator rows into the engine's
 * **One ledger contract.**  Each row carries the seconds its proxies
   took, keyed by the engine's ledger entries (``ntk_eval``,
   ``lr_eval``); the executor's merge records them, one count per
-  computed proxy value.
+  computed proxy value.  A chunk function returns its row list and
+  nothing else: the transport that runs it times the whole chunk (a
+  :class:`~repro.runtime.async_pool.WorkerSpan`).
 * **Memory.**  Each chunk function first applies a fixed allocator
   policy, once per process: glibc ``mallopt`` raises the mmap and trim
   thresholds above the largest per-evaluation array (a paper-scale
@@ -105,14 +107,15 @@ def _timed(proxy, *args) -> Tuple[float, float]:
 # ----------------------------------------------------------------------
 # Worker entry points (module level: picklable by reference).
 # ----------------------------------------------------------------------
-def _evaluate_genotype_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
+def _evaluate_genotype_chunk(payload: Tuple) -> List[Tuple]:
     """Indicator rows for a chunk of canonical genotypes.
 
     Each chunk item is ``(ops, (need_ntk, need_lr, need_flops))``: only
     the indicators the parent found missing are computed, so a partially
     warm cache (e.g. FLOPs missing under a new macro config) never re-pays
-    the expensive proxies.  Returns ``([(canonical_index, {indicator:
-    value}, {ledger entry: seconds}), ...], seconds)``.
+    the expensive proxies.  Returns ``[(canonical_index, {indicator:
+    value}, {ledger entry: seconds}), ...]``; the chunk's own time is
+    measured by the transport that runs it.
     Latency is deliberately absent: LUT composition is cheap and the
     profiled estimator lives in the parent; workers only pay for the
     proxy-network indicators.
@@ -123,7 +126,6 @@ def _evaluate_genotype_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
     from repro.proxies.linear_regions import count_line_regions
     from repro.proxies.ntk import ntk_condition_number
 
-    start = time.perf_counter()
     rows: List[Tuple] = []
     for ops, (need_ntk, need_lr, need_flops) in items:
         genotype = Genotype(tuple(ops))
@@ -137,22 +139,22 @@ def _evaluate_genotype_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
         if need_flops:
             row["flops"] = float(count_flops(genotype, macro_config))
         rows.append((genotype.to_index(), row, spent))
-    return rows, time.perf_counter() - start
+    return rows
 
 
-def _evaluate_supernet_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
+def _evaluate_supernet_chunk(payload: Tuple) -> List[Tuple]:
     """Supernet NTK / line-region rows for a chunk of alive-op states.
 
     Each chunk item is ``(state, (need_ntk, need_lr))`` — as with the
     genotype chunks, only the indicators the parent found missing are
-    computed, and each row carries its per-proxy seconds.
+    computed.  Returns ``[(state, {indicator: value}, {ledger entry:
+    seconds}), ...]``.
     """
     _apply_allocator_policy()
     items, proxy_config = payload
     from repro.proxies.linear_regions import supernet_line_regions
     from repro.proxies.ntk import supernet_ntk_condition_number
 
-    start = time.perf_counter()
     rows: List[Tuple] = []
     for state, (need_ntk, need_lr) in items:
         specs = [EdgeSpec(i, tuple(ops)) for i, ops in enumerate(state)]
@@ -165,7 +167,7 @@ def _evaluate_supernet_chunk(payload: Tuple) -> Tuple[List[Tuple], float]:
                 supernet_line_regions, [spec.alive_ops for spec in specs],
                 proxy_config)
         rows.append((tuple(tuple(ops) for ops in state), row, spent))
-    return rows, time.perf_counter() - start
+    return rows
 
 
 __all__ = [

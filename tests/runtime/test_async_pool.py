@@ -18,7 +18,10 @@ from repro.runtime.async_pool import (
     ChunkGatherError,
     FuturePool,
 )
+from repro.runtime.faults import FaultPlan
+from repro.runtime.pool import _evaluate_genotype_chunk
 from repro.search.objective import HybridObjective
+from repro.searchspace.canonical import canonicalize
 from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.ops import CANDIDATE_OPS
@@ -397,19 +400,21 @@ class TestFuturePoolMechanics:
             values = sorted(r.value for r in pool.gather_all())
             assert values == [1, 2, 3, 4, 5]
 
-    def test_idle_fraction_accounting(self):
-        pool = FuturePool(n_workers=2, mode="serial")
-        # No span and no busy data yet: "no data", not "fully utilised".
-        assert pool.idle_fraction() is None
-        pool.submit(lambda x: x, 1)
-        pool.gather_all()
-        # A gather landed but record_busy was never fed — still no data.
-        assert pool.idle_fraction() is None
-        pool.record_busy(10.0)
-        assert pool.busy_seconds >= 10.0
-        fraction = pool.idle_fraction()
+    def test_idle_fraction_accounting(self, tiny_proxy_config, population):
+        """The executor derives utilisation from the worker spans."""
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4,
+                                           mode="serial")
+        # Nothing gathered yet: "no data", not "fully utilised".
+        assert executor.stats.idle_fraction is None
+        executor.submit_population(_engine(tiny_proxy_config), population)
+        assert executor.stats.idle_fraction is None
+        executor.gather_all()
+        fraction = executor.stats.idle_fraction
         assert fraction is not None
         assert 0.0 <= fraction <= 1.0
+        # One serial worker: every span lies inside the window.
+        assert 0.0 < executor.stats.worker_seconds \
+            <= executor.stats.span_seconds
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(SearchError):
@@ -418,6 +423,69 @@ class TestFuturePoolMechanics:
             FuturePool(mode="quantum")
         with pytest.raises(SearchError):
             AsyncPopulationExecutor(chunk_size=0)
+
+
+class MinimalPool:
+    """A stand-in transport with only the seven members the executor
+    relies on, wrapping a serial :class:`FuturePool`.  ``__slots__``
+    keeps the executor from writing any other attribute onto it."""
+
+    __slots__ = ("_inner", "mode", "n_workers")
+
+    def __init__(self):
+        self._inner = FuturePool(n_workers=1, mode="serial")
+        self.mode = "minimal"
+        self.n_workers = 1
+
+    def submit(self, worker, payload, tag=None):
+        return self._inner.submit(worker, payload, tag=tag)
+
+    def gather(self, k=1):
+        return self._inner.gather(k)
+
+    @property
+    def num_pending(self):
+        return self._inner.num_pending
+
+    @property
+    def respawns(self):
+        return self._inner.respawns
+
+    def close(self):
+        self._inner.close()
+
+
+class TestTransportContract:
+    def test_executor_keeps_the_books_over_a_minimal_pool(
+            self, tiny_proxy_config, tmp_path):
+        """A clean chunk lands and a poisoned one raises; the executor
+        books both from the task results alone."""
+        good, bad = NasBench201Space().sample(2, rng=5)
+        worker = FaultPlan(
+            state_path=str(tmp_path / "faults"),
+            script={canonicalize(bad).to_index(): ("poison",)},
+        ).wrap(_evaluate_genotype_chunk)
+        engine = _engine(tiny_proxy_config)
+        with AsyncPopulationExecutor(chunk_size=1, genotype_worker=worker,
+                                     pool=MinimalPool()) as executor:
+            assert executor.submit_population(engine, [good, bad]) == 2
+            with pytest.raises(ChunkGatherError) as info:
+                executor.gather_all()
+        (landed,) = info.value.gathered
+        assert landed.canonical_indices == (canonicalize(good).to_index(),)
+        assert landed.worker_seconds > 0.0
+        stats = executor.stats
+        assert (stats.mode, stats.n_workers) == ("minimal", 1)
+        assert (stats.gathers, stats.tasks) == (1, 1)
+        assert (stats.timeouts, stats.respawns) == (0, 0)
+        # The raising worker was busy too.
+        assert stats.worker_seconds > landed.worker_seconds
+        assert 0.0 <= stats.idle_fraction <= 1.0
+        serial = _engine(tiny_proxy_config).evaluate_population([good])
+        table = engine.evaluate_population([good])
+        for name in serial.columns:
+            np.testing.assert_array_equal(serial.columns[name],
+                                          table.columns[name])
 
 
 class TestSteadyStateSearch:

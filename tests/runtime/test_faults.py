@@ -201,36 +201,43 @@ class TestFaultPlan:
 # Transport: deadlines, hung workers, pool death, close() hardening
 # ----------------------------------------------------------------------
 class TestChunkTimeouts:
-    def test_timeout_expiry_releases_the_gather(self):
+    def test_timeout_expiry_releases_the_gather(self, tiny_proxy_config,
+                                                population):
         release = threading.Event()
 
         def stuck_worker(payload):
             release.wait(timeout=20.0)
-            return payload
+            return []
 
-        pool = FuturePool(n_workers=1, mode="thread", chunk_timeout=0.2)
+        executor = AsyncPopulationExecutor(
+            n_workers=1, chunk_size=100, mode="thread",
+            genotype_worker=stuck_worker,
+            fault_policy=FaultPolicy(chunk_timeout=0.2, max_retries=0))
         try:
-            pool.submit(stuck_worker, "wedged", tag="t")
+            assert executor.submit_population(
+                _engine(tiny_proxy_config), population) == 1
             start = time.monotonic()
-            results = pool.gather_all()
+            with pytest.raises(ChunkGatherError) as info:
+                executor.gather_all()
             assert time.monotonic() - start < 5.0  # did not block forever
-            assert len(results) == 1
-            assert isinstance(results[0].error, ChunkTimeoutError)
-            assert results[0].tag == "t"
-            assert pool.timeouts == 1
-            assert pool.num_pending == 0
+            (error,) = info.value.failures
+            assert isinstance(error, ChunkTimeoutError)
+            assert executor.stats.timeouts == 1
+            assert executor.num_pending == 0
         finally:
             release.set()  # let the abandoned thread finish
-            pool.close()
+            executor.close()
 
-    def test_fast_chunks_unaffected_by_deadline(self):
-        with FuturePool(n_workers=2, mode="thread",
-                        chunk_timeout=30.0) as pool:
-            for i in range(6):
-                pool.submit(lambda x: x * 2, i)
-            values = sorted(r.value for r in pool.gather_all())
-            assert values == [0, 2, 4, 6, 8, 10]
-            assert pool.timeouts == 0
+    def test_fast_chunks_unaffected_by_deadline(self, tiny_proxy_config,
+                                                population):
+        engine = _engine(tiny_proxy_config)
+        with AsyncPopulationExecutor(
+                n_workers=2, chunk_size=2, mode="thread",
+                fault_policy=FaultPolicy(chunk_timeout=30.0)) as executor:
+            executor.warm_population(engine, population,
+                                     assume_canonical=False)
+            assert executor.stats.timeouts == 0
+        _assert_bit_identical(tiny_proxy_config, engine, population)
 
     def test_close_never_blocks_on_hung_workers(self):
         release = threading.Event()

@@ -140,7 +140,7 @@ def wait_until(predicate, timeout=10.0, interval=0.005):
 
 def echo_chunk(payload):
     """Module-level (picklable) toy chunk worker."""
-    return ([(item, {"v": item * 2}) for item in payload], 0.001)
+    return [(item, {"v": item * 2}) for item in payload]
 
 
 def failing_chunk(payload):
@@ -150,9 +150,9 @@ def failing_chunk(payload):
 def slow_genotype_chunk(payload):
     """The real genotype chunk worker, slowed enough that a SIGKILL can
     reliably land mid-lease."""
-    rows, seconds = _evaluate_genotype_chunk(payload)
+    rows = _evaluate_genotype_chunk(payload)
     time.sleep(0.3)
-    return rows, seconds
+    return rows
 
 
 def constant_chunk(payload):
@@ -168,7 +168,7 @@ def constant_chunk(payload):
                                  zip(("ntk", "linear_regions", "flops"),
                                      needs))
                              if need}, {}))
-    return rows, 0.0
+    return rows
 
 
 def chunk_payload(genotypes, proxy_config, macro_config):
@@ -179,8 +179,8 @@ def chunk_payload(genotypes, proxy_config, macro_config):
 def seed_rows(store, fingerprint, genotypes, proxy_config, macro_config):
     """Flush ``constant_chunk`` rows for ``genotypes``, as a sibling
     worker would."""
-    rows, _ = constant_chunk(chunk_payload(genotypes, proxy_config,
-                                           macro_config))
+    rows = constant_chunk(chunk_payload(genotypes, proxy_config,
+                                        macro_config))
     cache = IndicatorCache()
     for index, row, _ in rows:
         keys = genotype_indicator_keys(index, astuple(proxy_config),
@@ -294,7 +294,7 @@ class TestLeases:
             assert client.result(task_id, value)["op"] == "ok"
             (done,) = drain_completed(broker, 1)
             assert done.error is None
-            assert done.value == ([(1, {"v": 2}), (2, {"v": 4})], 0.001)
+            assert done.value == [(1, {"v": 2}), (2, {"v": 4})]
             assert done.tag == "t0"
             client.close()
 
@@ -408,7 +408,7 @@ class TestFleetPool:
             assert sorted(r.task_id for r in results) == ids
             for result in results:
                 assert result.error is None
-                (item,) = result.value[0]
+                (item,) = result.value
                 assert item == (int(result.tag[1:]),
                                 {"v": int(result.tag[1:]) * 2})
 
@@ -467,6 +467,7 @@ class TestFleetPool:
         assert pool.broker.leases == 3
         assert pool.broker.lease_expiries == 3
         assert executor.stats.retries == 2
+        assert executor.stats.timeouts == 3
 
     def test_close_idempotent_and_reaps_workers(self):
         pool = FleetPool(n_workers=1)
@@ -600,7 +601,7 @@ class TestWarmStart:
         items = tuple((g.ops, (True, True, True)) for g in genotypes)
 
         # Persist the first two candidates' rows, as a sibling run would.
-        warm_rows, _ = _evaluate_genotype_chunk(
+        warm_rows = _evaluate_genotype_chunk(
             (items[:2], tiny_proxy_config, macro))
         proxy_key = astuple(tiny_proxy_config)
         macro_key = astuple(macro)
@@ -623,8 +624,8 @@ class TestWarmStart:
         # the other 2 candidates were computed and flushed back.
         assert stats.store_rows_loaded == 6
         assert stats.store_rows_flushed == 6
-        rows = {index: row for index, row, _ in done.value[0]}
-        direct, _ = _evaluate_genotype_chunk(
+        rows = {index: row for index, row, _ in done.value}
+        direct = _evaluate_genotype_chunk(
             (items, tiny_proxy_config, macro))
         for index, row, _ in direct:
             for name, value in row.items():
@@ -739,10 +740,10 @@ class TestWarmStart:
             (done,) = drain_completed(broker, 1)
         assert done.error is None
         assert stats.store_rows_loaded == 0
-        direct, _ = _evaluate_genotype_chunk(
+        direct = _evaluate_genotype_chunk(
             (items, tiny_proxy_config, macro))
         # Same rows; only the per-proxy seconds differ between runs.
-        assert [row[:2] for row in done.value[0]] == \
+        assert [row[:2] for row in done.value] == \
             [row[:2] for row in direct]
 
 

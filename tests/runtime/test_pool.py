@@ -170,7 +170,7 @@ class TestDispatchMechanics:
                         macro_config=MacroConfig(init_channels=4,
                                                  cells_per_stage=1,
                                                  image_size=8))
-        rows, _ = _evaluate_genotype_chunk(
+        rows = _evaluate_genotype_chunk(
             (((heavy_genotype.ops, (False, False, True)),),
              tiny_proxy_config, engine.macro_config)
         )
@@ -206,7 +206,7 @@ class TestDispatchMechanics:
     def test_worker_chunk_functions_round_trip(self, tiny_proxy_config,
                                                tiny_macro_config,
                                                heavy_genotype):
-        rows, seconds = _evaluate_genotype_chunk(
+        rows = _evaluate_genotype_chunk(
             (((heavy_genotype.ops, (True, True, True)),),
              tiny_proxy_config, tiny_macro_config)
         )
@@ -214,16 +214,16 @@ class TestDispatchMechanics:
                         macro_config=tiny_macro_config)
         assert rows[0][0] == heavy_genotype.to_index()
         assert rows[0][1]["ntk"] == engine.ntk(heavy_genotype)
-        assert seconds >= 0.0
+        assert rows[0][2]["ntk_eval"] >= 0.0
 
         specs = [EdgeSpec(i, tuple(CANDIDATE_OPS)) for i in range(6)]
         state = supernet_state_key(specs)
-        srows, _ = _evaluate_supernet_chunk(
+        srows = _evaluate_supernet_chunk(
             (((state, (True, True)),), tiny_proxy_config)
         )
         assert srows[0][0] == state
         assert srows[0][1]["supernet_ntk"] == engine.supernet_ntk(specs)
-        partial, _ = _evaluate_supernet_chunk(
+        partial = _evaluate_supernet_chunk(
             (((state, (False, True)),), tiny_proxy_config)
         )
         assert set(partial[0][1]) == {"supernet_lr"}
@@ -234,11 +234,11 @@ class TestDispatchMechanics:
 # ----------------------------------------------------------------------
 def _chunk_rows(proxy_config, macro_config, genotype):
     """One genotype chunk and one supernet chunk, rows without seconds."""
-    rows, _ = _evaluate_genotype_chunk(
+    rows = _evaluate_genotype_chunk(
         (((genotype.ops, (True, True, True)),), proxy_config, macro_config))
     state = supernet_state_key([EdgeSpec(i, tuple(CANDIDATE_OPS))
                                 for i in range(6)])
-    srows, _ = _evaluate_supernet_chunk(
+    srows = _evaluate_supernet_chunk(
         (((state, (True, True)),), proxy_config))
     return [(ident, row) for ident, row, _ in rows + srows]
 
@@ -306,11 +306,11 @@ items = tuple((Genotype.from_arch_str(a).ops, (True, True, True))
 payload = (items, ProxyConfig(), MacroConfig())
 pool._evaluate_genotype_chunk(payload)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-rows, _ = pool._evaluate_genotype_chunk(payload)
+rows = pool._evaluate_genotype_chunk(payload)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 full = tuple(tuple(CANDIDATE_OPS) for _ in range(6))
 states = (full, (tuple(CANDIDATE_OPS[1:]),) + full[1:])
-srows, _ = pool._evaluate_supernet_chunk(
+srows = pool._evaluate_supernet_chunk(
     (tuple((state, (True, True)) for state in states),
      reduced_proxy_config()))
 print(json.dumps({

@@ -180,11 +180,10 @@ class TestTracedWorker:
         rows = [("key", np.arange(4, dtype=np.float64))]
 
         def inner(payload):
-            return rows, 0.125
+            return rows
 
         value, span = _timed_call(inner, "payload")
-        assert value[0] is rows  # the very same object, untouched
-        assert value[1] == 0.125
+        assert value is rows  # the very same object, untouched
         assert span.pid == os.getpid()
         assert span.tid == threading.get_ident()
         assert span.duration >= 0.0
@@ -203,7 +202,7 @@ class TestTracedWorker:
         assert span["cat"] == CAT_WORKER
         assert span["args"]["chunk"] == 0
         assert span["args"]["rows"] == 2
-        assert span["args"]["compute_seconds"] > 0.0
+        assert span["dur"] > 0
         snap = tel.metrics_snapshot()
         assert snap["counters"]["worker.chunks"] == 1
         assert snap["counters"]["worker.rows"] == 2
@@ -242,7 +241,9 @@ def test_one_worker_compute_span_per_gathered_chunk(
         transport, traced, tiny_proxy_config, tmp_path):
     """Every transport, armed with or without a trace path, yields one
     ``worker_compute`` span per gathered chunk on the track of the
-    process that computed it, and the per-chunk worker metrics."""
+    process that computed it, and the per-chunk worker metrics; the
+    executor's worker seconds are those spans' durations, and nothing
+    but the executor's own ``dispatch`` spans reads as dispatch."""
     population = NasBench201Space().sample(6, rng=5)
     poison = canonicalize(population[0]).to_index()
     worker = FaultPlan(state_path=str(tmp_path / "faults"),
@@ -251,7 +252,7 @@ def test_one_worker_compute_span_per_gathered_chunk(
     trace = tmp_path / "run.json" if traced else None
     tel = Telemetry.armed(run_id="ab", trace_path=trace)
     if transport == "fleet":
-        pool = FleetPool(n_workers=1, lease_seconds=60.0, telemetry=tel)
+        pool = FleetPool(n_workers=1, lease_seconds=60.0)
         worker_pids = {proc.pid for proc in pool.spawn_local_workers(1)}
         executor = AsyncPopulationExecutor(chunk_size=2,
                                            genotype_worker=worker,
@@ -293,6 +294,12 @@ def test_one_worker_compute_span_per_gathered_chunk(
     assert {event["pid"] for event in computes} <= worker_pids
     (errored,) = [event for event in computes if "error" in event["args"]]
     assert errored["args"]["error"] == type(failures[0]).__name__
+    # Trace durations are whole microseconds, truncated.
+    assert executor.stats.worker_seconds == pytest.approx(
+        sum(event["dur"] for event in computes) / 1e6,
+        abs=1e-6 * len(computes))
+    assert {event["name"] for event in spans
+            if event["cat"] == CAT_DISPATCH} == {"dispatch"}
     counters = tel.metrics_snapshot()["counters"]
     assert counters["worker.chunks"] == len(gathered)
     assert counters["worker.rows"] == sum(
@@ -379,7 +386,7 @@ class TestExecutorTelemetry:
         assert len(dispatched) == len(by_name["dispatch"])
         snap = tel.metrics_snapshot()
         assert snap["counters"]["executor.evals"] > 0
-        assert snap["histograms"]["chunk_seconds"]["count"] >= 1
+        assert snap["histograms"]["worker_chunk_seconds"]["count"] >= 1
 
     def test_results_identical_with_and_without_telemetry(
             self, tiny_proxy_config, tmp_path):

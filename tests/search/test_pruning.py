@@ -122,9 +122,9 @@ class TestHardwareAwareness:
         computed = []
 
         def counting_worker(payload):
-            rows, seconds = _evaluate_supernet_chunk(payload)
+            rows = _evaluate_supernet_chunk(payload)
             computed.extend(state for state, _, _ in rows)
-            return rows, seconds
+            return rows
 
         executor = AsyncPopulationExecutor(n_workers=1,
                                            supernet_worker=counting_worker)
