@@ -39,8 +39,6 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Dict
 
-import numpy as np
-
 from repro.engine import Engine
 from repro.engine.cache import IndicatorCache
 from repro.eval.benchconfig import bench_scale

@@ -45,7 +45,6 @@ from repro.runtime.pool import _evaluate_genotype_chunk
 from repro.runtime.telemetry import (
     Telemetry,
     load_trace,
-    span_coverage,
     summarize_trace,
 )
 from repro.searchspace.space import NasBench201Space

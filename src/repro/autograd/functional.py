@@ -8,7 +8,18 @@ pooling sums shifted strided windows instead of unfolding, and padding
 writes into one zero-bordered buffer (:func:`_zero_pad`) rather than
 calling ``np.pad``.  The array-level helpers (``_im2col``, ``_col2im``,
 ``_avg_pool``, ``_avg_pool_grad``) are shared with the compiled proxy
-plans of :mod:`repro.engine.plan`.  Inside
+plans of :mod:`repro.engine.plan`.
+
+The three window kernels — the conv input-gradient fold (``_col2im``),
+the average-pool forward and its adjoint — each have two bodies.  On a
+small plane (H·W ≤ ``HWNC_MAX_PIXELS`` = 64) with a kernel wider than
+1×1 (fold) or at least 3×3 (pools) they run batch×channel innermost
+(``_*_hwnc``): one transposing copy to (H, W, N·C), the same K² window
+adds with each add running over a whole output row times N·C, and one
+copy back to a C-contiguous NCHW array.  Every other shape keeps the NCHW
+body (``_*_nchw``).  Each pixel adds its taps in the same (ki, kj) order
+from the same start in both bodies, so they agree as float hex; only
+elementwise adds change layout, never a matmul operand.  Inside
 :func:`keep_columns` each ``conv2d`` also hands its unfolded input columns
 to the caller, so the batched NTK kernel reuses them instead of unfolding
 every conv input a second time.
@@ -311,6 +322,36 @@ def _is_pointwise(kernel: int, stride: int, padding: int) -> bool:
     return kernel == 1 and stride == 1 and padding == 0
 
 
+#: Largest plane (H·W input pixels) whose window kernels run with
+#: batch×channel innermost.  There each shifted add spans the few pixels
+#: of an output row *times* N·C, instead of one numpy inner loop per
+#: (n, c, row); on 16×16 planes the fold measured slower, as the two
+#: transposing copies cost more than the wider adds save.
+HWNC_MAX_PIXELS = 64
+
+
+def _small_plane(x_shape: Tuple[int, ...]) -> bool:
+    """Whether an NCHW plane is small enough for the ``_hwnc`` bodies."""
+    return x_shape[-2] * x_shape[-1] <= HWNC_MAX_PIXELS
+
+
+def _to_hwnc(x: np.ndarray, padding: int = 0) -> np.ndarray:
+    """NCHW ``x`` as a fresh C-contiguous (H, W, N·C) array, zero-bordered
+    by ``padding``."""
+    n, c, h, w = x.shape
+    if not padding:
+        return x.transpose(2, 3, 0, 1).copy().reshape(h, w, n * c)
+    out = np.zeros((h + 2 * padding, w + 2 * padding, n, c), dtype=x.dtype)
+    out[padding:padding + h, padding:padding + w] = x.transpose(2, 3, 0, 1)
+    return out.reshape(h + 2 * padding, w + 2 * padding, n * c)
+
+
+def _from_hwnc(x: np.ndarray, n: int, c: int) -> np.ndarray:
+    """(H, W, N·C) ``x`` as a C-contiguous NCHW array."""
+    h, w = x.shape[:2]
+    return np.ascontiguousarray(x.reshape(h, w, n, c).transpose(2, 3, 0, 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _unfold_index(h: int, w: int, kernel: int, stride: int,
                   padding: int) -> np.ndarray:
@@ -353,10 +394,26 @@ def _col2im(
 ) -> np.ndarray:
     """Fold columns back onto the (padded) input, summing overlaps.
 
-    A pointwise fold is a reshape view of ``cols`` (no copy).
+    A pointwise fold is a reshape view of ``cols`` (no copy); a wider
+    kernel over a small plane runs :func:`_col2im_hwnc`, any other fold
+    :func:`_col2im_nchw`.
     """
     if _is_pointwise(kernel, stride, padding):
         return cols.reshape(x_shape)
+    if kernel > 1 and _small_plane(x_shape):
+        return _col2im_hwnc(cols, x_shape, kernel, stride, padding)
+    return _col2im_nchw(cols, x_shape, kernel, stride, padding)
+
+
+def _col2im_nchw(
+    cols: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    kernel: int,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """:func:`_col2im` over NCHW planes: K² strided adds into a zeroed
+    border, each tap in (ki, kj) order."""
     n, c, h, w = x_shape
     oh = _conv_out_size(h, kernel, stride, padding)
     ow = _conv_out_size(w, kernel, stride, padding)
@@ -370,6 +427,31 @@ def _col2im(
     if padding:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
+
+
+def _col2im_hwnc(
+    cols: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    kernel: int,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """:func:`_col2im_nchw` with batch×channel innermost.
+
+    The same K² adds in the same (ki, kj) order onto +0.0, so the result
+    is equal as float hex; it comes back as a C-contiguous NCHW array.
+    """
+    n, c, h, w = x_shape
+    oh = _conv_out_size(h, kernel, stride, padding)
+    ow = _conv_out_size(w, kernel, stride, padding)
+    taps = cols.reshape(n * c, kernel, kernel, oh, ow).transpose(1, 2, 3, 4, 0).copy()
+    padded = np.zeros((h + 2 * padding, w + 2 * padding, n * c), dtype=cols.dtype)
+    for ki in range(kernel):
+        i_end = ki + stride * oh
+        for kj in range(kernel):
+            j_end = kj + stride * ow
+            padded[ki:i_end:stride, kj:j_end:stride] += taps[ki, kj]
+    return _from_hwnc(padded[padding:padding + h, padding:padding + w], n, c)
 
 
 @contextlib.contextmanager
@@ -449,7 +531,16 @@ def _pool_windows(kernel: int, stride: int, oh: int, ow: int) -> list:
 
 def _avg_pool(x: np.ndarray, kernel: int, padding: int, windows: list) -> np.ndarray:
     """Average-pool forward: the windows of the zero-bordered ``x``, summed
-    in window order, divided by K²."""
+    in window order, divided by K².  Runs :func:`_avg_pool_hwnc` for a
+    3×3 or wider kernel over a small plane, else :func:`_avg_pool_nchw`."""
+    if kernel >= 3 and _small_plane(x.shape):
+        return _avg_pool_hwnc(x, kernel, padding, windows)
+    return _avg_pool_nchw(x, kernel, padding, windows)
+
+
+def _avg_pool_nchw(x: np.ndarray, kernel: int, padding: int,
+                   windows: list) -> np.ndarray:
+    """:func:`_avg_pool` over NCHW planes."""
     padded = _zero_pad(x, padding)
     total = padded[windows[0]].copy()
     for window in windows[1:]:
@@ -457,9 +548,38 @@ def _avg_pool(x: np.ndarray, kernel: int, padding: int, windows: list) -> np.nda
     return total / (kernel * kernel)
 
 
+def _avg_pool_hwnc(x: np.ndarray, kernel: int, padding: int,
+                   windows: list) -> np.ndarray:
+    """:func:`_avg_pool_nchw` with batch×channel innermost: the same window
+    sums and division, equal as float hex, as a C-contiguous array.
+
+    ``window[1:]`` drops the leading ``...`` of each window, so its two
+    slices index the (H, W) axes that lead here.
+    """
+    n, c = x.shape[:2]
+    padded = _to_hwnc(x, padding)
+    total = padded[windows[0][1:]].copy()
+    for window in windows[1:]:
+        total += padded[window[1:]]
+    total /= kernel * kernel
+    return _from_hwnc(total, n, c)
+
+
 def _avg_pool_grad(grad: np.ndarray, x_shape: Tuple[int, int, int, int],
                    kernel: int, padding: int, windows: list) -> np.ndarray:
-    """Average-pool adjoint: ``grad / K²`` scattered back through the windows."""
+    """Average-pool adjoint: ``grad / K²`` scattered back through the windows.
+
+    Runs :func:`_avg_pool_grad_hwnc` for a 3×3 or wider kernel over a small
+    plane, else :func:`_avg_pool_grad_nchw`.
+    """
+    if kernel >= 3 and _small_plane(x_shape):
+        return _avg_pool_grad_hwnc(grad, x_shape, kernel, padding, windows)
+    return _avg_pool_grad_nchw(grad, x_shape, kernel, padding, windows)
+
+
+def _avg_pool_grad_nchw(grad: np.ndarray, x_shape: Tuple[int, int, int, int],
+                        kernel: int, padding: int, windows: list) -> np.ndarray:
+    """:func:`_avg_pool_grad` over NCHW planes."""
     n, c, h, w = x_shape
     share = grad / (kernel * kernel)
     folded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=share.dtype)
@@ -468,6 +588,20 @@ def _avg_pool_grad(grad: np.ndarray, x_shape: Tuple[int, int, int, int],
     if padding:
         folded = folded[:, :, padding:-padding, padding:-padding]
     return folded
+
+
+def _avg_pool_grad_hwnc(grad: np.ndarray, x_shape: Tuple[int, int, int, int],
+                        kernel: int, padding: int, windows: list) -> np.ndarray:
+    """:func:`_avg_pool_grad_nchw` with batch×channel innermost: the same
+    division and window adds onto +0.0, equal as float hex, as a
+    C-contiguous array (window slices as in :func:`_avg_pool_hwnc`)."""
+    n, c, h, w = x_shape
+    share = _to_hwnc(grad)
+    share /= kernel * kernel
+    folded = np.zeros((h + 2 * padding, w + 2 * padding, n * c), dtype=share.dtype)
+    for window in windows:
+        folded[window[1:]] += share
+    return _from_hwnc(folded[padding:padding + h, padding:padding + w], n, c)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None, padding: int = 0) -> Tensor:

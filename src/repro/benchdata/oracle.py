@@ -16,7 +16,7 @@ unreachable branches; see :mod:`repro.hardware.graphopt`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -37,7 +37,11 @@ forward normalises with ``(var + eps) ** -0.5`` while its Jacobian term
 uses ``1 / np.sqrt(var + eps)``, as the two code paths it mirrors do;
 scalar multipliers are 0-d arrays in the compute dtype, as wrapped
 ``Tensor`` scalars are; and a node's first gradient is copied, later ones
-added, as ``Tensor._accumulate`` does.
+added, as ``Tensor._accumulate`` does.  Elementwise window steps (the
+conv fold and both pool directions) may run in another memory layout, as
+long as every output element sees the same adds in the same order; a
+matmul operand never changes layout, because BLAS blocks its sums by
+layout and would round differently.
 
 **Tape order.**  Gradients at fan-out nodes are sums whose rounding
 depends on their order.  Compilation records each node's

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import types
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

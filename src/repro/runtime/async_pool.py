@@ -78,7 +78,7 @@ import os
 import threading
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.core import (

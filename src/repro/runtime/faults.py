@@ -47,7 +47,7 @@ import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 try:  # POSIX advisory locks; absent on some platforms (e.g. Windows)
     import fcntl

@@ -76,7 +76,7 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.engine.cache import IndicatorCache

@@ -8,8 +8,6 @@ training runs stay reproducible.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import ReproError

@@ -238,6 +238,89 @@ def test_search_space_pools_bit_identical(dtype, kernel, stride, padding, size):
 
 
 # ----------------------------------------------------------------------
+# Batch×channel-innermost window bodies
+# ----------------------------------------------------------------------
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def layout_cases(draw):
+    """(dtype, n, c, h, w, kernel, stride, padding, seed), with planes on
+    both sides of ``HWNC_MAX_PIXELS``."""
+    kernel = draw(st.sampled_from((1, 2, 3, 5)))
+    stride = draw(st.sampled_from((1, 2)))
+    padding = draw(st.sampled_from((0, 1, 2)))
+    low = max(1, kernel - 2 * padding)
+    h = draw(st.integers(low, 10))
+    w = draw(st.integers(low, 10))
+    return (draw(st.sampled_from(DTYPES)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), h, w, kernel, stride, padding,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def _with_specials(rng, shape, dtype):
+    """Normal draws with about a quarter replaced by ±0.0, ±inf and NaN."""
+    values = _normal(rng, shape, dtype)
+    mask = rng.random(shape) < 0.25
+    values[mask] = rng.choice(np.array(SPECIALS, dtype=dtype), size=mask.sum())
+    return values
+
+
+def _assert_same_bits(actual, expected):
+    """Equal as float hex, signed zeros included; NaNs by position only.
+
+    Which NaN a sum of two NaNs returns depends on the numpy inner loop
+    that runs, not on the formulation: ``t += u`` over one element keeps
+    ``u``'s NaN, over several ``t``'s, so today's NCHW body itself
+    changes NaN signs between one-pixel and wider output rows.
+    """
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    nan = np.isnan(actual)
+    assert np.array_equal(nan, np.isnan(expected))
+    unsigned = f"u{actual.itemsize}"
+    assert np.array_equal(actual.view(unsigned)[~nan],
+                          expected.view(unsigned)[~nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_cases())
+def test_hwnc_window_bodies_match_nchw_bodies(case):
+    """Every batch×channel body equals today's NCHW body as float hex and
+    returns a C-contiguous array; the dispatchers equal the oracles."""
+    dtype, n, c, h, w, kernel, stride, padding, seed = case
+    rng = np.random.default_rng(seed)
+    x_shape = (n, c, h, w)
+    oh = _out_size(h, kernel, stride, padding)
+    ow = _out_size(w, kernel, stride, padding)
+    cols = _with_specials(rng, (n, c * kernel * kernel, oh * ow), dtype)
+    x = _with_specials(rng, x_shape, dtype)
+    grad = _with_specials(rng, (n, c, oh, ow), dtype)
+    windows = F._pool_windows(kernel, stride, oh, ow)
+
+    pairs = [
+        ((F._col2im_hwnc, F._col2im_nchw), (cols, x_shape, kernel, stride, padding)),
+        ((F._avg_pool_hwnc, F._avg_pool_nchw), (x, kernel, padding, windows)),
+        ((F._avg_pool_grad_hwnc, F._avg_pool_grad_nchw),
+         (grad, x_shape, kernel, padding, windows)),
+    ]
+    for (hwnc, nchw), args in pairs:
+        fast = hwnc(*args)
+        assert fast.flags.c_contiguous
+        _assert_same_bits(fast, nchw(*args))
+    want = old_col2im(cols, x_shape, kernel, stride, padding)
+    folded = F._col2im(cols, x_shape, kernel, stride, padding)
+    if F._is_pointwise(kernel, stride, padding):
+        # A pointwise fold is a view of ``cols``: its -0.0 stays -0.0 where
+        # a fold onto +0.0 gives +0.0, so only the values are equal.
+        np.testing.assert_array_equal(folded, want)
+    else:
+        _assert_same_bits(folded, want)
+    _assert_same_bits(F._avg_pool(x, kernel, padding, windows),
+                      _sequential_pool(x, kernel, stride, padding))
+
+
+# ----------------------------------------------------------------------
 # Eval-mode BatchNorm2d
 # ----------------------------------------------------------------------
 @settings(max_examples=100, deadline=None)

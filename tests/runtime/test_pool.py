@@ -26,7 +26,6 @@ from repro.runtime.pool import (
 )
 from repro.search.objective import HybridObjective
 from repro.searchspace.cell import EdgeSpec
-from repro.searchspace.genotype import Genotype
 from repro.searchspace.ops import CANDIDATE_OPS
 from repro.searchspace.space import NasBench201Space
 
