@@ -396,7 +396,10 @@ def _col2im(
 
     A pointwise fold is a reshape view of ``cols`` (no copy); a wider
     kernel over a small plane runs :func:`_col2im_hwnc`, any other fold
-    :func:`_col2im_nchw`.
+    :func:`_col2im_nchw`.  The view is the one fold not equal to the
+    zero-start fold as float hex: a −0.0 column entry stays −0.0 where
+    adding it onto +0.0 gives +0.0.  Values are equal, so no indicator
+    row changes, and forcing +0.0 would copy every 1×1 conv adjoint.
     """
     if _is_pointwise(kernel, stride, padding):
         return cols.reshape(x_shape)

@@ -6,7 +6,9 @@ search
     Run a NAS algorithm (micronas / tenas / random) and print the result.
 runtime
     Run any registered algorithm on the parallel evaluation runtime
-    (process-pool workers + persistent indicator/LUT store).
+    (process-pool workers + persistent indicator/LUT store), or with
+    ``--device-matrix`` one population priced per (board, objective-set)
+    cell; both print the same run rows (status, cache, store, trace).
 store
     Inspect and maintain a runtime store directory: ``inventory`` lists
     persisted caches/LUTs, ``compact`` folds append-only segments into
@@ -156,72 +158,77 @@ def cmd_runtime(args: argparse.Namespace) -> int:
             d.strip() for d in (args.device_matrix or "").split(",")
             if d.strip()),
     )
-    if config.devices:
-        return _run_device_matrix(config, args)
     try:
-        report = RunHarness(config).run()
+        harness = RunHarness(config)
+        report = harness.run_matrix() if config.devices else harness.run()
     except ReproError as exc:
         # Config-level errors (unknown algorithm/device, missing --arch
         # for macro) are user mistakes, not tracebacks.
         raise SystemExit(str(exc))
-    # Rows are appended in display order (optional rows at their natural
-    # position) — no positional insert bookkeeping to keep in sync.
-    rows = [
-        ["run id", report.run_id],
-        ["algorithm", report.algorithm],
-        ["architecture", report.arch_str],
-        ["precision", config.precision],
-        ["workers (mode)", f"{report.pool['n_workers']}"
-                           f" ({report.pool['mode']})"],
-        ["pool tasks / chunks", f"{report.pool['tasks']} / "
-                               f"{report.pool['chunks']}"],
-    ]
-    idle = report.pool["idle_fraction"]
-    rows.append(["worker idle fraction",
-                 "n/a" if idle is None else f"{idle:.1%}"])
-    faults = [f"{report.pool[key]} {key}"
-              for key in ("retries", "timeouts", "respawns", "quarantined")
-              if report.pool[key]]
-    rows.append(["faults recovered", ", ".join(faults) or "none"])
-    if report.status != "completed":
-        rows.append(["status", report.status])
-    if config.fleet_bind or config.fleet_workers:
-        rows.append(["fleet", f"{config.fleet_workers} local workers"
-                             f" ({report.pool['mode']} transport)"])
-    rows.append(["cache warm-start",
-                 f"{report.cache['warm_start_entries']} entries"])
-    rows.append(["cache hits / misses", f"{report.cache['hits']} / "
-                                        f"{report.cache['misses']}"])
-    rows.append(["store", args.store or "(none: in-memory only)"])
-    if args.store:
-        rows.append(["cache persisted",
-                     f"{report.store['cache_saved']} entries"])
-        rows.append(["LUTs in store (all runs)",
-                     str(len(report.store["luts"]))])
-    rows.append(["wall time", f"{report.wall_seconds:.2f} s"])
-    if args.trace:
-        rows.append(["trace", args.trace])
-    for name, value in sorted(report.indicators.items()):
-        rows.append([f"indicator: {name}", f"{value:.6g}"])
-    print(format_table(rows, title="parallel-runtime search run"))
+    if config.devices:
+        _print_device_matrix(report)
+    else:
+        _print_search_run(report)
     if args.report:
         report.save_json(args.report)
         print(f"run report written to {args.report}")
     return 0
 
 
-def _run_device_matrix(config, args: argparse.Namespace) -> int:
-    """Device-matrix mode: one Pareto front per (device, objective-set)."""
-    from repro.errors import ReproError
-    from repro.runtime import RunHarness
+def _run_rows(report, rows: List[List[str]]) -> List[List[str]]:
+    """``rows`` (one mode's own) between the rows every runtime run
+    shares: run id first; status, cache, store, wall time, trace after."""
+    config = report.config
+    rows = [["run id", report.run_id]] + rows
+    if report.status != "completed":
+        rows.append(["status", report.status])
+    rows.append(["cache hits / misses", f"{report.cache['hits']} / "
+                                        f"{report.cache['misses']}"])
+    rows.append(["store", config.store_dir or "(none: in-memory only)"])
+    if config.store_dir:
+        rows.append(["cache persisted",
+                     f"{report.store['cache_saved']} entries"])
+        rows.append(["LUTs in store (all runs)",
+                     str(len(report.store["luts"]))])
+    rows.append(["wall time", f"{report.wall_seconds:.2f} s"])
+    if config.trace_path:
+        rows.append(["trace", config.trace_path])
+    return rows
 
-    try:
-        report = RunHarness(config).run_matrix()
-    except ReproError as exc:
-        raise SystemExit(str(exc))
-    evals = report.trainless_evals
+
+def _print_search_run(report) -> None:
+    """One algorithm run: pool, faults and the chosen architecture."""
+    config = report.config
+    pool = report.pool
+    idle = pool["idle_fraction"]
+    faults = [f"{pool[key]} {key}"
+              for key in ("retries", "timeouts", "respawns", "quarantined")
+              if pool[key]]
     rows = [
-        ["run id", report.run_id],
+        ["algorithm", report.algorithm],
+        ["architecture", report.arch_str],
+        ["precision", config.precision],
+        ["workers (mode)", f"{pool['n_workers']} ({pool['mode']})"],
+        ["pool tasks / chunks", f"{pool['tasks']} / {pool['chunks']}"],
+        ["worker idle fraction", "n/a" if idle is None else f"{idle:.1%}"],
+        ["faults recovered", ", ".join(faults) or "none"],
+    ]
+    if config.fleet_bind or config.fleet_workers:
+        rows.append(["fleet", f"{config.fleet_workers} local workers"
+                             f" ({pool['mode']} transport)"])
+    rows.append(["cache warm-start",
+                 f"{report.cache['warm_start_entries']} entries"])
+    rows = _run_rows(report, rows)
+    for name, value in sorted(report.indicators.items()):
+        rows.append([f"indicator: {name}", f"{value:.6g}"])
+    print(format_table(rows, title="parallel-runtime search run"))
+
+
+def _print_device_matrix(report) -> None:
+    """Device-matrix mode: one Pareto front per (device, objective-set)."""
+    config = report.config
+    evals = report.trainless_evals
+    rows = _run_rows(report, [
         ["devices", ", ".join(config.devices)],
         ["objective sets",
          "; ".join("+".join(cell) for cell in config.objective_sets())
@@ -230,16 +237,7 @@ def _run_device_matrix(config, args: argparse.Namespace) -> int:
          f"{report.samples} ({report.unique_canonical})"],
         ["trainless rows computed / hit",
          f"{evals['rows_computed']} / {evals['rows_hit']}"],
-        ["cache hits / misses", f"{report.cache['hits']} / "
-                                f"{report.cache['misses']}"],
-        ["store", config.store_dir or "(none: in-memory only)"],
-    ]
-    if config.store_dir:
-        rows.append(["cache persisted",
-                     f"{report.store['cache_saved']} entries"])
-        rows.append(["LUTs in store (all runs)",
-                     str(len(report.store["luts"]))])
-    rows.append(["wall time", f"{report.wall_seconds:.2f} s"])
+    ])
     print(format_table(rows, title="device-matrix run"))
     cell_rows = []
     for cell in report.cells:
@@ -259,10 +257,6 @@ def _run_device_matrix(config, args: argparse.Namespace) -> int:
                  "knee costs"],
         title="Pareto front per (device, objective-set) cell",
     ))
-    if args.report:
-        report.save_json(args.report)
-        print(f"matrix report written to {args.report}")
-    return 0
 
 
 def cmd_fleet_worker(args: argparse.Namespace) -> int:

@@ -37,11 +37,20 @@ forward normalises with ``(var + eps) ** -0.5`` while its Jacobian term
 uses ``1 / np.sqrt(var + eps)``, as the two code paths it mirrors do;
 scalar multipliers are 0-d arrays in the compute dtype, as wrapped
 ``Tensor`` scalars are; and a node's first gradient is copied, later ones
-added, as ``Tensor._accumulate`` does.  Elementwise window steps (the
-conv fold and both pool directions) may run in another memory layout, as
-long as every output element sees the same adds in the same order; a
-matmul operand never changes layout, because BLAS blocks its sums by
-layout and would round differently.
+added, as ``Tensor._accumulate`` does; the BatchNorm statistics are
+``np.add.reduce(..., keepdims=True) / count`` with ``count`` = N·H·W,
+which is what ``ndarray.mean`` computes behind its Python wrapper.
+Elementwise window steps (the conv fold and both pool directions) may
+run in another memory layout, as long as every output element sees the
+same adds in the same order; a matmul operand never changes layout,
+because BLAS blocks its sums by layout and would round differently.
+One known exception, shared with the autograd path: a pointwise (1×1)
+fold returns a reshape view of the gradient columns rather than adding
+them onto +0.0, so a −0.0 entry stays −0.0 where the zero-start fold
+gives +0.0.  The values are equal and no indicator row changes; forcing
++0.0 would cost a full copy in every 1×1 conv adjoint.
+``test_hwnc_window_bodies_match_nchw_bodies`` compares that case by
+value only.
 
 **Tape order.**  Gradients at fan-out nodes are sums whose rounding
 depends on their order.  Compilation records each node's
@@ -339,9 +348,14 @@ class _Tape:
         eps = self._scalar(DEFAULT_EPS)
 
         def forward(vals, saved, weights):
+            # ``ndarray.mean`` is this add-reduce and true divide behind
+            # a Python wrapper; ``count`` (N·H·W) is a Python int.
             xd = vals[x]
-            centered = xd - xd.mean(axis=(0, 2, 3), keepdims=True)
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+            count = xd.size // c
+            centered = xd - np.add.reduce(xd, axis=(0, 2, 3),
+                                          keepdims=True) / count
+            var = np.add.reduce(centered * centered, axis=(0, 2, 3),
+                                keepdims=True) / count
             inv_std = (var + eps) ** -0.5
             vals[i] = centered * inv_std * scale + shift
             saved[i] = (centered, var, inv_std)

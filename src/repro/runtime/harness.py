@@ -10,7 +10,13 @@ estimators pull profiled LUTs from the store), builds the :class:`~repro.runtime
 AsyncPopulationExecutor` with its :class:`~repro.runtime.faults.\
 FaultPolicy`, runs the selected algorithm from :data:`ALGORITHMS` and
 emits a structured :class:`RunReport` (persisting computed rows to the
-store on every gather and once more at the end).
+store on every gather and once more at the end).  Device-matrix mode
+(:meth:`RunHarness.run_matrix`) swaps the algorithm for one population
+pass priced per (device, objective-set) cell and emits a
+:class:`DeviceMatrixReport`.  Both go through one lifecycle
+(:meth:`RunHarness._lifecycle`): SIGINT/SIGTERM drain, heartbeat,
+timing, pool close, trace export, final store save and the report
+fields the two report types share.
 
 New algorithms register with :func:`register_algorithm`; the builder
 receives the harness and returns a
@@ -121,8 +127,19 @@ class RuntimeConfig:
         return MacroConfig.full()
 
 
+class _JsonReport:
+    """``to_dict``/``save_json`` for the report dataclasses below."""
+
+    def to_dict(self) -> Dict:
+        return asdict(self)
+
+    def save_json(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh, indent=2, default=str)
+
+
 @dataclass
-class RunReport:
+class RunReport(_JsonReport):
     """Structured record of one harness run (JSON-serialisable)."""
 
     config: RuntimeConfig
@@ -151,15 +168,6 @@ class RunReport:
     #: armed for the run; ``None`` otherwise.
     telemetry: Optional[Dict] = None
 
-    def to_dict(self) -> Dict:
-        payload = asdict(self)
-        payload["config"] = asdict(self.config)
-        return payload
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, default=str)
-
 
 @dataclass
 class MatrixCell:
@@ -171,18 +179,20 @@ class MatrixCell:
     #: ``arch_str``/``arch_index``/``quality_rank``/``crowding`` plus one
     #: entry per cost axis.
     front: List[Dict[str, object]]
-    #: The balanced pick (minimal normalised L2 distance to utopia).
+    #: The balanced pick (:func:`~repro.search.pareto.knee_index`).
     knee: Optional[Dict[str, object]]
     num_fronts: int
 
 
 @dataclass
-class DeviceMatrixReport:
+class DeviceMatrixReport(_JsonReport):
     """Structured record of one device-matrix run (JSON-serialisable).
 
     The headline invariant: ``unique_canonical`` trainless evaluations
     serve *every* cell — devices and objective sets only re-price cheap,
-    LUT-mediated cost axes against the shared cache.
+    LUT-mediated cost axes against the shared cache.  The run-level
+    fields after ``trainless_evals`` mean what they mean on
+    :class:`RunReport`.
     """
 
     config: RuntimeConfig
@@ -197,12 +207,14 @@ class DeviceMatrixReport:
     #: the executor's workers computed (0 on a fully warm restart).
     trainless_evals: Dict[str, int]
     cache: Dict[str, float]
+    pool: Dict[str, object]
     store: Dict[str, object]
     wall_seconds: float
     status: str = "completed"
     run_id: str = ""
     started_at: str = ""
     finished_at: str = ""
+    telemetry: Optional[Dict] = None
 
     def cell(self, device: str, objectives: Tuple[str, ...]) -> MatrixCell:
         """Look up one cell by its (device, objective-set) coordinates."""
@@ -210,15 +222,6 @@ class DeviceMatrixReport:
             if cell.device == device and tuple(cell.objectives) == tuple(objectives):
                 return cell
         raise SearchError(f"no matrix cell ({device!r}, {objectives!r})")
-
-    def to_dict(self) -> Dict:
-        payload = asdict(self)
-        payload["config"] = asdict(self.config)
-        return payload
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, default=str)
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +251,15 @@ def _run_random(harness: "RunHarness") -> SearchResult:
     ).search()
 
 
+def _evolution_config(config: RuntimeConfig):
+    """The three evolutionary algorithms' shared loop settings."""
+    from repro.search.evolutionary import EvolutionConfig
+
+    return EvolutionConfig(population_size=config.population_size,
+                           sample_size=config.sample_size,
+                           cycles=config.cycles)
+
+
 @register_algorithm("evolutionary")
 def _run_evolutionary(harness: "RunHarness") -> SearchResult:
     """µNAS-style train-based aging evolution (surrogate benchmark).
@@ -259,10 +271,7 @@ def _run_evolutionary(harness: "RunHarness") -> SearchResult:
     rather than ignored (use ``trainless-evolutionary`` for weighted
     indicator-driven evolution).
     """
-    from repro.search.evolutionary import (
-        ConstrainedEvolutionarySearch,
-        EvolutionConfig,
-    )
+    from repro.search.evolutionary import ConstrainedEvolutionarySearch
 
     if harness.config.latency_weight or harness.config.flops_weight:
         raise SearchError(
@@ -272,11 +281,7 @@ def _run_evolutionary(harness: "RunHarness") -> SearchResult:
         )
 
     return ConstrainedEvolutionarySearch(
-        EvolutionConfig(
-            population_size=harness.config.population_size,
-            sample_size=harness.config.sample_size,
-            cycles=harness.config.cycles,
-        ),
+        _evolution_config(harness.config),
         macro_config=harness.macro_config,
         seed=harness.config.seed,
     ).search()
@@ -284,18 +289,11 @@ def _run_evolutionary(harness: "RunHarness") -> SearchResult:
 
 @register_algorithm("trainless-evolutionary")
 def _run_trainless_evolutionary(harness: "RunHarness") -> SearchResult:
-    from repro.search.evolutionary import (
-        EvolutionConfig,
-        TrainlessEvolutionarySearch,
-    )
+    from repro.search.evolutionary import TrainlessEvolutionarySearch
 
     return TrainlessEvolutionarySearch(
         harness.objective(),
-        EvolutionConfig(
-            population_size=harness.config.population_size,
-            sample_size=harness.config.sample_size,
-            cycles=harness.config.cycles,
-        ),
+        _evolution_config(harness.config),
         seed=harness.config.seed,
     ).search()
 
@@ -303,18 +301,11 @@ def _run_trainless_evolutionary(harness: "RunHarness") -> SearchResult:
 @register_algorithm("steady-state")
 def _run_steady_state(harness: "RunHarness") -> SearchResult:
     """Event-driven steady-state evolution over the executor's futures."""
-    from repro.search.evolutionary import (
-        EvolutionConfig,
-        SteadyStateEvolutionarySearch,
-    )
+    from repro.search.evolutionary import SteadyStateEvolutionarySearch
 
     return SteadyStateEvolutionarySearch(
         harness.objective(),
-        EvolutionConfig(
-            population_size=harness.config.population_size,
-            sample_size=harness.config.sample_size,
-            cycles=harness.config.cycles,
-        ),
+        _evolution_config(harness.config),
         seed=harness.config.seed,
         parent_selection=harness.config.parent_selection,
     ).search()
@@ -490,7 +481,7 @@ class RunHarness:
             if self.store is not None else 0)
         #: Rows appended to the store by mid-run flushes.
         self.flushed_entries = 0
-        #: Set by the first SIGINT/SIGTERM during :meth:`run`: the run is
+        #: Set by the first SIGINT/SIGTERM during a run: the run is
         #: draining and its report will carry ``status="interrupted"``.
         self._drain_requested = False
         if config.save_store and self.store is not None:
@@ -524,7 +515,7 @@ class RunHarness:
         Leaning on ``__del__`` for cleanup runs at GC's convenience, so
         forked workers could outlive the run that spawned them.  The
         harness is the object with the executor's lifecycle in hand, so
-        it closes deterministically: :meth:`run` on completion (success
+        it closes deterministically: every run on completion (success
         or not), or the context manager on scope exit.
         """
         self.executor.close()
@@ -593,28 +584,28 @@ class RunHarness:
         return installed
 
     # ------------------------------------------------------------------
-    def run(self) -> RunReport:
-        """Run the configured algorithm; persist and report.
+    def _lifecycle(self, body: Callable[[], object]) -> Tuple:
+        """Run ``body`` as this harness's one run; return its value and
+        the report fields :class:`RunReport` and
+        :class:`DeviceMatrixReport` share.
 
         SIGINT/SIGTERM triggers a **graceful drain** rather than an
         abort: submission stops (in loops that consult the executor's
         ``drain_requested``), in-flight chunks are gathered and flushed,
         and the report comes back marked ``status="interrupted"`` with
         everything computed so far persisted (a second signal aborts
-        immediately).
+        immediately).  The heartbeat runs for the body's duration; the
+        pool closes and the trace is written even when the body raises.
         """
         stats_before = self.engine.cache.stats
         installed = self._install_drain_handlers()
         started_at = _utc_now()
-        finished_at = ""
-        heartbeat: Optional[Heartbeat] = None
-        if self.config.heartbeat:
-            heartbeat = Heartbeat(self.config.heartbeat,
-                                  self._heartbeat_source,
-                                  run_id=self.run_id).start()
+        heartbeat = (Heartbeat(self.config.heartbeat, self._heartbeat_source,
+                               run_id=self.run_id).start()
+                     if self.config.heartbeat else None)
         try:
             with Timer() as timer:
-                result = ALGORITHMS[self.config.algorithm](self)
+                value = body()
         finally:
             if heartbeat is not None:
                 heartbeat.stop()
@@ -640,14 +631,8 @@ class RunHarness:
             # persisted (e.g. cost rows priced driver-side).
             saved_entries += self.store.save_cache(self.engine.cache,
                                                    self.fingerprint)
-        return RunReport(
-            config=self.config,
-            algorithm=result.algorithm,
-            arch_str=result.arch_str,
-            arch_index=result.genotype.to_index(),
-            indicators={k: float(v) for k, v in result.indicators.items()},
+        return value, dict(
             wall_seconds=timer.elapsed,
-            num_evaluations=result.num_evaluations,
             cache={
                 "warm_start_entries": self.warm_entries,
                 "hits": stats_after.hits - stats_before.hits,
@@ -663,8 +648,6 @@ class RunHarness:
                 "luts": (self.store.lut_keys()
                          if self.store is not None else []),
             },
-            weights_used=result.weights_used,
-            history=result.history,
             status=("interrupted" if self._drain_requested
                     else "completed"),
             run_id=self.run_id,
@@ -672,6 +655,23 @@ class RunHarness:
             finished_at=finished_at,
             telemetry=(self.telemetry.metrics_snapshot()
                        if self.telemetry.enabled else None),
+        )
+
+    def run(self) -> RunReport:
+        """Run the configured algorithm; persist and report (the run's
+        lifecycle, drain included, is :meth:`_lifecycle`)."""
+        result, shared = self._lifecycle(
+            lambda: ALGORITHMS[self.config.algorithm](self))
+        return RunReport(
+            config=self.config,
+            algorithm=result.algorithm,
+            arch_str=result.arch_str,
+            arch_index=result.genotype.to_index(),
+            indicators={k: float(v) for k, v in result.indicators.items()},
+            num_evaluations=result.num_evaluations,
+            weights_used=result.weights_used,
+            history=result.history,
+            **shared,
         )
 
     # ------------------------------------------------------------------
@@ -687,67 +687,23 @@ class RunHarness:
         and workers stay oblivious to cost axes.  Each device then prices
         its cost axes against the shared cache via the registered
         :class:`~repro.search.costs.CostModel` adapters (LUT-mediated,
-        driver-side), and each objective set sorts its own front.
+        driver-side), and each objective set sorts its own front with
+        :func:`~repro.search.pareto.first_front` and
+        :func:`~repro.search.pareto.knee_index`.  The run shares
+        :meth:`run`'s lifecycle: trace, heartbeat, drain and the final
+        store save.  The population is one batch, so a drain lets it
+        finish and marks the report ``status="interrupted"``.
         """
-        import numpy as np
-
-        from repro.hardware.device import get_device
-        from repro.search.objective import HybridObjective, ObjectiveWeights
-        from repro.search.pareto import crowding_distance, non_dominated_sort
-        from repro.searchspace.space import NasBench201Space
-
-        config = self.config
-        if not config.devices:
+        if not self.config.devices:
             raise SearchError(
                 "device-matrix mode needs RuntimeConfig(devices=[...]) "
                 "(CLI: micronas runtime --device-matrix DEV1,DEV2)")
-        objective_sets = config.objective_sets() or (("latency",),)
-        started_at = _utc_now()
-        stats_before = self.engine.cache.stats
-        # Quality is the trainless part only — hardware enters as cost
-        # axes, so cells stay comparable across devices.
-        trainless = HybridObjective(weights=ObjectiveWeights(),
-                                    engine=self.engine)
-        try:
-            with Timer() as timer:
-                genotypes = NasBench201Space().sample(config.samples,
-                                                      rng=config.seed)
-                table = trainless.evaluate_population(genotypes)
-                quality = trainless.combined_ranks(table.rows())
-                cells: List[MatrixCell] = []
-                for device_name in config.devices:
-                    engine = self.engine.for_device(get_device(device_name))
-                    # Price each axis once per device; objective sets
-                    # sharing an axis reuse the same column.
-                    columns: Dict[str, np.ndarray] = {}
-                    for axes in objective_sets:
-                        for axis in axes:
-                            if axis in columns:
-                                continue
-                            if axis == "flops":
-                                columns[axis] = table.column("flops")
-                                continue
-                            model = engine.cost_model(axis)
-                            columns[axis] = np.array(
-                                [engine.cost(g, model) for g in genotypes],
-                                dtype=float)
-                    for axes in objective_sets:
-                        cells.append(self._matrix_cell(
-                            device_name, axes, genotypes, quality, columns,
-                            non_dominated_sort, crowding_distance))
-        finally:
-            self.close()
-            finished_at = _utc_now()
-        stats_after = self.engine.cache.stats
-        saved_entries = self.flushed_entries
-        if self.store is not None and config.save_store:
-            saved_entries += self.store.save_cache(self.engine.cache,
-                                                   self.fingerprint)
+        (table, cells), shared = self._lifecycle(self._matrix_body)
         counts = self.engine.ledger.counts
         return DeviceMatrixReport(
-            config=config,
+            config=self.config,
             cells=cells,
-            samples=config.samples,
+            samples=self.config.samples,
             unique_canonical=table.unique_canonical,
             trainless_evals={
                 "ntk": counts.get("ntk_eval", 0),
@@ -755,68 +711,72 @@ class RunHarness:
                 "rows_computed": table.cache_misses,
                 "rows_hit": table.cache_hits,
             },
-            cache={
-                "warm_start_entries": self.warm_entries,
-                "hits": stats_after.hits - stats_before.hits,
-                "misses": stats_after.misses - stats_before.misses,
-                "entries": stats_after.entries,
-                "hit_rate": stats_after.hit_rate,
-            },
-            store={
-                "dir": config.store_dir,
-                "cache_loaded": self.warm_entries,
-                "cache_saved": saved_entries,
-                "luts": (self.store.lut_keys()
-                         if self.store is not None else []),
-            },
-            wall_seconds=timer.elapsed,
-            run_id=self.run_id,
-            started_at=started_at,
-            finished_at=finished_at,
+            **shared,
         )
 
+    def _matrix_body(self):
+        """One trainless population pass, then every cell's front."""
+        import numpy as np
+
+        from repro.hardware.device import get_device
+        from repro.search.objective import HybridObjective, ObjectiveWeights
+        from repro.searchspace.space import NasBench201Space
+
+        config = self.config
+        objective_sets = config.objective_sets() or (("latency",),)
+        # Quality is the trainless part only — hardware enters as cost
+        # axes, so cells stay comparable across devices.
+        trainless = HybridObjective(weights=ObjectiveWeights(),
+                                    engine=self.engine)
+        genotypes = NasBench201Space().sample(config.samples,
+                                              rng=config.seed)
+        table = trainless.evaluate_population(genotypes)
+        quality = trainless.combined_ranks(table.rows())
+        cells: List[MatrixCell] = []
+        for device_name in config.devices:
+            engine = self.engine.for_device(get_device(device_name))
+            # Price each axis once per device; objective sets sharing an
+            # axis reuse the same column.
+            columns: Dict[str, np.ndarray] = {}
+            for axis in dict.fromkeys(a for axes in objective_sets
+                                      for a in axes):
+                if axis == "flops":
+                    columns[axis] = table.column("flops")
+                else:
+                    model = engine.cost_model(axis)
+                    columns[axis] = np.array(
+                        [engine.cost(g, model) for g in genotypes],
+                        dtype=float)
+            for axes in objective_sets:
+                cells.append(self._matrix_cell(device_name, axes, genotypes,
+                                               quality, columns))
+        return table, cells
+
     @staticmethod
-    def _matrix_cell(device_name, axes, genotypes, quality, columns,
-                     non_dominated_sort, crowding_distance) -> MatrixCell:
+    def _matrix_cell(device_name, axes, genotypes, quality,
+                     columns) -> MatrixCell:
         """Sort one (device, objective-set) cell's Pareto front."""
         import numpy as np
+
+        from repro.search.pareto import first_front, knee_index
 
         vectors = np.column_stack(
             [np.asarray(quality, dtype=float)]
             + [columns[axis] for axis in axes])
-        fronts = non_dominated_sort(vectors)
-        first = fronts[0]
-        crowd = crowding_distance(vectors[first])
-        rows: List[Dict[str, object]] = []
-        for idx, crowding in zip(first, crowd):
-            row: Dict[str, object] = {
-                "arch_str": genotypes[idx].to_arch_str(),
-                "arch_index": genotypes[idx].to_index(),
-                "quality_rank": float(quality[idx]),
-                "crowding": float(crowding),
-            }
-            for axis in axes:
-                row[axis] = float(columns[axis][idx])
-            rows.append(row)
-        rows.sort(key=lambda r: r[axes[0]])
-        # Knee: min-max normalise quality + every axis over the front,
-        # pick the row closest (L2) to the utopian corner.
-        knee = None
-        if rows:
-            matrix = np.array(
-                [[row["quality_rank"]] + [row[a] for a in axes]
-                 for row in rows], dtype=float)
-            lo, hi = matrix.min(axis=0), matrix.max(axis=0)
-            spread = np.where(hi > lo, hi - lo, 1.0)
-            normed = (matrix - lo) / spread
-            knee = rows[int(np.argmin(np.sqrt((normed ** 2).sum(axis=1))))]
-        return MatrixCell(
-            device=device_name,
-            objectives=tuple(axes),
-            front=rows,
-            knee=knee,
-            num_fronts=len(fronts),
-        )
+        first, crowd, num_fronts = first_front(vectors)
+        rows = sorted((
+            {"arch_str": genotypes[idx].to_arch_str(),
+             "arch_index": genotypes[idx].to_index(),
+             "quality_rank": float(quality[idx]),
+             "crowding": float(crowding),
+             **{axis: float(columns[axis][idx]) for axis in axes}}
+            for idx, crowding in zip(first, crowd)),
+            key=lambda row: row[axes[0]])
+        knee = knee_index([[row["quality_rank"]] + [row[a] for a in axes]
+                           for row in rows])
+        return MatrixCell(device=device_name, objectives=tuple(axes),
+                          front=rows, knee=rows[knee],
+                          num_fronts=num_fronts)
 
 
 def run(config: RuntimeConfig) -> RunReport:

@@ -18,6 +18,8 @@ cheap enough to score a sample directly) over
 
 The deliverable is the first front plus a knee point, which a user can
 hand to the secondary stage (:mod:`repro.search.macro`) per deployment.
+:func:`first_front` and :func:`knee_index` are the one copy of each,
+shared with the device-matrix cells of :mod:`repro.runtime.harness`.
 
 :func:`non_dominated_sort` is array-native but keeps the list order of
 the classic pairwise NSGA-II loop: front 0 in ascending index order, and
@@ -29,7 +31,7 @@ and never reaches ``N × N`` — a whole-space sort (N = 15,625) included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,6 +144,23 @@ def crowding_distance(points: np.ndarray) -> np.ndarray:
     return distance
 
 
+def first_front(vectors: np.ndarray) -> Tuple[List[int], np.ndarray, int]:
+    """The Pareto set of ``vectors``: its row indices (ascending), their
+    crowding distances, and how many fronts the full sort found."""
+    fronts = non_dominated_sort(vectors)
+    first = fronts[0]
+    return first, crowding_distance(vectors[first]), len(fronts)
+
+
+def knee_index(matrix: Sequence[Sequence[float]]) -> int:
+    """Row of ``matrix`` closest (L2) to the utopian corner (0, ..., 0)
+    once every column is min-max normalised (a constant column reads 0)."""
+    matrix = np.asarray(matrix, dtype=float)
+    lo, hi = matrix.min(axis=0), matrix.max(axis=0)
+    normed = (matrix - lo) / np.where(hi > lo, hi - lo, 1.0)
+    return int(np.argmin(np.sqrt((normed ** 2).sum(axis=1))))
+
+
 def crowding_selection_weights(points: np.ndarray) -> np.ndarray:
     """Parent-selection probabilities proportional to crowding distance.
 
@@ -236,29 +255,12 @@ class ParetoResult:
     axes: Tuple[str, ...] = ("latency",)
 
     def knee_point(self) -> ParetoPoint:
-        """The balanced pick: minimal normalised distance to the ideal.
-
-        Every objective is min-max normalised over the front; the knee is
-        the point closest (L2) to the utopian corner (0, ..., 0).
-        """
+        """The balanced pick: minimal normalised distance to the ideal
+        (:func:`knee_index` over the front's objective vectors)."""
         if not self.front:
             raise SearchError("empty Pareto front")
-
-        def normalise(values: np.ndarray) -> np.ndarray:
-            spread = values.max() - values.min()
-            if spread == 0:
-                return np.zeros_like(values)
-            return (values - values.min()) / spread
-
-        quality = normalise(np.array([p.quality_rank for p in self.front]))
-        columns = [normalise(np.array([p.cost(axis) for p in self.front]))
-                   for axis in self.axes]
-        if len(columns) == 1:
-            distance = np.hypot(quality, columns[0])
-        else:
-            distance = np.sqrt(quality ** 2
-                               + sum(column ** 2 for column in columns))
-        return self.front[int(np.argmin(distance))]
+        vectors = [p.vector(self.axes) for p in self.front]
+        return self.front[knee_index(vectors)]
 
     def fastest(self) -> ParetoPoint:
         return min(self.front, key=lambda p: p.latency_ms)
@@ -353,25 +355,14 @@ class ParetoZeroShotSearch:
         with Timer() as timer:
             points = self._score_population(genotypes)
             vectors = np.array([p.vector(self.axes) for p in points])
-            fronts = non_dominated_sort(vectors)
-            first = fronts[0]
-            crowd = crowding_distance(vectors[first])
-            front = [
-                ParetoPoint(
-                    genotype=points[idx].genotype,
-                    quality_rank=points[idx].quality_rank,
-                    latency_ms=points[idx].latency_ms,
-                    flops=points[idx].flops,
-                    crowding=float(c),
-                    costs=points[idx].costs,
-                )
-                for idx, c in zip(first, crowd)
-            ]
+            first, crowd, num_fronts = first_front(vectors)
+            front = [replace(points[idx], crowding=float(c))
+                     for idx, c in zip(first, crowd)]
         front.sort(key=lambda p: p.cost(self.axes[0]))
         return ParetoResult(
             front=front,
             population_size=self.num_samples,
             wall_seconds=timer.elapsed,
-            num_fronts=len(fronts),
+            num_fronts=num_fronts,
             axes=self.axes,
         )

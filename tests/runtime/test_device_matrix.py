@@ -103,6 +103,10 @@ class TestMatrixRun:
         assert len(payload["cells"]) == 4
         assert payload["trainless_evals"]["rows_computed"] == \
             3 * report.unique_canonical
+        # The run-level fields RunReport carries, from the shared lifecycle.
+        assert payload["pool"]["tasks"] > 0
+        assert payload["telemetry"] is None  # not armed by default
+        assert payload["config"]["devices"] == list(DEVICES)
 
 
 class TestStoreMediatedWarmStart:

@@ -64,6 +64,22 @@ def _quick_config(**overrides):
     return RuntimeConfig(**defaults)
 
 
+#: The harness's two entry points; the matrix cases are ``hw`` tests too.
+ENTRY_POINTS = ["run", pytest.param("run_matrix", marks=pytest.mark.hw)]
+
+
+def _entry_harness(entry, **overrides):
+    """A harness and its bound entry point: a quick random run, or a
+    small two-board device matrix (``samples=8``)."""
+    if entry == "run_matrix":
+        overrides = dict(samples=8, devices=("nucleo-f746zg",
+                                             "nucleo-l432kc"),
+                         objectives=("latency", "energy,peak-mem"),
+                         **overrides)
+    harness = RunHarness(_quick_config(**overrides))
+    return harness, getattr(harness, entry)
+
+
 # ----------------------------------------------------------------------
 # Tracing substrate
 # ----------------------------------------------------------------------
@@ -441,9 +457,11 @@ class TestHarnessTelemetry:
         config = _quick_config()
         assert RunHarness(config).run_id != RunHarness(config).run_id
 
-    def test_traced_run_writes_valid_chrome_trace(self, tmp_path):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_traced_run_writes_valid_chrome_trace(self, entry, tmp_path):
         trace = tmp_path / "run.json"
-        report = RunHarness(_quick_config(trace_path=str(trace))).run()
+        _, run = _entry_harness(entry, trace_path=str(trace))
+        report = run()
         payload = load_trace(trace)
         assert payload["otherData"]["run_id"] == report.run_id
         assert payload["otherData"]["interrupted"] is False
@@ -458,12 +476,15 @@ class TestHarnessTelemetry:
         assert {p["name"] for p in summary["phases"]} >= {"dispatch",
                                                           "gather"}
 
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_drain_interrupted_run_still_writes_well_formed_trace(
-            self, tmp_path):
+            self, entry, tmp_path):
         trace = tmp_path / "run.json"
-        harness = RunHarness(_quick_config(
-            algorithm="steady-state", population_size=4,
-            cycles=40, trace_path=str(trace)))
+        # The steady-state loop consults the drain flag; the matrix's
+        # one population batch finishes and is marked interrupted.
+        loop = (dict(algorithm="steady-state", population_size=4,
+                     cycles=40) if entry == "run" else {})
+        harness, run = _entry_harness(entry, trace_path=str(trace), **loop)
 
         def hook(gathered):
             # What the SIGINT/SIGTERM handler does, minus the signal.
@@ -471,14 +492,17 @@ class TestHarnessTelemetry:
             harness.executor.request_drain()
 
         harness.executor.on_gather = hook
-        report = harness.run()
+        report = run()
         assert report.status == "interrupted"
         payload = load_trace(trace)
         assert payload["otherData"]["interrupted"] is True
         assert summarize_trace(payload)["n_spans"] > 0
 
-    def test_heartbeat_config_emits_progress_lines(self, capsys):
-        report = RunHarness(_quick_config(heartbeat=0.01)).run()
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_heartbeat_config_emits_progress_lines(self, entry, capsys):
+        _, run = _entry_harness(entry, heartbeat=0.01)
+        report = run()
+        assert f"[run {report.run_id}] " in capsys.readouterr().err
         # The harness armed telemetry for the heartbeat even with no
         # trace path, so the metrics snapshot rides in the report.
         assert report.telemetry is not None

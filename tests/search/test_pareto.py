@@ -13,9 +13,12 @@ from repro.proxies.base import ProxyConfig
 from repro.search import HybridObjective, ObjectiveWeights
 from repro.search.pareto import (
     ParetoPoint,
+    ParetoResult,
     ParetoZeroShotSearch,
     crowding_distance,
     dominates,
+    first_front,
+    knee_index,
     non_dominated_sort,
 )
 from repro.searchspace.genotype import Genotype
@@ -195,6 +198,47 @@ class TestCrowdingDistance:
         points = np.array([[1.0, 0], [1.0, 5], [1.0, 10]])
         distance = crowding_distance(points)
         assert not np.any(np.isnan(distance))
+
+
+class TestKneeIndex:
+    def test_constant_axis_normalises_to_zero(self):
+        # The middle axis is constant: it must read 0, not NaN, and
+        # leave the pick to the other two axes.
+        matrix = [[0.0, 5.0, 1.0], [1.0, 5.0, 0.0], [0.5, 5.0, 0.4]]
+        assert knee_index(matrix) == 2
+
+    def test_three_axis_pick_by_hand(self):
+        # Normalised rows: (0, 1, 0), (1, 0, 1), (0.6, 0.5, 0.6); L2
+        # distances 1, sqrt(2), sqrt(0.97).  Raw L2 would pick row 1.
+        matrix = [[0.0, 60.0, 0.0], [1.0, 0.0, 1.0], [0.6, 30.0, 0.6]]
+        assert knee_index(matrix) == 2
+
+    @pytest.mark.parametrize("axes", [("latency",), ("energy", "peak-mem")])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_knee_point_agrees_with_matrix_cell(self, axes, seed):
+        from repro.runtime.harness import RunHarness
+
+        rng = np.random.default_rng(seed)
+        genotypes = [Genotype.from_index(i) for i in range(40)]
+        quality = rng.permutation(40).astype(float)
+        columns = {axis: rng.uniform(0.0, 10.0, 40) for axis in axes}
+        cell = RunHarness._matrix_cell("board", axes, genotypes, quality,
+                                       columns)
+        front = [ParetoPoint(
+            genotype=Genotype.from_index(row["arch_index"]),
+            quality_rank=row["quality_rank"],
+            latency_ms=row.get("latency", 0.0), flops=0.0,
+            costs=tuple(sorted((a, row[a]) for a in axes
+                               if a != "latency")),
+        ) for row in cell.front]
+        result = ParetoResult(front=front, population_size=40,
+                              wall_seconds=0.0,
+                              num_fronts=cell.num_fronts, axes=axes)
+        vectors = np.column_stack([quality]
+                                  + [columns[a] for a in axes])
+        assert cell.num_fronts == first_front(vectors)[2]
+        assert (result.knee_point().genotype.to_index()
+                == cell.knee["arch_index"])
 
 
 class TestParetoSearch:

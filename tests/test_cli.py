@@ -211,6 +211,21 @@ class TestRuntime:
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["config"]["algorithm"] == "random"
 
+    def test_runtime_device_matrix_writes_trace_and_report(
+            self, capsys, tmp_path):
+        trace, report = tmp_path / "trace.json", tmp_path / "matrix.json"
+        assert main(["runtime", "--device-matrix",
+                     "nucleo-f746zg,nucleo-l432kc", "--samples", "8",
+                     "--seed", "3", "--trace", str(trace),
+                     "--report", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert "device-matrix run" in out
+        assert "| trace " in out and str(trace) in out
+        import json
+        assert json.loads(trace.read_text())["otherData"]["interrupted"] \
+            is False
+        assert json.loads(report.read_text())["status"] == "completed"
+
     def test_runtime_unknown_algorithm(self):
         with pytest.raises(SystemExit):
             main(["runtime", "--algorithm", "quantum"])
