@@ -1,9 +1,9 @@
 """Store scaling: O(delta) appends, and reads at the reachable maximum.
 
-The store appends only a save's dirty delta to per-shard segment logs,
-so persisting the handful of rows a run just computed must not cost
-O(total store size) — the scaling process fleets flushing into one
-shared directory need.  With a pre-existing, compacted store of ``size``
+The store appends only a save's dirty delta, as one segment of the
+fingerprint directory's log, so persisting the handful of rows a run
+just computed must not cost O(total store size) — the scaling process
+fleets flushing into one shared directory need.  With a pre-existing, compacted store of ``size``
 rows, this benchmark times persisting a fixed 256-row delta through
 :meth:`~repro.runtime.store.RuntimeStore.save_cache` (auto-compaction
 disabled so the append cost is measured in isolation) and asserts the
@@ -126,7 +126,7 @@ def run_space_reads() -> Dict:
                 store.follow_cache_into(follower, fingerprint, seen)
             chunk_times.append(timer.elapsed)
         segments = len(list(store.cache_dir(fingerprint)
-                            .glob("shard-*.seg-*.jsonl")))
+                            .glob("seg-*.jsonl")))
 
         fresh = IndicatorCache()
         store.load_cache_into(fresh, fingerprint)

@@ -868,9 +868,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Maintenance for a --store directory: 'inventory' "
                     "lists persisted indicator caches (format, precision, "
                     "rows, pending segments) and device LUTs; 'compact' "
-                    "folds every cache's append-only segments into its "
-                    "base file; 'gc' sweeps stale .tmp/.lock sidecars "
-                    "that crashed writers left behind; 'quarantine' lists "
+                    "folds each current-format cache's append-only "
+                    "segments into its base file; 'gc' sweeps stale "
+                    ".tmp/.lock sidecars that crashed writers left "
+                    "behind; 'quarantine' lists "
                     "poison candidates the fault-tolerant runtime "
                     "quarantined (never re-shipped by later runs).",
     )

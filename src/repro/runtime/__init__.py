@@ -22,12 +22,13 @@ engine does not import it:
    in flight on the split halves.  With one worker the transport is a
    serial queue that runs chunks inline at gather time.
 2. **Persistent store** (:mod:`repro.runtime.store`) —
-   :class:`RuntimeStore` persists the indicator cache as a sharded
-   append-only log with fingerprint validation (stale proxy/macro
-   configurations never poison results), read back by one full replay
-   (or followed file by file by long-lived fleet workers), and keeps a device-keyed latency-LUT store
-   built on :meth:`~repro.hardware.profiler.LatencyLUT.save_json`, so
-   repeated runs, multi-device Pareto searches and CI all warm-start.
+   :class:`RuntimeStore` persists the indicator cache as one
+   append-only log per fingerprint, with fingerprint validation (stale
+   proxy/macro configurations never poison results), read back by one
+   full replay (or followed file by file by long-lived fleet workers),
+   and keeps a device-keyed latency-LUT store built on
+   :meth:`~repro.hardware.profiler.LatencyLUT.save_json`, so repeated
+   runs, multi-device Pareto searches and CI all warm-start.
 3. **Run harness** (:mod:`repro.runtime.harness`) — one
    :class:`RuntimeConfig` configures engine + executor + store, runs any
    registered search algorithm against them and emits a structured

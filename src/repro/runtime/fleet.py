@@ -39,7 +39,7 @@ multi-process / multi-host transport into that seam:
   so a late joiner inherits everything already computed with one replay,
   and each later chunk costs the new segments alone.  It
   **flushes freshly computed rows back** under the store's existing
-  per-shard flocks — the store is the fleet's shared medium, and
+  append flocks — the store is the fleet's shared medium, and
   duplicate appends from racing workers are harmless under the store's
   last-write-wins replay because the determinism contract makes the
   values bit-identical.
@@ -749,7 +749,7 @@ def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
     the chunk the cache follows the store (only files not read yet), so
     rows the shared store already holds are served instead of
     recomputed; the rest are computed through the shipped worker and
-    flushed back under the store's shard flocks.  The combined result
+    flushed back under the store's append flock.  The combined result
     is bit-identical to a cold evaluation — stored rows were produced
     by the same deterministic proxies."""
     from repro.runtime.store import cache_fingerprint
@@ -791,7 +791,7 @@ def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
             cache.put(keys[name], value)
     # Only the freshly computed rows are dirty (followed rows land
     # clean), so this append is O(computed delta) and runs under the
-    # store's per-shard flocks like every other writer.
+    # store's append flock like every other writer.
     stats.store_rows_flushed += store.save_cache(cache, fingerprint)
     return stored_rows + list(computed_rows)
 

@@ -6,43 +6,43 @@ again from scratch: the in-memory
 device re-profiles its LUT.  :class:`RuntimeStore` is a directory-backed
 store that makes both survive:
 
-* **Indicator cache — a sharded append-only segment log with
-  per-shard compacted bases.**  Each fingerprint (see
-  :func:`cache_fingerprint`) owns one directory::
+* **Indicator cache — one append-only segment log over a compacted
+  base.**  Each fingerprint (see :func:`cache_fingerprint`) owns one
+  directory::
 
       cache2__<digest>/
-          meta.json                       # fingerprint + shard count
-          shard-03.base.jsonl             # compacted rows of shard 3
-          shard-03.seg-00000002.4711.jsonl  # one append per save
-          base.lock                       # reader/compactor lock
+          meta.json                  # the fingerprint
+          base.jsonl                 # compacted rows
+          seg-00000002.4711.jsonl    # one append per save
+          base.lock                  # reader/compactor lock
+          append.lock                # numbers the segments
 
   ``save_cache`` appends only the cache's **dirty rows** (those written
   since the last load/save — :meth:`~repro.engine.cache.IndicatorCache.
-  dirty_items`), hashed by stable key into ``shards`` buckets; each touched
-  shard gets one new atomically-renamed JSONL segment per save, numbered
-  under the shard's own ``flock``.  Persistence cost is therefore O(rows
-  this run computed), independent of how large the store already is — the
-  property process fleets sharing one store directory need.  A
-  **compaction** pass
+  dirty_items`) as one new atomically-renamed JSONL segment per save,
+  numbered under the directory's append ``flock``.  Persistence cost is
+  therefore O(rows this run computed), independent of how large the
+  store already is — the property process fleets sharing one store
+  directory need.  A **compaction** pass
   (:meth:`RuntimeStore.compact_cache`, the ``micronas store compact`` CLI,
-  or automatically once accumulated segments rival the bases in bytes,
+  or automatically once accumulated segments rival the base in bytes,
   past an :attr:`RuntimeStore.auto_compact_segments` file-count floor —
-  log-structured amortization) folds everything into the per-shard
-  ``.base.jsonl`` files under the base + every shard lock; loads replay
-  under the base lock too, so readers and concurrent appenders racing a
-  compaction lose nothing.
+  log-structured amortization) folds everything into ``base.jsonl``
+  under the base and append locks; loads replay under the base lock
+  too, so readers and concurrent appenders racing a compaction lose
+  nothing.
 
-  **One read path.**  :meth:`RuntimeStore.load_cache_into` replays each
-  shard's ``.base.jsonl``, then every segment in ``(shard, sequence,
-  pid)`` order, **last write wins** per key.  The store only caches rows
-  the NAS-Bench-201 search can produce — about 76k at most per
-  fingerprint (every canonical cell's trainless rows plus the cost
-  rows of a two-board matrix), which replays in well under a second — so
-  there is no index and no partial read.  A long-lived reader (a fleet
-  worker) **follows** the log instead of replaying it per chunk:
-  :meth:`RuntimeStore.follow_cache_into` re-reads, per shard, only the
-  files from the first one it has not seen (by name, size, mtime and
-  inode) onward, which after an append is just the new segments.
+  **One read path.**  :meth:`RuntimeStore.load_cache_into` replays
+  ``base.jsonl``, then every segment in ``(sequence, pid)`` order,
+  **last write wins** per key.  The store only caches rows the
+  NAS-Bench-201 search can produce — about 76k at most per fingerprint
+  (every canonical cell's trainless rows plus the cost rows of a
+  two-board matrix), which replays in well under a second — so there is
+  no index and no partial read.  A long-lived reader (a fleet worker)
+  **follows** the log instead of replaying it per chunk:
+  :meth:`RuntimeStore.follow_cache_into` re-reads only the files from
+  the first one it has not seen (by name, size, mtime and inode) onward,
+  which after an append is just the new segments.
 
   Cache keys are plain nested tuples of strings and integers (the key
   contract in :mod:`repro.engine`), round-tripped through JSON with a
@@ -52,9 +52,9 @@ store that makes both survive:
   directory loads nothing, so stale entries can never poison results, and
   float32/float64 runs keep separate directories.  The store is a cache:
   files an older store format wrote (the format-1 monolithic
-  ``indicator_cache__*.json``, format-2 directories) are never read —
-  they key other fingerprint digests, so a run against them starts
-  cold and recomputes bit-identical rows.
+  ``indicator_cache__*.json``, format-2 and format-3 directories) are
+  never read — they key other fingerprint digests, so a run against them
+  starts cold and recomputes bit-identical rows.
 
 * **Latency LUTs** — one file per ``(device, precision, macro config)``
   key, written under a ``flock`` with :meth:`~repro.hardware.profiler.
@@ -104,26 +104,20 @@ from repro.searchspace.network import MacroConfig
 
 #: Bump when the meaning of cached values or the on-disk layout changes;
 #: old store files then self-invalidate: they read as misses and
-#: recompute bit-identically.  Format 2: sharded append-only indicator
-#: segments + device-name-keyed LUT digests.  Format 3: the same layout
-#: without the monolithic ``base.json`` replay layer.
-STORE_FORMAT = 3
-
-#: Shard count for new cache directories (recorded in ``meta.json``).
-DEFAULT_SHARDS = 8
+#: recompute bit-identically.  Format 2: append-only indicator segments
+#: in key-hashed buckets + device-name-keyed LUT digests.  Format 3: the
+#: same layout without the monolithic ``base.json`` replay layer.
+#: Format 4: one segment log and one ``base.jsonl`` per directory.
+STORE_FORMAT = 4
 
 #: Segment-count floor for auto-compaction: past this many files the
 #: store considers folding, but only actually rewrites the base once the
 #: accumulated segment bytes rival it (or the count is 16× the floor) —
 #: log-structured amortization that keeps every-gather flushing O(delta)
-#: amortized instead of rewriting the whole store every ``shards`` saves.
+#: amortized instead of rewriting the whole store every few saves.
 DEFAULT_AUTO_COMPACT_SEGMENTS = 64
 
-_SEGMENT_RE = re.compile(
-    r"^shard-(?P<shard>\d+)\.seg-(?P<seq>\d+)\.(?P<pid>\d+)\.jsonl$"
-)
-
-_SHARD_BASE_RE = re.compile(r"^shard-(?P<shard>\d+)\.base\.jsonl$")
+_SEGMENT_RE = re.compile(r"^seg-(?P<seq>\d+)\.(?P<pid>\d+)\.jsonl$")
 
 #: Atomic-rename staging names embed the writer's pid
 #: (see :func:`_atomic_write_text`); ``gc`` parses it back out to spare
@@ -183,6 +177,19 @@ def _decode_key(obj):
     return obj
 
 
+def _encode_rows(rows) -> Tuple[str, List]:
+    """JSONL text for ``(key, value)`` rows, plus the keys it holds;
+    rows whose value JSON cannot encode are skipped."""
+    lines, keys = [], []
+    for key, value in rows:
+        try:
+            lines.append(json.dumps([_encode_key(key), value]) + "\n")
+        except (TypeError, ValueError):
+            continue
+        keys.append(key)
+    return "".join(lines), keys
+
+
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", text)
 
@@ -205,10 +212,11 @@ def _file_lock(path: Path, shared: bool = False):
     Atomic renames alone keep concurrent *readers* safe but let two
     writers race read-merge-write: whoever renames last silently drops
     the other's freshly computed rows.  Serialising writers through
-    ``flock`` — per cache shard, per LUT key, per base file — makes
-    concurrent saves into one store directory lose nothing; readers take
-    the base lock *shared*, so a fleet of warm-starting processes replay
-    concurrently while still excluding the compactor's fold-and-unlink.
+    ``flock`` — one append lock per cache directory, one lock per LUT
+    key — makes concurrent saves into one store directory lose nothing;
+    readers take the directory's base lock *shared*, so a fleet of
+    warm-starting processes replay concurrently while still excluding
+    the compactor's fold-and-unlink.
     Platforms without :mod:`fcntl` degrade to the pre-lock behaviour
     (whole-file atomicity, last writer wins) rather than failing.
     """
@@ -237,14 +245,6 @@ def _fingerprint_digest(fingerprint: Dict) -> str:
     return hashlib.sha1(material.encode("utf-8")).hexdigest()[:12]
 
 
-def _shard_of(encoded_key, n_shards: int) -> int:
-    """Stable shard assignment from the JSON-encoded key (process- and
-    run-independent, unlike ``hash()`` under PYTHONHASHSEED)."""
-    material = json.dumps(encoded_key, sort_keys=True, default=str)
-    digest = hashlib.sha1(material.encode("utf-8")).hexdigest()[:8]
-    return int(digest, 16) % n_shards
-
-
 def _pid_alive(pid: int) -> bool:
     """Whether ``pid`` names a live process (signal-0 probe; ``EPERM``
     means alive but owned by someone else)."""
@@ -264,8 +264,6 @@ def _pid_alive(pid: int) -> bool:
 class RuntimeStore:
     """Directory-backed persistence for indicator caches and latency LUTs.
 
-    ``shards`` sets the bucket count for *new* cache directories (existing
-    directories keep the count recorded in their ``meta.json``);
     ``auto_compact_segments`` is the segment-file count past which
     :meth:`save_cache` *considers* folding a directory's segments into
     its base — the fold actually triggers on the byte-amortized rule in
@@ -273,15 +271,12 @@ class RuntimeStore:
     e.g. for benchmarks isolating append cost).
     """
 
-    def __init__(self, root, shards: int = DEFAULT_SHARDS,
+    def __init__(self, root,
                  auto_compact_segments: Optional[int]
                  = DEFAULT_AUTO_COMPACT_SEGMENTS,
                  telemetry: Optional[Telemetry] = None) -> None:
-        if shards < 1:
-            raise StoreError("shards must be >= 1")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.shards = shards
         self.auto_compact_segments = auto_compact_segments
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry.disabled())
@@ -298,20 +293,11 @@ class RuntimeStore:
         of overwriting each other's warm-start data."""
         return self.root / f"cache2__{_fingerprint_digest(fingerprint)}"
 
-    def _lock_target(self, directory: Path) -> Path:
-        # The reader/compactor lock: _file_lock appends ".lock"; the
-        # target itself is never created.
-        return directory / "base"
-
-    def _shard_base_path(self, directory: Path, shard: int) -> Path:
-        return directory / f"shard-{shard:02d}.base.jsonl"
+    def _base_path(self, directory: Path) -> Path:
+        return directory / "base.jsonl"
 
     def _meta_path(self, directory: Path) -> Path:
         return directory / "meta.json"
-
-    def _shard_lock_target(self, directory: Path, shard: int) -> Path:
-        # _file_lock appends ".lock"; the target itself is never created.
-        return directory / f"shard-{shard:02d}"
 
     def _read_meta(self, directory: Path) -> Optional[Dict]:
         try:
@@ -321,68 +307,46 @@ class RuntimeStore:
             return None
         return meta if isinstance(meta, dict) else None
 
-    def _ensure_dir(self, fingerprint: Dict) -> Tuple[Path, int]:
-        """Create the cache directory + ``meta.json`` if missing; returns
-        ``(directory, shard_count)`` (the recorded count wins, so every
-        writer agrees on the key→shard map).  A *present but unreadable*
-        meta is refused rather than rewritten: silently re-recording a
-        shard count would re-hash keys across shards and break the
-        per-shard ordering last-write-wins rests on."""
+    def _ensure_dir(self, fingerprint: Dict) -> Path:
+        """Create the cache directory + ``meta.json`` if missing.  A
+        *present but unreadable* meta is refused rather than rewritten:
+        it is the only record of which fingerprint wrote the rows there,
+        and silently re-recording it would vouch for rows the fingerprint
+        check never saw."""
         directory = self.cache_dir(fingerprint)
         directory.mkdir(parents=True, exist_ok=True)
-        meta = self._read_meta(directory)
-        if meta is None:
+        if self._read_meta(directory) is None:
             with _file_lock(self._meta_path(directory)):
-                meta = self._read_meta(directory)  # raced creation
-                if meta is None:
+                if self._read_meta(directory) is None:  # raced creation
                     if self._meta_path(directory).exists():
                         raise StoreError(
                             f"unreadable store meta: "
                             f"{self._meta_path(directory)} — fix or "
                             "remove the cache directory"
                         )
-                    meta = {"format": STORE_FORMAT,
-                            "fingerprint": fingerprint,
-                            "shards": self.shards}
-                    _atomic_write_text(self._meta_path(directory),
-                                       json.dumps(meta) + "\n")
-        return directory, int(meta.get("shards", self.shards))
+                    _atomic_write_text(
+                        self._meta_path(directory),
+                        json.dumps({"fingerprint": fingerprint}) + "\n")
+        return directory
 
-    def _segment_files(self, directory: Path,
-                       shard: Optional[int] = None) -> List[Path]:
-        """Segment files in replay order: ``(shard, sequence, pid)``.
-        A key lives in exactly one shard, so cross-shard order is
-        irrelevant; within a shard the flock-issued sequence numbers
-        order saves, making last-write-wins well defined."""
+    def _segment_files(self, directory: Path) -> List[Path]:
+        """Segment files in replay order: ``(sequence, pid)``.  The
+        append lock issues the sequence numbers, so the order is the
+        order of the saves and last-write-wins is well defined."""
         found = []
-        for path in directory.glob("shard-*.seg-*.jsonl"):
+        for path in directory.glob("seg-*.jsonl"):
             match = _SEGMENT_RE.match(path.name)
-            if match is None:
-                continue
-            index = int(match.group("shard"))
-            if shard is not None and index != shard:
-                continue
-            found.append((index, int(match.group("seq")),
-                          int(match.group("pid")), path))
-        return [item[3] for item in sorted(found)]
-
-    def _shard_base_files(self, directory: Path) -> List[Path]:
-        """Per-shard compacted base files, in shard order (a key lives in
-        exactly one shard, so cross-shard order is irrelevant)."""
-        found = []
-        for path in directory.glob("shard-*.base.jsonl"):
-            match = _SHARD_BASE_RE.match(path.name)
             if match is not None:
-                found.append((int(match.group("shard")), path))
-        return [item[1] for item in sorted(found)]
+                found.append((int(match.group("seq")),
+                              int(match.group("pid")), path))
+        return [item[2] for item in sorted(found)]
 
-    def _next_segment_path(self, directory: Path, shard: int) -> Path:
-        """Next sequence number for this shard (call under its lock)."""
+    def _next_segment_path(self, directory: Path) -> Path:
+        """Next sequence number (call under the append lock)."""
         last = 0
-        for path in self._segment_files(directory, shard=shard):
+        for path in self._segment_files(directory):
             last = max(last, int(_SEGMENT_RE.match(path.name).group("seq")))
-        return directory / (f"shard-{shard:02d}.seg-{last + 1:08d}"
-                            f".{os.getpid()}.jsonl")
+        return directory / f"seg-{last + 1:08d}.{os.getpid()}.jsonl"
 
     # ------------------------------------------------------------------
     # Indicator cache — save (O(delta) append)
@@ -392,14 +356,13 @@ class RuntimeStore:
         how many rows were appended (the delta — 0 when nothing changed
         since the last load/save).
 
-        Cost is O(rows appended), independent of total store size: each
-        touched shard gets one new atomically-renamed segment file,
-        numbered under the shard's ``flock``, so concurrent runs sharing
-        one store directory each contribute their freshly computed rows
-        and none are dropped.  Replay is last-write-wins per key, and the
-        determinism contract makes colliding writers bit-identical
-        anyway.  A caller without dirty tracking (any mapping exposing
-        ``items()``) falls back to appending everything.
+        Cost is O(rows appended), independent of total store size: the
+        save writes one new atomically-renamed segment file, numbered
+        under the directory's append ``flock``, so concurrent runs
+        sharing one store directory each contribute their freshly
+        computed rows and none are dropped.  Replay is last-write-wins
+        per key, and the determinism contract makes colliding writers
+        bit-identical anyway.
 
         Once the directory accumulates :attr:`auto_compact_segments`
         segment files the save triggers a compaction.  A zero-delta save
@@ -425,28 +388,15 @@ class RuntimeStore:
 
     def _save_cache_impl(self, cache: IndicatorCache,
                          fingerprint: Dict) -> int:
-        rows = list(getattr(cache, "dirty_items", cache.items)())
+        rows = cache.dirty_items()
         if not rows:
             return 0
-        directory, n_shards = self._ensure_dir(fingerprint)
-        by_shard: Dict[int, List[str]] = {}
-        appended_keys = []
-        for key, value in rows:
-            encoded = _encode_key(key)
-            try:
-                line = json.dumps([encoded, value])
-            except (TypeError, ValueError):
-                continue
-            by_shard.setdefault(_shard_of(encoded, n_shards), []).append(
-                line)
-            appended_keys.append(key)
-        for shard in sorted(by_shard):
-            with _file_lock(self._shard_lock_target(directory, shard)):
-                _atomic_write_text(
-                    self._next_segment_path(directory, shard),
-                    "\n".join(by_shard[shard]) + "\n")
-        if hasattr(cache, "mark_clean"):
-            cache.mark_clean(appended_keys)
+        directory = self._ensure_dir(fingerprint)
+        text, appended_keys = _encode_rows(rows)
+        if text:
+            with _file_lock(directory / "append"):
+                _atomic_write_text(self._next_segment_path(directory), text)
+        cache.mark_clean(appended_keys)
         if self._should_auto_compact(directory):
             self._compact_dir(directory, fingerprint)
         return len(appended_keys)
@@ -457,8 +407,8 @@ class RuntimeStore:
         cost — classic log-structured amortization, keeping save cost
         O(delta) amortized even with every-gather flushing), or when the
         file count alone gets excessive (glob/replay overhead).  A bare
-        file-count trigger would fire every ``shards`` saves and rewrite
-        the whole store on the hot path."""
+        file-count trigger would rewrite the whole store every few saves
+        on the hot path."""
         threshold = self.auto_compact_segments
         if threshold is None:
             return False  # auto-compaction disabled entirely
@@ -468,9 +418,8 @@ class RuntimeStore:
         if len(segments) > threshold * 16:
             return True
         base_bytes = 0
-        for path in self._shard_base_files(directory):
-            with contextlib.suppress(OSError):
-                base_bytes += path.stat().st_size
+        with contextlib.suppress(OSError):
+            base_bytes = self._base_path(directory).stat().st_size
         if base_bytes == 0:
             return True  # no base yet: first fold is cheap by definition
         segment_bytes = 0
@@ -486,14 +435,14 @@ class RuntimeStore:
                         strict: bool = False) -> int:
         """Merge persisted entries into ``cache``; returns how many landed.
 
-        Replays the whole store: per-shard ``.base.jsonl`` files, then
-        every segment in order (last write wins per key).  A missing
-        store, an unreadable ``meta.json`` or a fingerprint mismatch is
-        reported in ``last_rejection``; with ``strict=True`` a *present
-        but rejected* file raises :class:`StoreError` instead, so CI can
-        distinguish "cold" from "poisoned".  Entries already in the cache
-        keep their in-memory value; loaded rows are marked clean, so the
-        next :meth:`save_cache` does not re-append them.
+        Replays the whole store: ``base.jsonl``, then every segment in
+        order (last write wins per key).  A missing store, an unreadable
+        ``meta.json`` or a fingerprint mismatch is reported in
+        ``last_rejection``; with ``strict=True`` a *present but rejected*
+        file raises :class:`StoreError` instead, so CI can distinguish
+        "cold" from "poisoned".  Entries already in the cache keep their
+        in-memory value; loaded rows are marked clean, so the next
+        :meth:`save_cache` does not re-append them.
         """
         tel = self.telemetry
         if not tel.enabled:
@@ -517,7 +466,7 @@ class RuntimeStore:
         # delete segments between our base read and segment glob — the
         # reader half of the "racing a compaction loses nothing"
         # guarantee.
-        with _file_lock(self._lock_target(directory), shared=True):
+        with _file_lock(directory / "base", shared=True):
             entries = self._replay(directory, fingerprint, problems)
         if problems:
             self.last_rejection = "; ".join(problems)
@@ -528,8 +477,7 @@ class RuntimeStore:
             if key not in cache:
                 cache.put(key, value)
                 merged_keys.append(key)
-        if hasattr(cache, "mark_clean"):
-            cache.mark_clean(merged_keys)
+        cache.mark_clean(merged_keys)
         return len(merged_keys)
 
     def follow_cache_into(self, cache: IndicatorCache, fingerprint: Dict,
@@ -540,12 +488,12 @@ class RuntimeStore:
         ``seen`` is the caller's record of what it has read, kept beside
         the cache it owns (start with ``{}``, then pass the same dict
         every time).  It maps each base and segment file name to its
-        ``(bytes, mtime_ns, inode)``.  Per shard, the files from the first
-        one whose token differs onward are read again in replay order,
-        so an append costs only the new segments.  A compaction rewrites
-        the shard's base, which makes the whole shard read again, and
-        names that no longer exist are forgotten.  Rows read here win
-        over clean resident rows (last write wins, exactly as in
+        ``(bytes, mtime_ns, inode)``.  The files from the first one whose
+        token differs onward are read again in replay order, so an
+        append costs only the new segments.  A compaction rewrites the
+        base, which makes the whole log read again, and names that no
+        longer exist are forgotten.  Rows read here win over clean
+        resident rows (last write wins, exactly as in
         :meth:`load_cache_into`'s replay) but never over dirty ones, and
         they land clean.
         """
@@ -553,7 +501,7 @@ class RuntimeStore:
         if not directory.exists():
             return 0
         problems: List[str] = []
-        with _file_lock(self._lock_target(directory), shared=True):
+        with _file_lock(directory / "base", shared=True):
             entries = self._replay(directory, fingerprint, problems, seen)
         dirty = {key for key, _ in cache.dirty_items()}
         merged_keys = [key for key in entries if key not in dirty]
@@ -566,7 +514,7 @@ class RuntimeStore:
                          entries: Dict[Tuple, object]) -> None:
         """Merge one JSONL file's rows into ``entries`` (later lines
         win), tolerating a torn tail or malformed lines — a writer crash
-        must not poison its shard."""
+        must not poison the log."""
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
@@ -585,12 +533,12 @@ class RuntimeStore:
     def _replay(self, directory: Path, fingerprint: Dict,
                 problems: List[str],
                 seen: Optional[Dict] = None) -> Dict[Tuple, object]:
-        """Per-shard bases, then segments, later writes winning; torn
-        lines are skipped (readable rows still load), and an unreadable
+        """The base, then segments, later writes winning; torn lines are
+        skipped (readable rows still load), and an unreadable
         ``meta.json`` is reported into ``problems``.  With ``seen`` (see
-        :meth:`follow_cache_into`) only each shard's files from its first
-        unseen one onward are read, and ``seen`` is updated.  Callers
-        racing a compactor must hold the base lock (the loaders do;
+        :meth:`follow_cache_into`) only the files from the first unseen
+        one onward are read, and ``seen`` is updated.  Callers racing a
+        compactor must hold the base lock (the loaders do;
         ``_compact_dir`` already holds it), or the base-swap-then-unlink
         sequence could hide segment-only rows from them."""
         meta = self._read_meta(directory)
@@ -604,8 +552,7 @@ class RuntimeStore:
                 "different proxy/macro configuration or store format"
             )
             return {}
-        files = (self._shard_base_files(directory)
-                 + self._segment_files(directory))
+        files = [self._base_path(directory)] + self._segment_files(directory)
         if seen is not None:
             files = self._unseen_files(files, seen)
         entries: Dict[Tuple, object] = {}
@@ -615,25 +562,22 @@ class RuntimeStore:
 
     @staticmethod
     def _unseen_files(files: List[Path], seen: Dict) -> List[Path]:
-        """The files of ``files`` (in replay order) from each shard's
-        first new or changed one onward; records every file's token in
-        ``seen`` and drops the names that are gone."""
+        """The files of ``files`` (in replay order) from the first new or
+        changed one onward; records every file's token in ``seen`` and
+        drops the names that are gone."""
         tokens = {}
-        stale_shards = set()
         unseen = []
         for path in files:
             try:
                 stat = path.stat()
             except OSError:
-                continue  # compacted away between glob and stat
+                continue  # no base yet, or compacted away since the glob
             # Size alone misses a base compaction rewrote to the same
             # length, and a segment name reused once compaction emptied
-            # its shard; the rewrite is a new inode with a new mtime.
+            # the log; the rewrite is a new inode with a new mtime.
             token = (stat.st_size, stat.st_mtime_ns, stat.st_ino)
             tokens[path.name] = token
-            shard = path.name.split(".", 1)[0]
-            if shard in stale_shards or seen.get(path.name) != token:
-                stale_shards.add(shard)
+            if unseen or seen.get(path.name) != token:
                 unseen.append(path)
         seen.clear()
         seen.update(tokens)
@@ -643,64 +587,30 @@ class RuntimeStore:
     # Indicator cache — compaction and maintenance
     # ------------------------------------------------------------------
     def compact_cache(self, fingerprint: Dict) -> Dict:
-        """Fold this fingerprint's segments into per-shard
-        ``.base.jsonl`` files; returns ``{"segments_folded", "entries"}``.
-        Idempotent: with no segments pending the bases are rewritten
-        unchanged.  Also sweeps stale staging files."""
-        directory, _ = self._ensure_dir(fingerprint)
-        return self._compact_dir(directory, fingerprint)
+        """Fold this fingerprint's segments into ``base.jsonl``; returns
+        ``{"segments_folded", "entries"}``.  Idempotent: with no
+        segments pending the base is rewritten unchanged.  Also sweeps
+        stale staging files."""
+        return self._compact_dir(self._ensure_dir(fingerprint), fingerprint)
 
     def _compact_dir(self, directory: Path, fingerprint: Dict) -> Dict:
-        """Segments → per-shard bases under the base lock plus *every*
-        shard lock (base first, shards in index order — appenders only
-        ever hold a single shard lock, so the ordering cannot deadlock).
-        Holding the shard locks across read-fold-unlink is what
-        guarantees no append lands between reading a segment and
-        deleting it.  The lock span covers the recorded shard count
-        *and* every shard index actually present in segment/base
-        filenames, so a damaged/missing meta can never leave a live
-        appender's shard unlocked while its segments are swept.  Key
-        index sidecars (``shard-NN.idx.json``) that earlier versions
-        wrote are unlinked too: nothing maintains them any more."""
+        """Segments → base under the base lock and then the append lock
+        (appenders only ever hold the append lock, so the ordering cannot
+        deadlock).  Holding the append lock across read-fold-unlink is
+        what guarantees no append lands between reading a segment and
+        deleting it; holding the base lock keeps readers out between the
+        base swap and the segment unlink, so they see the old base with
+        its segments or the new base alone."""
         tel = self.telemetry
         with tel.span("compaction", CAT_STORE) as span:
-            meta = self._read_meta(directory)
-            n_shards = (int(meta.get("shards", self.shards))
-                        if isinstance(meta, dict) else self.shards)
-            for path in directory.glob("shard-*.*.jsonl"):
-                match = (_SEGMENT_RE.match(path.name)
-                         or _SHARD_BASE_RE.match(path.name))
-                if match is not None:
-                    n_shards = max(n_shards, int(match.group("shard")) + 1)
-            with contextlib.ExitStack() as stack:
-                stack.enter_context(_file_lock(self._lock_target(directory)))
-                for shard in range(n_shards):
-                    stack.enter_context(
-                        _file_lock(self._shard_lock_target(directory, shard))
-                    )
+            with _file_lock(directory / "base"), \
+                    _file_lock(directory / "append"):
                 segments = self._segment_files(directory)
-                problems: List[str] = []
-                entries = self._replay(directory, fingerprint, problems)
-                by_shard: Dict[int, List[str]] = {}
-                for key, value in sorted(entries.items(),
-                                         key=lambda kv: repr(kv[0])):
-                    encoded = _encode_key(key)
-                    try:
-                        line = json.dumps([encoded, value])
-                    except (TypeError, ValueError):
-                        continue
-                    by_shard.setdefault(_shard_of(encoded, n_shards),
-                                        []).append(line)
-                for shard in range(n_shards):
-                    base_path = self._shard_base_path(directory, shard)
-                    if shard in by_shard:
-                        _atomic_write_text(
-                            base_path, "\n".join(by_shard[shard]) + "\n")
-                    else:  # absence is an empty shard's compact form
-                        with contextlib.suppress(OSError):
-                            base_path.unlink()
-                for path in segments + list(
-                        directory.glob("shard-*.idx.json")):
+                entries = self._replay(directory, fingerprint, [])
+                text, _ = _encode_rows(sorted(entries.items(),
+                                              key=lambda kv: repr(kv[0])))
+                _atomic_write_text(self._base_path(directory), text)
+                for path in segments:
                     with contextlib.suppress(OSError):
                         path.unlink()
             self._sweep_sidecars(directory)
@@ -709,15 +619,17 @@ class RuntimeStore:
         return {"segments_folded": len(segments), "entries": len(entries)}
 
     def compact_all(self) -> List[Dict]:
-        """Compact every indicator cache in the store; returns one stats
-        dict per cache.  Every cache directory — keyed by its
-        ``meta.json`` fingerprint — has its segments folded."""
+        """Compact every indicator cache of this store format; returns
+        one stats dict per cache.  Directories an older format wrote are
+        never read, so they are left as they are."""
         results = []
         for directory in sorted(self.root.glob("cache2__*")):
             meta = self._read_meta(directory)
-            if not isinstance(meta, dict) or "fingerprint" not in meta:
+            fingerprint = meta.get("fingerprint") if meta else None
+            if (not isinstance(fingerprint, dict)
+                    or fingerprint.get("format") != STORE_FORMAT):
                 continue
-            stats = self._compact_dir(directory, meta["fingerprint"])
+            stats = self._compact_dir(directory, fingerprint)
             stats["digest"] = directory.name.split("__", 1)[1]
             results.append(stats)
         return results
@@ -839,8 +751,7 @@ class RuntimeStore:
             if not isinstance(fingerprint, dict):
                 fingerprint = {}
             base_rows: Dict[Tuple, object] = {}
-            for path in self._shard_base_files(directory):
-                self._read_jsonl_rows(path, base_rows)
+            self._read_jsonl_rows(self._base_path(directory), base_rows)
             segments = self._segment_files(directory)
             size = 0
             for path in directory.glob("*"):
@@ -860,7 +771,6 @@ class RuntimeStore:
                 "digest": directory.name.split("__", 1)[1],
                 "format": fingerprint.get("format"),
                 "precision": fingerprint.get("precision"),
-                "shards": meta.get("shards"),
                 "base_rows": len(base_rows),
                 "segments": len(segments),
                 "quarantined": quarantined,
@@ -884,7 +794,6 @@ class RuntimeStore:
                 "digest": path.stem.split("__", 1)[1],
                 "format": fingerprint.get("format", 1),
                 "precision": fingerprint.get("precision"),
-                "shards": None,
                 "base_rows": len(entries) if isinstance(entries, list)
                              else 0,
                 "segments": 0,
@@ -979,6 +888,5 @@ __all__ = [
     "StoreError",
     "cache_fingerprint",
     "STORE_FORMAT",
-    "DEFAULT_SHARDS",
     "DEFAULT_AUTO_COMPACT_SEGMENTS",
 ]

@@ -202,7 +202,8 @@ def distinct_genotypes(n):
 
 def store_files(directory):
     """Names of the base and segment files in a cache directory."""
-    return {path.name for path in directory.glob("shard-*.jsonl")}
+    return ({path.name for path in directory.glob("seg-*.jsonl")}
+            | {path.name for path in directory.glob("base.jsonl")})
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +642,7 @@ class TestWarmStart:
         its own flush and a sibling's — never a base again."""
         macro = MacroConfig.full()
         fingerprint = cache_fingerprint(tiny_proxy_config, macro)
-        store = RuntimeStore(tmp_path / "store", shards=2)
+        store = RuntimeStore(tmp_path / "store")
         directory = store.cache_dir(fingerprint)
         genotypes = distinct_genotypes(6)
         seed_rows(store, fingerprint, genotypes[:2], tiny_proxy_config,
@@ -677,7 +678,7 @@ class TestWarmStart:
         # Exactly the worker's own first flush plus the sibling's.
         assert set(read) == before_second - before_first
         assert len(read) == len(set(read))
-        assert all(".seg-" in name for name in read)
+        assert all(name.startswith("seg-") for name in read)
         # Genotype 3 (own flush) and genotype 4 (sibling) were served.
         assert stats.store_rows_loaded == 9 + 6
 
@@ -691,7 +692,7 @@ class TestWarmStart:
 
         macro = MacroConfig.full()
         fingerprint = cache_fingerprint(tiny_proxy_config, macro)
-        store = RuntimeStore(tmp_path / "store", shards=4)
+        store = RuntimeStore(tmp_path / "store")
         genotypes = distinct_genotypes(7)
         seed_rows(store, fingerprint, genotypes[:3], tiny_proxy_config,
                   macro)
@@ -702,7 +703,7 @@ class TestWarmStart:
             store, resident, stats)
 
         def sibling():
-            other = RuntimeStore(tmp_path / "store", shards=4)
+            other = RuntimeStore(tmp_path / "store")
             seed_rows(other, fingerprint, genotypes[4:6],
                       tiny_proxy_config, macro)
             other.compact_cache(fingerprint)

@@ -177,15 +177,15 @@ class TestConcurrentWriters:
         fingerprint = cache_fingerprint_default()
         directory = store.cache_dir(fingerprint)
         directory.mkdir(parents=True)
-        (directory / "shard-00.base.jsonl").write_text('[["flops", 9',
-                                                       encoding="utf-8")
+        (directory / "base.jsonl").write_text('[["flops", 9',
+                                              encoding="utf-8")
         cache = IndicatorCache()
         cache.put(("flops", 7, (4,)), 7.0)
         assert store.save_cache(cache, fingerprint) == 1
         restored = IndicatorCache()
         assert store.load_cache_into(restored, fingerprint) == 1
         assert restored.get(("flops", 7, (4,))) == 7.0
-        # Compaction discards the torn base line and rebuilds the bases
+        # Compaction discards the torn base line and rebuilds the base
         # from the surviving segments.
         store.compact_cache(fingerprint)
         fresh = IndicatorCache()

@@ -1,9 +1,10 @@
-"""The sharded store: append-only shards, compaction, LUT keys.
+"""The segment-log store: append-only segments, compaction, LUT keys.
 
-The properties this file pins are the acceptance criteria of the sharded
-store: saves append only the dirty delta, files older store formats
-wrote read as misses, compaction is idempotent and preserves
-last-write-wins, concurrent appenders to one shard drop no rows, and
+The properties this file pins are the acceptance criteria of the
+segment-log store: a save appends only the dirty delta as one segment,
+files older store formats wrote read as misses and are never compacted,
+compaction is idempotent, leaves one base and preserves
+last-write-wins, concurrent appenders to one log drop no rows, and
 slug-colliding device names no longer clobber each other's LUTs.
 """
 
@@ -45,7 +46,7 @@ def key(i):
 
 
 def write_format1_file(store, fingerprint, entries):
-    """What the pre-sharding store wrote: one monolithic JSON file keyed
+    """What the format-1 store wrote: one monolithic JSON file keyed
     by the format-1 fingerprint digest.  Returns its path."""
     legacy = dict(fingerprint, format=1)
     payload = {
@@ -116,6 +117,26 @@ class TestFormat1Compat:
         assert store.load_cache_into(restored, fingerprint, strict=True) == 1
         assert restored.get(key(1)) == 99.0
 
+    def test_older_format_directory_is_never_compacted(self, store,
+                                                       fingerprint):
+        """``compact_all`` leaves a directory an older format wrote byte
+        for byte as it is, and does not report it."""
+        older = dict(fingerprint, format=STORE_FORMAT - 1)
+        for i in range(3):
+            cache = IndicatorCache()
+            cache.put(key(i), float(i))
+            store.save_cache(cache, older)
+        directory = store.cache_dir(older)
+
+        def snapshot():
+            return {path.name: path.read_bytes()
+                    for path in directory.iterdir()}
+
+        before = snapshot()
+        assert len(segment_files(store, older)) == 3
+        assert store.compact_all() == []
+        assert snapshot() == before
+
     def test_format2_directory_reads_as_miss(self, store, fingerprint):
         older = dict(fingerprint, format=2)
         cache = IndicatorCache()
@@ -125,6 +146,29 @@ class TestFormat1Compat:
         assert store.load_cache_into(IndicatorCache(), fingerprint) == 0
         assert store.follow_cache_into(IndicatorCache(), fingerprint,
                                        {}) == 0
+
+
+class TestLayout:
+    def test_one_save_writes_one_segment_and_compaction_one_base(
+            self, store, fingerprint):
+        cache = IndicatorCache()
+        for i in range(50):
+            cache.put(key(i), float(i))
+        assert store.save_cache(cache, fingerprint) == 50
+        directory = store.cache_dir(fingerprint)
+
+        def data_files():  # lock sidecars aside
+            return sorted(path.name for path in directory.iterdir()
+                          if not path.name.endswith(".lock"))
+
+        files = data_files()
+        assert len(files) == 2 and files[0] == "meta.json"
+        assert files[1].startswith("seg-") and files[1].endswith(".jsonl")
+        store.compact_cache(fingerprint)
+        assert data_files() == ["base.jsonl", "meta.json"]
+        restored = IndicatorCache()
+        assert store.load_cache_into(restored, fingerprint,
+                                     strict=True) == 50
 
 
 class TestCompaction:
@@ -157,18 +201,17 @@ class TestCompaction:
         def layout():
             directory = store.cache_dir(fingerprint)
             return {path.name: path.read_bytes()
-                    for path in directory.glob("shard-*.base.jsonl")}
+                    for path in directory.glob("base.jsonl")}
 
         first = layout()
-        assert first  # compaction wrote per-shard bases
+        assert first  # compaction wrote the base
         stats = store.compact_cache(fingerprint)
         assert stats["segments_folded"] == 0
         assert layout() == first
 
     def test_auto_compaction_past_segment_threshold(self, tmp_path,
                                                     fingerprint):
-        store = RuntimeStore(tmp_path / "store", shards=1,
-                             auto_compact_segments=2)
+        store = RuntimeStore(tmp_path / "store", auto_compact_segments=2)
         cache = IndicatorCache()
         for i in range(4):
             cache.put(key(i), float(i))
@@ -185,8 +228,7 @@ class TestCompaction:
         every few saves — segments accumulate until their bytes rival
         the base (log-structured amortization), so every-gather flushing
         stays O(delta) amortized."""
-        store = RuntimeStore(tmp_path / "store", shards=1,
-                             auto_compact_segments=2)
+        store = RuntimeStore(tmp_path / "store", auto_compact_segments=2)
         bulk = IndicatorCache()
         for i in range(500):
             bulk.put(key(i), float(i))
@@ -205,8 +247,7 @@ class TestCompaction:
 
     def test_compaction_disabled_for_benchmarks(self, tmp_path,
                                                 fingerprint):
-        store = RuntimeStore(tmp_path / "store", shards=1,
-                             auto_compact_segments=None)
+        store = RuntimeStore(tmp_path / "store", auto_compact_segments=None)
         cache = IndicatorCache()
         for i in range(8):
             cache.put(key(i), float(i))
@@ -217,13 +258,12 @@ class TestCompaction:
 class TestConcurrentAppend:
     def test_two_processes_appending_one_shard_drop_no_rows(
             self, tmp_path, fingerprint):
-        """Both writers hash every key into the single shard, so the
-        shard flock is the only thing keeping their segment sequence
-        numbers distinct."""
+        """Both writers append to the directory's one log, so the append
+        flock is the only thing keeping their segment sequence numbers
+        distinct."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
-        store = RuntimeStore(tmp_path / "store", shards=1,
-                             auto_compact_segments=None)
+        store = RuntimeStore(tmp_path / "store", auto_compact_segments=None)
         rows_per_writer = 20
 
         def writer(writer_id: int) -> None:
@@ -253,14 +293,13 @@ class TestConcurrentAppend:
     def test_compaction_racing_appenders_drops_no_rows(self, tmp_path,
                                                        fingerprint):
         """A compactor folding while a writer appends and reads: every
-        row persisted must survive (all-shard-locks on the fold) and
+        row persisted must survive (the append lock on the fold) and
         every load must see at least what the writer already saved (the
         base lock on replay — without it, a load between the compactor's
         base swap and segment unlink sees a hole)."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
-        store = RuntimeStore(tmp_path / "store", shards=2,
-                             auto_compact_segments=None)
+        store = RuntimeStore(tmp_path / "store", auto_compact_segments=None)
         rows = 30
 
         def writer() -> None:
@@ -423,15 +462,14 @@ class TestInventory:
         assert formats == [1, STORE_FORMAT]
         modern = next(e for e in inventory if e["format"] == STORE_FORMAT)
         assert modern["segments"] == 1
-        assert modern["shards"] == store.shards
         legacy = next(e for e in inventory if e["format"] == 1)
         assert legacy["base_rows"] == 1
 
     def test_unreadable_meta_refuses_saves_instead_of_resharding(
             self, store, fingerprint):
-        # Rewriting a damaged meta with a (possibly different) shard
-        # count would re-hash keys across shards and scramble the
-        # per-shard ordering last-write-wins rests on: refuse loudly.
+        # The meta is the only record of which fingerprint wrote the
+        # rows: rewriting a damaged one would vouch for rows the
+        # fingerprint check never saw, so refuse loudly.
         cache = IndicatorCache()
         cache.put(key(1), 1.0)
         store.save_cache(cache, fingerprint)

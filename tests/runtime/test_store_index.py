@@ -1,15 +1,14 @@
 """The store's two read paths: full replay and follow.
 
-``load_cache_into`` replays every base and segment; ``follow_cache_into``
-keeps a resident cache current by reading, per shard, only the files from
-the first one it has not seen onward.  This file pins that both return
+``load_cache_into`` replays the base and every segment; ``follow_cache_into``
+keeps a resident cache current by reading only the files from the first
+one it has not seen onward.  This file pins that both return
 exactly the same rows under fuzzed write orders, torn tails, compactions
 and leftover key-index sidecars from older versions; that both stay
 correct when a reader races a compactor or two concurrent writers; and
 that a harness warm restart computes and saves nothing.
 """
 
-import json
 import multiprocessing
 import random
 import time
@@ -31,8 +30,7 @@ def fingerprint():
 
 @pytest.fixture()
 def store(tmp_path):
-    return RuntimeStore(tmp_path / "store", shards=8,
-                        auto_compact_segments=None)
+    return RuntimeStore(tmp_path / "store", auto_compact_segments=None)
 
 
 def key(i):
@@ -94,9 +92,7 @@ class TestReadPathEquivalence:
     def test_read_paths_bit_identical_under_fuzz(self, tmp_path,
                                                  fingerprint, seed):
         rng = random.Random(seed)
-        store = RuntimeStore(tmp_path / "store",
-                             shards=rng.choice([1, 2, 4, 8]),
-                             auto_compact_segments=None)
+        store = RuntimeStore(tmp_path / "store", auto_compact_segments=None)
         expected = {}
         follower, seen = IndicatorCache(), {}
         for _ in range(rng.randint(3, 8)):
@@ -112,8 +108,7 @@ class TestReadPathEquivalence:
             if action < 0.25:
                 store.compact_cache(fingerprint)
             elif action < 0.45:
-                segments = sorted(
-                    directory.glob("shard-*.seg-*.jsonl"))
+                segments = sorted(directory.glob("seg-*.jsonl"))
                 if segments:  # a crashed writer's torn segment tail
                     with open(rng.choice(segments), "a") as handle:
                         handle.write('["torn')
@@ -135,12 +130,11 @@ class TestConcurrentReaders:
     def test_reads_race_a_compactor(self, tmp_path, fingerprint):
         """A churning writer+compactor must never make a concurrent
         replay or follow miss a row or see a wrong value: appends hold
-        the shard flock, compaction holds base + every shard lock, and
+        the append flock, compaction holds the base and append locks, and
         both read paths read under the shared base lock."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
-        store = RuntimeStore(tmp_path / "store", shards=4,
-                             auto_compact_segments=None)
+        store = RuntimeStore(tmp_path / "store", auto_compact_segments=None)
         fill(store, fingerprint, 0, 40)
         want = {key(i): float(i) * 1.5 for i in range(40)}
 
@@ -171,15 +165,14 @@ class TestConcurrentReaders:
 
     def test_two_writers_and_a_follower_drop_nothing(
             self, tmp_path, fingerprint):
-        """Two processes flushing into the same single shard while a
+        """Two processes flushing into the same log while a
         third follows the log: every mid-race read is internally
         consistent, and after the writers join the follower and a full
         replay agree on the full row set — no lost rows, no duplicates,
         no torn values."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
-        store = RuntimeStore(tmp_path / "store", shards=1,
-                             auto_compact_segments=None)
+        store = RuntimeStore(tmp_path / "store", auto_compact_segments=None)
         rows_per_writer = 15
         all_keys = [("w", wid, row) for wid in (1, 2)
                     for row in range(rows_per_writer)]
@@ -213,24 +206,6 @@ class TestConcurrentReaders:
         loaded, rows = replay(store, fingerprint)
         assert loaded == len(want)
         assert rows == want
-
-
-class TestLeftoverSidecars:
-    def test_compaction_unlinks_leftover_index_sidecars(self, store,
-                                                        fingerprint):
-        """Stores written by earlier versions hold ``shard-NN.idx.json``
-        key-index sidecars that nothing maintains any more: compaction
-        removes every one of them and replay is unchanged."""
-        fill(store, fingerprint, 0, 30)
-        directory = store.cache_dir(fingerprint)
-        for shard in (0, 3, 11):  # 11: beyond the recorded shard count
-            (directory / f"shard-{shard:02d}.idx.json").write_text(
-                json.dumps({"row": 46, "sorted": 0, "files": [],
-                            "covers": []}) + "\n", encoding="utf-8")
-        before = replay(store, fingerprint)
-        store.compact_cache(fingerprint)
-        assert not list(directory.glob("shard-*.idx.json"))
-        assert replay(store, fingerprint) == before
 
 
 class TestHarnessReadModes:

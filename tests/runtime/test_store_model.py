@@ -57,12 +57,11 @@ class StoreMachine(RuleBasedStateMachine):
 
     def segments(self):
         directory = self.store.cache_dir(FINGERPRINT)
-        return sorted(directory.glob("shard-*.seg-*.jsonl"))
+        return sorted(directory.glob("seg-*.jsonl"))
 
-    @initialize(shards=st.sampled_from([1, 2, 8]),
-                auto_compact=st.sampled_from([None, 3]))
-    def open_store(self, shards, auto_compact):
-        self.store = RuntimeStore(self.root, shards=shards,
+    @initialize(auto_compact=st.sampled_from([None, 3]))
+    def open_store(self, auto_compact):
+        self.store = RuntimeStore(self.root,
                                   auto_compact_segments=auto_compact)
 
     @rule(rows=st.lists(st.tuples(keys, values), min_size=1, max_size=12))
