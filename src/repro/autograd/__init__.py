@@ -16,6 +16,7 @@ throughput while rank statistics stay stable — see
 :mod:`repro.autograd.precision`).
 """
 
+from repro._lazy import lazy_exports as _lazy_exports
 from repro.autograd.precision import (
     FLOAT32,
     FLOAT64,
@@ -26,33 +27,21 @@ from repro.autograd.precision import (
     precision,
     resolve_policy,
 )
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled
-from repro.autograd import functional
-from repro.autograd.functional import (
-    add,
-    cross_entropy,
-    log_softmax,
-    max_reduce,
-    softmax,
-    avg_pool2d,
-    concatenate,
-    conv2d,
-    exp,
-    global_avg_pool2d,
-    log,
-    matmul,
-    maximum,
-    mean,
-    mul,
-    pad2d,
-    relu,
-    reshape,
-    sigmoid,
-    sum as tensor_sum,
-    tanh,
-    transpose,
-)
 from repro.autograd.gradcheck import gradcheck
+
+#: The tape and its ops load on first access (PEP 562), so the precision
+#: policy, the weight initialisers (:mod:`repro.autograd.init`) and the
+#: array kernels (:mod:`repro.autograd.arrays`) that the compiled proxy
+#: plans run load without them.
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "tensor": ("Tensor", "no_grad", "is_grad_enabled"),
+    "functional": (
+        "functional", "add", "cross_entropy", "log_softmax", "max_reduce",
+        "softmax", "avg_pool2d", "concatenate", "conv2d", "exp",
+        "global_avg_pool2d", "log", "matmul", "maximum", "mean", "mul",
+        "pad2d", "relu", "reshape", "sigmoid", ("tensor_sum", "sum"),
+        "tanh", "transpose"),
+})
 
 __all__ = [
     "Tensor",

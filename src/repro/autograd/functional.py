@@ -1,28 +1,12 @@
 """Differentiable operations on :class:`~repro.autograd.tensor.Tensor`.
 
 Each function computes the forward result eagerly with NumPy and attaches a
-backward closure to the output.  Convolution uses im2col (one gather from
-the zero-bordered input) and col2im, both zero-copy reshapes for 1×1
-kernels, so that the NTK proxy's many backward passes stay fast; average
-pooling sums shifted strided windows instead of unfolding, and padding
-writes into one zero-bordered buffer (:func:`_zero_pad`) rather than
-calling ``np.pad``.  The array-level helpers (``_im2col``, ``_col2im``,
-``_avg_pool``, ``_avg_pool_grad``) are shared with the compiled proxy
-plans of :mod:`repro.engine.plan`.
-
-The three window kernels — the conv input-gradient fold (``_col2im``),
-the average-pool forward and its adjoint — each have two bodies.  On a
-small plane (H·W ≤ ``HWNC_MAX_PIXELS`` = 64) with a kernel wider than
-1×1 (fold) or at least 3×3 (pools) they run batch×channel innermost
-(``_*_hwnc``): one transposing copy to (H, W, N·C), the same K² window
-adds with each add running over a whole output row times N·C, and one
-copy back to a C-contiguous NCHW array.  Every other shape keeps the NCHW
-body (``_*_nchw``).  Each pixel adds its taps in the same (ki, kj) order
-from the same start in both bodies, so they agree as float hex; only
-elementwise adds change layout, never a matmul operand.  Inside
-:func:`keep_columns` each ``conv2d`` also hands its unfolded input columns
-to the caller, so the batched NTK kernel reuses them instead of unfolding
-every conv input a second time.
+backward closure to the output.  Convolution and pooling run the
+array-level window kernels of :mod:`repro.autograd.arrays` (im2col and
+col2im, shifted-window pooling, zero-bordered padding), which the
+compiled proxy plans of :mod:`repro.engine.plan` share.  Inside :func:`keep_columns` each ``conv2d`` also hands
+its unfolded input columns to the caller, so the batched NTK kernel
+reuses them instead of unfolding every conv input a second time.
 
 Every op is dtype-preserving: forwards compute with NumPy (which keeps the
 operand dtype), outputs are wrapped by :class:`Tensor` (which allocates in
@@ -36,12 +20,20 @@ default is bit-identical to the historical hard-coded behaviour.
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.autograd.arrays import (
+    _avg_pool,
+    _avg_pool_grad,
+    _col2im,
+    _conv_out_size,
+    _im2col,
+    _pool_windows,
+    _zero_pad,
+)
 from repro.autograd.precision import default_dtype
 from repro.autograd.tensor import Tensor, _as_tensor, _unbroadcast
 from repro.errors import ShapeError
@@ -283,20 +275,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out._attach((a, b), backward)
 
 
-def _zero_pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """``x`` with its last two axes zero-bordered by ``padding``.
-
-    Writes ``x`` into the interior of a fresh zero buffer: the same values
-    as ``np.pad``, without its per-call Python overhead.
-    """
-    if not padding:
-        return x
-    *lead, h, w = x.shape
-    out = np.zeros((*lead, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    out[..., padding:padding + h, padding:padding + w] = x
-    return out
-
-
 def pad2d(a: Tensor, padding: int) -> Tensor:
     """Zero-pad the last two (spatial) axes of an NCHW tensor."""
     if padding == 0:
@@ -313,150 +291,6 @@ def pad2d(a: Tensor, padding: int) -> Tensor:
 # ----------------------------------------------------------------------
 # Convolution (im2col) and pooling (shifted windows)
 # ----------------------------------------------------------------------
-def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - kernel) // stride + 1
-
-
-def _is_pointwise(kernel: int, stride: int, padding: int) -> bool:
-    """Whether unfolding is a pure reshape (1×1 kernel, stride 1, no pad)."""
-    return kernel == 1 and stride == 1 and padding == 0
-
-
-#: Largest plane (H·W input pixels) whose window kernels run with
-#: batch×channel innermost.  There each shifted add spans the few pixels
-#: of an output row *times* N·C, instead of one numpy inner loop per
-#: (n, c, row); on 16×16 planes the fold measured slower, as the two
-#: transposing copies cost more than the wider adds save.
-HWNC_MAX_PIXELS = 64
-
-
-def _small_plane(x_shape: Tuple[int, ...]) -> bool:
-    """Whether an NCHW plane is small enough for the ``_hwnc`` bodies."""
-    return x_shape[-2] * x_shape[-1] <= HWNC_MAX_PIXELS
-
-
-def _to_hwnc(x: np.ndarray, padding: int = 0) -> np.ndarray:
-    """NCHW ``x`` as a fresh C-contiguous (H, W, N·C) array, zero-bordered
-    by ``padding``."""
-    n, c, h, w = x.shape
-    if not padding:
-        return x.transpose(2, 3, 0, 1).copy().reshape(h, w, n * c)
-    out = np.zeros((h + 2 * padding, w + 2 * padding, n, c), dtype=x.dtype)
-    out[padding:padding + h, padding:padding + w] = x.transpose(2, 3, 0, 1)
-    return out.reshape(h + 2 * padding, w + 2 * padding, n * c)
-
-
-def _from_hwnc(x: np.ndarray, n: int, c: int) -> np.ndarray:
-    """(H, W, N·C) ``x`` as a C-contiguous NCHW array."""
-    h, w = x.shape[:2]
-    return np.ascontiguousarray(x.reshape(h, w, n, c).transpose(2, 3, 0, 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _unfold_index(h: int, w: int, kernel: int, stride: int,
-                  padding: int) -> np.ndarray:
-    """Flat positions, in the zero-bordered ``h``×``w`` plane, of every
-    ``(ki, kj, oi, oj)`` entry an unfold reads (read-only, memoized)."""
-    oh = _conv_out_size(h, kernel, stride, padding)
-    ow = _conv_out_size(w, kernel, stride, padding)
-    ki, kj, oi, oj = np.ix_(range(kernel), range(kernel), range(oh), range(ow))
-    index = ((ki + stride * oi) * (w + 2 * padding) + kj + stride * oj).reshape(-1)
-    index.flags.writeable = False
-    return index
-
-
-def _im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold NCHW ``x`` into columns of shape (N, C*K*K, OH*OW).
-
-    One ``np.take`` gathers every window entry from the zero-bordered
-    input (a pure copy: the same values as K² strided slice copies, in
-    fewer numpy calls).  A pointwise unfold is a reshape view of ``x``
-    (no copy).
-    """
-    n, c, h, w = x.shape
-    if _is_pointwise(kernel, stride, padding):
-        return x.reshape(n, c, h * w), (h, w)
-    oh = _conv_out_size(h, kernel, stride, padding)
-    ow = _conv_out_size(w, kernel, stride, padding)
-    padded = _zero_pad(x, padding).reshape(n, c, -1)
-    cols = np.take(padded, _unfold_index(h, w, kernel, stride, padding), axis=2)
-    return cols.reshape(n, c * kernel * kernel, oh * ow), (oh, ow)
-
-
-def _col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Fold columns back onto the (padded) input, summing overlaps.
-
-    A pointwise fold is a reshape view of ``cols`` (no copy); a wider
-    kernel over a small plane runs :func:`_col2im_hwnc`, any other fold
-    :func:`_col2im_nchw`.  The view is the one fold not equal to the
-    zero-start fold as float hex: a −0.0 column entry stays −0.0 where
-    adding it onto +0.0 gives +0.0.  Values are equal, so no indicator
-    row changes, and forcing +0.0 would copy every 1×1 conv adjoint.
-    """
-    if _is_pointwise(kernel, stride, padding):
-        return cols.reshape(x_shape)
-    if kernel > 1 and _small_plane(x_shape):
-        return _col2im_hwnc(cols, x_shape, kernel, stride, padding)
-    return _col2im_nchw(cols, x_shape, kernel, stride, padding)
-
-
-def _col2im_nchw(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """:func:`_col2im` over NCHW planes: K² strided adds into a zeroed
-    border, each tap in (ki, kj) order."""
-    n, c, h, w = x_shape
-    oh = _conv_out_size(h, kernel, stride, padding)
-    ow = _conv_out_size(w, kernel, stride, padding)
-    cols = cols.reshape(n, c, kernel, kernel, oh, ow)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for ki in range(kernel):
-        i_end = ki + stride * oh
-        for kj in range(kernel):
-            j_end = kj + stride * ow
-            padded[:, :, ki:i_end:stride, kj:j_end:stride] += cols[:, :, ki, kj, :, :]
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
-
-
-def _col2im_hwnc(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """:func:`_col2im_nchw` with batch×channel innermost.
-
-    The same K² adds in the same (ki, kj) order onto +0.0, so the result
-    is equal as float hex; it comes back as a C-contiguous NCHW array.
-    """
-    n, c, h, w = x_shape
-    oh = _conv_out_size(h, kernel, stride, padding)
-    ow = _conv_out_size(w, kernel, stride, padding)
-    taps = cols.reshape(n * c, kernel, kernel, oh, ow).transpose(1, 2, 3, 4, 0).copy()
-    padded = np.zeros((h + 2 * padding, w + 2 * padding, n * c), dtype=cols.dtype)
-    for ki in range(kernel):
-        i_end = ki + stride * oh
-        for kj in range(kernel):
-            j_end = kj + stride * ow
-            padded[ki:i_end:stride, kj:j_end:stride] += taps[ki, kj]
-    return _from_hwnc(padded[padding:padding + h, padding:padding + w], n, c)
-
-
 @contextlib.contextmanager
 def keep_columns() -> Iterator[Dict[int, np.ndarray]]:
     """Collect each ``conv2d``'s unfolded input columns inside the scope.
@@ -521,90 +355,6 @@ def conv2d(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return out._attach(parents, backward)
-
-
-def _pool_windows(kernel: int, stride: int, oh: int, ow: int) -> list:
-    """The K² shifted strided window indices of a pool, in window order."""
-    return [
-        (..., slice(ki, ki + stride * oh, stride), slice(kj, kj + stride * ow, stride))
-        for ki in range(kernel)
-        for kj in range(kernel)
-    ]
-
-
-def _avg_pool(x: np.ndarray, kernel: int, padding: int, windows: list) -> np.ndarray:
-    """Average-pool forward: the windows of the zero-bordered ``x``, summed
-    in window order, divided by K².  Runs :func:`_avg_pool_hwnc` for a
-    3×3 or wider kernel over a small plane, else :func:`_avg_pool_nchw`."""
-    if kernel >= 3 and _small_plane(x.shape):
-        return _avg_pool_hwnc(x, kernel, padding, windows)
-    return _avg_pool_nchw(x, kernel, padding, windows)
-
-
-def _avg_pool_nchw(x: np.ndarray, kernel: int, padding: int,
-                   windows: list) -> np.ndarray:
-    """:func:`_avg_pool` over NCHW planes."""
-    padded = _zero_pad(x, padding)
-    total = padded[windows[0]].copy()
-    for window in windows[1:]:
-        total += padded[window]
-    return total / (kernel * kernel)
-
-
-def _avg_pool_hwnc(x: np.ndarray, kernel: int, padding: int,
-                   windows: list) -> np.ndarray:
-    """:func:`_avg_pool_nchw` with batch×channel innermost: the same window
-    sums and division, equal as float hex, as a C-contiguous array.
-
-    ``window[1:]`` drops the leading ``...`` of each window, so its two
-    slices index the (H, W) axes that lead here.
-    """
-    n, c = x.shape[:2]
-    padded = _to_hwnc(x, padding)
-    total = padded[windows[0][1:]].copy()
-    for window in windows[1:]:
-        total += padded[window[1:]]
-    total /= kernel * kernel
-    return _from_hwnc(total, n, c)
-
-
-def _avg_pool_grad(grad: np.ndarray, x_shape: Tuple[int, int, int, int],
-                   kernel: int, padding: int, windows: list) -> np.ndarray:
-    """Average-pool adjoint: ``grad / K²`` scattered back through the windows.
-
-    Runs :func:`_avg_pool_grad_hwnc` for a 3×3 or wider kernel over a small
-    plane, else :func:`_avg_pool_grad_nchw`.
-    """
-    if kernel >= 3 and _small_plane(x_shape):
-        return _avg_pool_grad_hwnc(grad, x_shape, kernel, padding, windows)
-    return _avg_pool_grad_nchw(grad, x_shape, kernel, padding, windows)
-
-
-def _avg_pool_grad_nchw(grad: np.ndarray, x_shape: Tuple[int, int, int, int],
-                        kernel: int, padding: int, windows: list) -> np.ndarray:
-    """:func:`_avg_pool_grad` over NCHW planes."""
-    n, c, h, w = x_shape
-    share = grad / (kernel * kernel)
-    folded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=share.dtype)
-    for window in windows:
-        folded[window] += share
-    if padding:
-        folded = folded[:, :, padding:-padding, padding:-padding]
-    return folded
-
-
-def _avg_pool_grad_hwnc(grad: np.ndarray, x_shape: Tuple[int, int, int, int],
-                        kernel: int, padding: int, windows: list) -> np.ndarray:
-    """:func:`_avg_pool_grad_nchw` with batch×channel innermost: the same
-    division and window adds onto +0.0, equal as float hex, as a
-    C-contiguous array (window slices as in :func:`_avg_pool_hwnc`)."""
-    n, c, h, w = x_shape
-    share = _to_hwnc(grad)
-    share /= kernel * kernel
-    folded = np.zeros((h + 2 * padding, w + 2 * padding, n * c), dtype=share.dtype)
-    for window in windows:
-        folded[window[1:]] += share
-    return _from_hwnc(folded[padding:padding + h, padding:padding + w], n, c)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None, padding: int = 0) -> Tensor:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+if TYPE_CHECKING:
+    from repro.autograd.tensor import Tensor
 
 
 def numerical_gradient(

@@ -12,17 +12,15 @@ simulated GPU-hours that train-based baselines (µNAS) pay per candidate.
 See DESIGN.md §2 for the substitution rationale.
 """
 
-from repro.benchdata.surrogate import SurrogateModel, accuracy_of
-from repro.benchdata.cost import TrainingCostModel
-from repro.benchdata.api import ArchRecord, SurrogateBenchmarkAPI
-from repro.benchdata.oracle import OracleTable, build_oracle_table
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "SurrogateModel",
-    "accuracy_of",
-    "TrainingCostModel",
-    "ArchRecord",
-    "SurrogateBenchmarkAPI",
-    "OracleTable",
-    "build_oracle_table",
-]
+#: Public names by defining submodule, imported on first access (PEP 562).
+_EXPORTS = {
+    "surrogate": ("SurrogateModel", "accuracy_of"),
+    "cost": ("TrainingCostModel",),
+    "api": ("ArchRecord", "SurrogateBenchmarkAPI"),
+    "oracle": ("OracleTable", "build_oracle_table"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

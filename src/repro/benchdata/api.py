@@ -15,8 +15,8 @@ from repro.benchdata.surrogate import DIFFICULTY, SurrogateModel
 from repro.errors import BenchmarkDataError
 from repro.proxies.flops import count_flops, count_params
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import CANDIDATE_OPS, NUM_EDGES
+from repro.searchspace.specs import MacroConfig
 
 #: Number of architectures in the NAS-Bench-201 space (5^6).
 SPACE_SIZE = len(CANDIDATE_OPS) ** NUM_EDGES

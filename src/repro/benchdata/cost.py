@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.proxies.flops import count_flops
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.specs import MacroConfig
 
 
 @dataclass(frozen=True)

@@ -44,22 +44,20 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.benchdata import SurrogateBenchmarkAPI
 from repro.hardware.device import known_devices
-from repro.hardware.latency import LatencyEstimator
 from repro.proxies.base import ProxyConfig
-from repro.proxies.zerocost import PROXY_REGISTRY
-from repro.search import (
-    HybridObjective,
-    MicroNASSearch,
-    ObjectiveWeights,
-    TENASSearch,
-    ZeroShotRandomSearch,
-)
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
-from repro.searchspace.space import NasBench201Space
-from repro.utils import format_table
+from repro.searchspace.specs import MacroConfig
+
+# Each subcommand imports what it runs, so ``micronas runtime`` loads the
+# run harness's modules and no more.
+
+
+def format_table(*args, **kwargs) -> str:
+    """:func:`repro.utils.tabulate.format_table`, imported on first use."""
+    from repro.utils.tabulate import format_table as render
+
+    return render(*args, **kwargs)
 
 
 def _resolve_arch(text: str) -> Genotype:
@@ -87,6 +85,13 @@ def _device(name: str):
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_search(args: argparse.Namespace) -> int:
+    from repro.benchdata.api import SurrogateBenchmarkAPI
+    from repro.hardware.latency import LatencyEstimator
+    from repro.search.objective import HybridObjective, ObjectiveWeights
+    from repro.search.pruning import MicroNASSearch
+    from repro.search.random_search import ZeroShotRandomSearch
+    from repro.search.tenas import TENASSearch
+
     proxy_config = _proxy_config(args)
     estimator = None
     if args.algorithm != "tenas" and (args.latency_weight > 0 or args.flops_weight > 0):
@@ -385,6 +390,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.hardware.latency import LatencyEstimator
+
     estimator = LatencyEstimator(_device(args.device), config=MacroConfig.full())
     entries = sorted(estimator.lut.entries.items(), key=lambda kv: -kv[1])
     rows = [[str(key), f"{ms:.4f}"] for key, ms in entries[: args.top]]
@@ -398,6 +405,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_latency(args: argparse.Namespace) -> int:
+    from repro.hardware.latency import LatencyEstimator
+    from repro.searchspace.space import NasBench201Space
+
     estimator = LatencyEstimator(_device(args.device), config=MacroConfig.full())
     archs = NasBench201Space().sample(args.samples, rng=args.seed)
     errors = []
@@ -418,6 +428,7 @@ def cmd_validate_latency(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    from repro.benchdata.api import SurrogateBenchmarkAPI
     from repro.searchspace.render import render_cell
 
     genotype = _resolve_arch(args.arch)
@@ -436,6 +447,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_pareto(args: argparse.Namespace) -> int:
+    from repro.hardware.latency import LatencyEstimator
+    from repro.search.objective import HybridObjective, ObjectiveWeights
     from repro.search.pareto import ParetoZeroShotSearch
 
     estimator = LatencyEstimator(_device(args.device), config=MacroConfig.full())
@@ -599,6 +612,8 @@ def cmd_memplan(args: argparse.Namespace) -> int:
 
 
 def cmd_proxies(args: argparse.Namespace) -> int:
+    from repro.proxies.zerocost import PROXY_REGISTRY
+
     genotype = _resolve_arch(args.arch)
     config = _proxy_config(args)
     rows = []

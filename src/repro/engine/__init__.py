@@ -10,9 +10,11 @@ inline.  The engine has three layers:
    reconstructed layer-locally), and all probe lines of the region count
    in a single stacked ``no_grad`` forward.  The proxies' ``"batched"``
    mode runs both as compiled straight-line plans over a per-search
-   weight bank (:mod:`repro.engine.plan`, imported on first use), with
-   no module tree or autograd tape; the module-tree kernels serve
-   caller-built networks and are the plans' oracle.  The original
+   weight bank (:mod:`repro.engine.plan`, which the proxies import when
+   they load: it needs neither :mod:`repro.nn` nor the kernels module),
+   with no module tree or autograd tape; the module-tree kernels serve
+   caller-built networks, load with the module tree and are the plans'
+   oracle.  The original
    per-sample / per-line loops remain available as ``mode="reference"``
    for validation.
 2. **Canonicalization-aware cache** (:mod:`repro.engine.cache`) — memoizes
@@ -65,27 +67,18 @@ every proxy cache key and persisted-store fingerprint, so rows computed
 under different policies can never alias or cross-contaminate.
 """
 
-from repro.engine.cache import CacheStats, IndicatorCache
-from repro.engine.table import IndicatorTable
-from repro.engine.kernels import (
-    batched_condition_numbers,
-    batched_count_line_regions,
-    batched_eigvalsh,
-    batched_line_patterns,
-    batched_ntk_jacobian,
-)
-from repro.engine.core import INDICATOR_NAMES, Engine, supernet_state_key
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "Engine",
-    "IndicatorCache",
-    "IndicatorTable",
-    "CacheStats",
-    "INDICATOR_NAMES",
-    "batched_ntk_jacobian",
-    "batched_line_patterns",
-    "batched_count_line_regions",
-    "batched_eigvalsh",
-    "batched_condition_numbers",
-    "supernet_state_key",
-]
+#: Public names by defining submodule, imported on first access (PEP 562):
+#: ``repro.engine.core`` loads without the module-tree kernels.
+_EXPORTS = {
+    "core": ("Engine", "INDICATOR_NAMES", "supernet_state_key"),
+    "cache": ("IndicatorCache", "CacheStats"),
+    "table": ("IndicatorTable",),
+    "kernels": ("batched_ntk_jacobian", "batched_line_patterns",
+                "batched_count_line_regions", "batched_eigvalsh",
+                "batched_condition_numbers"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

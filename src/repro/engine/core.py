@@ -44,9 +44,8 @@ from repro.errors import ProxyError
 from repro.proxies.base import ProxyConfig
 from repro.proxies.flops import count_flops, count_params
 from repro.searchspace.canonical import canonicalize
-from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.specs import EdgeSpec, MacroConfig
 from repro.utils.timing import CostLedger, Timer
 
 #: Indicator columns a full genotype evaluation produces.

@@ -61,6 +61,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd.functional import keep_columns
+from repro.engine.plan import count_regions_per_line, line_points
 from repro.errors import ProxyError
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.linear import Linear
@@ -229,31 +230,6 @@ def batched_line_patterns(
     stacked = lines.reshape(num_lines * num_points, *lines.shape[2:])
     patterns = _forward_patterns(network, stacked)
     return patterns.reshape(num_lines, num_points, -1)
-
-
-def line_points(starts: np.ndarray, stops: np.ndarray,
-                num_points: int) -> np.ndarray:
-    """``(L, num_points, C, H, W)`` evenly spaced points on each segment,
-    interpolated in float64 from ``(L, C, H, W)`` endpoints."""
-    starts = np.asarray(starts, dtype=float)
-    stops = np.asarray(stops, dtype=float)
-    if starts.shape != stops.shape or starts.ndim != 4:
-        raise ProxyError(
-            f"need matching (L, C, H, W) endpoints, got {starts.shape} "
-            f"and {stops.shape}"
-        )
-    ts = np.linspace(0.0, 1.0, num_points).reshape(1, -1, 1, 1, 1)
-    return starts[:, None] * (1.0 - ts) + stops[:, None] * ts
-
-
-def count_regions_per_line(patterns: np.ndarray) -> np.ndarray:
-    """Region count per line from stacked ``(L, P, units)`` patterns.
-
-    A region boundary lies between consecutive points whose activation
-    patterns differ; each line crosses ``#boundaries + 1`` regions.
-    """
-    changed = (patterns[:, 1:] != patterns[:, :-1]).any(axis=2)
-    return changed.sum(axis=1) + 1
 
 
 def batched_count_line_regions(

@@ -26,11 +26,20 @@ steps and runs it over weights drawn without building any ``Module``.
   order.
 * :class:`LinePlan` — the BN-free line-region network, forward only; its
   ReLU patterns come back in the ReLU order of ``network.modules()``.
+* :func:`line_points` / :func:`count_regions_per_line` — probe-line
+  geometry, shared with the module-tree kernels.
+
+The module imports neither :mod:`repro.nn`, the autograd tape nor
+:mod:`repro.engine.kernels` (weights come from
+:mod:`repro.autograd.init`, window kernels from
+:mod:`repro.autograd.arrays`), so the proxies import it when they load,
+before a pool forks its workers.
 
 **Bit-identity contract.**  Each step calls the same numpy functions on
 the same operands, in the same order and dtype, as the autograd op it
-replaces (the conv, pool and column helpers are shared with
-:mod:`repro.autograd.functional`), so a plan's Jacobian equals
+replaces (the conv, pool and column helpers of
+:mod:`repro.autograd.arrays` are the ones those ops call), so a plan's
+Jacobian equals
 ``batched_ntk_jacobian(build_supernet(...))`` as float hex, and its
 patterns equal ``batched_line_patterns``.  Concretely: the BatchNorm
 forward normalises with ``(var + eps) ** -0.5`` while its Jacobian term
@@ -72,7 +81,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd.functional import (
+from repro.autograd.arrays import (
+    DEFAULT_EPS,
     _avg_pool,
     _avg_pool_grad,
     _col2im,
@@ -80,12 +90,9 @@ from repro.autograd.functional import (
     _im2col,
     _pool_windows,
 )
+from repro.autograd.init import kaiming_normal
 from repro.autograd.precision import default_dtype, precision
-from repro.engine.kernels import count_regions_per_line, line_points
 from repro.errors import ProxyError, SearchSpaceError
-from repro.nn.init import kaiming_normal
-from repro.nn.layers.norm import DEFAULT_EPS
-from repro.proxies.linear_regions import _draw_lines
 from repro.searchspace.ops import CANDIDATE_OPS, CONV_KERNEL, EDGES, NUM_NODES
 from repro.utils.rng import new_rng, stable_seed
 
@@ -164,6 +171,41 @@ def draw_ntk_bank(edge_op_sets: Sequence[Sequence[str]], macro, generator,
     if images is not None:
         images = np.asarray(images, dtype=default_dtype())
     return WeightBank(arrays, images)
+
+
+def _draw_lines(generator, shape, num_lines: int):
+    """Random segment endpoints, drawn in the per-line reference order."""
+    starts = np.empty((num_lines, *shape))
+    stops = np.empty((num_lines, *shape))
+    for line in range(num_lines):
+        starts[line] = generator.normal(size=shape) * 2.0
+        stops[line] = generator.normal(size=shape) * 2.0
+    return starts, stops
+
+
+def line_points(starts: np.ndarray, stops: np.ndarray,
+                num_points: int) -> np.ndarray:
+    """``(L, num_points, C, H, W)`` evenly spaced points on each segment,
+    interpolated in float64 from ``(L, C, H, W)`` endpoints."""
+    starts = np.asarray(starts, dtype=float)
+    stops = np.asarray(stops, dtype=float)
+    if starts.shape != stops.shape or starts.ndim != 4:
+        raise ProxyError(
+            f"need matching (L, C, H, W) endpoints, got {starts.shape} "
+            f"and {stops.shape}"
+        )
+    ts = np.linspace(0.0, 1.0, num_points).reshape(1, -1, 1, 1, 1)
+    return starts[:, None] * (1.0 - ts) + stops[:, None] * ts
+
+
+def count_regions_per_line(patterns: np.ndarray) -> np.ndarray:
+    """Region count per line from stacked ``(L, P, units)`` patterns.
+
+    A region boundary lies between consecutive points whose activation
+    patterns differ; each line crosses ``#boundaries + 1`` regions.
+    """
+    changed = (patterns[:, 1:] != patterns[:, :-1]).any(axis=2)
+    return changed.sum(axis=1) + 1
 
 
 def draw_lr_bank(edge_op_sets: Sequence[Sequence[str]], config, generator,
@@ -741,4 +783,6 @@ __all__ = [
     "draw_supernet_ntk_bank",
     "supernet_ntk_bank",
     "supernet_lr_bank",
+    "line_points",
+    "count_regions_per_line",
 ]

@@ -21,103 +21,33 @@ We reproduce that pipeline end-to-end:
 * :mod:`repro.hardware.quantize` — int8 post-training quantization.
 """
 
-from repro.hardware.device import (
-    MCUDevice,
-    NUCLEO_F411RE,
-    NUCLEO_F746ZG,
-    NUCLEO_H743ZI,
-    NUCLEO_L432KC,
-    RP2040_PICO,
-    get_device,
-    known_devices,
-    register_device,
-)
-from repro.hardware.costmodel import CycleCostModel
-from repro.hardware.layers import LayerOp, network_layers
-from repro.hardware.profiler import LatencyLUT, OnDeviceProfiler
-from repro.hardware.latency import LatencyEstimator, measure_ground_truth_ms
-from repro.hardware.latency_models import (
-    FlopsProportionalModel,
-    LinearFeatureModel,
-    LUTModel,
-    ModelAccuracy,
-    compare_models,
-)
-from repro.hardware.deploy import DeploymentReport, deployment_report
-from repro.hardware.energy import (
-    EnergyEstimator,
-    EnergyReport,
-    PowerProfile,
-    power_profile,
-)
-from repro.hardware.graphopt import (
-    OptimizationStats,
-    optimization_stats,
-    optimized_network_layers,
-)
-from repro.hardware.int8_infer import (
-    ActivationObserver,
-    Int8InferenceReport,
-    StaticQuantizedModel,
-    calibrate,
-    int8_inference_report,
-    simulate_int8_inference,
-)
-from repro.hardware.memory import MemoryEstimator, MemoryReport
-from repro.hardware.memplan import (
-    ArenaReport,
-    BufferLifetime,
-    MemoryPlan,
-    arena_report,
-    liveness_lower_bound,
-    plan_memory,
-    tensor_lifetimes,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "MCUDevice",
-    "NUCLEO_F746ZG",
-    "NUCLEO_F411RE",
-    "NUCLEO_H743ZI",
-    "NUCLEO_L432KC",
-    "RP2040_PICO",
-    "get_device",
-    "known_devices",
-    "register_device",
-    "CycleCostModel",
-    "LayerOp",
-    "network_layers",
-    "LatencyLUT",
-    "OnDeviceProfiler",
-    "LatencyEstimator",
-    "measure_ground_truth_ms",
-    "FlopsProportionalModel",
-    "LinearFeatureModel",
-    "LUTModel",
-    "ModelAccuracy",
-    "compare_models",
-    "MemoryEstimator",
-    "MemoryReport",
-    "DeploymentReport",
-    "deployment_report",
-    "EnergyEstimator",
-    "EnergyReport",
-    "PowerProfile",
-    "power_profile",
-    "OptimizationStats",
-    "optimization_stats",
-    "optimized_network_layers",
-    "ActivationObserver",
-    "Int8InferenceReport",
-    "StaticQuantizedModel",
-    "calibrate",
-    "int8_inference_report",
-    "simulate_int8_inference",
-    "ArenaReport",
-    "BufferLifetime",
-    "MemoryPlan",
-    "arena_report",
-    "liveness_lower_bound",
-    "plan_memory",
-    "tensor_lifetimes",
-]
+#: Public names by defining submodule, imported on first access (PEP 562):
+#: the LUT estimator loads without the int8 simulator, the graph
+#: rewrites or the alternative latency models.
+_EXPORTS = {
+    "device": ("MCUDevice", "NUCLEO_F746ZG", "NUCLEO_F411RE", "NUCLEO_H743ZI",
+               "NUCLEO_L432KC", "RP2040_PICO", "get_device", "known_devices",
+               "register_device"),
+    "costmodel": ("CycleCostModel",),
+    "layers": ("LayerOp", "network_layers"),
+    "profiler": ("LatencyLUT", "OnDeviceProfiler"),
+    "latency": ("LatencyEstimator", "measure_ground_truth_ms"),
+    "latency_models": ("FlopsProportionalModel", "LinearFeatureModel",
+                       "LUTModel", "ModelAccuracy", "compare_models"),
+    "memory": ("MemoryEstimator", "MemoryReport"),
+    "deploy": ("DeploymentReport", "deployment_report"),
+    "energy": ("EnergyEstimator", "EnergyReport", "PowerProfile",
+               "power_profile"),
+    "graphopt": ("OptimizationStats", "optimization_stats",
+                 "optimized_network_layers"),
+    "int8_infer": ("ActivationObserver", "Int8InferenceReport",
+                   "StaticQuantizedModel", "calibrate",
+                   "int8_inference_report", "simulate_int8_inference"),
+    "memplan": ("ArenaReport", "BufferLifetime", "MemoryPlan", "arena_report",
+                "liveness_lower_bound", "plan_memory", "tensor_lifetimes"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

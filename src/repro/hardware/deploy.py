@@ -23,7 +23,8 @@ from repro.hardware.memory import MemoryEstimator
 from repro.hardware.memplan import plan_memory, tensor_lifetimes
 from repro.hardware.quantize import quantization_report
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig, build_network
+from repro.searchspace.network import build_network
+from repro.searchspace.specs import MacroConfig
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from typing import List, Optional, Set, Tuple
 
 from repro.hardware.layers import LayerOp, _reduction_layers
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import CONV_KERNEL, EDGES, NUM_NODES
+from repro.searchspace.specs import MacroConfig
 
 
 def live_nodes(genotype: Genotype) -> Set[int]:

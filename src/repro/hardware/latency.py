@@ -8,17 +8,15 @@ measurements in ``benchmarks/bench_latency_model_accuracy.py``.
 from __future__ import annotations
 
 from dataclasses import astuple
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from repro.engine.cache import IndicatorCache
 from repro.hardware.costmodel import CycleCostModel
 from repro.hardware.device import MCUDevice, NUCLEO_F746ZG
 from repro.hardware.layers import network_layers
 from repro.hardware.profiler import LatencyLUT, OnDeviceProfiler
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see __init__)
-    from repro.engine.cache import IndicatorCache
+from repro.searchspace.specs import MacroConfig
 
 
 class LatencyEstimator:
@@ -51,14 +49,9 @@ class LatencyEstimator:
         profiler: Optional[OnDeviceProfiler] = None,
         lut: Optional[LatencyLUT] = None,
         precision: str = "float32",
-        cache: Optional["IndicatorCache"] = None,
+        cache: Optional[IndicatorCache] = None,
         lut_store=None,
     ) -> None:
-        # Deferred import: repro.engine transitively imports this module
-        # (engine → proxies → benchdata → hardware), so binding at class
-        # construction time breaks the cycle.
-        from repro.engine.cache import IndicatorCache
-
         self.device = device
         self.config = config or MacroConfig.full()
         self.profiler = profiler or OnDeviceProfiler(device, precision=precision)

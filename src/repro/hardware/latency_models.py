@@ -32,8 +32,8 @@ from repro.hardware.layers import LayerOp, network_layers
 from repro.hardware.profiler import OnDeviceProfiler
 from repro.proxies.flops import count_flops
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.space import NasBench201Space
+from repro.searchspace.specs import MacroConfig
 
 
 def layer_features(layer: LayerOp) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import CONV_KERNEL, EDGES, NUM_NODES
+from repro.searchspace.specs import MacroConfig
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from typing import Optional
 
 from repro.proxies.flops import count_params
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import CONV_KERNEL, EDGES, NUM_NODES
+from repro.searchspace.specs import MacroConfig
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import HardwareModelError
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import CONV_KERNEL, EDGES, NUM_NODES
+from repro.searchspace.specs import MacroConfig
 
 PLANNING_STRATEGIES = ("no_reuse", "first_fit", "greedy_by_size")
 

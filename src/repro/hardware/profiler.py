@@ -19,8 +19,8 @@ from repro.hardware.costmodel import CycleCostModel
 from repro.hardware.device import MCUDevice, NUCLEO_F746ZG
 from repro.hardware.layers import LayerOp, network_layers
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import CANDIDATE_OPS, CONV_KERNEL
+from repro.searchspace.specs import MacroConfig
 from repro.utils.rng import new_rng, stable_seed
 
 

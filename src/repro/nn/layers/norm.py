@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor, functional as F
+from repro.autograd.arrays import DEFAULT_EPS
 from repro.autograd.precision import default_dtype
 from repro.nn.module import Module, Parameter
-
-#: Default variance epsilon (every network in the library uses it).
-DEFAULT_EPS = 1e-5
 
 
 class BatchNorm2d(Module):

@@ -10,31 +10,21 @@
   indicators into the hybrid objective.
 """
 
-from repro.proxies.base import ProxyConfig
-from repro.proxies.ntk import NtkResult, compute_ntk_gram, condition_numbers, ntk_condition_number
-from repro.proxies.linear_regions import count_linear_regions
-from repro.proxies.flops import count_flops, count_params
-from repro.proxies.ranking import rank_array, combine_ranks
-from repro.proxies.analysis import (
-    BatchSizeSweep,
-    ConditionNumberSweep,
-    batch_size_sweep,
-    condition_number_sweep,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "ProxyConfig",
-    "BatchSizeSweep",
-    "ConditionNumberSweep",
-    "batch_size_sweep",
-    "condition_number_sweep",
-    "NtkResult",
-    "compute_ntk_gram",
-    "condition_numbers",
-    "ntk_condition_number",
-    "count_linear_regions",
-    "count_flops",
-    "count_params",
-    "rank_array",
-    "combine_ranks",
-]
+#: Public names by defining submodule, imported on first access (PEP 562):
+#: the engine imports ``proxies.base`` without the sweep analysis and the
+#: benchmark data it reads.
+_EXPORTS = {
+    "base": ("ProxyConfig",),
+    "analysis": ("BatchSizeSweep", "ConditionNumberSweep",
+                 "batch_size_sweep", "condition_number_sweep"),
+    "ntk": ("NtkResult", "compute_ntk_gram", "condition_numbers",
+            "ntk_condition_number"),
+    "linear_regions": ("count_linear_regions",),
+    "flops": ("count_flops", "count_params"),
+    "ranking": ("rank_array", "combine_ranks"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

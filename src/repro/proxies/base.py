@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.autograd.precision import PrecisionPolicy, resolve_policy
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.specs import MacroConfig
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import op_flops, op_params
+from repro.searchspace.specs import MacroConfig
 
 
 def _reduction_flops(c_in: int, c_out: int, out_size: int) -> int:

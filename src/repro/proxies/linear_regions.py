@@ -24,126 +24,46 @@ forward-only :class:`~repro.engine.plan.LinePlan` over a weight bank: no
 module tree is built.  Supernet states share one bank (weights, then the
 probe lines) per process and ``(config, repeat)``.  The patterns equal
 :func:`repro.engine.kernels.batched_line_patterns` over the
-:class:`LinearRegionNetwork` the same seed builds.  ``"reference"``
-builds that network and runs one forward per line.
+:class:`~repro.searchspace.network.LinearRegionNetwork` the same seed
+builds.  ``"reference"`` builds that network and runs one forward per
+line.
+
+The plans load with this module; the module-tree code (the
+``"reference"`` path, :func:`count_sample_regions` and
+:func:`_forward_patterns`) imports the autograd tape, :mod:`repro.nn` and
+the network inside its functions, so importing the proxy (as every run
+and every pool worker does) loads none of them.
+``LinearRegionNetwork`` is still readable from this module.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
 from repro.autograd.precision import precision
+from repro.engine.plan import (
+    LinePlan,
+    _draw_lines,
+    draw_lr_bank,
+    supernet_lr_bank,
+)
 from repro.errors import ProxyError
-from repro.nn import AvgPool2d, Conv2d, Module, ModuleList, ReLU, Sequential
-from repro.nn.layers.activation import ReLU as ReLULayer
 from repro.proxies.base import ProxyConfig
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.ops import CONV_KERNEL, EDGES, NUM_NODES
 from repro.utils.rng import SeedLike, new_rng, stable_seed
 
-
-def _build_lr_op(op_name: str, channels: int, rng) -> Module:
-    """Edge operator of the piecewise-linear expressivity network."""
-    if op_name == "none":
-        return _Zero()
-    if op_name == "skip_connect":
-        return _Identity()
-    if op_name == "avg_pool_3x3":
-        return AvgPool2d(3, stride=1, padding=1)
-    if op_name in CONV_KERNEL:
-        kernel = CONV_KERNEL[op_name]
-        return Sequential(
-            Conv2d(channels, channels, kernel, stride=1, padding=kernel // 2,
-                   bias=True, rng=rng),
-            ReLU(record_pattern=True),
-        )
-    raise ProxyError(f"unknown operation {op_name!r}")
-
-
-class _Zero(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x * 0.0
-
-
-class _Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class LinearRegionNetwork(Module):
-    """BN-free conv+ReLU realisation of a cell for region counting.
-
-    ``edge_op_sets`` holds one tuple of alive operation names per edge: a
-    concrete genotype has singleton tuples, the pruning supernet may have
-    several alive ops per edge (their outputs are averaged, matching
-    :class:`~repro.searchspace.cell.SuperCell` semantics).
-    """
-
-    def __init__(self, edge_op_sets, channels: int, num_cells: int,
-                 rng: SeedLike = None) -> None:
-        super().__init__()
-        generator = new_rng(rng)
-        self.edge_op_sets = [tuple(ops) for ops in edge_op_sets]
-        if len(self.edge_op_sets) != len(EDGES):
-            raise ProxyError(
-                f"need {len(EDGES)} edge op sets, got {len(self.edge_op_sets)}"
-            )
-        self.stem = Sequential(
-            Conv2d(3, channels, 3, stride=1, padding=1, bias=True, rng=generator),
-            ReLU(record_pattern=True),
-        )
-        # Weight sharing across prunings: seed each (cell, edge, op) module
-        # independently of the other alive ops (see SuperCell).
-        base = int(generator.integers(2**31))
-        cells = []
-        for cell_idx in range(num_cells):
-            edge_modules = ModuleList()
-            for edge_idx, ops in enumerate(self.edge_op_sets):
-                edge_modules.append(ModuleList(
-                    _build_lr_op(
-                        op, channels,
-                        new_rng(stable_seed("lr-op", base, cell_idx, edge_idx, op)),
-                    )
-                    for op in ops
-                ))
-            cells.append(edge_modules)
-        self.cells = ModuleList(cells)
-
-    @classmethod
-    def from_genotype(cls, genotype: Genotype, channels: int, num_cells: int,
-                      rng: SeedLike = None) -> "LinearRegionNetwork":
-        return cls([(op,) for op in genotype.ops], channels, num_cells, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.stem(x)
-        for cell in self.cells:
-            nodes: List[Tensor] = [out]
-            for dst in range(1, NUM_NODES):
-                total = None
-                for edge_idx, (src, edge_dst) in enumerate(EDGES):
-                    if edge_dst != dst:
-                        continue
-                    ops = cell[edge_idx]
-                    if len(ops) == 0:
-                        continue
-                    edge_out = None
-                    for op in ops:
-                        contribution = op(nodes[src])
-                        edge_out = (contribution if edge_out is None
-                                    else edge_out + contribution)
-                    edge_out = edge_out * (1.0 / len(ops))
-                    total = edge_out if total is None else total + edge_out
-                nodes.append(total if total is not None else nodes[0] * 0.0)
-            out = nodes[-1]
-        return out
+if TYPE_CHECKING:
+    from repro.nn.module import Module
 
 
 def _forward_patterns(network: Module, images: np.ndarray) -> np.ndarray:
     """Concatenated binary ReLU patterns, one row per input."""
-    relus = [m for m in network.modules() if isinstance(m, ReLULayer)]
+    from repro.autograd import Tensor, no_grad
+    from repro.nn.layers.activation import ReLU
+
+    relus = [m for m in network.modules() if isinstance(m, ReLU)]
     if not relus:
         raise ProxyError("network has no ReLU units; linear regions undefined")
     for relu in relus:
@@ -178,16 +98,6 @@ def _regions_along_line(network: Module, start: np.ndarray, stop: np.ndarray,
     return int(changed.sum()) + 1
 
 
-def _draw_lines(generator, shape, num_lines: int):
-    """Random segment endpoints, drawn in the per-line reference order."""
-    starts = np.empty((num_lines, *shape))
-    stops = np.empty((num_lines, *shape))
-    for line in range(num_lines):
-        starts[line] = generator.normal(size=shape) * 2.0
-        stops[line] = generator.normal(size=shape) * 2.0
-    return starts, stops
-
-
 def _count_lines(edge_op_sets, config: ProxyConfig, generator, num_lines: int,
                  mode: str, bank=None) -> List[int]:
     """Region counts for ``num_lines`` random segments in the given mode.
@@ -199,9 +109,6 @@ def _count_lines(edge_op_sets, config: ProxyConfig, generator, num_lines: int,
     network and runs the original one-forward-per-line loop.
     """
     if mode == "batched":
-        # Deferred import: the engine package imports this module.
-        from repro.engine.plan import LinePlan, draw_lr_bank
-
         if bank is None:
             bank = draw_lr_bank(edge_op_sets, config, generator, num_lines)
         plan = LinePlan(edge_op_sets, config.lr_channels, config.lr_num_cells,
@@ -209,16 +116,14 @@ def _count_lines(edge_op_sets, config: ProxyConfig, generator, num_lines: int,
         return [int(c) for c in plan.count(bank)]
     if mode != "reference":
         raise ProxyError(f"unknown linear-region mode {mode!r}")
+    from repro.searchspace.network import LinearRegionNetwork
+
     network = LinearRegionNetwork(edge_op_sets, channels=config.lr_channels,
                                   num_cells=config.lr_num_cells, rng=generator)
-    shape = (3, config.lr_input_size, config.lr_input_size)
-    counts = []
-    for _ in range(num_lines):
-        start = generator.normal(size=shape) * 2.0
-        stop = generator.normal(size=shape) * 2.0
-        counts.append(_regions_along_line(network, start, stop,
-                                          config.lr_num_samples))
-    return counts
+    size = config.lr_input_size
+    starts, stops = _draw_lines(generator, (3, size, size), num_lines)
+    return [_regions_along_line(network, start, stop, config.lr_num_samples)
+            for start, stop in zip(starts, stops)]
 
 
 def count_line_regions(
@@ -250,6 +155,8 @@ def count_sample_regions(
     rng: SeedLike = None,
 ) -> float:
     """Distinct patterns over i.i.d. inputs (TE-NAS estimator; saturates)."""
+    from repro.searchspace.network import LinearRegionNetwork
+
     config = config or ProxyConfig()
     counts = []
     with precision(config.precision_policy()):
@@ -303,8 +210,6 @@ def supernet_line_regions(
             # process draws them once per (config, repeat).
             generator = bank = None
             if mode == "batched" and rng is None:
-                from repro.engine.plan import supernet_lr_bank
-
                 bank = supernet_lr_bank(config, repeat, num_lines)
             else:
                 generator = new_rng(
@@ -315,3 +220,13 @@ def supernet_line_regions(
             counts.extend(_count_lines(edge_op_sets, config, generator,
                                        num_lines, mode, bank=bank))
     return float(np.mean(counts))
+
+
+def __getattr__(name: str):
+    # The network now lives with the other module trees; this module
+    # loads without :mod:`repro.nn`.
+    if name == "LinearRegionNetwork":
+        from repro.searchspace.network import LinearRegionNetwork
+
+        return LinearRegionNetwork
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,23 +27,35 @@ the classic condition number.  Lower is better (more trainable).
 
 :func:`compute_ntk_gram` takes a caller-built network and runs any mode
 on it through the module tree.
+
+The plans load with this module.  The module-tree paths (``"reference"``,
+``"coupled"``, a caller-built ``network``) import the autograd tape,
+:mod:`repro.nn`, the network builders and :mod:`repro.engine.kernels`
+inside their functions, so importing the proxy (as every run and every
+pool worker does) loads none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.autograd import Tensor
 from repro.autograd.precision import get_precision, precision
+from repro.engine.plan import (
+    NtkPlan,
+    draw_ntk_bank,
+    draw_supernet_ntk_bank,
+    supernet_ntk_bank,
+)
 from repro.errors import ProxyError
-from repro.nn.module import Module
 from repro.proxies.base import ProxyConfig, resize_batch
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import build_network
 from repro.utils.rng import SeedLike, new_rng, stable_seed
+
+if TYPE_CHECKING:
+    from repro.nn.module import Module
 
 #: Eigenvalues below this threshold are treated as numerically zero.
 _EIG_EPS = 1e-9
@@ -97,7 +109,7 @@ def _freeze_batch_stats(network: Module, images: np.ndarray) -> None:
     running estimates equal the batch estimates; the network is then put in
     eval mode so subsequent per-sample passes normalise consistently.
     """
-    from repro.autograd import no_grad
+    from repro.autograd import Tensor, no_grad
     from repro.nn.layers.norm import BatchNorm2d
 
     bns = [m for m in network.modules() if isinstance(m, BatchNorm2d)]
@@ -145,6 +157,8 @@ def compute_ntk_gram(
 
     All modes return the (B, B) Gram of per-sample summed-logit gradients.
     """
+    from repro.autograd import Tensor
+
     if mode not in ("batched", "reference", "coupled"):
         raise ProxyError(f"unknown NTK mode {mode!r}")
     batch_size = images.shape[0]
@@ -174,10 +188,9 @@ def compute_ntk_gram(
         return jacobian @ jacobian.T
 
     if mode == "batched":
-        # Deferred import: the engine package imports this module at load
-        # time, so the kernel layer is resolved lazily at first use.  The
-        # kernel freezes BatchNorm statistics inside its single forward,
-        # so the separate freeze pass is skipped entirely.
+        # The module-tree kernel loads on first use, like the module tree
+        # it runs on.  It freezes BatchNorm statistics inside its single
+        # forward, so the separate freeze pass is skipped entirely.
         from repro.engine.kernels import batched_ntk_jacobian
 
         jacobian = batched_ntk_jacobian(network, images)
@@ -228,6 +241,8 @@ def ntk_spectrum(
             gram = plan.gram(_genotype_bank(genotype, config, generator), images)
         else:
             if network is None:
+                from repro.searchspace.network import build_network
+
                 network = build_network(genotype, config.macro_config(),
                                         rng=generator)
             gram = compute_ntk_gram(network, images, mode=config.ntk_mode)
@@ -261,6 +276,8 @@ def ntk_grams(
     with precision(config.precision_policy()):
         plan = _genotype_plan(genotype, config)
         if plan is None:
+            from repro.searchspace.network import build_network
+
             def build(generator):
                 return build_network(genotype, config.macro_config(),
                                      rng=generator)
@@ -345,8 +362,6 @@ def supernet_ntk_condition_number(
     with precision(config.precision_policy()):
         plan = None
         if config.ntk_mode == "batched":
-            from repro.engine.plan import NtkPlan
-
             plan = NtkPlan([spec.alive_ops for spec in edge_specs],
                            config.macro_config(), supercell=True)
         for repeat in range(config.repeats):
@@ -383,8 +398,6 @@ def _supernet_gram(edge_specs, config: ProxyConfig, repeat: int,
 
 def _supernet_bank(config: ProxyConfig, repeat: int, rng: SeedLike):
     """The process's memoized supernet bank, or one drawn from ``rng``."""
-    from repro.engine.plan import draw_supernet_ntk_bank, supernet_ntk_bank
-
     if rng is None:
         return supernet_ntk_bank(config, repeat)
     return draw_supernet_ntk_bank(config, _supernet_generator(config, repeat, rng))
@@ -394,15 +407,11 @@ def _genotype_plan(genotype: Genotype, config: ProxyConfig):
     """The genotype's compiled NTK plan in ``"batched"`` mode, else None."""
     if config.ntk_mode != "batched":
         return None
-    from repro.engine.plan import NtkPlan
-
     return NtkPlan([(op,) for op in genotype.ops], config.macro_config(),
                    supercell=False)
 
 
 def _genotype_bank(genotype: Genotype, config: ProxyConfig, generator):
     """The weights ``build_network(genotype, ...)`` draws from ``generator``."""
-    from repro.engine.plan import draw_ntk_bank
-
     return draw_ntk_bank([(op,) for op in genotype.ops],
                          config.macro_config(), generator)

@@ -82,6 +82,7 @@ executor keeps the books (worker seconds, utilisation, timeouts) from
 the task results they return.
 """
 
+from repro._lazy import lazy_exports as _lazy_exports
 from repro.runtime.async_pool import (
     AsyncPoolStats,
     AsyncPopulationExecutor,
@@ -158,13 +159,7 @@ __all__ = [
 
 #: Names served lazily from :mod:`repro.runtime.fleet`, so importing the
 #: runtime (or the harness) never pays for the socket/broker stack.
-_FLEET_NAMES = ("FleetBroker", "FleetPool", "FleetWorkerLostError",
-                "FleetWorkerStats", "run_worker", "spawn_local_worker")
-
-
-def __getattr__(name):
-    if name in _FLEET_NAMES:
-        from repro.runtime import fleet
-
-        return getattr(fleet, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "fleet": ("FleetBroker", "FleetPool", "FleetWorkerLostError",
+              "FleetWorkerStats", "run_worker", "spawn_local_worker"),
+})

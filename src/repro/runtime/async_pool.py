@@ -73,7 +73,6 @@ plugs in without touching scheduling.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
@@ -232,7 +231,7 @@ class FuturePool:
                  max_respawns: int = 3,
                  telemetry: Optional[Telemetry] = None) -> None:
         if n_workers is None:
-            n_workers = multiprocessing.cpu_count()
+            n_workers = os.cpu_count() or 1
         if n_workers < 1:
             raise SearchError("n_workers must be >= 1")
         if mode not in ("auto", "fork", "thread", "serial"):
@@ -268,6 +267,7 @@ class FuturePool:
 
                 self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
             else:
+                import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
                 self._pool = ProcessPoolExecutor(

@@ -86,7 +86,7 @@ from repro.proxies.base import ProxyConfig
 from repro.runtime.async_pool import TaskResult, WorkerSpan
 from repro.runtime.faults import ChunkTimeoutError, TransientWorkerError
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.specs import MacroConfig
 
 
 # ----------------------------------------------------------------------

@@ -22,10 +22,19 @@ New algorithms register with :func:`register_algorithm`; the builder
 receives the harness and returns a
 :class:`~repro.search.result.SearchResult`, so external search loops plug
 in without touching this module.
+
+Imports follow execution.  Importing this module loads what every run
+executes: the engine, the proxies and their compiled plans (before any
+pool forks), the executor, the store, the objective and the Pareto sort.
+Building a :class:`RunHarness` imports the configured algorithm's search
+module (and the cost models when objectives are set), so :meth:`run` and
+:meth:`run_matrix` import nothing.  Module trees (:mod:`repro.nn`),
+benchmark data and the int8/graph/deployment models stay unloaded.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import signal
@@ -34,15 +43,23 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.autograd.precision import resolve_policy
+from repro.engine.core import Engine
 from repro.errors import SearchError
+from repro.hardware.device import get_device, known_devices
 from repro.proxies.base import ProxyConfig
 from repro.runtime.async_pool import AsyncPopulationExecutor
 from repro.runtime.faults import FaultPolicy
 from repro.runtime.store import RuntimeStore, cache_fingerprint
 from repro.runtime.telemetry import Heartbeat, Telemetry
+from repro.search.objective import HybridObjective, ObjectiveWeights
+from repro.search.pareto import first_front, knee_index
 from repro.search.result import SearchResult
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.space import NasBench201Space
+from repro.searchspace.specs import MacroConfig
 from repro.utils.timing import Timer
 
 
@@ -229,6 +246,17 @@ class DeviceMatrixReport(_JsonReport):
 # ----------------------------------------------------------------------
 ALGORITHMS: Dict[str, Callable[["RunHarness"], SearchResult]] = {}
 
+#: The search module each built-in algorithm's builder imports.  Building
+#: a harness imports it, so its import time counts as set-up, not search.
+_ALGORITHM_MODULES = {
+    "random": "repro.search.random_search",
+    "evolutionary": "repro.search.evolutionary",
+    "trainless-evolutionary": "repro.search.evolutionary",
+    "steady-state": "repro.search.evolutionary",
+    "pruning": "repro.search.pruning",
+    "macro": "repro.search.macro",
+}
+
 
 def register_algorithm(name: str):
     """Decorator registering a harness-runnable search algorithm."""
@@ -369,9 +397,6 @@ class RunHarness:
     """Materialises a :class:`RuntimeConfig` and runs its algorithm."""
 
     def __init__(self, config: RuntimeConfig) -> None:
-        from repro.engine.core import Engine
-        from repro.hardware.device import known_devices
-
         if config.algorithm not in ALGORITHMS:
             raise SearchError(
                 f"unknown algorithm {config.algorithm!r}; registered: "
@@ -398,11 +423,11 @@ class RunHarness:
                         f"{list(registered)}")
         # Fail fast on unknown precision names (the proxies would only
         # raise at first evaluation, deep inside the run).
-        from repro.autograd.precision import resolve_policy
-
         resolve_policy(config.precision)
         if config.fleet_workers < 0:
             raise SearchError("fleet_workers must be >= 0")
+        if not config.devices and config.algorithm in _ALGORITHM_MODULES:
+            importlib.import_module(_ALGORITHM_MODULES[config.algorithm])
         self.config = config
         self.device = devices[config.device]
         self.proxy_config = config.proxy_config()
@@ -537,8 +562,6 @@ class RunHarness:
         naming ``energy,peak-mem`` scores those axes even outside
         device-matrix mode.
         """
-        from repro.search.objective import HybridObjective, ObjectiveWeights
-
         axes = self.config.cost_axes()
         latency_weight = self.config.latency_weight
         if not latency_weight and "latency" in axes:
@@ -716,12 +739,6 @@ class RunHarness:
 
     def _matrix_body(self):
         """One trainless population pass, then every cell's front."""
-        import numpy as np
-
-        from repro.hardware.device import get_device
-        from repro.search.objective import HybridObjective, ObjectiveWeights
-        from repro.searchspace.space import NasBench201Space
-
         config = self.config
         objective_sets = config.objective_sets() or (("latency",),)
         # Quality is the trainless part only — hardware enters as cost
@@ -756,10 +773,6 @@ class RunHarness:
     def _matrix_cell(device_name, axes, genotypes, quality,
                      columns) -> MatrixCell:
         """Sort one (device, objective-set) cell's Pareto front."""
-        import numpy as np
-
-        from repro.search.pareto import first_front, knee_index
-
         vectors = np.column_stack(
             [np.asarray(quality, dtype=float)]
             + [columns[axis] for axis in axes])

@@ -46,17 +46,23 @@ therefore reports one hit per computed row on top of its misses.
 from __future__ import annotations
 
 import ctypes
-import multiprocessing
 import os
 import time
 from typing import List, Sequence, Tuple
 
 from repro.engine.core import genotype_indicator_keys, supernet_indicator_keys
-from repro.searchspace.cell import EdgeSpec
+from repro.proxies.flops import count_flops
+from repro.proxies.linear_regions import count_line_regions, supernet_line_regions
+from repro.proxies.ntk import ntk_condition_number, supernet_ntk_condition_number
 from repro.searchspace.genotype import Genotype
+from repro.searchspace.specs import EdgeSpec
 
 
 def _fork_available() -> bool:
+    # Imported here: a serial run never asks, and never loads
+    # multiprocessing.
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -122,10 +128,6 @@ def _evaluate_genotype_chunk(payload: Tuple) -> List[Tuple]:
     """
     _apply_allocator_policy()
     items, proxy_config, macro_config = payload
-    from repro.proxies.flops import count_flops
-    from repro.proxies.linear_regions import count_line_regions
-    from repro.proxies.ntk import ntk_condition_number
-
     rows: List[Tuple] = []
     for ops, (need_ntk, need_lr, need_flops) in items:
         genotype = Genotype(tuple(ops))
@@ -152,9 +154,6 @@ def _evaluate_supernet_chunk(payload: Tuple) -> List[Tuple]:
     """
     _apply_allocator_policy()
     items, proxy_config = payload
-    from repro.proxies.linear_regions import supernet_line_regions
-    from repro.proxies.ntk import supernet_ntk_condition_number
-
     rows: List[Tuple] = []
     for state, (need_ntk, need_lr) in items:
         specs = [EdgeSpec(i, tuple(ops)) for i, ops in enumerate(state)]

@@ -100,7 +100,7 @@ from repro.hardware.profiler import LatencyLUT
 from repro.proxies.base import ProxyConfig
 from repro.runtime.telemetry import Telemetry
 from repro.runtime.tracing import CAT_STORE
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.specs import MacroConfig
 
 #: Bump when the meaning of cached values or the on-disk layout changes;
 #: old store files then self-invalidate: they read as misses and

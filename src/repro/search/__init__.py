@@ -24,77 +24,29 @@ batched, canonicalization-aware evaluation layer — rather than being
 re-derived inline by each algorithm.
 """
 
-from repro.search.objective import HybridObjective, ObjectiveWeights
-from repro.search.costs import (
-    CostModel,
-    DEPLOY_PRECISIONS,
-    DeployPrecision,
-    FLOAT32_DEPLOY,
-    INT8_DEPLOY,
-    build_cost_model,
-    register_cost_model,
-    registered_cost_models,
-    resolve_deploy_precision,
-)
-from repro.search.constraints import HardwareConstraints
-from repro.search.result import SearchResult
-from repro.search.pruning import MicroNASSearch
-from repro.search.tenas import TENASSearch
-from repro.search.random_search import ZeroShotRandomSearch
-from repro.search.evolutionary import (
-    ConstrainedEvolutionarySearch,
-    EvolutionConfig,
-    SteadyStateEvolutionarySearch,
-    TrainlessEvolutionarySearch,
-)
-from repro.search.pareto import (
-    ParetoPoint,
-    ParetoResult,
-    ParetoZeroShotSearch,
-    crowding_distance,
-    dominates,
-    non_dominated_sort,
-)
-from repro.search.macro import (
-    DeploymentPlan,
-    MacroCandidate,
-    MacroSearchSpace,
-    MacroStageSearch,
-    device_constraints,
-    plan_deployment,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "HybridObjective",
-    "ObjectiveWeights",
-    "CostModel",
-    "DeployPrecision",
-    "DEPLOY_PRECISIONS",
-    "FLOAT32_DEPLOY",
-    "INT8_DEPLOY",
-    "build_cost_model",
-    "register_cost_model",
-    "registered_cost_models",
-    "resolve_deploy_precision",
-    "HardwareConstraints",
-    "SearchResult",
-    "MicroNASSearch",
-    "TENASSearch",
-    "ZeroShotRandomSearch",
-    "ConstrainedEvolutionarySearch",
-    "SteadyStateEvolutionarySearch",
-    "TrainlessEvolutionarySearch",
-    "EvolutionConfig",
-    "DeploymentPlan",
-    "MacroCandidate",
-    "MacroSearchSpace",
-    "MacroStageSearch",
-    "device_constraints",
-    "plan_deployment",
-    "ParetoPoint",
-    "ParetoResult",
-    "ParetoZeroShotSearch",
-    "crowding_distance",
-    "dominates",
-    "non_dominated_sort",
-]
+#: Public names by defining submodule, imported on first access (PEP 562):
+#: a run loads the search module its algorithm runs, not all of them.
+_EXPORTS = {
+    "objective": ("HybridObjective", "ObjectiveWeights"),
+    "costs": ("CostModel", "DeployPrecision", "DEPLOY_PRECISIONS",
+              "FLOAT32_DEPLOY", "INT8_DEPLOY", "build_cost_model",
+              "register_cost_model", "registered_cost_models",
+              "resolve_deploy_precision"),
+    "constraints": ("HardwareConstraints",),
+    "result": ("SearchResult",),
+    "pruning": ("MicroNASSearch",),
+    "tenas": ("TENASSearch",),
+    "random_search": ("ZeroShotRandomSearch",),
+    "evolutionary": ("ConstrainedEvolutionarySearch",
+                     "SteadyStateEvolutionarySearch",
+                     "TrainlessEvolutionarySearch", "EvolutionConfig"),
+    "macro": ("DeploymentPlan", "MacroCandidate", "MacroSearchSpace",
+              "MacroStageSearch", "device_constraints", "plan_deployment"),
+    "pareto": ("ParetoPoint", "ParetoResult", "ParetoZeroShotSearch",
+               "crowding_distance", "dominates", "non_dominated_sort"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,7 +9,7 @@ from repro.hardware.latency import LatencyEstimator
 from repro.hardware.memory import MemoryEstimator
 from repro.proxies.flops import count_flops, count_params
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.specs import MacroConfig
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from repro.hardware.latency import LatencyEstimator
 from repro.hardware.memplan import PLANNING_STRATEGIES, plan_memory, tensor_lifetimes
 from repro.proxies.flops import count_flops
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.specs import MacroConfig
 
 
 # ----------------------------------------------------------------------

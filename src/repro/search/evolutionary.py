@@ -25,8 +25,8 @@ from repro.search.objective import HybridObjective
 from repro.search.result import SearchResult
 from repro.searchspace.canonical import canonicalize
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.space import NasBench201Space
+from repro.searchspace.specs import MacroConfig
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.timing import CostLedger, Timer
 

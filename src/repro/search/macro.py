@@ -29,7 +29,7 @@ from repro.hardware.memory import MemoryEstimator
 from repro.hardware.profiler import OnDeviceProfiler
 from repro.search.constraints import HardwareConstraints
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
+from repro.searchspace.specs import MacroConfig
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,9 @@ from repro.hardware.layers import op_layer
 from repro.proxies.base import ProxyConfig
 from repro.proxies.flops import count_flops
 from repro.proxies.ranking import combine_ranks
-from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import EDGES, NUM_NODES, op_flops
+from repro.searchspace.specs import EdgeSpec, MacroConfig
 from repro.utils.timing import CostLedger
 
 #: A large-but-finite stand-in for infinite condition numbers so ranking

@@ -22,9 +22,9 @@ from repro.errors import SearchError
 from repro.search.constraints import ConstraintChecker, HardwareConstraints
 from repro.search.objective import HybridObjective, ObjectiveWeights
 from repro.search.result import SearchResult
-from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.ops import CANDIDATE_OPS, NUM_EDGES
+from repro.searchspace.specs import EdgeSpec
 from repro.utils.timing import Timer
 
 

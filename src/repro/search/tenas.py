@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 from repro.proxies.base import ProxyConfig
 from repro.search.objective import HybridObjective, ObjectiveWeights
 from repro.search.pruning import MicroNASSearch
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import CANDIDATE_OPS
+from repro.searchspace.specs import MacroConfig
 
 
 class TENASSearch(MicroNASSearch):

@@ -7,49 +7,22 @@ NAS-Bench-201 macro skeleton: stem -> N cells -> reduction -> N cells ->
 reduction -> N cells -> global pool -> classifier.
 """
 
-from repro.searchspace.ops import (
-    CANDIDATE_OPS,
-    NUM_EDGES,
-    NUM_NODES,
-    OP_INDEX,
-    build_op,
-    op_is_parametric,
-)
-from repro.searchspace.genotype import Genotype
-from repro.searchspace.cell import Cell, EdgeSpec, SuperCell
-from repro.searchspace.network import MacroConfig, NasBench201Network, build_network
-from repro.searchspace.features import TopologyFeatures, extract_features
-from repro.searchspace.space import NasBench201Space
-from repro.searchspace.stats import (
-    SpaceStatistics,
-    canonical_census,
-    class_of,
-    op_histogram,
-    space_statistics,
-    unique_sample,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "CANDIDATE_OPS",
-    "NUM_EDGES",
-    "NUM_NODES",
-    "OP_INDEX",
-    "build_op",
-    "op_is_parametric",
-    "Genotype",
-    "Cell",
-    "EdgeSpec",
-    "SuperCell",
-    "MacroConfig",
-    "NasBench201Network",
-    "build_network",
-    "TopologyFeatures",
-    "extract_features",
-    "NasBench201Space",
-    "SpaceStatistics",
-    "canonical_census",
-    "class_of",
-    "op_histogram",
-    "space_statistics",
-    "unique_sample",
-]
+#: Public names by defining submodule, imported on first access (PEP 562):
+#: ``import repro.searchspace.genotype`` does not build the module tree.
+_EXPORTS = {
+    "ops": ("CANDIDATE_OPS", "NUM_EDGES", "NUM_NODES", "OP_INDEX",
+            "op_is_parametric"),
+    "genotype": ("Genotype",),
+    "specs": ("EdgeSpec", "MacroConfig"),
+    "cell": ("Cell", "SuperCell", "build_op"),
+    "network": ("NasBench201Network", "build_network"),
+    "features": ("TopologyFeatures", "extract_features"),
+    "space": ("NasBench201Space",),
+    "stats": ("SpaceStatistics", "canonical_census", "class_of",
+              "op_histogram", "space_statistics", "unique_sample"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

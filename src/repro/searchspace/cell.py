@@ -3,19 +3,70 @@
 Node semantics follow NAS-Bench-201: node 0 is the cell input, and each
 later node is the *sum* of its incoming edge operations applied to the
 corresponding source nodes.  Node 3 is the cell output.
+
+The candidate operations' modules (:func:`build_op`) are built here;
+their names and closed-form costs are in :mod:`repro.searchspace.ops`.
+:class:`~repro.searchspace.specs.EdgeSpec` is re-exported for callers
+that import it from this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.autograd import Tensor
 from repro.errors import SearchSpaceError
-from repro.nn import Module, ModuleList
+from repro.nn import (
+    AvgPool2d,
+    BatchNorm2d,
+    Conv2d,
+    Module,
+    ModuleList,
+    ReLU,
+    Sequential,
+)
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.ops import EDGES, NUM_NODES, build_op
+from repro.searchspace.ops import CONV_KERNEL, EDGES, NUM_NODES
+from repro.searchspace.specs import EdgeSpec
 from repro.utils.rng import SeedLike, new_rng, stable_seed
+
+
+class Zero(Module):
+    """The ``none`` operation: output zeros of the input shape."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return x * 0.0
+
+
+class Identity(Module):
+    """The ``skip_connect`` operation."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return x
+
+
+def build_op(op_name: str, channels: int, rng: SeedLike = None,
+             record_patterns: bool = False) -> Module:
+    """Instantiate a candidate operation at the given channel width.
+
+    ``record_patterns`` turns on ReLU activation-pattern recording, which the
+    linear-region proxy consumes.
+    """
+    if op_name == "none":
+        return Zero()
+    if op_name == "skip_connect":
+        return Identity()
+    if op_name == "avg_pool_3x3":
+        return AvgPool2d(3, stride=1, padding=1)
+    if op_name in CONV_KERNEL:
+        kernel = CONV_KERNEL[op_name]
+        return Sequential(
+            ReLU(record_pattern=record_patterns),
+            Conv2d(channels, channels, kernel, stride=1,
+                   padding=kernel // 2, bias=False, rng=rng),
+            BatchNorm2d(channels),
+        )
+    raise SearchSpaceError(f"unknown operation {op_name!r}")
 
 
 class Cell(Module):
@@ -49,26 +100,6 @@ class Cell(Module):
                 raise SearchSpaceError(f"node {dst} has no incoming edges")
             nodes.append(total)
         return nodes[-1]
-
-
-@dataclass
-class EdgeSpec:
-    """The set of operations still alive on one supernet edge."""
-
-    edge_index: int
-    alive_ops: Tuple[str, ...]
-
-    def without(self, op_name: str) -> "EdgeSpec":
-        if op_name not in self.alive_ops:
-            raise SearchSpaceError(
-                f"op {op_name!r} not alive on edge {self.edge_index}"
-            )
-        remaining = tuple(op for op in self.alive_ops if op != op_name)
-        return EdgeSpec(self.edge_index, remaining)
-
-    @property
-    def decided(self) -> bool:
-        return len(self.alive_ops) == 1
 
 
 class SuperCell(Module):

@@ -13,14 +13,18 @@ Layout (for ``MacroConfig(init_channels=C, cells_per_stage=N)``)::
 The proxies run on a *reduced* configuration (fewer cells, narrower, small
 input) exactly as TE-NAS does; the hardware indicators are computed on the
 full deployment configuration.
+
+:class:`LinearRegionNetwork` is the BN-free conv+ReLU network the
+linear-region proxy walks probe lines through.  :class:`~repro.searchspace.\
+specs.MacroConfig` is re-exported for callers that import it from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.autograd import Tensor
+from repro.errors import ProxyError
 from repro.nn import (
     AvgPool2d,
     BatchNorm2d,
@@ -32,43 +36,11 @@ from repro.nn import (
     ReLU,
     Sequential,
 )
-from repro.searchspace.cell import Cell, EdgeSpec, SuperCell
+from repro.searchspace.cell import Cell, Identity, SuperCell, Zero
 from repro.searchspace.genotype import Genotype
-from repro.utils.rng import SeedLike, new_rng
-
-
-@dataclass(frozen=True)
-class MacroConfig:
-    """Macro-skeleton hyper-parameters.
-
-    ``full()`` matches the NAS-Bench-201 training configuration; ``proxy()``
-    is the reduced network the zero-cost indicators are measured on.
-    """
-
-    init_channels: int = 16
-    cells_per_stage: int = 5
-    num_classes: int = 10
-    input_channels: int = 3
-    image_size: int = 32
-
-    @classmethod
-    def full(cls, num_classes: int = 10, image_size: int = 32) -> "MacroConfig":
-        return cls(16, 5, num_classes, 3, image_size)
-
-    @classmethod
-    def proxy(cls, num_classes: int = 10) -> "MacroConfig":
-        return cls(init_channels=8, cells_per_stage=1, num_classes=num_classes,
-                   input_channels=3, image_size=16)
-
-    @property
-    def stage_channels(self) -> Tuple[int, int, int]:
-        c = self.init_channels
-        return (c, 2 * c, 4 * c)
-
-    @property
-    def stage_sizes(self) -> Tuple[int, int, int]:
-        s = self.image_size
-        return (s, s // 2, s // 4)
+from repro.searchspace.ops import CONV_KERNEL, EDGES, NUM_NODES
+from repro.searchspace.specs import EdgeSpec, MacroConfig
+from repro.utils.rng import SeedLike, new_rng, stable_seed
 
 
 class ReductionBlock(Module):
@@ -168,3 +140,92 @@ def build_supernet(
                          record_patterns=record_patterns)
 
     return NasBench201Network(config, factory, rng=generator)
+
+
+def _build_lr_op(op_name: str, channels: int, rng) -> Module:
+    """Edge operator of the piecewise-linear expressivity network."""
+    if op_name == "none":
+        return Zero()
+    if op_name == "skip_connect":
+        return Identity()
+    if op_name == "avg_pool_3x3":
+        return AvgPool2d(3, stride=1, padding=1)
+    if op_name in CONV_KERNEL:
+        kernel = CONV_KERNEL[op_name]
+        return Sequential(
+            Conv2d(channels, channels, kernel, stride=1, padding=kernel // 2,
+                   bias=True, rng=rng),
+            ReLU(record_pattern=True),
+        )
+    raise ProxyError(f"unknown operation {op_name!r}")
+
+
+class LinearRegionNetwork(Module):
+    """BN-free conv+ReLU realisation of a cell for region counting.
+
+    The paper assesses expressivity on "a simple CNN with each layer
+    containing a single convolutional operator followed by the ReLU
+    activation function" (:mod:`repro.proxies.linear_regions`).
+    ``edge_op_sets`` holds one tuple of alive operation names per edge: a
+    concrete genotype has singleton tuples, the pruning supernet may have
+    several alive ops per edge (their outputs are averaged, matching
+    :class:`~repro.searchspace.cell.SuperCell` semantics).
+    """
+
+    def __init__(self, edge_op_sets, channels: int, num_cells: int,
+                 rng: SeedLike = None) -> None:
+        super().__init__()
+        generator = new_rng(rng)
+        self.edge_op_sets = [tuple(ops) for ops in edge_op_sets]
+        if len(self.edge_op_sets) != len(EDGES):
+            raise ProxyError(
+                f"need {len(EDGES)} edge op sets, got {len(self.edge_op_sets)}"
+            )
+        self.stem = Sequential(
+            Conv2d(3, channels, 3, stride=1, padding=1, bias=True, rng=generator),
+            ReLU(record_pattern=True),
+        )
+        # Weight sharing across prunings: seed each (cell, edge, op) module
+        # independently of the other alive ops (see SuperCell).
+        base = int(generator.integers(2**31))
+        cells = []
+        for cell_idx in range(num_cells):
+            edge_modules = ModuleList()
+            for edge_idx, ops in enumerate(self.edge_op_sets):
+                edge_modules.append(ModuleList(
+                    _build_lr_op(
+                        op, channels,
+                        new_rng(stable_seed("lr-op", base, cell_idx, edge_idx, op)),
+                    )
+                    for op in ops
+                ))
+            cells.append(edge_modules)
+        self.cells = ModuleList(cells)
+
+    @classmethod
+    def from_genotype(cls, genotype: Genotype, channels: int, num_cells: int,
+                      rng: SeedLike = None) -> "LinearRegionNetwork":
+        return cls([(op,) for op in genotype.ops], channels, num_cells, rng=rng)
+
+    def forward(self, x: Tensor) -> Tensor:
+        out = self.stem(x)
+        for cell in self.cells:
+            nodes: List[Tensor] = [out]
+            for dst in range(1, NUM_NODES):
+                total = None
+                for edge_idx, (src, edge_dst) in enumerate(EDGES):
+                    if edge_dst != dst:
+                        continue
+                    ops = cell[edge_idx]
+                    if len(ops) == 0:
+                        continue
+                    edge_out = None
+                    for op in ops:
+                        contribution = op(nodes[src])
+                        edge_out = (contribution if edge_out is None
+                                    else edge_out + contribution)
+                    edge_out = edge_out * (1.0 / len(ops))
+                    total = edge_out if total is None else total + edge_out
+                nodes.append(total if total is not None else nodes[0] * 0.0)
+            out = nodes[-1]
+        return out

@@ -9,16 +9,16 @@ The operator set is fixed by the benchmark definition:
 * ``avg_pool_3x3``  — 3×3 average pooling (stride 1, pad 1).
 
 All cell-internal operations are stride 1 and channel preserving.
+
+This module holds the operator names and their closed-form costs only.
+The operator modules (``Zero``, ``Identity``, ``build_op``) live with the
+cells that build them, in :mod:`repro.searchspace.cell`; reading them
+from here still works and imports the module tree on first access.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
-
-from repro.autograd import Tensor
-from repro.errors import SearchSpaceError
-from repro.nn import AvgPool2d, BatchNorm2d, Conv2d, Module, ReLU, Sequential
-from repro.utils.rng import SeedLike
 
 NUM_NODES = 4
 NUM_EDGES = 6
@@ -41,47 +41,9 @@ OP_INDEX: Dict[str, int] = {name: idx for idx, name in enumerate(CANDIDATE_OPS)}
 CONV_KERNEL: Dict[str, int] = {"nor_conv_1x1": 1, "nor_conv_3x3": 3}
 
 
-class Zero(Module):
-    """The ``none`` operation: output zeros of the input shape."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x * 0.0
-
-
-class Identity(Module):
-    """The ``skip_connect`` operation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
 def op_is_parametric(op_name: str) -> bool:
     """Whether an operation has learnable weights (affects params/FLOPs)."""
     return op_name in CONV_KERNEL
-
-
-def build_op(op_name: str, channels: int, rng: SeedLike = None,
-             record_patterns: bool = False) -> Module:
-    """Instantiate a candidate operation at the given channel width.
-
-    ``record_patterns`` turns on ReLU activation-pattern recording, which the
-    linear-region proxy consumes.
-    """
-    if op_name == "none":
-        return Zero()
-    if op_name == "skip_connect":
-        return Identity()
-    if op_name == "avg_pool_3x3":
-        return AvgPool2d(3, stride=1, padding=1)
-    if op_name in CONV_KERNEL:
-        kernel = CONV_KERNEL[op_name]
-        return Sequential(
-            ReLU(record_pattern=record_patterns),
-            Conv2d(channels, channels, kernel, stride=1,
-                   padding=kernel // 2, bias=False, rng=rng),
-            BatchNorm2d(channels),
-        )
-    raise SearchSpaceError(f"unknown operation {op_name!r}")
 
 
 def op_flops(op_name: str, channels: int, height: int, width: int) -> int:
@@ -105,3 +67,15 @@ def op_params(op_name: str, channels: int) -> int:
         kernel = CONV_KERNEL[op_name]
         return channels * channels * kernel * kernel + 2 * channels
     return 0
+
+
+#: Names served from :mod:`repro.searchspace.cell` on first access.
+_MODULE_TREE_NAMES = ("Zero", "Identity", "build_op")
+
+
+def __getattr__(name: str):
+    if name in _MODULE_TREE_NAMES:
+        from repro.searchspace import cell
+
+        return getattr(cell, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

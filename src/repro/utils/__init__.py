@@ -1,7 +1,13 @@
 """Shared utilities: seeded RNG handling, timing, and table formatting."""
 
-from repro.utils.rng import RngMixin, new_rng, spawn_rng
-from repro.utils.timing import Timer
-from repro.utils.tabulate import format_table
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = ["RngMixin", "new_rng", "spawn_rng", "Timer", "format_table"]
+#: Public names by defining submodule, imported on first access (PEP 562).
+_EXPORTS = {
+    "rng": ("RngMixin", "new_rng", "spawn_rng"),
+    "timing": ("Timer",),
+    "tabulate": ("format_table",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

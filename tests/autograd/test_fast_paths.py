@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor, functional as F
+from repro.autograd import Tensor, arrays as A, functional as F
 from repro.autograd.precision import precision
 from repro.nn.layers.norm import BatchNorm2d
 
@@ -148,11 +148,11 @@ def test_conv2d_bit_identical(case, c_out):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_pointwise_unfold_is_a_view(dtype):
     x = np.arange(2 * 3 * 4 * 5, dtype=dtype).reshape(2, 3, 4, 5)
-    cols, (oh, ow) = F._im2col(x, 1, 1, 0)
+    cols, (oh, ow) = A._im2col(x, 1, 1, 0)
     assert (oh, ow) == (4, 5)
     assert np.shares_memory(cols, x)
     _assert_same(cols, old_im2col(x, 1, 1, 0)[0])
-    folded = F._col2im(cols, x.shape, 1, 1, 0)
+    folded = A._col2im(cols, x.shape, 1, 1, 0)
     assert np.shares_memory(folded, cols)
     _assert_same(folded, old_col2im(cols, x.shape, 1, 1, 0))
 
@@ -296,12 +296,12 @@ def test_hwnc_window_bodies_match_nchw_bodies(case):
     cols = _with_specials(rng, (n, c * kernel * kernel, oh * ow), dtype)
     x = _with_specials(rng, x_shape, dtype)
     grad = _with_specials(rng, (n, c, oh, ow), dtype)
-    windows = F._pool_windows(kernel, stride, oh, ow)
+    windows = A._pool_windows(kernel, stride, oh, ow)
 
     pairs = [
-        ((F._col2im_hwnc, F._col2im_nchw), (cols, x_shape, kernel, stride, padding)),
-        ((F._avg_pool_hwnc, F._avg_pool_nchw), (x, kernel, padding, windows)),
-        ((F._avg_pool_grad_hwnc, F._avg_pool_grad_nchw),
+        ((A._col2im_hwnc, A._col2im_nchw), (cols, x_shape, kernel, stride, padding)),
+        ((A._avg_pool_hwnc, A._avg_pool_nchw), (x, kernel, padding, windows)),
+        ((A._avg_pool_grad_hwnc, A._avg_pool_grad_nchw),
          (grad, x_shape, kernel, padding, windows)),
     ]
     for (hwnc, nchw), args in pairs:
@@ -309,14 +309,14 @@ def test_hwnc_window_bodies_match_nchw_bodies(case):
         assert fast.flags.c_contiguous
         _assert_same_bits(fast, nchw(*args))
     want = old_col2im(cols, x_shape, kernel, stride, padding)
-    folded = F._col2im(cols, x_shape, kernel, stride, padding)
-    if F._is_pointwise(kernel, stride, padding):
+    folded = A._col2im(cols, x_shape, kernel, stride, padding)
+    if A._is_pointwise(kernel, stride, padding):
         # A pointwise fold is a view of ``cols``: its -0.0 stays -0.0 where
         # a fold onto +0.0 gives +0.0, so only the values are equal.
         np.testing.assert_array_equal(folded, want)
     else:
         _assert_same_bits(folded, want)
-    _assert_same_bits(F._avg_pool(x, kernel, padding, windows),
+    _assert_same_bits(A._avg_pool(x, kernel, padding, windows),
                       _sequential_pool(x, kernel, stride, padding))
 
 

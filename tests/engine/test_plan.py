@@ -309,7 +309,7 @@ def test_entry_points_equal_the_module_tree_path(tiny_proxy_config,
         spectrum = _eigvalsh_desc(ntk_module.compute_ntk_gram(network, fixed))
     monkeypatch.setattr("repro.nn.module.Module.__call__", _forbidden)
     monkeypatch.setattr("repro.searchspace.network.build_supernet", _forbidden)
-    monkeypatch.setattr(ntk_module, "build_network", _forbidden)
+    monkeypatch.setattr("repro.searchspace.network.build_network", _forbidden)
     assert supernet_ntk_condition_number(_specs(state), config) == supernet[0]
     assert supernet_line_regions(state, config) == supernet[1]
     grams = ntk_grams(heavy_genotype, config)

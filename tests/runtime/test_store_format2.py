@@ -27,6 +27,7 @@ from repro.runtime.store import (
     _fingerprint_digest,
 )
 from repro.searchspace.network import MacroConfig
+from tests.runtime.test_store_index import pause_after_base
 
 pytestmark = pytest.mark.store
 
@@ -294,15 +295,22 @@ class TestConcurrentAppend:
                                                        fingerprint):
         """A compactor folding while a writer appends and reads: every
         row persisted must survive (the append lock on the fold) and
-        every load must see at least what the writer already saved (the
+        every load must hold every row the writer already saved (the
         base lock on replay — without it, a load between the compactor's
-        base swap and segment unlink sees a hole)."""
+        base swap and segment unlink misses the rows that were only in
+        the unlinked segments).  The compactor folds without pause until
+        the writer is done, so its folds find rows that exist only in
+        segments, and the writer pauses after each base read, so a fold
+        that can slip between base and segments does."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
         store = RuntimeStore(tmp_path / "store", auto_compact_segments=None)
-        rows = 30
+        rows = 40
 
         def writer() -> None:
+            # This forked process is the only reader that pauses.
+            RuntimeStore._read_jsonl_rows = pause_after_base(
+                RuntimeStore._read_jsonl_rows)
             cache = IndicatorCache()
             for row in range(rows):
                 cache.put(key(row), float(row))
@@ -310,17 +318,20 @@ class TestConcurrentAppend:
                 probe = IndicatorCache()
                 seen = store.load_cache_into(probe, fingerprint,
                                              strict=True)
-                assert seen >= row + 1, (seen, row)
-                time.sleep(0.001)
+                assert seen == row + 1, (seen, row)
+                for earlier in range(row + 1):
+                    assert probe.get(key(earlier)) == float(earlier)
 
         context = multiprocessing.get_context("fork")
         process = context.Process(target=writer)
         process.start()
-        for _ in range(10):
+        folds, deadline = 0, time.monotonic() + 60
+        while process.is_alive() and time.monotonic() < deadline:
             store.compact_cache(fingerprint)
-            time.sleep(0.003)
-        process.join(timeout=60)
+            folds += 1
+        process.join(timeout=30)
         assert process.exitcode == 0
+        assert folds > 1
         store.compact_cache(fingerprint)
         restored = IndicatorCache()
         assert store.load_cache_into(restored, fingerprint,

@@ -44,6 +44,19 @@ def fill(store, fingerprint, start, count):
     store.save_cache(cache, fingerprint)
 
 
+def pause_after_base(read_rows, seconds=0.005):
+    """``RuntimeStore._read_jsonl_rows`` that sleeps after reading a
+    base: it widens the window between a reader's base read and its
+    segment reads, where a compaction must not land."""
+
+    def read_then_pause(self, path, entries):
+        read_rows(self, path, entries)
+        if path.name == "base.jsonl":
+            time.sleep(seconds)
+
+    return read_then_pause
+
+
 def replay(store, fingerprint):
     target = IndicatorCache()
     loaded = store.load_cache_into(target, fingerprint, strict=True)
@@ -127,41 +140,68 @@ class TestReadPathEquivalence:
 
 
 class TestConcurrentReaders:
-    def test_reads_race_a_compactor(self, tmp_path, fingerprint):
+    def test_reads_race_a_compactor(self, tmp_path, fingerprint,
+                                    monkeypatch):
         """A churning writer+compactor must never make a concurrent
         replay or follow miss a row or see a wrong value: appends hold
         the append flock, compaction holds the base and append locks, and
-        both read paths read under the shared base lock."""
+        both read paths read under the shared base lock.
+
+        Each churn round appends a row that lives only in a segment until
+        the compaction right after it folds the row into the base and
+        unlinks the segment.  A reader that read the old base without the
+        shared lock, just before that swap, would find the segment gone
+        and lose the row; so every read must hold every row the churn had
+        saved before the read began, and every row an earlier read saw.
+        The reader pauses after each base read, so a compaction that can
+        slip between base and segments does."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
         store = RuntimeStore(tmp_path / "store", auto_compact_segments=None)
         fill(store, fingerprint, 0, 40)
-        want = {key(i): float(i) * 1.5 for i in range(40)}
+        store.compact_cache(fingerprint)
 
         context = multiprocessing.get_context("fork")
         stop = context.Event()
+        saved = context.Value("i", 40)  # key(0) .. key(saved - 1) persisted
 
         def churn():
+            row = 40
             while not stop.is_set():
-                refresh = IndicatorCache()
-                refresh.put(key(0), 0.0)  # same value: reads stay stable
-                store.save_cache(refresh, fingerprint)
+                fill(store, fingerprint, row, 1)
+                row += 1
+                saved.value = row
                 store.compact_cache(fingerprint)
+
+        def assert_holds(rows, floor, known):
+            for i in range(floor):
+                assert rows.get(key(i)) == float(i) * 1.5, (i, floor)
+            for k, value in known.items():
+                assert rows.get(k) == value, k
+            for k, value in rows.items():
+                assert value == float(k[1]) * 1.5, k
 
         process = context.Process(target=churn)
         process.start()
-        follower, seen = IndicatorCache(), {}
+        # Patched after the fork: only this process, the reader, pauses.
+        monkeypatch.setattr(RuntimeStore, "_read_jsonl_rows",
+                            pause_after_base(RuntimeStore._read_jsonl_rows))
+        follower, seen, known = IndicatorCache(), {}, {}
         try:
-            for _ in range(25):
+            for _ in range(40):
+                floor = saved.value
                 loaded, rows = replay(store, fingerprint)
-                assert loaded == len(want)
-                assert rows == want
+                assert loaded == len(rows)
+                assert_holds(rows, floor, known)
+                known = rows
+                floor = saved.value
                 store.follow_cache_into(follower, fingerprint, seen)
-                assert dict(follower.items()) == want
+                assert_holds(dict(follower.items()), floor, known)
         finally:
             stop.set()
             process.join(timeout=30)
         assert process.exitcode == 0
+        assert saved.value > 40  # the churn ran
 
     def test_two_writers_and_a_follower_drop_nothing(
             self, tmp_path, fingerprint):
