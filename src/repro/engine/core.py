@@ -34,7 +34,7 @@ fingerprint: float32 and float64 rows coexist without aliasing.
 from __future__ import annotations
 
 from dataclasses import astuple
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -233,18 +233,23 @@ class Engine:
     def flops(self, genotype: Genotype,
               config: Optional[MacroConfig] = None) -> float:
         """Cached deployment FLOPs of the canonical form."""
+        return self._flops_canonical(canonicalize(genotype), config)
+
+    def _flops_canonical(self, canon: Genotype,
+                         config: Optional[MacroConfig] = None) -> float:
+        macro_key = self._macro_key if config is None else astuple(config)
         config = config or self.macro_config
-        canon = canonicalize(genotype)
-        key = ("flops", canon.to_index(), astuple(config))
+        key = ("flops", canon.to_index(), macro_key)
         return self._lookup(key, lambda: float(count_flops(canon, config)),
                             "flops")
 
     def params(self, genotype: Genotype,
                config: Optional[MacroConfig] = None) -> int:
         """Cached learnable-parameter count of the canonical form."""
+        macro_key = self._macro_key if config is None else astuple(config)
         config = config or self.macro_config
         canon = canonicalize(genotype)
-        key = ("params", canon.to_index(), astuple(config))
+        key = ("params", canon.to_index(), macro_key)
         return self._lookup(key, lambda: count_params(canon, config), "params")
 
     def latency_ms(self, genotype: Genotype,
@@ -257,11 +262,17 @@ class Engine:
         genotypes *as given* (dead edges billed, matching the on-board
         ground truth) — see the cache-key contract in :mod:`repro.engine`.
         """
+        return self._latency_canonical(canonicalize(genotype), config)
+
+    def _latency_canonical(self, canon: Genotype,
+                           config: Optional[MacroConfig] = None) -> float:
         estimator = (self.latency_estimator if config is None
                      else self._estimator_for(config))
-        canon = canonicalize(genotype)
+        macro_key = (self._macro_key
+                     if estimator.config is self.macro_config
+                     else astuple(estimator.config))
         key = ("latency", canon.to_index(), estimator.device.name,
-               estimator.precision, astuple(estimator.config))
+               estimator.precision, macro_key)
         if estimator.cache is self.cache:
             # The estimator memoizes under the identical key in the same
             # cache; a second engine-side lookup would double-count misses.
@@ -345,6 +356,13 @@ class Engine:
 
         return self._lookup(key, compute, tag)
 
+    def cost_column(self, canons: Sequence[Genotype], model) -> np.ndarray:
+        """One cost axis over already-canonical forms, one cached lookup
+        each (what :meth:`evaluate_population` and the device matrix price
+        their unique canonical cells with)."""
+        return np.array([self._cost_canonical(canon, model)
+                         for canon in canons], dtype=float)
+
     def _lookup(self, key, compute, tag: str):
         before = self.cache.hits
         value = self.cache.lookup(key, compute)
@@ -383,11 +401,25 @@ class Engine:
         ``latency`` is reported as 0.0 unless requested — profiling a
         device is only worth paying for when the objective weights it.
         """
+        return self._indicator_row(canonicalize(genotype), with_latency)
+
+    def _indicator_row(self, canon: Genotype,
+                       with_latency: bool) -> Dict[str, float]:
+        """:meth:`evaluate` of an already-canonical form: each row read
+        once under its :func:`genotype_indicator_keys` key."""
+        keys = genotype_indicator_keys(canon.to_index(), self._proxy_key,
+                                       self._macro_key)
+
+        def warm():
+            self.executor.warm_population(self, [canon])
+
         return {
-            "ntk": self.ntk(genotype),
-            "linear_regions": self.linear_regions(genotype),
-            "flops": self.flops(genotype),
-            "latency": self.latency_ms(genotype) if with_latency else 0.0,
+            "ntk": self._proxy_row(keys["ntk"], "ntk", warm),
+            "linear_regions": self._proxy_row(keys["linear_regions"], "lr",
+                                              warm),
+            "flops": self._flops_canonical(canon),
+            "latency": (self._latency_canonical(canon) if with_latency
+                        else 0.0),
         }
 
     def evaluate_population(
@@ -412,10 +444,12 @@ class Engine:
 
         ``cost_models`` optionally appends one column per registered
         :class:`~repro.search.costs.CostModel` (by ``model.name``), each
-        computed once per unique canonical form via :meth:`cost` — these
-        are driver-side, LUT-mediated axes, so executors stay oblivious
-        to them.  Omitted (the default), the table is bit-identical to
-        the pre-registry four-column layout.
+        computed once per unique canonical form via :meth:`cost_column` —
+        these are driver-side, LUT-mediated axes, so executors stay
+        oblivious to them.  Omitted (the default), the table is
+        bit-identical to the pre-registry four-column layout.  The table's
+        ``canonical`` and ``inverse`` let a caller price further columns
+        the same way.
         """
         genotypes = list(genotypes)
         tel = self.telemetry
@@ -441,40 +475,36 @@ class Engine:
         cost_models: Optional[Sequence] = None,
     ) -> IndicatorTable:
         genotypes = list(genotypes)
-        # One canonicalization pass serves the executor and the dedupe
-        # below (canonicalize builds a cell graph per call — repeating it
-        # would dominate the warm path).
+        # One canonicalization pass serves the executor, the dedupe and
+        # every row read below (canonicalize builds a cell graph per call
+        # — repeating it would dominate the warm path).
         canons = [canonicalize(g) for g in genotypes]
+        indices = [canon.to_index() for canon in canons]
+        unique = dict(zip(indices, canons))  # first-occurrence order
+        canonical = list(unique.values())
         hits0, misses0 = self.cache.counters()
-        self.executor.warm_population(self, canons)
-        unique_rows: Dict[int, Dict[str, float]] = {}
-        unique_canons: Dict[int, Genotype] = {}
-        canon_indices: List[int] = []
-        for genotype, canon in zip(genotypes, canons):
-            index = canon.to_index()
-            canon_indices.append(index)
-            if index not in unique_rows:
-                unique_rows[index] = self.evaluate(genotype,
-                                                   with_latency=with_latency)
-                unique_canons[index] = canon
-        for model in cost_models or ():
-            for index, canon in unique_canons.items():
-                unique_rows[index][model.name] = self._cost_canonical(canon,
-                                                                      model)
-        hits1, misses1 = self.cache.counters()
-        column_names = list(INDICATOR_NAMES)
-        column_names += [model.name for model in cost_models or ()]
-        columns = {
-            name: np.array([unique_rows[idx][name] for idx in canon_indices],
-                           dtype=float)
-            for name in column_names
+        self.executor.warm_population(self, canonical)
+        rows = [self._indicator_row(canon, with_latency)
+                for canon in canonical]
+        unique_columns = {
+            name: np.array([row[name] for row in rows], dtype=float)
+            for name in INDICATOR_NAMES
         }
+        for model in cost_models or ():
+            unique_columns[model.name] = self.cost_column(canonical, model)
+        hits1, misses1 = self.cache.counters()
+        position = {index: pos for pos, index in enumerate(unique)}
+        inverse = np.array([position[index] for index in indices],
+                           dtype=np.intp)
         return IndicatorTable(
             genotypes=genotypes,
-            columns=columns,
+            columns={name: column[inverse]
+                     for name, column in unique_columns.items()},
             cache_hits=hits1 - hits0,
             cache_misses=misses1 - misses0,
-            unique_canonical=len(unique_rows),
+            unique_canonical=len(canonical),
+            canonical=canonical,
+            inverse=inverse,
         )
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ that produced the table rides along so benchmarks can report reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -27,6 +27,11 @@ class IndicatorTable:
     cache_misses: int = 0
     unique_canonical: int = 0
     metadata: Dict[str, object] = field(default_factory=dict)
+    #: The population's unique canonical forms in first-occurrence order,
+    #: and each row's position among them: a column computed over
+    #: ``canonical`` reads ``column[inverse]`` in request order.
+    canonical: List[Genotype] = field(default_factory=list)
+    inverse: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         n = len(self.genotypes)

@@ -738,7 +738,16 @@ class RunHarness:
         )
 
     def _matrix_body(self):
-        """One trainless population pass, then every cell's front."""
+        """One trainless population pass, then every cell's front.
+
+        The pass canonicalizes the sample once; its table carries the
+        unique canonical forms and each sample's position among them.
+        Each (device, axis) column is priced over those unique forms only
+        (:meth:`~repro.engine.core.Engine.cost_column`, one cached lookup
+        per canonical cell) and expanded to sample order by one gather,
+        so duplicates cost nothing and the fronts still rank the sample
+        as drawn.
+        """
         config = self.config
         objective_sets = config.objective_sets() or (("latency",),)
         # Quality is the trainless part only — hardware enters as cost
@@ -760,10 +769,9 @@ class RunHarness:
                 if axis == "flops":
                     columns[axis] = table.column("flops")
                 else:
-                    model = engine.cost_model(axis)
-                    columns[axis] = np.array(
-                        [engine.cost(g, model) for g in genotypes],
-                        dtype=float)
+                    columns[axis] = engine.cost_column(
+                        table.canonical,
+                        engine.cost_model(axis))[table.inverse]
             for axes in objective_sets:
                 cells.append(self._matrix_cell(device_name, axes, genotypes,
                                                quality, columns))

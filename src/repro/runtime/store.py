@@ -171,9 +171,14 @@ def _encode_key(key):
 
 
 def _decode_key(obj):
-    """Lists → tuples, recursively (inverse of :func:`_encode_key`)."""
+    """Lists → tuples, recursively (inverse of :func:`_encode_key`).
+
+    Recurses into nested lists only: scalars, most of a key, are copied
+    as they are (replaying a store decodes every row's key).
+    """
     if isinstance(obj, list):
-        return tuple(_decode_key(part) for part in obj)
+        return tuple([_decode_key(part) if isinstance(part, list) else part
+                      for part in obj])
     return obj
 
 

@@ -27,12 +27,15 @@ each later front ordered by the position, in the previous front, of each
 member's last dominator, ties broken by index.  It compares ``≤ 256``
 rows against all points at a time, so its memory stays ``O(256 · N)``
 and never reaches ``N × N`` — a whole-space sort (N = 15,625) included.
+:func:`first_front` peels the same fronts under the same bound but only
+counts the later ones: their member order, which the device-matrix
+cells and the Pareto search discard, is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +77,48 @@ def _dominance_rows(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return no_worse & better
 
 
+def _fronts(points: np.ndarray, ordered: bool) -> Iterator[np.ndarray]:
+    """Yield the non-dominated fronts of ``points`` (an ``(n, m)`` float
+    array) as index arrays, front 0 first and in ascending order.
+
+    With ``ordered`` each later front comes in :func:`non_dominated_sort`'s
+    last-dominator order; without it, in ascending order, and nothing of
+    that order is computed.  Domination counts and front peeling both
+    compare blocks of at most 256 rows against the points, so memory is
+    ``O(256 · N)``.
+    """
+    n = len(points)
+    count = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, _SORT_BLOCK):
+        block = _dominance_rows(points[start:start + _SORT_BLOCK], points)
+        count += np.count_nonzero(block, axis=0)
+    current = np.flatnonzero(count == 0)
+    remaining = np.flatnonzero(count)
+    while current.size:
+        yield current
+        if not remaining.size:
+            return
+        # Peel: each front member releases the points it dominates; a
+        # point joins the next front when its last dominator is released.
+        # ``last[c]`` is that dominator's position in ``current``.
+        rest = points[remaining]
+        last = np.zeros(remaining.size, dtype=np.int64) if ordered else None
+        for start in range(0, current.size, _SORT_BLOCK):
+            block = _dominance_rows(
+                points[current[start:start + _SORT_BLOCK]], rest)
+            hits = np.count_nonzero(block, axis=0)
+            count[remaining] -= hits
+            if ordered:
+                stop = start + len(block)
+                last = np.where(hits > 0,
+                                stop - 1 - block[::-1].argmax(axis=0), last)
+        released = count[remaining] == 0
+        current = remaining[released]
+        if ordered:
+            current = current[np.argsort(last[released], kind="stable")]
+        remaining = remaining[~released]
+
+
 def non_dominated_sort(points: np.ndarray) -> List[List[int]]:
     """NSGA-II fast non-dominated sort (minimisation).
 
@@ -93,36 +138,8 @@ def non_dominated_sort(points: np.ndarray) -> List[List[int]]:
     n = len(points)
     if n == 0:
         return []
-    points = points.reshape(n, -1)
-    count = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, _SORT_BLOCK):
-        block = _dominance_rows(points[start:start + _SORT_BLOCK], points)
-        count += np.count_nonzero(block, axis=0)
-    fronts: List[List[int]] = []
-    current = np.flatnonzero(count == 0)
-    remaining = np.flatnonzero(count)
-    while current.size:
-        fronts.append(current.tolist())
-        if not remaining.size:
-            break
-        # Peel: each front member releases the points it dominates; a
-        # point joins the next front when its last dominator is released.
-        # ``last[c]`` is that dominator's position in ``current``.
-        rest = points[remaining]
-        last = np.zeros(remaining.size, dtype=np.int64)
-        for start in range(0, current.size, _SORT_BLOCK):
-            block = _dominance_rows(
-                points[current[start:start + _SORT_BLOCK]], rest)
-            hits = np.count_nonzero(block, axis=0)
-            count[remaining] -= hits
-            stop = start + len(block)
-            last = np.where(hits > 0, stop - 1 - block[::-1].argmax(axis=0),
-                            last)
-        released = count[remaining] == 0
-        order = np.argsort(last[released], kind="stable")
-        current = remaining[released][order]
-        remaining = remaining[~released]
-    return fronts
+    return [front.tolist()
+            for front in _fronts(points.reshape(n, -1), ordered=True)]
 
 
 def crowding_distance(points: np.ndarray) -> np.ndarray:
@@ -146,10 +163,17 @@ def crowding_distance(points: np.ndarray) -> np.ndarray:
 
 def first_front(vectors: np.ndarray) -> Tuple[List[int], np.ndarray, int]:
     """The Pareto set of ``vectors``: its row indices (ascending), their
-    crowding distances, and how many fronts the full sort found."""
-    fronts = non_dominated_sort(vectors)
-    first = fronts[0]
-    return first, crowding_distance(vectors[first]), len(fronts)
+    crowding distances, and how many fronts the full sort finds.
+
+    Equal to ``non_dominated_sort(vectors)[0]`` and its length, with the
+    same ``O(256 · N)`` memory, but the later fronts are only counted:
+    their member order is never built.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    fronts = _fronts(vectors.reshape(len(vectors), -1), ordered=False)
+    first = next(fronts).tolist()
+    num_fronts = 1 + sum(1 for _ in fronts)
+    return first, crowding_distance(vectors[first]), num_fronts
 
 
 def knee_index(matrix: Sequence[Sequence[float]]) -> int:

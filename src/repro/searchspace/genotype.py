@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 from repro.errors import GenotypeError
@@ -25,6 +26,20 @@ _EDGES_BY_NODE: Tuple[Tuple[int, ...], ...] = (
     tuple(i for i, (_, dst) in enumerate(EDGES) if dst == node) for node in (1, 2, 3)
 )
 _EDGES_BY_NODE = tuple(_EDGES_BY_NODE)
+
+
+@lru_cache(maxsize=None)
+def _ops_index(ops: Tuple[str, ...]) -> int:
+    """Memoized base-5 code of an op tuple (edge 0 least significant).
+
+    Cache keys, dedupe and report rows all call :meth:`Genotype.to_index`;
+    the whole space is 15,625 op tuples, so an unbounded memo stays tiny
+    (the same pattern as ``canonical._canonical_ops``).
+    """
+    index = 0
+    for edge in reversed(range(NUM_EDGES)):
+        index = index * len(CANDIDATE_OPS) + OP_INDEX[ops[edge]]
+    return index
 
 
 @dataclass(frozen=True)
@@ -92,10 +107,7 @@ class Genotype:
     # ------------------------------------------------------------------
     def to_index(self) -> int:
         """Base-5 encode the op assignment (edge 0 is the least significant)."""
-        index = 0
-        for edge in reversed(range(NUM_EDGES)):
-            index = index * len(CANDIDATE_OPS) + OP_INDEX[self.ops[edge]]
-        return index
+        return _ops_index(self.ops)
 
     @classmethod
     def from_index(cls, index: int) -> "Genotype":

@@ -79,6 +79,18 @@ def tied_points(draw):
     return np.array(flat, dtype=float).reshape(n, m)
 
 
+@st.composite
+def block_sized_points(draw):
+    """Tied points with ±inf and NaN, on both sides of the 256-row block."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 255, 256, 257, 513]),
+                       st.integers(1, 600)))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    palette = np.array([0.0, 1.0, 2.0, 3.0, 4.0, np.inf, -np.inf, np.nan])
+    weights = np.array([0.24, 0.24, 0.2, 0.15, 0.1, 0.03, 0.02, 0.02])
+    return rng.choice(palette, size=(n, m), p=weights)
+
+
 class TestDominates:
     def test_strict_dominance(self):
         assert dominates([1, 1], [2, 2])
@@ -147,6 +159,19 @@ class TestNonDominatedSort:
         assert sorted(i for front in fronts for i in front) == list(range(8000))
         first = points[fronts[0]]
         assert not any(dominates(p, q) for p in points[::97] for q in first)
+        # first_front counts the same fronts under the same bound.
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            front, _, num_fronts = first_front(points)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert elapsed < 30.0
+        assert front == fronts[0]
+        assert num_fronts == len(fronts)
 
     @settings(max_examples=50, deadline=None)
     @given(vectors=objective_vectors)
@@ -173,6 +198,19 @@ class TestNonDominatedSort:
         for i in range(len(points)):
             for j in first:
                 assert not dominates(points[i], points[j])
+
+
+class TestFirstFront:
+    @settings(max_examples=80, deadline=None)
+    @given(points=block_sized_points())
+    def test_equals_front_zero_of_the_full_sort(self, points):
+        fronts = non_dominated_sort(points)
+        first, crowd, num_fronts = first_front(points)
+        assert first == fronts[0]
+        assert all(type(i) is int for i in first)
+        assert num_fronts == len(fronts)
+        np.testing.assert_array_equal(crowd,
+                                      crowding_distance(points[fronts[0]]))
 
 
 class TestCrowdingDistance:

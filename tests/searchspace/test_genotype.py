@@ -110,6 +110,15 @@ class TestIndexCodec:
         g = Genotype(ops)
         assert Genotype.from_index(g.to_index()) == g
 
+    def test_whole_space_round_trips_through_the_memo(self):
+        """``to_index`` is memoized on the op tuple: every genotype, read
+        twice (the second time from the memo), codes to its own index."""
+        for _ in range(2):
+            for idx in range(15625):
+                g = Genotype.from_index(idx)
+                assert g.to_index() == idx
+                assert Genotype.from_index(g.to_index()) == g
+
 
 class TestManipulation:
     def test_with_op(self):
