@@ -9,22 +9,30 @@ numpy calls on the same operands as the op it replaces.  Keeping them
 apart from the ops lets the plans, and so the proxies and the run
 harness, load without the autograd tape.
 
-Convolution uses im2col (one gather from the zero-bordered input) and
-col2im, both zero-copy reshapes for 1×1 kernels; average pooling sums
-shifted strided windows instead of unfolding, and padding writes into
-one zero-bordered buffer (:func:`_zero_pad`) rather than calling
-``np.pad``.
+Convolution uses im2col and col2im, both zero-copy reshapes for 1×1
+kernels; average pooling sums shifted strided windows instead of
+unfolding, and padding writes into one zero-bordered buffer
+(:func:`_zero_pad`) rather than calling ``np.pad``.
+
+The unfold (``_im2col``) has two bodies, both pure copies of the same
+entries of the zero-bordered input: on a small plane (H·W ≤
+``HWNC_MAX_PIXELS`` = 64) one ``np.take`` over memoized flat indices
+(``_im2col_take``), on a larger one a strided window view copied by one
+reshape (``_im2col_strided``), which skips the index gather.
 
 The three window kernels — the conv input-gradient fold (``_col2im``),
-the average-pool forward and its adjoint — each have two bodies.  On a
-small plane (H·W ≤ ``HWNC_MAX_PIXELS`` = 64) with a kernel wider than
-1×1 (fold) or at least 3×3 (pools) they run batch×channel innermost
-(``_*_hwnc``): one transposing copy to (H, W, N·C), the same K² window
-adds with each add running over a whole output row times N·C, and one
-copy back to a C-contiguous NCHW array.  Every other shape keeps the NCHW
-body (``_*_nchw``).  Each pixel adds its taps in the same (ki, kj) order
-from the same start in both bodies, so they agree as float hex; only
-elementwise adds change layout, never a matmul operand.
+the average-pool forward and its adjoint — each have two bodies as well.
+With a kernel wider than 1×1 (fold) or at least 3×3 (pools) they run
+batch×channel innermost (``_*_hwnc``) on a small plane: one transposing
+copy to (H, W, N·C), the same K² window adds with each add running over
+a whole output row times N·C, and one copy back to a C-contiguous NCHW
+array.  A plane is small for the fold and the pool forward up to
+``HWNC_MAX_PIXELS`` pixels, and for the pool adjoint up to
+``HWNC_POOL_GRAD_MAX_PIXELS`` = 256 (16×16), where the NCHW adjoint's
+short-row adds still cost more than the two copies.  Every other shape
+keeps the NCHW body (``_*_nchw``).  Each pixel adds its taps in the same
+(ki, kj) order from the same start in both bodies, so they agree as
+float hex; only elementwise adds change layout, never a matmul operand.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import functools
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 #: Default BatchNorm variance epsilon (every network in the library uses it).
 DEFAULT_EPS = 1e-5
@@ -68,10 +77,18 @@ def _is_pointwise(kernel: int, stride: int, padding: int) -> bool:
 #: transposing copies cost more than the wider adds save.
 HWNC_MAX_PIXELS = 64
 
+#: Largest plane whose average-pool adjoint runs batch×channel innermost.
+#: At (32, 8, 16, 16), 3×3, one BLAS thread on a 2-CPU x86 host, the NCHW
+#: adjoint took 1.22 ms and the HWNC body 0.55 ms; the pool forward there
+#: measured about equal (1.66 against 1.60 ms) and the fold slower in HWNC
+#: (1.73 against 1.83 ms), so both keep ``HWNC_MAX_PIXELS``.
+HWNC_POOL_GRAD_MAX_PIXELS = 256
 
-def _small_plane(x_shape: Tuple[int, ...]) -> bool:
-    """Whether an NCHW plane is small enough for the ``_hwnc`` bodies."""
-    return x_shape[-2] * x_shape[-1] <= HWNC_MAX_PIXELS
+
+def _small_plane(x_shape: Tuple[int, ...],
+                 limit: int = HWNC_MAX_PIXELS) -> bool:
+    """Whether an NCHW plane has at most ``limit`` pixels."""
+    return x_shape[-2] * x_shape[-1] <= limit
 
 
 def _to_hwnc(x: np.ndarray, padding: int = 0) -> np.ndarray:
@@ -109,19 +126,48 @@ def _im2col(
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Unfold NCHW ``x`` into columns of shape (N, C*K*K, OH*OW).
 
-    One ``np.take`` gathers every window entry from the zero-bordered
-    input (a pure copy: the same values as K² strided slice copies, in
-    fewer numpy calls).  A pointwise unfold is a reshape view of ``x``
-    (no copy).
+    A pointwise unfold is a reshape view of ``x`` (no copy); any other
+    runs :func:`_im2col_take` on a small plane and
+    :func:`_im2col_strided` on a larger one.  Both bodies copy the same
+    entries, so their columns are equal byte for byte.
     """
     n, c, h, w = x.shape
     if _is_pointwise(kernel, stride, padding):
         return x.reshape(n, c, h * w), (h, w)
     oh = _conv_out_size(h, kernel, stride, padding)
     ow = _conv_out_size(w, kernel, stride, padding)
+    unfold = _im2col_take if _small_plane(x.shape) else _im2col_strided
+    return unfold(x, kernel, stride, padding), (oh, ow)
+
+
+def _im2col_take(x: np.ndarray, kernel: int, stride: int,
+                 padding: int) -> np.ndarray:
+    """:func:`_im2col`'s columns by one ``np.take`` from the zero-bordered
+    input (a pure copy: the same values as K² strided slice copies, in
+    fewer numpy calls)."""
+    n, c, h, w = x.shape
+    oh = _conv_out_size(h, kernel, stride, padding)
+    ow = _conv_out_size(w, kernel, stride, padding)
     padded = _zero_pad(x, padding).reshape(n, c, -1)
     cols = np.take(padded, _unfold_index(h, w, kernel, stride, padding), axis=2)
-    return cols.reshape(n, c * kernel * kernel, oh * ow), (oh, ow)
+    return cols.reshape(n, c * kernel * kernel, oh * ow)
+
+
+def _im2col_strided(x: np.ndarray, kernel: int, stride: int,
+                    padding: int) -> np.ndarray:
+    """:func:`_im2col`'s columns as a read-only (N, C, K, K, OH, OW)
+    window view of the zero-bordered input, copied once in C order and
+    reshaped: the same entries as :func:`_im2col_take` without its index
+    gather, and never a view of ``x``."""
+    n, c, h, w = x.shape
+    oh = _conv_out_size(h, kernel, stride, padding)
+    ow = _conv_out_size(w, kernel, stride, padding)
+    padded = _zero_pad(x, padding)
+    sn, sc, sh, sw = padded.strides
+    windows = as_strided(padded, shape=(n, c, kernel, kernel, oh, ow),
+                         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+                         writeable=False)
+    return windows.copy().reshape(n, c * kernel * kernel, oh * ow)
 
 
 def _col2im(
@@ -245,10 +291,11 @@ def _avg_pool_grad(grad: np.ndarray, x_shape: Tuple[int, int, int, int],
                    kernel: int, padding: int, windows: list) -> np.ndarray:
     """Average-pool adjoint: ``grad / K²`` scattered back through the windows.
 
-    Runs :func:`_avg_pool_grad_hwnc` for a 3×3 or wider kernel over a small
-    plane, else :func:`_avg_pool_grad_nchw`.
+    Runs :func:`_avg_pool_grad_hwnc` for a 3×3 or wider kernel over a
+    plane of at most ``HWNC_POOL_GRAD_MAX_PIXELS``, else
+    :func:`_avg_pool_grad_nchw`.
     """
-    if kernel >= 3 and _small_plane(x_shape):
+    if kernel >= 3 and _small_plane(x_shape, HWNC_POOL_GRAD_MAX_PIXELS):
         return _avg_pool_grad_hwnc(grad, x_shape, kernel, padding, windows)
     return _avg_pool_grad_nchw(grad, x_shape, kernel, padding, windows)
 

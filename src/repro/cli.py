@@ -730,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_runtime.add_argument("--workers", type=int, default=1,
                            help="worker processes (1 = serial)")
     p_runtime.add_argument("--chunk-size", type=int, default=8,
-                           help="candidates per worker task")
+                           help="most candidates per worker task (tasks "
+                                "shrink towards the end of a dispatch)")
     p_runtime.add_argument("--store", default=None,
                            help="directory for the persistent indicator/LUT "
                                 "store (created if missing); a run "

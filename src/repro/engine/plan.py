@@ -45,10 +45,15 @@ patterns equal ``batched_line_patterns``.  Concretely: the BatchNorm
 forward normalises with ``(var + eps) ** -0.5`` while its Jacobian term
 uses ``1 / np.sqrt(var + eps)``, as the two code paths it mirrors do;
 scalar multipliers are 0-d arrays in the compute dtype, as wrapped
-``Tensor`` scalars are; and a node's first gradient is copied, later ones
-added, as ``Tensor._accumulate`` does; the BatchNorm statistics are
+``Tensor`` scalars are; later gradients of a node add onto its first in
+the tape's order, as ``Tensor._accumulate`` does (the first is kept
+rather than copied: a copy has the same bits, and no step writes a
+gradient in place); the BatchNorm statistics are
 ``np.add.reduce(..., keepdims=True) / count`` with ``count`` = N·H·W,
-which is what ``ndarray.mean`` computes behind its Python wrapper.
+which is what ``ndarray.mean`` computes behind its Python wrapper.  The
+plan's BatchNorm weight is the constant 1, so its ``* weight`` is left
+out of the forward and the adjoint (x·1.0 is x, bit for bit); the
+``+ bias`` stays, as adding +0.0 turns a −0.0 into +0.0.
 Elementwise window steps (the conv fold and both pool directions) may
 run in another memory layout, as long as every output element sees the
 same adds in the same order; a matmul operand never changes layout,
@@ -60,6 +65,17 @@ gives +0.0.  The values are equal and no indicator row changes; forcing
 +0.0 would cost a full copy in every 1×1 conv adjoint.
 ``test_hwnc_window_bodies_match_nchw_bodies`` compares that case by
 value only.
+
+Jacobian blocks are written in place: each conv term's matmul writes
+straight into its column block of an uninitialised ``jac`` (``out=``),
+and the BatchNorm and linear terms assign their blocks, where the module
+tree adds each term onto a zeroed Jacobian.  Only the blocks of layers
+the tape never reaches are zeroed.  Adding onto +0.0 changes nothing but
+signed zeros, so the one possible difference is a −0.0 entry of J that
+the module tree holds as +0.0.  None was seen (3,000 random genotypes at
+the tiny test scale), every paper-scale and reduced-scale indicator row
+is equal as float hex, and the Gram ``J Jᵀ`` cannot tell the two zeros
+apart unless a whole row of J is zero.
 
 **Tape order.**  Gradients at fan-out nodes are sums whose rounding
 depends on their order.  Compilation records each node's
@@ -265,9 +281,16 @@ def _filled(value: float, width: int, dtype: np.dtype) -> np.ndarray:
 # Compilation
 # ----------------------------------------------------------------------
 def _accumulate(grads: list, node: int, grad: np.ndarray) -> None:
-    """``Tensor._accumulate``: copy the first gradient, add later ones."""
+    """``Tensor._accumulate`` without its copy: keep the first gradient
+    itself, add later ones.
+
+    The tape copies because ``Tensor.grad`` goes to callers that may
+    change it in place.  A plan's gradients never leave its run, and no
+    plan step writes one in place (every adjoint, term and sum returns a
+    new array), so a kept array has the bits its copy would have.
+    """
     held = grads[node]
-    grads[node] = grad.copy() if held is None else held + grad
+    grads[node] = grad if held is None else held + grad
 
 
 def _tape_order(parents: Sequence[Tuple[int, ...]], root: int) -> List[int]:
@@ -368,9 +391,9 @@ class _Tape:
                 grad = grads[i]
                 n = grad.shape[0]
                 grad_mat = grad.reshape(n, c_out, oh * ow)
-                cols = saved[i][0]
-                jac[:, sl] += np.matmul(grad_mat,
-                                        cols.transpose(0, 2, 1)).reshape(n, -1)
+                block = jac[:, sl]
+                block.shape = (n, c_out, -1)    # a view, never a copy
+                np.matmul(grad_mat, saved[i][0].transpose(0, 2, 1), out=block)
             return write
 
         self.forward[i] = forward
@@ -386,7 +409,8 @@ class _Tape:
         c = self.shapes[x][0]
         i = self._node((x,), self.shapes[x])
         weight, bias = _filled(1.0, c, self.dtype), _filled(0.0, c, self.dtype)
-        scale, shift = weight.reshape(1, c, 1, 1), bias.reshape(1, c, 1, 1)
+        # No ``* weight`` (the constant 1; see the module docstring).
+        shift = bias.reshape(1, c, 1, 1)
         eps = self._scalar(DEFAULT_EPS)
 
         def forward(vals, saved, weights):
@@ -399,11 +423,11 @@ class _Tape:
             var = np.add.reduce(centered * centered, axis=(0, 2, 3),
                                 keepdims=True) / count
             inv_std = (var + eps) ** -0.5
-            vals[i] = centered * inv_std * scale + shift
+            vals[i] = centered * inv_std + shift
             saved[i] = (centered, var, inv_std)
 
         def adjoint(vals, saved, grads):
-            _accumulate(grads, x, grads[i] * scale * saved[i][2])
+            _accumulate(grads, x, grads[i] * saved[i][2])
 
         def term(w_slice, b_slice):
             def write(vals, saved, grads, jac):
@@ -411,8 +435,8 @@ class _Tape:
                 centered, var = saved[i][0], saved[i][1]
                 inv_std = 1.0 / np.sqrt(var.reshape(-1) + DEFAULT_EPS)
                 normalised = centered * inv_std.reshape(1, -1, 1, 1)
-                jac[:, w_slice] += (grad * normalised).sum(axis=(2, 3))
-                jac[:, b_slice] += grad.sum(axis=(2, 3))
+                jac[:, w_slice] = (grad * normalised).sum(axis=(2, 3))
+                jac[:, b_slice] = grad.sum(axis=(2, 3))
             return write
 
         self.forward[i] = forward
@@ -533,8 +557,8 @@ class _Tape:
             def write(vals, saved, grads, jac):
                 grad = grads[j]
                 per_sample = grad[:, :, None] * vals[x][:, None, :]
-                jac[:, w_slice] += per_sample.reshape(grad.shape[0], -1)
-                jac[:, b_slice] += grad
+                jac[:, w_slice] = per_sample.reshape(grad.shape[0], -1)
+                jac[:, b_slice] = grad
             return write
 
         self.forward[j] = forward_bias
@@ -666,14 +690,19 @@ class NtkPlan(_Plan):
         topo = _tape_order(b.parents, root)
         super().__init__(b, topo, b.pinned)
         self._root = root
-        terms, offset = {}, 0
+        terms, offset, reached, dead = {}, 0, set(topo), []
         for _, params, term, node in self._layers:
             slices = []
             for _, size in params:
                 slices.append(slice(offset, offset + size))
                 offset += size
             terms[node] = term(*slices)
+            if node not in reached:
+                dead.extend(slices)
         self.num_parameters = offset
+        #: Column blocks of the layers the tape never reaches: the only
+        #: Jacobian columns no term writes, so the only ones zeroed.
+        self._dead = tuple(dead)
         # A node's gradient is final once its adjoint's turn comes, so its
         # Jacobian block is written right then, and what it read dropped.
         self._backward = tuple((i, b.adjoint[i], terms.get(i))
@@ -702,7 +731,9 @@ class NtkPlan(_Plan):
             bank, bank.inputs if images is None else images)
         grads: list = [None] * self._size
         seed = grads[self._root] = np.ones_like(vals[self._root])
-        jac = np.zeros((seed.shape[0], self.num_parameters), dtype=self.dtype)
+        jac = np.empty((seed.shape[0], self.num_parameters), dtype=self.dtype)
+        for sl in self._dead:
+            jac[:, sl] = 0.0
         for node, adjoint, term in self._backward:
             if adjoint is not None:
                 adjoint(vals, saved, grads)

@@ -15,7 +15,9 @@ and lets the search react to whichever result lands first):
 * :class:`AsyncPopulationExecutor` — the engine adapter:
   :meth:`~AsyncPopulationExecutor.submit_population` dedupes a population
   against the cache *and against chunks already in flight*, ships one
-  future per ``chunk_size`` candidates, and :meth:`~AsyncPopulationExecutor.
+  future per chunk — at most ``chunk_size`` candidates, cut by guided
+  self-scheduling so the chunks shrink towards the end of a dispatch and
+  the workers finish together — and :meth:`~AsyncPopulationExecutor.
   gather` merges each chunk's indicator rows into the shared
   :class:`~repro.engine.cache.IndicatorCache` the moment it lands — via
   :meth:`~repro.engine.core.Engine.merge_indicator_rows`, under the
@@ -846,10 +848,12 @@ class AsyncPopulationExecutor:
             return 0
         tel = self.telemetry
         pending = self._pending_keys(engine)
+        # A serial pool runs one chunk at a time, whatever its n_workers.
+        workers = 1 if self.pool.mode == "serial" else self.n_workers
         shipped = 0
         for chunk, chunk_claims in zip(
-                _chunked(tuple(missing), self.chunk_size),
-                _chunked(tuple(claimed), self.chunk_size)):
+                _chunked(tuple(missing), self.chunk_size, workers),
+                _chunked(tuple(claimed), self.chunk_size, workers)):
             chunk_id = self._next_chunk_id
             self._next_chunk_id += 1
             context = _ChunkContext(kind, engine, proxy_key, macro_key,

@@ -73,6 +73,8 @@ class RuntimeConfig:
 
     algorithm: str = "random"
     n_workers: int = 1
+    #: Largest chunk the executor ships: chunks shrink towards the end
+    #: of a dispatch (guided self-scheduling) so the workers finish together.
     chunk_size: int = 8
     store_dir: Optional[str] = None
     device: str = "nucleo-f746zg"

@@ -66,8 +66,23 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _chunked(items: Sequence, size: int) -> List[Sequence]:
-    return [items[i:i + size] for i in range(0, len(items), size)]
+def _chunked(items: Sequence, size: int, n_workers: int = 1
+             ) -> List[Sequence]:
+    """``items`` cut by guided self-scheduling, in order.
+
+    Each chunk takes ``min(size, ceil(remaining / n_workers))`` items, so
+    sizes never increase and the last chunks shrink until every worker
+    can take one: 57 items, size 8, two workers give 8,8,8,8,8,8,5,2,1,1,
+    which leaves the workers a short tail to balance instead of one
+    full chunk.  With one worker every chunk but the last is ``size``.
+    """
+    chunks, start = [], 0
+    while start < len(items):
+        remaining = len(items) - start
+        take = min(size, -(-remaining // n_workers))
+        chunks.append(items[start:start + take])
+        start += take
+    return chunks
 
 
 #: glibc ``mallopt`` parameter numbers (``<malloc.h>``).

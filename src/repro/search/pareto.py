@@ -35,7 +35,7 @@ cells and the Pareto search discard, is never built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -333,45 +333,44 @@ class ParetoZeroShotSearch:
     def _score_population(
         self, genotypes: Sequence[Genotype]
     ) -> List[ParetoPoint]:
-        # One population call first: canonical dedupe, and the engine's
-        # executor computes the missing rows as one batch; the
-        # per-candidate reads below then resolve from the shared cache.
-        self.objective.evaluate_population(genotypes)
-        rows: List[Dict[str, float]] = []
-        for genotype in genotypes:
-            indicators = self.objective.genotype_indicators(genotype)
-            rows.append(indicators)
+        # One population call: canonical dedupe, the engine's executor
+        # computes the missing rows as one batch, and every column —
+        # extra cost axes included — is read once per unique canonical
+        # form and gathered back to sample order through ``inverse``.
+        table = self.objective.evaluate_population(genotypes)
         # Quality is the *trainless* part only (NTK + linear regions);
         # hardware enters as its own objective axis, not via the weights.
         trainless = self.objective.with_weights(ObjectiveWeights())
-        quality = trainless.combined_ranks(rows)
-        points = []
-        extra_axes = [a for a in self.axes if a not in ("latency", "flops")]
+        quality = trainless.combined_ranks(table.rows())
         engine = self.objective.engine
-        models = {axis: engine.cost_model(axis) for axis in extra_axes}
-        estimator = (self.objective.latency_estimator
-                     if "latency" in self.axes else None)
-        for genotype, row, q in zip(genotypes, rows, quality):
-            # A row carries a real latency only when the objective's
-            # weights requested one; otherwise the engine reports a 0.0
-            # placeholder.  Key on *that* — a genuine 0.0 ms estimate
-            # from a latency-weighted objective must be kept, not
-            # silently re-estimated.
-            latency = (row["latency"] if self.objective.weights.uses_latency
-                       else None)
-            if latency is None:
-                latency = (estimator.estimate_ms(genotype)
-                           if estimator is not None else 0.0)
-            points.append(ParetoPoint(
+        costs = {axis: engine.cost_column(table.canonical,
+                                          engine.cost_model(axis))[table.inverse]
+                 for axis in sorted(self.axes)
+                 if axis not in ("latency", "flops")}
+        # A row carries a real latency only when the objective's weights
+        # requested one; otherwise the engine reports a 0.0 placeholder.
+        # Key on *that* — a genuine 0.0 ms estimate from a
+        # latency-weighted objective must be kept, not silently
+        # re-estimated.  The estimator prices each genotype as given.
+        if self.objective.weights.uses_latency:
+            latencies = table.column("latency")
+        elif "latency" in self.axes:
+            estimator = self.objective.latency_estimator
+            latencies = [estimator.estimate_ms(g) for g in genotypes]
+        else:
+            latencies = np.zeros(len(genotypes))
+        flops = table.column("flops")
+        return [
+            ParetoPoint(
                 genotype=genotype,
-                quality_rank=float(q),
-                latency_ms=float(latency),
-                flops=float(row["flops"]),
-                costs=tuple(sorted(
-                    (axis, float(engine.cost(genotype, model)))
-                    for axis, model in models.items())),
-            ))
-        return points
+                quality_rank=float(quality[i]),
+                latency_ms=float(latencies[i]),
+                flops=float(flops[i]),
+                costs=tuple((axis, float(column[i]))
+                            for axis, column in costs.items()),
+            )
+            for i, genotype in enumerate(genotypes)
+        ]
 
     def search(self) -> ParetoResult:
         """Sample, score, sort; return the first front (crowding-annotated)."""

@@ -320,6 +320,49 @@ def test_hwnc_window_bodies_match_nchw_bodies(case):
                       _sequential_pool(x, kernel, stride, padding))
 
 
+@st.composite
+def unfold_cases(draw):
+    """(dtype, n, c, h, w, kernel, stride, padding, seed), with planes on
+    both sides of ``HWNC_MAX_PIXELS`` and of ``HWNC_POOL_GRAD_MAX_PIXELS``."""
+    kernel = draw(st.sampled_from((1, 2, 3)))
+    stride = draw(st.sampled_from((1, 2)))
+    padding = draw(st.sampled_from((0, 1)))
+    low = max(1, kernel - 2 * padding)
+    h = draw(st.integers(low, 18))
+    w = draw(st.integers(low, 18))
+    return (draw(st.sampled_from(DTYPES)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), h, w, kernel, stride, padding,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unfold_cases())
+def test_strided_unfold_matches_take_unfold(case):
+    """The strided unfold copies the same entries as the ``np.take`` body,
+    byte for byte (−0.0, ±inf and NaN included), into a fresh
+    C-contiguous array; the dispatcher equals the slice-copy oracle, and
+    the pool adjoint's dispatcher equals its NCHW body."""
+    dtype, n, c, h, w, kernel, stride, padding, seed = case
+    x = _with_specials(np.random.default_rng(seed), (n, c, h, w), dtype)
+    strided = A._im2col_strided(x, kernel, stride, padding)
+    assert strided.flags.c_contiguous
+    assert not np.shares_memory(strided, x)
+    assert strided.tobytes() == A._im2col_take(x, kernel, stride,
+                                               padding).tobytes()
+    cols, size = A._im2col(x, kernel, stride, padding)
+    want, want_size = old_im2col(x, kernel, stride, padding)
+    assert size == want_size
+    assert cols.dtype == want.dtype and cols.tobytes() == want.tobytes()
+
+    oh, ow = size
+    grad = _with_specials(np.random.default_rng(seed + 1), (n, c, oh, ow),
+                          dtype)
+    windows = A._pool_windows(kernel, stride, oh, ow)
+    _assert_same_bits(
+        A._avg_pool_grad(grad, x.shape, kernel, padding, windows),
+        A._avg_pool_grad_nchw(grad, x.shape, kernel, padding, windows))
+
+
 # ----------------------------------------------------------------------
 # Eval-mode BatchNorm2d
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.autograd.precision import precision
@@ -156,6 +156,46 @@ def test_genotype_plan_matches_module_tree(tiny_proxy_config, dtype,
         assert np.array_equal(
             lines.patterns(draw_lr_bank(op_sets, config, new_rng(seed), 4)),
             patterns)
+
+
+def _large_plane_config(config, dtype):
+    """16×16 inputs and a small batch: planes over 64 pixels, where the
+    unfold is strided, the fold runs NCHW and the pool adjoint HWNC."""
+    return replace(config.with_precision(dtype), input_size=16,
+                   ntk_batch_size=3)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@settings(max_examples=6, deadline=None)
+@given(state=states)
+@example(state=[list(CANDIDATE_OPS)] * 6)
+def test_supernet_plan_matches_module_tree_on_large_planes(
+        tiny_proxy_config, dtype, state):
+    config = _large_plane_config(tiny_proxy_config, dtype)
+    with precision(dtype):
+        plan = NtkPlan(state, config.macro_config(), supercell=True)
+        network, oracle = _supernet_oracle(config, state)
+        _check_ntk(plan, supernet_ntk_bank(config, 0), network, oracle)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@settings(max_examples=6, deadline=None)
+@given(genotype=genotypes, seed=st.integers(0, 2**31))
+@example(genotype=Genotype(("nor_conv_3x3", "avg_pool_3x3", "nor_conv_1x1",
+                            "skip_connect", "avg_pool_3x3", "nor_conv_3x3")),
+         seed=11)
+def test_genotype_plan_matches_module_tree_on_large_planes(
+        tiny_proxy_config, dtype, genotype, seed):
+    config = _large_plane_config(tiny_proxy_config, dtype)
+    op_sets = [(op,) for op in genotype.ops]
+    images = np.random.default_rng(seed).normal(
+        size=(config.ntk_batch_size, 3, config.input_size, config.input_size))
+    with precision(dtype):
+        plan = NtkPlan(op_sets, config.macro_config(), supercell=False)
+        bank = draw_ntk_bank(op_sets, config.macro_config(), new_rng(seed))
+        network = build_network(genotype, config.macro_config(), rng=seed)
+        _check_ntk(plan, bank, network, batched_ntk_jacobian(network, images),
+                   images)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -389,6 +389,30 @@ class TestPoisonQuarantine:
         assert executor.num_pending == 0
         _assert_bit_identical(tiny_proxy_config, engine, survivors)
 
+    @pytest.mark.parametrize("chunk_size", [3, 8])
+    def test_guided_split_quarantines_the_bad_genotype_alone(
+            self, tiny_proxy_config, tmp_path, chunk_size):
+        # Two workers cut 20 candidates into shrinking chunks; the poison
+        # candidate sits in the tail, where chunks are smallest.
+        population = NasBench201Space().sample(24, rng=8)
+        canons = list(dict.fromkeys(_canon_index(g) for g in population))
+        target = canons[-3]
+        plan = FaultPlan(state_path=str(tmp_path / "s"),
+                         script={target: ("poison",)})
+        engine = _engine(tiny_proxy_config)
+        with AsyncPopulationExecutor(
+                n_workers=2, chunk_size=chunk_size, mode="thread",
+                genotype_worker=plan.wrap(_evaluate_genotype_chunk),
+                fault_policy=_policy()) as executor:
+            executor.submit_population(engine, population)
+            chunks = executor.gather_all()
+        assert executor.quarantined_genotypes == {target}
+        assert executor.stats.quarantined == 1
+        assert [c.quarantined_indices for c in chunks
+                if c.quarantined_indices] == [(target,)]
+        survivors = [g for g in population if _canon_index(g) != target]
+        _assert_bit_identical(tiny_proxy_config, engine, survivors)
+
     def test_quarantined_candidate_never_reships(
             self, tiny_proxy_config, population, tmp_path):
         target = _canon_index(population[1])

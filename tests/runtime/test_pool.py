@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine, supernet_state_key
 from repro.errors import SearchError
@@ -25,6 +27,7 @@ from repro.runtime.pool import (
     _evaluate_supernet_chunk,
 )
 from repro.search.objective import HybridObjective
+from repro.searchspace.canonical import canonicalize
 from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.ops import CANDIDATE_OPS
 from repro.searchspace.space import NasBench201Space
@@ -108,6 +111,43 @@ class TestBitIdentical:
             ).search()
         assert pooled.genotype == serial.genotype
         assert executor.stats.merged_rows > 0
+
+
+def _hex_rows(engine):
+    return {key: float(value).hex()
+            for key, value in engine.cache.items()}
+
+
+@pytest.mark.parametrize("chunk_size", [1, 3, 8])
+@pytest.mark.parametrize("n_workers", [1, 2])
+class TestRowsUnderTheGuidedSplit:
+    """Rows equal a serial fixed-split run as float hex, whatever the
+    worker count and largest chunk."""
+
+    def test_random_population(self, tiny_proxy_config, n_workers,
+                               chunk_size):
+        population = NasBench201Space().sample(20, rng=13)
+        serial = _engine(tiny_proxy_config)
+        serial.evaluate_population(population)
+        with AsyncPopulationExecutor(n_workers=n_workers,
+                                     chunk_size=chunk_size) as executor:
+            engine = _engine(tiny_proxy_config, executor)
+            engine.evaluate_population(population)
+        assert _hex_rows(engine) == _hex_rows(serial)
+
+    def test_pruning_round(self, tiny_proxy_config, n_workers, chunk_size):
+        base = [EdgeSpec(i, tuple(CANDIDATE_OPS)) for i in range(6)]
+        states = [base[:edge] + [base[edge].without(op)] + base[edge + 1:]
+                  for edge in range(6) for op in CANDIDATE_OPS]
+        serial = _engine(tiny_proxy_config)
+        serial_rows = HybridObjective(engine=serial).supernet_population(
+            states)
+        with AsyncPopulationExecutor(n_workers=n_workers,
+                                     chunk_size=chunk_size) as executor:
+            engine = _engine(tiny_proxy_config, executor)
+            rows = HybridObjective(engine=engine).supernet_population(states)
+        assert rows == serial_rows
+        assert _hex_rows(engine) == _hex_rows(serial)
 
 
 class TestIncrementalMergeHook:
@@ -195,6 +235,34 @@ class TestDispatchMechanics:
         chunks = _chunked(items, 3)
         assert [len(c) for c in chunks] == [3, 3, 3, 1]
         assert [x for chunk in chunks for x in chunk] == items
+
+    def test_chunking_is_guided_by_worker_count(self):
+        # The paper-scale random search: 57 unique cells, chunks of at
+        # most 8, two workers.
+        sizes = [len(c) for c in _chunked(tuple(range(57)), 8, 2)]
+        assert sizes == [8, 8, 8, 8, 8, 8, 5, 2, 1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 300), size=st.integers(1, 40),
+           workers=st.integers(1, 8))
+    def test_guided_split_sizes(self, n, size, workers):
+        items = tuple(range(n))
+        chunks = _chunked(items, size, workers)
+        sizes = [len(c) for c in chunks]
+        assert sum(sizes) == n
+        assert tuple(x for chunk in chunks for x in chunk) == items
+        assert all(0 < s <= size for s in sizes)
+        assert sizes == sorted(sizes, reverse=True)
+        # One worker: the fixed-size split the executor always used.
+        assert _chunked(items, size, 1) == [
+            items[i:i + size] for i in range(0, n, size)]
+
+    def test_serial_pool_keeps_the_fixed_split(self, tiny_proxy_config):
+        genotypes = NasBench201Space().sample(40, rng=5)
+        unique = len({canonicalize(g).to_index() for g in genotypes})
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=3)
+        executor.submit_population(_engine(tiny_proxy_config), genotypes)
+        assert executor.stats.chunks == -(-unique // 3)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(SearchError):

@@ -439,3 +439,64 @@ class TestExtraCostAxes:
         with pytest.raises(SearchError):
             ParetoZeroShotSearch(objective, num_samples=8,
                                  objectives=("latency", "latency"))
+
+
+class _PerGenotypeSearch(ParetoZeroShotSearch):
+    """Oracle: the scoring pass that re-read every sampled genotype
+    through ``genotype_indicators`` and a per-genotype ``Engine.cost``."""
+
+    def _score_population(self, genotypes):
+        self.objective.evaluate_population(genotypes)
+        rows = [self.objective.genotype_indicators(g) for g in genotypes]
+        trainless = self.objective.with_weights(ObjectiveWeights())
+        quality = trainless.combined_ranks(rows)
+        engine = self.objective.engine
+        models = {axis: engine.cost_model(axis) for axis in self.axes
+                  if axis not in ("latency", "flops")}
+        estimator = (self.objective.latency_estimator
+                     if "latency" in self.axes else None)
+        points = []
+        for genotype, row, q in zip(genotypes, rows, quality):
+            latency = (row["latency"] if self.objective.weights.uses_latency
+                       else None)
+            if latency is None:
+                latency = (estimator.estimate_ms(genotype)
+                           if estimator is not None else 0.0)
+            points.append(ParetoPoint(
+                genotype=genotype, quality_rank=float(q),
+                latency_ms=float(latency), flops=float(row["flops"]),
+                costs=tuple(sorted(
+                    (axis, float(engine.cost(genotype, model)))
+                    for axis, model in models.items()))))
+        return points
+
+
+def _hex_front(result):
+    """Every float of a result's front, crowding and knee, as float hex."""
+    def point(p):
+        return (p.genotype.to_index(), p.quality_rank.hex(),
+                p.latency_ms.hex(), p.flops.hex(), p.crowding.hex(),
+                tuple((axis, value.hex()) for axis, value in p.costs))
+    return ([point(p) for p in result.front], result.num_fronts,
+            point(result.knee_point()))
+
+
+class TestScoringFromThePopulationTable:
+    """Scoring from the population table's unique canonical forms gives
+    the per-genotype oracle's fronts, crowding and knees as float hex."""
+
+    @pytest.mark.parametrize("weights", [ObjectiveWeights(latency=0.5),
+                                         ObjectiveWeights(flops=0.3)])
+    @pytest.mark.parametrize("axes", [None, ("latency", "energy"),
+                                      ("peak-mem", "flops", "latency")])
+    def test_fronts_equal_the_per_genotype_oracle(
+            self, shared_latency_estimator, weights, axes):
+        objective = HybridObjective(
+            proxy_config=FAST_PROXY, weights=weights,
+            latency_estimator=shared_latency_estimator)
+        for seed in range(5):
+            searches = [cls(objective, num_samples=24, seed=seed,
+                            objectives=axes)
+                        for cls in (_PerGenotypeSearch, ParetoZeroShotSearch)]
+            oracle, table = (s.search() for s in searches)
+            assert _hex_front(table) == _hex_front(oracle)
