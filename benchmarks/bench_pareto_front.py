@@ -67,7 +67,7 @@ def test_pareto_front(benchmark, latency_estimator):
     # Shape 1: mutual non-domination and monotone trade-off.
     for a in result.front:
         for b in result.front:
-            assert not dominates(a.objectives(False), b.objectives(False))
+            assert not dominates(a.vector(result.axes), b.vector(result.axes))
     latencies = [p.latency_ms for p in result.front]
     qualities = [p.quality_rank for p in result.front]
     assert latencies == sorted(latencies)

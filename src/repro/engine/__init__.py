@@ -48,10 +48,14 @@ rely on:
 * :class:`~repro.hardware.latency.LatencyEstimator` writes the same
   latency keys, so an estimator sharing the engine's
   :class:`~repro.engine.cache.IndicatorCache` contributes to (and benefits
-  from) the same memo.  A direct ``estimate_ms`` call does *not*
-  canonicalize — dead edges are billed, matching the on-board ground
-  truth; the engine's ``latency_ms`` prices the canonical network an
-  optimising deployment runtime would compile.
+  from) the same memo.  One latency price per engine: every FLOPs and
+  latency read goes through the ``flops``/``latency`` cost models, the
+  latter over the engine's own estimator, pricing the canonical network
+  an optimising deployment runtime would compile.  A direct
+  ``estimate_ms`` call does *not* canonicalize — dead edges are billed,
+  matching the on-board ground truth; only
+  :class:`~repro.search.constraints.ConstraintChecker` and on-board
+  validation price genotypes that way.
 
 Precision semantics
 -------------------

@@ -18,10 +18,13 @@ indicator values.  It owns
   :class:`~repro.engine.table.IndicatorTable` in request order.
 
 FLOPs, parameter counts, LUT latencies and registered cost axes stay
-driver-side: they are closed-form or LUT lookups.  Latency estimators are
-built lazily per macro configuration and share the engine's cache (the
-per-estimator memo that used to live in ``hardware/latency.py`` now
-writes the same keys).
+driver-side: they are closed-form or LUT lookups.  FLOPs and latency are
+read as the ``flops`` and ``latency`` cost models
+(:mod:`repro.engine.costs`), through the same cached lookup as every
+other axis (:meth:`Engine.cost_model`).  Latency
+estimators are built lazily per macro configuration and share the
+engine's cache (the per-estimator memo that used to live in
+``hardware/latency.py`` now writes the same keys).
 
 Precision: proxies scope themselves under
 ``ProxyConfig.precision_policy()`` (forward/backward in the compute
@@ -39,10 +42,11 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.cache import IndicatorCache
+from repro.engine.costs import FlopsCostModel, LatencyCostModel
 from repro.engine.table import IndicatorTable
 from repro.errors import ProxyError
 from repro.proxies.base import ProxyConfig
-from repro.proxies.flops import count_flops, count_params
+from repro.proxies.flops import count_params
 from repro.searchspace.canonical import canonicalize
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.specs import EdgeSpec, MacroConfig
@@ -232,16 +236,10 @@ class Engine:
 
     def flops(self, genotype: Genotype,
               config: Optional[MacroConfig] = None) -> float:
-        """Cached deployment FLOPs of the canonical form."""
-        return self._flops_canonical(canonicalize(genotype), config)
-
-    def _flops_canonical(self, canon: Genotype,
-                         config: Optional[MacroConfig] = None) -> float:
-        macro_key = self._macro_key if config is None else astuple(config)
-        config = config or self.macro_config
-        key = ("flops", canon.to_index(), macro_key)
-        return self._lookup(key, lambda: float(count_flops(canon, config)),
-                            "flops")
+        """Cached deployment FLOPs of the canonical form (the ``flops``
+        cost model for ``config``, the engine's own when omitted)."""
+        return self._cost_canonical(canonicalize(genotype),
+                                    self._axis_model("flops", config))
 
     def params(self, genotype: Genotype,
                config: Optional[MacroConfig] = None) -> int:
@@ -255,56 +253,33 @@ class Engine:
     def latency_ms(self, genotype: Genotype,
                    config: Optional[MacroConfig] = None) -> float:
         """Cached LUT latency of the canonical form (what a deployment
-        runtime that elides dead edges would actually pay).
+        runtime that elides dead edges would actually pay): the
+        ``latency`` cost model for ``config``, the engine's own when
+        omitted, so it equals ``cost(genotype, "latency")``.
 
         Note the asymmetry with :meth:`LatencyEstimator.estimate_ms` and
         :class:`~repro.search.constraints.ConstraintChecker`, which price
         genotypes *as given* (dead edges billed, matching the on-board
         ground truth) — see the cache-key contract in :mod:`repro.engine`.
         """
-        return self._latency_canonical(canonicalize(genotype), config)
-
-    def _latency_canonical(self, canon: Genotype,
-                           config: Optional[MacroConfig] = None) -> float:
-        estimator = (self.latency_estimator if config is None
-                     else self._estimator_for(config))
-        macro_key = (self._macro_key
-                     if estimator.config is self.macro_config
-                     else astuple(estimator.config))
-        key = ("latency", canon.to_index(), estimator.device.name,
-               estimator.precision, macro_key)
-        if estimator.cache is self.cache:
-            # The estimator memoizes under the identical key in the same
-            # cache; a second engine-side lookup would double-count misses.
-            hit = key in self.cache
-            with Timer() as timer:
-                value = estimator.estimate_ms(canon)
-            if hit:
-                self.ledger.add("latency_cache_hit", count=1)
-            else:
-                self.ledger.add("latency_eval", timer.elapsed)
-            return value
-
-        def compute() -> float:
-            with Timer() as timer:
-                value = estimator.estimate_ms(canon)
-            self.ledger.add("latency_eval", timer.elapsed)
-            return value
-
-        return self._lookup(key, compute, "latency")
+        return self._cost_canonical(canonicalize(genotype),
+                                    self._axis_model("latency", config))
 
     # ------------------------------------------------------------------
     # Pluggable cost models (registered hardware axes)
     # ------------------------------------------------------------------
     def cost_model(self, name: str):
-        """The registered :class:`~repro.search.costs.CostModel` for one
+        """The registered :class:`~repro.engine.costs.CostModel` for one
         axis, built once per engine against this engine's device, macro
         configuration, cache and LUT store.
 
-        ``latency``/``flops`` resolve to adapters over the engine's own
-        estimator/counter, so their rows are shared with the legacy
-        indicator columns bit-for-bit.
+        ``latency`` wraps the engine's own :attr:`latency_estimator` and
+        ``flops`` counts under the engine's macro configuration, so the
+        indicator columns, :meth:`latency_ms`, :meth:`flops` and the
+        Pareto axes read one price each.
         """
+        if name in ("latency", "flops"):
+            return self._axis_model(name, None)
         if name not in self._cost_models:
             from repro.search.costs import build_cost_model
 
@@ -315,10 +290,24 @@ class Engine:
                 cache=self.cache,
                 lut_store=self.lut_store,
                 latency_estimator=(self.latency_estimator
-                                   if name in ("latency", "energy")
-                                   else None),
+                                   if name == "energy" else None),
             )
         return self._cost_models[name]
+
+    def _axis_model(self, name: str, config: Optional[MacroConfig]):
+        """The ``latency`` or ``flops`` model under ``config`` (the
+        engine's own configuration and estimator when omitted): one model
+        per (axis, configuration), latency on the shared estimator."""
+        key = (name, None if config is None else astuple(config))
+        if key not in self._cost_models:
+            if name == "latency":
+                self._cost_models[key] = LatencyCostModel(
+                    self.latency_estimator if config is None
+                    else self._estimator_for(config))
+            else:
+                self._cost_models[key] = FlopsCostModel(
+                    config or self.macro_config)
+        return self._cost_models[key]
 
     def cost(self, genotype: Genotype, model) -> float:
         """Cached value of one cost axis for the canonical form.
@@ -338,7 +327,7 @@ class Engine:
         if model.cache is self.cache:
             # The model memoizes under the identical key in the same
             # cache (estimator-backed axes); a second engine-side lookup
-            # would double-count misses — same pattern as latency_ms.
+            # would double-count misses.
             hit = key in self.cache
             with Timer() as timer:
                 value = float(model.estimate(canon))
@@ -417,9 +406,10 @@ class Engine:
             "ntk": self._proxy_row(keys["ntk"], "ntk", warm),
             "linear_regions": self._proxy_row(keys["linear_regions"], "lr",
                                               warm),
-            "flops": self._flops_canonical(canon),
-            "latency": (self._latency_canonical(canon) if with_latency
-                        else 0.0),
+            "flops": self._cost_canonical(canon, self.cost_model("flops")),
+            "latency": (self._cost_canonical(canon,
+                                             self.cost_model("latency"))
+                        if with_latency else 0.0),
         }
 
     def evaluate_population(

@@ -55,7 +55,7 @@ from repro.runtime.faults import FaultPolicy
 from repro.runtime.store import RuntimeStore, cache_fingerprint
 from repro.runtime.telemetry import Heartbeat, Telemetry
 from repro.search.objective import HybridObjective, ObjectiveWeights
-from repro.search.pareto import first_front, knee_index
+from repro.search.pareto import build_front
 from repro.search.result import SearchResult
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.space import NasBench201Space
@@ -198,7 +198,7 @@ class MatrixCell:
     #: ``arch_str``/``arch_index``/``quality_rank``/``crowding`` plus one
     #: entry per cost axis.
     front: List[Dict[str, object]]
-    #: The balanced pick (:func:`~repro.search.pareto.knee_index`).
+    #: The balanced pick (:func:`~repro.search.pareto.build_front`'s knee).
     knee: Optional[Dict[str, object]]
     num_fronts: int
 
@@ -712,11 +712,11 @@ class RunHarness:
         and workers stay oblivious to cost axes.  Each device then prices
         its cost axes against the shared cache via the registered
         :class:`~repro.search.costs.CostModel` adapters (LUT-mediated,
-        driver-side), and each objective set sorts its own front with
-        :func:`~repro.search.pareto.first_front` and
-        :func:`~repro.search.pareto.knee_index`.  The run shares
-        :meth:`run`'s lifecycle: trace, heartbeat, drain and the final
-        store save.  The population is one batch, so a drain lets it
+        driver-side), and each objective set builds its own front and
+        knee with :func:`~repro.search.pareto.build_front`, as
+        :class:`~repro.search.pareto.ParetoZeroShotSearch` does.  The run
+        shares :meth:`run`'s lifecycle: trace, heartbeat, drain and the
+        final store save.  The population is one batch, so a drain lets it
         finish and marks the report ``status="interrupted"``.
         """
         if not self.config.devices:
@@ -760,46 +760,31 @@ class RunHarness:
                                               rng=config.seed)
         table = trainless.evaluate_population(genotypes)
         quality = trainless.combined_ranks(table.rows())
+        # Each axis is priced once per device; objective sets sharing an
+        # axis reuse the same column.
+        axis_names = dict.fromkeys(a for axes in objective_sets for a in axes)
         cells: List[MatrixCell] = []
         for device_name in config.devices:
             engine = self.engine.for_device(get_device(device_name))
-            # Price each axis once per device; objective sets sharing an
-            # axis reuse the same column.
-            columns: Dict[str, np.ndarray] = {}
-            for axis in dict.fromkeys(a for axes in objective_sets
-                                      for a in axes):
-                if axis == "flops":
-                    columns[axis] = table.column("flops")
-                else:
-                    columns[axis] = engine.cost_column(
-                        table.canonical,
-                        engine.cost_model(axis))[table.inverse]
+            columns = {axis: engine.cost_column(
+                           table.canonical,
+                           engine.cost_model(axis))[table.inverse]
+                       for axis in axis_names}
             for axes in objective_sets:
-                cells.append(self._matrix_cell(device_name, axes, genotypes,
-                                               quality, columns))
+                members, crowd, num_fronts, knee = build_front(
+                    np.column_stack([quality]
+                                    + [columns[axis] for axis in axes]))
+                rows = [{"arch_str": genotypes[idx].to_arch_str(),
+                         "arch_index": genotypes[idx].to_index(),
+                         "quality_rank": float(quality[idx]),
+                         "crowding": float(crowding),
+                         **{axis: float(columns[axis][idx]) for axis in axes}}
+                        for idx, crowding in zip(members, crowd)]
+                cells.append(MatrixCell(device=device_name,
+                                        objectives=tuple(axes), front=rows,
+                                        knee=rows[knee],
+                                        num_fronts=num_fronts))
         return table, cells
-
-    @staticmethod
-    def _matrix_cell(device_name, axes, genotypes, quality,
-                     columns) -> MatrixCell:
-        """Sort one (device, objective-set) cell's Pareto front."""
-        vectors = np.column_stack(
-            [np.asarray(quality, dtype=float)]
-            + [columns[axis] for axis in axes])
-        first, crowd, num_fronts = first_front(vectors)
-        rows = sorted((
-            {"arch_str": genotypes[idx].to_arch_str(),
-             "arch_index": genotypes[idx].to_index(),
-             "quality_rank": float(quality[idx]),
-             "crowding": float(crowding),
-             **{axis: float(columns[axis][idx]) for axis in axes}}
-            for idx, crowding in zip(first, crowd)),
-            key=lambda row: row[axes[0]])
-        knee = knee_index([[row["quality_rank"]] + [row[a] for a in axes]
-                           for row in rows])
-        return MatrixCell(device=device_name, objectives=tuple(axes),
-                          front=rows, knee=rows[knee],
-                          num_fronts=num_fronts)
 
 
 def run(config: RuntimeConfig) -> RunReport:

@@ -12,43 +12,25 @@ the engine caches canonically, :class:`~repro.search.objective.ObjectiveWeights`
 can weight, and :class:`~repro.search.pareto.ParetoZeroShotSearch` /
 the runtime's device-matrix mode can use as a Pareto axis.
 
-Contract:
-
-* ``name`` — the registry key and the indicator-column name the axis
-  appears under in tables, weights and fronts;
-* ``estimate(genotype) -> float`` — the raw cost (lower is always
-  better; quality indicators stay the objective layer's business);
-* ``fingerprint() -> tuple`` — hashable identity of everything the value
-  depends on *besides* the genotype (device name, kernel precision,
-  power figures, macro configuration...).  It is folded into cache keys
-  so rows never alias across devices, precisions or objective sets.
-  Everything it reads is fixed at construction, so ``cache_key`` calls
-  it once per model and reuses the tuple;
-* ``cache`` — optionally, the :class:`~repro.engine.cache.IndicatorCache`
-  the model itself memoizes into.  Estimator-backed models set it so the
-  engine can detect "model and engine share one cache" and not
-  double-count lookups (same pattern as ``Engine.latency_ms``).
-
-Built-in axes: ``latency`` (float32 LUT latency — shares the legacy
-``("latency", ...)`` key layout, so existing caches and stores warm it),
-``flops``, ``energy`` (mJ/inference), ``peak-mem`` (planned arena bytes),
-and ``int8-latency`` (quantized kernels, backed by the
-:data:`INT8_DEPLOY` precision entry).  New axes register with
+Built-in axes: ``latency`` and ``flops`` (defined, with the
+:class:`CostModel` contract, in :mod:`repro.engine.costs`: the engine's
+indicator columns read them), ``energy`` (mJ/inference), ``peak-mem``
+(planned arena bytes), and ``int8-latency`` (quantized kernels, backed by
+the :data:`INT8_DEPLOY` precision entry).  New axes register with
 :func:`register_cost_model`.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.engine.costs import CostModel, FlopsCostModel, LatencyCostModel
 from repro.errors import SearchError
 from repro.hardware.costmodel import PRECISIONS
 from repro.hardware.energy import EnergyEstimator
 from repro.hardware.latency import LatencyEstimator
 from repro.hardware.memplan import PLANNING_STRATEGIES, plan_memory, tensor_lifetimes
-from repro.proxies.flops import count_flops
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.specs import MacroConfig
 
@@ -89,86 +71,6 @@ def resolve_deploy_precision(name: str) -> DeployPrecision:
         raise SearchError(
             f"unknown deploy precision {name!r}; choose from "
             f"{sorted(DEPLOY_PRECISIONS)}") from None
-
-
-# ----------------------------------------------------------------------
-# The CostModel protocol
-# ----------------------------------------------------------------------
-class CostModel:
-    """Base class for pluggable cost axes (see module docstring)."""
-
-    #: Registry key / indicator-column name.
-    name: str = ""
-    #: Cache the model itself memoizes into, or None.  See module
-    #: docstring — the engine uses identity with its own cache to avoid
-    #: double-counting hits/misses for estimator-backed models.
-    cache = None
-
-    def estimate(self, genotype: Genotype) -> float:
-        """Raw cost of one architecture (lower is better)."""
-        raise NotImplementedError
-
-    def fingerprint(self) -> Tuple:
-        """Hashable identity of everything the value depends on besides
-        the genotype."""
-        raise NotImplementedError
-
-    @cached_property
-    def _key_suffix(self) -> Tuple:
-        """:meth:`fingerprint`, computed on first use and kept."""
-        return self.fingerprint()
-
-    def cache_key(self, canon_index: int) -> Tuple:
-        """Engine cache key for the canonical form with this index."""
-        return ("cost", self.name, canon_index) + self._key_suffix
-
-
-class LatencyCostModel(CostModel):
-    """LUT-composition latency as a cost axis (float32 or int8 kernels).
-
-    Deliberately reuses the estimator's own memo layout
-    ``("latency", index, device, precision, macro)`` so the axis shares
-    rows with the legacy latency indicator — a store written by a plain
-    latency-weighted run warms this axis for free, and vice versa.
-    """
-
-    def __init__(self, estimator: LatencyEstimator,
-                 name: str = "latency") -> None:
-        self.name = name
-        self.estimator = estimator
-        self.cache = estimator.cache
-
-    def estimate(self, genotype: Genotype) -> float:
-        return float(self.estimator.estimate_ms(genotype))
-
-    def fingerprint(self) -> Tuple:
-        return (self.estimator.device.name, self.estimator.precision,
-                astuple(self.estimator.config))
-
-    def cache_key(self, canon_index: int) -> Tuple:
-        return ("latency", canon_index) + self._key_suffix
-
-
-class FlopsCostModel(CostModel):
-    """Deployment FLOPs as a cost axis (device-independent).
-
-    Shares the legacy ``("flops", index, macro)`` key layout with
-    :meth:`Engine.flops`.
-    """
-
-    name = "flops"
-
-    def __init__(self, config: MacroConfig) -> None:
-        self.config = config
-
-    def estimate(self, genotype: Genotype) -> float:
-        return float(count_flops(genotype, self.config))
-
-    def fingerprint(self) -> Tuple:
-        return (astuple(self.config),)
-
-    def cache_key(self, canon_index: int) -> Tuple:
-        return ("flops", canon_index) + self._key_suffix
 
 
 class EnergyCostModel(CostModel):

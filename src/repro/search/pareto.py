@@ -9,17 +9,19 @@ cheap enough to score a sample directly) over
 
 * **trainless quality** — the rank-combined NTK + linear-region score
   (lower is better, exactly the hybrid objective's trainless part),
-* **estimated MCU latency** (lower is better),
-* optionally **FLOPs**,
-* or any registered :class:`~repro.search.costs.CostModel` axis
-  (``energy``, ``peak-mem``, ``int8-latency``, ...) via ``objectives=``
-  — the front generalises to N-dimensional cost vectors while the
-  default quality/latency pair keeps the 2-D behaviour bit-for-bit.
+* one or more **cost axes** named by ``objectives=`` — ``latency`` (the
+  default), ``flops`` or any registered
+  :class:`~repro.search.costs.CostModel` axis (``energy``, ``peak-mem``,
+  ``int8-latency``, ...).
 
-The deliverable is the first front plus a knee point, which a user can
-hand to the secondary stage (:mod:`repro.search.macro`) per deployment.
-:func:`first_front` and :func:`knee_index` are the one copy of each,
-shared with the device-matrix cells of :mod:`repro.runtime.harness`.
+Every axis has one price: the engine's cost model for it, read once per
+unique canonical cell (``Engine.cost_column``) and gathered back to
+sample order, so a sample's front does not depend on the objective's
+weights.  The deliverable is the first front plus a knee point, which a
+user can hand to the secondary stage (:mod:`repro.search.macro`) per
+deployment.  :func:`build_front` is the one front builder — Pareto set,
+crowding, the order along the first cost axis and the knee — shared with
+the device-matrix cells of :mod:`repro.runtime.harness`.
 
 :func:`non_dominated_sort` is array-native but keeps the list order of
 the classic pairwise NSGA-II loop: front 0 in ascending index order, and
@@ -185,6 +187,22 @@ def knee_index(matrix: Sequence[Sequence[float]]) -> int:
     return int(np.argmin(np.sqrt((normed ** 2).sum(axis=1))))
 
 
+def build_front(vectors: np.ndarray
+                ) -> Tuple[List[int], np.ndarray, int, int]:
+    """The one Pareto-front builder, for ``(quality, *costs)`` rows.
+
+    Returns the first front's row indices sorted by the first cost axis
+    (column 1; a stable sort, so ties keep ascending index order), their
+    crowding distances in that order, the number of fronts, and the
+    knee's position in the sorted front (:func:`knee_index`).
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    first, crowd, num_fronts = first_front(vectors)
+    order = sorted(range(len(first)), key=lambda k: vectors[first[k], 1])
+    members = [first[k] for k in order]
+    return members, crowd[order], num_fronts, knee_index(vectors[members])
+
+
 def crowding_selection_weights(points: np.ndarray) -> np.ndarray:
     """Parent-selection probabilities proportional to crowding distance.
 
@@ -246,11 +264,6 @@ class ParetoPoint:
     #: populated when the search ran with non-default ``objectives``.
     costs: Tuple[Tuple[str, float], ...] = ()
 
-    def objectives(self, use_flops: bool) -> Tuple[float, ...]:
-        if use_flops:
-            return (self.quality_rank, self.latency_ms, self.flops)
-        return (self.quality_rank, self.latency_ms)
-
     def cost(self, axis: str) -> float:
         """The value of one named cost axis on this point."""
         if axis == "latency":
@@ -296,12 +309,9 @@ class ParetoResult:
 class ParetoZeroShotSearch:
     """Score a sample with the trainless proxies; return the Pareto front.
 
-    ``include_flops=True`` adds FLOPs as a third objective (useful when
-    the deployment board is undecided and latency is board-specific).
-    ``objectives`` names the cost axes explicitly — any mix of the
-    built-ins and registered :class:`~repro.search.costs.CostModel` axes
-    (e.g. ``("energy", "peak-mem")``); the default stays
-    ``("latency",)``, preserving the original 2-D behaviour exactly.
+    ``objectives`` names the cost axes — any mix of ``latency``,
+    ``flops`` and registered :class:`~repro.search.costs.CostModel` axes
+    (e.g. ``("energy", "peak-mem")``); the default is ``("latency",)``.
     """
 
     algorithm_name = "pareto-zeroshot"
@@ -311,7 +321,6 @@ class ParetoZeroShotSearch:
         objective: HybridObjective,
         num_samples: int = 64,
         seed: int = 0,
-        include_flops: bool = False,
         space: Optional[NasBench201Space] = None,
         objectives: Optional[Sequence[str]] = None,
     ) -> None:
@@ -320,23 +329,20 @@ class ParetoZeroShotSearch:
         self.objective = objective
         self.num_samples = num_samples
         self.seed = seed
-        self.include_flops = include_flops
         self.space = space or NasBench201Space()
-        axes = list(objectives) if objectives else ["latency"]
-        if include_flops and "flops" not in axes:
-            axes.append("flops")
+        axes = tuple(objectives) if objectives else ("latency",)
         if len(set(axes)) != len(axes):
-            raise SearchError(f"duplicate objective axes in {axes}")
-        self.axes: Tuple[str, ...] = tuple(axes)
+            raise SearchError(f"duplicate objective axes in {list(axes)}")
+        self.axes: Tuple[str, ...] = axes
 
     # ------------------------------------------------------------------
     def _score_population(
         self, genotypes: Sequence[Genotype]
     ) -> List[ParetoPoint]:
         # One population call: canonical dedupe, the engine's executor
-        # computes the missing rows as one batch, and every column —
-        # extra cost axes included — is read once per unique canonical
-        # form and gathered back to sample order through ``inverse``.
+        # computes the missing rows as one batch, and every cost axis is
+        # read once per unique canonical form through its cost model and
+        # gathered back to sample order through ``inverse``.
         table = self.objective.evaluate_population(genotypes)
         # Quality is the *trainless* part only (NTK + linear regions);
         # hardware enters as its own objective axis, not via the weights.
@@ -345,21 +351,11 @@ class ParetoZeroShotSearch:
         engine = self.objective.engine
         costs = {axis: engine.cost_column(table.canonical,
                                           engine.cost_model(axis))[table.inverse]
-                 for axis in sorted(self.axes)
-                 if axis not in ("latency", "flops")}
-        # A row carries a real latency only when the objective's weights
-        # requested one; otherwise the engine reports a 0.0 placeholder.
-        # Key on *that* — a genuine 0.0 ms estimate from a
-        # latency-weighted objective must be kept, not silently
-        # re-estimated.  The estimator prices each genotype as given.
-        if self.objective.weights.uses_latency:
-            latencies = table.column("latency")
-        elif "latency" in self.axes:
-            estimator = self.objective.latency_estimator
-            latencies = [estimator.estimate_ms(g) for g in genotypes]
-        else:
-            latencies = np.zeros(len(genotypes))
-        flops = table.column("flops")
+                 for axis in sorted(self.axes)}
+        # Off the axes, the table's columns: FLOPs always, latency when
+        # the weights request it (else its 0.0 placeholder).
+        latencies = costs.pop("latency", table.column("latency"))
+        flops = costs.pop("flops", table.column("flops"))
         return [
             ParetoPoint(
                 genotype=genotype,
@@ -377,11 +373,10 @@ class ParetoZeroShotSearch:
         genotypes = self.space.sample(self.num_samples, rng=self.seed)
         with Timer() as timer:
             points = self._score_population(genotypes)
-            vectors = np.array([p.vector(self.axes) for p in points])
-            first, crowd, num_fronts = first_front(vectors)
+            members, crowd, num_fronts, _ = build_front(
+                [p.vector(self.axes) for p in points])
             front = [replace(points[idx], crowding=float(c))
-                     for idx, c in zip(first, crowd)]
-        front.sort(key=lambda p: p.cost(self.axes[0]))
+                     for idx, c in zip(members, crowd)]
         return ParetoResult(
             front=front,
             population_size=self.num_samples,

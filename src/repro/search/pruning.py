@@ -6,7 +6,10 @@ operation, scores the *pruned supernet* with the hybrid objective, and on
 every undecided edge removes the operation whose removal ranks best (i.e.
 hurts trainability/expressivity least while improving the hardware
 indicators most).  After ``|ops| - 1`` rounds every edge is decided and the
-remaining assignment is the discovered architecture.
+remaining assignment is the discovered architecture.  A removal that
+would leave no path of non-``none`` ops from the cell's input to its
+output is passed over for the edge's next-best one, so the search never
+returns a disconnected cell.
 
 Under hard constraints, an outer loop adapts the hardware indicator
 weights ("MicroNAS adapts FLOPs and latency indicator weights"): if the
@@ -23,9 +26,20 @@ from repro.search.constraints import ConstraintChecker, HardwareConstraints
 from repro.search.objective import HybridObjective, ObjectiveWeights
 from repro.search.result import SearchResult
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.ops import CANDIDATE_OPS, NUM_EDGES
+from repro.searchspace.ops import CANDIDATE_OPS, EDGES, NUM_EDGES, NUM_NODES
 from repro.searchspace.specs import EdgeSpec
 from repro.utils.timing import Timer
+
+
+def _connectable(specs: Sequence[EdgeSpec]) -> bool:
+    """Whether some path from node 0 to the output node has a non-``none``
+    op alive on every edge (so the state can still become a connected
+    cell).  One pass suffices: :data:`EDGES` lists edges by source node."""
+    reached = [True] + [False] * (NUM_NODES - 1)
+    for (src, dst), spec in zip(EDGES, specs):
+        if reached[src] and any(op != "none" for op in spec.alive_ops):
+            reached[dst] = True
+    return reached[-1]
 
 
 class MicroNASSearch:
@@ -87,28 +101,39 @@ class MicroNASSearch:
                                           count=len(candidates))
                 ranks = self.objective.combined_ranks(indicator_rows)
 
+                # On each edge, in edge order, the best-ranked removal that
+                # keeps the state connectable.  One always exists: removing
+                # ``none`` (or any op beside another live one) keeps the
+                # edge as live as it was.
                 removed: Dict[int, str] = {}
-                for spec in specs:
+                passed_over: Dict[int, str] = {}
+                for position in range(len(specs)):
+                    spec = specs[position]
                     if spec.decided:
                         continue
-                    edge_candidate_ids = [
-                        i for i, (edge, _) in enumerate(candidates)
-                        if edge == spec.edge_index
-                    ]
-                    best_local = min(edge_candidate_ids, key=lambda i: ranks[i])
-                    removed[spec.edge_index] = candidates[best_local][1]
-                specs = [
-                    spec.without(removed[spec.edge_index])
-                    if spec.edge_index in removed
-                    else spec
-                    for spec in specs
-                ]
-                history.append({
+                    edge_candidate_ids = sorted(
+                        (i for i, (edge, _) in enumerate(candidates)
+                         if edge == spec.edge_index),
+                        key=lambda i: ranks[i])
+                    for i in edge_candidate_ids:
+                        op = candidates[i][1]
+                        specs[position] = spec.without(op)
+                        if _connectable(specs):
+                            break
+                    best = candidates[edge_candidate_ids[0]][1]
+                    if op != best:
+                        passed_over[spec.edge_index] = best
+                    removed[spec.edge_index] = op
+                record = {
                     "round": round_index,
                     "removed": dict(removed),
                     "alive": {s.edge_index: s.alive_ops for s in specs},
                     "num_candidates": len(candidates),
-                })
+                }
+                if passed_over:
+                    # The best-ranked removal each guarded edge skipped.
+                    record["passed_over"] = passed_over
+                history.append(record)
         genotype = self._finalise(specs)
         indicators = self.objective.genotype_indicators(genotype)
         return SearchResult(

@@ -141,6 +141,62 @@ class TestEngineCost:
         assert engine.cost(heavy_genotype, "flops") == \
             engine.flops(heavy_genotype)
 
+    def test_latency_axis_wraps_a_given_estimator(self, monkeypatch):
+        """An objective built around an estimator for a non-full macro
+        configuration prices every latency read with that estimator: no
+        second, full-configuration LUT estimator is profiled."""
+        from repro.hardware.latency import LatencyEstimator
+        from repro.searchspace.canonical import canonicalize
+        from repro.searchspace.genotype import Genotype
+
+        estimator = LatencyEstimator(config=TINY)
+        built = []
+        init = LatencyEstimator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("config"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LatencyEstimator, "__init__", counting)
+        objective = HybridObjective(weights=ObjectiveWeights(latency=0.5),
+                                    latency_estimator=estimator)
+        engine = objective.engine
+        assert engine.macro_config != TINY
+        genotypes = [Genotype.from_index(i) for i in (1312, 258, 6, 15624)]
+        assert any(canonicalize(g) != g for g in genotypes)
+        for genotype in genotypes:
+            latency = engine.latency_ms(genotype)
+            assert engine.cost(genotype, "latency") == latency
+            assert engine.latency_ms(genotype, TINY) == latency
+            assert engine.evaluate(genotype, with_latency=True)[
+                "latency"] == latency
+            assert latency == estimator.estimate_ms(canonicalize(genotype))
+        table = engine.evaluate_population(genotypes, with_latency=True)
+        np.testing.assert_array_equal(
+            table.column("latency"),
+            [engine.cost(g, "latency") for g in genotypes])
+        assert engine.cost_model("latency").estimator is estimator
+        assert built == []
+
+    def test_config_forms_read_the_axis_models(self, engine, heavy_genotype):
+        """``latency_ms``/``flops`` under another macro configuration
+        price through one model per (axis, configuration)."""
+        from repro.proxies.flops import count_flops
+        from repro.searchspace.canonical import canonicalize
+
+        other = MacroConfig(init_channels=8, cells_per_stage=1,
+                            num_classes=10, input_channels=3, image_size=8)
+        canon = canonicalize(heavy_genotype)
+        assert engine.flops(heavy_genotype, other) == \
+            float(count_flops(canon, other))
+        assert engine.flops(heavy_genotype, other) != \
+            engine.flops(heavy_genotype)
+        latency = engine.latency_ms(heavy_genotype, other)
+        assert latency != engine.latency_ms(heavy_genotype)
+        assert latency == engine.latency_ms(heavy_genotype, other)
+        estimator = engine._estimator_for(other)
+        assert latency == estimator.estimate_ms(canon)
+
     def test_energy_monotone_in_latency(self, engine, heavy_genotype,
                                         light_genotype):
         assert engine.cost(heavy_genotype, "energy") > \

@@ -1,5 +1,6 @@
 """Multi-objective Pareto zero-shot search."""
 
+import functools
 import time
 import tracemalloc
 
@@ -13,6 +14,7 @@ from repro.proxies.base import ProxyConfig
 from repro.search import HybridObjective, ObjectiveWeights
 from repro.search.pareto import (
     ParetoPoint,
+    build_front,
     ParetoResult,
     ParetoZeroShotSearch,
     crowding_distance,
@@ -212,6 +214,20 @@ class TestFirstFront:
         np.testing.assert_array_equal(crowd,
                                       crowding_distance(points[fronts[0]]))
 
+    @settings(max_examples=40, deadline=None)
+    @given(points=tied_points())
+    def test_build_front_sorts_the_first_front_and_picks_its_knee(
+            self, points):
+        if len(points) == 0 or points.shape[1] < 2:
+            return
+        first, crowd, num_fronts = first_front(points)
+        members, sorted_crowd, count, knee = build_front(points)
+        order = sorted(range(len(first)), key=lambda k: points[first[k], 1])
+        assert members == [first[k] for k in order]
+        np.testing.assert_array_equal(sorted_crowd, crowd[order])
+        assert count == num_fronts
+        assert knee == knee_index(points[members])
+
 
 class TestCrowdingDistance:
     def test_extremes_infinite(self):
@@ -251,32 +267,28 @@ class TestKneeIndex:
         matrix = [[0.0, 60.0, 0.0], [1.0, 0.0, 1.0], [0.6, 30.0, 0.6]]
         assert knee_index(matrix) == 2
 
-    @pytest.mark.parametrize("axes", [("latency",), ("energy", "peak-mem")])
+    @pytest.mark.parametrize("axes", [("latency",), ("energy", "peak-mem"),
+                                      ("flops", "latency")])
     @pytest.mark.parametrize("seed", range(5))
     def test_knee_point_agrees_with_matrix_cell(self, axes, seed):
-        from repro.runtime.harness import RunHarness
-
-        rng = np.random.default_rng(seed)
-        genotypes = [Genotype.from_index(i) for i in range(40)]
-        quality = rng.permutation(40).astype(float)
-        columns = {axis: rng.uniform(0.0, 10.0, 40) for axis in axes}
-        cell = RunHarness._matrix_cell("board", axes, genotypes, quality,
-                                       columns)
-        front = [ParetoPoint(
-            genotype=Genotype.from_index(row["arch_index"]),
-            quality_rank=row["quality_rank"],
-            latency_ms=row.get("latency", 0.0), flops=0.0,
-            costs=tuple(sorted((a, row[a]) for a in axes
-                               if a != "latency")),
-        ) for row in cell.front]
-        result = ParetoResult(front=front, population_size=40,
-                              wall_seconds=0.0,
-                              num_fronts=cell.num_fronts, axes=axes)
-        vectors = np.column_stack([quality]
-                                  + [columns[a] for a in axes])
-        assert cell.num_fronts == first_front(vectors)[2]
-        assert (result.knee_point().genotype.to_index()
-                == cell.knee["arch_index"])
+        """``ParetoZeroShotSearch`` and a one-device ``run_matrix`` over
+        the same sample build the same front, crowding, front count and
+        knee as float hex, whatever the search objective's weights."""
+        report = _matrix_report(seed)
+        config = report.config
+        cell = report.cell(config.devices[0], axes)
+        for weights in (ObjectiveWeights(), ObjectiveWeights(latency=0.5)):
+            objective = HybridObjective(
+                proxy_config=config.proxy_config(), weights=weights,
+                macro_config=config.macro_config())
+            result = ParetoZeroShotSearch(
+                objective, num_samples=config.samples, seed=seed,
+                objectives=axes).search()
+            assert cell.num_fronts == result.num_fronts
+            assert [_hex_row(row, axes) for row in cell.front] == \
+                [_hex_point(p, axes) for p in result.front]
+            assert _hex_row(cell.knee, axes) == \
+                _hex_point(result.knee_point(), axes)
 
 
 class TestParetoSearch:
@@ -297,7 +309,8 @@ class TestParetoSearch:
     def test_front_mutually_non_dominated(self, result):
         for a in result.front:
             for b in result.front:
-                assert not dominates(a.objectives(False), b.objectives(False))
+                assert not dominates(a.vector(result.axes),
+                                     b.vector(result.axes))
 
     def test_quality_decreases_along_front(self, result):
         """Sorted by latency, quality rank must be non-increasing-better:
@@ -324,7 +337,6 @@ class TestParetoSearch:
             ParetoZeroShotSearch(objective, num_samples=1)
 
     def test_knee_point_of_empty_front(self):
-        from repro.search.pareto import ParetoResult
         with pytest.raises(SearchError):
             ParetoResult(front=[], population_size=0, wall_seconds=0,
                          num_fronts=0).knee_point()
@@ -335,12 +347,15 @@ class TestParetoSearch:
             weights=ObjectiveWeights(latency=0.5),
             latency_estimator=shared_latency_estimator,
         )
-        result = ParetoZeroShotSearch(objective, num_samples=10, seed=4,
-                                      include_flops=True).search()
+        result = ParetoZeroShotSearch(
+            objective, num_samples=10, seed=4,
+            objectives=("latency", "flops")).search()
+        assert result.axes == ("latency", "flops")
         assert result.front
         for a in result.front:
             for b in result.front:
-                assert not dominates(a.objectives(True), b.objectives(True))
+                assert not dominates(a.vector(result.axes),
+                                     b.vector(result.axes))
 
 
 class _ZeroLatencyEstimator:
@@ -442,8 +457,9 @@ class TestExtraCostAxes:
 
 
 class _PerGenotypeSearch(ParetoZeroShotSearch):
-    """Oracle: the scoring pass that re-read every sampled genotype
-    through ``genotype_indicators`` and a per-genotype ``Engine.cost``."""
+    """Oracle: every sampled genotype re-read through
+    ``genotype_indicators`` and priced on every axis by a per-genotype
+    ``Engine.cost`` — one price per axis, whatever the weights."""
 
     def _score_population(self, genotypes):
         self.objective.evaluate_population(genotypes)
@@ -451,23 +467,15 @@ class _PerGenotypeSearch(ParetoZeroShotSearch):
         trainless = self.objective.with_weights(ObjectiveWeights())
         quality = trainless.combined_ranks(rows)
         engine = self.objective.engine
-        models = {axis: engine.cost_model(axis) for axis in self.axes
-                  if axis not in ("latency", "flops")}
-        estimator = (self.objective.latency_estimator
-                     if "latency" in self.axes else None)
         points = []
         for genotype, row, q in zip(genotypes, rows, quality):
-            latency = (row["latency"] if self.objective.weights.uses_latency
-                       else None)
-            if latency is None:
-                latency = (estimator.estimate_ms(genotype)
-                           if estimator is not None else 0.0)
+            costs = {axis: float(engine.cost(genotype, axis))
+                     for axis in self.axes}
             points.append(ParetoPoint(
                 genotype=genotype, quality_rank=float(q),
-                latency_ms=float(latency), flops=float(row["flops"]),
-                costs=tuple(sorted(
-                    (axis, float(engine.cost(genotype, model)))
-                    for axis, model in models.items()))))
+                latency_ms=costs.pop("latency", float(row["latency"])),
+                flops=costs.pop("flops", float(row["flops"])),
+                costs=tuple(sorted(costs.items()))))
         return points
 
 
@@ -481,14 +489,17 @@ def _hex_front(result):
             point(result.knee_point()))
 
 
+AXIS_SETS = [None, ("latency", "energy"), ("peak-mem", "flops", "latency")]
+
+
 class TestScoringFromThePopulationTable:
     """Scoring from the population table's unique canonical forms gives
     the per-genotype oracle's fronts, crowding and knees as float hex."""
 
     @pytest.mark.parametrize("weights", [ObjectiveWeights(latency=0.5),
-                                         ObjectiveWeights(flops=0.3)])
-    @pytest.mark.parametrize("axes", [None, ("latency", "energy"),
-                                      ("peak-mem", "flops", "latency")])
+                                         ObjectiveWeights(flops=0.3),
+                                         ObjectiveWeights()])
+    @pytest.mark.parametrize("axes", AXIS_SETS)
     def test_fronts_equal_the_per_genotype_oracle(
             self, shared_latency_estimator, weights, axes):
         objective = HybridObjective(
@@ -500,3 +511,60 @@ class TestScoringFromThePopulationTable:
                         for cls in (_PerGenotypeSearch, ParetoZeroShotSearch)]
             oracle, table = (s.search() for s in searches)
             assert _hex_front(table) == _hex_front(oracle)
+
+
+class TestOneFrontWhateverTheWeights:
+    """Each cost axis has one price, so the objective's weights choose
+    nothing about a sample's front: unweighted, latency-weighted and
+    FLOPs-weighted objectives return the same front, crowding and knee
+    as float hex, non-canonical genotypes included."""
+
+    @pytest.mark.parametrize("axes", AXIS_SETS)
+    def test_front_independent_of_weights(self, shared_latency_estimator,
+                                          axes):
+        weightings = [ObjectiveWeights(), ObjectiveWeights(latency=0.5),
+                      ObjectiveWeights(flops=0.3),
+                      ObjectiveWeights(flops=0.25, latency=0.75)]
+        for seed in range(3):
+            fronts = [_hex_front(ParetoZeroShotSearch(
+                HybridObjective(proxy_config=FAST_PROXY, weights=weights,
+                                latency_estimator=shared_latency_estimator),
+                num_samples=16, seed=seed, objectives=axes).search())
+                for weights in weightings]
+            assert all(front == fronts[0] for front in fronts[1:])
+
+    def test_non_canonical_latency_is_the_canonical_price(
+            self, shared_latency_estimator):
+        from repro.searchspace.canonical import canonicalize
+
+        objective = HybridObjective(proxy_config=FAST_PROXY,
+                                    latency_estimator=shared_latency_estimator)
+        search = ParetoZeroShotSearch(objective, num_samples=16, seed=0)
+        genotypes = search.space.sample(16, rng=0)
+        points = search._score_population(genotypes)
+        assert any(canonicalize(g) != g for g in genotypes)
+        for genotype, point in zip(genotypes, points):
+            assert point.latency_ms == shared_latency_estimator.estimate_ms(
+                canonicalize(genotype))
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix_report(seed):
+    """A one-device matrix run over 24 samples, with the axis sets of
+    ``TestKneeIndex.test_knee_point_agrees_with_matrix_cell``."""
+    from repro.runtime import RunHarness, RuntimeConfig
+
+    return RunHarness(RuntimeConfig(
+        samples=24, seed=seed, fast=True, devices=("nucleo-f746zg",),
+        objectives=("latency", "energy,peak-mem", "flops,latency"),
+    )).run_matrix()
+
+
+def _hex_row(row, axes):
+    return (row["arch_index"], row["quality_rank"].hex(),
+            row["crowding"].hex(), tuple(row[a].hex() for a in axes))
+
+
+def _hex_point(point, axes):
+    return (point.genotype.to_index(), point.quality_rank.hex(),
+            point.crowding.hex(), tuple(point.cost(a).hex() for a in axes))

@@ -1,14 +1,21 @@
 """MicroNAS pruning search (slow-ish: uses the tiny proxy config)."""
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.eval.benchconfig import reduced_proxy_config
 from repro.search.constraints import ConstraintChecker, HardwareConstraints
 from repro.search.objective import HybridObjective, ObjectiveWeights
-from repro.search.pruning import MicroNASSearch
+from repro.search.pruning import MicroNASSearch, _connectable
 from repro.search.tenas import TENASSearch
+from repro.searchspace.features import extract_features
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import CANDIDATE_OPS
+from repro.searchspace.specs import EdgeSpec
 from repro.errors import SearchError
 
 
@@ -153,3 +160,57 @@ class TestTENAS:
     def test_tenas_from_existing_objective(self, objective):
         search = TENASSearch(objective=objective)
         assert search.objective.weights.latency == 0.0
+
+
+class TestConnectivityGuard:
+    """The search never returns a cell with no path of non-``none`` ops
+    from the input node to the output node."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(index=st.integers(0, 15624))
+    def test_connectable_matches_the_cell_graph_on_decided_states(self,
+                                                                  index):
+        genotype = Genotype.from_index(index)
+        specs = [EdgeSpec(i, (op,)) for i, op in enumerate(genotype.ops)]
+        assert _connectable(specs) == extract_features(genotype).is_connected
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 63),
+           flops=st.sampled_from([0.0, 0.5, 2.0, 8.0]),
+           latency=st.sampled_from([0.0, 0.5, 0.75, 8.0]))
+    def test_final_cell_is_connected(self, tiny_proxy_config,
+                                     shared_latency_estimator, seed, flops,
+                                     latency):
+        objective = HybridObjective(
+            proxy_config=replace(tiny_proxy_config, seed=seed),
+            weights=ObjectiveWeights(flops=flops, latency=latency),
+            latency_estimator=shared_latency_estimator)
+        result = MicroNASSearch(objective, seed=seed).search()
+        assert extract_features(result.genotype).is_connected
+        for record in result.history:
+            for edge, op in record.get("passed_over", {}).items():
+                assert op != record["removed"][edge]
+
+    def test_heavy_hardware_weights_meet_the_guard(self, tiny_proxy_config):
+        """FLOPs favour ``none``; with a heavy FLOPs weight the unguarded
+        search prunes every live op, and the guard passes that over."""
+        objective = HybridObjective(proxy_config=tiny_proxy_config,
+                                    weights=ObjectiveWeights(flops=50.0))
+        result = MicroNASSearch(objective, seed=0).search()
+        assert extract_features(result.genotype).is_connected
+        assert any("passed_over" in record for record in result.history)
+
+    @pytest.mark.parametrize("seed, arch, guarded", [(0, 1312, False),
+                                                     (2, 3131, True)])
+    def test_reduced_config_regressions(self, seed, arch, guarded):
+        """Seed 2 at weights (0.5, 0.5) returned arch 6
+        (``skip_connect, skip_connect, none, none, none, none``) before the
+        guard; seed 0 meets no guard and still returns arch 1312."""
+        objective = HybridObjective(
+            proxy_config=reduced_proxy_config(seed=seed),
+            weights=ObjectiveWeights(flops=0.5, latency=0.5))
+        result = MicroNASSearch(objective, seed=seed).search()
+        assert extract_features(result.genotype).is_connected
+        assert result.genotype.to_index() == arch
+        assert any("passed_over" in record
+                   for record in result.history) == guarded
