@@ -44,7 +44,7 @@ import numpy as np
 from repro.engine.cache import IndicatorCache
 from repro.engine.costs import FlopsCostModel, LatencyCostModel
 from repro.engine.table import IndicatorTable
-from repro.errors import ProxyError
+from repro.errors import HardwareModelError, ProxyError
 from repro.proxies.base import ProxyConfig
 from repro.proxies.flops import count_params
 from repro.searchspace.canonical import canonicalize
@@ -85,7 +85,12 @@ def supernet_indicator_keys(state: Tuple, proxy_key: Tuple) -> Dict[str, Tuple]:
 
 
 class Engine:
-    """Batched, cached indicator evaluation for populations of genotypes."""
+    """Batched, cached indicator evaluation for populations of genotypes.
+
+    One macro configuration prices every hardware axis.  A given
+    ``latency_estimator`` brings its own; a ``macro_config`` passed with
+    it must be the same one.
+    """
 
     def __init__(
         self,
@@ -101,6 +106,14 @@ class Engine:
         executor=None,
     ) -> None:
         self.proxy_config = proxy_config or ProxyConfig()
+        if latency_estimator is not None:
+            # One macro configuration prices every axis: the estimator's.
+            if macro_config is None:
+                macro_config = latency_estimator.config
+            elif macro_config != latency_estimator.config:
+                raise HardwareModelError(
+                    f"macro_config {macro_config} differs from the latency "
+                    f"estimator's {latency_estimator.config}")
         self.macro_config = macro_config or MacroConfig.full()
         self.cache = cache if cache is not None else IndicatorCache()
         self.ledger = ledger if ledger is not None else CostLedger()

@@ -26,6 +26,10 @@ steps and runs it over weights drawn without building any ``Module``.
   order.
 * :class:`LinePlan` — the BN-free line-region network, forward only; its
   ReLU patterns come back in the ReLU order of ``network.modules()``.
+* :class:`SupernetChunk` — the supernet states of one executor chunk as
+  one incremental computation: one base compile, each state's plan
+  derived from it, and the forward values states hold alike computed
+  once.
 * :func:`line_points` / :func:`count_regions_per_line` — probe-line
   geometry, shared with the module-tree kernels.
 
@@ -85,8 +89,24 @@ fan-out gradients add up — in the order today's tape uses.  Nodes the
 sort does not reach (dead branches of a pruned cell) are not computed;
 their parameters keep zero Jacobian columns, as in the hooked kernel.
 
+**Derived plans and shared values.**  The contract holds for a plan a
+:class:`SupernetChunk` derives, compared with the same state compiled
+alone.  A derived plan runs the base's steps for the state's ops and
+builds each cell's edge adds and scales as a lone compile does, with the
+same parents in the same order; its tape order is the depth-first sort
+over those parent lists, so fan-out gradients add in the same order, and
+its layers (so its Jacobian columns) keep the lone compile's order.  Its
+forward may run the nodes in another order than a lone compile (any
+order that runs parents first gives each node the same operands).  A
+value another state of the chunk computed — a node's ``vals`` and
+``saved`` entries — is the array that state's step returned, on the
+same operands, handed over read-only: no step writes a value or a saved
+entry in place, and a write to a shared one raises.  Per-state
+compilation stays the test oracle (``tests/engine/test_plan.py``).
+
 Plans and banks are immutable and every per-evaluation array is a local
-of the run, so one plan may run on many threads at once.
+of the run, so one plan may run on many threads at once.  The plans of
+one chunk share its values, so a chunk runs on one thread.
 """
 
 from __future__ import annotations
@@ -114,6 +134,11 @@ from repro.utils.rng import new_rng, stable_seed
 
 #: The edge op sets of a supernet bank: every candidate op on every edge.
 _ALL_OPS = (CANDIDATE_OPS,) * len(EDGES)
+#: The edges into each cell node, in edge order.
+_EDGES_INTO = [[edge for edge, (_, dst) in enumerate(EDGES) if dst == node]
+               for node in range(NUM_NODES)]
+#: The tag of a derived add node (see :meth:`_Tape.derive`).
+_ADD = ("add",)
 
 Key = Tuple
 
@@ -293,11 +318,12 @@ def _accumulate(grads: list, node: int, grad: np.ndarray) -> None:
     grads[node] = grad if held is None else held + grad
 
 
-def _tape_order(parents: Sequence[Tuple[int, ...]], root: int) -> List[int]:
-    """Post-order of the depth-first sort ``Tensor.backward`` runs."""
+def _tape_order(parents: Sequence[Tuple[int, ...]], *roots: int) -> List[int]:
+    """Post-order of the depth-first sort ``Tensor.backward`` runs (from
+    one root; from several, a forward order of everything they read)."""
     topo: List[int] = []
     visited = [False] * len(parents)
-    stack = [root]           # ``~node`` marks a node whose parents are done
+    stack = list(roots)      # ``~node`` marks a node whose parents are done
     while stack:
         node = stack.pop()
         if node < 0:
@@ -311,6 +337,28 @@ def _tape_order(parents: Sequence[Tuple[int, ...]], root: int) -> List[int]:
             if not visited[parent]:
                 stack.append(parent)
     return topo
+
+
+def _add_steps(i: int, a: int, b: int):
+    """Forward and adjoint of node ``i`` = ``a + b``."""
+    def forward(vals, saved, weights):
+        vals[i] = vals[a] + vals[b]
+
+    def adjoint(vals, saved, grads):
+        grad = grads[i]
+        _accumulate(grads, a, grad)
+        _accumulate(grads, b, grad)
+    return forward, adjoint
+
+
+def _scale_steps(i: int, x: int, factor: np.ndarray):
+    """Forward and adjoint of node ``i`` = ``x * factor`` (a 0-d array)."""
+    def forward(vals, saved, weights):
+        vals[i] = vals[x] * factor
+
+    def adjoint(vals, saved, grads):
+        _accumulate(grads, x, grads[i] * factor)
+    return forward, adjoint
 
 
 class _Tape:
@@ -340,6 +388,15 @@ class _Tape:
         #: (sort key, [(source, size)], Jacobian term factory, output
         #: node) per parameterised layer.
         self.layers: List[Tuple] = []
+        #: Adds and scales: the steps a chunk recomputes per state.
+        self.cheap = set()
+        #: A chunk base's ``(edge, op)`` of each node an edge op built, and
+        #: per cell ``(input, (input, node 1, node 2, node 3), {(edge, op):
+        #: output})`` (see :meth:`base_cell`).
+        self.member: Dict[int, Tuple[int, str]] = {}
+        self.cells: List[Tuple] = []
+        #: A base's scalar factors by value, shared by its derivations.
+        self.factors: Dict[float, np.ndarray] = {}
 
     def _node(self, parents: Tuple[int, ...], shape) -> int:
         self.parents.append(parents)
@@ -462,32 +519,16 @@ class _Tape:
 
     def add(self, a: int, b: int) -> int:
         i = self._node((a, b), self.shapes[a])
-
-        def forward(vals, saved, weights):
-            vals[i] = vals[a] + vals[b]
-
-        def adjoint(vals, saved, grads):
-            grad = grads[i]
-            _accumulate(grads, a, grad)
-            _accumulate(grads, b, grad)
-
-        self.forward[i] = forward
-        self.adjoint[i] = adjoint
+        self.cheap.add(i)
+        self.forward[i], self.adjoint[i] = _add_steps(i, a, b)
         return i
 
     def scale(self, x: int, value: float) -> int:
         """``x * value`` with the scalar wrapped as a 0-d array."""
         i = self._node((x,), self.shapes[x])
-        factor = self._scalar(value)
-
-        def forward(vals, saved, weights):
-            vals[i] = vals[x] * factor
-
-        def adjoint(vals, saved, grads):
-            _accumulate(grads, x, grads[i] * factor)
-
-        self.forward[i] = forward
-        self.adjoint[i] = adjoint
+        self.cheap.add(i)
+        self.forward[i], self.adjoint[i] = _scale_steps(i, x,
+                                                        self._scalar(value))
         return i
 
     def pool(self, x: int, kernel: int, stride: int, padding: int) -> int:
@@ -589,6 +630,87 @@ class _Tape:
             nodes.append(total if total is not None else self.scale(nodes[0], 0.0))
         return nodes[-1]
 
+    def base_cell(self, x: int, edge_op_sets, apply_op) -> int:
+        """A chunk base's ``SuperCell``: every (edge, op) built, nodes 1–3
+        left as placeholders that :meth:`derive` fills per state."""
+        nodes = [x] + [self._node((), self.shapes[x])
+                       for _ in range(1, NUM_NODES)]
+        outputs = {}
+        for edge, (src, _) in enumerate(EDGES):
+            for position, op in enumerate(edge_op_sets[edge]):
+                first = len(self.parents)
+                outputs[edge, op] = apply_op(edge, position, op, nodes[src])
+                for node in range(first, len(self.parents)):
+                    self.member[node] = (edge, op)
+        self.cells.append((x, tuple(nodes), outputs))
+        return nodes[-1]
+
+    def derive(self, edge_op_sets) -> "_Tape":
+        """A base tape's copy for one state, structure only: the state's
+        layers, and each cell's edge sums built as :meth:`cell` builds
+        them, the last one of node ``dst`` in its placeholder.  ``glue``
+        maps each node it built to its tag, ``("add",)`` or ``("scale",
+        value)``; :meth:`glue_steps` gives them their steps.
+        """
+        tape = _Tape.__new__(_Tape)
+        tape.__dict__.update(self.__dict__)
+        tape.op_sets = edge_op_sets
+        parents = tape.parents = list(self.parents)
+        tape.layers = [layer for layer in self.layers
+                       if self.keeps(layer[3], edge_op_sets)]
+        tags = tape.glue = {}
+
+        def node(links, tag, at=None):
+            if at is None:
+                at = len(parents)
+                parents.append(links)
+            else:
+                parents[at] = links
+            tags[at] = tag
+            return at
+
+        for x, nodes, outputs in self.cells:
+            for dst in range(1, NUM_NODES):
+                edges = [edge for edge in _EDGES_INTO[dst]
+                         if edge_op_sets[edge]]
+                total = None
+                for n, edge in enumerate(edges):
+                    ops = edge_op_sets[edge]
+                    last = nodes[dst] if n == len(edges) - 1 else None
+                    edge_out = None
+                    for op in ops:
+                        out = outputs[edge, op]
+                        edge_out = (out if edge_out is None else
+                                    node((edge_out, out), _ADD))
+                    edge_out = node((edge_out,), ("scale", 1.0 / len(ops)),
+                                    last if total is None else None)
+                    total = (edge_out if total is None else
+                             node((total, edge_out), _ADD, last))
+                if total is None:
+                    node((x,), ("scale", 0.0), nodes[dst])
+        return tape
+
+    def glue_steps(self) -> None:
+        """Give a derived tape's edge-sum nodes their steps."""
+        size = len(self.parents)
+        self.forward = self.forward + [None] * (size - len(self.forward))
+        self.adjoint = self.adjoint + [None] * (size - len(self.adjoint))
+        factors = self.factors
+        for i, tag in self.glue.items():
+            links = self.parents[i]
+            if tag is _ADD:
+                self.forward[i], self.adjoint[i] = _add_steps(i, *links)
+            else:
+                if tag[1] not in factors:
+                    factors[tag[1]] = self._scalar(tag[1])
+                self.forward[i], self.adjoint[i] = _scale_steps(
+                    i, links[0], factors[tag[1]])
+
+    def keeps(self, node: int, edge_op_sets) -> bool:
+        """Whether a base node belongs to the state ``edge_op_sets``."""
+        owner = self.member.get(node)
+        return owner is None or owner[1] in edge_op_sets[owner[0]]
+
 
 def _validate(edge_op_sets, error) -> Tuple[Tuple[str, ...], ...]:
     op_sets = tuple(tuple(ops) for ops in edge_op_sets)
@@ -608,25 +730,30 @@ class _Plan:
     compiled in, which must be the scope its bank was drawn in.
     """
 
-    def __init__(self, tape: _Tape, live: Sequence[int],
+    #: A chunk-derived plan's ``(shared values, {node: shared key})``;
+    #: see :class:`SupernetChunk`.
+    _shared = None
+
+    def __init__(self, tape: _Tape, order: Sequence[int],
                  pinned: Sequence[int]) -> None:
         self.dtype = tape.dtype
         self._size = len(tape.parents)
         self._weight_keys = tuple(tape.weight_keys)
         # Each forward step drops the values it was the last to read (the
         # pinned ones excepted), so a run holds no more than it needs.
-        order = [i for i in sorted(live) if i]
+        parents, forward = tape.parents, tape.forward
+        order = [i for i in order if i]
         last_reader = {}
         for i in order:
-            for parent in tape.parents[i]:
+            for parent in parents[i]:
                 last_reader[parent] = i
-        keep = set(pinned)
         release: Dict[int, List[int]] = {}
         for node, reader in last_reader.items():
-            if node not in keep:
+            if node not in pinned:
                 release.setdefault(reader, []).append(node)
-        self._forward = tuple((tape.forward[i], tuple(release.get(i, ())))
-                              for i in order)
+        get = release.get
+        self._forward = tuple([(i, forward[i], tuple(get(i, ())))
+                               for i in order])
         self._layers = tuple(sorted(tape.layers, key=lambda layer: layer[0]))
 
     def parameters(self, bank: WeightBank) -> List[np.ndarray]:
@@ -639,11 +766,64 @@ class _Plan:
         saved: list = [None] * self._size
         vals[0] = np.asarray(inputs, dtype=self.dtype)
         weights = [bank.arrays[key] for key in self._weight_keys]
-        for step, release in self._forward:
+        if self._shared is not None:
+            values, keys = self._shared
+            values.forward(bank, self._forward, keys, vals, saved, weights)
+            return vals, saved
+        for _, step, release in self._forward:
             step(vals, saved, weights)
             for node in release:
                 vals[node] = None
         return vals, saved
+
+
+def _ntk_tape(op_sets, macro, supercell: bool, base: bool = False) -> _Tape:
+    """The NTK network's tape; ``base`` leaves each cell's edge sums to
+    :meth:`_Tape.derive`."""
+    b = _Tape((macro.input_channels, macro.image_size, macro.image_size),
+              saves_columns=True)
+    c1, c2, c3 = macro.stage_channels
+    h = b.conv(0, ("stem",), c1, 3, 1, 1, order=(0, 0))
+    h = b.batch_norm(h, order=(0, 1))
+    block = position = 0
+    for stage, width in enumerate((c1, c2, c3)):
+        if stage:
+            block += 1
+            reduce = ("reduce", stage - 1)
+            r = b.relu(h)
+            r = b.conv(r, reduce + (0,), width, 3, 2, 1, order=(block, 0))
+            r = b.batch_norm(r, order=(block, 1))
+            r = b.relu(r)
+            r = b.conv(r, reduce + (1,), width, 3, 1, 1, order=(block, 2))
+            r = b.batch_norm(r, order=(block, 3))
+            s = b.pool(h, 2, 2, 0)
+            s = b.conv(s, reduce + (2,), width, 1, 1, 0, order=(block, 4))
+            h = b.add(r, s)
+        for _ in range(macro.cells_per_stage):
+            block += 1
+            apply_op = _ntk_edge_op(b, block, position, width)
+            h = (b.base_cell(h, op_sets, apply_op) if base else
+                 b.cell(h, op_sets, apply_op, scaled=supercell))
+            position += 1
+    h = b.relu(b.batch_norm(h, order=(block + 1, 0)))
+    b.root = b.linear(b.global_pool(h), ("head",), macro.num_classes,
+                      order=(block + 2, 0))
+    return b
+
+
+def _ntk_edge_op(b: _Tape, block: int, position: int, width: int):
+    def apply_op(edge, index, op, x):
+        if op == "none":
+            return b.scale(x, 0.0)
+        if op == "skip_connect":
+            return x
+        if op == "avg_pool_3x3":
+            return b.pool(x, 3, 1, 1)
+        kernel = CONV_KERNEL[op]
+        h = b.conv(b.relu(x), ("cell", position, edge, op), width, kernel,
+                   1, kernel // 2, order=(block, edge, index, 0))
+        return b.batch_norm(h, order=(block, edge, index, 1))
+    return apply_op
 
 
 class NtkPlan(_Plan):
@@ -659,37 +839,31 @@ class NtkPlan(_Plan):
         op_sets = _validate(edge_op_sets, SearchSpaceError)
         if not supercell and any(len(ops) != 1 for ops in op_sets):
             raise SearchSpaceError("a Cell needs exactly one op per edge")
-        b = _Tape((macro.input_channels, macro.image_size, macro.image_size),
-                     saves_columns=True)
-        c1, c2, c3 = macro.stage_channels
-        h = b.conv(0, ("stem",), c1, 3, 1, 1, order=(0, 0))
-        h = b.batch_norm(h, order=(0, 1))
-        block = position = 0
-        for stage, width in enumerate((c1, c2, c3)):
-            if stage:
-                block += 1
-                reduce = ("reduce", stage - 1)
-                r = b.relu(h)
-                r = b.conv(r, reduce + (0,), width, 3, 2, 1, order=(block, 0))
-                r = b.batch_norm(r, order=(block, 1))
-                r = b.relu(r)
-                r = b.conv(r, reduce + (1,), width, 3, 1, 1, order=(block, 2))
-                r = b.batch_norm(r, order=(block, 3))
-                s = b.pool(h, 2, 2, 0)
-                s = b.conv(s, reduce + (2,), width, 1, 1, 0, order=(block, 4))
-                h = b.add(r, s)
-            for _ in range(macro.cells_per_stage):
-                block += 1
-                h = b.cell(h, op_sets,
-                           self._edge_op(b, block, position, width),
-                           scaled=supercell)
-                position += 1
-        h = b.relu(b.batch_norm(h, order=(block + 1, 0)))
-        root = b.linear(b.global_pool(h), ("head",), macro.num_classes,
-                        order=(block + 2, 0))
-        topo = _tape_order(b.parents, root)
-        super().__init__(b, topo, b.pinned)
-        self._root = root
+        tape = _ntk_tape(op_sets, macro, supercell)
+        topo = _tape_order(tape.parents, tape.root)
+        self._compile(tape, topo, sorted(topo))
+
+    @staticmethod
+    def _layout(base: _Tape, op_sets) -> _Tape:
+        """One state's tape from a chunk's base, with its tape order and
+        the nodes whose values a run reads after the forward."""
+        tape = base.derive(op_sets)
+        tape.order = _tape_order(tape.parents, tape.root)
+        tape.after = tape.pinned | {tape.root}
+        return tape
+
+    @classmethod
+    def _from_layout(cls, tape: _Tape) -> "NtkPlan":
+        tape.glue_steps()
+        plan = cls.__new__(cls)
+        # The post-order runs every node after its parents: a forward order.
+        plan._compile(tape, tape.order, tape.order)
+        return plan
+
+    def _compile(self, tape: _Tape, topo: List[int],
+                 order: Sequence[int]) -> None:
+        super().__init__(tape, order, tape.pinned)
+        self._root = tape.root
         terms, offset, reached, dead = {}, 0, set(topo), []
         for _, params, term, node in self._layers:
             slices = []
@@ -705,23 +879,8 @@ class NtkPlan(_Plan):
         self._dead = tuple(dead)
         # A node's gradient is final once its adjoint's turn comes, so its
         # Jacobian block is written right then, and what it read dropped.
-        self._backward = tuple((i, b.adjoint[i], terms.get(i))
+        self._backward = tuple((i, tape.adjoint[i], terms.get(i))
                                for i in reversed(topo) if i)
-
-    @staticmethod
-    def _edge_op(b: _Tape, block: int, position: int, width: int):
-        def apply_op(edge, index, op, x):
-            if op == "none":
-                return b.scale(x, 0.0)
-            if op == "skip_connect":
-                return x
-            if op == "avg_pool_3x3":
-                return b.pool(x, 3, 1, 1)
-            kernel = CONV_KERNEL[op]
-            h = b.conv(b.relu(x), ("cell", position, edge, op), width, kernel,
-                       1, kernel // 2, order=(block, edge, index, 0))
-            return b.batch_norm(h, order=(block, edge, index, 1))
-        return apply_op
 
     def jacobian(self, bank: WeightBank,
                  images: Optional[np.ndarray] = None) -> np.ndarray:
@@ -749,6 +908,38 @@ class NtkPlan(_Plan):
         return jacobian @ jacobian.T
 
 
+def _line_tape(op_sets, channels: int, num_cells: int, input_size: int,
+               base: bool = False) -> _Tape:
+    """The line-region network's tape, its ReLUs in module order;
+    ``base`` leaves each cell's edge sums to :meth:`_Tape.derive`."""
+    b = _Tape((3, input_size, input_size), saves_columns=False)
+    # Module order, for ReLU patterns and parameters alike: the stem,
+    # then (cell, edge, op position).
+    relus: List[Tuple[Tuple, int]] = []
+    h = b.conv(0, ("stem",), channels, 3, 1, 1, order=(-1,), bias=True)
+    h = b.relu(h)
+    relus.append(((-1,), h))
+    for cell in range(num_cells):
+        def apply_op(edge, index, op, x, cell=cell):
+            if op == "none":
+                return b.scale(x, 0.0)
+            if op == "skip_connect":
+                return x
+            if op == "avg_pool_3x3":
+                return b.pool(x, 3, 1, 1)
+            kernel = CONV_KERNEL[op]
+            out = b.relu(b.conv(x, ("cell", cell, edge, op), channels,
+                                kernel, 1, kernel // 2,
+                                order=(cell, edge, index), bias=True))
+            relus.append(((cell, edge, index), out))
+            return out
+        h = (b.base_cell(h, op_sets, apply_op) if base else
+             b.cell(h, op_sets, apply_op, scaled=True))
+    relus.sort(key=lambda item: item[0])
+    b.relus = tuple(node for _, node in relus)
+    return b
+
+
 class LinePlan(_Plan):
     """The BN-free line-region network of a genotype or supernet state.
 
@@ -759,35 +950,32 @@ class LinePlan(_Plan):
     def __init__(self, edge_op_sets, channels: int, num_cells: int,
                  input_size: int) -> None:
         op_sets = _validate(edge_op_sets, ProxyError)
-        b = _Tape((3, input_size, input_size), saves_columns=False)
-        # Module order, for ReLU patterns and parameters alike: the stem,
-        # then (cell, edge, op position).
-        relus: List[Tuple[Tuple, int]] = []
-        h = b.conv(0, ("stem",), channels, 3, 1, 1, order=(-1,), bias=True)
-        h = b.relu(h)
-        relus.append(((-1,), h))
-        for cell in range(num_cells):
-            def apply_op(edge, index, op, x, cell=cell):
-                if op == "none":
-                    return b.scale(x, 0.0)
-                if op == "skip_connect":
-                    return x
-                if op == "avg_pool_3x3":
-                    return b.pool(x, 3, 1, 1)
-                kernel = CONV_KERNEL[op]
-                out = b.relu(b.conv(x, ("cell", cell, edge, op), channels,
-                                    kernel, 1, kernel // 2,
-                                    order=(cell, edge, index), bias=True))
-                relus.append(((cell, edge, index), out))
-                return out
-            h = b.cell(h, op_sets, apply_op, scaled=True)
-        relus.sort(key=lambda item: item[0])
-        self._relus = tuple(node for _, node in relus)
+        tape = _line_tape(op_sets, channels, num_cells, input_size)
+        self._relus = tape.relus
         needed = set(self._relus)
-        for node in range(len(b.parents) - 1, 0, -1):
+        for node in range(len(tape.parents) - 1, 0, -1):
             if node in needed:
-                needed.update(b.parents[node])
-        super().__init__(b, needed, ())
+                needed.update(tape.parents[node])
+        super().__init__(tape, sorted(needed), ())
+
+    @staticmethod
+    def _layout(base: _Tape, op_sets) -> _Tape:
+        """As :meth:`NtkPlan._layout`; the ReLU masks a run reads after
+        the forward are ``saved`` entries, not values."""
+        tape = base.derive(op_sets)
+        tape.relus = tuple(node for node in base.relus
+                           if base.keeps(node, op_sets))
+        tape.order = _tape_order(tape.parents, *tape.relus)
+        tape.after = ()
+        return tape
+
+    @classmethod
+    def _from_layout(cls, tape: _Tape) -> "LinePlan":
+        tape.glue_steps()
+        plan = cls.__new__(cls)
+        plan._relus = tape.relus
+        _Plan.__init__(plan, tape, tape.order, ())
+        return plan
 
     def patterns(self, bank: WeightBank) -> np.ndarray:
         """``(lines, points, units)`` ReLU patterns along the bank's
@@ -805,10 +993,252 @@ class LinePlan(_Plan):
         return count_regions_per_line(self.patterns(bank))
 
 
+# ----------------------------------------------------------------------
+# Chunks: the supernet states of one executor chunk as one computation
+# ----------------------------------------------------------------------
+def _read_only(value):
+    """``value`` (an array, a tuple of arrays or None), made read-only."""
+    if isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif value is not None:
+        value.flags.writeable = False
+    return value
+
+
+class _SharedValues:
+    """The forward values two or more states of a chunk compute alike.
+
+    Entries are keyed by structural key, per bank: ``(value, saved)``,
+    read-only, where ``value`` is None unless a state that finds the entry
+    computes a node that reads it (or reads it after the forward).  The
+    first state to reach a key computes it; an entry is dropped as soon
+    as every state holding its key has run.
+    """
+
+    def __init__(self, holders: Dict[int, int], keep_value) -> None:
+        self._holders = holders
+        self._keep_value = keep_value
+        self._banks: Dict[WeightBank, Tuple[dict, dict]] = {}
+
+    def forward(self, bank: WeightBank, steps, keys: Dict[int, Tuple],
+                vals, saved, weights) -> None:
+        """One state's forward (``steps``: ``(node, step, release)``;
+        ``keys``: the shared key of each node that has one), then the
+        release of what it was the last to hold."""
+        held = self._banks.get(bank)
+        if held is None:
+            held = self._banks[bank] = ({}, dict(self._holders))
+        entries, left = held
+        keep_value = self._keep_value
+        for i, step, release in steps:
+            key = keys.get(i)
+            entry = None if key is None else entries.get(key)
+            if entry is not None:
+                vals[i], saved[i] = entry
+            else:
+                step(vals, saved, weights)
+                if key is not None and left[key] > 1:
+                    entries[key] = (
+                        _read_only(vals[i]) if key in keep_value else None,
+                        _read_only(saved[i]))
+            for node in release:
+                vals[node] = None
+        for key in keys.values():
+            left[key] -= 1
+            if not left[key]:
+                entries.pop(key, None)
+
+
+def _edge_classes(base: _Tape):
+    """Group a chunk base's shareable nodes by the edges whose op sets
+    shape their values: ``[(edges, nodes)]``.
+
+    A node depends on the edges its parents depend on; a cell node on the
+    edges into it and on what every op on them reads.  Placeholders,
+    adds and scales are left out (they run per state).
+    """
+    fills = {}
+    for x, nodes, outputs in base.cells:
+        for dst in range(1, NUM_NODES):
+            reads = [out for (edge, _), out in outputs.items()
+                     if edge in _EDGES_INTO[dst]]
+            fills[nodes[dst]] = (frozenset(_EDGES_INTO[dst]), reads + [x])
+    deps: List[Optional[frozenset]] = [None] * len(base.parents)
+    deps[0] = frozenset()
+
+    def resolve(node):
+        if deps[node] is None:
+            edges, reads = fills.get(node, (frozenset(), base.parents[node]))
+            deps[node] = edges.union(*[resolve(read) for read in reads])
+        return deps[node]
+
+    classes: Dict[frozenset, List[int]] = {}
+    for node in range(1, len(base.parents)):
+        edges = resolve(node)
+        if node not in fills and node not in base.cheap:
+            classes.setdefault(edges, []).append(node)
+    return [(tuple(sorted(edges)), nodes) for edges, nodes in classes.items()]
+
+
+def _share(tapes: Sequence[_Tape], base: _Tape):
+    """The nodes two or more of a chunk's state tapes hold alike: one
+    :class:`_SharedValues` and, per tape, ``{node: shared key}``.
+
+    A node's structural key is its base node (its op, weight key and
+    constants) with the op sets of the edges its class depends on: equal
+    keys mean equal parents, recursively, so equal values.
+    """
+    classes = _edge_classes(base)
+    projections: Dict[Tuple, int] = {}
+    seen = []
+    for tape in tapes:
+        state = tape.op_sets
+        seen.append([projections.setdefault(
+            (n, tuple(state[edge] for edge in edges)), len(projections))
+            for n, (edges, _) in enumerate(classes)])
+    common: Dict[int, int] = {}
+    for ids in seen:
+        for pid in ids:
+            common[pid] = common.get(pid, 0) + 1
+    holders: Dict[Tuple, int] = {}
+    keyed = []
+    for tape, ids in zip(tapes, seen):
+        live = set(tape.order)
+        keys = {node: (node, pid)
+                for (_, nodes), pid in zip(classes, ids) if common[pid] > 1
+                for node in nodes if node in live}
+        for key in keys.values():
+            holders[key] = holders.get(key, 0) + 1
+        keyed.append((tape, live, keys))
+    shared = {key: n for key, n in holders.items() if n > 1}
+    # A shared value is kept if some state can find it and still compute
+    # a reader: an add or scale, a node no other state holds, or one
+    # fewer states hold.
+    glue_read = {x for x, _, _ in base.cells}
+    for _, _, outputs in base.cells:
+        glue_read.update(outputs.values())
+    children: Dict[int, List[int]] = {}
+    for node, links in enumerate(base.parents):
+        for parent in links:
+            children.setdefault(parent, []).append(node)
+    keep_value = set()
+    for tape, live, keys in keyed:
+        for node, key in keys.items():
+            count = shared.get(key)
+            if count is None or key in keep_value:
+                continue
+            if node in glue_read or node in tape.after or any(
+                    child in live and shared.get(keys.get(child), 0) < count
+                    for child in children.get(node, ())):
+                keep_value.add(key)
+    return _SharedValues(shared, keep_value), [
+        {node: key for node, key in keys.items() if key in shared}
+        for _, _, keys in keyed]
+
+
+def _merged_order(sequences) -> List[str]:
+    """The ops of ``sequences`` in one order that keeps each sequence's
+    order where they agree (earliest seen first among the free ones)."""
+    ops = list(dict.fromkeys(op for ops in sequences for op in ops))
+    after = {op: set() for op in ops}
+    for seq in sequences:
+        for a, b in zip(seq, seq[1:]):
+            after[b].add(a)
+    order: List[str] = []
+    while len(order) < len(ops):
+        free = [op for op in ops
+                if op not in order and after[op] <= set(order)]
+        order.append(free[0] if free else
+                     next(op for op in ops if op not in order))
+    return order
+
+
+class SupernetChunk:
+    """The supernet states of one executor chunk, run as one incremental
+    computation: hand it to ``supernet_ntk_condition_number`` and
+    ``supernet_line_regions`` with each of its states.
+
+    The first plan asked for compiles the chunk's *base* once: the
+    supernet whose edge op sets are the per-edge union of the states' (a
+    pruning round's supernet), with each cell's edge sums left out.  Each
+    state's plan is derived from it: its layers and Jacobian column
+    slices, its edge add and scale chains, its tape order — the
+    depth-first sort over the state's own parent lists, recorded in the
+    order a per-state compile records them — and its release map.  A
+    state that orders an edge's ops otherwise than the base, or repeats
+    one, is not derived (the proxies compile it alone).
+
+    Each node then gets a structural key: its base node (which fixes its
+    op, weight key and constants) or its add or scale tag, with its
+    parents' keys.  A node other than an add or scale whose key two or
+    more of the states hold is computed once, with the ``saved`` entry
+    its adjoint, Jacobian term or ReLU pattern reads, and reused as
+    read-only arrays (:class:`_SharedValues`).  Adds, scales and every
+    backward step run per state.  Nothing outlives the chunk: a shared
+    value goes when the last state holding it has run.
+    """
+
+    def __init__(self, states: Sequence) -> None:
+        self._states = [tuple(tuple(ops) for ops in state) for state in states]
+        self._pending: Dict[Tuple, Dict] = {}
+
+    def ntk_plan(self, edge_op_sets, macro) -> Optional[NtkPlan]:
+        """The derived ``SuperCell`` NTK plan of one of the chunk's
+        states, or None (asked for a second time, too)."""
+        return self._plan(
+            ("ntk", macro), edge_op_sets,
+            lambda union: _ntk_tape(union, macro, True, base=True), NtkPlan)
+
+    def line_plan(self, edge_op_sets, channels: int, num_cells: int,
+                  input_size: int) -> Optional[LinePlan]:
+        """The derived line-region plan of one of the chunk's states, or
+        None (asked for a second time, too)."""
+        return self._plan(
+            ("lr", channels, num_cells, input_size), edge_op_sets,
+            lambda union: _line_tape(union, channels, num_cells, input_size,
+                                     base=True),
+            LinePlan)
+
+    def _plan(self, kind: Tuple, edge_op_sets, compile_base, cls):
+        # Each state's tape waits, structure only, until its plan is
+        # asked for; the plan is the caller's alone.
+        kind += (default_dtype(),)
+        pending = self._pending.get(kind)
+        if pending is None:
+            pending = self._pending[kind] = self._derive(compile_base, cls)
+        entry = pending.pop(tuple(tuple(ops) for ops in edge_op_sets), None)
+        if entry is None:
+            return None
+        tape, values, keys = entry
+        plan = cls._from_layout(tape)
+        if keys:
+            plan._shared = (values, keys)
+        return plan
+
+    def _derive(self, compile_base, cls) -> Dict[Tuple, Tuple]:
+        states = [state for state in self._states if len(state) == len(EDGES)
+                  and all(op in CANDIDATE_OPS for ops in state for op in ops)]
+        union = [_merged_order([state[edge] for state in states])
+                 for edge in range(len(EDGES))]
+        rank = [{op: n for n, op in enumerate(ops)} for ops in union]
+        states = [state for state in states if all(
+            all(r[a] < r[b] for a, b in zip(ops, ops[1:]))
+            for ops, r in zip(state, rank))]
+        if not states:
+            return {}
+        base = compile_base(tuple(tuple(ops) for ops in union))
+        tapes = [cls._layout(base, state) for state in states]
+        values, keys = _share(tapes, base)
+        return {state: (tape, values, mine)
+                for state, tape, mine in zip(states, tapes, keys)}
+
+
 __all__ = [
     "WeightBank",
     "NtkPlan",
     "LinePlan",
+    "SupernetChunk",
     "draw_ntk_bank",
     "draw_lr_bank",
     "draw_supernet_ntk_bank",

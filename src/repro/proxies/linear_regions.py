@@ -22,7 +22,10 @@ Higher is better.
 (default) sends every line's points through one forward of a compiled,
 forward-only :class:`~repro.engine.plan.LinePlan` over a weight bank: no
 module tree is built.  Supernet states share one bank (weights, then the
-probe lines) per process and ``(config, repeat)``.  The patterns equal
+probe lines) per process and ``(config, repeat)``, and the states of one
+executor chunk run as one :class:`~repro.engine.plan.SupernetChunk`
+(``chunk=``): one base compile, and the values the states hold alike
+computed once.  The patterns equal
 :func:`repro.engine.kernels.batched_line_patterns` over the
 :class:`~repro.searchspace.network.LinearRegionNetwork` the same seed
 builds.  ``"reference"`` builds that network and runs one forward per
@@ -45,6 +48,7 @@ import numpy as np
 from repro.autograd.precision import precision
 from repro.engine.plan import (
     LinePlan,
+    SupernetChunk,
     _draw_lines,
     draw_lr_bank,
     supernet_lr_bank,
@@ -99,20 +103,22 @@ def _regions_along_line(network: Module, start: np.ndarray, stop: np.ndarray,
 
 
 def _count_lines(edge_op_sets, config: ProxyConfig, generator, num_lines: int,
-                 mode: str, bank=None) -> List[int]:
+                 mode: str, bank=None, plan=None) -> List[int]:
     """Region counts for ``num_lines`` random segments in the given mode.
 
     ``"batched"`` runs every line's sample points through one compiled
     :class:`~repro.engine.plan.LinePlan` forward over a weight bank drawn
     from ``generator`` (or the given ``bank``), bit-identical to the
-    stacked ``batched_line_patterns`` forward; ``"reference"`` builds the
-    network and runs the original one-forward-per-line loop.
+    stacked ``batched_line_patterns`` forward (or the given ``plan``);
+    ``"reference"`` builds the network and runs the original
+    one-forward-per-line loop.
     """
     if mode == "batched":
         if bank is None:
             bank = draw_lr_bank(edge_op_sets, config, generator, num_lines)
-        plan = LinePlan(edge_op_sets, config.lr_channels, config.lr_num_cells,
-                        config.lr_input_size)
+        if plan is None:
+            plan = LinePlan(edge_op_sets, config.lr_channels,
+                            config.lr_num_cells, config.lr_input_size)
         return [int(c) for c in plan.count(bank)]
     if mode != "reference":
         raise ProxyError(f"unknown linear-region mode {mode!r}")
@@ -198,12 +204,22 @@ def supernet_line_regions(
     rng: SeedLike = None,
     num_lines: int = 4,
     mode: Optional[str] = None,
+    chunk: Optional[SupernetChunk] = None,
 ) -> float:
-    """Line-region count of a pruning-supernet state (alive-op sets)."""
+    """Line-region count of a pruning-supernet state (alive-op sets).
+
+    A ``chunk`` that holds the state derives its plan from the chunk's
+    base and shares forward values with the chunk's other states (see
+    :func:`~repro.proxies.ntk.supernet_ntk_condition_number`).
+    """
     config = config or ProxyConfig()
     mode = mode or config.lr_mode
     counts = []
     with precision(config.precision_policy()):
+        plan = None
+        if chunk is not None and mode == "batched" and rng is None:
+            plan = chunk.line_plan(edge_op_sets, config.lr_channels,
+                                   config.lr_num_cells, config.lr_input_size)
         for repeat in range(config.repeats):
             # Config-only seed: candidate prunings share weights and test
             # lines (see supernet_ntk_condition_number); in batched mode the
@@ -218,7 +234,7 @@ def supernet_line_regions(
                     else rng
                 )
             counts.extend(_count_lines(edge_op_sets, config, generator,
-                                       num_lines, mode, bank=bank))
+                                       num_lines, mode, bank=bank, plan=plan))
     return float(np.mean(counts))
 
 

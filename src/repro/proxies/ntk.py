@@ -17,7 +17,10 @@ the classic condition number.  Lower is better (more trainable).
   straight-line plans over a weight bank (:mod:`repro.engine.plan`): no
   module tree, no autograd tape.  Supernet states share one bank per
   process and ``(config, repeat)``; a genotype's bank is drawn from its
-  own seed stream.  The values equal
+  own seed stream.  The executor hands the states of one chunk a
+  :class:`~repro.engine.plan.SupernetChunk` (``chunk=``): their plans
+  are derived from one base compile and the forward values they hold
+  alike are computed once, bit for bit as each state alone.  The values equal
   :func:`repro.engine.kernels.batched_ntk_jacobian` over the module tree
   the same seed builds, as float hex.
 * ``"reference"`` — frozen BatchNorm, one batch-size-1 forward/backward
@@ -45,6 +48,7 @@ import numpy as np
 from repro.autograd.precision import get_precision, precision
 from repro.engine.plan import (
     NtkPlan,
+    SupernetChunk,
     draw_ntk_bank,
     draw_supernet_ntk_bank,
     supernet_ntk_bank,
@@ -351,19 +355,26 @@ def supernet_ntk_condition_number(
     config: Optional[ProxyConfig] = None,
     rng: SeedLike = None,
     k_index: int = 1,
+    chunk: Optional[SupernetChunk] = None,
 ) -> float:
     """NTK condition number of a pruning-supernet state.
 
     Builds the reduced supernet for the given alive-op sets and measures
-    ``K_{k_index}`` exactly as for concrete genotypes.
+    ``K_{k_index}`` exactly as for concrete genotypes.  A ``chunk`` that
+    holds the state derives its plan from the chunk's base and shares
+    forward values with the chunk's other states; the value is the same
+    bits.
     """
     config = config or ProxyConfig()
     values = []
     with precision(config.precision_policy()):
         plan = None
         if config.ntk_mode == "batched":
-            plan = NtkPlan([spec.alive_ops for spec in edge_specs],
-                           config.macro_config(), supercell=True)
+            op_sets = [spec.alive_ops for spec in edge_specs]
+            if chunk is not None and rng is None:
+                plan = chunk.ntk_plan(op_sets, config.macro_config())
+            if plan is None:
+                plan = NtkPlan(op_sets, config.macro_config(), supercell=True)
         for repeat in range(config.repeats):
             # Seed from the config only (NOT the alive-op sets): every
             # candidate pruning evaluated under one seed shares supernet

@@ -51,6 +51,7 @@ import time
 from typing import List, Sequence, Tuple
 
 from repro.engine.core import genotype_indicator_keys, supernet_indicator_keys
+from repro.engine.plan import SupernetChunk
 from repro.proxies.flops import count_flops
 from repro.proxies.linear_regions import count_line_regions, supernet_line_regions
 from repro.proxies.ntk import ntk_condition_number, supernet_ntk_condition_number
@@ -119,9 +120,9 @@ def _apply_allocator_policy() -> None:
         mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
-def _timed(proxy, *args) -> Tuple[float, float]:
+def _timed(proxy, *args, **kwargs) -> Tuple[float, float]:
     start = time.perf_counter()
-    value = proxy(*args)
+    value = proxy(*args, **kwargs)
     return value, time.perf_counter() - start
 
 
@@ -166,21 +167,27 @@ def _evaluate_supernet_chunk(payload: Tuple) -> List[Tuple]:
     genotype chunks, only the indicators the parent found missing are
     computed.  Returns ``[(state, {indicator: value}, {ledger entry:
     seconds}), ...]``.
+
+    Each proxy runs over the states that need it as one
+    :class:`~repro.engine.plan.SupernetChunk`: one compile, forward
+    values the states share computed once.  Every NTK runs before the
+    first line count, so the NTK's shared values are gone before the
+    line counts keep theirs; no row depends on that order.
     """
     _apply_allocator_policy()
     items, proxy_config = payload
-    rows: List[Tuple] = []
-    for state, (need_ntk, need_lr) in items:
-        specs = [EdgeSpec(i, tuple(ops)) for i, ops in enumerate(state)]
-        row, spent = {}, {}
-        if need_ntk:
-            row["supernet_ntk"], spent["ntk_eval"] = _timed(
-                supernet_ntk_condition_number, specs, proxy_config)
-        if need_lr:
-            row["supernet_lr"], spent["lr_eval"] = _timed(
-                supernet_line_regions, [spec.alive_ops for spec in specs],
-                proxy_config)
-        rows.append((tuple(tuple(ops) for ops in state), row, spent))
+    rows = [(tuple(tuple(ops) for ops in state), {}, {}) for state, _ in items]
+    todo = [row for row, (_, (need_ntk, _)) in zip(rows, items) if need_ntk]
+    chunk = SupernetChunk([state for state, _, _ in todo])
+    for state, row, spent in todo:
+        specs = [EdgeSpec(i, ops) for i, ops in enumerate(state)]
+        row["supernet_ntk"], spent["ntk_eval"] = _timed(
+            supernet_ntk_condition_number, specs, proxy_config, chunk=chunk)
+    todo = [row for row, (_, (_, need_lr)) in zip(rows, items) if need_lr]
+    chunk = SupernetChunk([state for state, _, _ in todo])
+    for state, row, spent in todo:
+        row["supernet_lr"], spent["lr_eval"] = _timed(
+            supernet_line_regions, state, proxy_config, chunk=chunk)
     return rows
 
 

@@ -47,6 +47,10 @@ from repro.utils.timing import CostLedger
 _INF_SENTINEL = 1e30
 
 
+#: The edges into each cell node, in edge order.
+_EDGES_INTO = [[idx for idx, (_, dst) in enumerate(EDGES) if dst == node]
+               for node in range(NUM_NODES)]
+
 #: The four built-in indicator fields (fixed dataclass slots below).
 _BUILTIN_AXES = ("ntk", "linear_regions", "flops", "latency")
 
@@ -149,6 +153,8 @@ class HybridObjective:
         self.engine = engine
         self.proxy_config = engine.proxy_config
         self.macro_config = engine.macro_config
+        #: Memoized supernet pricing terms (see ``_expectation_terms``).
+        self._terms: Dict[Tuple, Dict] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -237,16 +243,42 @@ class HybridObjective:
         self.engine.executor.warm_supernets(self.engine, spec_lists)
         return [self.supernet_indicators(specs) for specs in spec_lists]
 
+    def _expectation_terms(self, *owner) -> Dict:
+        """The memo of one pricing's fixed part and per-edge terms.
+
+        ``owner`` names what the terms depend on (the axis, the macro
+        config and, for latency, the estimator), so two of them never
+        share an entry.
+        """
+        terms = self._terms.get(owner)
+        if terms is None:
+            terms = self._terms[owner] = {}
+        return terms
+
     def expected_flops(self, edge_specs: Sequence[EdgeSpec]) -> float:
-        """Expected deployment FLOPs under a uniform op choice per edge."""
+        """Expected deployment FLOPs under a uniform op choice per edge.
+
+        The fixed parts and each ``(stage, alive ops)`` mean are computed
+        once per objective and summed in the order they always were.
+        """
         config = self.macro_config
-        total = float(count_flops(Genotype(("none",) * 6), config))  # fixed parts
-        for c, s in zip(config.stage_channels, config.stage_sizes):
+        terms = self._expectation_terms("flops", config)
+        total = terms.get("fixed")
+        if total is None:
+            # Fixed parts: the empty-cell network.
+            total = terms["fixed"] = float(
+                count_flops(Genotype(("none",) * 6), config))
+        for stage, (c, s) in enumerate(zip(config.stage_channels,
+                                           config.stage_sizes)):
             per_cell = 0.0
             for spec in edge_specs:
                 if not spec.alive_ops:
                     continue
-                per_cell += np.mean([op_flops(op, c, s, s) for op in spec.alive_ops])
+                mean = terms.get((stage, spec.alive_ops))
+                if mean is None:
+                    mean = terms[stage, spec.alive_ops] = np.mean(
+                        [op_flops(op, c, s, s) for op in spec.alive_ops])
+                per_cell += mean
             total += config.cells_per_stage * per_cell
         return total
 
@@ -256,31 +288,40 @@ class HybridObjective:
         Fixed parts (stem, reductions, head, constant overhead) come from
         the empty-cell network; per-edge terms average the LUT latency of
         each alive op; node-add kernels are included in expectation via the
-        probability that each edge is active (non-``none``).
+        probability that each edge is active (non-``none``).  As in
+        :meth:`expected_flops`, every term is computed once per objective.
         """
         estimator = self.latency_estimator
         config = self.macro_config
-        total = estimator.estimate_ms(Genotype(("none",) * 6))
+        terms = self._expectation_terms("latency", estimator, config)
+        total = terms.get("fixed")
+        if total is None:
+            total = terms["fixed"] = estimator.estimate_ms(
+                Genotype(("none",) * 6))
         lut = estimator.lut
-        for c, s in zip(config.stage_channels, config.stage_sizes):
+        for stage, (c, s) in enumerate(zip(config.stage_channels,
+                                           config.stage_sizes)):
             per_cell = 0.0
             active_prob = [0.0] * len(EDGES)
             for spec in edge_specs:
                 if not spec.alive_ops:
                     continue
-                entries = []
-                for op in spec.alive_ops:
-                    layer = op_layer(op, c, s)
-                    entries.append(0.0 if layer is None else lut.lookup(layer))
-                per_cell += float(np.mean(entries))
-                active_prob[spec.edge_index] = np.mean(
-                    [op != "none" for op in spec.alive_ops]
-                )
+                edge = terms.get((stage, spec.alive_ops))
+                if edge is None:
+                    entries = []
+                    for op in spec.alive_ops:
+                        layer = op_layer(op, c, s)
+                        entries.append(0.0 if layer is None
+                                       else lut.lookup(layer))
+                    edge = terms[stage, spec.alive_ops] = (
+                        float(np.mean(entries)),
+                        np.mean([op != "none" for op in spec.alive_ops]))
+                per_cell += edge[0]
+                active_prob[spec.edge_index] = edge[1]
             add_ms = lut.entries.get(("add", c, c, s, s, 1, 1), 0.0)
             for node in range(1, NUM_NODES):
-                expected_in = sum(
-                    active_prob[idx] for idx, (_, dst) in enumerate(EDGES) if dst == node
-                )
+                expected_in = sum(active_prob[idx]
+                                  for idx in _EDGES_INTO[node])
                 per_cell += max(0.0, expected_in - 1.0) * add_ms
             total += config.cells_per_stage * per_cell
         return total

@@ -24,12 +24,14 @@ from repro.engine.kernels import (
 from repro.engine.plan import (
     LinePlan,
     NtkPlan,
+    SupernetChunk,
     draw_lr_bank,
     draw_ntk_bank,
     supernet_lr_bank,
     supernet_ntk_bank,
 )
 from repro.errors import ProxyError, SearchSpaceError
+from repro.eval.benchconfig import reduced_proxy_config
 from repro.proxies import ntk as ntk_module
 from repro.proxies.base import resize_batch
 from repro.proxies.linear_regions import (
@@ -374,3 +376,118 @@ def test_plans_reject_what_the_modules_reject(tiny_proxy_config):
         LinePlan([["conv_5x5"]] * 6, 2, 1, 4)
     with pytest.raises(ProxyError):
         supernet_line_regions([["none"]] * 6, tiny_proxy_config, mode="nope")
+
+
+# ----------------------------------------------------------------------
+# Chunks: derived plans and shared forward values
+# ----------------------------------------------------------------------
+#: A pruning round: a base state, and one state per alive op it removes.
+rounds = st.lists(
+    st.lists(st.sampled_from(CANDIDATE_OPS), unique=True, min_size=1,
+             max_size=5).map(lambda ops: tuple(op for op in CANDIDATE_OPS
+                                               if op in ops)),
+    min_size=6, max_size=6)
+
+
+def _removals(base):
+    return [tuple(tuple(op for op in ops if (edge, op) != (e, removed))
+                  for edge, ops in enumerate(base))
+            for e, ops in enumerate(base) for removed in ops]
+
+
+def _alone(config, state):
+    """One state compiled and run by itself: the oracle."""
+    plan = NtkPlan(state, config.macro_config(), supercell=True)
+    lines = LinePlan(state, config.lr_channels, config.lr_num_cells,
+                     config.lr_input_size)
+    return (plan.jacobian(supernet_ntk_bank(config, 0)),
+            lines.patterns(supernet_lr_bank(config, 0, 4)))
+
+
+def _in_chunk(config, chunk_states):
+    """Every state's Jacobian and line patterns, run as one chunk."""
+    ntk, lines, out = SupernetChunk(chunk_states), SupernetChunk(chunk_states), {}
+    for state in chunk_states:
+        plan = ntk.ntk_plan(state, config.macro_config())
+        line_plan = lines.line_plan(state, config.lr_channels,
+                                    config.lr_num_cells, config.lr_input_size)
+        assert plan is not None and line_plan is not None
+        out[state] = (plan.jacobian(supernet_ntk_bank(config, 0)),
+                      line_plan.patterns(supernet_lr_bank(config, 0, 4)))
+    return out
+
+
+@pytest.mark.parametrize("scale", ["tiny", "reduced"])
+@settings(max_examples=10, deadline=None)
+@given(base=rounds, data=st.data())
+def test_chunk_plans_match_states_compiled_alone(tiny_proxy_config, scale,
+                                                 base, data):
+    """Derived plans plus shared values give every state's Jacobian, Gram
+    and line patterns as float hex, whatever the chunk holds."""
+    config = tiny_proxy_config if scale == "tiny" else reduced_proxy_config()
+    states = _removals(base)
+    chunk = data.draw(st.lists(st.sampled_from(states), unique=True,
+                               min_size=1, max_size=8))
+    with precision(config.precision):
+        for state, (jacobian, patterns) in _in_chunk(config, chunk).items():
+            alone_jacobian, alone_patterns = _alone(config, state)
+            assert _same_bits(jacobian, alone_jacobian)
+            assert _same_bits(jacobian @ jacobian.T,
+                              alone_jacobian @ alone_jacobian.T)
+            assert _same_bits(patterns, alone_patterns)
+
+
+@settings(max_examples=6, deadline=None)
+@given(base=rounds, seed=st.integers(0, 2**16), size=st.integers(1, 8))
+def test_chunk_order_and_size_change_no_value(tiny_proxy_config, base, seed,
+                                              size):
+    config = tiny_proxy_config
+    states = _removals(base)
+    shuffled = list(states)
+    np.random.default_rng(seed).shuffle(shuffled)
+    with precision(config.precision):
+        whole = {}
+        for start in range(0, len(states), 8):
+            whole.update(_in_chunk(config, states[start:start + 8]))
+        for start in range(0, len(shuffled), size):
+            for state, values in _in_chunk(
+                    config, shuffled[start:start + size]).items():
+                assert all(_same_bits(a, b)
+                           for a, b in zip(values, whole[state]))
+
+
+def test_shared_values_are_read_only(tiny_proxy_config):
+    """A value one state computed and another reuses cannot be written."""
+    config = tiny_proxy_config
+    states = _removals([CANDIDATE_OPS] * 6)[:4]
+    chunk = SupernetChunk(states)
+    with precision(config.precision):
+        plans = [chunk.ntk_plan(state, config.macro_config())
+                 for state in states]
+        plans[0].jacobian(supernet_ntk_bank(config, 0))
+    values, keys = plans[1]._shared
+    (entries, _), = values._banks.values()
+    assert entries
+    for value, saved in entries.values():
+        for array in (value,) + (saved if isinstance(saved, tuple)
+                                 else (saved,)):
+            if isinstance(array, np.ndarray):
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+
+def test_a_chunk_states_plan_is_handed_out_once(tiny_proxy_config):
+    """Derived plans go to their caller; a state the chunk does not hold,
+    or one asked for again, gets None (the proxies compile it alone)."""
+    macro = tiny_proxy_config.macro_config()
+    states = _removals([("none", "skip_connect")] * 6)[:3]
+    chunk = SupernetChunk(states)
+    with precision(tiny_proxy_config.precision):
+        assert chunk.ntk_plan(states[0], macro) is not None
+        assert chunk.ntk_plan(states[0], macro) is None
+        assert chunk.ntk_plan([["none"]] * 6, macro) is None
+        # An edge ordered against the others is left to a lone compile.
+        clash = SupernetChunk([[("none", "skip_connect")] * 6,
+                               [("skip_connect", "none")] * 6])
+        assert clash.ntk_plan([("none", "skip_connect")] * 6, macro) is not None
+        assert clash.ntk_plan([("skip_connect", "none")] * 6, macro) is None

@@ -456,6 +456,47 @@ class TestPoisonQuarantine:
             executor.gather_all()
 
 
+class TestPoisonInASharedSupernetChunk:
+    def test_poison_state_is_bisected_out_of_a_shared_chunk(
+            self, tiny_proxy_config, tmp_path, monkeypatch):
+        """A state that fails halfway through a chunk whose states share
+        forward values is quarantined alone; its chunk-mates' rows are
+        the bits a fault-free serial run gives."""
+        from repro.engine import supernet_state_key
+        from repro.runtime import pool
+        from repro.runtime.faults import ScriptedPoisonError
+        from repro.searchspace.ops import CANDIDATE_OPS
+        from repro.searchspace.specs import EdgeSpec
+
+        base = [EdgeSpec(i, tuple(CANDIDATE_OPS)) for i in range(6)]
+        states = [[spec.without(op) if spec.edge_index == edge else spec
+                   for spec in base]
+                  for edge in range(2) for op in CANDIDATE_OPS]
+        target = supernet_state_key(states[5])
+        real = pool.supernet_ntk_condition_number
+
+        def poisoned(specs, *args, **kwargs):
+            if supernet_state_key(specs) == target:
+                raise ScriptedPoisonError(target)
+            return real(specs, *args, **kwargs)
+
+        monkeypatch.setattr(pool, "supernet_ntk_condition_number", poisoned)
+        engine = _engine(tiny_proxy_config)
+        executor = AsyncPopulationExecutor(
+            n_workers=1, chunk_size=8, mode="serial", fault_policy=_policy(),
+            quarantine_ledger=QuarantineLedger(tmp_path / "q.jsonl"))
+        executor.submit_supernets(engine, states)
+        executor.gather_all()
+        assert executor.quarantined_states == {target}
+        monkeypatch.setattr(pool, "supernet_ntk_condition_number", real)
+        serial = _engine(tiny_proxy_config)
+        for specs in states:
+            if supernet_state_key(specs) != target:
+                for name in ("supernet_ntk", "supernet_linear_regions"):
+                    assert getattr(engine, name)(specs).hex() == \
+                        getattr(serial, name)(specs).hex()
+
+
 class TestClaimReleaseWithFlushFailure:
     def test_claims_released_when_flush_raises_alongside_failure(
             self, tiny_proxy_config, population):

@@ -57,6 +57,21 @@ class ShuffledFakeExecutor(AsyncPopulationExecutor):
         return super().gather(k)
 
 
+def _round(size=None):
+    """A pruning round's states: every single removal from the full
+    supernet, in the search's order."""
+    base = [EdgeSpec(i, tuple(CANDIDATE_OPS)) for i in range(6)]
+    states = [[spec.without(op) if spec.edge_index == edge else spec
+               for spec in base]
+              for edge in range(6) for op in CANDIDATE_OPS]
+    return states[:size]
+
+
+def _row_hex(rows):
+    return [{name: float(value).hex() for name, value in row.items()}
+            for row in rows]
+
+
 class TestBitIdentical:
     def test_fork_pool_matches_serial(self, tiny_proxy_config, population):
         serial = _engine(tiny_proxy_config).evaluate_population(population)
@@ -96,6 +111,51 @@ class TestBitIdentical:
                 pooled_obj = HybridObjective(
                     engine=_engine(tiny_proxy_config, executor))
                 assert pooled_obj.supernet_population(states) == serial_rows
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 8])
+    def test_supernet_rows_share_chunks_bit_identically(
+            self, tiny_proxy_config, chunk_size):
+        """A round's rows are the same bits serial and on two threads,
+        however many states share a chunk."""
+        states = _round(16)
+        serial = _row_hex(HybridObjective(engine=_engine(
+            tiny_proxy_config)).supernet_population(states))
+        for executor in (
+                AsyncPopulationExecutor(n_workers=1, chunk_size=chunk_size,
+                                        mode="serial"),
+                AsyncPopulationExecutor(n_workers=2, chunk_size=chunk_size,
+                                        mode="thread")):
+            with executor:
+                rows = HybridObjective(engine=_engine(
+                    tiny_proxy_config, executor)).supernet_population(states)
+            assert _row_hex(rows) == serial
+
+    def test_a_chunk_leaves_no_shared_value_behind(self, tiny_proxy_config,
+                                                   monkeypatch):
+        """Once a chunk returns, nothing holds a value its states shared."""
+        import gc
+        import weakref
+
+        from repro.engine import plan
+
+        kept = []
+        read_only = plan._read_only
+
+        def tracked(value):
+            if isinstance(value, np.ndarray):
+                kept.append(weakref.ref(value))
+            return read_only(value)
+
+        monkeypatch.setattr(plan, "_read_only", tracked)
+        items = tuple((supernet_state_key(specs), (True, True))
+                      for specs in _round(8))
+        rows = _evaluate_supernet_chunk((items, tiny_proxy_config))
+        assert len(rows) == 8
+        gc.collect()
+        assert kept and all(ref() is None for ref in kept)
+        assert not [value for value in vars(plan).values()
+                    if isinstance(value, (plan.SupernetChunk,
+                                          plan._SharedValues))]
 
     def test_search_loop_executor_hook(self, tiny_proxy_config):
         from repro.search.random_search import ZeroShotRandomSearch

@@ -161,7 +161,7 @@ class TestEngineCost:
         objective = HybridObjective(weights=ObjectiveWeights(latency=0.5),
                                     latency_estimator=estimator)
         engine = objective.engine
-        assert engine.macro_config != TINY
+        assert engine.macro_config == TINY     # the estimator's
         genotypes = [Genotype.from_index(i) for i in (1312, 258, 6, 15624)]
         assert any(canonicalize(g) != g for g in genotypes)
         for genotype in genotypes:
@@ -177,6 +177,29 @@ class TestEngineCost:
             [engine.cost(g, "latency") for g in genotypes])
         assert engine.cost_model("latency").estimator is estimator
         assert built == []
+
+    def test_engine_takes_its_macro_config_from_a_given_estimator(self):
+        """Latency and FLOPs price one network: the given estimator's."""
+        from repro.errors import HardwareModelError
+        from repro.hardware.latency import LatencyEstimator
+        from repro.proxies.flops import count_flops
+        from repro.searchspace.canonical import canonicalize
+        from repro.searchspace.genotype import Genotype
+
+        config = MacroConfig(init_channels=4, cells_per_stage=1, image_size=8)
+        estimator = LatencyEstimator(config=config)
+        engine = HybridObjective(latency_estimator=estimator).engine
+        genotype = Genotype.from_index(1312)
+        assert engine.macro_config == config
+        assert engine.flops(genotype) == count_flops(canonicalize(genotype),
+                                                     config)
+        assert engine.latency_ms(genotype) == estimator.estimate_ms(
+            canonicalize(genotype))
+        assert Engine(macro_config=config,
+                      latency_estimator=estimator).macro_config == config
+        with pytest.raises(HardwareModelError):
+            Engine(macro_config=MacroConfig.full(),
+                   latency_estimator=estimator)
 
     def test_config_forms_read_the_axis_models(self, engine, heavy_genotype):
         """``latency_ms``/``flops`` under another macro configuration

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.proxies.flops import count_flops
 from repro.search.objective import HybridObjective, ObjectiveWeights
@@ -116,3 +118,96 @@ class TestRankCombination:
                                                disconnected_genotype):
         scores = objective.score_genotypes([heavy_genotype, disconnected_genotype])
         assert scores[0] < scores[1]
+
+
+# ----------------------------------------------------------------------
+# Supernet pricing: memoized terms against the per-call formulation
+# ----------------------------------------------------------------------
+def _oracle_expected_flops(objective, edge_specs):
+    """``expected_flops`` as it was written before its terms were memoized."""
+    from repro.searchspace.ops import op_flops
+
+    config = objective.macro_config
+    total = float(count_flops(Genotype(("none",) * 6), config))
+    for c, s in zip(config.stage_channels, config.stage_sizes):
+        per_cell = 0.0
+        for spec in edge_specs:
+            if not spec.alive_ops:
+                continue
+            per_cell += np.mean([op_flops(op, c, s, s) for op in spec.alive_ops])
+        total += config.cells_per_stage * per_cell
+    return total
+
+
+def _oracle_expected_latency_ms(objective, edge_specs):
+    """``expected_latency_ms`` as it was written before its terms were
+    memoized."""
+    from repro.hardware.layers import op_layer
+    from repro.searchspace.ops import EDGES, NUM_NODES
+
+    estimator = objective.latency_estimator
+    config = objective.macro_config
+    total = estimator.estimate_ms(Genotype(("none",) * 6))
+    lut = estimator.lut
+    for c, s in zip(config.stage_channels, config.stage_sizes):
+        per_cell = 0.0
+        active_prob = [0.0] * len(EDGES)
+        for spec in edge_specs:
+            if not spec.alive_ops:
+                continue
+            entries = []
+            for op in spec.alive_ops:
+                layer = op_layer(op, c, s)
+                entries.append(0.0 if layer is None else lut.lookup(layer))
+            per_cell += float(np.mean(entries))
+            active_prob[spec.edge_index] = np.mean(
+                [op != "none" for op in spec.alive_ops])
+        add_ms = lut.entries.get(("add", c, c, s, s, 1, 1), 0.0)
+        for node in range(1, NUM_NODES):
+            expected_in = sum(active_prob[idx]
+                              for idx, (_, dst) in enumerate(EDGES)
+                              if dst == node)
+            per_cell += max(0.0, expected_in - 1.0) * add_ms
+        total += config.cells_per_stage * per_cell
+    return total
+
+
+_PRICING_CONFIGS = (MacroConfig.full(),
+                    MacroConfig(init_channels=4, cells_per_stage=1,
+                                image_size=8))
+
+
+@pytest.fixture(scope="module")
+def pricing_objectives():
+    from repro.hardware.device import NUCLEO_F746ZG, NUCLEO_L432KC
+    from repro.hardware.latency import LatencyEstimator
+
+    return [HybridObjective(weights=ObjectiveWeights(latency=0.5, flops=0.5),
+                            latency_estimator=LatencyEstimator(
+                                device=device, config=config))
+            for device in (NUCLEO_F746ZG, NUCLEO_L432KC)
+            for config in _PRICING_CONFIGS]
+
+
+class TestMemoizedSupernetPricing:
+    @settings(max_examples=40, deadline=None)
+    @given(state=st.lists(
+        st.lists(st.sampled_from(CANDIDATE_OPS), unique=True, max_size=5),
+        min_size=6, max_size=6))
+    def test_memoized_terms_price_as_the_per_call_formulation(
+            self, pricing_objectives, state):
+        specs = [EdgeSpec(i, tuple(ops)) for i, ops in enumerate(state)]
+        for objective in pricing_objectives:
+            assert objective.expected_flops(specs).hex() == \
+                _oracle_expected_flops(objective, specs).hex()
+            assert objective.expected_latency_ms(specs).hex() == \
+                _oracle_expected_latency_ms(objective, specs).hex()
+
+    def test_boards_and_configurations_never_share_a_term(
+            self, pricing_objectives):
+        """Four objectives, four prices for one state: no memo aliases
+        another board or macro configuration."""
+        specs = [EdgeSpec(i, ("nor_conv_3x3", "none")) for i in range(6)]
+        latencies = {o.expected_latency_ms(specs) for o in pricing_objectives}
+        flops = {o.expected_flops(specs) for o in pricing_objectives}
+        assert len(latencies) == 4 and len(flops) == 2
