@@ -27,9 +27,8 @@ steps and runs it over weights drawn without building any ``Module``.
 * :class:`LinePlan` — the BN-free line-region network, forward only; its
   ReLU patterns come back in the ReLU order of ``network.modules()``.
 * :class:`SupernetChunk` — the supernet states of one executor chunk as
-  one incremental computation: one base compile, each state's plan
-  derived from it, and the forward values states hold alike computed
-  once.
+  one incremental computation: each state compiled alone, and the
+  forward values two or more states hold alike computed once.
 * :func:`line_points` / :func:`count_regions_per_line` — probe-line
   geometry, shared with the module-tree kernels.
 
@@ -89,20 +88,17 @@ fan-out gradients add up — in the order today's tape uses.  Nodes the
 sort does not reach (dead branches of a pruned cell) are not computed;
 their parameters keep zero Jacobian columns, as in the hooked kernel.
 
-**Derived plans and shared values.**  The contract holds for a plan a
-:class:`SupernetChunk` derives, compared with the same state compiled
-alone.  A derived plan runs the base's steps for the state's ops and
-builds each cell's edge adds and scales as a lone compile does, with the
-same parents in the same order; its tape order is the depth-first sort
-over those parent lists, so fan-out gradients add in the same order, and
-its layers (so its Jacobian columns) keep the lone compile's order.  Its
-forward may run the nodes in another order than a lone compile (any
-order that runs parents first gives each node the same operands).  A
-value another state of the chunk computed — a node's ``vals`` and
-``saved`` entries — is the array that state's step returned, on the
-same operands, handed over read-only: no step writes a value or a saved
-entry in place, and a write to a shared one raises.  Per-state
-compilation stays the test oracle (``tests/engine/test_plan.py``).
+**Shared values.**  The contract holds for the plans of a
+:class:`SupernetChunk`, compared with the same states compiled and run
+alone: each is compiled alone, so its steps, tape order and Jacobian
+columns are the lone plan's.  A node's structural key stands for its
+forward step (its op and constants), its weight key and its parents'
+keys, so two nodes with one key run the same numpy calls on operands
+with the same bits.  A value another state of the chunk computed — a
+node's ``vals`` and ``saved`` entries — is the array that state's step
+returned, handed over read-only: no step writes a value or a saved entry
+in place, and a write to a shared one raises.  Per-state runs stay the
+test oracle (``tests/engine/test_plan.py``).
 
 Plans and banks are immutable and every per-evaluation array is a local
 of the run, so one plan may run on many threads at once.  The plans of
@@ -112,6 +108,7 @@ one chunk share its values, so a chunk runs on one thread.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -134,11 +131,6 @@ from repro.utils.rng import new_rng, stable_seed
 
 #: The edge op sets of a supernet bank: every candidate op on every edge.
 _ALL_OPS = (CANDIDATE_OPS,) * len(EDGES)
-#: The edges into each cell node, in edge order.
-_EDGES_INTO = [[edge for edge, (_, dst) in enumerate(EDGES) if dst == node]
-               for node in range(NUM_NODES)]
-#: The tag of a derived add node (see :meth:`_Tape.derive`).
-_ADD = ("add",)
 
 Key = Tuple
 
@@ -303,8 +295,18 @@ def _filled(value: float, width: int, dtype: np.dtype) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Compilation
+# Steps
 # ----------------------------------------------------------------------
+# A node's steps close over its constants only (shapes, kernel, scalar),
+# never over node numbers: the node and its parents come in as arguments,
+#
+#   forward(i, parents, vals, saved, weights)
+#   adjoint(i, parents, vals, saved, grads)
+#   term(i, parents, vals, saved, grads, jac, slices)
+#
+# so every node with the same constants, in every plan of a process, runs
+# one set of steps, built once.  ``weights`` maps each weighted node to
+# its array.
 def _accumulate(grads: list, node: int, grad: np.ndarray) -> None:
     """``Tensor._accumulate`` without its copy: keep the first gradient
     itself, add later ones.
@@ -318,57 +320,217 @@ def _accumulate(grads: list, node: int, grad: np.ndarray) -> None:
     grads[node] = grad if held is None else held + grad
 
 
-def _tape_order(parents: Sequence[Tuple[int, ...]], *roots: int) -> List[int]:
-    """Post-order of the depth-first sort ``Tensor.backward`` runs (from
-    one root; from several, a forward order of everything they read)."""
+@functools.lru_cache(maxsize=None)
+def _conv_steps(shape: Tuple[int, int, int], c_out: int, kernel: int,
+                stride: int, padding: int, bias: bool, keep: bool, dtype):
+    """``functional.conv2d`` over a ``shape`` input; ``keep`` saves what
+    the adjoint and Jacobian term read."""
+    c_in, h, w = shape
+    oh = _conv_out_size(h, kernel, stride, padding)
+    ow = _conv_out_size(w, kernel, stride, padding)
+    bias4 = (_filled(0.0, c_out, dtype).reshape(1, c_out, 1, 1)
+             if bias else None)
+
+    def forward(i, parents, vals, saved, weights):
+        xd = vals[parents[0]]
+        cols, _ = _im2col(xd, kernel, stride, padding)
+        w_mat = weights[i].reshape(c_out, c_in * kernel * kernel)
+        out = np.matmul(w_mat, cols).reshape(xd.shape[0], c_out, oh, ow)
+        if bias4 is not None:
+            out = out + bias4
+        vals[i] = out
+        if keep:
+            saved[i] = (cols, w_mat)
+
+    def adjoint(i, parents, vals, saved, grads):
+        grad = grads[i]
+        n = grad.shape[0]
+        grad_mat = grad.reshape(n, c_out, oh * ow)
+        grad_cols = np.matmul(saved[i][1].T, grad_mat)
+        _accumulate(grads, parents[0], _col2im(grad_cols, (n, c_in, h, w),
+                                               kernel, stride, padding))
+
+    def term(i, parents, vals, saved, grads, jac, slices):
+        grad = grads[i]
+        n = grad.shape[0]
+        grad_mat = grad.reshape(n, c_out, oh * ow)
+        block = jac[:, slices[0]]
+        block.shape = (n, c_out, -1)    # a view, never a copy
+        np.matmul(grad_mat, saved[i][0].transpose(0, 2, 1), out=block)
+    return forward, adjoint, term
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_norm_steps(c: int, dtype):
+    """Frozen-statistics ``BatchNorm2d`` over ``c`` channels, affine at
+    init (no ``* weight``; see the module docstring)."""
+    shift = _filled(0.0, c, dtype).reshape(1, c, 1, 1)
+    eps = np.asarray(DEFAULT_EPS, dtype=dtype)
+
+    def forward(i, parents, vals, saved, weights):
+        # ``ndarray.mean`` is this add-reduce and true divide behind a
+        # Python wrapper; ``count`` (N·H·W) is a Python int.
+        xd = vals[parents[0]]
+        count = xd.size // c
+        centered = xd - np.add.reduce(xd, axis=(0, 2, 3),
+                                      keepdims=True) / count
+        var = np.add.reduce(centered * centered, axis=(0, 2, 3),
+                            keepdims=True) / count
+        inv_std = (var + eps) ** -0.5
+        vals[i] = centered * inv_std + shift
+        # The Jacobian term's normalised input reads forward values only,
+        # so it is formed here, where a chunk can share it.
+        term_std = 1.0 / np.sqrt(var.reshape(-1) + DEFAULT_EPS)
+        saved[i] = (centered * term_std.reshape(1, -1, 1, 1), inv_std)
+
+    def adjoint(i, parents, vals, saved, grads):
+        _accumulate(grads, parents[0], grads[i] * saved[i][1])
+
+    def term(i, parents, vals, saved, grads, jac, slices):
+        grad = grads[i]
+        jac[:, slices[0]] = (grad * saved[i][0]).sum(axis=(2, 3))
+        jac[:, slices[1]] = grad.sum(axis=(2, 3))
+    return forward, adjoint, term
+
+
+def _relu_forward(i, parents, vals, saved, weights):
+    xd = vals[parents[0]]
+    mask = xd > 0.0
+    vals[i] = xd * mask
+    saved[i] = mask
+
+
+def _relu_adjoint(i, parents, vals, saved, grads):
+    _accumulate(grads, parents[0], grads[i] * saved[i])
+
+
+def _add_forward(i, parents, vals, saved, weights):
+    a, b = parents
+    vals[i] = vals[a] + vals[b]
+
+
+def _add_adjoint(i, parents, vals, saved, grads):
+    grad = grads[i]
+    a, b = parents
+    _accumulate(grads, a, grad)
+    _accumulate(grads, b, grad)
+
+
+@functools.lru_cache(maxsize=None)
+def _scale_steps(value: float, dtype):
+    """``x * value`` with the scalar wrapped as a 0-d array."""
+    factor = np.asarray(value, dtype=dtype)
+
+    def forward(i, parents, vals, saved, weights):
+        vals[i] = vals[parents[0]] * factor
+
+    def adjoint(i, parents, vals, saved, grads):
+        _accumulate(grads, parents[0], grads[i] * factor)
+    return forward, adjoint, None
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_steps(shape: Tuple[int, int, int], kernel: int, stride: int,
+                padding: int):
+    c, h, w = shape
+    windows = _pool_windows(kernel, stride,
+                            _conv_out_size(h, kernel, stride, padding),
+                            _conv_out_size(w, kernel, stride, padding))
+
+    def forward(i, parents, vals, saved, weights):
+        vals[i] = _avg_pool(vals[parents[0]], kernel, padding, windows)
+
+    def adjoint(i, parents, vals, saved, grads):
+        grad = grads[i]
+        _accumulate(grads, parents[0],
+                    _avg_pool_grad(grad, (grad.shape[0], c, h, w), kernel,
+                                   padding, windows))
+    return forward, adjoint, None
+
+
+@functools.lru_cache(maxsize=None)
+def _spatial_sum_steps(shape: Tuple[int, int, int]):
+    c, h, w = shape
+
+    def forward(i, parents, vals, saved, weights):
+        vals[i] = vals[parents[0]].sum(axis=(2, 3))
+
+    def adjoint(i, parents, vals, saved, grads):
+        grad = grads[i]
+        expanded = np.expand_dims(grad, axis=(2, 3))
+        _accumulate(grads, parents[0],
+                    np.broadcast_to(expanded, (grad.shape[0], c, h, w)))
+    return forward, adjoint, None
+
+
+def _linear_forward(i, parents, vals, saved, weights):
+    w_t = weights[i].transpose()
+    vals[i] = vals[parents[0]] @ w_t
+    saved[i] = w_t
+
+
+def _linear_adjoint(i, parents, vals, saved, grads):
+    _accumulate(grads, parents[0], grads[i] @ np.swapaxes(saved[i], -1, -2))
+
+
+def _linear_term(i, parents, vals, saved, grads, jac, slices):
+    # Written at the matmul node: its gradient is the bias node's own
+    # array (its only reader), so the block is the one the bias node
+    # would write.
+    grad = grads[i]
+    per_sample = grad[:, :, None] * vals[parents[0]][:, None, :]
+    jac[:, slices[0]] = per_sample.reshape(grad.shape[0], -1)
+    jac[:, slices[1]] = grad
+
+
+@functools.lru_cache(maxsize=None)
+def _bias_steps(width: int, dtype):
+    """``Linear``'s zero bias, added after the matmul."""
+    bias = _filled(0.0, width, dtype)
+
+    def forward(i, parents, vals, saved, weights):
+        vals[i] = vals[parents[0]] + bias
+
+    def adjoint(i, parents, vals, saved, grads):
+        _accumulate(grads, parents[0], grads[i])
+    return forward, adjoint, None
+
+
+_RELU = (_relu_forward, _relu_adjoint, None)
+_ADD = (_add_forward, _add_adjoint, None)
+_LINEAR = (_linear_forward, _linear_adjoint, _linear_term)
+
+
+# ----------------------------------------------------------------------
+# Compilation
+# ----------------------------------------------------------------------
+def _tape_order(parents: Sequence[Tuple[int, ...]], root: int) -> List[int]:
+    """Post-order of the depth-first sort ``Tensor.backward`` runs."""
     topo: List[int] = []
     visited = [False] * len(parents)
-    stack = list(roots)      # ``~node`` marks a node whose parents are done
+    stack = [root]           # ``~node`` marks a node whose parents are done
+    pop, push, emit = stack.pop, stack.append, topo.append
     while stack:
-        node = stack.pop()
+        node = pop()
         if node < 0:
-            topo.append(~node)
-            continue
-        if visited[node]:
-            continue
-        visited[node] = True
-        stack.append(~node)
-        for parent in parents[node]:
-            if not visited[parent]:
-                stack.append(parent)
+            emit(~node)
+        elif not visited[node]:
+            visited[node] = True
+            push(~node)
+            for parent in parents[node]:
+                if not visited[parent]:
+                    push(parent)
     return topo
-
-
-def _add_steps(i: int, a: int, b: int):
-    """Forward and adjoint of node ``i`` = ``a + b``."""
-    def forward(vals, saved, weights):
-        vals[i] = vals[a] + vals[b]
-
-    def adjoint(vals, saved, grads):
-        grad = grads[i]
-        _accumulate(grads, a, grad)
-        _accumulate(grads, b, grad)
-    return forward, adjoint
-
-
-def _scale_steps(i: int, x: int, factor: np.ndarray):
-    """Forward and adjoint of node ``i`` = ``x * factor`` (a 0-d array)."""
-    def forward(vals, saved, weights):
-        vals[i] = vals[x] * factor
-
-    def adjoint(vals, saved, grads):
-        _accumulate(grads, x, grads[i] * factor)
-    return forward, adjoint
 
 
 class _Tape:
     """Records a network's tape at compile time: one node per autograd op.
 
     Node 0 is the input.  Each node keeps its gradient-carrying parents in
-    the order the autograd op lists them, its ``(C, H, W)`` shape, a
-    forward step and (when its gradient flows anywhere) an adjoint.
-    Parameterised layers register their parameters with a sort key that
-    reproduces ``network.parameters()`` order.
+    the order the autograd op lists them, its ``(C, H, W)`` shape and its
+    ``(forward, adjoint, term)`` steps (adjoint None where its gradient
+    flows nowhere).  Parameterised layers register their parameters with
+    a sort key that reproduces ``network.parameters()`` order.
     """
 
     def __init__(self, input_shape: Tuple[int, int, int],
@@ -380,233 +542,86 @@ class _Tape:
         self.saves_columns = saves_columns
         self.parents: List[Tuple[int, ...]] = [()]
         self.shapes: List[Tuple[int, int, int]] = [input_shape]
-        self.forward: List[Optional[Callable]] = [None]
-        self.adjoint: List[Optional[Callable]] = [None]
-        self.weight_keys: List[Key] = []
+        self.steps: List[Optional[Tuple[Callable, ...]]] = [None]
+        #: The bank key of each conv and linear node's weight.
+        self.weight_keys: Dict[int, Key] = {}
         #: Nodes whose values a Jacobian term reads after the forward.
         self.pinned = set()
-        #: (sort key, [(source, size)], Jacobian term factory, output
-        #: node) per parameterised layer.
+        #: (sort key, [(source, size)], node whose term writes the
+        #: layer's block) per parameterised layer.
         self.layers: List[Tuple] = []
-        #: Adds and scales: the steps a chunk recomputes per state.
-        self.cheap = set()
-        #: A chunk base's ``(edge, op)`` of each node an edge op built, and
-        #: per cell ``(input, (input, node 1, node 2, node 3), {(edge, op):
-        #: output})`` (see :meth:`base_cell`).
-        self.member: Dict[int, Tuple[int, str]] = {}
-        self.cells: List[Tuple] = []
-        #: A base's scalar factors by value, shared by its derivations.
-        self.factors: Dict[float, np.ndarray] = {}
 
-    def _node(self, parents: Tuple[int, ...], shape) -> int:
+    def _node(self, parents: Tuple[int, ...], shape, steps,
+              weight: Optional[Key] = None) -> int:
+        i = len(self.parents)
         self.parents.append(parents)
         self.shapes.append(shape)
-        self.forward.append(None)
-        self.adjoint.append(None)
-        return len(self.parents) - 1
-
-    def _scalar(self, value: float) -> np.ndarray:
-        return np.asarray(value, dtype=self.dtype)
+        self.steps.append(steps)
+        if weight is not None:
+            self.weight_keys[i] = weight
+        return i
 
     def conv(self, x: int, key: Key, c_out: int, kernel: int, stride: int,
              padding: int, order=None, bias: bool = False) -> int:
         """``functional.conv2d``; bias-free unless ``bias`` (zeros)."""
         c_in, h, w = self.shapes[x]
-        oh = _conv_out_size(h, kernel, stride, padding)
-        ow = _conv_out_size(w, kernel, stride, padding)
-        i = self._node((x,), (c_out, oh, ow))
-        slot = len(self.weight_keys)
-        self.weight_keys.append(key)
-        params = [(key, c_out * c_in * kernel * kernel)]
-        bias4 = None
-        if bias:
-            params.append((_filled(0.0, c_out, self.dtype), c_out))
-            bias4 = params[-1][0].reshape(1, c_out, 1, 1)
-        keep = self.saves_columns
-
-        def forward(vals, saved, weights):
-            xd = vals[x]
-            cols, _ = _im2col(xd, kernel, stride, padding)
-            w_mat = weights[slot].reshape(c_out, c_in * kernel * kernel)
-            out = np.matmul(w_mat, cols).reshape(xd.shape[0], c_out, oh, ow)
-            if bias4 is not None:
-                out = out + bias4
-            vals[i] = out
-            if keep:
-                saved[i] = (cols, w_mat)
-
-        def adjoint(vals, saved, grads):
-            grad = grads[i]
-            n = grad.shape[0]
-            grad_mat = grad.reshape(n, c_out, oh * ow)
-            grad_cols = np.matmul(saved[i][1].T, grad_mat)
-            _accumulate(grads, x, _col2im(grad_cols, (n, c_in, h, w), kernel,
-                                          stride, padding))
-
-        def term(sl):
-            def write(vals, saved, grads, jac):
-                grad = grads[i]
-                n = grad.shape[0]
-                grad_mat = grad.reshape(n, c_out, oh * ow)
-                block = jac[:, sl]
-                block.shape = (n, c_out, -1)    # a view, never a copy
-                np.matmul(grad_mat, saved[i][0].transpose(0, 2, 1), out=block)
-            return write
-
-        self.forward[i] = forward
+        forward, adjoint, term = _conv_steps(
+            self.shapes[x], c_out, kernel, stride, padding, bias,
+            self.saves_columns, self.dtype)
+        shape = (c_out, _conv_out_size(h, kernel, stride, padding),
+                 _conv_out_size(w, kernel, stride, padding))
         # The input image's gradient feeds nothing: no adjoint for the stem.
-        self.adjoint[i] = adjoint if x else None
+        i = self._node((x,), shape, (forward, adjoint if x else None, term),
+                       key)
         if order is not None:
-            self.layers.append((order, params, term, i))
+            params = [(key, c_out * c_in * kernel * kernel)]
+            if bias:
+                params.append((_filled(0.0, c_out, self.dtype), c_out))
+            self.layers.append((order, params, i))
         return i
 
     def batch_norm(self, x: int, order) -> int:
         """Frozen-statistics ``BatchNorm2d`` (``freeze_stats_on_forward``
         followed by ``functional.batch_norm_eval``), affine at init."""
         c = self.shapes[x][0]
-        i = self._node((x,), self.shapes[x])
-        weight, bias = _filled(1.0, c, self.dtype), _filled(0.0, c, self.dtype)
-        # No ``* weight`` (the constant 1; see the module docstring).
-        shift = bias.reshape(1, c, 1, 1)
-        eps = self._scalar(DEFAULT_EPS)
-
-        def forward(vals, saved, weights):
-            # ``ndarray.mean`` is this add-reduce and true divide behind
-            # a Python wrapper; ``count`` (N·H·W) is a Python int.
-            xd = vals[x]
-            count = xd.size // c
-            centered = xd - np.add.reduce(xd, axis=(0, 2, 3),
-                                          keepdims=True) / count
-            var = np.add.reduce(centered * centered, axis=(0, 2, 3),
-                                keepdims=True) / count
-            inv_std = (var + eps) ** -0.5
-            vals[i] = centered * inv_std + shift
-            saved[i] = (centered, var, inv_std)
-
-        def adjoint(vals, saved, grads):
-            _accumulate(grads, x, grads[i] * saved[i][2])
-
-        def term(w_slice, b_slice):
-            def write(vals, saved, grads, jac):
-                grad = grads[i]
-                centered, var = saved[i][0], saved[i][1]
-                inv_std = 1.0 / np.sqrt(var.reshape(-1) + DEFAULT_EPS)
-                normalised = centered * inv_std.reshape(1, -1, 1, 1)
-                jac[:, w_slice] = (grad * normalised).sum(axis=(2, 3))
-                jac[:, b_slice] = grad.sum(axis=(2, 3))
-            return write
-
-        self.forward[i] = forward
-        self.adjoint[i] = adjoint
-        self.layers.append((order, [(weight, c), (bias, c)], term, i))
+        i = self._node((x,), self.shapes[x],
+                       _batch_norm_steps(c, self.dtype))
+        self.layers.append((order, [(_filled(1.0, c, self.dtype), c),
+                                    (_filled(0.0, c, self.dtype), c)], i))
         return i
 
     def relu(self, x: int) -> int:
-        i = self._node((x,), self.shapes[x])
-
-        def forward(vals, saved, weights):
-            xd = vals[x]
-            mask = xd > 0.0
-            vals[i] = xd * mask
-            saved[i] = mask
-
-        def adjoint(vals, saved, grads):
-            _accumulate(grads, x, grads[i] * saved[i])
-
-        self.forward[i] = forward
-        self.adjoint[i] = adjoint
-        return i
+        return self._node((x,), self.shapes[x], _RELU)
 
     def add(self, a: int, b: int) -> int:
-        i = self._node((a, b), self.shapes[a])
-        self.cheap.add(i)
-        self.forward[i], self.adjoint[i] = _add_steps(i, a, b)
-        return i
+        return self._node((a, b), self.shapes[a], _ADD)
 
     def scale(self, x: int, value: float) -> int:
         """``x * value`` with the scalar wrapped as a 0-d array."""
-        i = self._node((x,), self.shapes[x])
-        self.cheap.add(i)
-        self.forward[i], self.adjoint[i] = _scale_steps(i, x,
-                                                        self._scalar(value))
-        return i
+        return self._node((x,), self.shapes[x],
+                          _scale_steps(value, self.dtype))
 
     def pool(self, x: int, kernel: int, stride: int, padding: int) -> int:
         c, h, w = self.shapes[x]
-        oh = _conv_out_size(h, kernel, stride, padding)
-        ow = _conv_out_size(w, kernel, stride, padding)
-        i = self._node((x,), (c, oh, ow))
-        windows = _pool_windows(kernel, stride, oh, ow)
-
-        def forward(vals, saved, weights):
-            vals[i] = _avg_pool(vals[x], kernel, padding, windows)
-
-        def adjoint(vals, saved, grads):
-            grad = grads[i]
-            _accumulate(grads, x, _avg_pool_grad(grad, (grad.shape[0], c, h, w),
-                                                 kernel, padding, windows))
-
-        self.forward[i] = forward
-        self.adjoint[i] = adjoint
-        return i
+        shape = (c, _conv_out_size(h, kernel, stride, padding),
+                 _conv_out_size(w, kernel, stride, padding))
+        return self._node((x,), shape,
+                          _pool_steps(self.shapes[x], kernel, stride, padding))
 
     def global_pool(self, x: int) -> int:
         """``functional.global_avg_pool2d``: a spatial sum, then a scale."""
         c, h, w = self.shapes[x]
-        i = self._node((x,), (c,))
-
-        def forward(vals, saved, weights):
-            vals[i] = vals[x].sum(axis=(2, 3))
-
-        def adjoint(vals, saved, grads):
-            grad = grads[i]
-            expanded = np.expand_dims(grad, axis=(2, 3))
-            _accumulate(grads, x, np.broadcast_to(expanded,
-                                                  (grad.shape[0], c, h, w)))
-
-        self.forward[i] = forward
-        self.adjoint[i] = adjoint
+        i = self._node((x,), (c,), _spatial_sum_steps(self.shapes[x]))
         return self.scale(i, 1.0 / (h * w))
 
     def linear(self, x: int, key: Key, c_out: int, order) -> int:
         """``Linear``: a matmul with the transposed weight, then the bias."""
         c_in = self.shapes[x][0]
-        i = self._node((x,), (c_out,))
-        slot = len(self.weight_keys)
-        self.weight_keys.append(key)
+        i = self._node((x,), (c_out,), _LINEAR, key)
         bias = _filled(0.0, c_out, self.dtype)
-
-        def forward(vals, saved, weights):
-            w_t = weights[slot].transpose()
-            vals[i] = vals[x] @ w_t
-            saved[i] = w_t
-
-        def adjoint(vals, saved, grads):
-            _accumulate(grads, x, grads[i] @ np.swapaxes(saved[i], -1, -2))
-
-        self.forward[i] = forward
-        self.adjoint[i] = adjoint
-        j = self._node((i,), (c_out,))
-
-        def forward_bias(vals, saved, weights):
-            vals[j] = vals[i] + bias
-
-        def adjoint_bias(vals, saved, grads):
-            _accumulate(grads, i, grads[j])
-
-        def term(w_slice, b_slice):
-            def write(vals, saved, grads, jac):
-                grad = grads[j]
-                per_sample = grad[:, :, None] * vals[x][:, None, :]
-                jac[:, w_slice] = per_sample.reshape(grad.shape[0], -1)
-                jac[:, b_slice] = grad
-            return write
-
-        self.forward[j] = forward_bias
-        self.adjoint[j] = adjoint_bias
         self.pinned.add(x)
-        self.layers.append((order, [(key, c_out * c_in), (bias, c_out)], term, j))
-        return j
+        self.layers.append((order, [(key, c_out * c_in), (bias, c_out)], i))
+        return self._node((i,), (c_out,), _bias_steps(c_out, self.dtype))
 
     def cell(self, x: int, edge_op_sets, apply_op, scaled: bool) -> int:
         """``SuperCell.forward`` (``scaled``) or ``Cell.forward``.
@@ -630,87 +645,6 @@ class _Tape:
             nodes.append(total if total is not None else self.scale(nodes[0], 0.0))
         return nodes[-1]
 
-    def base_cell(self, x: int, edge_op_sets, apply_op) -> int:
-        """A chunk base's ``SuperCell``: every (edge, op) built, nodes 1–3
-        left as placeholders that :meth:`derive` fills per state."""
-        nodes = [x] + [self._node((), self.shapes[x])
-                       for _ in range(1, NUM_NODES)]
-        outputs = {}
-        for edge, (src, _) in enumerate(EDGES):
-            for position, op in enumerate(edge_op_sets[edge]):
-                first = len(self.parents)
-                outputs[edge, op] = apply_op(edge, position, op, nodes[src])
-                for node in range(first, len(self.parents)):
-                    self.member[node] = (edge, op)
-        self.cells.append((x, tuple(nodes), outputs))
-        return nodes[-1]
-
-    def derive(self, edge_op_sets) -> "_Tape":
-        """A base tape's copy for one state, structure only: the state's
-        layers, and each cell's edge sums built as :meth:`cell` builds
-        them, the last one of node ``dst`` in its placeholder.  ``glue``
-        maps each node it built to its tag, ``("add",)`` or ``("scale",
-        value)``; :meth:`glue_steps` gives them their steps.
-        """
-        tape = _Tape.__new__(_Tape)
-        tape.__dict__.update(self.__dict__)
-        tape.op_sets = edge_op_sets
-        parents = tape.parents = list(self.parents)
-        tape.layers = [layer for layer in self.layers
-                       if self.keeps(layer[3], edge_op_sets)]
-        tags = tape.glue = {}
-
-        def node(links, tag, at=None):
-            if at is None:
-                at = len(parents)
-                parents.append(links)
-            else:
-                parents[at] = links
-            tags[at] = tag
-            return at
-
-        for x, nodes, outputs in self.cells:
-            for dst in range(1, NUM_NODES):
-                edges = [edge for edge in _EDGES_INTO[dst]
-                         if edge_op_sets[edge]]
-                total = None
-                for n, edge in enumerate(edges):
-                    ops = edge_op_sets[edge]
-                    last = nodes[dst] if n == len(edges) - 1 else None
-                    edge_out = None
-                    for op in ops:
-                        out = outputs[edge, op]
-                        edge_out = (out if edge_out is None else
-                                    node((edge_out, out), _ADD))
-                    edge_out = node((edge_out,), ("scale", 1.0 / len(ops)),
-                                    last if total is None else None)
-                    total = (edge_out if total is None else
-                             node((total, edge_out), _ADD, last))
-                if total is None:
-                    node((x,), ("scale", 0.0), nodes[dst])
-        return tape
-
-    def glue_steps(self) -> None:
-        """Give a derived tape's edge-sum nodes their steps."""
-        size = len(self.parents)
-        self.forward = self.forward + [None] * (size - len(self.forward))
-        self.adjoint = self.adjoint + [None] * (size - len(self.adjoint))
-        factors = self.factors
-        for i, tag in self.glue.items():
-            links = self.parents[i]
-            if tag is _ADD:
-                self.forward[i], self.adjoint[i] = _add_steps(i, *links)
-            else:
-                if tag[1] not in factors:
-                    factors[tag[1]] = self._scalar(tag[1])
-                self.forward[i], self.adjoint[i] = _scale_steps(
-                    i, links[0], factors[tag[1]])
-
-    def keeps(self, node: int, edge_op_sets) -> bool:
-        """Whether a base node belongs to the state ``edge_op_sets``."""
-        owner = self.member.get(node)
-        return owner is None or owner[1] in edge_op_sets[owner[0]]
-
 
 def _validate(edge_op_sets, error) -> Tuple[Tuple[str, ...], ...]:
     op_sets = tuple(tuple(ops) for ops in edge_op_sets)
@@ -730,100 +664,55 @@ class _Plan:
     compiled in, which must be the scope its bank was drawn in.
     """
 
-    #: A chunk-derived plan's ``(shared values, {node: shared key})``;
-    #: see :class:`SupernetChunk`.
+    #: A chunk plan's ``(shared values, {node: structural key}, its index
+    #: in the chunk)``; see :class:`SupernetChunk`.
     _shared = None
 
-    def __init__(self, tape: _Tape, order: Sequence[int],
+    def __init__(self, tape: _Tape, live: Sequence[int],
                  pinned: Sequence[int]) -> None:
         self.dtype = tape.dtype
         self._size = len(tape.parents)
-        self._weight_keys = tuple(tape.weight_keys)
+        self._weight_keys = tuple(tape.weight_keys.items())
+        #: Nodes whose values a run reads after the forward.
+        self._after = frozenset(pinned)
         # Each forward step drops the values it was the last to read (the
         # pinned ones excepted), so a run holds no more than it needs.
-        parents, forward = tape.parents, tape.forward
-        order = [i for i in order if i]
-        last_reader = {}
-        for i in order:
-            for parent in parents[i]:
-                last_reader[parent] = i
+        parents, steps = tape.parents, tape.steps
+        order = [i for i in sorted(live) if i]
+        last_reader = {parent: i for i in order for parent in parents[i]}
         release: Dict[int, List[int]] = {}
         for node, reader in last_reader.items():
-            if node not in pinned:
+            if node not in self._after:
                 release.setdefault(reader, []).append(node)
         get = release.get
-        self._forward = tuple([(i, forward[i], tuple(get(i, ())))
+        self._forward = tuple([(i, steps[i][0], parents[i], tuple(get(i, ())))
                                for i in order])
         self._layers = tuple(sorted(tape.layers, key=lambda layer: layer[0]))
 
     def parameters(self, bank: WeightBank) -> List[np.ndarray]:
         """The network's parameters in ``network.parameters()`` order."""
         return [bank.arrays[source] if isinstance(source, tuple) else source
-                for _, params, _, _ in self._layers for source, _ in params]
+                for _, params, _ in self._layers for source, _ in params]
 
-    def _run_forward(self, bank: WeightBank, inputs: np.ndarray):
+    def _run_forward(self, bank: WeightBank, inputs: np.ndarray,
+                     share: bool = True):
+        """The forward over ``inputs``; a chunk plan takes the values its
+        chunk shares only when ``share`` says the inputs are the bank's."""
         vals: list = [None] * self._size
         saved: list = [None] * self._size
         vals[0] = np.asarray(inputs, dtype=self.dtype)
-        weights = [bank.arrays[key] for key in self._weight_keys]
-        if self._shared is not None:
-            values, keys = self._shared
-            values.forward(bank, self._forward, keys, vals, saved, weights)
-            return vals, saved
-        for _, step, release in self._forward:
-            step(vals, saved, weights)
+        arrays = bank.arrays
+        weights = {node: arrays[key] for node, key in self._weight_keys}
+        if self._shared is not None and share:
+            values, keys, index = self._shared
+            if values.forward(bank, index, self._forward, keys, vals, saved,
+                              weights):
+                return vals, saved
+        for i, step, parents, release in self._forward:
+            step(i, parents, vals, saved, weights)
             for node in release:
                 vals[node] = None
         return vals, saved
-
-
-def _ntk_tape(op_sets, macro, supercell: bool, base: bool = False) -> _Tape:
-    """The NTK network's tape; ``base`` leaves each cell's edge sums to
-    :meth:`_Tape.derive`."""
-    b = _Tape((macro.input_channels, macro.image_size, macro.image_size),
-              saves_columns=True)
-    c1, c2, c3 = macro.stage_channels
-    h = b.conv(0, ("stem",), c1, 3, 1, 1, order=(0, 0))
-    h = b.batch_norm(h, order=(0, 1))
-    block = position = 0
-    for stage, width in enumerate((c1, c2, c3)):
-        if stage:
-            block += 1
-            reduce = ("reduce", stage - 1)
-            r = b.relu(h)
-            r = b.conv(r, reduce + (0,), width, 3, 2, 1, order=(block, 0))
-            r = b.batch_norm(r, order=(block, 1))
-            r = b.relu(r)
-            r = b.conv(r, reduce + (1,), width, 3, 1, 1, order=(block, 2))
-            r = b.batch_norm(r, order=(block, 3))
-            s = b.pool(h, 2, 2, 0)
-            s = b.conv(s, reduce + (2,), width, 1, 1, 0, order=(block, 4))
-            h = b.add(r, s)
-        for _ in range(macro.cells_per_stage):
-            block += 1
-            apply_op = _ntk_edge_op(b, block, position, width)
-            h = (b.base_cell(h, op_sets, apply_op) if base else
-                 b.cell(h, op_sets, apply_op, scaled=supercell))
-            position += 1
-    h = b.relu(b.batch_norm(h, order=(block + 1, 0)))
-    b.root = b.linear(b.global_pool(h), ("head",), macro.num_classes,
-                      order=(block + 2, 0))
-    return b
-
-
-def _ntk_edge_op(b: _Tape, block: int, position: int, width: int):
-    def apply_op(edge, index, op, x):
-        if op == "none":
-            return b.scale(x, 0.0)
-        if op == "skip_connect":
-            return x
-        if op == "avg_pool_3x3":
-            return b.pool(x, 3, 1, 1)
-        kernel = CONV_KERNEL[op]
-        h = b.conv(b.relu(x), ("cell", position, edge, op), width, kernel,
-                   1, kernel // 2, order=(block, edge, index, 0))
-        return b.batch_norm(h, order=(block, edge, index, 1))
-    return apply_op
 
 
 class NtkPlan(_Plan):
@@ -839,38 +728,44 @@ class NtkPlan(_Plan):
         op_sets = _validate(edge_op_sets, SearchSpaceError)
         if not supercell and any(len(ops) != 1 for ops in op_sets):
             raise SearchSpaceError("a Cell needs exactly one op per edge")
-        tape = _ntk_tape(op_sets, macro, supercell)
-        topo = _tape_order(tape.parents, tape.root)
-        self._compile(tape, topo, sorted(topo))
-
-    @staticmethod
-    def _layout(base: _Tape, op_sets) -> _Tape:
-        """One state's tape from a chunk's base, with its tape order and
-        the nodes whose values a run reads after the forward."""
-        tape = base.derive(op_sets)
-        tape.order = _tape_order(tape.parents, tape.root)
-        tape.after = tape.pinned | {tape.root}
-        return tape
-
-    @classmethod
-    def _from_layout(cls, tape: _Tape) -> "NtkPlan":
-        tape.glue_steps()
-        plan = cls.__new__(cls)
-        # The post-order runs every node after its parents: a forward order.
-        plan._compile(tape, tape.order, tape.order)
-        return plan
-
-    def _compile(self, tape: _Tape, topo: List[int],
-                 order: Sequence[int]) -> None:
-        super().__init__(tape, order, tape.pinned)
-        self._root = tape.root
+        b = _Tape((macro.input_channels, macro.image_size, macro.image_size),
+                  saves_columns=True)
+        c1, c2, c3 = macro.stage_channels
+        h = b.conv(0, ("stem",), c1, 3, 1, 1, order=(0, 0))
+        h = b.batch_norm(h, order=(0, 1))
+        block = position = 0
+        for stage, width in enumerate((c1, c2, c3)):
+            if stage:
+                block += 1
+                reduce = ("reduce", stage - 1)
+                r = b.relu(h)
+                r = b.conv(r, reduce + (0,), width, 3, 2, 1, order=(block, 0))
+                r = b.batch_norm(r, order=(block, 1))
+                r = b.relu(r)
+                r = b.conv(r, reduce + (1,), width, 3, 1, 1, order=(block, 2))
+                r = b.batch_norm(r, order=(block, 3))
+                s = b.pool(h, 2, 2, 0)
+                s = b.conv(s, reduce + (2,), width, 1, 1, 0, order=(block, 4))
+                h = b.add(r, s)
+            for _ in range(macro.cells_per_stage):
+                block += 1
+                h = b.cell(h, op_sets,
+                           self._edge_op(b, block, position, width),
+                           scaled=supercell)
+                position += 1
+        h = b.relu(b.batch_norm(h, order=(block + 1, 0)))
+        root = b.linear(b.global_pool(h), ("head",), macro.num_classes,
+                        order=(block + 2, 0))
+        topo = _tape_order(b.parents, root)
+        super().__init__(b, topo, b.pinned | {root})
+        self._root = root
         terms, offset, reached, dead = {}, 0, set(topo), []
-        for _, params, term, node in self._layers:
+        for _, params, node in self._layers:
             slices = []
             for _, size in params:
                 slices.append(slice(offset, offset + size))
                 offset += size
-            terms[node] = term(*slices)
+            terms[node] = tuple(slices)
             if node not in reached:
                 dead.extend(slices)
         self.num_parameters = offset
@@ -879,25 +774,43 @@ class NtkPlan(_Plan):
         self._dead = tuple(dead)
         # A node's gradient is final once its adjoint's turn comes, so its
         # Jacobian block is written right then, and what it read dropped.
-        self._backward = tuple((i, tape.adjoint[i], terms.get(i))
-                               for i in reversed(topo) if i)
+        self._backward = tuple(
+            (i, b.steps[i][1], b.parents[i],
+             b.steps[i][2] if i in terms else None, terms.get(i))
+            for i in reversed(topo) if i)
+
+    @staticmethod
+    def _edge_op(b: _Tape, block: int, position: int, width: int):
+        def apply_op(edge, index, op, x):
+            if op == "none":
+                return b.scale(x, 0.0)
+            if op == "skip_connect":
+                return x
+            if op == "avg_pool_3x3":
+                return b.pool(x, 3, 1, 1)
+            kernel = CONV_KERNEL[op]
+            h = b.conv(b.relu(x), ("cell", position, edge, op), width, kernel,
+                       1, kernel // 2, order=(block, edge, index, 0))
+            return b.batch_norm(h, order=(block, edge, index, 1))
+        return apply_op
 
     def jacobian(self, bank: WeightBank,
                  images: Optional[np.ndarray] = None) -> np.ndarray:
         """``(B, P)`` per-sample summed-logit Jacobian (``bank.inputs``
         unless ``images`` are given)."""
         vals, saved = self._run_forward(
-            bank, bank.inputs if images is None else images)
+            bank, bank.inputs if images is None else images,
+            share=images is None)
         grads: list = [None] * self._size
         seed = grads[self._root] = np.ones_like(vals[self._root])
         jac = np.empty((seed.shape[0], self.num_parameters), dtype=self.dtype)
         for sl in self._dead:
             jac[:, sl] = 0.0
-        for node, adjoint, term in self._backward:
+        for node, adjoint, parents, term, slices in self._backward:
             if adjoint is not None:
-                adjoint(vals, saved, grads)
+                adjoint(node, parents, vals, saved, grads)
             if term is not None:
-                term(vals, saved, grads, jac)
+                term(node, parents, vals, saved, grads, jac, slices)
             grads[node] = saved[node] = None
         return jac
 
@@ -906,38 +819,6 @@ class NtkPlan(_Plan):
         """The ``(B, B)`` empirical NTK, as ``compute_ntk_gram`` forms it."""
         jacobian = self.jacobian(bank, images)
         return jacobian @ jacobian.T
-
-
-def _line_tape(op_sets, channels: int, num_cells: int, input_size: int,
-               base: bool = False) -> _Tape:
-    """The line-region network's tape, its ReLUs in module order;
-    ``base`` leaves each cell's edge sums to :meth:`_Tape.derive`."""
-    b = _Tape((3, input_size, input_size), saves_columns=False)
-    # Module order, for ReLU patterns and parameters alike: the stem,
-    # then (cell, edge, op position).
-    relus: List[Tuple[Tuple, int]] = []
-    h = b.conv(0, ("stem",), channels, 3, 1, 1, order=(-1,), bias=True)
-    h = b.relu(h)
-    relus.append(((-1,), h))
-    for cell in range(num_cells):
-        def apply_op(edge, index, op, x, cell=cell):
-            if op == "none":
-                return b.scale(x, 0.0)
-            if op == "skip_connect":
-                return x
-            if op == "avg_pool_3x3":
-                return b.pool(x, 3, 1, 1)
-            kernel = CONV_KERNEL[op]
-            out = b.relu(b.conv(x, ("cell", cell, edge, op), channels,
-                                kernel, 1, kernel // 2,
-                                order=(cell, edge, index), bias=True))
-            relus.append(((cell, edge, index), out))
-            return out
-        h = (b.base_cell(h, op_sets, apply_op) if base else
-             b.cell(h, op_sets, apply_op, scaled=True))
-    relus.sort(key=lambda item: item[0])
-    b.relus = tuple(node for _, node in relus)
-    return b
 
 
 class LinePlan(_Plan):
@@ -950,32 +831,35 @@ class LinePlan(_Plan):
     def __init__(self, edge_op_sets, channels: int, num_cells: int,
                  input_size: int) -> None:
         op_sets = _validate(edge_op_sets, ProxyError)
-        tape = _line_tape(op_sets, channels, num_cells, input_size)
-        self._relus = tape.relus
+        b = _Tape((3, input_size, input_size), saves_columns=False)
+        # Module order, for ReLU patterns and parameters alike: the stem,
+        # then (cell, edge, op position).
+        relus: List[Tuple[Tuple, int]] = []
+        h = b.conv(0, ("stem",), channels, 3, 1, 1, order=(-1,), bias=True)
+        h = b.relu(h)
+        relus.append(((-1,), h))
+        for cell in range(num_cells):
+            def apply_op(edge, index, op, x, cell=cell):
+                if op == "none":
+                    return b.scale(x, 0.0)
+                if op == "skip_connect":
+                    return x
+                if op == "avg_pool_3x3":
+                    return b.pool(x, 3, 1, 1)
+                kernel = CONV_KERNEL[op]
+                out = b.relu(b.conv(x, ("cell", cell, edge, op), channels,
+                                    kernel, 1, kernel // 2,
+                                    order=(cell, edge, index), bias=True))
+                relus.append(((cell, edge, index), out))
+                return out
+            h = b.cell(h, op_sets, apply_op, scaled=True)
+        relus.sort(key=lambda item: item[0])
+        self._relus = tuple(node for _, node in relus)
         needed = set(self._relus)
-        for node in range(len(tape.parents) - 1, 0, -1):
+        for node in range(len(b.parents) - 1, 0, -1):
             if node in needed:
-                needed.update(tape.parents[node])
-        super().__init__(tape, sorted(needed), ())
-
-    @staticmethod
-    def _layout(base: _Tape, op_sets) -> _Tape:
-        """As :meth:`NtkPlan._layout`; the ReLU masks a run reads after
-        the forward are ``saved`` entries, not values."""
-        tape = base.derive(op_sets)
-        tape.relus = tuple(node for node in base.relus
-                           if base.keeps(node, op_sets))
-        tape.order = _tape_order(tape.parents, *tape.relus)
-        tape.after = ()
-        return tape
-
-    @classmethod
-    def _from_layout(cls, tape: _Tape) -> "LinePlan":
-        tape.glue_steps()
-        plan = cls.__new__(cls)
-        plan._relus = tape.relus
-        _Plan.__init__(plan, tape, tape.order, ())
-        return plan
+                needed.update(b.parents[node])
+        super().__init__(b, needed, ())
 
     def patterns(self, bank: WeightBank) -> np.ndarray:
         """``(lines, points, units)`` ReLU patterns along the bank's
@@ -994,7 +878,7 @@ class LinePlan(_Plan):
 
 
 # ----------------------------------------------------------------------
-# Chunks: the supernet states of one executor chunk as one computation
+# Chunks: the supernet states of one executor chunk, sharing values
 # ----------------------------------------------------------------------
 def _read_only(value):
     """``value`` (an array, a tuple of arrays or None), made read-only."""
@@ -1007,37 +891,43 @@ def _read_only(value):
 
 
 class _SharedValues:
-    """The forward values two or more states of a chunk compute alike.
+    """The forward values a chunk's plans compute more than once: at
+    nodes of two or more plans, or at two nodes of one plan.
 
     Entries are keyed by structural key, per bank: ``(value, saved)``,
-    read-only, where ``value`` is None unless a state that finds the entry
-    computes a node that reads it (or reads it after the forward).  The
-    first state to reach a key computes it; an entry is dropped as soon
-    as every state holding its key has run.
+    read-only, where ``value`` is None unless a node that finds the entry
+    may be read by one that computes (or is read after the forward).  The
+    first node to reach a key computes it; an entry is dropped as soon as
+    every plan holding its key has run.
     """
 
-    def __init__(self, holders: Dict[int, int], keep_value) -> None:
-        self._holders = holders
+    def __init__(self, occurrences: Dict[int, int], keep_value) -> None:
+        self._occurrences = occurrences
         self._keep_value = keep_value
-        self._banks: Dict[WeightBank, Tuple[dict, dict]] = {}
+        self._banks: Dict[WeightBank, Tuple[dict, dict, set]] = {}
 
-    def forward(self, bank: WeightBank, steps, keys: Dict[int, Tuple],
-                vals, saved, weights) -> None:
-        """One state's forward (``steps``: ``(node, step, release)``;
-        ``keys``: the shared key of each node that has one), then the
-        release of what it was the last to hold."""
+    def forward(self, bank: WeightBank, index: int, steps,
+                keys: Dict[int, int], vals, saved, weights) -> bool:
+        """Plan ``index``'s forward (``steps``: ``(node, step, parents,
+        release)``; ``keys``: the shared key of each node that has one),
+        then the release of what it was the last to hold.  False, with
+        nothing run, for a plan that already ran on ``bank``: its keys
+        are no longer counted."""
         held = self._banks.get(bank)
         if held is None:
-            held = self._banks[bank] = ({}, dict(self._holders))
-        entries, left = held
+            held = self._banks[bank] = ({}, dict(self._occurrences), set())
+        entries, left, ran = held
+        if index in ran:
+            return False
+        ran.add(index)
         keep_value = self._keep_value
-        for i, step, release in steps:
+        for i, step, parents, release in steps:
             key = keys.get(i)
             entry = None if key is None else entries.get(key)
             if entry is not None:
                 vals[i], saved[i] = entry
             else:
-                step(vals, saved, weights)
+                step(i, parents, vals, saved, weights)
                 if key is not None and left[key] > 1:
                     entries[key] = (
                         _read_only(vals[i]) if key in keep_value else None,
@@ -1048,110 +938,65 @@ class _SharedValues:
             left[key] -= 1
             if not left[key]:
                 entries.pop(key, None)
+        return True
 
 
-def _edge_classes(base: _Tape):
-    """Group a chunk base's shareable nodes by the edges whose op sets
-    shape their values: ``[(edges, nodes)]``.
+def _share(plans: Sequence[_Plan]) -> None:
+    """Key the forward nodes of a chunk's plans, and give each plan with
+    a key that recurs one :class:`_SharedValues`.
 
-    A node depends on the edges its parents depend on; a cell node on the
-    edges into it and on what every op on them reads.  Placeholders,
-    adds and scales are left out (they run per state).
+    A node's structural key stands for its forward step (which fixes its
+    op and constants), its weight key and its parents' keys: equal keys
+    mean the same numpy calls on equal operands, so equal values.  A key
+    recurs across states (the stem, the cell nodes upstream of a removed
+    op) and within one (each conv's ReLU of one cell node, each edge's
+    pool of it).
     """
-    fills = {}
-    for x, nodes, outputs in base.cells:
-        for dst in range(1, NUM_NODES):
-            reads = [out for (edge, _), out in outputs.items()
-                     if edge in _EDGES_INTO[dst]]
-            fills[nodes[dst]] = (frozenset(_EDGES_INTO[dst]), reads + [x])
-    deps: List[Optional[frozenset]] = [None] * len(base.parents)
-    deps[0] = frozenset()
-
-    def resolve(node):
-        if deps[node] is None:
-            edges, reads = fills.get(node, (frozenset(), base.parents[node]))
-            deps[node] = edges.union(*[resolve(read) for read in reads])
-        return deps[node]
-
-    classes: Dict[frozenset, List[int]] = {}
-    for node in range(1, len(base.parents)):
-        edges = resolve(node)
-        if node not in fills and node not in base.cheap:
-            classes.setdefault(edges, []).append(node)
-    return [(tuple(sorted(edges)), nodes) for edges, nodes in classes.items()]
-
-
-def _share(tapes: Sequence[_Tape], base: _Tape):
-    """The nodes two or more of a chunk's state tapes hold alike: one
-    :class:`_SharedValues` and, per tape, ``{node: shared key}``.
-
-    A node's structural key is its base node (its op, weight key and
-    constants) with the op sets of the edges its class depends on: equal
-    keys mean equal parents, recursively, so equal values.
-    """
-    classes = _edge_classes(base)
-    projections: Dict[Tuple, int] = {}
-    seen = []
-    for tape in tapes:
-        state = tape.op_sets
-        seen.append([projections.setdefault(
-            (n, tuple(state[edge] for edge in edges)), len(projections))
-            for n, (edges, _) in enumerate(classes)])
-    common: Dict[int, int] = {}
-    for ids in seen:
-        for pid in ids:
-            common[pid] = common.get(pid, 0) + 1
-    holders: Dict[Tuple, int] = {}
+    table: Dict[Tuple, int] = {}
+    holders: Counter = Counter()        # plans holding each key
+    occurrences: Counter = Counter()    # nodes holding it, in every plan
     keyed = []
-    for tape, ids in zip(tapes, seen):
-        live = set(tape.order)
-        keys = {node: (node, pid)
-                for (_, nodes), pid in zip(classes, ids) if common[pid] > 1
-                for node in nodes if node in live}
-        for key in keys.values():
-            holders[key] = holders.get(key, 0) + 1
-        keyed.append((tape, live, keys))
-    shared = {key: n for key, n in holders.items() if n > 1}
-    # A shared value is kept if some state can find it and still compute
-    # a reader: an add or scale, a node no other state holds, or one
-    # fewer states hold.
-    glue_read = {x for x, _, _ in base.cells}
-    for _, _, outputs in base.cells:
-        glue_read.update(outputs.values())
-    children: Dict[int, List[int]] = {}
-    for node, links in enumerate(base.parents):
-        for parent in links:
-            children.setdefault(parent, []).append(node)
+    for plan in plans:
+        weight = dict(plan._weight_keys).get
+        ids = [-1] * plan._size     # -1: the input, or a node not run
+        for i, forward, parents, _ in plan._forward:
+            if len(parents) == 1:
+                key = (forward, weight(i), ids[parents[0]])
+            else:
+                key = (forward, weight(i), *[ids[p] for p in parents])
+            ids[i] = table.setdefault(key, len(table))
+        occurrences.update(ids)
+        holders.update(set(ids))
+        keyed.append(ids)
+    del occurrences[-1], holders[-1]
+    # A shared value is kept where a node that finds it may be read by
+    # one that computes: a node fewer plans hold (the plans holding a
+    # child hold its parents), a key one plan holds twice (its later
+    # nodes may feed a node computed first), or a node read after the
+    # forward.
     keep_value = set()
-    for tape, live, keys in keyed:
-        for node, key in keys.items():
-            count = shared.get(key)
-            if count is None or key in keep_value:
-                continue
-            if node in glue_read or node in tape.after or any(
-                    child in live and shared.get(keys.get(child), 0) < count
-                    for child in children.get(node, ())):
-                keep_value.add(key)
-    return _SharedValues(shared, keep_value), [
-        {node: key for node, key in keys.items() if key in shared}
-        for _, _, keys in keyed]
-
-
-def _merged_order(sequences) -> List[str]:
-    """The ops of ``sequences`` in one order that keeps each sequence's
-    order where they agree (earliest seen first among the free ones)."""
-    ops = list(dict.fromkeys(op for ops in sequences for op in ops))
-    after = {op: set() for op in ops}
-    for seq in sequences:
-        for a, b in zip(seq, seq[1:]):
-            after[b].add(a)
-    order: List[str] = []
-    while len(order) < len(ops):
-        free = [op for op in ops
-                if op not in order and after[op] <= set(order)]
-        order.append(free[0] if free else
-                     next(op for op in ops if op not in order))
-    return order
+    plan_keys = []
+    for plan, ids in zip(plans, keyed):
+        keys: Dict[int, int] = {}
+        seen = set()
+        for i, _, parents, _ in plan._forward:
+            key = ids[i]
+            count = holders[key]
+            if occurrences[key] > 1:
+                if key in seen:
+                    keep_value.add(key)
+                seen.add(key)
+                keys[i] = key
+            for parent in parents:
+                if holders[ids[parent]] > count:
+                    keep_value.add(ids[parent])
+        keep_value.update(ids[node] for node in plan._after)
+        plan_keys.append(keys)
+    values = _SharedValues({key: count for key, count in occurrences.items()
+                            if count > 1}, keep_value)
+    for index, (plan, keys) in enumerate(zip(plans, plan_keys)):
+        if keys:
+            plan._shared = (values, keys, index)
 
 
 class SupernetChunk:
@@ -1159,79 +1004,47 @@ class SupernetChunk:
     computation: hand it to ``supernet_ntk_condition_number`` and
     ``supernet_line_regions`` with each of its states.
 
-    The first plan asked for compiles the chunk's *base* once: the
-    supernet whose edge op sets are the per-edge union of the states' (a
-    pruning round's supernet), with each cell's edge sums left out.  Each
-    state's plan is derived from it: its layers and Jacobian column
-    slices, its edge add and scale chains, its tape order — the
-    depth-first sort over the state's own parent lists, recorded in the
-    order a per-state compile records them — and its release map.  A
-    state that orders an edge's ops otherwise than the base, or repeats
-    one, is not derived (the proxies compile it alone).
-
-    Each node then gets a structural key: its base node (which fixes its
-    op, weight key and constants) or its add or scale tag, with its
-    parents' keys.  A node other than an add or scale whose key two or
-    more of the states hold is computed once, with the ``saved`` entry
-    its adjoint, Jacobian term or ReLU pattern reads, and reused as
-    read-only arrays (:class:`_SharedValues`).  Adds, scales and every
-    backward step run per state.  Nothing outlives the chunk: a shared
-    value goes when the last state holding it has run.
+    The first plan asked for of a kind compiles every state of the chunk,
+    each alone, as the proxies would, and keys their forward nodes
+    (:func:`_share`).  A node whose key two or more states hold is
+    computed once, by the first state to reach it, with the ``saved``
+    entry its adjoint, Jacobian term or ReLU pattern reads, and reused as
+    read-only arrays.  Every backward step runs per state.  Nothing
+    outlives the chunk: the key table goes once the plans are keyed, and
+    a shared value when the last state holding it has run.
     """
 
     def __init__(self, states: Sequence) -> None:
-        self._states = [tuple(tuple(ops) for ops in state) for state in states]
-        self._pending: Dict[Tuple, Dict] = {}
+        self._states = list(dict.fromkeys(
+            tuple(tuple(ops) for ops in state) for state in states))
+        self._plans: Dict[Tuple, Dict[Tuple, _Plan]] = {}
 
     def ntk_plan(self, edge_op_sets, macro) -> Optional[NtkPlan]:
-        """The derived ``SuperCell`` NTK plan of one of the chunk's
-        states, or None (asked for a second time, too)."""
-        return self._plan(
-            ("ntk", macro), edge_op_sets,
-            lambda union: _ntk_tape(union, macro, True, base=True), NtkPlan)
+        """The ``SuperCell`` NTK plan of one of the chunk's states, or
+        None (asked for a second time, too)."""
+        return self._plan(("ntk", macro), edge_op_sets,
+                          lambda state: NtkPlan(state, macro, supercell=True))
 
     def line_plan(self, edge_op_sets, channels: int, num_cells: int,
                   input_size: int) -> Optional[LinePlan]:
-        """The derived line-region plan of one of the chunk's states, or
-        None (asked for a second time, too)."""
-        return self._plan(
-            ("lr", channels, num_cells, input_size), edge_op_sets,
-            lambda union: _line_tape(union, channels, num_cells, input_size,
-                                     base=True),
-            LinePlan)
+        """The line-region plan of one of the chunk's states, or None
+        (asked for a second time, too)."""
+        return self._plan(("lr", channels, num_cells, input_size),
+                          edge_op_sets,
+                          lambda state: LinePlan(state, channels, num_cells,
+                                                 input_size))
 
-    def _plan(self, kind: Tuple, edge_op_sets, compile_base, cls):
-        # Each state's tape waits, structure only, until its plan is
-        # asked for; the plan is the caller's alone.
+    def _plan(self, kind: Tuple, edge_op_sets, compile_state):
         kind += (default_dtype(),)
-        pending = self._pending.get(kind)
-        if pending is None:
-            pending = self._pending[kind] = self._derive(compile_base, cls)
-        entry = pending.pop(tuple(tuple(ops) for ops in edge_op_sets), None)
-        if entry is None:
-            return None
-        tape, values, keys = entry
-        plan = cls._from_layout(tape)
-        if keys:
-            plan._shared = (values, keys)
-        return plan
-
-    def _derive(self, compile_base, cls) -> Dict[Tuple, Tuple]:
-        states = [state for state in self._states if len(state) == len(EDGES)
-                  and all(op in CANDIDATE_OPS for ops in state for op in ops)]
-        union = [_merged_order([state[edge] for state in states])
-                 for edge in range(len(EDGES))]
-        rank = [{op: n for n, op in enumerate(ops)} for ops in union]
-        states = [state for state in states if all(
-            all(r[a] < r[b] for a, b in zip(ops, ops[1:]))
-            for ops, r in zip(state, rank))]
-        if not states:
-            return {}
-        base = compile_base(tuple(tuple(ops) for ops in union))
-        tapes = [cls._layout(base, state) for state in states]
-        values, keys = _share(tapes, base)
-        return {state: (tape, values, mine)
-                for state, tape, mine in zip(states, tapes, keys)}
+        plans = self._plans.get(kind)
+        if plans is None:
+            # A state the plans would reject is left to its proxy call.
+            plans = self._plans[kind] = {
+                state: compile_state(state) for state in self._states
+                if len(state) == len(EDGES)
+                and all(op in CANDIDATE_OPS for ops in state for op in ops)}
+            _share(list(plans.values()))
+        return plans.pop(tuple(tuple(ops) for ops in edge_op_sets), None)
 
 
 __all__ = [

@@ -24,8 +24,8 @@ forward-only :class:`~repro.engine.plan.LinePlan` over a weight bank: no
 module tree is built.  Supernet states share one bank (weights, then the
 probe lines) per process and ``(config, repeat)``, and the states of one
 executor chunk run as one :class:`~repro.engine.plan.SupernetChunk`
-(``chunk=``): one base compile, and the values the states hold alike
-computed once.  The patterns equal
+(``chunk=``): each state compiled alone, and the forward values the
+states hold alike computed once.  The patterns equal
 :func:`repro.engine.kernels.batched_line_patterns` over the
 :class:`~repro.searchspace.network.LinearRegionNetwork` the same seed
 builds.  ``"reference"`` builds that network and runs one forward per
@@ -208,8 +208,8 @@ def supernet_line_regions(
 ) -> float:
     """Line-region count of a pruning-supernet state (alive-op sets).
 
-    A ``chunk`` that holds the state derives its plan from the chunk's
-    base and shares forward values with the chunk's other states (see
+    A ``chunk`` that holds the state gives its plan, which shares
+    forward values with the chunk's other states (see
     :func:`~repro.proxies.ntk.supernet_ntk_condition_number`).
     """
     config = config or ProxyConfig()

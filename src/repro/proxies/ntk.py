@@ -18,9 +18,9 @@ the classic condition number.  Lower is better (more trainable).
   module tree, no autograd tape.  Supernet states share one bank per
   process and ``(config, repeat)``; a genotype's bank is drawn from its
   own seed stream.  The executor hands the states of one chunk a
-  :class:`~repro.engine.plan.SupernetChunk` (``chunk=``): their plans
-  are derived from one base compile and the forward values they hold
-  alike are computed once, bit for bit as each state alone.  The values equal
+  :class:`~repro.engine.plan.SupernetChunk` (``chunk=``): each state's
+  plan is compiled alone, and the forward values two or more states
+  hold alike are computed once, bit for bit as each state alone.  The values equal
   :func:`repro.engine.kernels.batched_ntk_jacobian` over the module tree
   the same seed builds, as float hex.
 * ``"reference"`` — frozen BatchNorm, one batch-size-1 forward/backward
@@ -361,9 +361,8 @@ def supernet_ntk_condition_number(
 
     Builds the reduced supernet for the given alive-op sets and measures
     ``K_{k_index}`` exactly as for concrete genotypes.  A ``chunk`` that
-    holds the state derives its plan from the chunk's base and shares
-    forward values with the chunk's other states; the value is the same
-    bits.
+    holds the state gives its plan, which shares forward values with the
+    chunk's other states; the value is the same bits.
     """
     config = config or ProxyConfig()
     values = []

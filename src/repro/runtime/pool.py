@@ -169,8 +169,8 @@ def _evaluate_supernet_chunk(payload: Tuple) -> List[Tuple]:
     seconds}), ...]``.
 
     Each proxy runs over the states that need it as one
-    :class:`~repro.engine.plan.SupernetChunk`: one compile, forward
-    values the states share computed once.  Every NTK runs before the
+    :class:`~repro.engine.plan.SupernetChunk`: each state compiled alone,
+    forward values the states share computed once.  Every NTK runs before the
     first line count, so the NTK's shared values are gone before the
     line counts keep theirs; no row depends on that order.
     """

@@ -38,7 +38,7 @@ from repro.proxies.base import ProxyConfig
 from repro.proxies.flops import count_flops
 from repro.proxies.ranking import combine_ranks
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.ops import EDGES, NUM_NODES, op_flops
+from repro.searchspace.ops import EDGES, EDGES_INTO, NUM_NODES, op_flops
 from repro.searchspace.specs import EdgeSpec, MacroConfig
 from repro.utils.timing import CostLedger
 
@@ -46,10 +46,6 @@ from repro.utils.timing import CostLedger
 #: never sees NaN/inf arithmetic surprises.
 _INF_SENTINEL = 1e30
 
-
-#: The edges into each cell node, in edge order.
-_EDGES_INTO = [[idx for idx, (_, dst) in enumerate(EDGES) if dst == node]
-               for node in range(NUM_NODES)]
 
 #: The four built-in indicator fields (fixed dataclass slots below).
 _BUILTIN_AXES = ("ntk", "linear_regions", "flops", "latency")
@@ -321,7 +317,7 @@ class HybridObjective:
             add_ms = lut.entries.get(("add", c, c, s, s, 1, 1), 0.0)
             for node in range(1, NUM_NODES):
                 expected_in = sum(active_prob[idx]
-                                  for idx in _EDGES_INTO[node])
+                                  for idx in EDGES_INTO[node])
                 per_cell += max(0.0, expected_in - 1.0) * add_ms
             total += config.cells_per_stage * per_cell
         return total

@@ -17,15 +17,15 @@ from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 from repro.errors import GenotypeError
-from repro.searchspace.ops import CANDIDATE_OPS, EDGES, NUM_EDGES, OP_INDEX
+from repro.searchspace.ops import (
+    CANDIDATE_OPS,
+    EDGES,
+    EDGES_INTO,
+    NUM_EDGES,
+    OP_INDEX,
+)
 
 _ARCH_TOKEN = re.compile(r"([^|~]+)~(\d+)")
-
-#: Edges grouped by destination node, in string order.
-_EDGES_BY_NODE: Tuple[Tuple[int, ...], ...] = (
-    tuple(i for i, (_, dst) in enumerate(EDGES) if dst == node) for node in (1, 2, 3)
-)
-_EDGES_BY_NODE = tuple(_EDGES_BY_NODE)
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +64,7 @@ class Genotype:
     def to_arch_str(self) -> str:
         """Render the canonical NAS-Bench-201 architecture string."""
         groups = []
-        for node_edges in _EDGES_BY_NODE:
+        for node_edges in EDGES_INTO[1:]:
             tokens = "".join(
                 f"|{self.ops[edge]}~{EDGES[edge][0]}|" for edge in node_edges
             )

@@ -27,6 +27,11 @@ NUM_EDGES = 6
 #: canonical NAS-Bench-201 order used by architecture strings.
 EDGES: Tuple[Tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
 
+#: The edges into each cell node, in edge order (none into node 0).
+EDGES_INTO: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(edge for edge, (_, dst) in enumerate(EDGES) if dst == node)
+    for node in range(NUM_NODES))
+
 CANDIDATE_OPS: Tuple[str, ...] = (
     "none",
     "skip_connect",

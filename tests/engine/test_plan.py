@@ -379,7 +379,7 @@ def test_plans_reject_what_the_modules_reject(tiny_proxy_config):
 
 
 # ----------------------------------------------------------------------
-# Chunks: derived plans and shared forward values
+# Chunks: plans compiled alone, forward values shared
 # ----------------------------------------------------------------------
 #: A pruning round: a base state, and one state per alive op it removes.
 rounds = st.lists(
@@ -422,7 +422,7 @@ def _in_chunk(config, chunk_states):
 @given(base=rounds, data=st.data())
 def test_chunk_plans_match_states_compiled_alone(tiny_proxy_config, scale,
                                                  base, data):
-    """Derived plans plus shared values give every state's Jacobian, Gram
+    """Chunk plans plus shared values give every state's Jacobian, Gram
     and line patterns as float hex, whatever the chunk holds."""
     config = tiny_proxy_config if scale == "tiny" else reduced_proxy_config()
     states = _removals(base)
@@ -465,8 +465,8 @@ def test_shared_values_are_read_only(tiny_proxy_config):
         plans = [chunk.ntk_plan(state, config.macro_config())
                  for state in states]
         plans[0].jacobian(supernet_ntk_bank(config, 0))
-    values, keys = plans[1]._shared
-    (entries, _), = values._banks.values()
+    values, keys, _ = plans[1]._shared
+    (entries, _, _), = values._banks.values()
     assert entries
     for value, saved in entries.values():
         for array in (value,) + (saved if isinstance(saved, tuple)
@@ -477,7 +477,7 @@ def test_shared_values_are_read_only(tiny_proxy_config):
 
 
 def test_a_chunk_states_plan_is_handed_out_once(tiny_proxy_config):
-    """Derived plans go to their caller; a state the chunk does not hold,
+    """Chunk plans go to their caller; a state the chunk does not hold,
     or one asked for again, gets None (the proxies compile it alone)."""
     macro = tiny_proxy_config.macro_config()
     states = _removals([("none", "skip_connect")] * 6)[:3]
@@ -486,8 +486,26 @@ def test_a_chunk_states_plan_is_handed_out_once(tiny_proxy_config):
         assert chunk.ntk_plan(states[0], macro) is not None
         assert chunk.ntk_plan(states[0], macro) is None
         assert chunk.ntk_plan([["none"]] * 6, macro) is None
-        # An edge ordered against the others is left to a lone compile.
-        clash = SupernetChunk([[("none", "skip_connect")] * 6,
-                               [("skip_connect", "none")] * 6])
-        assert clash.ntk_plan([("none", "skip_connect")] * 6, macro) is not None
-        assert clash.ntk_plan([("skip_connect", "none")] * 6, macro) is None
+
+
+def test_chunk_plans_share_only_the_banks_inputs(tiny_proxy_config):
+    """A chunk plan run on other images, or run again, computes its
+    values itself; states that order an edge's ops differently still get
+    their own values."""
+    config = tiny_proxy_config
+    macro = config.macro_config()
+    states = [(("none", "skip_connect"),) + (CANDIDATE_OPS,) * 5,
+              (("skip_connect", "none"),) + (CANDIDATE_OPS,) * 5,
+              ((),) + (CANDIDATE_OPS,) * 5]
+    images = np.random.default_rng(5).normal(size=(3, 3, 8, 8))
+    chunk = SupernetChunk(states)
+    with precision(config.precision):
+        bank = supernet_ntk_bank(config, 0)
+        plans = [chunk.ntk_plan(state, macro) for state in states]
+        assert all(plan._shared is not None for plan in plans)
+        for state, plan in zip(states, plans):
+            alone = NtkPlan(state, macro, supercell=True)
+            assert _same_bits(plan.jacobian(bank, images),
+                              alone.jacobian(bank, images))
+            assert _same_bits(plan.jacobian(bank), alone.jacobian(bank))
+            assert _same_bits(plan.jacobian(bank), alone.jacobian(bank))
