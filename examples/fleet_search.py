@@ -74,7 +74,7 @@ def manual_broker_and_worker(store_dir: str) -> None:
     macro_config = MacroConfig.full()
     population = [canonicalize(g)
                   for g in NasBench201Space().sample(8, rng=3)]
-    items = tuple((g.ops, (True, True, True)) for g in population)
+    items = tuple((g.ops, (True, True)) for g in population)
 
     with FleetPool(n_workers=1, lease_seconds=60.0) as pool:
         print(f"broker listening on {pool.address}")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
 _MISSING = object()
 
@@ -112,6 +112,24 @@ class IndicatorCache:
             return value
         self.misses += 1
         return self.put(key, compute())
+
+    def lookup_cached(self, keys: Sequence[Hashable]
+                      ) -> Tuple[List[Any], List[int]]:
+        """:meth:`lookup` of many keys, for the ones already cached.
+
+        Returns the value under each key (``None`` where absent) and the
+        positions of the absent keys.  Each present key counts the hit
+        its lookup would count; absent keys count nothing, because the
+        caller computes them through :meth:`lookup` (or a merge), which
+        counts the miss.
+        """
+        values = [self._data.get(key, _MISSING) for key in keys]
+        missing = [pos for pos, value in enumerate(values)
+                   if value is _MISSING]
+        for pos in missing:
+            values[pos] = None
+        self.hits += len(values) - len(missing)
+        return values, missing
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns whether it existed."""

@@ -37,7 +37,7 @@ fingerprint: float32 and float64 rows coexist without aliasing.
 from __future__ import annotations
 
 from dataclasses import astuple
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,11 +63,14 @@ def supernet_state_key(edge_specs: Sequence[EdgeSpec]) -> Tuple:
 
 def genotype_indicator_keys(index: int, proxy_key: Tuple,
                             macro_key: Tuple) -> Dict[str, Tuple]:
-    """The cache keys of one canonical genotype's worker rows, by indicator.
+    """The cache keys of one canonical genotype's trainless rows, by
+    indicator.
 
     The one key contract: the engine reads, and the executor merges
     worker rows, under exactly these tuples (the ``1`` is κ's eigenvalue
-    index, part of every persisted NTK key).
+    index, part of every persisted NTK key).  Workers compute the two
+    proxy rows; the ``flops`` row is the ``flops`` cost model's, priced in
+    the driver under this same key.
     """
     return {
         "ntk": ("ntk", index, 1, proxy_key),
@@ -359,11 +362,32 @@ class Engine:
         return self._lookup(key, compute, tag)
 
     def cost_column(self, canons: Sequence[Genotype], model) -> np.ndarray:
-        """One cost axis over already-canonical forms, one cached lookup
-        each (what :meth:`evaluate_population` and the device matrix price
-        their unique canonical cells with)."""
-        return np.array([self._cost_canonical(canon, model)
-                         for canon in canons], dtype=float)
+        """One cost axis over already-canonical forms (what
+        :meth:`evaluate_population` and the device matrix price their
+        unique canonical cells with).
+
+        Every cached value is read in one bulk pass and never reaches the
+        model; each counts one cache hit and one ``cost[<axis>]_cache_hit``
+        ledger entry, as its own lookup would.  Only the forms not cached
+        go through :meth:`_cost_canonical`, in order, so a form that comes
+        twice misses once and then hits.
+        """
+        values, missing = self._read_cached(
+            [model.cache_key(canon.to_index()) for canon in canons],
+            f"cost[{model.name}]")
+        for pos in missing:
+            values[pos] = self._cost_canonical(canons[pos], model)
+        return np.array(values, dtype=float)
+
+    def _read_cached(self, keys: Sequence[Tuple], tag: str
+                     ) -> Tuple[List, List[int]]:
+        """The cached values of ``keys`` (``None`` where absent) and the
+        positions of the absent ones, counted as one :meth:`_lookup` hit
+        per cached key."""
+        values, missing = self.cache.lookup_cached(keys)
+        if len(keys) > len(missing):
+            self.ledger.add(f"{tag}_cache_hit", count=len(keys) - len(missing))
+        return values, missing
 
     def _lookup(self, key, compute, tag: str):
         before = self.cache.hits
@@ -403,27 +427,58 @@ class Engine:
         ``latency`` is reported as 0.0 unless requested — profiling a
         device is only worth paying for when the objective weights it.
         """
-        return self._indicator_row(canonicalize(genotype), with_latency)
+        columns = self._indicator_columns([canonicalize(genotype)],
+                                          with_latency)
+        return {name: float(column[0]) for name, column in columns.items()}
 
-    def _indicator_row(self, canon: Genotype,
-                       with_latency: bool) -> Dict[str, float]:
-        """:meth:`evaluate` of an already-canonical form: each row read
-        once under its :func:`genotype_indicator_keys` key."""
-        keys = genotype_indicator_keys(canon.to_index(), self._proxy_key,
-                                       self._macro_key)
+    def _indicator_columns(self, canons: Sequence[Genotype],
+                           with_latency: bool) -> Dict[str, np.ndarray]:
+        """The :data:`INDICATOR_NAMES` columns of already-canonical forms.
 
-        def warm():
-            self.executor.warm_population(self, [canon])
-
-        return {
-            "ntk": self._proxy_row(keys["ntk"], "ntk", warm),
-            "linear_regions": self._proxy_row(keys["linear_regions"], "lr",
-                                              warm),
-            "flops": self._cost_canonical(canon, self.cost_model("flops")),
-            "latency": (self._cost_canonical(canon,
-                                             self.cost_model("latency"))
-                        if with_latency else 0.0),
+        Each row is read once under its key: the proxy rows under
+        :func:`genotype_indicator_keys`, FLOPs and latency under their
+        cost models' keys.  A column's cached rows are read in one bulk
+        pass; then, form by form and column by column, each row not cached
+        is read as a lone read would (:meth:`_proxy_row`, which has the
+        executor compute it, or :meth:`_cost_canonical`).  The counters and
+        ledger entries are those of a read per row.
+        """
+        indices = [canon.to_index() for canon in canons]
+        proxy_keys = [genotype_indicator_keys(index, self._proxy_key,
+                                              self._macro_key)
+                      for index in indices]
+        models = {"flops": self.cost_model("flops")}
+        if with_latency:
+            models["latency"] = self.cost_model("latency")
+        reads = {  # column -> (keys, ledger tag)
+            "ntk": ([keys["ntk"] for keys in proxy_keys], "ntk"),
+            "linear_regions": ([keys["linear_regions"]
+                                for keys in proxy_keys], "lr"),
+            **{name: ([model.cache_key(index) for index in indices],
+                      f"cost[{name}]")
+               for name, model in models.items()},
         }
+        values: Dict[str, List] = {}
+        misses: Dict[int, List[str]] = {}  # position -> its missing columns
+        for name, (keys, tag) in reads.items():
+            values[name], missing = self._read_cached(keys, tag)
+            for pos in missing:
+                misses.setdefault(pos, []).append(name)
+        for pos in sorted(misses):
+            canon = canons[pos]
+            for name in misses[pos]:
+                if name in models:
+                    value = self._cost_canonical(canon, models[name])
+                else:
+                    keys, tag = reads[name]
+                    value = self._proxy_row(
+                        keys[pos], tag,
+                        lambda: self.executor.warm_population(self, [canon]))
+                values[name][pos] = value
+        if not with_latency:
+            values["latency"] = [0.0] * len(canons)
+        return {name: np.array(values[name], dtype=float)
+                for name in INDICATOR_NAMES}
 
     def evaluate_population(
         self,
@@ -487,12 +542,7 @@ class Engine:
         canonical = list(unique.values())
         hits0, misses0 = self.cache.counters()
         self.executor.warm_population(self, canonical)
-        rows = [self._indicator_row(canon, with_latency)
-                for canon in canonical]
-        unique_columns = {
-            name: np.array([row[name] for row in rows], dtype=float)
-            for name in INDICATOR_NAMES
-        }
+        unique_columns = self._indicator_columns(canonical, with_latency)
         for model in cost_models or ():
             unique_columns[model.name] = self.cost_column(canonical, model)
         hits1, misses1 = self.cache.counters()

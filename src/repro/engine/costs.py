@@ -87,7 +87,9 @@ class LatencyCostModel(CostModel):
 
 class FlopsCostModel(CostModel):
     """Deployment FLOPs as a cost axis (device-independent), keyed
-    ``("flops", index, macro)`` like the FLOPs rows pool workers compute.
+    ``("flops", index, macro)``, the ``flops`` key of
+    :func:`~repro.engine.core.genotype_indicator_keys`.  The only place
+    FLOPs are counted: pool workers compute the proxy rows alone.
     """
 
     name = "flops"

@@ -767,8 +767,9 @@ class AsyncPopulationExecutor:
         """Submit missing unique-canonical indicator rows; returns the
         number of chunk futures shipped (0 = everything cached or already
         in flight).  Never blocks.  Quarantined candidates are skipped.
-        Latency stays in the parent (LUT composition is cheap, the
-        profiled estimator lives there)."""
+        FLOPs and latency stay in the parent, priced by its cost models
+        (LUT composition and FLOP counts are cheap, the profiled estimator
+        lives there)."""
         proxy_key = astuple(engine.proxy_config)
         macro_key = astuple(engine.macro_config)
         pending = self._pending_keys(engine)
@@ -787,7 +788,7 @@ class AsyncPopulationExecutor:
         missing: List[Tuple] = []   # (ops, need mask)
         claimed: List[Tuple] = []   # keys each list item claims
         for canon, keys in candidates:
-            names = ("ntk", "linear_regions", "flops")
+            names = ("ntk", "linear_regions")
             needs = tuple(
                 keys[name] not in engine.cache and keys[name] not in pending
                 for name in names

@@ -721,7 +721,7 @@ class FleetWorkerStats:
 
 #: Indicator names in genotype chunk needs-mask order (the order
 #: ``_evaluate_genotype_chunk`` consumes).
-_GENOTYPE_NAMES = ("ntk", "linear_regions", "flops")
+_GENOTYPE_NAMES = ("ntk", "linear_regions")
 
 
 def _genotype_payload(payload: object) -> bool:

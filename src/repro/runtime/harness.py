@@ -428,6 +428,8 @@ class RunHarness:
         resolve_policy(config.precision)
         if config.fleet_workers < 0:
             raise SearchError("fleet_workers must be >= 0")
+        if config.samples < 1:
+            raise SearchError("samples must be >= 1")
         if not config.devices and config.algorithm in _ALGORITHM_MODULES:
             importlib.import_module(_ALGORITHM_MODULES[config.algorithm])
         self.config = config
@@ -745,8 +747,9 @@ class RunHarness:
         The pass canonicalizes the sample once; its table carries the
         unique canonical forms and each sample's position among them.
         Each (device, axis) column is priced over those unique forms only
-        (:meth:`~repro.engine.core.Engine.cost_column`, one cached lookup
-        per canonical cell) and expanded to sample order by one gather,
+        (:meth:`~repro.engine.core.Engine.cost_column`: the cached cells
+        read in bulk, the rest looked up one by one) and expanded to
+        sample order by one gather,
         so duplicates cost nothing and the fronts still rank the sample
         as drawn.
         """

@@ -15,8 +15,11 @@ returned indicator rows into the engine's
   reads; every transport (fork pool, serial queue, fleet workers) merges
   through them.
 * **Partial warmth.**  Each chunk item carries a per-indicator need mask,
-  so a partially warm cache (e.g. FLOPs missing under a new macro config)
-  never re-pays the expensive proxies.
+  so a partially warm cache (e.g. NTK rows present, line regions missing)
+  never re-pays a proxy it already holds.
+* **Proxies only.**  Workers compute the two proxy rows and nothing else:
+  FLOPs and latency are priced in the driver through their cost models
+  (:mod:`repro.engine.costs`), the one place each is computed.
 * **One ledger contract.**  Each row carries the seconds its proxies
   took, keyed by the engine's ledger entries (``ntk_eval``,
   ``lr_eval``); the executor's merge records them, one count per
@@ -40,7 +43,8 @@ returned indicator rows into the engine's
 Cache accounting note: rows a worker computed are recorded as cache
 *misses* when merged (they were genuinely computed, not found), after
 which the engine's assembly pass sees hits.  A population table
-therefore reports one hit per computed row on top of its misses.
+therefore reports one hit per computed proxy row on top of its misses;
+a FLOPs row, priced by the driver's lookup, counts one miss and no hit.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from typing import List, Sequence, Tuple
 
 from repro.engine.core import genotype_indicator_keys, supernet_indicator_keys
 from repro.engine.plan import SupernetChunk
-from repro.proxies.flops import count_flops
 from repro.proxies.linear_regions import count_line_regions, supernet_line_regions
 from repro.proxies.ntk import ntk_condition_number, supernet_ntk_condition_number
 from repro.searchspace.genotype import Genotype
@@ -132,20 +135,21 @@ def _timed(proxy, *args, **kwargs) -> Tuple[float, float]:
 def _evaluate_genotype_chunk(payload: Tuple) -> List[Tuple]:
     """Indicator rows for a chunk of canonical genotypes.
 
-    Each chunk item is ``(ops, (need_ntk, need_lr, need_flops))``: only
-    the indicators the parent found missing are computed, so a partially
-    warm cache (e.g. FLOPs missing under a new macro config) never re-pays
-    the expensive proxies.  Returns ``[(canonical_index, {indicator:
+    Each chunk item is ``(ops, (need_ntk, need_lr))``: only the proxies
+    the parent found missing are computed, so a partially warm cache never
+    re-pays one it already holds.  Returns ``[(canonical_index, {indicator:
     value}, {ledger entry: seconds}), ...]``; the chunk's own time is
     measured by the transport that runs it.
-    Latency is deliberately absent: LUT composition is cheap and the
-    profiled estimator lives in the parent; workers only pay for the
-    proxy-network indicators.
+    FLOPs and latency are deliberately absent: the parent prices them
+    through its cost models (LUT composition and FLOP counts are cheap,
+    and the profiled estimator lives there); workers only pay for the
+    proxy-network indicators.  The payload's macro configuration names
+    the store fingerprint fleet workers warm-start from.
     """
     _apply_allocator_policy()
-    items, proxy_config, macro_config = payload
+    items, proxy_config, _ = payload
     rows: List[Tuple] = []
-    for ops, (need_ntk, need_lr, need_flops) in items:
+    for ops, (need_ntk, need_lr) in items:
         genotype = Genotype(tuple(ops))
         row, spent = {}, {}
         if need_ntk:
@@ -154,8 +158,6 @@ def _evaluate_genotype_chunk(payload: Tuple) -> List[Tuple]:
         if need_lr:
             row["linear_regions"], spent["lr_eval"] = _timed(
                 count_line_regions, genotype, proxy_config)
-        if need_flops:
-            row["flops"] = float(count_flops(genotype, macro_config))
         rows.append((genotype.to_index(), row, spent))
     return rows
 

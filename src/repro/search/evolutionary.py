@@ -234,13 +234,10 @@ class SteadyStateEvolutionarySearch:
         then draws with ``rng.integers``, preserving the pre-crowding RNG
         stream exactly.
         """
-        from repro.search.pareto import (
-            crowding_selection_weights,
-            non_dominated_sort,
-        )
+        from repro.search.pareto import crowding_selection_weights, first_front
 
         vectors = np.array([vector for _, vector in population], dtype=float)
-        front = non_dominated_sort(vectors)[0]
+        front = first_front(vectors)[0]
         parents = [population[i][0] for i in front]
         if self.parent_selection != "crowding":
             return parents, None
@@ -265,7 +262,7 @@ class SteadyStateEvolutionarySearch:
         last_logged = 0
 
         #: Non-dominated set of `population` (+ selection weights),
-        #: recomputed only after a commit changes it (the O(P^2) sort
+        #: recomputed only after a commit changes it (the front sort
         #: would otherwise rerun per spawned child even with nothing
         #: landed in between).
         pareto_cache: Optional[Tuple[List[Genotype],

@@ -29,13 +29,18 @@ each later front ordered by the position, in the previous front, of each
 member's last dominator, ties broken by index.  It compares ``≤ 256``
 rows against all points at a time, so its memory stays ``O(256 · N)``
 and never reaches ``N × N`` — a whole-space sort (N = 15,625) included.
-:func:`first_front` peels the same fronts under the same bound but only
-counts the later ones: their member order, which the device-matrix
-cells and the Pareto search discard, is never built.
+:func:`first_front` needs only the Pareto set and the number of fronts.
+On two-axis rows — the (quality, latency) cells and the default Pareto
+search — it takes one lexicographic sort and a bisect sweep (Jensen,
+IEEE TEVC 7(5), 2003): ``O(N log N)`` time and ``O(N)`` memory.  On
+three or more axes it peels the same fronts as the full sort under the
+same ``O(256 · N)`` bound, counting the later ones without ordering them.
+So no input, of any width, allocates anything ``N × N``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -144,47 +149,116 @@ def non_dominated_sort(points: np.ndarray) -> List[List[int]]:
             for front in _fronts(points.reshape(n, -1), ordered=True)]
 
 
+def _finite_columns(points: np.ndarray) -> np.ndarray:
+    """``points`` with each column clipped to its finite range: ±inf read
+    as the column's finite extremes and NaN as its worst (largest) finite
+    value; a column without a finite value reads 0.  Finite input comes
+    back as is."""
+    if np.isfinite(points).all():
+        return points
+    points = points.copy()
+    for k in range(points.shape[1]):
+        column = points[:, k]
+        finite = np.isfinite(column)
+        if not finite.any():
+            points[:, k] = 0.0
+            continue
+        lo, hi = column[finite].min(), column[finite].max()
+        points[:, k] = np.clip(np.where(np.isnan(column), hi, column), lo, hi)
+    return points
+
+
 def crowding_distance(points: np.ndarray) -> np.ndarray:
-    """NSGA-II crowding distance within one front (larger = lonelier)."""
-    points = np.asarray(points, dtype=float)
+    """NSGA-II crowding distance within one front (larger = lonelier).
+
+    Each column is read over its finite range (:func:`_finite_columns`),
+    so an infinite or NaN coordinate makes its row a boundary point of
+    that axis instead of turning distances into NaN.
+    """
+    points = _finite_columns(np.asarray(points, dtype=float))
     n, m = points.shape
     distance = np.zeros(n)
     if n <= 2:
         return np.full(n, np.inf)
     for k in range(m):
         order = np.argsort(points[:, k])
-        spread = points[order[-1], k] - points[order[0], k]
+        column = points[order, k]
+        spread = column[-1] - column[0]
         distance[order[0]] = distance[order[-1]] = np.inf
         if spread == 0:
             continue
-        for pos in range(1, n - 1):
-            gap = points[order[pos + 1], k] - points[order[pos - 1], k]
-            distance[order[pos]] += gap / spread
+        distance[order[1:-1]] += (column[2:] - column[:-2]) / spread
     return distance
+
+
+def _two_axis_ranks(points: np.ndarray) -> np.ndarray:
+    """The front index of every row of an ``(n, 2)`` array, by one
+    lexicographic sort and a bisect sweep.
+
+    After the sort, only an earlier row can dominate a later one, and
+    does so exactly when its second coordinate is no larger and the two
+    rows differ.  ``tails[k]`` is the least second coordinate in front
+    ``k`` so far; it never decreases with ``k``, so each row joins the
+    first front whose tail exceeds its own second coordinate, and equal
+    rows share a front.  A row with a NaN neither dominates nor is
+    dominated (:func:`dominates`), so it stays in front 0.
+    """
+    rank = np.zeros(len(points), dtype=np.int64)
+    rows = np.flatnonzero(~np.isnan(points).any(axis=1))
+    order = rows[np.lexsort((points[rows, 1], points[rows, 0]))]
+    tails: List[float] = []
+    fronts: List[int] = []
+    previous = None
+    for point in points[order].tolist():
+        if point != previous:
+            front = bisect_right(tails, point[1])
+            if front == len(tails):
+                tails.append(point[1])
+            else:
+                tails[front] = point[1]
+            previous = point
+        fronts.append(front)
+    rank[order] = fronts
+    return rank
 
 
 def first_front(vectors: np.ndarray) -> Tuple[List[int], np.ndarray, int]:
     """The Pareto set of ``vectors``: its row indices (ascending), their
     crowding distances, and how many fronts the full sort finds.
 
-    Equal to ``non_dominated_sort(vectors)[0]`` and its length, with the
-    same ``O(256 · N)`` memory, but the later fronts are only counted:
-    their member order is never built.
+    Equal to ``non_dominated_sort(vectors)[0]`` and its length; an empty
+    input has no front (``([], [], 0)``).  Two-axis rows take the sort
+    sweep of :func:`_two_axis_ranks`; wider rows peel the fronts with the
+    same ``O(256 · N)`` memory as the full sort, but only count the later
+    ones: their member order is never built.
     """
     vectors = np.asarray(vectors, dtype=float)
-    fronts = _fronts(vectors.reshape(len(vectors), -1), ordered=False)
-    first = next(fronts).tolist()
-    num_fronts = 1 + sum(1 for _ in fronts)
-    return first, crowding_distance(vectors[first]), num_fronts
+    if len(vectors) == 0:
+        return [], np.empty(0), 0
+    points = vectors.reshape(len(vectors), -1)
+    if points.shape[1] == 2:
+        rank = _two_axis_ranks(points)
+        first = np.flatnonzero(rank == 0).tolist()
+        num_fronts = int(rank.max()) + 1
+    else:
+        fronts = _fronts(points, ordered=False)
+        first = next(fronts).tolist()
+        num_fronts = 1 + sum(1 for _ in fronts)
+    return first, crowding_distance(points[first]), num_fronts
 
 
 def knee_index(matrix: Sequence[Sequence[float]]) -> int:
     """Row of ``matrix`` closest (L2) to the utopian corner (0, ..., 0)
-    once every column is min-max normalised (a constant column reads 0)."""
+    once every column is min-max normalised over its finite range (a
+    constant column reads 0, see :func:`_finite_columns` for ±inf and
+    NaN).  A row with a NaN is the knee only when every row has one."""
     matrix = np.asarray(matrix, dtype=float)
-    lo, hi = matrix.min(axis=0), matrix.max(axis=0)
-    normed = (matrix - lo) / np.where(hi > lo, hi - lo, 1.0)
-    return int(np.argmin(np.sqrt((normed ** 2).sum(axis=1))))
+    points = _finite_columns(matrix)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    normed = (points - lo) / np.where(hi > lo, hi - lo, 1.0)
+    distance = np.sqrt((normed ** 2).sum(axis=1))
+    distance[np.isnan(matrix).any(axis=1)] = np.inf
+    return int(np.argmin(distance))
 
 
 def build_front(vectors: np.ndarray
@@ -228,18 +302,9 @@ def crowding_selection_weights(points: np.ndarray) -> np.ndarray:
     if n == 0:
         raise SearchError("cannot build selection weights for an empty front")
     # Objective axes may carry ±inf (an untrainable candidate's κ can sit
-    # on the front through its other axes); clamp each column to its
-    # finite range so distances stay defined — infinite members become
-    # boundary points, which is exactly their geometric role.
-    points = points.copy()
-    for k in range(points.shape[1]):
-        column = points[:, k]
-        finite_mask = np.isfinite(column)
-        if not finite_mask.any():
-            points[:, k] = 0.0
-            continue
-        points[:, k] = np.clip(column, column[finite_mask].min(),
-                               column[finite_mask].max())
+    # on the front through its other axes); crowding reads each column
+    # over its finite range, so infinite members become boundary points,
+    # which is exactly their geometric role.
     distance = crowding_distance(points)
     finite = distance[np.isfinite(distance)]
     if finite.size == 0 or finite.max() == 0.0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine, IndicatorTable
+from repro.engine.core import genotype_indicator_keys
 from repro.errors import ProxyError
 from repro.search.evolutionary import EvolutionConfig, TrainlessEvolutionarySearch
 from repro.search.objective import HybridObjective, ObjectiveWeights
@@ -61,6 +62,91 @@ class TestEvaluatePopulation:
         with_latency = engine.evaluate_population([heavy_genotype],
                                                   with_latency=True)
         assert with_latency.column("latency")[0] > 0.0
+
+
+class TestBulkReads:
+    """Cached rows are read in bulk, counted as a lookup per row."""
+
+    @staticmethod
+    def _engine(tiny_proxy_config, shared_latency_estimator):
+        # The latency estimator memoizes into the engine's own cache, so
+        # the latency and energy axes take the shared-cache path.
+        from repro.engine.cache import IndicatorCache
+        from repro.hardware.latency import LatencyEstimator
+
+        cache = IndicatorCache()
+        estimator = LatencyEstimator(
+            device=shared_latency_estimator.device,
+            profiler=shared_latency_estimator.profiler,
+            lut=shared_latency_estimator.lut, cache=cache)
+        return Engine(proxy_config=tiny_proxy_config,
+                      latency_estimator=estimator, cache=cache)
+
+    @pytest.mark.parametrize("axis", ["latency", "energy", "peak-mem",
+                                      "flops"])
+    def test_cost_column_counts_a_lookup_per_form(
+            self, tiny_proxy_config, shared_latency_estimator, axis):
+        forms = [canonicalize(g) for g in NasBench201Space().sample(12, rng=4)]
+        forms += forms[:5]  # repeated forms: a miss, then hits
+
+        def partly_warm():
+            engine = self._engine(tiny_proxy_config, shared_latency_estimator)
+            model = engine.cost_model(axis)
+            for canon in forms[::3]:
+                engine.cost(canon, model)
+            return engine, model
+
+        bulk, model = partly_warm()
+        column = bulk.cost_column(forms, model)
+        one_by_one, model = partly_warm()
+        expected = [one_by_one._cost_canonical(canon, model)
+                    for canon in forms]
+        assert [value.hex() for value in column.tolist()] == \
+            [value.hex() for value in expected]
+        assert bulk.cache.counters() == one_by_one.cache.counters()
+        assert bulk.ledger.counts == one_by_one.ledger.counts
+
+    def test_population_rows_count_a_read_per_row(
+            self, tiny_proxy_config, shared_latency_estimator):
+        population = NasBench201Space().sample(10, rng=2)
+        canonical = list({canonicalize(g).to_index(): canonicalize(g)
+                          for g in population}.values())
+
+        def per_row(engine, canon):
+            """The rows of one form, each read by its own lookup."""
+            keys = genotype_indicator_keys(canon.to_index(),
+                                           engine._proxy_key,
+                                           engine._macro_key)
+
+            def warm():
+                engine.executor.warm_population(engine, [canon])
+
+            return {
+                "ntk": engine._proxy_row(keys["ntk"], "ntk", warm),
+                "linear_regions": engine._proxy_row(
+                    keys["linear_regions"], "lr", warm),
+                "flops": engine._cost_canonical(
+                    canon, engine.cost_model("flops")),
+                "latency": engine._cost_canonical(
+                    canon, engine.cost_model("latency")),
+            }
+
+        # Both engines start partly warm: one form's rows, another's FLOPs.
+        bulk = self._engine(tiny_proxy_config, shared_latency_estimator)
+        first = bulk.evaluate(population[0], with_latency=True)
+        bulk.flops(population[3])
+        table = bulk.evaluate_population(population, with_latency=True)
+        one_by_one = self._engine(tiny_proxy_config,
+                                  shared_latency_estimator)
+        assert per_row(one_by_one, canonicalize(population[0])) == first
+        one_by_one.flops(population[3])
+        one_by_one.executor.warm_population(one_by_one, canonical)
+        rows = {canon.to_index(): per_row(one_by_one, canon)
+                for canon in canonical}
+        assert table.rows() == [rows[canonicalize(g).to_index()]
+                                for g in population]
+        assert bulk.cache.counters() == one_by_one.cache.counters()
+        assert bulk.ledger.counts == one_by_one.ledger.counts
 
 
 class TestIndicatorTable:

@@ -32,6 +32,14 @@ class TestConfigValidation:
         with pytest.raises(SearchError, match="unknown cost axis"):
             RunHarness(_matrix_config(objectives=("latency", "carbon")))
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_non_positive_samples_rejected(self, samples):
+        from repro.runtime import RunHarness
+
+        with pytest.raises(SearchError, match="samples must be >= 1"):
+            RunHarness(_matrix_config(samples=samples,
+                                      devices=("nucleo-f746zg",)))
+
     def test_objective_sets_parse_comma_joined(self):
         config = _matrix_config()
         assert config.objective_sets() == (("latency",),

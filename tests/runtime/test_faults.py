@@ -75,8 +75,12 @@ def _policy(**kwargs):
 
 def _assert_bit_identical(tiny_proxy_config, engine, genotypes):
     serial = _engine(tiny_proxy_config).evaluate_population(genotypes)
+    evals = dict(engine.ledger.counts)
     table = engine.evaluate_population(genotypes)
-    assert table.cache_misses == 0
+    # The executor merged every proxy row: the table computes none (only
+    # FLOPs, priced in the driver, may miss).
+    for entry in ("ntk_eval", "lr_eval"):
+        assert engine.ledger.counts.get(entry) == evals.get(entry)
     for name in serial.columns:
         np.testing.assert_array_equal(serial.columns[name],
                                       table.columns[name])
@@ -190,7 +194,7 @@ class TestFaultPlan:
     def test_identity_extraction(self, population):
         ops = canonicalize(population[0]).ops
         assert chunk_item_identity(
-            "genotype", (ops, (True, True, True))
+            "genotype", (ops, (True, True))
         ) == _canon_index(population[0])
         state = (("spec", 1),)
         assert chunk_item_identity("supernet", (state, (True, True))) \
@@ -559,7 +563,7 @@ class TestWorkerDeathRecovery:
         # Exactly-once resubmission: every row merged exactly once (the
         # cache would reject duplicates, so merged == all needed rows).
         unique = {_canon_index(g) for g in population}
-        assert merged == 3 * len(unique)
+        assert merged == 2 * len(unique)  # ntk + linear_regions
         assert executor.num_pending == 0
         _assert_bit_identical(tiny_proxy_config, engine, population)
 

@@ -165,14 +165,13 @@ def constant_chunk(payload):
         index = Genotype(tuple(ops)).to_index()
         rows.append((index, {name: index + 0.25 * slot
                              for slot, (name, need) in enumerate(
-                                 zip(("ntk", "linear_regions", "flops"),
-                                     needs))
+                                 zip(("ntk", "linear_regions"), needs))
                              if need}, {}))
     return rows
 
 
 def chunk_payload(genotypes, proxy_config, macro_config):
-    return (tuple((g.ops, (True, True, True)) for g in genotypes),
+    return (tuple((g.ops, (True, True)) for g in genotypes),
             proxy_config, macro_config)
 
 
@@ -510,7 +509,11 @@ class TestElasticMembership:
         population = NasBench201Space().sample(10, rng=5)
         serial_engine = Engine(proxy_config=tiny_proxy_config)
         serial_engine.evaluate_population(population)
-        serial_rows = dict(serial_engine.cache.items())
+        # The rows workers compute: the two proxies (FLOPs are priced in
+        # the driver, and this run builds no table).
+        serial_rows = {key: value
+                       for key, value in serial_engine.cache.items()
+                       if key[0] in ("ntk", "linear_regions")}
 
         poison_identity = canonicalize(population[0]).to_index()
         plan = FaultPlan(state_path=str(tmp_path / "faults"),
@@ -599,7 +602,7 @@ class TestWarmStart:
         store = RuntimeStore(tmp_path / "store")
         genotypes = [canonicalize(g)
                      for g in NasBench201Space().sample(4, rng=3)]
-        items = tuple((g.ops, (True, True, True)) for g in genotypes)
+        items = tuple((g.ops, (True, True)) for g in genotypes)
 
         # Persist the first two candidates' rows, as a sibling run would.
         warm_rows = _evaluate_genotype_chunk(
@@ -611,7 +614,7 @@ class TestWarmStart:
             keys = genotype_indicator_keys(index, proxy_key, macro_key)
             for name, value in row.items():
                 seed_cache.put(keys[name], value)
-        assert store.save_cache(seed_cache, fingerprint) == 6
+        assert store.save_cache(seed_cache, fingerprint) == 4
 
         with FleetBroker() as broker:
             broker.submit(_evaluate_genotype_chunk,
@@ -621,10 +624,10 @@ class TestWarmStart:
                                poll_seconds=0.01, max_chunks=1)
             (done,) = drain_completed(broker, 1)
         assert done.error is None
-        # 2 candidates × 3 indicators warm-started from the store; only
+        # 2 candidates × 2 proxies warm-started from the store; only
         # the other 2 candidates were computed and flushed back.
-        assert stats.store_rows_loaded == 6
-        assert stats.store_rows_flushed == 6
+        assert stats.store_rows_loaded == 4
+        assert stats.store_rows_flushed == 4
         rows = {index: row for index, row, _ in done.value}
         direct = _evaluate_genotype_chunk(
             (items, tiny_proxy_config, macro))
@@ -633,7 +636,7 @@ class TestWarmStart:
                 assert rows[index][name] == value  # bit-identical
         # The store now holds all four candidates.
         probe = IndicatorCache()
-        assert store.load_cache_into(probe, fingerprint) == 12
+        assert store.load_cache_into(probe, fingerprint) == 8
 
     def test_second_chunk_reads_only_new_segments(
             self, tmp_path, tiny_proxy_config, monkeypatch):
@@ -665,7 +668,7 @@ class TestWarmStart:
             chunk_payload(genotypes[:4], tiny_proxy_config, macro),
             store, resident, stats)
         assert sorted(read) == sorted(before_first)
-        assert stats.store_rows_loaded == 9  # the three seeded genotypes
+        assert stats.store_rows_loaded == 6  # the three seeded genotypes
         # A sibling flushes a genotype this worker has never seen.
         seed_rows(store, fingerprint, genotypes[4:5], tiny_proxy_config,
                   macro)
@@ -680,7 +683,7 @@ class TestWarmStart:
         assert len(read) == len(set(read))
         assert all(name.startswith("seg-") for name in read)
         # Genotype 3 (own flush) and genotype 4 (sibling) were served.
-        assert stats.store_rows_loaded == 9 + 6
+        assert stats.store_rows_loaded == 6 + 4
 
     @needs_fork
     def test_follower_matches_replay_after_foreign_compaction(
@@ -721,7 +724,7 @@ class TestWarmStart:
         (_, cache, _), = resident.values()
         fresh = IndicatorCache()
         store.load_cache_into(fresh, fingerprint, strict=True)
-        assert len(fresh) == 7 * 3
+        assert len(fresh) == 7 * 2  # two proxy rows per genotype
 
         def as_hex(rows):
             return {key: float(value).hex() for key, value in rows}
@@ -732,7 +735,7 @@ class TestWarmStart:
         macro = MacroConfig.full()
         genotypes = [canonicalize(g)
                      for g in NasBench201Space().sample(2, rng=9)]
-        items = tuple((g.ops, (True, False, True)) for g in genotypes)
+        items = tuple((g.ops, (True, False)) for g in genotypes)
         with FleetBroker() as broker:
             broker.submit(_evaluate_genotype_chunk,
                           (items, tiny_proxy_config, macro))

@@ -152,7 +152,8 @@ def test_cost_models_price_each_canonical_cell_once(monkeypatch):
     priced = Counter(key[:2] for key in calls)
     # Latency and energy are priced on each board.  Peak memory does not
     # depend on the board, so the second board reads the first board's
-    # rows; the flops axis reads the trainless table.
+    # rows.  FLOPs are priced once, by the engine's model, for the
+    # trainless table (pool workers compute proxies only).
     assert sorted(name for _, name in priced) == \
-        ["energy", "energy", "latency", "latency", "peak-mem"]
+        ["energy", "energy", "flops", "latency", "latency", "peak-mem"]
     assert set(priced.values()) == {report.unique_canonical}

@@ -229,9 +229,9 @@ class TestIncrementalMergeHook:
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=2)
         merged = executor.warm_population(engine, [heavy_genotype])
-        assert merged == 3  # ntk + linear_regions + flops
-        assert executor.stats.merged_rows == 3
-        assert engine.cache.misses == 3
+        assert merged == 2  # ntk + linear_regions
+        assert executor.stats.merged_rows == 2
+        assert engine.cache.misses == 2
 
 
 class TestDispatchMechanics:
@@ -263,22 +263,24 @@ class TestDispatchMechanics:
 
         warm = _engine(tiny_proxy_config)
         warm.evaluate(heavy_genotype)
-        # Same cache, new macro config: only FLOPs are missing, and the
-        # worker must not re-pay the proxies.
+        # A worker computes only the proxies its mask asks for.
+        rows = _evaluate_genotype_chunk(
+            (((heavy_genotype.ops, (False, True)),),
+             tiny_proxy_config, warm.macro_config)
+        )
+        assert set(rows[0][1]) == {"linear_regions"}
+        # Same cache, new macro config: only FLOPs are missing, so no
+        # chunk ships and the proxies are not re-paid; the driver prices
+        # the new FLOPs row through its cost model.
         engine = Engine(proxy_config=tiny_proxy_config, cache=warm.cache,
                         macro_config=MacroConfig(init_channels=4,
                                                  cells_per_stage=1,
                                                  image_size=8))
-        rows = _evaluate_genotype_chunk(
-            (((heavy_genotype.ops, (False, False, True)),),
-             tiny_proxy_config, engine.macro_config)
-        )
-        assert set(rows[0][1]) == {"flops"}
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=2)
-        merged = executor.warm_population(engine, [heavy_genotype])
-        assert merged == 1  # flops row only
+        assert executor.warm_population(engine, [heavy_genotype]) == 0
+        assert executor.stats.dispatches == 0
         table = engine.evaluate_population([heavy_genotype])
-        assert table.cache_misses == 0
+        assert table.cache_misses == 1  # the FLOPs row only
 
     def test_warm_cache_dispatches_nothing(self, tiny_proxy_config,
                                            population):
@@ -334,7 +336,7 @@ class TestDispatchMechanics:
                                                tiny_macro_config,
                                                heavy_genotype):
         rows = _evaluate_genotype_chunk(
-            (((heavy_genotype.ops, (True, True, True)),),
+            (((heavy_genotype.ops, (True, True)),),
              tiny_proxy_config, tiny_macro_config)
         )
         engine = Engine(proxy_config=tiny_proxy_config,
@@ -362,7 +364,7 @@ class TestDispatchMechanics:
 def _chunk_rows(proxy_config, macro_config, genotype):
     """One genotype chunk and one supernet chunk, rows without seconds."""
     rows = _evaluate_genotype_chunk(
-        (((genotype.ops, (True, True, True)),), proxy_config, macro_config))
+        (((genotype.ops, (True, True)),), proxy_config, macro_config))
     state = supernet_state_key([EdgeSpec(i, tuple(CANDIDATE_OPS))
                                 for i in range(6)])
     srows = _evaluate_supernet_chunk(
@@ -428,7 +430,7 @@ archs = (
     "|nor_conv_3x3~0|+|avg_pool_3x3~0|nor_conv_1x1~1|"
     "+|nor_conv_3x3~0|none~1|nor_conv_3x3~2|",
 )
-items = tuple((Genotype.from_arch_str(a).ops, (True, True, True))
+items = tuple((Genotype.from_arch_str(a).ops, (True, True))
               for a in archs)
 payload = (items, ProxyConfig(), MacroConfig())
 pool._evaluate_genotype_chunk(payload)

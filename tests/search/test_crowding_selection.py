@@ -2,14 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SearchError
+from repro.proxies.base import ProxyConfig
 from repro.search.evolutionary import (
     EvolutionConfig,
     SteadyStateEvolutionarySearch,
 )
 from repro.search.objective import HybridObjective
-from repro.search.pareto import crowding_distance, crowding_selection_weights
+from repro.search.pareto import (
+    crowding_distance,
+    crowding_selection_weights,
+    non_dominated_sort,
+)
+from repro.searchspace.genotype import Genotype
 
 
 def _front():
@@ -121,3 +129,71 @@ def test_steady_state_runs_under_both_selection_modes(parent_selection):
     assert result.genotype is not None
     assert result.algorithm == "evolutionary-steady-state"
     assert "ntk" in result.indicators
+
+
+# ----------------------------------------------------------------------
+# Parents from the first front alone
+# ----------------------------------------------------------------------
+TINY_PROXY = ProxyConfig(init_channels=4, cells_per_stage=1, input_size=8,
+                         ntk_batch_size=8, lr_num_samples=32,
+                         lr_input_size=4, lr_channels=2, seed=9)
+
+
+def _full_sort_parents(self, population):
+    """``_pareto_parents`` built on front 0 of the ordered full sort."""
+    vectors = np.array([vector for _, vector in population], dtype=float)
+    front = non_dominated_sort(vectors)[0]
+    parents = [population[i][0] for i in front]
+    if self.parent_selection != "crowding":
+        return parents, None
+    return parents, crowding_selection_weights(vectors[front])
+
+
+@st.composite
+def tied_populations(draw):
+    """Objective vectors of 2-4 axes with ties, ±inf and NaN."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.sampled_from([2, 2, 3, 4]))
+    values = st.one_of(st.integers(0, 4).map(float),
+                       st.sampled_from([np.inf, -np.inf, np.nan]))
+    flat = draw(st.lists(values, min_size=n * m, max_size=n * m))
+    vectors = np.array(flat, dtype=float).reshape(n, m)
+    return [(Genotype.from_index(i), tuple(vector))
+            for i, vector in enumerate(vectors)]
+
+
+@pytest.mark.parametrize("parent_selection", ["crowding", "uniform"])
+@settings(max_examples=60, deadline=None)
+@given(population=tied_populations())
+def test_parents_equal_the_full_sort_front(parent_selection, population):
+    search = SteadyStateEvolutionarySearch(
+        HybridObjective(proxy_config=TINY_PROXY),
+        parent_selection=parent_selection)
+    parents, weights = search._pareto_parents(population)
+    expected, expected_weights = _full_sort_parents(search, population)
+    assert parents == expected
+    if expected_weights is None:
+        assert weights is None
+    else:
+        np.testing.assert_array_equal(weights, expected_weights)
+
+
+@pytest.mark.parametrize("parent_selection", ["crowding", "uniform"])
+def test_search_history_unchanged_by_the_front_builder(monkeypatch,
+                                                       parent_selection):
+    """A whole steady-state run, with its history, is the run the full
+    sort's front 0 gives."""
+    def run():
+        return SteadyStateEvolutionarySearch(
+            HybridObjective(proxy_config=TINY_PROXY),
+            EvolutionConfig(population_size=8, sample_size=2, cycles=120),
+            seed=1, parent_selection=parent_selection).search()
+
+    result = run()
+    monkeypatch.setattr(SteadyStateEvolutionarySearch, "_pareto_parents",
+                        _full_sort_parents)
+    expected = run()
+    assert len(result.history) == 2
+    assert result.history == expected.history
+    assert result.genotype == expected.genotype
+    assert result.ledger.counts == expected.ledger.counts

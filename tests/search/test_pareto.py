@@ -17,6 +17,7 @@ from repro.search.pareto import (
     build_front,
     ParetoResult,
     ParetoZeroShotSearch,
+    _two_axis_ranks,
     crowding_distance,
     dominates,
     first_front,
@@ -83,14 +84,23 @@ def tied_points(draw):
 
 @st.composite
 def block_sized_points(draw):
-    """Tied points with ±inf and NaN, on both sides of the 256-row block."""
-    n = draw(st.one_of(st.sampled_from([1, 2, 255, 256, 257, 513]),
-                       st.integers(1, 600)))
-    m = draw(st.integers(1, 4))
+    """Tied points with ±inf and NaN, on both sides of the 256-row block,
+    weighted to two axes (the rows :func:`first_front` sorts by a sweep)."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 255, 256, 257, 513]),
+                       st.integers(0, 600)))
+    m = draw(st.sampled_from([2, 2, 2, 1, 3, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     palette = np.array([0.0, 1.0, 2.0, 3.0, 4.0, np.inf, -np.inf, np.nan])
     weights = np.array([0.24, 0.24, 0.2, 0.15, 0.1, 0.03, 0.02, 0.02])
     return rng.choice(palette, size=(n, m), p=weights)
+
+
+def front_ranks(points):
+    """Each row's front index, from the ordered full sort."""
+    rank = np.zeros(len(points), dtype=np.int64)
+    for k, front in enumerate(non_dominated_sort(points)):
+        rank[front] = k
+    return rank
 
 
 class TestDominates:
@@ -203,16 +213,20 @@ class TestNonDominatedSort:
 
 
 class TestFirstFront:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(points=block_sized_points())
     def test_equals_front_zero_of_the_full_sort(self, points):
-        fronts = non_dominated_sort(points)
+        fronts = non_dominated_sort(points) or [[]]
         first, crowd, num_fronts = first_front(points)
         assert first == fronts[0]
         assert all(type(i) is int for i in first)
-        assert num_fronts == len(fronts)
+        assert num_fronts == (len(fronts) if len(points) else 0)
         np.testing.assert_array_equal(crowd,
                                       crowding_distance(points[fronts[0]]))
+        if points.shape[1] == 2 and len(points):
+            # The sweep puts every row, not only front 0, in its front.
+            np.testing.assert_array_equal(_two_axis_ranks(points),
+                                          front_ranks(points))
 
     @settings(max_examples=40, deadline=None)
     @given(points=tied_points())
@@ -227,6 +241,42 @@ class TestFirstFront:
         np.testing.assert_array_equal(sorted_crowd, crowd[order])
         assert count == num_fronts
         assert knee == knee_index(points[members])
+
+
+class TestTwoAxisSweep:
+    def test_ties_and_nan_rows(self):
+        # Equal rows share a front; a tie on one axis is still dominated;
+        # a NaN row is incomparable, so it stays in front 0.
+        points = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 2.0], [2.0, 1.0],
+                           [np.nan, 9.0], [np.inf, np.inf], [0.0, np.inf]])
+        assert _two_axis_ranks(points).tolist() == [0, 0, 1, 1, 0, 2, 0]
+        assert first_front(points)[0] == [0, 1, 4, 6]
+        assert first_front(points)[2] == 3
+
+    def test_empty_input_has_no_front(self):
+        for empty in (np.zeros((0, 2)), np.zeros((0, 3)), []):
+            first, crowd, num_fronts = first_front(empty)
+            assert first == [] and num_fronts == 0
+            assert crowd.shape == (0,)
+
+    def test_whole_space_sort_is_linear(self):
+        """A whole-space-sized two-axis input (15,625 rows) sorts in
+        linear memory: less than one 256-row block of the peel's two
+        boolean dominance matrices."""
+        points = np.random.default_rng(3).random((15625, 2))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            first, _, num_fronts = first_front(points)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 256 * len(points)
+        assert elapsed < 10.0
+        assert num_fronts > 1
+        front = points[first]
+        assert not any(dominates(p, q) for p in points[::31] for q in front)
 
 
 class TestCrowdingDistance:
@@ -253,6 +303,23 @@ class TestCrowdingDistance:
         distance = crowding_distance(points)
         assert not np.any(np.isnan(distance))
 
+    def test_infinite_coordinate_is_a_boundary(self):
+        # Row 2's infinite second coordinate reads as that axis's finite
+        # maximum: no gap becomes inf - inf, and row 0 keeps the inf of
+        # its first-axis boundary instead of turning NaN.
+        distance = crowding_distance(
+            [[0, 5], [1, 1], [2, np.inf], [3, 0.5], [4, 0.1]])
+        assert np.isinf(distance[[0, 2, 4]]).all()
+        assert np.isfinite(distance[[1, 3]]).all()
+
+    def test_nan_coordinate_reads_as_the_worst(self):
+        # A NaN reads as its axis's largest finite value.
+        with_nan = [[0, 1.0], [1, np.nan], [2, 0.0], [3, 0.5]]
+        with_worst = [[0, 1.0], [1, 1.0], [2, 0.0], [3, 0.5]]
+        distance = crowding_distance(with_nan)
+        assert not np.any(np.isnan(distance))
+        np.testing.assert_array_equal(distance, crowding_distance(with_worst))
+
 
 class TestKneeIndex:
     def test_constant_axis_normalises_to_zero(self):
@@ -260,6 +327,15 @@ class TestKneeIndex:
         # leave the pick to the other two axes.
         matrix = [[0.0, 5.0, 1.0], [1.0, 5.0, 0.0], [0.5, 5.0, 0.4]]
         assert knee_index(matrix) == 2
+
+    def test_infinite_quality_is_not_the_knee(self):
+        # Column 0 normalises over its finite range [0.5, 2], so the inf
+        # row reads (1, 1), not NaN; the balanced row 1 is the knee.
+        assert knee_index([[np.inf, 5], [1, 1], [2, 0.2], [0.5, 3]]) == 1
+
+    def test_nan_row_is_the_knee_only_when_every_row_has_one(self):
+        assert knee_index([[np.nan, 0.0], [1.0, 1.0], [1.0, 2.0]]) == 1
+        assert knee_index([[np.nan, 0.0], [np.nan, 1.0]]) == 0
 
     def test_three_axis_pick_by_hand(self):
         # Normalised rows: (0, 1, 0), (1, 0, 1), (0.6, 0.5, 0.6); L2
