@@ -28,7 +28,6 @@ def main() -> None:
         samples=SAMPLES,
         seed=7,
         fast=True,
-        save_store=False,
         devices=DEVICES,
         objectives=OBJECTIVE_SETS,
     )

@@ -60,11 +60,6 @@ def format_table(*args, **kwargs) -> str:
     return render(*args, **kwargs)
 
 
-def _resolve_arch(text: str) -> Genotype:
-    """Accept either an integer index or an architecture string."""
-    return Genotype.resolve(text)
-
-
 def _proxy_config(args: argparse.Namespace) -> ProxyConfig:
     precision = getattr(args, "precision", "float64")
     if args.fast:
@@ -81,58 +76,63 @@ def _device(name: str):
     return devices[name]
 
 
+def _run(config):
+    """Run ``config`` through the harness (its device matrix, if set)."""
+    from repro.errors import ReproError
+    from repro.runtime import RunHarness
+
+    try:
+        harness = RunHarness(config)
+        return harness.run_matrix() if config.devices else harness.run()
+    except ReproError as exc:
+        # Config-level errors (unknown algorithm/device, missing --arch
+        # for macro) are user mistakes, not tracebacks.
+        raise SystemExit(str(exc))
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_search(args: argparse.Namespace) -> int:
+    """One paper search through the harness: MicroNAS is ``pruning``,
+    TE-NAS the same with the hardware indicators unweighted."""
     from repro.benchdata.api import SurrogateBenchmarkAPI
-    from repro.hardware.latency import LatencyEstimator
-    from repro.search.objective import HybridObjective, ObjectiveWeights
-    from repro.search.pruning import MicroNASSearch
-    from repro.search.random_search import ZeroShotRandomSearch
-    from repro.search.tenas import TENASSearch
+    from repro.runtime import RuntimeConfig
 
-    proxy_config = _proxy_config(args)
-    estimator = None
-    if args.algorithm != "tenas" and (args.latency_weight > 0 or args.flops_weight > 0):
-        estimator = LatencyEstimator(_device(args.device), config=MacroConfig.full())
-
-    if args.algorithm == "tenas":
-        result = TENASSearch(proxy_config=proxy_config, seed=args.seed).search()
-    else:
-        objective = HybridObjective(
-            proxy_config=proxy_config,
-            weights=ObjectiveWeights(latency=args.latency_weight,
-                                     flops=args.flops_weight),
-            latency_estimator=estimator,
-        )
-        if args.algorithm == "micronas":
-            result = MicroNASSearch(objective, seed=args.seed).search()
-        else:
-            result = ZeroShotRandomSearch(objective, num_samples=args.samples,
-                                          seed=args.seed).search()
-
-    api = SurrogateBenchmarkAPI(datasets=["cifar10"])
-    record = api.query(result.genotype)
+    hardware = args.algorithm != "tenas"
+    config = RuntimeConfig(
+        algorithm="random" if args.algorithm == "random" else "pruning",
+        n_workers=1,
+        device=args.device,
+        samples=args.samples,
+        latency_weight=args.latency_weight if hardware else 0.0,
+        flops_weight=args.flops_weight if hardware else 0.0,
+        seed=args.seed,
+        fast=args.fast,
+        precision=args.precision,
+    )
+    report = _run(config)
+    record = SurrogateBenchmarkAPI(datasets=["cifar10"]).query(
+        report.arch_index)
     rows = [
-        ["architecture", result.arch_str],
+        ["architecture", report.arch_str],
         ["index", record.index],
         ["surrogate CIFAR-10 acc", f"{record.accuracy('cifar10'):.2f} %"],
         ["FLOPs", f"{record.flops / 1e6:.2f} M"],
         ["params", f"{record.params / 1e6:.3f} M"],
-        ["proxy evaluations", result.num_evaluations],
-        ["search wall time", f"{result.wall_seconds:.1f} s"],
+        ["candidates scored", report.num_evaluations],
+        ["search wall time", f"{report.wall_seconds:.1f} s"],
     ]
-    if estimator is not None:
-        rows.insert(5, ["est. latency", f"{estimator.estimate_ms(result.genotype):.1f} ms"])
+    if config.latency_weight > 0:
+        rows.insert(5, ["est. latency",
+                        f"{report.indicators['latency']:.1f} ms"])
     print(format_table(rows, title=f"{args.algorithm} search result"))
     return 0
 
 
 def cmd_runtime(args: argparse.Namespace) -> int:
     """Run a search on the parallel evaluation runtime (pool + store)."""
-    from repro.errors import ReproError
-    from repro.runtime import RunHarness, RuntimeConfig
+    from repro.runtime import RuntimeConfig
 
     config = RuntimeConfig(
         algorithm=args.algorithm,
@@ -149,27 +149,19 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         seed=args.seed,
         fast=not args.full_scale,
         precision=args.precision,
-        parent_selection=args.parent_selection,
         chunk_timeout=args.chunk_timeout,
         max_retries=args.max_retries,
         trace_path=args.trace,
         heartbeat=args.heartbeat,
         fleet_bind=args.fleet_bind,
         fleet_workers=args.fleet_workers,
-        fleet_lease_seconds=args.fleet_lease_seconds,
         fleet_token=args.fleet_token,
         objectives=tuple(args.objective or ()),
         devices=tuple(
             d.strip() for d in (args.device_matrix or "").split(",")
             if d.strip()),
     )
-    try:
-        harness = RunHarness(config)
-        report = harness.run_matrix() if config.devices else harness.run()
-    except ReproError as exc:
-        # Config-level errors (unknown algorithm/device, missing --arch
-        # for macro) are user mistakes, not tracebacks.
-        raise SystemExit(str(exc))
+    report = _run(config)
     if config.devices:
         _print_device_matrix(report)
     else:
@@ -431,7 +423,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     from repro.benchdata.api import SurrogateBenchmarkAPI
     from repro.searchspace.render import render_cell
 
-    genotype = _resolve_arch(args.arch)
+    genotype = Genotype.resolve(args.arch)
     api = SurrogateBenchmarkAPI()
     record = api.query(genotype)
     rows = [["architecture", record.arch_str], ["index", record.index],
@@ -512,7 +504,7 @@ def cmd_devices(args: argparse.Namespace) -> int:
 def cmd_deploy(args: argparse.Namespace) -> int:
     from repro.hardware.deploy import deployment_report
 
-    genotype = _resolve_arch(args.arch)
+    genotype = Genotype.resolve(args.arch)
     device = _device(args.device)
     report = deployment_report(genotype, device, config=MacroConfig.full())
     print(format_table(
@@ -541,7 +533,7 @@ def cmd_macro_search(args: argparse.Namespace) -> int:
         device_constraints,
     )
 
-    genotype = _resolve_arch(args.arch)
+    genotype = Genotype.resolve(args.arch)
     device = _device(args.device)
     search = MacroStageSearch(
         genotype, device=device, space=MacroSearchSpace(),
@@ -582,7 +574,7 @@ def cmd_memplan(args: argparse.Namespace) -> int:
         tensor_lifetimes,
     )
 
-    genotype = _resolve_arch(args.arch)
+    genotype = Genotype.resolve(args.arch)
     lifetimes = tensor_lifetimes(
         genotype, MacroConfig.full(), element_bytes=1 if args.int8 else 4
     )
@@ -614,7 +606,7 @@ def cmd_memplan(args: argparse.Namespace) -> int:
 def cmd_proxies(args: argparse.Namespace) -> int:
     from repro.proxies.zerocost import PROXY_REGISTRY
 
-    genotype = _resolve_arch(args.arch)
+    genotype = Genotype.resolve(args.arch)
     config = _proxy_config(args)
     rows = []
     for name, spec in PROXY_REGISTRY.items():
@@ -668,7 +660,7 @@ parallel evaluation runtime examples:
   # workers; more workers (local or remote) join and leave freely with
   # 'micronas fleet worker' and warm-start from the shared store
   micronas runtime --algorithm steady-state \\
-      --fleet-bind 127.0.0.1:7707 --fleet-workers 4 --fleet-lease 30 \\
+      --fleet-bind 127.0.0.1:7707 --fleet-workers 4 --chunk-timeout 30 \\
       --store ~/.cache/micronas
   micronas fleet worker --connect 127.0.0.1:7707 \\
       --store ~/.cache/micronas
@@ -755,16 +747,12 @@ def build_parser() -> argparse.ArgumentParser:
                            default="float64",
                            help="proxy compute precision; precision-keyed "
                                 "cache/store rows never cross-contaminate")
-    p_runtime.add_argument("--parent-selection",
-                           choices=("crowding", "uniform"),
-                           default="crowding",
-                           help="steady-state Pareto parent pick: crowding-"
-                                "distance-weighted (default) or uniform")
     p_runtime.add_argument("--chunk-timeout", type=float, default=None,
                            help="per-chunk deadline in seconds "
                                 "— a chunk running longer is abandoned, "
                                 "counted as a timeout, and retried under "
-                                "--max-retries (default: no deadline)")
+                                "--max-retries; on a fleet run it is each "
+                                "chunk's lease (default: no deadline)")
     p_runtime.add_argument("--max-retries", type=int, default=2,
                            help="retry budget for transient "
                                 "chunk failures (timeouts, I/O errors); "
@@ -798,12 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "workers against the broker at start "
                                 "(implies a broker on 127.0.0.1 when "
                                 "--fleet-bind is not given)")
-    p_runtime.add_argument("--fleet-lease", dest="fleet_lease_seconds",
-                           type=float, default=None, metavar="SECS",
-                           help="fleet runs: per-chunk lease deadline — an "
-                                "expired lease fails the chunk as a "
-                                "transient timeout, which --max-retries "
-                                "retries (default: --chunk-timeout)")
     p_runtime.add_argument("--fleet-token", dest="fleet_token", default="",
                            help="shared fleet token workers must present "
                                 "(identity check against cross-talk, not "

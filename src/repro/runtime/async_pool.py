@@ -244,7 +244,7 @@ class FuturePool:
         if mode == "fork" and not _fork_available():
             raise SearchError("fork start method unavailable on this "
                               "platform; use mode='thread' or 'serial'")
-        if chunk_timeout is not None and chunk_timeout <= 0:
+        if chunk_timeout is not None and not chunk_timeout > 0:
             raise SearchError("chunk_timeout must be positive (or None)")
         self.n_workers = n_workers
         self.mode = mode

@@ -140,7 +140,7 @@ class FaultPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise SearchError("max_retries must be >= 0")
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
+        if self.chunk_timeout is not None and not self.chunk_timeout > 0:
             raise SearchError("chunk_timeout must be positive (or None)")
 
     def backoff_delay(self, material: object, attempt: int) -> float:

@@ -8,7 +8,8 @@ multi-process / multi-host transport into that seam:
 
 * :class:`FleetBroker` — a TCP socket broker living in the driver
   process.  Workers *register*, then *lease* chunk payloads one at a
-  time; each lease carries a deadline.  The broker reports failures and
+  time; each lease carries a deadline (a harness run's
+  ``chunk_timeout``).  The broker reports failures and
   never retries: a chunk whose lease expires completes with a
   :class:`~repro.runtime.faults.ChunkTimeoutError`, and a chunk whose
   worker disconnects mid-lease completes with
@@ -129,6 +130,9 @@ _MSG_LIMIT = 64 << 20
 #: before replying ``idle`` (server-side blocking keeps dispatch latency
 #: low without fast client polling).
 _LEASE_BLOCK_SECONDS = 0.05
+
+#: A worker's socket timeout: the longest it waits on one broker reply.
+_WORKER_SOCKET_SECONDS = 60.0
 
 #: Granularity of the broker's lease-expiry sweep while the driver
 #: waits in gather (mirrors ``FuturePool._POLL_SECONDS``).
@@ -254,7 +258,7 @@ class FleetBroker:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  lease_seconds: Optional[float] = None,
                  token: str = "") -> None:
-        if lease_seconds is not None and lease_seconds <= 0:
+        if lease_seconds is not None and not lease_seconds > 0:
             raise SearchError("lease_seconds must be positive (or None)")
         self.lease_seconds = lease_seconds
         self.token = token
@@ -808,8 +812,7 @@ def _picklable_error(error: BaseException) -> BaseException:
 
 def run_worker(connect: str, store_dir=None, token: str = "",
                poll_seconds: float = 0.2,
-               max_chunks: Optional[int] = None,
-               socket_timeout: float = 60.0) -> FleetWorkerStats:
+               max_chunks: Optional[int] = None) -> FleetWorkerStats:
     """The fleet worker client loop (``micronas fleet worker``).
 
     Connects to the broker at ``connect`` (``HOST:PORT``), registers,
@@ -833,9 +836,10 @@ def run_worker(connect: str, store_dir=None, token: str = "",
         store = RuntimeStore(store_dir)
     stats = FleetWorkerStats()
     resident: Dict = {}
-    sock = socket.create_connection((host, port), timeout=socket_timeout)
+    sock = socket.create_connection((host, port),
+                                    timeout=_WORKER_SOCKET_SECONDS)
     try:
-        sock.settimeout(socket_timeout)
+        sock.settimeout(_WORKER_SOCKET_SECONDS)
         _send_msg(sock, {"op": "register", "token": token,
                          "pid": os.getpid()})
         reply = _recv_msg(sock)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import os
 import signal
 import threading
@@ -76,7 +77,7 @@ class RuntimeConfig:
     #: Largest chunk the executor ships: chunks shrink towards the end
     #: of a dispatch (guided self-scheduling) so the workers finish together.
     chunk_size: int = 8
-    store_dir: Optional[str] = None
+    store_dir: Optional[str] = None  # warm-start from and persist to
     device: str = "nucleo-f746zg"
     samples: int = 64          # random / pareto population size
     population_size: int = 20  # evolutionary population
@@ -87,14 +88,11 @@ class RuntimeConfig:
     arch: Optional[str] = None  # cell for the macro stage (str or index)
     seed: int = 0
     fast: bool = True           # reduced proxy scale (quick demo / CI)
-    save_store: bool = True     # persist the warmed cache after the run
     precision: str = "float64"  # proxy compute policy (float32|float64)
-    parent_selection: str = "crowding"  # steady-state Pareto parent pick
-    chunk_timeout: Optional[float] = None  # per-chunk deadline (s)
+    chunk_timeout: Optional[float] = None  # chunk deadline = fleet lease (s)
     max_retries: int = 2        # transient-failure retry budget
-    graceful_shutdown: bool = True  # SIGINT/SIGTERM drain
     trace_path: Optional[str] = None  # write a Chrome trace JSON here
-    heartbeat: Optional[float] = None  # progress line every N seconds
+    heartbeat: Optional[float] = None  # progress line every N > 0 seconds
     #: Bind address for a fleet broker ("HOST:PORT"; port 0 picks one).
     #: Setting this (or ``fleet_workers``) swaps the executor's transport
     #: for the socket-broker :class:`~repro.runtime.fleet.FleetPool` —
@@ -103,9 +101,6 @@ class RuntimeConfig:
     #: Local worker processes to fork against the broker at start (the
     #: single-host fan-out path; remote workers may still join on top).
     fleet_workers: int = 0
-    #: Per-chunk lease deadline for fleet runs (defaults to
-    #: ``chunk_timeout``; None = leases never expire).
-    fleet_lease_seconds: Optional[float] = None
     #: Shared fleet token (an identity check against cross-talk between
     #: fleets on one network — not authentication; see the fleet module).
     fleet_token: str = ""
@@ -337,7 +332,6 @@ def _run_steady_state(harness: "RunHarness") -> SearchResult:
         harness.objective(),
         _evolution_config(harness.config),
         seed=harness.config.seed,
-        parent_selection=harness.config.parent_selection,
     ).search()
 
 
@@ -430,6 +424,13 @@ class RunHarness:
             raise SearchError("fleet_workers must be >= 0")
         if config.samples < 1:
             raise SearchError("samples must be >= 1")
+        if not (config.heartbeat is None or 0 < config.heartbeat < math.inf):
+            raise SearchError("heartbeat must be positive and finite")
+        if config.chunk_size < 1:
+            raise SearchError("chunk_size must be >= 1")
+        # Every config check runs before a fleet broker binds its socket.
+        fault_policy = FaultPolicy(chunk_timeout=config.chunk_timeout,
+                                   max_retries=config.max_retries)
         if not config.devices and config.algorithm in _ALGORITHM_MODULES:
             importlib.import_module(_ALGORITHM_MODULES[config.algorithm])
         self.config = config
@@ -470,17 +471,12 @@ class RunHarness:
             pool = FleetPool(
                 host=host, port=port,
                 n_workers=max(config.fleet_workers, 1),
-                lease_seconds=(config.fleet_lease_seconds
-                               if config.fleet_lease_seconds is not None
-                               else config.chunk_timeout),
+                lease_seconds=config.chunk_timeout,
                 token=config.fleet_token,
             )
         self.executor = AsyncPopulationExecutor(
             n_workers=config.n_workers, chunk_size=config.chunk_size,
-            fault_policy=FaultPolicy(
-                chunk_timeout=config.chunk_timeout,
-                max_retries=config.max_retries,
-            ),
+            fault_policy=fault_policy,
             # Quarantine decisions persist in the store directory (and
             # pre-seed the executor) when a store is configured;
             # store-less runs quarantine in memory only.
@@ -513,7 +509,7 @@ class RunHarness:
         #: Set by the first SIGINT/SIGTERM during a run: the run is
         #: draining and its report will carry ``status="interrupted"``.
         self._drain_requested = False
-        if config.save_store and self.store is not None:
+        if self.store is not None:
             # The store appends only dirty rows (O(delta)), so
             # flushing on *every* gather is affordable: a crashed or
             # killed run leaves everything it computed persisted, and
@@ -600,9 +596,7 @@ class RunHarness:
         Only armed from the main thread: signal handlers cannot be
         installed off it.
         """
-        if (not self.config.graceful_shutdown
-                or threading.current_thread()
-                is not threading.main_thread()):
+        if threading.current_thread() is not threading.main_thread():
             return []
         installed = []
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -653,7 +647,7 @@ class RunHarness:
                 pass
         stats_after = self.engine.cache.stats
         saved_entries = self.flushed_entries
-        if self.store is not None and self.config.save_store:
+        if self.store is not None:
             # Appends whatever the mid-run flushes have not already
             # persisted (e.g. cost rows priced driver-side).
             saved_entries += self.store.save_cache(self.engine.cache,

@@ -172,11 +172,9 @@ class SteadyStateEvolutionarySearch:
     distinct candidate seen, so tie-breaking never depends on arrival
     order.
 
-    ``parent_selection`` controls the Pareto-front parent pick:
-    ``"crowding"`` (default) weights it by NSGA-II crowding distance
-    (:func:`repro.search.pareto.crowding_selection_weights`), biasing
-    mutation toward sparse regions of the front; ``"uniform"`` is the
-    original unweighted pick, kept as the fallback flag.
+    The Pareto-front parent pick is weighted by NSGA-II crowding
+    distance (:func:`repro.search.pareto.crowding_selection_weights`),
+    biasing mutation toward sparse regions of the front.
     """
 
     algorithm_name = "evolutionary-steady-state"
@@ -188,17 +186,10 @@ class SteadyStateEvolutionarySearch:
         constraints: Optional[HardwareConstraints] = None,
         space: Optional[NasBench201Space] = None,
         seed: SeedLike = 0,
-        parent_selection: str = "crowding",
     ) -> None:
         self.config = config or EvolutionConfig()
         if self.config.population_size < 2:
             raise SearchError("population_size >= 2 required")
-        if parent_selection not in ("crowding", "uniform"):
-            raise SearchError(
-                f"unknown parent_selection {parent_selection!r}; "
-                "use 'crowding' or 'uniform'"
-            )
-        self.parent_selection = parent_selection
         self.objective = objective
         self.constraints = constraints
         self.space = space or NasBench201Space()
@@ -225,22 +216,15 @@ class SteadyStateEvolutionarySearch:
 
     def _pareto_parents(
         self, population: Sequence[Tuple[Genotype, Tuple[float, ...]]]
-    ) -> Tuple[List[Genotype], Optional[np.ndarray]]:
-        """Non-dominated members plus their parent-selection probabilities.
-
-        Under ``parent_selection="crowding"`` probabilities follow NSGA-II
-        crowding distance over the front's objective vectors.  Uniform
-        mode returns ``None`` instead of a flat vector: the spawn loop
-        then draws with ``rng.integers``, preserving the pre-crowding RNG
-        stream exactly.
-        """
+    ) -> Tuple[List[Genotype], np.ndarray]:
+        """Non-dominated members plus their parent-selection
+        probabilities, which follow NSGA-II crowding distance over the
+        front's objective vectors."""
         from repro.search.pareto import crowding_selection_weights, first_front
 
         vectors = np.array([vector for _, vector in population], dtype=float)
         front = first_front(vectors)[0]
         parents = [population[i][0] for i in front]
-        if self.parent_selection != "crowding":
-            return parents, None
         return parents, crowding_selection_weights(vectors[front])
 
     # ------------------------------------------------------------------
@@ -265,8 +249,7 @@ class SteadyStateEvolutionarySearch:
         #: recomputed only after a commit changes it (the front sort
         #: would otherwise rerun per spawned child even with nothing
         #: landed in between).
-        pareto_cache: Optional[Tuple[List[Genotype],
-                                     Optional[np.ndarray]]] = None
+        pareto_cache: Optional[Tuple[List[Genotype], np.ndarray]] = None
 
         def commit(genotype: Genotype) -> None:
             nonlocal committed, pareto_cache
@@ -276,7 +259,7 @@ class SteadyStateEvolutionarySearch:
             population.append((genotype, self._objective_vector(row)))
             seen.setdefault(genotype.to_index(), genotype)
 
-        def pareto_parents() -> Tuple[List[Genotype], Optional[np.ndarray]]:
+        def pareto_parents() -> Tuple[List[Genotype], np.ndarray]:
             nonlocal pareto_cache
             if pareto_cache is None:
                 pareto_cache = self._pareto_parents(population)
@@ -308,11 +291,7 @@ class SteadyStateEvolutionarySearch:
                    and children_spawned < self.config.cycles
                    and executor.num_pending < n_workers):
                 parents, weights = pareto_parents()
-                if weights is not None:
-                    pick = int(rng.choice(len(parents), p=weights))
-                else:
-                    # The pre-crowding RNG stream, preserved exactly.
-                    pick = int(rng.integers(len(parents)))
+                pick = int(rng.choice(len(parents), p=weights))
                 child = self.space.mutate(parents[pick], rng=rng)
                 children_spawned += 1
                 submit(child)

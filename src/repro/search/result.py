@@ -35,7 +35,11 @@ class SearchResult:
 
     @property
     def num_evaluations(self) -> int:
-        return self.ledger.total_count()
+        """Candidates the search scored, by each search family's tally
+        (proxy and cost evaluations and cache hits are not candidates)."""
+        return sum(self.ledger.counts.get(key, 0) for key in (
+            "random_candidates", "pruning_candidates",
+            "evolution_candidates", "simulated_training"))
 
     @property
     def search_gpu_hours(self) -> float:

@@ -47,9 +47,6 @@ class CostLedger:
     def total_seconds(self) -> float:
         return sum(self.seconds.values())
 
-    def total_count(self) -> int:
-        return sum(self.counts.values())
-
     def merged(self, other: "CostLedger") -> "CostLedger":
         out = CostLedger(dict(self.seconds), dict(self.counts))
         for key, sec in other.seconds.items():

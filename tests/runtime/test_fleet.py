@@ -782,12 +782,13 @@ class TestCli:
 
         args = build_parser().parse_args(
             ["runtime", "--fleet-bind", "127.0.0.1:0",
-             "--fleet-workers", "3", "--fleet-lease", "20",
+             "--fleet-workers", "3", "--chunk-timeout", "20",
              "--fleet-token", "t"])
         assert args.fleet_bind == "127.0.0.1:0"
         assert args.fleet_workers == 3
-        assert args.fleet_lease_seconds == 20.0
+        assert args.chunk_timeout == 20.0  # also each chunk's lease
         assert args.fleet_token == "t"
+        assert not hasattr(args, "fleet_lease_seconds")
         assert not hasattr(args, "store_read_mode")
 
     def test_fleet_worker_subcommand(self):

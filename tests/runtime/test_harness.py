@@ -196,3 +196,47 @@ class TestRunHarness:
             assert report.algorithm == "noop-test"
         finally:
             ALGORITHMS.pop("noop-test", None)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("heartbeat", [-1.0, 0.0, float("nan"),
+                                           float("inf")])
+    def test_heartbeat_must_be_positive_and_finite(self, heartbeat):
+        with pytest.raises(SearchError, match="heartbeat"):
+            RunHarness(_quick_config(heartbeat=heartbeat))
+
+    def test_nan_chunk_timeout_rejected(self):
+        with pytest.raises(SearchError, match="chunk_timeout"):
+            RunHarness(_quick_config(chunk_timeout=float("nan")))
+        with pytest.raises(SearchError, match="chunk_timeout"):
+            RunHarness(_quick_config(chunk_timeout=float("nan"),
+                                     fleet_bind="127.0.0.1:0"))
+
+    @pytest.mark.parametrize("bad", [dict(max_retries=-1),
+                                     dict(chunk_size=0)],
+                             ids=["max_retries", "chunk_size"])
+    def test_config_error_leaves_no_broker_running(self, bad):
+        import threading
+
+        def brokers():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("fleet-broker")]
+
+        before = brokers()
+        with pytest.raises(SearchError):
+            RunHarness(_quick_config(fleet_bind="127.0.0.1:0", **bad))
+        assert brokers() == before
+
+
+class TestCandidateCount:
+    def test_random_counts_its_samples_cold_and_warm(self, tmp_path):
+        config = _quick_config(samples=16, store_dir=str(tmp_path / "s"))
+        cold = RunHarness(config).run()
+        warm = RunHarness(config).run()
+        assert warm.cache["misses"] == 0
+        assert cold.num_evaluations == warm.num_evaluations == 16
+
+    def test_fast_pruning_counts_its_pruned_states(self):
+        report = RunHarness(_quick_config(algorithm="pruning",
+                                          latency_weight=0.5)).run()
+        assert report.num_evaluations == 84

@@ -106,26 +106,27 @@ def test_empty_front_rejected():
 # ----------------------------------------------------------------------
 # Search-loop integration
 # ----------------------------------------------------------------------
-def _search(parent_selection, seed=0):
+def _search(**kwargs):
     from repro.eval.benchconfig import reduced_proxy_config
 
     objective = HybridObjective(proxy_config=reduced_proxy_config(seed=0))
     return SteadyStateEvolutionarySearch(
         objective,
         EvolutionConfig(population_size=6, sample_size=2, cycles=8),
-        seed=seed,
-        parent_selection=parent_selection,
+        **kwargs,
     )
 
 
 def test_unknown_parent_selection_rejected():
-    with pytest.raises(SearchError):
-        _search("roulette")
+    """Crowding is the only parent pick: the search takes no choice."""
+    with pytest.raises(TypeError):
+        _search(parent_selection="uniform")
 
 
-@pytest.mark.parametrize("parent_selection", ["crowding", "uniform"])
+# Crowding is the one parent pick; its cases keep their ``[crowding]`` id.
+@pytest.mark.parametrize("parent_selection", ["crowding"])
 def test_steady_state_runs_under_both_selection_modes(parent_selection):
-    result = _search(parent_selection).search()
+    result = _search().search()
     assert result.genotype is not None
     assert result.algorithm == "evolutionary-steady-state"
     assert "ntk" in result.indicators
@@ -144,8 +145,6 @@ def _full_sort_parents(self, population):
     vectors = np.array([vector for _, vector in population], dtype=float)
     front = non_dominated_sort(vectors)[0]
     parents = [population[i][0] for i in front]
-    if self.parent_selection != "crowding":
-        return parents, None
     return parents, crowding_selection_weights(vectors[front])
 
 
@@ -162,23 +161,19 @@ def tied_populations(draw):
             for i, vector in enumerate(vectors)]
 
 
-@pytest.mark.parametrize("parent_selection", ["crowding", "uniform"])
+@pytest.mark.parametrize("parent_selection", ["crowding"])
 @settings(max_examples=60, deadline=None)
 @given(population=tied_populations())
 def test_parents_equal_the_full_sort_front(parent_selection, population):
     search = SteadyStateEvolutionarySearch(
-        HybridObjective(proxy_config=TINY_PROXY),
-        parent_selection=parent_selection)
+        HybridObjective(proxy_config=TINY_PROXY))
     parents, weights = search._pareto_parents(population)
     expected, expected_weights = _full_sort_parents(search, population)
     assert parents == expected
-    if expected_weights is None:
-        assert weights is None
-    else:
-        np.testing.assert_array_equal(weights, expected_weights)
+    np.testing.assert_array_equal(weights, expected_weights)
 
 
-@pytest.mark.parametrize("parent_selection", ["crowding", "uniform"])
+@pytest.mark.parametrize("parent_selection", ["crowding"])
 def test_search_history_unchanged_by_the_front_builder(monkeypatch,
                                                        parent_selection):
     """A whole steady-state run, with its history, is the run the full
@@ -187,7 +182,7 @@ def test_search_history_unchanged_by_the_front_builder(monkeypatch,
         return SteadyStateEvolutionarySearch(
             HybridObjective(proxy_config=TINY_PROXY),
             EvolutionConfig(population_size=8, sample_size=2, cycles=120),
-            seed=1, parent_selection=parent_selection).search()
+            seed=1).search()
 
     result = run()
     monkeypatch.setattr(SteadyStateEvolutionarySearch, "_pareto_parents",

@@ -11,6 +11,8 @@ from repro.utils.timing import CostLedger
 def result(heavy_genotype):
     ledger = CostLedger()
     ledger.add("ntk_eval", seconds=1.5, count=3)
+    ledger.add("ntk_cache_hit", count=5)
+    ledger.add("pruning_candidates", count=3)
     return SearchResult(
         genotype=heavy_genotype,
         algorithm="micronas",
@@ -28,6 +30,8 @@ class TestAccounting:
         assert result.search_gpu_hours == pytest.approx(102.0 / 3600.0)
 
     def test_num_evaluations(self, result):
+        """Scored candidates only: proxy evaluations and cache hits are
+        ledger counts but not candidates."""
         assert result.num_evaluations == 3
 
     def test_summary_contains_essentials(self, result):

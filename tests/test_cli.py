@@ -178,6 +178,15 @@ class TestHardwareCommands:
             main(["profile", "--device", "esp32"])
 
 
+def _row(out, label):
+    """The value cell of one ``| label | value |`` table row."""
+    for line in out.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0] == label:
+            return cells[1]
+    raise AssertionError(f"no {label!r} row in:\n{out}")
+
+
 class TestSearchCommand:
     def test_random_search_fast(self, capsys):
         code = main(["search", "--algorithm", "random", "--samples", "4",
@@ -187,6 +196,52 @@ class TestSearchCommand:
         out = capsys.readouterr().out
         assert "architecture" in out
         assert "surrogate CIFAR-10 acc" in out
+
+    def test_micronas_fast(self, capsys):
+        assert main(["search", "--fast"]) == 0
+        out = capsys.readouterr().out
+        assert _row(out, "index") == "7811"
+        assert _row(out, "est. latency") == "165.2 ms"
+        assert _row(out, "candidates scored") == "84"  # pruned states
+
+    def test_tenas_fast(self, capsys):
+        assert main(["search", "--algorithm", "tenas", "--fast"]) == 0
+        out = capsys.readouterr().out
+        assert _row(out, "index") == "11712"
+        assert "est. latency" not in out
+
+    def test_random_matches_zero_shot_random_search(self, capsys):
+        from repro.eval.benchconfig import reduced_proxy_config
+        from repro.search.objective import HybridObjective, ObjectiveWeights
+        from repro.search.random_search import ZeroShotRandomSearch
+
+        assert main(["search", "--algorithm", "random", "--samples", "4",
+                     "--fast", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        expected = ZeroShotRandomSearch(
+            HybridObjective(proxy_config=reduced_proxy_config(seed=3),
+                            weights=ObjectiveWeights(latency=0.5)),
+            num_samples=4, seed=3).search()
+        assert _row(out, "index") == str(expected.genotype.to_index())
+        assert _row(out, "candidates scored") == "4"
+
+    def test_unknown_device_exits(self):
+        with pytest.raises(SystemExit):
+            main(["search", "--algorithm", "random", "--samples", "2",
+                  "--fast", "--device", "esp32"])
+
+    def test_builds_no_search_itself(self):
+        """``cmd_search`` describes its run as a ``RuntimeConfig``: it
+        imports no search, objective or estimator class."""
+        import ast
+        import inspect
+
+        from repro.cli import cmd_search
+
+        tree = ast.parse(inspect.getsource(cmd_search))
+        modules = {node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)}
+        assert modules == {"repro.benchdata.api", "repro.runtime"}
 
 
 class TestRuntime:
@@ -229,6 +284,49 @@ class TestRuntime:
     def test_runtime_unknown_algorithm(self):
         with pytest.raises(SystemExit):
             main(["runtime", "--algorithm", "quantum"])
+
+    def test_every_flag_reaches_a_config_field(self, monkeypatch, tmp_path):
+        """Every ``RuntimeConfig`` field but the API-only ``sample_size``
+        has a ``micronas runtime`` flag: set them all off their defaults
+        and every field must move."""
+        import dataclasses
+
+        import repro.runtime
+        from repro.errors import SearchError
+        from repro.runtime import RuntimeConfig
+
+        captured = []
+
+        class Capture:
+            def __init__(self, config):
+                captured.append(config)
+                raise SearchError("captured")
+
+        monkeypatch.setattr(repro.runtime, "RunHarness", Capture)
+        with pytest.raises(SystemExit):
+            main(["runtime", "--algorithm", "pruning", "--workers", "2",
+                  "--chunk-size", "3", "--store", str(tmp_path / "store"),
+                  "--device", "nucleo-l432kc", "--samples", "9",
+                  "--population", "7", "--cycles", "11",
+                  "--latency-weight", "0.5", "--flops-weight", "0.25",
+                  "--arch", "1462", "--seed", "4", "--full-scale",
+                  "--precision", "float32", "--chunk-timeout", "30",
+                  "--max-retries", "5", "--report", str(tmp_path / "r.json"),
+                  "--trace", str(tmp_path / "t.json"), "--heartbeat", "2",
+                  "--fleet-bind", "127.0.0.1:0", "--fleet-workers", "2",
+                  "--fleet-token", "t", "--objective", "energy",
+                  "--device-matrix", "nucleo-f746zg"])
+        (config,) = captured
+        defaults = RuntimeConfig()
+        api_only = {"sample_size"}
+        unmoved = {f.name for f in dataclasses.fields(RuntimeConfig)
+                   if getattr(config, f.name) == getattr(defaults, f.name)}
+        assert unmoved == api_only
+
+    @pytest.mark.parametrize("flag", ["--fleet-lease", "--parent-selection"])
+    def test_removed_flags_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["runtime", flag, "1"])
 
     def test_help_documents_runtime_examples(self, capsys):
         with pytest.raises(SystemExit):

@@ -53,7 +53,6 @@ class TestTiming:
         assert ledger.seconds["ntk"] == 3.0
         assert ledger.counts["ntk"] == 4
         assert ledger.total_seconds() == 3.0
-        assert ledger.total_count() == 4
 
     def test_ledger_merge(self):
         a, b = CostLedger(), CostLedger()
