@@ -2,12 +2,12 @@
 
 The store appends only a save's dirty delta, as one segment of the
 fingerprint directory's log, so persisting the handful of rows a run
-just computed must not cost O(total store size) — the scaling process
-fleets flushing into one shared directory need.  With a pre-existing, compacted store of ``size``
-rows, this benchmark times persisting a fixed 256-row delta through
-:meth:`~repro.runtime.store.RuntimeStore.save_cache` (auto-compaction
-disabled so the append cost is measured in isolation) and asserts the
-cost stays roughly flat across store sizes.  A round-trip check guards
+just computed must not cost O(total store size) — the scaling processes
+flushing into one shared directory need.  With a pre-existing, compacted
+store of ``size`` rows, this benchmark times persisting a fixed 256-row
+delta through :meth:`~repro.runtime.store.RuntimeStore.save_cache`
+(auto-compaction disabled so the append cost is measured in isolation)
+and asserts the cost stays roughly flat across store sizes.  A round-trip check guards
 against benchmarking a store that drops rows.
 
 **Reads at the reachable maximum** (the read-side claim): one store
@@ -15,11 +15,8 @@ shaped like the whole space a fingerprint can cache — every canonical
 NAS-Bench-201 cell's three trainless rows plus the device-matrix cost
 rows (latency, energy, peak memory) on two boards, with the real key
 layouts — compacted, as a long-lived store is.  The bench times a full
-replay (a harness warm start), a fleet worker's first follow (one
-replay), and its per-chunk follow after each 24-row flush (one
-8-genotype chunk) by a sibling.  It asserts the follower ends up holding
-exactly what a fresh replay returns, and that a per-chunk follow costs a
-small fraction of a replay.
+replay (a harness warm start) and asserts every replay returns exactly
+the rows saved, float for float.
 
 Results land in ``BENCH_store.json`` at the repo root.  Run directly
 (``python benchmarks/bench_store_scale.py``) or via pytest
@@ -52,8 +49,6 @@ DELTA_ROWS = 256
 SPACE_DEVICES = ("nucleo-f746zg", "nucleo-l432kc")
 SPACE_COST_AXES = ("latency", "energy", "peak-mem")
 REPLAY_REPEATS = 5        # full replays timed (median reported)
-FOLLOW_CHUNKS = 16        # sibling flushes the follower catches up on
-CHUNK_ROWS = 24           # one 8-genotype chunk's trainless rows
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
 
@@ -67,6 +62,10 @@ def _filled_cache(start: int, count: int) -> IndicatorCache:
     for i in range(start, start + count):
         cache.put(_key(i), float(i) * 1.5)
     return cache
+
+
+def _as_hex(cache: IndicatorCache) -> Dict[Tuple, str]:
+    return {key: float(value).hex() for key, value in cache.items()}
 
 
 def _space_keys(engine: Engine) -> List[Tuple]:
@@ -90,7 +89,7 @@ def _space_keys(engine: Engine) -> List[Tuple]:
 
 
 def run_space_reads() -> Dict:
-    """Replay and follow costs against a store holding the whole space."""
+    """Replay cost against a store holding the whole space."""
     engine = Engine(proxy_config=ProxyConfig())
     fingerprint = cache_fingerprint(engine.proxy_config,
                                     engine.macro_config)
@@ -102,49 +101,22 @@ def run_space_reads() -> Dict:
             cache.put(key, slot * 1e-3)
         store.save_cache(cache, fingerprint)
         store.compact_cache(fingerprint)
+        saved = _as_hex(cache)
 
-        replay_times = []
+        replay_times, bit_identical = [], True
         for _ in range(REPLAY_REPEATS):
             target = IndicatorCache()
             with Timer() as timer:
                 loaded = store.load_cache_into(target, fingerprint)
             assert loaded == len(keys)
             replay_times.append(timer.elapsed)
-
-        follower, seen = IndicatorCache(), {}
-        with Timer() as first:
-            store.follow_cache_into(follower, fingerprint, seen)
-        assert len(follower) == len(keys)
-
-        chunk_times = []
-        for chunk in range(FOLLOW_CHUNKS):
-            flush = IndicatorCache()
-            for row in range(CHUNK_ROWS):
-                flush.put(("chunk", chunk, row), float(row))
-            store.save_cache(flush, fingerprint)
-            with Timer() as timer:
-                store.follow_cache_into(follower, fingerprint, seen)
-            chunk_times.append(timer.elapsed)
-        segments = len(list(store.cache_dir(fingerprint)
-                            .glob("seg-*.jsonl")))
-
-        fresh = IndicatorCache()
-        store.load_cache_into(fresh, fingerprint)
-        bit_identical = (
-            {key: float(value).hex() for key, value in follower.items()}
-            == {key: float(value).hex() for key, value in fresh.items()})
+            bit_identical = bit_identical and _as_hex(target) == saved
     return {
         "space_rows": len(keys),
         "space_devices": list(SPACE_DEVICES),
         "space_cost_axes": list(SPACE_COST_AXES),
         "full_replay_seconds": statistics.median(replay_times),
-        "follow_first_read_seconds": first.elapsed,
-        "follow_chunk_rows": CHUNK_ROWS,
-        "follow_chunks": FOLLOW_CHUNKS,
-        "follow_chunk_seconds_median": statistics.median(chunk_times),
-        "follow_chunk_seconds_max": max(chunk_times),
-        "follow_segments_pending": segments,
-        # The follower's resident rows equal a fresh full replay.
+        # Every replay returned exactly the rows saved, as float hex.
         "read_paths_bit_identical": bit_identical,
     }
 
@@ -204,13 +176,8 @@ def test_store_scale(benchmark):
     # the same whatever the store size (generous bound: anything that
     # rewrote the store would grow ~100x over the same range).
     assert result["append_flatness_ratio"] <= 10.0
-    # Read side: the follower holds exactly what a replay returns...
+    # Read side: a replay returns exactly the rows saved.
     assert result["read_paths_bit_identical"] is True
-    # ...and catching up on one chunk's flush costs a small fraction of
-    # a replay (generous bound: a follower that re-read the whole store
-    # per chunk would sit near 1.0).
-    assert (result["follow_chunk_seconds_median"]
-            <= result["full_replay_seconds"] / 10)
 
 
 def _report(result: Dict) -> None:
@@ -224,13 +191,7 @@ def _report(result: Dict) -> None:
           f"(largest/smallest store)")
     print()
     print(f"space store {result['space_rows']:,} rows | "
-          f"full replay: {format_duration(result['full_replay_seconds'])}"
-          f" | follower first read: "
-          f"{format_duration(result['follow_first_read_seconds'])}")
-    print(f"follow per {result['follow_chunk_rows']}-row chunk: "
-          f"median {format_duration(result['follow_chunk_seconds_median'])}"
-          f", max {format_duration(result['follow_chunk_seconds_max'])} "
-          f"({result['follow_segments_pending']} segments pending)")
+          f"full replay: {format_duration(result['full_replay_seconds'])}")
     print(f"read paths bit-identical: "
           f"{result['read_paths_bit_identical']}")
     print(f"written                 : {OUTPUT_PATH}")

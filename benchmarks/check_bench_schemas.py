@@ -50,10 +50,6 @@ SCHEMAS: Dict[str, List[str]] = {
         "supernet_rows_bit_identical",
     ],
     "BENCH_faults.json": ["bench_scale", "overhead", "faulted"],
-    "BENCH_fleet.json": [
-        "bench_scale", "n_chunks", "pad_seconds", "scaling",
-        "speedup_4x_vs_1", "fleet_bit_identical", "elastic",
-    ],
     "BENCH_parallel.json": [
         "bench_scale", "population_size", "unique_canonical", "n_workers",
         "cpu_count", "pool_mode", "serial_cold_seconds",
@@ -74,10 +70,9 @@ SCHEMAS: Dict[str, List[str]] = {
     ],
     "BENCH_store.json": [
         "store_sizes", "delta_rows", "points", "append_flatness_ratio",
-        # Read side, against a store holding the whole space: full
-        # replay vs a fleet worker following the segment log.
-        "space_rows", "full_replay_seconds", "follow_first_read_seconds",
-        "follow_chunk_seconds_median", "read_paths_bit_identical",
+        # Read side, against a store holding the whole space: a full
+        # replay, which must return every saved row bit for bit.
+        "space_rows", "full_replay_seconds", "read_paths_bit_identical",
     ],
     "BENCH_telemetry.json": [
         "bench_scale", "overhead", "traced",

@@ -153,9 +153,6 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         trace_path=args.trace,
         heartbeat=args.heartbeat,
-        fleet_bind=args.fleet_bind,
-        fleet_workers=args.fleet_workers,
-        fleet_token=args.fleet_token,
         objectives=tuple(args.objective or ()),
         devices=tuple(
             d.strip() for d in (args.device_matrix or "").split(",")
@@ -210,9 +207,6 @@ def _print_search_run(report) -> None:
         ["worker idle fraction", "n/a" if idle is None else f"{idle:.1%}"],
         ["faults recovered", ", ".join(faults) or "none"],
     ]
-    if config.fleet_bind or config.fleet_workers:
-        rows.append(["fleet", f"{config.fleet_workers} local workers"
-                             f" ({pool['mode']} transport)"])
     rows.append(["cache warm-start",
                  f"{report.cache['warm_start_entries']} entries"])
     rows = _run_rows(report, rows)
@@ -254,36 +248,6 @@ def _print_device_matrix(report) -> None:
                  "knee costs"],
         title="Pareto front per (device, objective-set) cell",
     ))
-
-
-def cmd_fleet_worker(args: argparse.Namespace) -> int:
-    """Join a fleet as one worker: lease, evaluate, report, repeat."""
-    from repro.errors import ReproError
-    from repro.runtime.fleet import run_worker
-
-    try:
-        stats = run_worker(args.connect, store_dir=args.store,
-                           token=args.token, poll_seconds=args.poll,
-                           max_chunks=args.max_chunks)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
-    except (ConnectionError, OSError, EOFError) as exc:
-        # The broker went away (driver finished or died): for an elastic
-        # worker that is a normal way to retire, not a stack trace.
-        print(f"fleet worker: broker at {args.connect} gone ({exc})")
-        return 0
-    rows = [
-        ["worker id", str(stats.worker_id)],
-        ["chunks evaluated", str(stats.chunks)],
-        ["rows returned", str(stats.rows)],
-        ["rows from store (warm)", str(stats.store_rows_loaded)],
-        ["rows flushed to store", str(stats.store_rows_flushed)],
-        ["worker errors reported", str(stats.errors)],
-        ["busy", f"{stats.busy_seconds:.2f} s"],
-        ["exit", "drained" if stats.drained else "left"],
-    ]
-    print(format_table(rows, title="fleet worker session"))
-    return 0
 
 
 def cmd_store(args: argparse.Namespace) -> int:
@@ -656,15 +620,6 @@ parallel evaluation runtime examples:
   micronas runtime --algorithm steady-state --workers 4 \\
       --chunk-timeout 30 --max-retries 3 --store ~/.cache/micronas
 
-  # distributed fleet: the driver binds a broker and forks 4 local
-  # workers; more workers (local or remote) join and leave freely with
-  # 'micronas fleet worker' and warm-start from the shared store
-  micronas runtime --algorithm steady-state \\
-      --fleet-bind 127.0.0.1:7707 --fleet-workers 4 --chunk-timeout 30 \\
-      --store ~/.cache/micronas
-  micronas fleet worker --connect 127.0.0.1:7707 \\
-      --store ~/.cache/micronas
-
   # device matrix: trainless indicators once, one Pareto front per
   # (device, objective-set) cell; cost axes (energy, peak-mem,
   # int8-latency, ...) are priced per board via the shared LUT store
@@ -751,8 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-chunk deadline in seconds "
                                 "— a chunk running longer is abandoned, "
                                 "counted as a timeout, and retried under "
-                                "--max-retries; on a fleet run it is each "
-                                "chunk's lease (default: no deadline)")
+                                "--max-retries (default: no deadline)")
     p_runtime.add_argument("--max-retries", type=int, default=2,
                            help="retry budget for transient "
                                 "chunk failures (timeouts, I/O errors); "
@@ -772,24 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print a one-line progress heartbeat to "
                                 "stderr every SECS seconds (evals/s, "
                                 "in-flight, idle %%, retries, store rows)")
-    p_runtime.add_argument("--fleet-bind", dest="fleet_bind", default=None,
-                           metavar="HOST:PORT",
-                           help="bind a fleet broker here and "
-                                "evaluate chunks on fleet workers instead "
-                                "of the fork pool (port 0 picks a free "
-                                "port; workers join with 'micronas fleet "
-                                "worker --connect').  Trusted networks "
-                                "only: the wire format is pickle")
-    p_runtime.add_argument("--fleet-workers", dest="fleet_workers",
-                           type=int, default=0,
-                           help="fork this many local fleet "
-                                "workers against the broker at start "
-                                "(implies a broker on 127.0.0.1 when "
-                                "--fleet-bind is not given)")
-    p_runtime.add_argument("--fleet-token", dest="fleet_token", default="",
-                           help="shared fleet token workers must present "
-                                "(identity check against cross-talk, not "
-                                "authentication)")
     p_runtime.add_argument("--objective", action="append", default=None,
                            metavar="AXES",
                            help="one objective set: comma-joined registered "
@@ -807,46 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "cost axes are priced per device via the "
                                 "shared cache/store LUT seam")
     p_runtime.set_defaults(fn=cmd_runtime)
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="join a distributed evaluation fleet as a worker",
-        description="Fleet worker client: connect to a broker started by "
-                    "'micronas runtime --fleet-bind HOST:PORT', "
-                    "lease evaluation chunks, compute them, and report "
-                    "back — warm-starting from (and flushing results "
-                    "into) the shared --store directory when given. "
-                    "Workers may join and leave at any time; chunks a "
-                    "lost worker held fail as transient and the driver "
-                    "retries them.",
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_cmd", required=True)
-    p_fleet_worker = fleet_sub.add_parser(
-        "worker", help="run one worker loop against a fleet broker")
-    p_fleet_worker.add_argument("--connect", required=True,
-                                metavar="HOST:PORT",
-                                help="the broker's address (printed by the "
-                                     "driver / chosen via --fleet-bind)")
-    p_fleet_worker.add_argument("--store", default=None,
-                                help="shared store directory: the worker "
-                                     "follows its segment log (before each "
-                                     "chunk it reads only the files it has "
-                                     "not read yet), serves rows already "
-                                     "persisted instead of recomputing "
-                                     "them, and flushes freshly computed "
-                                     "rows back immediately")
-    p_fleet_worker.add_argument("--token", default="",
-                                help="shared fleet token (must match the "
-                                     "broker's --fleet-token)")
-    p_fleet_worker.add_argument("--poll", type=float, default=0.2,
-                                metavar="SECS",
-                                help="sleep between lease attempts while "
-                                     "the broker has no work (default 0.2)")
-    p_fleet_worker.add_argument("--max-chunks", dest="max_chunks",
-                                type=int, default=None,
-                                help="leave gracefully after this many "
-                                     "chunks (default: stay until drain)")
-    p_fleet_worker.set_defaults(fn=cmd_fleet_worker)
 
     p_trace = sub.add_parser(
         "trace",

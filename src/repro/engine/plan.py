@@ -17,7 +17,7 @@ steps and runs it over weights drawn without building any ``Module``.
   edge serves every pruning state.  NTK images are drawn before the
   weights, probe lines after them.  :func:`supernet_ntk_bank` and
   :func:`supernet_lr_bank` memoize one bank per ``(config, repeat)`` in
-  each process (fork and fleet workers draw their own).
+  each process (fork workers draw their own).
 * :class:`NtkPlan` — the frozen-BatchNorm NTK network of one genotype
   (``Cell``: edges summed as they are) or supernet state (``SuperCell``:
   each edge scaled by ``1/len``).  A run is a forward that takes the

@@ -25,8 +25,7 @@ engine does not import it:
    :class:`RuntimeStore` persists the indicator cache as one
    append-only log per fingerprint, with fingerprint validation (stale
    proxy/macro configurations never poison results), read back by one
-   full replay (or followed file by file by long-lived fleet workers),
-   and keeps a device-keyed latency-LUT store built on
+   full replay, and keeps a device-keyed latency-LUT store built on
    :meth:`~repro.hardware.profiler.LatencyLUT.save_json`, so repeated
    runs, multi-device Pareto searches and CI all warm-start.
 3. **Run harness** (:mod:`repro.runtime.harness`) — one
@@ -54,18 +53,6 @@ engine does not import it:
    (Perfetto-loadable) plus a metrics snapshot in the
    :class:`RunReport`; disabled by default with <2% armed overhead and
    zero effect on computed rows.
-6. **Distributed fleet** (:mod:`repro.runtime.fleet`, imported on first
-   use) — a TCP socket broker (:class:`FleetBroker`) leasing picklable
-   chunk payloads to an elastic set of worker processes (``micronas
-   fleet worker``), with per-lease deadlines.  The broker only reports
-   failures: an expired lease fails its chunk with a timeout, and a
-   disconnected worker fails the chunks it held as transient, so the
-   executor's fault policy is the one owner of retries.
-   The driver-side :class:`FleetPool` implements the executor's pool
-   contract, so the executor, fault taxonomy, quarantine ledger,
-   telemetry and graceful drain compose unchanged; workers
-   warm-start from — and flush freshly computed rows into — the shared
-   store, so late joiners inherit everything already computed.
 
 The composition seam is one object: the executor is a property of the
 engine, set once as ``Engine(executor=...)`` (the harness hands in its
@@ -76,13 +63,12 @@ the search loops reach it as ``objective.engine.executor`` —
 ``submit_population`` / ``gather`` for the event-driven loop.  The
 engine/estimator accept a ``lut_store``, and the executor accepts any
 ``pool=`` with ``FuturePool``'s ``submit``, ``gather``, ``num_pending``,
-``close``, ``mode``, ``n_workers`` and ``respawns`` — which is exactly
-how the fleet transport plugs in.  The transports only run chunks; the
-executor keeps the books (worker seconds, utilisation, timeouts) from
-the task results they return.
+``close``, ``mode``, ``n_workers`` and ``respawns``, so a transport
+plugs in without touching the executor.  The transports only run
+chunks; the executor keeps the books (worker seconds, utilisation,
+timeouts) from the task results they return.
 """
 
-from repro._lazy import lazy_exports as _lazy_exports
 from repro.runtime.async_pool import (
     AsyncPoolStats,
     AsyncPopulationExecutor,
@@ -131,12 +117,6 @@ __all__ = [
     "QuarantineLedger",
     "TransientWorkerError",
     "classify_failure",
-    "FleetBroker",
-    "FleetPool",
-    "FleetWorkerLostError",
-    "FleetWorkerStats",
-    "run_worker",
-    "spawn_local_worker",
     "RuntimeStore",
     "cache_fingerprint",
     "RuntimeConfig",
@@ -156,10 +136,3 @@ __all__ = [
     "summarize_trace",
     "write_chrome_trace",
 ]
-
-#: Names served lazily from :mod:`repro.runtime.fleet`, so importing the
-#: runtime (or the harness) never pays for the socket/broker stack.
-__getattr__, __dir__ = _lazy_exports(__name__, {
-    "fleet": ("FleetBroker", "FleetPool", "FleetWorkerLostError",
-              "FleetWorkerStats", "run_worker", "spawn_local_worker"),
-})

@@ -33,8 +33,8 @@ request order.  Completion order can therefore reorder *when* rows land,
 never *what* they say — the property the completion-order fuzzing tests
 pin down.
 
-**Fault tolerance.**  Both layers carry the failure semantics a worker
-fleet needs (policy objects in :mod:`repro.runtime.faults`):
+**Fault tolerance.**  Both layers carry the failure semantics a pool of
+workers needs (policy objects in :mod:`repro.runtime.faults`):
 
 * the transport enforces per-chunk deadlines (``chunk_timeout``), tracks
   hung futures it had to abandon, and survives pool death
@@ -67,10 +67,10 @@ into the engine's cache once, before the first submit, so the submit-time
 dedupe against the cache already skips every warm row.
 
 Worker functions are injectable (``genotype_worker=`` /
-``supernet_worker=``): the seam through which a remote transport (or a
-test/benchmark wrapping workers with simulated device latency — or a
-:class:`~repro.runtime.faults.FaultPlan` injecting scripted failures)
-plugs in without touching scheduling.
+``supernet_worker=``): the seam through which a test or benchmark wraps
+workers with simulated device latency, or a
+:class:`~repro.runtime.faults.FaultPlan` injects scripted failures,
+without touching scheduling.
 """
 
 from __future__ import annotations
@@ -701,9 +701,9 @@ class AsyncPopulationExecutor:
         if pool is not None:
             # Transport injection: anything with FuturePool's submit,
             # gather, num_pending, close, mode, n_workers and respawns
-            # (e.g. the fleet's socket-broker FleetPool) slots in here;
-            # scheduling, dedupe, fault policy, drain logic and the
-            # books below never look past those seven members.
+            # slots in here; scheduling, dedupe, fault policy, drain
+            # logic and the books below never look past those seven
+            # members.
             self.pool = pool
         else:
             self.pool = FuturePool(
@@ -804,8 +804,7 @@ class AsyncPopulationExecutor:
                 self.stats.dedupe_hits += 1
                 self.telemetry.count("executor.dedupe_hits")
         return self._ship("genotype", engine, missing, claimed,
-                          lambda chunk: (tuple(chunk), engine.proxy_config,
-                                         engine.macro_config),
+                          lambda chunk: (tuple(chunk), engine.proxy_config),
                           self.genotype_worker, proxy_key, macro_key)
 
     def submit_supernets(self, engine, spec_lists: Sequence[Sequence]

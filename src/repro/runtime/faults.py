@@ -1,7 +1,7 @@
 """Fault tolerance for the asynchronous evaluation runtime.
 
-A single-host run can pretend workers never die; a fleet cannot.  This
-module holds the failure *policy* the async runtime executes — the
+Workers die, hang and raise, and a long search must survive all three.
+This module holds the failure *policy* the async runtime executes — the
 mechanisms live in :mod:`repro.runtime.async_pool` (per-chunk deadlines,
 pool respawn) and the policy objects here decide what happens next:
 
@@ -31,10 +31,9 @@ pool respawn) and the policy objects here decide what happens next:
   randomness anywhere, so every failure mode is replayable.
 
 Everything here is transport-agnostic: the same classification, ledger
-and plan drive the local fork and thread pools and the distributed
-fleet (:mod:`repro.runtime.fleet`).  Transports only report failures —
-an expired deadline or lease as :class:`ChunkTimeoutError`, a fleet
-worker lost mid-lease as a :class:`TransientWorkerError` — and the
+and plan drive the serial queue and the thread and fork pools.
+Transports only report failures — an expired deadline as
+:class:`ChunkTimeoutError`, a dead pool as ``BrokenExecutor`` — and the
 executor's :class:`FaultPolicy` is the one place that retries a chunk.
 """
 
@@ -68,9 +67,9 @@ class ChunkTimeoutError(SearchError):
 class TransientWorkerError(SearchError):
     """A worker failure that is explicitly safe to retry.
 
-    Remote transports (and the fault-injection plan) raise this to mark
-    a failure as environmental — network blip, preempted host — rather
-    than a property of the candidate being evaluated.
+    The fault-injection plan's ``flake`` action raises this to mark a
+    failure as environmental rather than a property of the candidate
+    being evaluated.
     """
 
 
@@ -95,9 +94,8 @@ def classify_failure(error: BaseException) -> str:
     * :data:`WORKER_LOST` — a local fork pool died (``BrokenExecutor``)
       and has used up its ``max_respawns`` budget: the pool already
       respawned and resubmitted its pending chunks once per death.
-    * :data:`TRANSIENT` — deadline or lease expiry, explicit transient
-      markers (including the fleet's lost-worker error), and the
-      I/O-shaped exceptions (``OSError``/``EOFError``/``TimeoutError``)
+    * :data:`TRANSIENT` — deadline expiry, explicit transient markers,
+      and the I/O-shaped exceptions (``OSError``/``EOFError``/``TimeoutError``)
       infrastructure produces: retry with backoff.
     * :data:`POISON` — everything else.  A deterministic exception from
       the worker's own compute re-raises on every retry by the runtime's
@@ -315,9 +313,12 @@ def chunk_item_identity(kind: str, item: Tuple) -> object:
 
 
 def _payload_kind(payload: Tuple) -> str:
-    # Genotype payloads are (items, proxy_config, macro_config);
-    # supernet payloads are (items, proxy_config).
-    return "genotype" if len(payload) == 3 else "supernet"
+    # Both payloads are (items, proxy_config): a genotype item leads with
+    # its ops (op names), a supernet item with its state (one alive-op
+    # tuple per edge).
+    items = payload[0]
+    return ("genotype" if items and isinstance(items[0][0][0], str)
+            else "supernet")
 
 
 #: FaultPlan actions.
@@ -343,7 +344,7 @@ class FaultPlan:
       map; attempt *n* on that identity consumes the *n*-th action
       (exhausted scripts act ``"ok"``, except a trailing ``"poison"``,
       which repeats forever — deterministic errors do not heal).
-    * ``hash_rate`` — fleet-scale fuzzing: an identity is faulted when
+    * ``hash_rate`` — population-scale fuzzing: an identity is faulted when
       ``sha1(identity) % 10000 < hash_rate * 10000``, with the action
       drawn (deterministically, from the same digest) out of
       ``hash_actions``.  Non-poison hash faults fire once and heal.

@@ -89,21 +89,10 @@ class RuntimeConfig:
     seed: int = 0
     fast: bool = True           # reduced proxy scale (quick demo / CI)
     precision: str = "float64"  # proxy compute policy (float32|float64)
-    chunk_timeout: Optional[float] = None  # chunk deadline = fleet lease (s)
+    chunk_timeout: Optional[float] = None  # per-chunk deadline (s)
     max_retries: int = 2        # transient-failure retry budget
     trace_path: Optional[str] = None  # write a Chrome trace JSON here
     heartbeat: Optional[float] = None  # progress line every N > 0 seconds
-    #: Bind address for a fleet broker ("HOST:PORT"; port 0 picks one).
-    #: Setting this (or ``fleet_workers``) swaps the executor's transport
-    #: for the socket-broker :class:`~repro.runtime.fleet.FleetPool` —
-    #: external workers join with ``micronas fleet worker --connect``.
-    fleet_bind: Optional[str] = None
-    #: Local worker processes to fork against the broker at start (the
-    #: single-host fan-out path; remote workers may still join on top).
-    fleet_workers: int = 0
-    #: Shared fleet token (an identity check against cross-talk between
-    #: fleets on one network — not authentication; see the fleet module).
-    fleet_token: str = ""
     #: Objective sets for the scenario matrix: each entry is a
     #: comma-joined list of registered cost axes (``"latency"``,
     #: ``"energy,peak-mem"``, ...).  With :attr:`devices` set, the run
@@ -173,8 +162,8 @@ class RunReport(_JsonReport):
     #: report (and persisted, when a store is configured).
     status: str = "completed"
     #: Short random hex minted at harness construction — stamped on every
-    #: telemetry event too, so fleet-mode logs from several processes can
-    #: be correlated after the fact.
+    #: telemetry event too, so logs and traces of one run can be
+    #: correlated after the fact.
     run_id: str = ""
     started_at: str = ""   # ISO-8601 UTC
     finished_at: str = ""  # ISO-8601 UTC
@@ -364,6 +353,8 @@ def _run_macro(harness: "RunHarness") -> SearchResult:
                               space=MacroSearchSpace(),
                               engine=harness.engine)
     plan = search.select(device_constraints(harness.device))
+    harness.engine.ledger.add("macro_candidates",
+                              count=plan.alternatives_considered)
     candidate = plan.candidate
     return SearchResult(
         genotype=genotype,
@@ -420,15 +411,12 @@ class RunHarness:
         # Fail fast on unknown precision names (the proxies would only
         # raise at first evaluation, deep inside the run).
         resolve_policy(config.precision)
-        if config.fleet_workers < 0:
-            raise SearchError("fleet_workers must be >= 0")
         if config.samples < 1:
             raise SearchError("samples must be >= 1")
         if not (config.heartbeat is None or 0 < config.heartbeat < math.inf):
             raise SearchError("heartbeat must be positive and finite")
         if config.chunk_size < 1:
             raise SearchError("chunk_size must be >= 1")
-        # Every config check runs before a fleet broker binds its socket.
         fault_policy = FaultPolicy(chunk_timeout=config.chunk_timeout,
                                    max_retries=config.max_retries)
         if not config.devices and config.algorithm in _ALGORITHM_MODULES:
@@ -462,18 +450,6 @@ class RunHarness:
         self.fingerprint = cache_fingerprint(self.proxy_config,
                                              self.macro_config,
                                              cost_axes=extra_axes)
-        pool = None
-        if config.fleet_bind or config.fleet_workers:
-            from repro.runtime.fleet import FleetPool, parse_address
-
-            host, port = (parse_address(config.fleet_bind)
-                          if config.fleet_bind else ("127.0.0.1", 0))
-            pool = FleetPool(
-                host=host, port=port,
-                n_workers=max(config.fleet_workers, 1),
-                lease_seconds=config.chunk_timeout,
-                token=config.fleet_token,
-            )
         self.executor = AsyncPopulationExecutor(
             n_workers=config.n_workers, chunk_size=config.chunk_size,
             fault_policy=fault_policy,
@@ -485,13 +461,7 @@ class RunHarness:
                 if self.store is not None else None
             ),
             telemetry=self.telemetry,
-            pool=pool,
         )
-        if pool is not None and config.fleet_workers:
-            # Local fan-out: forked workers share the store for warm
-            # starts and flush their rows under its flocks.
-            pool.spawn_local_workers(config.fleet_workers,
-                                     store_dir=config.store_dir)
         self.engine = Engine(
             proxy_config=self.proxy_config,
             macro_config=self.macro_config,
@@ -704,7 +674,7 @@ class RunHarness:
 
         Trainless indicators (κ_NTK, linear regions) are computed exactly
         once per unique canonical form — by the engine's executor, as in a
-        plain run, so serial/fork/fleet transports compose unchanged
+        plain run, so serial/thread/fork transports compose unchanged
         and workers stay oblivious to cost axes.  Each device then prices
         its cost axes against the shared cache via the registered
         :class:`~repro.search.costs.CostModel` adapters (LUT-mediated,

@@ -12,7 +12,7 @@ returned indicator rows into the engine's
 * **One key contract.**  Rows merge under
   :func:`~repro.engine.core.genotype_indicator_keys` and
   :func:`~repro.engine.core.supernet_indicator_keys`, the keys the engine
-  reads; every transport (fork pool, serial queue, fleet workers) merges
+  reads; every transport (serial queue, thread and fork pools) merges
   through them.
 * **Partial warmth.**  Each chunk item carries a per-indicator need mask,
   so a partially warm cache (e.g. NTK rows present, line regions missing)
@@ -143,11 +143,10 @@ def _evaluate_genotype_chunk(payload: Tuple) -> List[Tuple]:
     FLOPs and latency are deliberately absent: the parent prices them
     through its cost models (LUT composition and FLOP counts are cheap,
     and the profiled estimator lives there); workers only pay for the
-    proxy-network indicators.  The payload's macro configuration names
-    the store fingerprint fleet workers warm-start from.
+    proxy-network indicators.
     """
     _apply_allocator_policy()
-    items, proxy_config, _ = payload
+    items, proxy_config = payload
     rows: List[Tuple] = []
     for ops, (need_ntk, need_lr) in items:
         genotype = Genotype(tuple(ops))

@@ -22,7 +22,7 @@ store that makes both survive:
   dirty_items`) as one new atomically-renamed JSONL segment per save,
   numbered under the directory's append ``flock``.  Persistence cost is
   therefore O(rows this run computed), independent of how large the
-  store already is — the property process fleets sharing one store
+  store already is — the property processes sharing one store
   directory need.  A **compaction** pass
   (:meth:`RuntimeStore.compact_cache`, the ``micronas store compact`` CLI,
   or automatically once accumulated segments rival the base in bytes,
@@ -38,11 +38,7 @@ store that makes both survive:
   NAS-Bench-201 search can produce — about 76k at most per fingerprint
   (every canonical cell's trainless rows plus the cost rows of a
   two-board matrix), which replays in well under a second — so there is
-  no index and no partial read.  A long-lived reader (a fleet worker)
-  **follows** the log instead of replaying it per chunk:
-  :meth:`RuntimeStore.follow_cache_into` re-reads only the files from
-  the first one it has not seen (by name, size, mtime and inode) onward,
-  which after an append is just the new segments.
+  no index and no partial read.
 
   Cache keys are plain nested tuples of strings and integers (the key
   contract in :mod:`repro.engine`), round-tripped through JSON with a
@@ -219,7 +215,7 @@ def _file_lock(path: Path, shared: bool = False):
     the other's freshly computed rows.  Serialising writers through
     ``flock`` — one append lock per cache directory, one lock per LUT
     key — makes concurrent saves into one store directory lose nothing;
-    readers take the directory's base lock *shared*, so a fleet of
+    readers take the directory's base lock *shared*, so several
     warm-starting processes replay concurrently while still excluding
     the compactor's fold-and-unlink.
     Platforms without :mod:`fcntl` degrade to the pre-lock behaviour
@@ -485,36 +481,6 @@ class RuntimeStore:
         cache.mark_clean(merged_keys)
         return len(merged_keys)
 
-    def follow_cache_into(self, cache: IndicatorCache, fingerprint: Dict,
-                          seen: Dict) -> int:
-        """Bring a resident ``cache`` up to date with the store; returns
-        how many rows it merged.
-
-        ``seen`` is the caller's record of what it has read, kept beside
-        the cache it owns (start with ``{}``, then pass the same dict
-        every time).  It maps each base and segment file name to its
-        ``(bytes, mtime_ns, inode)``.  The files from the first one whose
-        token differs onward are read again in replay order, so an
-        append costs only the new segments.  A compaction rewrites the
-        base, which makes the whole log read again, and names that no
-        longer exist are forgotten.  Rows read here win over clean
-        resident rows (last write wins, exactly as in
-        :meth:`load_cache_into`'s replay) but never over dirty ones, and
-        they land clean.
-        """
-        directory = self.cache_dir(fingerprint)
-        if not directory.exists():
-            return 0
-        problems: List[str] = []
-        with _file_lock(directory / "base", shared=True):
-            entries = self._replay(directory, fingerprint, problems, seen)
-        dirty = {key for key, _ in cache.dirty_items()}
-        merged_keys = [key for key in entries if key not in dirty]
-        for key in merged_keys:
-            cache.put(key, entries[key])
-        cache.mark_clean(merged_keys)
-        return len(merged_keys)
-
     def _read_jsonl_rows(self, path: Path,
                          entries: Dict[Tuple, object]) -> None:
         """Merge one JSONL file's rows into ``entries`` (later lines
@@ -536,13 +502,10 @@ class RuntimeStore:
                 entries[_decode_key(record[0])] = record[1]
 
     def _replay(self, directory: Path, fingerprint: Dict,
-                problems: List[str],
-                seen: Optional[Dict] = None) -> Dict[Tuple, object]:
+                problems: List[str]) -> Dict[Tuple, object]:
         """The base, then segments, later writes winning; torn lines are
         skipped (readable rows still load), and an unreadable
-        ``meta.json`` is reported into ``problems``.  With ``seen`` (see
-        :meth:`follow_cache_into`) only the files from the first unseen
-        one onward are read, and ``seen`` is updated.  Callers racing a
+        ``meta.json`` is reported into ``problems``.  Callers racing a
         compactor must hold the base lock (the loaders do;
         ``_compact_dir`` already holds it), or the base-swap-then-unlink
         sequence could hide segment-only rows from them."""
@@ -558,35 +521,10 @@ class RuntimeStore:
             )
             return {}
         files = [self._base_path(directory)] + self._segment_files(directory)
-        if seen is not None:
-            files = self._unseen_files(files, seen)
         entries: Dict[Tuple, object] = {}
         for path in files:
             self._read_jsonl_rows(path, entries)
         return entries
-
-    @staticmethod
-    def _unseen_files(files: List[Path], seen: Dict) -> List[Path]:
-        """The files of ``files`` (in replay order) from the first new or
-        changed one onward; records every file's token in ``seen`` and
-        drops the names that are gone."""
-        tokens = {}
-        unseen = []
-        for path in files:
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # no base yet, or compacted away since the glob
-            # Size alone misses a base compaction rewrote to the same
-            # length, and a segment name reused once compaction emptied
-            # the log; the rewrite is a new inode with a new mtime.
-            token = (stat.st_size, stat.st_mtime_ns, stat.st_ino)
-            tokens[path.name] = token
-            if unseen or seen.get(path.name) != token:
-                unseen.append(path)
-        seen.clear()
-        seen.update(tokens)
-        return unseen
 
     # ------------------------------------------------------------------
     # Indicator cache — compaction and maintenance

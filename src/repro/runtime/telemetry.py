@@ -17,8 +17,8 @@ This module owns the runtime's observability substrate.  One
   locks on the hot path.
 * **Worker spans ride home with the result.**  Every transport times
   each chunk where it runs and hands the span (pid, tid, start,
-  duration) back with the chunk result — over the fork pipe, the fleet
-  socket or the same process — and the executor records it here.  No
+  duration) back with the chunk result — over the fork pipe or within
+  the same process — and the executor records it here.  No
   worker ever writes telemetry of its own, so nothing needs merging.
 
 The engine never imports this module: ``Engine`` takes a duck-typed

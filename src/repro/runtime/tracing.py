@@ -24,9 +24,7 @@ owns the run-scoped facade):
 * **One timeline across processes.**  Timestamps are epoch seconds
   (``time.time()``) so the compute spans fork workers on the same host
   send back with their chunk results land on one coherent timeline with
-  the parent's spans (a fleet worker's span is re-anchored on the
-  driver's clock at arrival); durations come from ``perf_counter``
-  deltas.
+  the parent's spans; durations come from ``perf_counter`` deltas.
 
 Span *nesting* needs no explicit parent ids: Chrome's trace model nests
 complete (``"ph": "X"``) events on the same ``pid``/``tid`` track by
@@ -164,8 +162,8 @@ class Tracer:
 
         Timestamps/durations convert to integer microseconds (the unit
         the format mandates); every event carries the run id in its
-        ``args`` so traces from several processes of one fleet run can be
-        concatenated and still correlated.
+        ``args`` so traces from several runs can be concatenated and
+        still told apart.
         """
         events: List[Dict] = []
         pids = {}

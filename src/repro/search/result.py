@@ -39,7 +39,8 @@ class SearchResult:
         (proxy and cost evaluations and cache hits are not candidates)."""
         return sum(self.ledger.counts.get(key, 0) for key in (
             "random_candidates", "pruning_candidates",
-            "evolution_candidates", "simulated_training"))
+            "evolution_candidates", "macro_candidates",
+            "simulated_training"))
 
     @property
     def search_gpu_hours(self) -> float:

@@ -83,14 +83,13 @@ class TestValidation:
 
 
 def test_harness_import_does_not_load_scipy():
-    """SciPy, networkx and the fleet's socket/broker stack are imported
-    lazily: the search harness never pays for them at start-up."""
+    """SciPy and networkx are imported lazily: the search harness never
+    pays for them at start-up."""
     code = ("import sys, repro.runtime.harness; "
             "print(any(m == 'scipy' or m.startswith('scipy.') "
-            "for m in sys.modules), 'repro.runtime.fleet' in sys.modules, "
-            "'networkx' in sys.modules)")
+            "for m in sys.modules), 'networkx' in sys.modules)")
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False", "False", "False"]
+    assert result.stdout.split() == ["False", "False"]

@@ -208,24 +208,18 @@ class TestConfigErrors:
     def test_nan_chunk_timeout_rejected(self):
         with pytest.raises(SearchError, match="chunk_timeout"):
             RunHarness(_quick_config(chunk_timeout=float("nan")))
-        with pytest.raises(SearchError, match="chunk_timeout"):
-            RunHarness(_quick_config(chunk_timeout=float("nan"),
-                                     fleet_bind="127.0.0.1:0"))
 
     @pytest.mark.parametrize("bad", [dict(max_retries=-1),
                                      dict(chunk_size=0)],
                              ids=["max_retries", "chunk_size"])
-    def test_config_error_leaves_no_broker_running(self, bad):
-        import threading
+    def test_executor_knob_out_of_range_rejected(self, bad):
+        (name,) = bad
+        with pytest.raises(SearchError, match=name):
+            RunHarness(_quick_config(**bad))
 
-        def brokers():
-            return [t for t in threading.enumerate()
-                    if t.name.startswith("fleet-broker")]
-
-        before = brokers()
-        with pytest.raises(SearchError):
-            RunHarness(_quick_config(fleet_bind="127.0.0.1:0", **bad))
-        assert brokers() == before
+    def test_fleet_fields_are_gone(self):
+        with pytest.raises(TypeError):
+            RuntimeConfig(fleet_workers=1)
 
 
 class TestCandidateCount:
@@ -240,3 +234,10 @@ class TestCandidateCount:
         report = RunHarness(_quick_config(algorithm="pruning",
                                           latency_weight=0.5)).run()
         assert report.num_evaluations == 84
+
+    def test_macro_counts_its_grid_points(self):
+        report = RunHarness(RuntimeConfig(algorithm="macro",
+                                          arch="1462")).run()
+        considered = report.history[0]["alternatives_considered"]
+        assert considered == 30
+        assert report.num_evaluations == considered

@@ -265,8 +265,7 @@ class TestDispatchMechanics:
         warm.evaluate(heavy_genotype)
         # A worker computes only the proxies its mask asks for.
         rows = _evaluate_genotype_chunk(
-            (((heavy_genotype.ops, (False, True)),),
-             tiny_proxy_config, warm.macro_config)
+            (((heavy_genotype.ops, (False, True)),), tiny_proxy_config)
         )
         assert set(rows[0][1]) == {"linear_regions"}
         # Same cache, new macro config: only FLOPs are missing, so no
@@ -336,8 +335,7 @@ class TestDispatchMechanics:
                                                tiny_macro_config,
                                                heavy_genotype):
         rows = _evaluate_genotype_chunk(
-            (((heavy_genotype.ops, (True, True)),),
-             tiny_proxy_config, tiny_macro_config)
+            (((heavy_genotype.ops, (True, True)),), tiny_proxy_config)
         )
         engine = Engine(proxy_config=tiny_proxy_config,
                         macro_config=tiny_macro_config)
@@ -361,10 +359,10 @@ class TestDispatchMechanics:
 # ----------------------------------------------------------------------
 # Allocator policy
 # ----------------------------------------------------------------------
-def _chunk_rows(proxy_config, macro_config, genotype):
+def _chunk_rows(proxy_config, genotype):
     """One genotype chunk and one supernet chunk, rows without seconds."""
     rows = _evaluate_genotype_chunk(
-        (((genotype.ops, (True, True)),), proxy_config, macro_config))
+        (((genotype.ops, (True, True)),), proxy_config))
     state = supernet_state_key([EdgeSpec(i, tuple(CANDIDATE_OPS))
                                 for i in range(6)])
     srows = _evaluate_supernet_chunk(
@@ -383,12 +381,12 @@ class _MalloptRecorder:
 
 class TestAllocatorPolicy:
     def test_applied_once_per_process(self, monkeypatch, tiny_proxy_config,
-                                      tiny_macro_config, heavy_genotype):
+                                      heavy_genotype):
         recorder = _MalloptRecorder()
         monkeypatch.setattr(pool, "_libc", lambda: recorder)
         monkeypatch.setattr(pool, "_policy_pid", None)
-        _chunk_rows(tiny_proxy_config, tiny_macro_config, heavy_genotype)
-        _chunk_rows(tiny_proxy_config, tiny_macro_config, heavy_genotype)
+        _chunk_rows(tiny_proxy_config, heavy_genotype)
+        _chunk_rows(tiny_proxy_config, heavy_genotype)
         assert recorder.calls == [
             (pool._M_MMAP_THRESHOLD, pool.MMAP_THRESHOLD),
             (pool._M_TRIM_THRESHOLD, pool.TRIM_THRESHOLD),
@@ -397,14 +395,11 @@ class TestAllocatorPolicy:
     @pytest.mark.parametrize("libc", [object(), None],
                              ids=["no-mallopt", "no-libc"])
     def test_missing_mallopt_is_a_no_op(self, monkeypatch, libc,
-                                        tiny_proxy_config, tiny_macro_config,
-                                        heavy_genotype):
-        expected = _chunk_rows(tiny_proxy_config, tiny_macro_config,
-                               heavy_genotype)
+                                        tiny_proxy_config, heavy_genotype):
+        expected = _chunk_rows(tiny_proxy_config, heavy_genotype)
         monkeypatch.setattr(pool, "_libc", lambda: libc)
         monkeypatch.setattr(pool, "_policy_pid", None)
-        assert _chunk_rows(tiny_proxy_config, tiny_macro_config,
-                           heavy_genotype) == expected
+        assert _chunk_rows(tiny_proxy_config, heavy_genotype) == expected
 
 
 #: Runs a chunk of three paper-scale genotypes twice, counting the minor
@@ -417,7 +412,6 @@ from repro.eval.benchconfig import reduced_proxy_config
 from repro.proxies.base import ProxyConfig
 from repro.runtime import pool
 from repro.searchspace.genotype import Genotype
-from repro.searchspace.network import MacroConfig
 from repro.searchspace.ops import CANDIDATE_OPS
 
 if sys.argv[1] == "off":
@@ -432,7 +426,7 @@ archs = (
 )
 items = tuple((Genotype.from_arch_str(a).ops, (True, True))
               for a in archs)
-payload = (items, ProxyConfig(), MacroConfig())
+payload = (items, ProxyConfig())
 pool._evaluate_genotype_chunk(payload)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 rows = pool._evaluate_genotype_chunk(payload)

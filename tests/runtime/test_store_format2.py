@@ -145,8 +145,6 @@ class TestFormat1Compat:
         store.save_cache(cache, older)
         assert store.cache_dir(older) != store.cache_dir(fingerprint)
         assert store.load_cache_into(IndicatorCache(), fingerprint) == 0
-        assert store.follow_cache_into(IndicatorCache(), fingerprint,
-                                       {}) == 0
 
 
 class TestLayout:

@@ -2,13 +2,10 @@
 
 A hypothesis state machine saves random rows (with repeated keys, so
 last-write-wins is exercised), compacts, sweeps with ``gc``, tears
-segment tails the way a crashed writer would, and reads the store back
-two ways: a full replay into a fresh cache, and a follow into a
-resident cache that lives as long as the machine.  There are two
-followers: one follows only when the ``follow`` rule fires, so it meets
-several changes at once, and one follows after every step.  After every
-read the cache must equal the model — a dict that just records the last
-value written per key — float for float.
+segment tails the way a crashed writer would, and after every step
+replays the store into a fresh cache.  The cache must equal the model —
+a dict that just records the last value written per key — float for
+float.
 """
 
 import shutil
@@ -37,8 +34,7 @@ FINGERPRINT = cache_fingerprint(ProxyConfig(), MacroConfig.full())
 keys = st.builds(lambda kind, index: (kind, index, 1, ()),
                  st.sampled_from(["ntk", "linear_regions"]),
                  st.integers(0, 5))
-# Equal-length values make a rewritten file keep its byte size, the case
-# a follower tracking sizes alone would miss.
+# Equal-length values make a rewritten file keep its byte size.
 values = st.one_of(st.sampled_from([0.5, 1.5, 2.5]),
                    st.floats(allow_nan=False, width=64))
 
@@ -52,8 +48,6 @@ class StoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.root = tempfile.mkdtemp(prefix="store-model-")
         self.model = {}
-        self.lazy = (IndicatorCache(), {})
-        self.eager = (IndicatorCache(), {})
 
     def segments(self):
         directory = self.store.cache_dir(FINGERPRINT)
@@ -92,25 +86,13 @@ class StoreMachine(RuleBasedStateMachine):
         with open(segment, "a", encoding="utf-8") as handle:
             handle.write(line[:cut])
 
-    @rule()
-    def replay(self):
+    @invariant()
+    def replay_every_step(self):
+        if not hasattr(self, "store"):
+            return
         cache = IndicatorCache()
         self.store.load_cache_into(cache, FINGERPRINT, strict=True)
         assert as_hex(cache.items()) == as_hex(self.model.items())
-
-    def check_follower(self, follower):
-        cache, seen = follower
-        self.store.follow_cache_into(cache, FINGERPRINT, seen)
-        assert as_hex(cache.items()) == as_hex(self.model.items())
-
-    @rule()
-    def follow(self):
-        self.check_follower(self.lazy)
-
-    @invariant()
-    def follow_every_step(self):
-        if hasattr(self, "store"):
-            self.check_follower(self.eager)
 
     def teardown(self):
         shutil.rmtree(self.root, ignore_errors=True)

@@ -26,7 +26,6 @@ from repro.runtime.async_pool import (
     _timed_call,
 )
 from repro.runtime.faults import FaultPlan
-from repro.runtime.fleet import FleetPool
 from repro.runtime.pool import _evaluate_genotype_chunk, _fork_available
 from repro.runtime.telemetry import (
     DEFAULT_BUCKETS,
@@ -246,7 +245,6 @@ TRANSPORTS = [
     "serial",
     "thread",
     pytest.param("fork", marks=needs_fork),
-    pytest.param("fleet", marks=[needs_fork, pytest.mark.fleet]),
 ]
 
 
@@ -267,16 +265,9 @@ def test_one_worker_compute_span_per_gathered_chunk(
                            _evaluate_genotype_chunk)
     trace = tmp_path / "run.json" if traced else None
     tel = Telemetry.armed(run_id="ab", trace_path=trace)
-    if transport == "fleet":
-        pool = FleetPool(n_workers=1, lease_seconds=60.0)
-        worker_pids = {proc.pid for proc in pool.spawn_local_workers(1)}
-        executor = AsyncPopulationExecutor(chunk_size=2,
-                                           genotype_worker=worker,
-                                           pool=pool, telemetry=tel)
-    else:
-        executor = AsyncPopulationExecutor(
-            n_workers=1 if transport == "serial" else 2, chunk_size=2,
-            mode=transport, genotype_worker=worker, telemetry=tel)
+    executor = AsyncPopulationExecutor(
+        n_workers=1 if transport == "serial" else 2, chunk_size=2,
+        mode=transport, genotype_worker=worker, telemetry=tel)
     engine = Engine(proxy_config=tiny_proxy_config)
     gathered, failures = [], []
     with executor:
@@ -289,7 +280,7 @@ def test_one_worker_compute_span_per_gathered_chunk(
                 failures += error.failures
         if transport in ("serial", "thread"):
             worker_pids = {os.getpid()}
-        elif transport == "fork":
+        else:
             worker_pids = set(executor.pool._pool._processes)
     assert len(failures) == 1
 
@@ -320,10 +311,6 @@ def test_one_worker_compute_span_per_gathered_chunk(
     assert counters["worker.chunks"] == len(gathered)
     assert counters["worker.rows"] == sum(
         len(chunk.canonical_indices) for chunk in gathered)
-    if transport == "fleet":
-        phases = {phase["name"]: phase
-                  for phase in summarize_trace(payload)["phases"]}
-        assert phases["worker"]["share"] <= 1.0
     assert not list(tmp_path.glob("*.workers.jsonl"))
 
 

@@ -313,8 +313,7 @@ class TestRuntime:
                   "--precision", "float32", "--chunk-timeout", "30",
                   "--max-retries", "5", "--report", str(tmp_path / "r.json"),
                   "--trace", str(tmp_path / "t.json"), "--heartbeat", "2",
-                  "--fleet-bind", "127.0.0.1:0", "--fleet-workers", "2",
-                  "--fleet-token", "t", "--objective", "energy",
+                  "--objective", "energy",
                   "--device-matrix", "nucleo-f746zg"])
         (config,) = captured
         defaults = RuntimeConfig()
@@ -323,10 +322,17 @@ class TestRuntime:
                    if getattr(config, f.name) == getattr(defaults, f.name)}
         assert unmoved == api_only
 
-    @pytest.mark.parametrize("flag", ["--fleet-lease", "--parent-selection"])
+    @pytest.mark.parametrize("flag", ["--fleet-lease", "--parent-selection",
+                                      "--fleet-bind", "--fleet-workers",
+                                      "--fleet-token"])
     def test_removed_flags_rejected(self, flag):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["runtime", flag, "1"])
+
+    def test_fleet_subcommand_is_gone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "worker", "--connect", "127.0.0.1:7707"])
+        assert exit_info.value.code == 2
 
     def test_help_documents_runtime_examples(self, capsys):
         with pytest.raises(SystemExit):

@@ -156,12 +156,12 @@ def test_lazy_package_keeps_its_public_names(package):
     assert report["unknown"] == "AttributeError"
 
 
-def test_runtime_fleet_names_resolve_lazily():
-    report = _probe("repro.runtime", ["FleetPool", "run_worker"])
-    assert report["unresolved"] == []
-    assert report["mismatched"] == []
-    assert set(report["star"]) == set(report["all"])
-    assert report["unknown"] == "AttributeError"
+def test_runtime_fleet_names_are_gone():
+    import repro.runtime
+
+    assert "FleetPool" not in repro.runtime.__all__
+    with pytest.raises(AttributeError):
+        repro.runtime.FleetPool
 
 
 def test_moved_names_keep_their_old_import_paths():
