@@ -78,7 +78,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import astuple, dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -101,6 +100,7 @@ from repro.runtime.pool import (
     _evaluate_genotype_chunk,
     _evaluate_supernet_chunk,
     _fork_available,
+    import_compute,
 )
 from repro.runtime.telemetry import Telemetry
 from repro.runtime.tracing import (
@@ -246,6 +246,10 @@ class FuturePool:
                               "platform; use mode='thread' or 'serial'")
         if chunk_timeout is not None and not chunk_timeout > 0:
             raise SearchError("chunk_timeout must be positive (or None)")
+        if mode != "serial":
+            # Loaded with a thread or fork pool, not with this module: a
+            # serial run never uses it, and it brings ``logging`` along.
+            import concurrent.futures  # noqa: F401
         self.n_workers = n_workers
         self.mode = mode
         self.chunk_timeout = chunk_timeout
@@ -297,6 +301,8 @@ class FuturePool:
             # instantaneous and completion order is FIFO by construction.
             future = None
         else:
+            from concurrent.futures import BrokenExecutor
+
             try:
                 future = self._ensure_pool().submit(_timed_call, worker,
                                                     payload)
@@ -424,7 +430,11 @@ class FuturePool:
                     results.append(TaskResult(task.task_id, task.tag, None,
                                               exc, exc.worker_span))
         else:
-            from concurrent.futures import FIRST_COMPLETED, wait
+            from concurrent.futures import (
+                FIRST_COMPLETED,
+                BrokenExecutor,
+                wait,
+            )
 
             while len(results) < k and self._pending:
                 self._expire_overdue(results)
@@ -846,6 +856,9 @@ class AsyncPopulationExecutor:
               proxy_key: Tuple, macro_key: Optional[Tuple]) -> int:
         if not missing:
             return 0
+        # The first chunk that computes loads the proxies here, in the
+        # parent, before the first submit forks a pool.
+        import_compute()
         tel = self.telemetry
         pending = self._pending_keys(engine)
         # A serial pool runs one chunk at a time, whatever its n_workers.

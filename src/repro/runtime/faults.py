@@ -42,8 +42,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -102,7 +102,10 @@ def classify_failure(error: BaseException) -> str:
       determinism contract, so it is bisected down to the offending
       candidate and quarantined instead of retried forever.
     """
-    if isinstance(error, BrokenExecutor):
+    # Only a process that loaded concurrent.futures (a thread or fork
+    # pool) can hold a BrokenExecutor; a serial run never imports it.
+    futures = sys.modules.get("concurrent.futures")
+    if futures is not None and isinstance(error, futures.BrokenExecutor):
         return WORKER_LOST
     if isinstance(error, (ChunkTimeoutError, TransientWorkerError,
                           OSError, EOFError, TimeoutError)):

@@ -24,12 +24,16 @@ receives the harness and returns a
 in without touching this module.
 
 Imports follow execution.  Importing this module loads what every run
-executes: the engine, the proxies and their compiled plans (before any
-pool forks), the executor, the store, the objective and the Pareto sort.
-Building a :class:`RunHarness` imports the configured algorithm's search
-module (and the cost models when objectives are set), so :meth:`run` and
-:meth:`run_matrix` import nothing.  Module trees (:mod:`repro.nn`),
-benchmark data and the int8/graph/deployment models stay unloaded.
+executes: the engine, the executor, the store, the objective and the
+Pareto sort.  Building a :class:`RunHarness` imports the configured
+algorithm's search module (and the cost models when objectives are set),
+``concurrent.futures`` when the executor runs a thread or fork pool, and
+the proxies with their compiled plans when its store replay loaded no
+rows, so a cold :meth:`run` or :meth:`run_matrix` imports nothing it
+computes with.  A run that replayed rows loads the proxies at its first
+chunk that computes, before any pool forks, and a fully warm run never
+loads them.  Module trees (:mod:`repro.nn`), ``numpy.ma``, benchmark
+data and the int8/graph/deployment models stay unloaded.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from repro.hardware.device import get_device, known_devices
 from repro.proxies.base import ProxyConfig
 from repro.runtime.async_pool import AsyncPopulationExecutor
 from repro.runtime.faults import FaultPolicy
+from repro.runtime.pool import import_compute
 from repro.runtime.store import RuntimeStore, cache_fingerprint
 from repro.runtime.telemetry import Heartbeat, Telemetry
 from repro.search.objective import HybridObjective, ObjectiveWeights
@@ -474,6 +479,10 @@ class RunHarness:
         self.warm_entries = (
             self.store.load_cache_into(self.engine.cache, self.fingerprint)
             if self.store is not None else 0)
+        if not self.warm_entries:
+            # A cold run computes: load the proxies now, not in its
+            # timed search (a warm run loads them at its first chunk).
+            import_compute()
         #: Rows appended to the store by mid-run flushes.
         self.flushed_entries = 0
         #: Set by the first SIGINT/SIGTERM during a run: the run is

@@ -39,6 +39,12 @@ returned indicator rows into the engine's
   has no ``mallopt`` the policy does nothing.  It changes where arrays
   live, never a numpy call or its operands, so rows are the same bits
   either way.
+* **Imports.**  A warm run computes nothing, so importing this module
+  does not load the proxies: each chunk function imports them when it
+  runs, and :func:`import_compute` loads them ahead of that.  The harness
+  calls it while it is built when its store replay loaded no rows, and
+  the executor before it ships a chunk, so the parent holds them before
+  any pool forks and workers inherit them.
 
 Cache accounting note: rows a worker computed are recorded as cache
 *misses* when merged (they were genuinely computed, not found), after
@@ -55,11 +61,15 @@ import time
 from typing import List, Sequence, Tuple
 
 from repro.engine.core import genotype_indicator_keys, supernet_indicator_keys
-from repro.engine.plan import SupernetChunk
-from repro.proxies.linear_regions import count_line_regions, supernet_line_regions
-from repro.proxies.ntk import ntk_condition_number, supernet_ntk_condition_number
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.specs import EdgeSpec
+
+
+def import_compute() -> None:
+    """Import what the chunk functions compute with: the two proxies and
+    the compiled plans under them (see "Imports")."""
+    import repro.proxies.linear_regions  # noqa: F401
+    import repro.proxies.ntk  # noqa: F401
 
 
 def _fork_available() -> bool:
@@ -145,6 +155,9 @@ def _evaluate_genotype_chunk(payload: Tuple) -> List[Tuple]:
     and the profiled estimator lives there); workers only pay for the
     proxy-network indicators.
     """
+    from repro.proxies.linear_regions import count_line_regions
+    from repro.proxies.ntk import ntk_condition_number
+
     _apply_allocator_policy()
     items, proxy_config = payload
     rows: List[Tuple] = []
@@ -175,6 +188,10 @@ def _evaluate_supernet_chunk(payload: Tuple) -> List[Tuple]:
     first line count, so the NTK's shared values are gone before the
     line counts keep theirs; no row depends on that order.
     """
+    from repro.engine.plan import SupernetChunk
+    from repro.proxies.linear_regions import supernet_line_regions
+    from repro.proxies.ntk import supernet_ntk_condition_number
+
     _apply_allocator_policy()
     items, proxy_config = payload
     rows = [(tuple(tuple(ops) for ops in state), {}, {}) for state, _ in items]

@@ -75,6 +75,7 @@ and :class:`~repro.hardware.latency.LatencyEstimator` only call
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -169,13 +170,43 @@ def _encode_key(key):
 def _decode_key(obj):
     """Lists → tuples, recursively (inverse of :func:`_encode_key`).
 
-    Recurses into nested lists only: scalars, most of a key, are copied
-    as they are (replaying a store decodes every row's key).
+    One pass over the key: scalars, most of a key, are copied as they
+    are, and only nested lists recurse.  A plain loop, because replaying
+    a store decodes every row's key and a comprehension costs a call of
+    its own on CPython 3.11.
     """
-    if isinstance(obj, list):
-        return tuple([_decode_key(part) if isinstance(part, list) else part
-                      for part in obj])
-    return obj
+    if type(obj) is not list:
+        return obj
+    parts = []
+    for part in obj:
+        if type(part) is list:
+            part = _decode_key(part)
+        parts.append(part)
+    return tuple(parts)
+
+
+def _parse_rows(text: str) -> List:
+    """The JSON values of ``text``'s lines, in order.
+
+    One ``json.loads`` parses the whole file as an array of its lines.
+    Only a file that does not parse that way (a torn tail from a crashed
+    writer, a malformed line) is parsed line by line, skipping each line
+    that is not one JSON value.
+    """
+    lines = text.splitlines()
+    try:
+        values = json.loads("[" + ",".join(lines) + "]")
+        if len(values) == len(lines):  # else a line held two values
+            return values
+    except ValueError:
+        pass
+    values = []
+    for line in lines:
+        try:
+            values.append(json.loads(line))
+        except ValueError:
+            continue
+    return values
 
 
 def _encode_rows(rows) -> Tuple[str, List]:
@@ -490,14 +521,7 @@ class RuntimeStore:
             text = path.read_text(encoding="utf-8")
         except OSError:
             return  # compacted away between glob and read
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a crashed writer
+        for record in _parse_rows(text):
             if isinstance(record, list) and len(record) == 2:
                 entries[_decode_key(record[0])] = record[1]
 
@@ -509,11 +533,17 @@ class RuntimeStore:
         compactor must hold the base lock (the loaders do;
         ``_compact_dir`` already holds it), or the base-swap-then-unlink
         sequence could hide segment-only rows from them."""
-        meta = self._read_meta(directory)
-        if meta is None and self._meta_path(directory).exists():
-            problems.append(f"unreadable store meta: "
-                            f"{self._meta_path(directory)}")
-        if (isinstance(meta, dict) and "fingerprint" in meta
+        # Existence first: a first writer makes the directory before it
+        # renames ``meta.json`` in, so a missing meta is a cold store (or
+        # one being created), while one that exists is whole and fails to
+        # parse only when damaged.
+        meta = None
+        if self._meta_path(directory).exists():
+            meta = self._read_meta(directory)
+            if meta is None:
+                problems.append(f"unreadable store meta: "
+                                f"{self._meta_path(directory)}")
+        if (meta is not None and "fingerprint" in meta
                 and meta["fingerprint"] != fingerprint):
             problems.append(
                 "fingerprint mismatch: persisted cache was written under a "
@@ -522,8 +552,20 @@ class RuntimeStore:
             return {}
         files = [self._base_path(directory)] + self._segment_files(directory)
         entries: Dict[Tuple, object] = {}
-        for path in files:
-            self._read_jsonl_rows(path, entries)
+        # The replay builds acyclic lists and tuples only, so the cyclic
+        # collector, which would make several full passes over the heap
+        # while a large store loads, is paused; one collection of the
+        # young generations afterwards examines the rows kept once, here,
+        # instead of swelling the first collections of the run.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for path in files:
+                self._read_jsonl_rows(path, entries)
+        finally:
+            if collecting:
+                gc.enable()
+                gc.collect(1)
         return entries
 
     # ------------------------------------------------------------------

@@ -304,20 +304,23 @@ def test_hwnc_window_bodies_match_nchw_bodies(case):
         ((A._avg_pool_grad_hwnc, A._avg_pool_grad_nchw),
          (grad, x_shape, kernel, padding, windows)),
     ]
-    for (hwnc, nchw), args in pairs:
-        fast = hwnc(*args)
-        assert fast.flags.c_contiguous
-        _assert_same_bits(fast, nchw(*args))
-    want = old_col2im(cols, x_shape, kernel, stride, padding)
-    folded = A._col2im(cols, x_shape, kernel, stride, padding)
-    if A._is_pointwise(kernel, stride, padding):
-        # A pointwise fold is a view of ``cols``: its -0.0 stays -0.0 where
-        # a fold onto +0.0 gives +0.0, so only the values are equal.
-        np.testing.assert_array_equal(folded, want)
-    else:
-        _assert_same_bits(folded, want)
-    _assert_same_bits(A._avg_pool(x, kernel, padding, windows),
-                      _sequential_pool(x, kernel, stride, padding))
+    # The inputs hold ±inf and NaN on purpose: inf + -inf is NaN.
+    with np.errstate(invalid="ignore"):
+        for (hwnc, nchw), args in pairs:
+            fast = hwnc(*args)
+            assert fast.flags.c_contiguous
+            _assert_same_bits(fast, nchw(*args))
+        want = old_col2im(cols, x_shape, kernel, stride, padding)
+        folded = A._col2im(cols, x_shape, kernel, stride, padding)
+        if A._is_pointwise(kernel, stride, padding):
+            # A pointwise fold is a view of ``cols``: its -0.0 stays -0.0
+            # where a fold onto +0.0 gives +0.0, so only the values are
+            # equal.
+            np.testing.assert_array_equal(folded, want)
+        else:
+            _assert_same_bits(folded, want)
+        _assert_same_bits(A._avg_pool(x, kernel, padding, windows),
+                          _sequential_pool(x, kernel, stride, padding))
 
 
 @st.composite
@@ -358,9 +361,10 @@ def test_strided_unfold_matches_take_unfold(case):
     grad = _with_specials(np.random.default_rng(seed + 1), (n, c, oh, ow),
                           dtype)
     windows = A._pool_windows(kernel, stride, oh, ow)
-    _assert_same_bits(
-        A._avg_pool_grad(grad, x.shape, kernel, padding, windows),
-        A._avg_pool_grad_nchw(grad, x.shape, kernel, padding, windows))
+    with np.errstate(invalid="ignore"):  # inf + -inf in the adjoint sums
+        _assert_same_bits(
+            A._avg_pool_grad(grad, x.shape, kernel, padding, windows),
+            A._avg_pool_grad_nchw(grad, x.shape, kernel, padding, windows))
 
 
 # ----------------------------------------------------------------------

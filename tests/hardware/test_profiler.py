@@ -1,14 +1,17 @@
 """Simulated on-device profiler and LUT construction."""
 
+import numpy as np
 import pytest
 
 from repro.errors import HardwareModelError
+from repro.hardware import profiler as profiler_module
 from repro.hardware.costmodel import CycleCostModel
-from repro.hardware.device import NUCLEO_F746ZG
+from repro.hardware.device import NUCLEO_F746ZG, known_devices
 from repro.hardware.layers import LayerOp, network_layers
-from repro.hardware.profiler import LatencyLUT, OnDeviceProfiler
+from repro.hardware.profiler import LatencyLUT, OnDeviceProfiler, _median
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.network import MacroConfig
+from repro.searchspace.space import NasBench201Space
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +88,47 @@ class TestNetworkRuns:
         heavy = profiler.profile_network_ms(heavy_genotype, small_config)
         light = profiler.profile_network_ms(skip_only_genotype, small_config)
         assert heavy > light
+
+
+class TestMedian:
+    """The profiler's median is ``np.median``'s, bit for bit, without
+    the ``numpy.ma`` import ``np.median`` pays on its first call."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 10, 11, 64, 65])
+    def test_equals_np_median_as_float_hex(self, size):
+        rng = np.random.default_rng(size)
+        for values in (1.0 + 0.005 * rng.normal(size=size),
+                       rng.integers(0, 3, size=size).astype(float),
+                       rng.normal(size=size) * 1e300):
+            assert _median(values).hex() == float(np.median(values)).hex()
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 6])
+    def test_nan_present(self, size):
+        values = np.arange(size, dtype=float)
+        values[size // 2] = np.nan
+        assert np.isnan(_median(values))
+        assert np.isnan(np.median(values))
+
+
+def _tables(device, precision, repetitions, genotypes):
+    profiler = OnDeviceProfiler(device, repetitions=repetitions,
+                                precision=precision)
+    lut = profiler.build_lut()
+    return ({key: ms.hex() for key, ms in lut.entries.items()},
+            lut.network_overhead_ms.hex(),
+            [profiler.profile_network_ms(g).hex() for g in genotypes])
+
+
+@pytest.mark.parametrize("repetitions", [1, 2, 10, 11])
+@pytest.mark.parametrize("precision", ["float32", "int8"])
+@pytest.mark.parametrize("board", sorted(known_devices()))
+def test_profiled_tables_equal_np_median_tables(board, precision,
+                                                repetitions, monkeypatch):
+    """Every LUT entry, the network overhead and whole-network runs are
+    the values ``np.median`` gave, as float hex."""
+    device = known_devices()[board]
+    genotypes = NasBench201Space().sample(4, rng=7)
+    tables = _tables(device, precision, repetitions, genotypes)
+    monkeypatch.setattr(profiler_module, "_median",
+                        lambda runs: float(np.median(runs)))
+    assert tables == _tables(device, precision, repetitions, genotypes)

@@ -467,7 +467,7 @@ class TestPoisonInASharedSupernetChunk:
         forward values is quarantined alone; its chunk-mates' rows are
         the bits a fault-free serial run gives."""
         from repro.engine import supernet_state_key
-        from repro.runtime import pool
+        from repro.proxies import ntk
         from repro.runtime.faults import ScriptedPoisonError
         from repro.searchspace.ops import CANDIDATE_OPS
         from repro.searchspace.specs import EdgeSpec
@@ -477,14 +477,14 @@ class TestPoisonInASharedSupernetChunk:
                    for spec in base]
                   for edge in range(2) for op in CANDIDATE_OPS]
         target = supernet_state_key(states[5])
-        real = pool.supernet_ntk_condition_number
+        real = ntk.supernet_ntk_condition_number
 
         def poisoned(specs, *args, **kwargs):
             if supernet_state_key(specs) == target:
                 raise ScriptedPoisonError(target)
             return real(specs, *args, **kwargs)
 
-        monkeypatch.setattr(pool, "supernet_ntk_condition_number", poisoned)
+        monkeypatch.setattr(ntk, "supernet_ntk_condition_number", poisoned)
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(
             n_workers=1, chunk_size=8, mode="serial", fault_policy=_policy(),
@@ -492,7 +492,7 @@ class TestPoisonInASharedSupernetChunk:
         executor.submit_supernets(engine, states)
         executor.gather_all()
         assert executor.quarantined_states == {target}
-        monkeypatch.setattr(pool, "supernet_ntk_condition_number", real)
+        monkeypatch.setattr(ntk, "supernet_ntk_condition_number", real)
         serial = _engine(tiny_proxy_config)
         for specs in states:
             if supernet_state_key(specs) != target:

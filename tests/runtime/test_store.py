@@ -125,6 +125,57 @@ class TestIndicatorCachePersistence:
             store.load_cache_into(IndicatorCache(), fingerprint,
                                   strict=True)
 
+    def test_meta_landing_after_a_replay_looked_is_not_damage(
+            self, store, monkeypatch):
+        """A strict replay racing a first writer, which creates the
+        directory before it renames ``meta.json`` into place, replays
+        cold: the meta lands right after the replay looked for it, and
+        is whole when it lands."""
+        fingerprint = cache_fingerprint_default()
+        directory = store.cache_dir(fingerprint)
+        directory.mkdir(parents=True)
+        read_meta = RuntimeStore._read_meta
+
+        def writer_lands_after_the_read(self, where):
+            meta = read_meta(self, where)
+            (where / "meta.json").write_text(
+                json.dumps({"fingerprint": fingerprint}) + "\n",
+                encoding="utf-8")
+            return meta
+
+        monkeypatch.setattr(RuntimeStore, "_read_meta",
+                            writer_lands_after_the_read)
+        assert store.load_cache_into(IndicatorCache(), fingerprint,
+                                     strict=True) == 0
+        assert store.last_rejection is None
+
+    def test_present_corrupt_meta_still_raises_when_strict(self, store):
+        fingerprint = cache_fingerprint_default()
+        cache = IndicatorCache()
+        cache.put(("flops", 1, (4,)), 1.0)
+        store.save_cache(cache, fingerprint)
+        (store.cache_dir(fingerprint) / "meta.json").write_text(
+            '{"fingerprint": ', encoding="utf-8")
+        with pytest.raises(StoreError, match="unreadable store meta"):
+            store.load_cache_into(IndicatorCache(), fingerprint,
+                                  strict=True)
+
+    def test_a_line_holding_two_rows_is_skipped(self, store):
+        """A file parses as one array of its lines; a line holding two
+        values does not parse on its own, so its rows are skipped as a
+        line-by-line read skips them, and the lines around it load."""
+        fingerprint = cache_fingerprint_default()
+        cache = IndicatorCache()
+        cache.put(("flops", 1, (4,)), 1.0)
+        store.save_cache(cache, fingerprint)
+        base = store.cache_dir(fingerprint) / "base.jsonl"
+        base.write_text('[["flops", 2, [4]], 2.0], [["flops", 3, [4]], 3.0]\n'
+                        '[["flops", 4, [4]], 4.0]\n', encoding="utf-8")
+        restored = IndicatorCache()
+        assert store.load_cache_into(restored, fingerprint) == 2
+        assert {key: value for key, value in restored.items()} == {
+            ("flops", 1, (4,)): 1.0, ("flops", 4, (4,)): 4.0}
+
     def test_in_memory_entries_win_over_persisted(self, store):
         fingerprint = cache_fingerprint_default()
         cache = IndicatorCache()
