@@ -162,7 +162,9 @@ def _run_faulted(proxy_config, tmp_dir: Path) -> Dict:
     # Surviving rows are bit-identical to a fault-free serial run.
     survivors = [unique[index] for index in sorted(completed)]
     warmed = engine.evaluate_population(survivors)
-    assert warmed.cache_misses == 0  # every row came from the workers
+    # Every proxy row came from the workers; the one miss per cell is
+    # its FLOPs row, which the driver prices.
+    assert warmed.cache_misses == warmed.unique_canonical
     serial = Engine(proxy_config=proxy_config).evaluate_population(survivors)
     bit_identical = all(
         np.array_equal(serial.columns[name], warmed.columns[name])

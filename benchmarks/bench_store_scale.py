@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import statistics
 import tempfile
-from dataclasses import astuple
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -36,7 +35,6 @@ from repro.engine import Engine
 from repro.engine.cache import IndicatorCache
 from repro.hardware.device import get_device
 from repro.proxies.base import ProxyConfig
-from repro.runtime.pool import genotype_indicator_keys
 from repro.runtime.store import RuntimeStore, cache_fingerprint
 from repro.searchspace.canonical import canonicalize
 from repro.searchspace.network import MacroConfig
@@ -74,14 +72,12 @@ def _space_keys(engine: Engine) -> List[Tuple]:
     every matrix board (keys shared across boards counted once)."""
     canon = sorted({canonicalize(genotype).to_index()
                     for genotype in NasBench201Space()})
-    models = [engine.for_device(get_device(device)).cost_model(axis)
-              for device in SPACE_DEVICES for axis in SPACE_COST_AXES]
-    proxy_key = astuple(engine.proxy_config)
-    macro_key = astuple(engine.macro_config)
+    models = [engine.cost_model("flops")] + [
+        engine.for_device(get_device(device)).cost_model(axis)
+        for device in SPACE_DEVICES for axis in SPACE_COST_AXES]
     keys = {}
     for index in canon:
-        for key in genotype_indicator_keys(index, proxy_key,
-                                           macro_key).values():
+        for key in engine.proxy_row_keys("genotype", index).values():
             keys[key] = None
         for model in models:
             keys[model.cache_key(index)] = None

@@ -125,7 +125,10 @@ def _run_overhead(proxy_config, tmp_dir: Path) -> Dict:
     # Strict observer: both arms computed the exact same rows.
     baseline = engines["disabled"].evaluate_population(population)
     traced = engines["armed"].evaluate_population(population)
-    assert baseline.cache_misses == 0 and traced.cache_misses == 0
+    # Every proxy row was warmed; the one miss per cell is its FLOPs
+    # row, which the driver prices.
+    for table in (baseline, traced):
+        assert table.cache_misses == table.unique_canonical
     bit_identical = all(
         np.array_equal(baseline.columns[name], traced.columns[name])
         for name in baseline.columns

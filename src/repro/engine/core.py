@@ -234,19 +234,36 @@ class Engine:
     # ------------------------------------------------------------------
     # Single-indicator accessors (all canonicalization-aware and cached)
     # ------------------------------------------------------------------
+    def proxy_row_keys(self, kind: str, identity) -> Dict[str, Tuple]:
+        """The cache keys of one candidate's proxy rows (the rows the
+        executor's chunk workers compute), by row name, in the order of
+        a chunk item's need mask.
+
+        ``kind`` is ``"genotype"``, with a canonical index as
+        ``identity``, or ``"supernet"``, with a :func:`supernet_state_key`.
+        The one place a proxy row's key takes in the engine's
+        configuration: the accessors read, and the executor claims and
+        merges, under these tuples.
+        """
+        if kind == "genotype":
+            keys = genotype_indicator_keys(identity, self._proxy_key,
+                                           self._macro_key)
+            return {"ntk": keys["ntk"],
+                    "linear_regions": keys["linear_regions"]}
+        return supernet_indicator_keys(identity, self._proxy_key)
+
     def ntk(self, genotype: Genotype) -> float:
         """Cached NTK condition number of the canonical form."""
         canon = canonicalize(genotype)
-        key = genotype_indicator_keys(canon.to_index(), self._proxy_key,
-                                      self._macro_key)["ntk"]
+        key = self.proxy_row_keys("genotype", canon.to_index())["ntk"]
         return self._proxy_row(
             key, "ntk", lambda: self.executor.warm_population(self, [canon]))
 
     def linear_regions(self, genotype: Genotype) -> float:
         """Cached linear-region count of the canonical form."""
         canon = canonicalize(genotype)
-        key = genotype_indicator_keys(canon.to_index(), self._proxy_key,
-                                      self._macro_key)["linear_regions"]
+        key = self.proxy_row_keys("genotype",
+                                  canon.to_index())["linear_regions"]
         return self._proxy_row(
             key, "lr", lambda: self.executor.warm_population(self, [canon]))
 
@@ -436,7 +453,7 @@ class Engine:
         """The :data:`INDICATOR_NAMES` columns of already-canonical forms.
 
         Each row is read once under its key: the proxy rows under
-        :func:`genotype_indicator_keys`, FLOPs and latency under their
+        :meth:`proxy_row_keys`, FLOPs and latency under their
         cost models' keys.  A column's cached rows are read in one bulk
         pass; then, form by form and column by column, each row not cached
         is read as a lone read would (:meth:`_proxy_row`, which has the
@@ -444,8 +461,7 @@ class Engine:
         ledger entries are those of a read per row.
         """
         indices = [canon.to_index() for canon in canons]
-        proxy_keys = [genotype_indicator_keys(index, self._proxy_key,
-                                              self._macro_key)
+        proxy_keys = [self.proxy_row_keys("genotype", index)
                       for index in indices]
         models = {"flops": self.cost_model("flops")}
         if with_latency:
@@ -565,16 +581,16 @@ class Engine:
     # ------------------------------------------------------------------
     def supernet_ntk(self, edge_specs: Sequence[EdgeSpec]) -> float:
         """Cached NTK condition number of a pruning-supernet state."""
-        key = supernet_indicator_keys(supernet_state_key(edge_specs),
-                                      self._proxy_key)["supernet_ntk"]
+        state = supernet_state_key(edge_specs)
+        key = self.proxy_row_keys("supernet", state)["supernet_ntk"]
         return self._proxy_row(
             key, "ntk",
             lambda: self.executor.warm_supernets(self, [edge_specs]))
 
     def supernet_linear_regions(self, edge_specs: Sequence[EdgeSpec]) -> float:
         """Cached line-region count of a pruning-supernet state."""
-        key = supernet_indicator_keys(supernet_state_key(edge_specs),
-                                      self._proxy_key)["supernet_lr"]
+        state = supernet_state_key(edge_specs)
+        key = self.proxy_row_keys("supernet", state)["supernet_lr"]
         return self._proxy_row(
             key, "lr",
             lambda: self.executor.warm_supernets(self, [edge_specs]))

@@ -9,8 +9,11 @@ engine does not import it:
    in :mod:`repro.runtime.pool`) —
    :class:`AsyncPopulationExecutor` maps proxy evaluation over the
    unique canonical genotypes (or supernet states) of a population as
-   DeepHyper-style submit/gather halves: per-chunk futures whose
-   indicator rows merge into the shared
+   DeepHyper-style submit/gather halves.  Both kinds' submit calls feed
+   one submit path (quarantine skip, need mask, in-flight dedupe and
+   claims, shipping), keyed by
+   :meth:`~repro.engine.core.Engine.proxy_row_keys`; its per-chunk
+   futures' indicator rows merge into the shared
    :class:`~repro.engine.cache.IndicatorCache` **the moment each chunk
    lands** (via :meth:`~repro.engine.core.Engine.merge_indicator_rows`),
    in any completion order.  Every proxy seeds from the canonical key,
@@ -52,7 +55,9 @@ engine does not import it:
    compute span with its result.  Exports Chrome ``trace_event`` JSON
    (Perfetto-loadable) plus a metrics snapshot in the
    :class:`RunReport`; disabled by default with <2% armed overhead and
-   zero effect on computed rows.
+   zero effect on computed rows.  Instrumented operations have one body
+   under ``with tel.span(...)``: disabled telemetry turns spans, notes,
+   counts and gauges into no-ops.
 
 The composition seam is one object: the executor is a property of the
 engine, set once as ``Engine(executor=...)`` (the harness hands in its

@@ -12,18 +12,28 @@ and lets the search react to whichever result lands first):
   runs interleave exactly like a pool would (FIFO completion).  Each
   result carries the worker's :class:`WorkerSpan`; the transport keeps
   no other books.
-* :class:`AsyncPopulationExecutor` — the engine adapter:
-  :meth:`~AsyncPopulationExecutor.submit_population` dedupes a population
-  against the cache *and against chunks already in flight*, ships one
+* :class:`AsyncPopulationExecutor` — the engine adapter, with one path
+  for both candidate kinds.  :meth:`~AsyncPopulationExecutor.
+  submit_population` and :meth:`~AsyncPopulationExecutor.submit_supernets`
+  only turn their input into a unique ``{identity: chunk head}`` map
+  (canonical index -> canonical ops, or supernet state -> state).  One
+  submit path then skips quarantined candidates, gives each candidate a
+  need mask over its proxy rows (needed = neither cached nor claimed by
+  a chunk *already in flight*), claims the rows it ships and ships one
   future per chunk — at most ``chunk_size`` candidates, cut by guided
   self-scheduling so the chunks shrink towards the end of a dispatch and
-  the workers finish together — and :meth:`~AsyncPopulationExecutor.
-  gather` merges each chunk's indicator rows into the shared
-  :class:`~repro.engine.cache.IndicatorCache` the moment it lands — via
-  :meth:`~repro.engine.core.Engine.merge_indicator_rows`, under the
-  engine's exact cache keys.  It also keeps the books every transport
-  shares: worker seconds, utilisation and timeouts, all read from the
-  gathered task results.
+  the workers finish together.  Every chunk ships ``(items,
+  proxy_config)``.  :meth:`~AsyncPopulationExecutor.gather` merges each
+  chunk's rows into the shared :class:`~repro.engine.cache.IndicatorCache`
+  the moment it lands, via
+  :meth:`~repro.engine.core.Engine.merge_indicator_rows`.  Claims and
+  merges use the keys of :meth:`~repro.engine.core.Engine.proxy_row_keys`,
+  the one place a row's key takes in the engine's configuration.  Each
+  gather and merge runs under its telemetry span, which is a no-op when
+  telemetry is disabled, so traced and untraced runs share one body.
+  The executor also keeps the books every transport shares: worker
+  seconds, utilisation and timeouts, all read from the gathered task
+  results.
 
 **Determinism.**  Indicator values are bit-identical to a serial
 executor's no matter how futures resolve: every proxy seeds its RNG from
@@ -78,21 +88,16 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.engine.core import (
-    genotype_indicator_keys,
-    supernet_indicator_keys,
-    supernet_state_key,
-)
+from repro.engine.core import supernet_state_key
 from repro.errors import SearchError
 from repro.runtime.faults import (
     POISON,
     TRANSIENT,
     ChunkTimeoutError,
     FaultPolicy,
-    chunk_item_identity,
     classify_failure,
 )
 from repro.runtime.pool import (
@@ -552,24 +557,7 @@ class AsyncPoolStats:
     span_seconds: float = 0.0  # first submit to last gather
 
     def to_dict(self) -> Dict:
-        return {
-            "mode": self.mode,
-            "n_workers": self.n_workers,
-            "dispatches": self.dispatches,
-            "chunks": self.chunks,
-            "gathers": self.gathers,
-            "flushes": self.flushes,
-            "tasks": self.tasks,
-            "merged_rows": self.merged_rows,
-            "dedupe_hits": self.dedupe_hits,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "respawns": self.respawns,
-            "quarantined": self.quarantined,
-            "worker_seconds": self.worker_seconds,
-            "idle_fraction": self.idle_fraction,
-            "span_seconds": self.span_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -589,6 +577,12 @@ class GatheredChunk:
     worker_seconds: float = 0.0
     quarantined_indices: Tuple[int, ...] = ()
     quarantined_states: Tuple = ()
+
+
+#: The :class:`GatheredChunk` fields that report a landed and a
+#: quarantined candidate of each kind.
+_EVENT_FIELDS = {"genotype": ("canonical_indices", "quarantined_indices"),
+                 "supernet": ("states", "quarantined_states")}
 
 
 class ChunkGatherError(SearchError):
@@ -619,25 +613,21 @@ class ChunkGatherError(SearchError):
 class _ChunkContext:
     """Submission-time context a gathered chunk needs to merge itself —
     and, under a fault policy, to retry, bisect or quarantine itself:
-    the chunk's items and per-item key claims ride along so a failed
-    chunk can be resubmitted (or split) without re-deriving anything."""
+    the chunk's items, their candidate identities and per-item key
+    claims ride along so a failed chunk can be resubmitted (or split)
+    without re-deriving anything."""
 
-    __slots__ = ("kind", "engine", "proxy_key", "macro_key", "keys",
-                 "worker", "build_payload", "items", "item_claims",
-                 "attempts", "chunk_id")
+    __slots__ = ("kind", "engine", "worker", "items", "identities",
+                 "item_claims", "keys", "attempts", "chunk_id")
 
-    def __init__(self, kind: str, engine, proxy_key: Tuple,
-                 macro_key: Optional[Tuple], worker: Callable,
-                 build_payload: Callable, items: Tuple,
-                 item_claims: Tuple, attempts: int = 0,
+    def __init__(self, kind: str, engine, worker: Callable, items: Tuple,
+                 identities: Tuple, item_claims: Tuple, attempts: int = 0,
                  chunk_id: Optional[int] = None) -> None:
         self.kind = kind
         self.engine = engine
-        self.proxy_key = proxy_key
-        self.macro_key = macro_key
         self.worker = worker
-        self.build_payload = build_payload
         self.items = items              # the (head, needs) chunk slice
+        self.identities = identities    # per-item candidate identities
         self.item_claims = item_claims  # per-item claimed key tuples
         self.attempts = attempts        # completed attempts of THIS chunk
         #: Telemetry correlation key: ties the chunk's dispatch span to
@@ -647,18 +637,15 @@ class _ChunkContext:
         self.keys = tuple(key for claims in item_claims for key in claims)
 
     def split(self) -> Tuple["_ChunkContext", "_ChunkContext"]:
-        """Bisect into two halves (claims follow their items; halves keep
-        the parent's chunk id so the trace shows one lineage)."""
+        """Bisect into two halves (identities and claims follow their
+        items; halves keep the parent's chunk id so the trace shows one
+        lineage)."""
         mid = len(self.items) // 2
-        halves = []
-        for lo, hi in ((0, mid), (mid, len(self.items))):
-            halves.append(_ChunkContext(
-                self.kind, self.engine, self.proxy_key, self.macro_key,
-                self.worker, self.build_payload,
-                self.items[lo:hi], self.item_claims[lo:hi], attempts=0,
-                chunk_id=self.chunk_id,
-            ))
-        return halves[0], halves[1]
+        return tuple(
+            _ChunkContext(self.kind, self.engine, self.worker,
+                          self.items[lo:hi], self.identities[lo:hi],
+                          self.item_claims[lo:hi], chunk_id=self.chunk_id)
+            for lo, hi in ((0, mid), (mid, len(self.items))))
 
 
 class AsyncPopulationExecutor:
@@ -780,117 +767,83 @@ class AsyncPopulationExecutor:
         FLOPs and latency stay in the parent, priced by its cost models
         (LUT composition and FLOP counts are cheap, the profiled estimator
         lives there)."""
-        proxy_key = astuple(engine.proxy_config)
-        macro_key = astuple(engine.macro_config)
-        pending = self._pending_keys(engine)
-        candidates: List[Tuple] = []  # (canon, key dict), unique
-        seen = set()
-        for genotype in genotypes:
-            canon = (genotype if assume_canonical
-                     else canonicalize(genotype))
-            index = canon.to_index()
-            if index in seen or index in self.quarantined_genotypes:
-                continue
-            seen.add(index)
-            candidates.append(
-                (canon, genotype_indicator_keys(index, proxy_key,
-                                                macro_key)))
-        missing: List[Tuple] = []   # (ops, need mask)
-        claimed: List[Tuple] = []   # keys each list item claims
-        for canon, keys in candidates:
-            names = ("ntk", "linear_regions")
-            needs = tuple(
-                keys[name] not in engine.cache and keys[name] not in pending
-                for name in names
-            )
-            if any(needs):
-                missing.append((canon.ops, needs))
-                claimed.append(tuple(keys[name]
-                                     for name, need in zip(names, needs)
-                                     if need))
-            elif any(keys[name] in pending for name in names):
-                # Nothing to ship, but only because an in-flight chunk
-                # already owns the missing keys: an in-flight dedupe hit.
-                self.stats.dedupe_hits += 1
-                self.telemetry.count("executor.dedupe_hits")
-        return self._ship("genotype", engine, missing, claimed,
-                          lambda chunk: (tuple(chunk), engine.proxy_config),
-                          self.genotype_worker, proxy_key, macro_key)
+        canons = (genotypes if assume_canonical
+                  else [canonicalize(genotype) for genotype in genotypes])
+        return self._submit("genotype", engine,
+                            {canon.to_index(): canon.ops for canon in canons},
+                            self.genotype_worker)
 
     def submit_supernets(self, engine, spec_lists: Sequence[Sequence]
                          ) -> int:
         """Submit missing supernet-state rows; returns chunks shipped."""
-        proxy_key = astuple(engine.proxy_config)
+        states = [supernet_state_key(specs) for specs in spec_lists]
+        return self._submit("supernet", engine,
+                            {state: state for state in states},
+                            self.supernet_worker)
+
+    def _quarantined(self, kind: str) -> set:
+        return (self.quarantined_genotypes if kind == "genotype"
+                else self.quarantined_states)
+
+    def _submit(self, kind: str, engine, heads: Dict, worker: Callable
+                ) -> int:
+        """Ship the rows that ``heads`` (candidate identity -> the chunk
+        head a worker computes from: canonical ops or a state) miss;
+        returns the number of chunks shipped.
+
+        A quarantined candidate is skipped.  Any other gets a need mask
+        over its :meth:`~repro.engine.core.Engine.proxy_row_keys`: a row
+        is needed when neither cached nor claimed by a chunk in flight,
+        and the chunk that ships it claims it.  A candidate with nothing
+        needed but a claimed row is an in-flight dedupe hit.
+        """
+        quarantined = self._quarantined(kind)
         pending = self._pending_keys(engine)
-        candidates: List[Tuple] = []  # (state, key dict), unique
-        seen = set()
-        for specs in spec_lists:
-            state = supernet_state_key(specs)
-            if state in seen or state in self.quarantined_states:
+        todo: List[Tuple] = []  # (identity, (head, needs), claimed keys)
+        for identity, head in heads.items():
+            if identity in quarantined:
                 continue
-            seen.add(state)
-            candidates.append(
-                (state, supernet_indicator_keys(state, proxy_key)))
-        missing: List[Tuple] = []
-        claimed: List[Tuple] = []
-        for state, keys in candidates:
-            names = ("supernet_ntk", "supernet_lr")
-            needs = tuple(
-                keys[name] not in engine.cache and keys[name] not in pending
-                for name in names
-            )
+            keys = engine.proxy_row_keys(kind, identity).values()
+            needs = tuple(key not in engine.cache and key not in pending
+                          for key in keys)
             if any(needs):
-                missing.append((state, needs))
-                claimed.append(tuple(keys[name]
-                                     for name, need in zip(names, needs)
-                                     if need))
-            elif any(keys[name] in pending for name in names):
+                todo.append((identity, (head, needs),
+                             tuple(key for key, need in zip(keys, needs)
+                                   if need)))
+            elif any(key in pending for key in keys):
                 self.stats.dedupe_hits += 1
                 self.telemetry.count("executor.dedupe_hits")
-        return self._ship("supernet", engine, missing, claimed,
-                          lambda chunk: (tuple(chunk), engine.proxy_config),
-                          self.supernet_worker, proxy_key, None)
-
-    def _ship(self, kind: str, engine, missing: List[Tuple],
-              claimed: List[Tuple], build_payload, worker,
-              proxy_key: Tuple, macro_key: Optional[Tuple]) -> int:
-        if not missing:
+        if not todo:
             return 0
         # The first chunk that computes loads the proxies here, in the
         # parent, before the first submit forks a pool.
         import_compute()
-        tel = self.telemetry
-        pending = self._pending_keys(engine)
         # A serial pool runs one chunk at a time, whatever its n_workers.
         workers = 1 if self.pool.mode == "serial" else self.n_workers
-        shipped = 0
-        for chunk, chunk_claims in zip(
-                _chunked(tuple(missing), self.chunk_size, workers),
-                _chunked(tuple(claimed), self.chunk_size, workers)):
-            chunk_id = self._next_chunk_id
+        chunks = _chunked(todo, self.chunk_size, workers)
+        for chunk in chunks:
+            identities, items, claims = zip(*chunk)
+            context = _ChunkContext(kind, engine, worker, items, identities,
+                                    claims, chunk_id=self._next_chunk_id)
             self._next_chunk_id += 1
-            context = _ChunkContext(kind, engine, proxy_key, macro_key,
-                                    worker, build_payload, chunk,
-                                    chunk_claims, chunk_id=chunk_id)
             pending.update(context.keys)
             self._dispatch(context)
-            shipped += 1
         self.stats.dispatches += 1
-        self.stats.chunks += shipped
-        if tel.enabled:
-            tel.gauge("executor.in_flight", self.pool.num_pending)
-        return shipped
+        self.stats.chunks += len(chunks)
+        self.telemetry.gauge("executor.in_flight", self.pool.num_pending)
+        return len(chunks)
 
     def _dispatch(self, context: _ChunkContext, **args) -> None:
         """Submit one chunk context to the transport (its claims are
-        already held); the first submit opens the utilisation window."""
+        already held); the first submit opens the utilisation window.
+        Both kinds ship ``(items, proxy_config)``."""
         if self._first_submit is None:
             self._first_submit = time.perf_counter()
         with self.telemetry.span("dispatch", CAT_DISPATCH,
                                  chunk=context.chunk_id, kind=context.kind,
                                  items=len(context.items), **args):
             self.pool.submit(context.worker,
-                             context.build_payload(context.items),
+                             (context.items, context.engine.proxy_config),
                              tag=context)
 
     # ------------------------------------------------------------------
@@ -933,59 +886,36 @@ class AsyncPopulationExecutor:
                       seconds: float) -> GatheredChunk:
         """Merge one landed chunk into its engine's cache; release its
         claims; return the search-loop event."""
+        engine = context.engine
         tel = self.telemetry
-        if not tel.enabled:
-            return self._merge_landed_impl(context, rows, seconds)
         with tel.span("merge", CAT_MERGE, chunk=context.chunk_id,
                       kind=context.kind) as span:
-            chunk = self._merge_landed_impl(context, rows, seconds)
-            evals = len(chunk.canonical_indices) + len(chunk.states)
-            span.note(rows=evals, merged=chunk.merged_rows)
-            tel.count("executor.evals", evals)
-            tel.count("executor.merged_rows", chunk.merged_rows)
+            keyed: List[Tuple[Tuple, float]] = []
+            for identity, row, spent in rows:
+                for entry, entry_seconds in spent.items():
+                    engine.ledger.add(entry, entry_seconds)
+                keys = engine.proxy_row_keys(context.kind, identity)
+                keyed.extend((keys[name], value)
+                              for name, value in row.items())
+            merged = engine.merge_indicator_rows(keyed)
+            self._pending_keys(engine).difference_update(context.keys)
+            self.stats.tasks += len(rows)
+            self.stats.merged_rows += merged
+            span.note(rows=len(rows), merged=merged)
+            tel.count("executor.evals", len(rows))
+            tel.count("executor.merged_rows", merged)
             tel.gauge("executor.in_flight", self.pool.num_pending)
-            return chunk
-
-    def _merge_landed_impl(self, context: _ChunkContext, rows: List[Tuple],
-                           seconds: float) -> GatheredChunk:
-        engine = context.engine
-        keyed: List[Tuple[Tuple, float]] = []
-        indices: List[int] = []
-        states: List[Tuple] = []
-        for identity, row, spent in rows:
-            for entry, entry_seconds in spent.items():
-                engine.ledger.add(entry, entry_seconds)
-            if context.kind == "genotype":
-                keys = genotype_indicator_keys(identity,
-                                               context.proxy_key,
-                                               context.macro_key)
-                indices.append(identity)
-            else:
-                keys = supernet_indicator_keys(identity,
-                                               context.proxy_key)
-                states.append(identity)
-            for name, value_ in row.items():
-                keyed.append((keys[name], value_))
-        merged = engine.merge_indicator_rows(keyed)
-        self._pending_keys(engine).difference_update(context.keys)
-        self.stats.tasks += len(rows)
-        self.stats.merged_rows += merged
-        return GatheredChunk(
-            kind=context.kind,
-            canonical_indices=tuple(indices),
-            states=tuple(states),
-            merged_rows=merged,
-            worker_seconds=seconds,
-        )
+        landed = _EVENT_FIELDS[context.kind][0]
+        return GatheredChunk(kind=context.kind, merged_rows=merged,
+                             worker_seconds=seconds,
+                             **{landed: tuple(identity
+                                              for identity, _, _ in rows)})
 
     def _quarantine(self, context: _ChunkContext,
                     error: BaseException) -> GatheredChunk:
         """Quarantine the single candidate of a bisected-down context."""
-        identity = chunk_item_identity(context.kind, context.items[0])
-        if context.kind == "genotype":
-            self.quarantined_genotypes.add(identity)
-        else:
-            self.quarantined_states.add(identity)
+        identity = context.identities[0]
+        self._quarantined(context.kind).add(identity)
         if self.quarantine_ledger is not None:
             self.quarantine_ledger.add(context.kind, identity,
                                        reason=repr(error),
@@ -993,13 +923,8 @@ class AsyncPopulationExecutor:
         self._pending_keys(context.engine).difference_update(context.keys)
         self.stats.quarantined += 1
         self.telemetry.count("executor.quarantined")
-        return GatheredChunk(
-            kind=context.kind,
-            quarantined_indices=((identity,)
-                                 if context.kind == "genotype" else ()),
-            quarantined_states=((identity,)
-                                if context.kind == "supernet" else ()),
-        )
+        field = _EVENT_FIELDS[context.kind][1]
+        return GatheredChunk(kind=context.kind, **{field: (identity,)})
 
     def _handle_failure(self, context: _ChunkContext,
                         error: BaseException,
@@ -1055,34 +980,28 @@ class AsyncPopulationExecutor:
         resubmitted.  Transient failures within the retry budget retry,
         and poison chunks bisect/quarantine when the policy quarantines.
         """
-        tel = self.telemetry
-        if not tel.enabled:
-            return self._gather_inner(k)
-        with tel.span("gather", CAT_GATHER, requested=k,
-                      pending=self.pool.num_pending) as span:
-            chunks = self._gather_inner(k)
+        with self.telemetry.span("gather", CAT_GATHER, requested=k,
+                                 pending=self.pool.num_pending) as span:
+            gathered: List[GatheredChunk] = []
+            failures: List[BaseException] = []
+            drain_all = k >= self.pool.num_pending
+            resolved = 0
+            saw_results = False
+            while self.pool.num_pending and (drain_all or resolved < k):
+                for result in self.pool.gather(1):
+                    saw_results = True
+                    context: _ChunkContext = result.tag
+                    seconds = self._account(result)
+                    if result.error is None:
+                        gathered.append(self._merge_landed(
+                            context, result.value, seconds))
+                        resolved += 1
+                    else:
+                        resolved += self._handle_failure(
+                            context, result.error, failures, gathered)
+            chunks = self._finish_gather(gathered, failures, saw_results)
             span.note(chunks=len(chunks))
-            return chunks
-
-    def _gather_inner(self, k: int) -> List[GatheredChunk]:
-        gathered: List[GatheredChunk] = []
-        failures: List[BaseException] = []
-        drain_all = k >= self.pool.num_pending
-        resolved = 0
-        saw_results = False
-        while self.pool.num_pending and (drain_all or resolved < k):
-            for result in self.pool.gather(1):
-                saw_results = True
-                context: _ChunkContext = result.tag
-                seconds = self._account(result)
-                if result.error is None:
-                    gathered.append(self._merge_landed(context, result.value,
-                                                       seconds))
-                    resolved += 1
-                else:
-                    resolved += self._handle_failure(context, result.error,
-                                                     failures, gathered)
-        return self._finish_gather(gathered, failures, saw_results)
+        return chunks
 
     def _finish_gather(self, gathered: List[GatheredChunk],
                        failures: List[BaseException],

@@ -116,15 +116,21 @@ def classify_failure(error: BaseException) -> str:
 # ----------------------------------------------------------------------
 # Policy
 # ----------------------------------------------------------------------
+#: Backoff growth per retry, and the ± fraction of deterministic jitter.
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.25
+
+
 @dataclass
 class FaultPolicy:
     """Retry/timeout/quarantine knobs for one async executor.
 
     ``backoff_delay`` is a pure function of ``(material, attempt)`` —
-    exponential in the attempt with a ±``backoff_jitter`` fraction of
-    deterministic jitter hashed from the chunk identity, so colliding
-    retries de-synchronise without any wall-clock randomness (the
-    property that keeps fault-injection tests bit-replayable).
+    exponential (:data:`BACKOFF_FACTOR`) in the attempt with a
+    ±:data:`BACKOFF_JITTER` fraction of deterministic jitter hashed from
+    the chunk identity, so colliding retries de-synchronise without any
+    wall-clock randomness (the property that keeps fault-injection tests
+    bit-replayable).
     ``sleep`` is injectable so tests can record delays instead of
     paying them.
     """
@@ -132,8 +138,6 @@ class FaultPolicy:
     chunk_timeout: Optional[float] = None  # seconds; None = no deadline
     max_retries: int = 2                   # transient retries per chunk
     backoff_base: float = 0.05             # first-retry delay, seconds
-    backoff_factor: float = 2.0            # exponential growth per retry
-    backoff_jitter: float = 0.25           # ± fraction of the delay
     max_respawns: int = 3                  # pool-death recoveries per run
     quarantine: bool = True                # False: poison raises instead
     sleep: Callable[[float], None] = time.sleep
@@ -149,12 +153,12 @@ class FaultPolicy:
 
         ``attempt`` counts completed attempts (the first retry passes 0).
         """
-        delay = self.backoff_base * (self.backoff_factor ** attempt)
+        delay = self.backoff_base * (BACKOFF_FACTOR ** attempt)
         digest = hashlib.sha1(
             repr((material, attempt)).encode("utf-8")
         ).hexdigest()[:8]
         unit = int(digest, 16) / float(0xFFFFFFFF)  # [0, 1], deterministic
-        return delay * (1.0 + self.backoff_jitter * (2.0 * unit - 1.0))
+        return delay * (1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))
 
 
 # ----------------------------------------------------------------------

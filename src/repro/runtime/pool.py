@@ -10,8 +10,7 @@ returned indicator rows into the engine's
   worker computes the same bits whatever the worker count, chunking or
   completion order.
 * **One key contract.**  Rows merge under
-  :func:`~repro.engine.core.genotype_indicator_keys` and
-  :func:`~repro.engine.core.supernet_indicator_keys`, the keys the engine
+  :meth:`~repro.engine.core.Engine.proxy_row_keys`, the keys the engine
   reads; every transport (serial queue, thread and fork pools) merges
   through them.
 * **Partial warmth.**  Each chunk item carries a per-indicator need mask,
@@ -60,7 +59,6 @@ import os
 import time
 from typing import List, Sequence, Tuple
 
-from repro.engine.core import genotype_indicator_keys, supernet_indicator_keys
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.specs import EdgeSpec
 
@@ -209,7 +207,4 @@ def _evaluate_supernet_chunk(payload: Tuple) -> List[Tuple]:
     return rows
 
 
-__all__ = [
-    "genotype_indicator_keys",
-    "supernet_indicator_keys",
-]
+__all__ = ["import_compute"]

@@ -409,28 +409,22 @@ class RuntimeStore:
         copying, not repeated ``save_cache`` calls.
         """
         tel = self.telemetry
-        if not tel.enabled:
-            return self._save_cache_impl(cache, fingerprint)
         with tel.span("store_flush", CAT_STORE) as span:
-            appended = self._save_cache_impl(cache, fingerprint)
-            span.note(rows=appended)
-            tel.count("store.rows_appended", appended)
+            appended_keys = []
+            rows = cache.dirty_items()
+            if rows:
+                directory = self._ensure_dir(fingerprint)
+                text, appended_keys = _encode_rows(rows)
+                if text:
+                    with _file_lock(directory / "append"):
+                        _atomic_write_text(
+                            self._next_segment_path(directory), text)
+                cache.mark_clean(appended_keys)
+                if self._should_auto_compact(directory):
+                    self._compact_dir(directory, fingerprint)
+            span.note(rows=len(appended_keys))
+            tel.count("store.rows_appended", len(appended_keys))
             tel.count("store.flushes")
-            return appended
-
-    def _save_cache_impl(self, cache: IndicatorCache,
-                         fingerprint: Dict) -> int:
-        rows = cache.dirty_items()
-        if not rows:
-            return 0
-        directory = self._ensure_dir(fingerprint)
-        text, appended_keys = _encode_rows(rows)
-        if text:
-            with _file_lock(directory / "append"):
-                _atomic_write_text(self._next_segment_path(directory), text)
-        cache.mark_clean(appended_keys)
-        if self._should_auto_compact(directory):
-            self._compact_dir(directory, fingerprint)
         return len(appended_keys)
 
     def _should_auto_compact(self, directory: Path) -> bool:
@@ -476,40 +470,33 @@ class RuntimeStore:
         in-memory value; loaded rows are marked clean, so the next
         :meth:`save_cache` does not re-append them.
         """
-        tel = self.telemetry
-        if not tel.enabled:
-            return self._load_cache_impl(cache, fingerprint, strict)
-        with tel.span("store_load", CAT_STORE) as span:
-            loaded = self._load_cache_impl(cache, fingerprint, strict)
-            span.note(rows=loaded)
-            return loaded
-
-    def _load_cache_impl(self, cache: IndicatorCache, fingerprint: Dict,
-                         strict: bool) -> int:
-        self.last_rejection = None
-        directory = self.cache_dir(fingerprint)
-        if not directory.exists():
-            self.last_rejection = "no persisted cache"
-            return 0
-        problems: List[str] = []
-        # Under the base lock, *shared*: concurrent warm-starting readers
-        # replay side by side, while the compactor (which holds it
-        # exclusively across fold-and-unlink) cannot swap the bases and
-        # delete segments between our base read and segment glob — the
-        # reader half of the "racing a compaction loses nothing"
-        # guarantee.
-        with _file_lock(directory / "base", shared=True):
-            entries = self._replay(directory, fingerprint, problems)
-        if problems:
-            self.last_rejection = "; ".join(problems)
-            if strict:
-                raise StoreError(self.last_rejection)
-        merged_keys = []
-        for key, value in entries.items():
-            if key not in cache:
-                cache.put(key, value)
-                merged_keys.append(key)
-        cache.mark_clean(merged_keys)
+        with self.telemetry.span("store_load", CAT_STORE) as span:
+            self.last_rejection = None
+            directory = self.cache_dir(fingerprint)
+            entries: Dict[Tuple, object] = {}
+            if directory.exists():
+                problems: List[str] = []
+                # Under the base lock, *shared*: concurrent warm-starting
+                # readers replay side by side, while the compactor (which
+                # holds it exclusively across fold-and-unlink) cannot swap
+                # the bases and delete segments between our base read and
+                # segment glob — the reader half of the "racing a
+                # compaction loses nothing" guarantee.
+                with _file_lock(directory / "base", shared=True):
+                    entries = self._replay(directory, fingerprint, problems)
+                if problems:
+                    self.last_rejection = "; ".join(problems)
+                    if strict:
+                        raise StoreError(self.last_rejection)
+            else:
+                self.last_rejection = "no persisted cache"
+            merged_keys = []
+            for key, value in entries.items():
+                if key not in cache:
+                    cache.put(key, value)
+                    merged_keys.append(key)
+            cache.mark_clean(merged_keys)
+            span.note(rows=len(merged_keys))
         return len(merged_keys)
 
     def _read_jsonl_rows(self, path: Path,

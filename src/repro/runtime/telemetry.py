@@ -32,7 +32,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.runtime.tracing import (
     NULL_SPAN,
@@ -45,7 +45,7 @@ from repro.runtime.tracing import (
 # Metrics primitives
 # ----------------------------------------------------------------------
 
-#: Default histogram bucket upper bounds, in seconds — log-spaced to
+#: Every histogram's bucket upper bounds, in seconds — log-spaced to
 #: cover everything from a cache-hit merge (~1ms) to a hung-chunk
 #: deadline (~60s).  Values above the last bound land in the overflow
 #: bucket.
@@ -83,22 +83,21 @@ class Gauge:
 class Histogram:
     """A bucketed distribution (chunk latency, flush time).
 
-    Fixed upper-bound buckets plus an overflow slot; ``observe`` is a
-    linear scan over ~a dozen bounds and two adds — cheap enough for the
-    per-chunk hot path.
+    The :data:`DEFAULT_BUCKETS` upper bounds plus an overflow slot;
+    ``observe`` is a linear scan over ~a dozen bounds and two adds —
+    cheap enough for the per-chunk hot path.
     """
 
-    __slots__ = ("buckets", "counts", "total", "count")
+    __slots__ = ("counts", "total", "count")
 
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.buckets = tuple(float(b) for b in buckets)
-        self.counts = [0] * (len(self.buckets) + 1)
+    def __init__(self) -> None:
+        self.counts = [0] * (len(DEFAULT_BUCKETS) + 1)
         self.total = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
         value = float(value)
-        for i, bound in enumerate(self.buckets):
+        for i, bound in enumerate(DEFAULT_BUCKETS):
             if value <= bound:
                 self.counts[i] += 1
                 break
@@ -109,7 +108,7 @@ class Histogram:
 
     def snapshot(self) -> Dict:
         return {
-            "buckets": list(self.buckets),
+            "buckets": list(DEFAULT_BUCKETS),
             "counts": list(self.counts),
             "count": self.count,
             "sum": self.total,
@@ -145,13 +144,12 @@ class MetricsRegistry:
             with self._create_lock:
                 return self._gauges.setdefault(name, Gauge())
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         try:
             return self._histograms[name]
         except KeyError:
             with self._create_lock:
-                return self._histograms.setdefault(name, Histogram(buckets))
+                return self._histograms.setdefault(name, Histogram())
 
     def snapshot(self) -> Dict:
         return {

@@ -267,12 +267,14 @@ class SteadyStateEvolutionarySearch:
 
         def submit(genotype: Genotype) -> None:
             """Submit one candidate; commit immediately on a warm cache."""
-            canon_index = canonicalize(genotype).to_index()
+            canon = canonicalize(genotype)
+            canon_index = canon.to_index()
             if canon_index in executor.quarantined_genotypes:
                 # Poison candidate (possibly from a previous run's
                 # ledger): proposing it again would just re-poison.
                 return
-            shipped = executor.submit_population(engine, [genotype])
+            shipped = executor.submit_population(engine, [canon],
+                                                 assume_canonical=True)
             self.objective.ledger.add("evolution_candidates", count=1)
             if shipped == 0 and canon_index not in outstanding:
                 # Every indicator already cached: no future to wait for.

@@ -20,6 +20,8 @@ from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.ops import CANDIDATE_OPS
 from repro.searchspace.space import NasBench201Space
 
+pytestmark = pytest.mark.executor
+
 
 def _raise(payload):
     raise RuntimeError("worker called")

@@ -12,20 +12,26 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.engine.core import supernet_state_key
 from repro.errors import SearchError
 from repro.runtime.async_pool import (
     AsyncPopulationExecutor,
     ChunkGatherError,
     FuturePool,
 )
-from repro.runtime.faults import FaultPlan
-from repro.runtime.pool import _evaluate_genotype_chunk
+from repro.runtime.faults import FaultPlan, FaultPolicy
+from repro.runtime.pool import (
+    _evaluate_genotype_chunk,
+    _evaluate_supernet_chunk,
+)
 from repro.search.objective import HybridObjective
 from repro.searchspace.canonical import canonicalize
 from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.ops import CANDIDATE_OPS
 from repro.searchspace.space import NasBench201Space
+
+pytestmark = pytest.mark.executor
 
 
 @pytest.fixture()
@@ -165,6 +171,118 @@ class TestCompletionOrderFuzzing:
                                          assume_canonical=False)
         assert first > 0 and second == 0
         assert dict(engine.cache.items()) == snapshot
+
+
+def _one_candidate(kind):
+    """One candidate of ``kind`` as its submit call takes it, and its
+    identity: a genotype and its canonical index, or a supernet state's
+    edge specs and their state key."""
+    if kind == "genotype":
+        genotype = Genotype.from_arch_str(
+            "|nor_conv_3x3~0|+|skip_connect~0|nor_conv_1x1~1|"
+            "+|skip_connect~0|none~1|avg_pool_3x3~2|")
+        return genotype, canonicalize(genotype).to_index()
+    specs = [EdgeSpec(i, tuple(CANDIDATE_OPS)) for i in range(6)]
+    specs[0] = specs[0].without("none")
+    return specs, supernet_state_key(specs)
+
+
+def _submit(executor, engine, kind, candidates):
+    if kind == "genotype":
+        return executor.submit_population(engine, candidates)
+    return executor.submit_supernets(engine, candidates)
+
+
+def _recording(worker, payloads):
+    def record(payload):
+        payloads.append(payload)
+        return worker(payload)
+
+    return record
+
+
+def _poison_worker(payload):
+    raise ValueError("poison")
+
+
+#: Each kind's (own, other) quarantine-event fields of GatheredChunk.
+QUARANTINE_FIELDS = {"genotype": ("quarantined_indices",
+                                  "quarantined_states"),
+                     "supernet": ("quarantined_states",
+                                  "quarantined_indices")}
+
+
+@pytest.mark.parametrize("kind", ["genotype", "supernet"])
+class TestBothCandidateKinds:
+    """The one submit/claim/merge path, exercised through each kind's
+    public submit call."""
+
+    def test_in_flight_dedupe(self, tiny_proxy_config, kind):
+        candidate, identity = _one_candidate(kind)
+        engine = _engine(tiny_proxy_config)
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4,
+                                           mode="serial")
+        assert _submit(executor, engine, kind, [candidate] * 3) == 1
+        # The same candidate while its chunk is still in flight: every
+        # row it misses is claimed, so nothing ships.
+        assert _submit(executor, engine, kind, [candidate]) == 0
+        assert executor.stats.dedupe_hits == 1
+        assert executor.stats.chunks == 1
+        (chunk,) = executor.gather_all()
+        assert chunk.kind == kind
+        assert chunk.merged_rows == 2
+        landed = "canonical_indices" if kind == "genotype" else "states"
+        assert getattr(chunk, landed) == (identity,)
+        # Landed rows are cache hits now, not in-flight dedupe hits.
+        assert _submit(executor, engine, kind, [candidate]) == 0
+        assert executor.stats.dedupe_hits == 1
+
+    def test_partially_warm_candidate_ships_only_its_missing_row(
+            self, tiny_proxy_config, kind):
+        candidate, identity = _one_candidate(kind)
+        reference = _engine(tiny_proxy_config)
+        first, second = reference.proxy_row_keys(kind, identity).values()
+        assert _submit(reference.executor, reference, kind,
+                       [candidate]) == 1
+        reference.executor.gather_all()
+        payloads = []
+        executor = AsyncPopulationExecutor(
+            n_workers=1, chunk_size=4, mode="serial",
+            genotype_worker=_recording(_evaluate_genotype_chunk, payloads),
+            supernet_worker=_recording(_evaluate_supernet_chunk, payloads))
+        engine = _engine(tiny_proxy_config, executor)
+        engine.cache.put(first, reference.cache.get(first))
+        assert _submit(executor, engine, kind, [candidate]) == 1
+        (chunk,) = executor.gather_all()
+        assert chunk.merged_rows == 1
+        ((items, _),) = payloads
+        assert [needs for _, needs in items] == [(False, True)]
+        assert float(engine.cache.get(second)).hex() == \
+            float(reference.cache.get(second)).hex()
+
+    def test_quarantine_event(self, tiny_proxy_config, kind):
+        candidate, identity = _one_candidate(kind)
+        engine = _engine(tiny_proxy_config)
+        executor = AsyncPopulationExecutor(
+            n_workers=1, chunk_size=4, mode="serial",
+            genotype_worker=_poison_worker, supernet_worker=_poison_worker,
+            fault_policy=FaultPolicy(max_retries=0))
+        assert _submit(executor, engine, kind, [candidate]) == 1
+        (chunk,) = executor.gather_all()
+        own, other = QUARANTINE_FIELDS[kind]
+        assert chunk.kind == kind
+        assert getattr(chunk, own) == (identity,)
+        assert getattr(chunk, other) == ()
+        assert chunk.canonical_indices == () and chunk.states == ()
+        assert chunk.merged_rows == 0
+        own_set, other_set = (
+            (executor.quarantined_genotypes, executor.quarantined_states)
+            if kind == "genotype"
+            else (executor.quarantined_states, executor.quarantined_genotypes))
+        assert own_set == {identity} and other_set == set()
+        assert executor.stats.quarantined == 1
+        # A quarantined candidate never ships again.
+        assert _submit(executor, engine, kind, [candidate]) == 0
 
 
 class TestWorkerFailureRecovery:
@@ -539,6 +657,24 @@ class TestSteadyStateSearch:
         result = search.search()
         # population_size + cycles candidates were submitted, exactly.
         assert result.ledger.counts["evolution_candidates"] == 5 + 7
+
+    def test_one_canonicalize_per_proposal_before_shipping(
+            self, tiny_proxy_config, monkeypatch):
+        """The loop canonicalizes each proposal once and submits the
+        canonical form, so the executor does not canonicalize it again."""
+        import repro.runtime.async_pool as async_pool
+        import repro.search.evolutionary as evolutionary
+
+        calls = []
+        for module in (async_pool, evolutionary):
+            def counted(genotype, _real=module.canonicalize):
+                calls.append(genotype)
+                return _real(genotype)
+
+            monkeypatch.setattr(module, "canonicalize", counted)
+        result = self._search(tiny_proxy_config, cycles=7).search()
+        assert result.ledger.counts["evolution_candidates"] == 5 + 7
+        assert len(calls) == 5 + 7
 
     def test_warm_cache_fast_path_commits_without_futures(
         self, tiny_proxy_config

@@ -102,8 +102,7 @@ class TestFailureClassification:
         assert classify_failure(BrokenExecutor("died")) == WORKER_LOST
 
     def test_backoff_is_deterministic_and_exponential(self):
-        policy = FaultPolicy(backoff_base=0.1, backoff_factor=2.0,
-                            backoff_jitter=0.25)
+        policy = FaultPolicy(backoff_base=0.1)
         material = ("genotype", (("ntk", 3, 1),))
         first = policy.backoff_delay(material, 0)
         assert first == policy.backoff_delay(material, 0)  # pure function

@@ -32,6 +32,8 @@ from repro.searchspace.cell import EdgeSpec
 from repro.searchspace.ops import CANDIDATE_OPS
 from repro.searchspace.space import NasBench201Space
 
+pytestmark = pytest.mark.executor
+
 
 @pytest.fixture()
 def population():

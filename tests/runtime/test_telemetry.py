@@ -495,6 +495,74 @@ class TestHarnessTelemetry:
         assert report.telemetry is not None
 
 
+class TestPinnedStoreBackedTrace:
+    """The armed trace of a serial, store-backed cold run and its warm
+    rerun, pinned span by span: names, categories and args (keys and
+    values), then every counter, gauge and histogram count.  The cold
+    run's store directory does not exist yet, so its ``store_load``
+    still notes ``rows``; the warm rerun computes nothing, so its final
+    flush is a zero-delta save that still records a ``store_flush`` span
+    and both store counters."""
+
+    COLD_SPANS = [
+        ("store_load", "store", {"rows": 0}),
+        ("dispatch", "dispatch", {"chunk": 0, "kind": "genotype",
+                                  "items": 5}),
+        ("worker_compute", "worker", {"chunk": 0, "rows": 5}),
+        ("merge", "merge", {"chunk": 0, "kind": "genotype", "rows": 5,
+                            "merged": 10}),
+        ("store_flush", "store", {"rows": 10}),
+        ("gather", "gather", {"requested": 1, "pending": 1, "chunks": 1}),
+        ("evaluate_population", "engine", {"candidates": 6, "unique": 5,
+                                           "cache_hits": 10,
+                                           "cache_misses": 15}),
+        ("store_flush", "store", {"rows": 5}),
+    ]
+    COLD_METRICS = {
+        "counters": {"executor.evals": 5, "executor.merged_rows": 10,
+                     "store.flushes": 2, "store.rows_appended": 15,
+                     "worker.chunks": 1, "worker.rows": 5},
+        "gauges": {"cache.entries": 15.0, "cache.hit_rate": 0.4,
+                   "executor.in_flight": 0.0},
+        "histograms": {"worker_chunk_seconds": 1},
+    }
+    WARM_SPANS = [
+        ("store_load", "store", {"rows": 15}),
+        ("evaluate_population", "engine", {"candidates": 6, "unique": 5,
+                                           "cache_hits": 15,
+                                           "cache_misses": 0}),
+        ("store_flush", "store", {"rows": 0}),
+    ]
+    WARM_METRICS = {
+        "counters": {"store.flushes": 1, "store.rows_appended": 0},
+        "gauges": {"cache.entries": 15.0, "cache.hit_rate": 1.0},
+        "histograms": {},
+    }
+
+    @staticmethod
+    def _run(tmp_path, label):
+        harness = RunHarness(_quick_config(
+            store_dir=str(tmp_path / "store"),
+            trace_path=str(tmp_path / f"{label}.json")))
+        harness.run()
+        # Read the tracer, not the trace file: the harness's final store
+        # save runs after the file is written.
+        tel = harness.telemetry
+        spans = [(e["name"], e["cat"], e["args"])
+                 for e in tel.tracer.events()]
+        snap = tel.metrics_snapshot()
+        metrics = {"counters": snap["counters"], "gauges": snap["gauges"],
+                   "histograms": {name: h["count"] for name, h
+                                  in snap["histograms"].items()}}
+        return spans, metrics
+
+    def test_cold_run_then_warm_rerun(self, tmp_path):
+        assert self._run(tmp_path, "cold") == (self.COLD_SPANS,
+                                               self.COLD_METRICS)
+        assert self._run(tmp_path, "warm") == (self.WARM_SPANS,
+                                               self.WARM_METRICS)
+
+
 # ----------------------------------------------------------------------
 # Schema stability: downstream readers parse these dicts
 # ----------------------------------------------------------------------
