@@ -37,7 +37,7 @@ def run_ablation(latency_estimator):
             weights=ObjectiveWeights(latency=0.5),
             latency_estimator=latency_estimator,
         )
-        pruning = MicroNASSearch(pruning_obj, seed=seed).search()
+        pruning = MicroNASSearch(pruning_obj).search()
         random_obj = HybridObjective(
             proxy_config=proxy_config.with_seed(seed),
             weights=ObjectiveWeights(latency=0.5),

@@ -8,9 +8,9 @@ Two measurements, both writing ``BENCH_async.json``:
    barrier after every generation (submit a batch, ``gather_all``, repeat
    — the PR-2 ``warm_population`` shape) and once steady-state (keep
    ``n_workers`` tasks in flight, submit the next the moment one lands).
-   Sleeps release the GIL, so worker overlap is real even on a 1-core CI
-   box, and the duration multiset is identical by construction — the gap
-   is pure scheduling.
+   The tasks sleep on fork workers, so worker overlap is real even on a
+   1-core CI box, and the duration multiset is identical by
+   construction — the gap is pure scheduling.
 
 2. **Search-level overlap** — a generational evolutionary loop (barrier
    per generation of children) vs
@@ -100,7 +100,7 @@ def _pool_result(busy: float, wall: float) -> Dict:
 
 def _run_barrier_pool() -> Dict:
     busy = 0.0
-    with FuturePool(n_workers=N_WORKERS, mode="thread") as pool:
+    with FuturePool(n_workers=N_WORKERS) as pool:
         with Timer() as timer:
             for generation in _durations():
                 for seconds in generation:
@@ -114,7 +114,7 @@ def _run_steady_pool() -> Dict:
     tasks = [seconds for generation in _durations()
              for seconds in generation]
     busy = 0.0
-    with FuturePool(n_workers=N_WORKERS, mode="thread") as pool:
+    with FuturePool(n_workers=N_WORKERS) as pool:
         with Timer() as timer:
             queue = deque(tasks)
             for _ in range(min(N_WORKERS, len(queue))):
@@ -163,7 +163,6 @@ def _run_barrier_search(proxy_config) -> Dict:
     space = NasBench201Space()
     generations = CYCLES // POPULATION_SIZE
     with AsyncPopulationExecutor(n_workers=N_WORKERS, chunk_size=1,
-                                 mode="fork",
                                  genotype_worker=_padded_worker) as executor:
         objective = HybridObjective(engine=Engine(proxy_config=proxy_config,
                                                   executor=executor))
@@ -194,7 +193,6 @@ def _run_barrier_search(proxy_config) -> Dict:
 
 def _run_steady_search(proxy_config) -> Dict:
     with AsyncPopulationExecutor(n_workers=N_WORKERS, chunk_size=1,
-                                 mode="fork",
                                  genotype_worker=_padded_worker) as executor:
         objective = HybridObjective(engine=Engine(proxy_config=proxy_config,
                                                   executor=executor))
@@ -217,8 +215,8 @@ def _run_steady_search(proxy_config) -> Dict:
 def _check_bit_identical(proxy_config) -> bool:
     population = NasBench201Space().sample(24, rng=9)
     serial = Engine(proxy_config=proxy_config).evaluate_population(population)
-    with AsyncPopulationExecutor(n_workers=N_WORKERS, chunk_size=3,
-                                 mode="fork") as executor:
+    with AsyncPopulationExecutor(n_workers=N_WORKERS,
+                                 chunk_size=3) as executor:
         table = Engine(proxy_config=proxy_config,
                        executor=executor).evaluate_population(population)
     return all(np.array_equal(serial.columns[name], table.columns[name])

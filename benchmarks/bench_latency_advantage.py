@@ -26,7 +26,7 @@ LATENCY_WEIGHTS = (0.25, 0.5, 0.75)
 def run_sweep(latency_estimator):
     surrogate = SurrogateModel()
     proxy_config = search_proxy_config()
-    tenas = TENASSearch(proxy_config=proxy_config, seed=0).search()
+    tenas = TENASSearch(proxy_config=proxy_config).search()
     ref_latency = latency_estimator.estimate_ms(tenas.genotype)
     ref_acc = surrogate.mean_accuracy(tenas.genotype, "cifar10")
 
@@ -38,7 +38,7 @@ def run_sweep(latency_estimator):
             weights=ObjectiveWeights(latency=weight),
             latency_estimator=latency_estimator,
         )
-        result = MicroNASSearch(objective, seed=0).search()
+        result = MicroNASSearch(objective).search()
         latency = latency_estimator.estimate_ms(result.genotype)
         rows.append({
             "weight": weight,

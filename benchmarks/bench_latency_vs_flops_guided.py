@@ -30,14 +30,14 @@ def run_comparison(latency_estimator):
         weights=ObjectiveWeights(flops=GUIDANCE_WEIGHT),
         latency_estimator=latency_estimator,
     )
-    flops_guided = MicroNASSearch(flops_obj, seed=0).search()
+    flops_guided = MicroNASSearch(flops_obj).search()
 
     latency_obj = HybridObjective(
         proxy_config=proxy_config,
         weights=ObjectiveWeights(latency=GUIDANCE_WEIGHT),
         latency_estimator=latency_estimator,
     )
-    latency_guided = MicroNASSearch(latency_obj, seed=0).search()
+    latency_guided = MicroNASSearch(latency_obj).search()
 
     def row(name, result):
         g = result.genotype

@@ -55,7 +55,7 @@ def run_regret_study(latency_estimator):
             weights=ObjectiveWeights(latency=0.5),
             latency_estimator=latency_estimator,
         )
-        micronas = MicroNASSearch(objective, seed=0).search_with_constraints(
+        micronas = MicroNASSearch(objective).search_with_constraints(
             constraints, checker=checker
         )
         random_search = ZeroShotRandomSearch(

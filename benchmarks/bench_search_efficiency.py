@@ -31,7 +31,7 @@ def run_efficiency(latency_estimator):
         weights=ObjectiveWeights(latency=0.5),
         latency_estimator=latency_estimator,
     )
-    micronas = MicroNASSearch(objective, seed=0).search()
+    micronas = MicroNASSearch(objective).search()
 
     munas = ConstrainedEvolutionarySearch(
         EvolutionConfig(population_size=50, sample_size=10, cycles=600),

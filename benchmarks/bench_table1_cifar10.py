@@ -43,13 +43,13 @@ def run_table1(latency_estimator):
     surrogate = SurrogateModel()
     proxy_config = search_proxy_config()
 
-    tenas = TENASSearch(proxy_config=proxy_config, seed=0).search()
+    tenas = TENASSearch(proxy_config=proxy_config).search()
     objective = HybridObjective(
         proxy_config=proxy_config,
         weights=ObjectiveWeights(latency=MICRONAS_LATENCY_WEIGHT),
         latency_estimator=latency_estimator,
     )
-    micronas = MicroNASSearch(objective, seed=0).search()
+    micronas = MicroNASSearch(objective).search()
     munas = ConstrainedEvolutionarySearch(
         MUNAS_EVOLUTION, constraints=MUNAS_CONSTRAINTS, seed=0
     ).search()

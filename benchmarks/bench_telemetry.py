@@ -82,7 +82,7 @@ def _padded_worker(payload):
 def _warm_once(proxy_config, population,
                telemetry: Optional[Telemetry]):
     engine = Engine(proxy_config=proxy_config)
-    with AsyncPopulationExecutor(n_workers=1, chunk_size=1, mode="serial",
+    with AsyncPopulationExecutor(n_workers=1, chunk_size=1,
                                  genotype_worker=_padded_worker,
                                  telemetry=telemetry) as executor:
         with Timer() as timer:
@@ -165,7 +165,6 @@ def _run_traced(proxy_config, tmp_dir: Path) -> Dict:
 
     engine = Engine(proxy_config=proxy_config)
     with AsyncPopulationExecutor(n_workers=N_WORKERS, chunk_size=1,
-                                 mode="fork",
                                  genotype_worker=plan.wrap(
                                      _evaluate_genotype_chunk),
                                  fault_policy=policy,

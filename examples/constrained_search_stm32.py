@@ -52,7 +52,7 @@ def main() -> None:
         weights=ObjectiveWeights(),  # hardware weights start at zero
         latency_estimator=latency_estimator,
     )
-    searcher = MicroNASSearch(objective, seed=0)
+    searcher = MicroNASSearch(objective)
     print("searching with constraint-driven weight adaptation...")
     result = searcher.search_with_constraints(
         CONSTRAINTS, checker=checker, max_outer_rounds=4

@@ -41,7 +41,7 @@ def main() -> None:
 
     # 4. Hardware-aware pruning-based search (30 -> 1 op per edge).
     print("searching (pruning the supernet)...")
-    result = MicroNASSearch(objective, seed=0).search()
+    result = MicroNASSearch(objective).search()
 
     # 5. Report the discovered architecture.
     genotype = result.genotype

@@ -46,7 +46,7 @@ def main() -> None:
         weights=ObjectiveWeights(latency=0.5),
         latency_estimator=LatencyEstimator(NUCLEO_F746ZG, config=MacroConfig.full()),
     )
-    found = MicroNASSearch(objective, seed=0).search()
+    found = MicroNASSearch(objective).search()
     print(f"  discovered: {found.arch_str}")
 
     # --- 2. final training ---------------------------------------------

@@ -41,7 +41,7 @@ from repro.errors import ShapeError
 Axis = Union[None, int, Tuple[int, ...]]
 
 #: Column sink of the innermost :func:`keep_columns` scope, *per thread*:
-#: the thread pool runs NTK kernels concurrently, so one thread's capture
+#: NTK kernels may run on several threads at once, so one thread's capture
 #: must never see another thread's convolutions.
 _COLUMNS = threading.local()
 

@@ -19,10 +19,10 @@ through the stack:
   work runs at ``compute_dtype``.
 
 The active policy is **scoped and thread-local**, exactly like the
-``no_grad`` tape flag: the async runtime's thread backend evaluates proxy
-chunks concurrently, and a process-global dtype default would let one
-worker's float32 context silently reallocate another worker's float64
-tensors mid-build.  Proxies never rely on ambient state across call
+``no_grad`` tape flag: a caller may evaluate proxies on several threads
+at once, and a process-global dtype default would let one thread's
+float32 context silently reallocate another thread's float64 tensors
+mid-build.  Proxies never rely on ambient state across call
 boundaries — each proxy function re-enters ``precision(...)`` from its
 own ``ProxyConfig``, so chunks shipped to pool workers carry their
 precision with them.

@@ -35,10 +35,10 @@ from repro.errors import AutogradError, ShapeError
 
 ArrayLike = Union[float, int, Sequence, np.ndarray, "Tensor"]
 
-#: Tape-recording switch, *per thread*: the async runtime's thread
-#: backend evaluates proxy chunks concurrently, and a process-global flag
-#: would let one thread's ``no_grad()`` (e.g. line-region counting)
-#: silently strip another thread's NTK tape mid-build.
+#: Tape-recording switch, *per thread*: a caller may evaluate proxies on
+#: several threads at once, and a process-global flag would let one
+#: thread's ``no_grad()`` (e.g. line-region counting) silently strip
+#: another thread's NTK tape mid-build.
 _GRAD_STATE = threading.local()
 
 

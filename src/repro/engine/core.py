@@ -510,8 +510,8 @@ class Engine:
 
         The population's canonical forms (computed once here) go to
         :attr:`executor` in one ``warm_population`` call: its chunk
-        workers compute every missing proxy row — inline or in worker
-        threads or processes, in any completion order — and merge them
+        workers compute every missing proxy row — inline or in fork
+        worker processes, in any completion order — and merge them
         into :attr:`cache`.  The table is then assembled here, in request
         order, from cache reads alone, so it is identical whatever the
         executor's transport, worker count or completion order.

@@ -20,7 +20,7 @@ class ProxyConfig:
     recommended operating point (Fig. 2b).
 
     ``ntk_mode``/``lr_mode`` select the proxy kernels: ``"batched"`` (the
-    vectorized single-pass kernels in :mod:`repro.engine.kernels`) or
+    compiled straight-line plans in :mod:`repro.engine.plan`) or
     ``"reference"`` (the original per-sample / per-line loops, kept for
     validating the batched paths).  Both fields are part of the engine's
     cache key, so switching modes never aliases cached values.

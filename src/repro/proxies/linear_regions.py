@@ -137,11 +137,9 @@ def count_line_regions(
     config: Optional[ProxyConfig] = None,
     rng: SeedLike = None,
     num_lines: int = 4,
-    mode: Optional[str] = None,
 ) -> float:
     """Mean number of linear regions crossed by random input segments."""
     config = config or ProxyConfig()
-    mode = mode or config.lr_mode
     counts = []
     with precision(config.precision_policy()):
         for repeat in range(config.repeats):
@@ -151,7 +149,7 @@ def count_line_regions(
                 else rng
             )
             counts.extend(_count_lines([(op,) for op in genotype.ops], config,
-                                       generator, num_lines, mode))
+                                       generator, num_lines, config.lr_mode))
     return float(np.mean(counts))
 
 
@@ -203,7 +201,6 @@ def supernet_line_regions(
     config: Optional[ProxyConfig] = None,
     rng: SeedLike = None,
     num_lines: int = 4,
-    mode: Optional[str] = None,
     chunk: Optional[SupernetChunk] = None,
 ) -> float:
     """Line-region count of a pruning-supernet state (alive-op sets).
@@ -213,7 +210,7 @@ def supernet_line_regions(
     :func:`~repro.proxies.ntk.supernet_ntk_condition_number`).
     """
     config = config or ProxyConfig()
-    mode = mode or config.lr_mode
+    mode = config.lr_mode
     counts = []
     with precision(config.precision_policy()):
         plan = None

@@ -22,8 +22,9 @@ engine does not import it:
    NTK and line-region rows.  The blocking ``warm_population`` /
    ``warm_supernets`` calls serve the engine and the generational loops;
    the steady-state evolutionary search keeps ``n_workers`` candidates
-   in flight on the split halves.  With one worker the transport is a
-   serial queue that runs chunks inline at gather time.
+   in flight on the split halves.  The worker count picks the transport:
+   with one worker it is a serial queue that runs chunks inline at
+   gather time, with more a fork pool.
 2. **Persistent store** (:mod:`repro.runtime.store`) —
    :class:`RuntimeStore` persists the indicator cache as one
    append-only log per fingerprint, with fingerprint validation (stale

@@ -7,8 +7,9 @@ halves (their evaluator abstraction keeps ``num_workers`` jobs in flight
 and lets the search react to whichever result lands first):
 
 * :class:`FuturePool` — the transport: submit picklable ``(worker,
-  payload)`` tasks, gather completed results **in completion order**, with
-  a serial fallback that defers execution to gather time so single-process
+  payload)`` tasks, gather completed results **in completion order**.
+  ``n_workers`` picks it: a fork pool for more than one worker, else a
+  serial fallback that defers execution to gather time so single-process
   runs interleave exactly like a pool would (FIFO completion).  Each
   result carries the worker's :class:`WorkerSpan`; the transport keeps
   no other books.
@@ -197,17 +198,15 @@ class _PendingTask:
 class FuturePool:
     """Submit tasks now, collect whichever finishes first later.
 
-    ``mode`` selects the backend:
+    ``n_workers`` selects the backend:
 
-    * ``"fork"`` — a fork-based :class:`~concurrent.futures.
-      ProcessPoolExecutor` (workers inherit the pure-NumPy substrate);
-    * ``"thread"`` — a thread pool (useful for workloads that release the
-      GIL or mostly wait, e.g. simulated device-profiling latency);
-    * ``"serial"`` — no pool at all: tasks are queued as thunks and run
-      lazily, FIFO, inside :meth:`gather` — the completion order a
+    * one worker, or a platform without the fork start method — no pool
+      at all: tasks are queued as thunks and run lazily, FIFO, inside
+      :meth:`gather` (``mode == "serial"``), the completion order a
       single-worker pool would produce, without fork overhead;
-    * ``"auto"`` (default) — ``"fork"`` when available and
-      ``n_workers > 1``, else ``"serial"``.
+    * more workers — a fork-based :class:`~concurrent.futures.
+      ProcessPoolExecutor` (``mode == "fork"``): workers inherit the
+      pure-NumPy substrate.
 
     **Deadlines.**  With ``chunk_timeout`` set, a task that *runs* longer
     than the timeout is expired during :meth:`gather`: its future is
@@ -216,9 +215,7 @@ class FuturePool:
     (queued tasks don't age).  A running future usually cannot be
     cancelled — the worker is *hung* and keeps occupying its slot; the
     pool tracks these and, once every worker is wedged behind one,
-    respawns the backend (fork workers are terminated; threads cannot be
-    killed and leak until they return — use fork mode when workers can
-    genuinely hang).
+    terminates the workers and respawns the pool.
 
     **Pool death.**  ``BrokenProcessPool`` (a worker died mid-task, e.g.
     segfault or ``os._exit``) does not kill the run: the pool terminates
@@ -233,7 +230,6 @@ class FuturePool:
     _POLL_SECONDS = 0.05
 
     def __init__(self, n_workers: Optional[int] = None,
-                 mode: str = "auto",
                  chunk_timeout: Optional[float] = None,
                  max_respawns: int = 3,
                  telemetry: Optional[Telemetry] = None) -> None:
@@ -241,22 +237,15 @@ class FuturePool:
             n_workers = os.cpu_count() or 1
         if n_workers < 1:
             raise SearchError("n_workers must be >= 1")
-        if mode not in ("auto", "fork", "thread", "serial"):
-            raise SearchError(f"unknown FuturePool mode {mode!r}")
-        if mode == "auto":
-            mode = ("fork" if n_workers > 1 and _fork_available()
-                    else "serial")
-        if mode == "fork" and not _fork_available():
-            raise SearchError("fork start method unavailable on this "
-                              "platform; use mode='thread' or 'serial'")
         if chunk_timeout is not None and not chunk_timeout > 0:
             raise SearchError("chunk_timeout must be positive (or None)")
-        if mode != "serial":
-            # Loaded with a thread or fork pool, not with this module: a
-            # serial run never uses it, and it brings ``logging`` along.
-            import concurrent.futures  # noqa: F401
         self.n_workers = n_workers
-        self.mode = mode
+        self.mode = ("fork" if n_workers > 1 and _fork_available()
+                     else "serial")
+        if self.mode == "fork":
+            # Loaded with a fork pool, not with this module: a serial run
+            # never uses it, and it brings ``logging`` along.
+            import concurrent.futures  # noqa: F401
         self.chunk_timeout = chunk_timeout
         self.max_respawns = max_respawns
         self.telemetry = (telemetry if telemetry is not None
@@ -273,18 +262,13 @@ class FuturePool:
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
-            if self.mode == "thread":
-                from concurrent.futures import ThreadPoolExecutor
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-                self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
-            else:
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                )
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                mp_context=multiprocessing.get_context("fork"),
+            )
         return self._pool
 
     def _deadline(self) -> Optional[float]:
@@ -333,8 +317,8 @@ class FuturePool:
         """Replace the backend and resubmit every pending task.
 
         Returns ``False`` (doing nothing) when the respawn budget is
-        spent.  Fork workers of the old backend are terminated first so
-        hung or crashed processes don't linger.
+        spent.  The old backend's workers are terminated first so hung
+        or crashed processes don't linger.
         """
         if self.respawns >= self.max_respawns:
             return False
@@ -495,7 +479,7 @@ class FuturePool:
         not block behind a backlog of straggler chunks; only tasks
         already executing are waited out.  A broken backend or hung
         workers cannot make close raise or block: with hung workers the
-        shutdown doesn't wait (fork workers are terminated outright), so
+        shutdown doesn't wait (the workers are terminated outright), so
         harness cleanup never masks the failure that triggered it.
         """
         pool, self._pool = self._pool, None
@@ -679,7 +663,6 @@ class AsyncPopulationExecutor:
     """
 
     def __init__(self, n_workers: Optional[int] = None, chunk_size: int = 8,
-                 mode: str = "auto",
                  genotype_worker: Callable = _evaluate_genotype_chunk,
                  supernet_worker: Callable = _evaluate_supernet_chunk,
                  fault_policy: Optional[FaultPolicy] = None,
@@ -704,7 +687,7 @@ class AsyncPopulationExecutor:
             self.pool = pool
         else:
             self.pool = FuturePool(
-                n_workers=n_workers, mode=mode,
+                n_workers=n_workers,
                 chunk_timeout=fault_policy.chunk_timeout,
                 max_respawns=fault_policy.max_respawns,
                 telemetry=self.telemetry,

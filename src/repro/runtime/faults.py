@@ -18,7 +18,7 @@ pool respawn) and the policy objects here decide what happens next:
   identity + attempt number, never from wall clock or a global RNG, so
   fault-injection tests replay exactly), pool-respawn budget.
 * :class:`QuarantineLedger` — a ``flock``'d append-only JSONL file of
-  quarantined candidate identities, living inside the format-2 store
+  quarantined candidate identities, living inside the format-4 store
   directory so quarantine decisions survive restarts and are shared by
   every process using the store.  The executor consults it at submit
   time: a quarantined key is never shipped again.
@@ -31,7 +31,7 @@ pool respawn) and the policy objects here decide what happens next:
   randomness anywhere, so every failure mode is replayable.
 
 Everything here is transport-agnostic: the same classification, ledger
-and plan drive the serial queue and the thread and fork pools.
+and plan drive the serial queue and the fork pool.
 Transports only report failures — an expired deadline as
 :class:`ChunkTimeoutError`, a dead pool as ``BrokenExecutor`` — and the
 executor's :class:`FaultPolicy` is the one place that retries a chunk.
@@ -54,6 +54,7 @@ except ImportError:  # pragma: no cover - platform dependent
     fcntl = None
 
 from repro.errors import SearchError
+from repro.runtime.store import _decode_key, _encode_key
 from repro.searchspace.genotype import Genotype
 
 
@@ -102,8 +103,8 @@ def classify_failure(error: BaseException) -> str:
       determinism contract, so it is bisected down to the offending
       candidate and quarantined instead of retried forever.
     """
-    # Only a process that loaded concurrent.futures (a thread or fork
-    # pool) can hold a BrokenExecutor; a serial run never imports it.
+    # Only a process that loaded concurrent.futures (a fork pool) can
+    # hold a BrokenExecutor; a serial run never imports it.
     futures = sys.modules.get("concurrent.futures")
     if futures is not None and isinstance(error, futures.BrokenExecutor):
         return WORKER_LOST
@@ -164,19 +165,6 @@ class FaultPolicy:
 # ----------------------------------------------------------------------
 # Quarantine ledger
 # ----------------------------------------------------------------------
-def _encode_identity(identity):
-    """Tuples → lists, recursively (mirrors the store's key encoding)."""
-    if isinstance(identity, tuple):
-        return [_encode_identity(part) for part in identity]
-    return identity
-
-
-def _decode_identity(obj):
-    if isinstance(obj, list):
-        return tuple(_decode_identity(part) for part in obj)
-    return obj
-
-
 class _LockedFile:
     """Tiny flock wrapper (kept local: the store's lock helper guards
     sibling paths; the ledger and fault-plan state lock *their own*
@@ -233,7 +221,7 @@ class QuarantineLedger:
             if not isinstance(record, dict) or "identity" not in record:
                 continue
             kind = record.get("kind", "genotype")
-            identity = _decode_identity(record["identity"])
+            identity = _decode_key(record["identity"])
             self._entries.setdefault((kind, identity), {
                 "kind": kind,
                 "identity": identity,
@@ -273,7 +261,7 @@ class QuarantineLedger:
                 return False
             record = {
                 "kind": kind,
-                "identity": _encode_identity(identity),
+                "identity": _encode_key(identity),
                 "reason": reason[:300],
                 "attempts": attempts,
             }
@@ -380,7 +368,7 @@ class FaultPlan:
     def _consume_attempt(self, identity: object) -> int:
         """Next attempt number (1-based) for this identity, shared across
         processes through the flock'd state file."""
-        marker = json.dumps(_encode_identity(identity), sort_keys=True)
+        marker = json.dumps(_encode_key(identity), sort_keys=True)
         with _LockedFile(Path(self.state_path), "a+") as handle:
             handle.seek(0)
             attempts = sum(1 for line in handle.read().splitlines()
@@ -391,7 +379,7 @@ class FaultPlan:
 
     @staticmethod
     def _digest(identity: object) -> int:
-        material = json.dumps(_encode_identity(identity), sort_keys=True)
+        material = json.dumps(_encode_key(identity), sort_keys=True)
         return int(hashlib.sha1(material.encode("utf-8")).hexdigest()[:12],
                    16)
 

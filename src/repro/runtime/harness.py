@@ -27,7 +27,7 @@ Imports follow execution.  Importing this module loads what every run
 executes: the engine, the executor, the store, the objective and the
 Pareto sort.  Building a :class:`RunHarness` imports the configured
 algorithm's search module (and the cost models when objectives are set),
-``concurrent.futures`` when the executor runs a thread or fork pool, and
+``concurrent.futures`` when the executor runs a fork pool, and
 the proxies with their compiled plans when its store replay loaded no
 rows, so a cold :meth:`run` or :meth:`run_matrix` imports nothing it
 computes with.  A run that replayed rows loads the proxies at its first
@@ -333,10 +333,7 @@ def _run_steady_state(harness: "RunHarness") -> SearchResult:
 def _run_pruning(harness: "RunHarness") -> SearchResult:
     from repro.search.pruning import MicroNASSearch
 
-    return MicroNASSearch(
-        harness.objective(),
-        seed=harness.config.seed,
-    ).search()
+    return MicroNASSearch(harness.objective()).search()
 
 
 @register_algorithm("macro")
@@ -683,7 +680,7 @@ class RunHarness:
 
         Trainless indicators (κ_NTK, linear regions) are computed exactly
         once per unique canonical form — by the engine's executor, as in a
-        plain run, so serial/thread/fork transports compose unchanged
+        plain run, so the serial and fork transports compose unchanged
         and workers stay oblivious to cost axes.  Each device then prices
         its cost axes against the shared cache via the registered
         :class:`~repro.search.costs.CostModel` adapters (LUT-mediated,

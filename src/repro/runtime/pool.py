@@ -11,7 +11,7 @@ returned indicator rows into the engine's
   completion order.
 * **One key contract.**  Rows merge under
   :meth:`~repro.engine.core.Engine.proxy_row_keys`, the keys the engine
-  reads; every transport (serial queue, thread and fork pools) merges
+  reads; both transports (the serial queue and the fork pool) merge
   through them.
 * **Partial warmth.**  Each chunk item carries a per-indicator need mask,
   so a partially warm cache (e.g. NTK rows present, line regions missing)

@@ -43,7 +43,12 @@ def _connectable(specs: Sequence[EdgeSpec]) -> bool:
 
 
 class MicroNASSearch:
-    """Hardware-aware pruning-based zero-shot search."""
+    """Hardware-aware pruning-based zero-shot search.
+
+    The search draws nothing itself: every proxy seeds from the
+    objective's :class:`~repro.proxies.base.ProxyConfig` ``seed``, so
+    the search takes no seed of its own.
+    """
 
     algorithm_name = "micronas"
 
@@ -51,13 +56,11 @@ class MicroNASSearch:
         self,
         objective: HybridObjective,
         candidate_ops: Sequence[str] = CANDIDATE_OPS,
-        seed: int = 0,
     ) -> None:
         if len(candidate_ops) < 2:
             raise SearchError("need at least two candidate operations")
         self.objective = objective
         self.candidate_ops = tuple(candidate_ops)
-        self.seed = seed
 
     # ------------------------------------------------------------------
     def _initial_specs(self) -> List[EdgeSpec]:
@@ -184,7 +187,7 @@ class MicroNASSearch:
         outer_history: List[Dict] = []
         for outer in range(max_outer_rounds):
             objective = self.objective.with_weights(weights)
-            searcher = MicroNASSearch(objective, self.candidate_ops, seed=self.seed)
+            searcher = MicroNASSearch(objective, self.candidate_ops)
             result = searcher.search()
             violation = checker.total_violation(result.genotype)
             outer_history.append({

@@ -27,7 +27,6 @@ class TENASSearch(MicroNASSearch):
         macro_config: Optional[MacroConfig] = None,
         objective: Optional[HybridObjective] = None,
         candidate_ops: Sequence[str] = CANDIDATE_OPS,
-        seed: int = 0,
     ) -> None:
         if objective is None:
             objective = HybridObjective(
@@ -42,4 +41,4 @@ class TENASSearch(MicroNASSearch):
                                  linear_regions=objective.weights.linear_regions,
                                  flops=0.0, latency=0.0)
             )
-        super().__init__(objective, candidate_ops=candidate_ops, seed=seed)
+        super().__init__(objective, candidate_ops=candidate_ops)

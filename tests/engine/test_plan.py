@@ -266,26 +266,6 @@ def test_plans_on_threads_match_serial(tiny_proxy_config):
     assert all(_same_bits(t, s) for t, s in zip(threaded, serial * 3))
 
 
-def test_supernet_rows_on_the_thread_pool_match_serial(tiny_proxy_config):
-    from repro.engine import Engine
-    from repro.runtime.async_pool import AsyncPopulationExecutor
-    from repro.search.objective import HybridObjective
-
-    base = _specs([CANDIDATE_OPS] * 6)
-    state_list = [[spec.without(op) if spec.edge_index == edge else spec
-                   for spec in base]
-                  for edge in range(6) for op in CANDIDATE_OPS[:2]]
-    serial = HybridObjective(engine=Engine(proxy_config=tiny_proxy_config)
-                             ).supernet_population(state_list)
-    with AsyncPopulationExecutor(n_workers=2, chunk_size=1,
-                                 mode="thread") as executor:
-        threaded = HybridObjective(
-            engine=Engine(proxy_config=tiny_proxy_config, executor=executor)
-        ).supernet_population(state_list)
-        assert executor.stats.mode == "thread"
-    assert threaded == serial
-
-
 # ----------------------------------------------------------------------
 # The proxy entry points run on plans in batched mode
 # ----------------------------------------------------------------------
@@ -375,7 +355,8 @@ def test_plans_reject_what_the_modules_reject(tiny_proxy_config):
     with pytest.raises(ProxyError):
         LinePlan([["conv_5x5"]] * 6, 2, 1, 4)
     with pytest.raises(ProxyError):
-        supernet_line_regions([["none"]] * 6, tiny_proxy_config, mode="nope")
+        supernet_line_regions([["none"]] * 6,
+                              tiny_proxy_config.with_modes(lr_mode="nope"))
 
 
 # ----------------------------------------------------------------------

@@ -82,13 +82,13 @@ class TestFullSearchPipeline:
                                     lr_num_samples=64, lr_input_size=4,
                                     lr_channels=3, seed=7)
         surrogate = SurrogateModel()
-        tenas = TENASSearch(proxy_config=search_config, seed=0).search()
+        tenas = TENASSearch(proxy_config=search_config).search()
         objective = HybridObjective(
             proxy_config=search_config,
             weights=ObjectiveWeights(latency=0.6),
             latency_estimator=shared_latency_estimator,
         )
-        micronas = MicroNASSearch(objective, seed=0).search()
+        micronas = MicroNASSearch(objective).search()
 
         lat_tenas = shared_latency_estimator.estimate_ms(tenas.genotype)
         lat_micronas = shared_latency_estimator.estimate_ms(micronas.genotype)
@@ -102,7 +102,7 @@ class TestFullSearchPipeline:
         self, tiny_proxy_config
     ):
         """Claim C1 at reduced scale: >=100x cost gap even in miniature."""
-        tenas = TENASSearch(proxy_config=tiny_proxy_config, seed=0).search()
+        tenas = TENASSearch(proxy_config=tiny_proxy_config).search()
         evo = ConstrainedEvolutionarySearch(
             EvolutionConfig(population_size=20, sample_size=5, cycles=100),
             seed=0,

@@ -23,6 +23,7 @@ from repro.runtime.faults import FaultPlan, FaultPolicy
 from repro.runtime.pool import (
     _evaluate_genotype_chunk,
     _evaluate_supernet_chunk,
+    _fork_available,
 )
 from repro.search.objective import HybridObjective
 from repro.searchspace.canonical import canonicalize
@@ -84,7 +85,7 @@ class OrderFuzzedAsyncExecutor(AsyncPopulationExecutor):
     "complete" reversed / interleaved / shuffled instead of FIFO."""
 
     def __init__(self, order, chunk_size=2):
-        super().__init__(n_workers=1, chunk_size=chunk_size, mode="serial")
+        super().__init__(n_workers=1, chunk_size=chunk_size)
         self._order = order
 
     def gather(self, k=1):
@@ -144,8 +145,7 @@ class TestCompletionOrderFuzzing:
 
         assert canonicalize(twin) == canonicalize(base)
         engine = _engine(tiny_proxy_config)
-        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4,
-                                           mode="serial")
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4)
         shipped = executor.submit_population(engine, [base, twin] * 5)
         assert shipped == 1
         assert executor.submit_population(engine, [twin, base]) == 0
@@ -162,8 +162,7 @@ class TestCompletionOrderFuzzing:
                                               population):
         """Re-warming an already-merged population changes nothing."""
         engine = _engine(tiny_proxy_config)
-        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=2,
-                                           mode="serial")
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=2)
         first = executor.warm_population(engine, population,
                                         assume_canonical=False)
         snapshot = dict(engine.cache.items())
@@ -220,8 +219,7 @@ class TestBothCandidateKinds:
     def test_in_flight_dedupe(self, tiny_proxy_config, kind):
         candidate, identity = _one_candidate(kind)
         engine = _engine(tiny_proxy_config)
-        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4,
-                                           mode="serial")
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4)
         assert _submit(executor, engine, kind, [candidate] * 3) == 1
         # The same candidate while its chunk is still in flight: every
         # row it misses is claimed, so nothing ships.
@@ -247,7 +245,7 @@ class TestBothCandidateKinds:
         reference.executor.gather_all()
         payloads = []
         executor = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=4, mode="serial",
+            n_workers=1, chunk_size=4,
             genotype_worker=_recording(_evaluate_genotype_chunk, payloads),
             supernet_worker=_recording(_evaluate_supernet_chunk, payloads))
         engine = _engine(tiny_proxy_config, executor)
@@ -264,7 +262,7 @@ class TestBothCandidateKinds:
         candidate, identity = _one_candidate(kind)
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=4, mode="serial",
+            n_workers=1, chunk_size=4,
             genotype_worker=_poison_worker, supernet_worker=_poison_worker,
             fault_policy=FaultPolicy(max_retries=0))
         assert _submit(executor, engine, kind, [candidate]) == 1
@@ -289,7 +287,7 @@ class TestWorkerFailureRecovery:
     """A poisoned chunk must not wedge the pool or leak in-flight claims."""
 
     def test_failed_task_leaves_pool_drainable(self):
-        pool = FuturePool(n_workers=1, mode="serial")
+        pool = FuturePool(n_workers=1)
 
         def worker(payload):
             if payload == "boom":
@@ -315,7 +313,6 @@ class TestWorkerFailureRecovery:
 
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=100,
-                                           mode="serial",
                                            genotype_worker=dead_worker)
         assert executor.submit_population(engine, population) == 1
         with pytest.raises(ChunkGatherError) as info:
@@ -332,7 +329,6 @@ class TestWorkerFailureRecovery:
         flushes = []
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=100,
-                                           mode="serial",
                                            genotype_worker=dead_worker)
         executor.on_gather = flushes.append
         executor.submit_population(engine, population)
@@ -358,7 +354,6 @@ class TestWorkerFailureRecovery:
 
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4,
-                                           mode="serial",
                                            genotype_worker=flaky_worker)
         def broken_flush(gathered):
             raise OSError("disk full")
@@ -373,8 +368,7 @@ class TestWorkerFailureRecovery:
     def test_flush_error_surfaces_when_no_worker_failed(
             self, tiny_proxy_config, population):
         engine = _engine(tiny_proxy_config)
-        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4,
-                                           mode="serial")
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4)
 
         def broken_flush(gathered):
             raise OSError("disk full")
@@ -392,8 +386,7 @@ class TestWorkerFailureRecovery:
                                                    population):
         flushes = []
         engine = _engine(tiny_proxy_config)
-        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=3,
-                                           mode="serial")
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=3)
         executor.on_gather = flushes.append
         executor.submit_population(engine, population)
         merged = sum(chunk.merged_rows for chunk in executor.gather_all())
@@ -415,7 +408,6 @@ class TestWorkerFailureRecovery:
 
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=2,
-                                           mode="serial",
                                            genotype_worker=flaky_worker)
         shipped = executor.submit_population(engine, population)
         with pytest.raises(ChunkGatherError) as info:
@@ -443,9 +435,9 @@ class TestDropInExecutorHooks:
     def test_warm_population_matches_serial(self, tiny_proxy_config,
                                             population):
         serial = _engine(tiny_proxy_config).evaluate_population(population)
-        for mode, workers in (("serial", 1), ("fork", 2), ("thread", 2)):
-            with AsyncPopulationExecutor(n_workers=workers, chunk_size=3,
-                                         mode=mode) as executor:
+        for mode, workers in (("serial", 1), ("fork", 2)):
+            with AsyncPopulationExecutor(n_workers=workers,
+                                         chunk_size=3) as executor:
                 table = _engine(tiny_proxy_config,
                                 executor).evaluate_population(population)
                 assert executor.stats.mode == mode
@@ -460,8 +452,7 @@ class TestDropInExecutorHooks:
         serial_rows = HybridObjective(
             engine=_engine(tiny_proxy_config)
         ).supernet_population(states)
-        with AsyncPopulationExecutor(n_workers=1, chunk_size=1,
-                                     mode="serial") as executor:
+        with AsyncPopulationExecutor(n_workers=1, chunk_size=1) as executor:
             async_obj = HybridObjective(
                 engine=_engine(tiny_proxy_config, executor))
             assert async_obj.supernet_population(states) == serial_rows
@@ -474,8 +465,7 @@ class TestDropInExecutorHooks:
             HybridObjective(engine=_engine(tiny_proxy_config)),
             num_samples=6, seed=4,
         ).search()
-        with AsyncPopulationExecutor(n_workers=1, chunk_size=2,
-                                     mode="serial") as executor:
+        with AsyncPopulationExecutor(n_workers=1, chunk_size=2) as executor:
             pooled = ZeroShotRandomSearch(
                 HybridObjective(engine=_engine(tiny_proxy_config, executor)),
                 num_samples=6, seed=4,
@@ -486,7 +476,7 @@ class TestDropInExecutorHooks:
 
 class TestFuturePoolMechanics:
     def test_serial_gather_is_fifo_and_lazy(self):
-        pool = FuturePool(n_workers=1, mode="serial")
+        pool = FuturePool(n_workers=1)
         log = []
 
         def worker(payload):
@@ -506,24 +496,16 @@ class TestFuturePoolMechanics:
         assert pool.gather_all() == []
 
     def test_gather_clamps_and_validates_k(self):
-        pool = FuturePool(n_workers=1, mode="serial")
+        pool = FuturePool(n_workers=1)
         with pytest.raises(SearchError):
             pool.gather(0)
         assert pool.gather(5) == []  # nothing pending
         pool.submit(lambda x: x, 1)
         assert len(pool.gather(99)) == 1
 
-    def test_thread_mode_round_trips(self):
-        with FuturePool(n_workers=2, mode="thread") as pool:
-            for i in range(5):
-                pool.submit(lambda x: x + 1, i)
-            values = sorted(r.value for r in pool.gather_all())
-            assert values == [1, 2, 3, 4, 5]
-
     def test_idle_fraction_accounting(self, tiny_proxy_config, population):
         """The executor derives utilisation from the worker spans."""
-        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4,
-                                           mode="serial")
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4)
         # Nothing gathered yet: "no data", not "fully utilised".
         assert executor.stats.idle_fraction is None
         executor.submit_population(_engine(tiny_proxy_config), population)
@@ -540,9 +522,20 @@ class TestFuturePoolMechanics:
         with pytest.raises(SearchError):
             FuturePool(n_workers=0)
         with pytest.raises(SearchError):
-            FuturePool(mode="quantum")
-        with pytest.raises(SearchError):
             AsyncPopulationExecutor(chunk_size=0)
+
+    @pytest.mark.skipif(not _fork_available(), reason="needs fork")
+    def test_worker_count_picks_the_transport(self):
+        """One worker runs inline, more run on a fork pool; there is no
+        ``mode=`` to ask for anything else."""
+        assert FuturePool(n_workers=1).mode == "serial"
+        with FuturePool(n_workers=2) as pool:
+            assert pool.mode == "fork"
+        for mode in ("auto", "serial", "fork", "thread"):
+            with pytest.raises(TypeError):
+                FuturePool(n_workers=2, mode=mode)
+            with pytest.raises(TypeError):
+                AsyncPopulationExecutor(n_workers=2, mode=mode)
 
 
 class MinimalPool:
@@ -553,7 +546,7 @@ class MinimalPool:
     __slots__ = ("_inner", "mode", "n_workers")
 
     def __init__(self):
-        self._inner = FuturePool(n_workers=1, mode="serial")
+        self._inner = FuturePool(n_workers=1)
         self.mode = "minimal"
         self.n_workers = 1
 
@@ -687,8 +680,7 @@ class TestSteadyStateSearch:
 
         config = EvolutionConfig(population_size=5, sample_size=2, cycles=6)
         SteadyStateEvolutionarySearch(objective, config, seed=5).search()
-        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=1,
-                                           mode="serial")
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=1)
         # A second engine over the same cache, running on a fresh executor.
         warm = HybridObjective(engine=Engine(
             proxy_config=tiny_proxy_config, cache=objective.engine.cache,

@@ -14,7 +14,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -205,20 +204,17 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 class TestChunkTimeouts:
     def test_timeout_expiry_releases_the_gather(self, tiny_proxy_config,
-                                                population):
-        release = threading.Event()
-
-        def stuck_worker(payload):
-            release.wait(timeout=20.0)
-            return []
-
+                                                population, tmp_path):
+        plan = FaultPlan(state_path=str(tmp_path / "s"),
+                         script={_canon_index(population[0]): ("hang",)},
+                         hang_seconds=20.0)
         executor = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=100, mode="thread",
-            genotype_worker=stuck_worker,
+            n_workers=2, chunk_size=100,
+            genotype_worker=plan.wrap(_evaluate_genotype_chunk),
             fault_policy=FaultPolicy(chunk_timeout=0.2, max_retries=0))
         try:
             assert executor.submit_population(
-                _engine(tiny_proxy_config), population) == 1
+                _engine(tiny_proxy_config), population[:1]) == 1
             start = time.monotonic()
             with pytest.raises(ChunkGatherError) as info:
                 executor.gather_all()
@@ -228,14 +224,13 @@ class TestChunkTimeouts:
             assert executor.stats.timeouts == 1
             assert executor.num_pending == 0
         finally:
-            release.set()  # let the abandoned thread finish
-            executor.close()
+            executor.close()  # terminates the hung worker
 
     def test_fast_chunks_unaffected_by_deadline(self, tiny_proxy_config,
                                                 population):
         engine = _engine(tiny_proxy_config)
         with AsyncPopulationExecutor(
-                n_workers=2, chunk_size=2, mode="thread",
+                n_workers=2, chunk_size=2,
                 fault_policy=FaultPolicy(chunk_timeout=30.0)) as executor:
             executor.warm_population(engine, population,
                                      assume_canonical=False)
@@ -243,23 +238,18 @@ class TestChunkTimeouts:
         _assert_bit_identical(tiny_proxy_config, engine, population)
 
     def test_close_never_blocks_on_hung_workers(self):
-        release = threading.Event()
+        pool = FuturePool(n_workers=2, chunk_timeout=0.2)
+        pool.submit(_hang_worker, 20.0)
+        results = pool.gather_all()
+        assert isinstance(results[0].error, ChunkTimeoutError)
+        start = time.monotonic()
+        pool.close()   # must not wait out the 20s sleeper
+        pool.close()   # idempotent
+        assert time.monotonic() - start < 5.0
 
-        def stuck_worker(payload):
-            release.wait(timeout=20.0)
-            return payload
 
-        pool = FuturePool(n_workers=1, mode="thread", chunk_timeout=0.2)
-        try:
-            pool.submit(stuck_worker, "wedged")
-            results = pool.gather_all()
-            assert isinstance(results[0].error, ChunkTimeoutError)
-            start = time.monotonic()
-            pool.close()   # must not wait out the 20s sleeper
-            pool.close()   # idempotent
-            assert time.monotonic() - start < 5.0
-        finally:
-            release.set()
+def _hang_worker(seconds):
+    time.sleep(seconds)
 
 
 def _crash_worker(payload):
@@ -284,7 +274,7 @@ class TestPoolRespawn:
     def test_broken_pool_respawns_and_resubmits_exactly_once(
             self, tmp_path):
         flag = str(tmp_path / "crashed.flag")
-        pool = FuturePool(n_workers=2, mode="fork")
+        pool = FuturePool(n_workers=2)
         try:
             pool.submit(_crash_once_worker, (flag, 99), tag="boom")
             for i in range(3):
@@ -301,7 +291,7 @@ class TestPoolRespawn:
             pool.close()
 
     def test_sticky_crasher_burns_budget_then_fails(self):
-        pool = FuturePool(n_workers=1, mode="fork", max_respawns=2)
+        pool = FuturePool(n_workers=2, max_respawns=2)
         try:
             pool.submit(_crash_worker, None, tag="boom")
             results = pool.gather_all()
@@ -313,7 +303,7 @@ class TestPoolRespawn:
             pool.close()
 
     def test_close_is_idempotent_after_broken_pool(self):
-        pool = FuturePool(n_workers=1, mode="fork", max_respawns=0)
+        pool = FuturePool(n_workers=2, max_respawns=0)
         pool.submit(_crash_worker, None)
         results = pool.gather_all()
         assert results[0].error is not None  # budget 0: surfaced as-is
@@ -333,7 +323,7 @@ class TestTransientRetry:
         policy = _policy(max_retries=3)
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=3, mode="serial",
+            n_workers=1, chunk_size=3,
             genotype_worker=plan.wrap(_evaluate_genotype_chunk),
             fault_policy=policy,
         )
@@ -352,7 +342,7 @@ class TestTransientRetry:
                          script={target: ("flake",) * 5})
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=100, mode="serial",
+            n_workers=1, chunk_size=100,
             genotype_worker=plan.wrap(_evaluate_genotype_chunk),
             fault_policy=_policy(max_retries=1),
         )
@@ -374,7 +364,7 @@ class TestPoisonQuarantine:
         ledger = QuarantineLedger(tmp_path / "q.jsonl")
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=8, mode="serial",
+            n_workers=1, chunk_size=8,
             genotype_worker=plan.wrap(_evaluate_genotype_chunk),
             fault_policy=_policy(), quarantine_ledger=ledger,
         )
@@ -404,7 +394,7 @@ class TestPoisonQuarantine:
                          script={target: ("poison",)})
         engine = _engine(tiny_proxy_config)
         with AsyncPopulationExecutor(
-                n_workers=2, chunk_size=chunk_size, mode="thread",
+                n_workers=2, chunk_size=chunk_size,
                 genotype_worker=plan.wrap(_evaluate_genotype_chunk),
                 fault_policy=_policy()) as executor:
             executor.submit_population(engine, population)
@@ -424,7 +414,7 @@ class TestPoisonQuarantine:
         ledger = QuarantineLedger(tmp_path / "q.jsonl")
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=4, mode="serial",
+            n_workers=1, chunk_size=4,
             genotype_worker=plan.wrap(_evaluate_genotype_chunk),
             fault_policy=_policy(), quarantine_ledger=ledger,
         )
@@ -436,7 +426,7 @@ class TestPoisonQuarantine:
         # refuses to ship it too, against a cold engine.
         fresh_engine = _engine(tiny_proxy_config)
         restarted = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=4, mode="serial",
+            n_workers=1, chunk_size=4,
             genotype_worker=plan.wrap(_evaluate_genotype_chunk),
             fault_policy=_policy(),
             quarantine_ledger=QuarantineLedger(tmp_path / "q.jsonl"),
@@ -452,7 +442,6 @@ class TestPoisonQuarantine:
 
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=100,
-                                           mode="serial",
                                            genotype_worker=dead_worker)
         executor.submit_population(engine, population)
         with pytest.raises(ChunkGatherError):
@@ -486,7 +475,7 @@ class TestPoisonInASharedSupernetChunk:
         monkeypatch.setattr(ntk, "supernet_ntk_condition_number", poisoned)
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=8, mode="serial", fault_policy=_policy(),
+            n_workers=1, chunk_size=8, fault_policy=_policy(),
             quarantine_ledger=QuarantineLedger(tmp_path / "q.jsonl"))
         executor.submit_supernets(engine, states)
         executor.gather_all()
@@ -517,7 +506,6 @@ class TestClaimReleaseWithFlushFailure:
 
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=2,
-                                           mode="serial",
                                            genotype_worker=flaky_worker)
 
         def broken_flush(gathered):
@@ -548,7 +536,7 @@ class TestWorkerDeathRecovery:
                          script={target: ("crash",)})
         engine = _engine(tiny_proxy_config)
         executor = AsyncPopulationExecutor(
-            n_workers=2, chunk_size=2, mode="fork",
+            n_workers=2, chunk_size=2,
             genotype_worker=plan.wrap(_evaluate_genotype_chunk),
             fault_policy=FaultPolicy(backoff_base=0.001),
         )
@@ -582,7 +570,7 @@ class TestSteadyStateUnderFaults:
                          hash_actions=("flake", "poison"))
         ledger = QuarantineLedger(tmp_path / "q.jsonl")
         executor = AsyncPopulationExecutor(
-            n_workers=1, chunk_size=1, mode="serial",
+            n_workers=1, chunk_size=1,
             genotype_worker=plan.wrap(_evaluate_genotype_chunk),
             fault_policy=_policy(max_retries=2), quarantine_ledger=ledger,
         )
@@ -690,7 +678,6 @@ class TestGracefulDrain:
         )
 
         executor = AsyncPopulationExecutor(n_workers=1, chunk_size=1,
-                                           mode="serial",
                                            fault_policy=_policy())
         executor.request_drain()  # drained before the search even starts
         engine = Engine(proxy_config=tiny_proxy_config, executor=executor)

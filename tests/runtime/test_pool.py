@@ -6,6 +6,7 @@ Covers the worker chunk functions and cache-key builders of
 
 import ctypes
 import json
+import math
 import os
 import random
 import subprocess
@@ -21,11 +22,21 @@ from repro.engine import Engine, supernet_state_key
 from repro.errors import SearchError
 from repro.runtime import pool
 from repro.runtime.async_pool import AsyncPopulationExecutor
+from repro.proxies.linear_regions import (
+    count_line_regions,
+    supernet_line_regions,
+)
+from repro.proxies.ntk import (
+    ntk_condition_number,
+    supernet_ntk_condition_number,
+)
 from repro.runtime.pool import (
     _chunked,
     _evaluate_genotype_chunk,
     _evaluate_supernet_chunk,
+    _fork_available,
 )
+from repro.runtime.store import RuntimeStore, cache_fingerprint
 from repro.search.objective import HybridObjective
 from repro.searchspace.canonical import canonicalize
 from repro.searchspace.cell import EdgeSpec
@@ -51,7 +62,7 @@ class ShuffledFakeExecutor(AsyncPopulationExecutor):
     order — models a pool whose workers finish in arbitrary order."""
 
     def __init__(self, chunk_size=2, seed=0):
-        super().__init__(n_workers=1, chunk_size=chunk_size, mode="serial")
+        super().__init__(n_workers=1, chunk_size=chunk_size)
         self.seed = seed
 
     def gather(self, k=1):
@@ -117,16 +128,15 @@ class TestBitIdentical:
     @pytest.mark.parametrize("chunk_size", [1, 3, 8])
     def test_supernet_rows_share_chunks_bit_identically(
             self, tiny_proxy_config, chunk_size):
-        """A round's rows are the same bits serial and on two threads,
-        however many states share a chunk."""
+        """A round's rows are the same bits serial and on two fork
+        workers, however many states share a chunk."""
         states = _round(16)
         serial = _row_hex(HybridObjective(engine=_engine(
             tiny_proxy_config)).supernet_population(states))
         for executor in (
-                AsyncPopulationExecutor(n_workers=1, chunk_size=chunk_size,
-                                        mode="serial"),
-                AsyncPopulationExecutor(n_workers=2, chunk_size=chunk_size,
-                                        mode="thread")):
+                AsyncPopulationExecutor(n_workers=1, chunk_size=chunk_size),
+                AsyncPopulationExecutor(n_workers=2,
+                                        chunk_size=chunk_size)):
             with executor:
                 rows = HybridObjective(engine=_engine(
                     tiny_proxy_config, executor)).supernet_population(states)
@@ -210,6 +220,98 @@ class TestRowsUnderTheGuidedSplit:
             rows = HybridObjective(engine=engine).supernet_population(states)
         assert rows == serial_rows
         assert _hex_rows(engine) == _hex_rows(serial)
+
+
+# ----------------------------------------------------------------------
+# The differential matrix: every transport, cold and from a warm store
+# ----------------------------------------------------------------------
+needs_fork = pytest.mark.skipif(not _fork_available(), reason="needs fork")
+
+
+def _matrix_population():
+    """Fuzzed genotypes, three of them repeated, and one pruning round
+    of supernet states."""
+    sample = NasBench201Space().sample(10, rng=39)
+    return sample + sample[:3], _round()
+
+
+def _matrix_rows(engine):
+    """Every row ``engine`` returns for the matrix population, as float
+    hex: the population table in request order, then each state's row."""
+    genotypes, states = _matrix_population()
+    table = engine.evaluate_population(genotypes)
+    rows = {name: [float(value).hex() for value in column]
+            for name, column in table.columns.items()}
+    rows["genotypes"] = [genotype.to_index() for genotype in table.genotypes]
+    rows["supernet"] = _row_hex(
+        HybridObjective(engine=engine).supernet_population(states))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def matrix_serial_rows(tiny_proxy_config):
+    return _matrix_rows(_engine(tiny_proxy_config))
+
+
+@pytest.fixture(scope="module")
+def matrix_reference(tiny_proxy_config):
+    """The matrix population's proxy values on the reference kernels."""
+    reference = tiny_proxy_config.reference()
+    genotypes, states = _matrix_population()
+    canons = [canonicalize(genotype) for genotype in genotypes]
+    return {
+        "ntk": [ntk_condition_number(canon, reference) for canon in canons],
+        "linear_regions": [count_line_regions(canon, reference)
+                           for canon in canons],
+        "supernet": [
+            {"ntk": supernet_ntk_condition_number(specs, reference),
+             "linear_regions": supernet_line_regions(
+                 [spec.alive_ops for spec in specs], reference)}
+            for specs in states],
+    }
+
+
+def _close(value_hex, reference):
+    return math.isclose(float.fromhex(value_hex), reference, rel_tol=1e-14,
+                        abs_tol=0.0)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("n_workers", [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="fork", marks=needs_fork)])
+def test_differential_matrix(tiny_proxy_config, matrix_serial_rows,
+                             matrix_reference, tmp_path, n_workers, warm):
+    """Each transport, cold and from a store a cold run of it filled,
+    returns the serial cold run's float64 rows as float hex, and its
+    proxy rows lie within 1e-14 relative of the reference kernels'."""
+    store = RuntimeStore(tmp_path)
+    fingerprint = cache_fingerprint(tiny_proxy_config,
+                                    _engine(tiny_proxy_config).macro_config)
+    if warm:
+        with AsyncPopulationExecutor(n_workers=n_workers,
+                                     chunk_size=3) as filler:
+            engine = _engine(tiny_proxy_config, filler)
+            _matrix_rows(engine)
+        assert store.save_cache(engine.cache, fingerprint) > 0
+    with AsyncPopulationExecutor(n_workers=n_workers,
+                                 chunk_size=3) as executor:
+        engine = _engine(tiny_proxy_config, executor)
+        if warm:
+            assert store.load_cache_into(engine.cache, fingerprint) > 0
+        rows = _matrix_rows(engine)
+    genotypes, states = _matrix_population()
+    computed = len({canonicalize(genotype).to_index()
+                    for genotype in genotypes}) + len(states)
+    assert executor.stats.mode == ("serial" if n_workers == 1 else "fork")
+    assert executor.stats.tasks == (0 if warm else computed)
+    assert rows == matrix_serial_rows
+    for name in ("ntk", "linear_regions"):
+        assert all(_close(value, reference) for value, reference
+                   in zip(rows[name], matrix_reference[name]))
+    for row, reference in zip(rows["supernet"],
+                              matrix_reference["supernet"]):
+        assert all(_close(row[name], reference[name]) for name in reference)
 
 
 class TestIncrementalMergeHook:

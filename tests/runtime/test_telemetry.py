@@ -208,7 +208,6 @@ class TestTracedWorker:
         engine = Engine(proxy_config=tiny_proxy_config)
         population = NasBench201Space().sample(2, rng=5)
         with AsyncPopulationExecutor(n_workers=1, chunk_size=2,
-                                     mode="serial",
                                      telemetry=tel) as executor:
             executor.warm_population(engine, population,
                                      assume_canonical=False)
@@ -234,7 +233,7 @@ class TestTracedWorker:
         assert info.value is error  # re-raised unchanged
         assert info.value.worker_span.pid == os.getpid()
         # The pool hands the exception and its span back together.
-        pool = FuturePool(n_workers=1, mode="serial")
+        pool = FuturePool(n_workers=1)
         pool.submit(inner, None)
         (result,) = pool.gather_all()
         assert result.error is error
@@ -243,7 +242,6 @@ class TestTracedWorker:
 
 TRANSPORTS = [
     "serial",
-    "thread",
     pytest.param("fork", marks=needs_fork),
 ]
 
@@ -267,7 +265,7 @@ def test_one_worker_compute_span_per_gathered_chunk(
     tel = Telemetry.armed(run_id="ab", trace_path=trace)
     executor = AsyncPopulationExecutor(
         n_workers=1 if transport == "serial" else 2, chunk_size=2,
-        mode=transport, genotype_worker=worker, telemetry=tel)
+        genotype_worker=worker, telemetry=tel)
     engine = Engine(proxy_config=tiny_proxy_config)
     gathered, failures = [], []
     with executor:
@@ -278,7 +276,7 @@ def test_one_worker_compute_span_per_gathered_chunk(
             except ChunkGatherError as error:
                 gathered += error.gathered
                 failures += error.failures
-        if transport in ("serial", "thread"):
+        if transport == "serial":
             worker_pids = {os.getpid()}
         else:
             worker_pids = set(executor.pool._pool._processes)
@@ -370,7 +368,6 @@ class TestExecutorTelemetry:
         engine = Engine(proxy_config=tiny_proxy_config)
         population = NasBench201Space().sample(6, rng=5)
         with AsyncPopulationExecutor(n_workers=1, chunk_size=2,
-                                     mode="serial",
                                      telemetry=tel) as executor:
             executor.submit_population(engine, population)
             while executor.num_pending:
@@ -398,7 +395,6 @@ class TestExecutorTelemetry:
         def run(telemetry):
             engine = Engine(proxy_config=tiny_proxy_config)
             with AsyncPopulationExecutor(n_workers=1, chunk_size=2,
-                                         mode="serial",
                                          telemetry=telemetry) as executor:
                 executor.submit_population(engine, population)
                 while executor.num_pending:
@@ -416,7 +412,6 @@ class TestExecutorTelemetry:
         engine = Engine(proxy_config=tiny_proxy_config)
         (genotype,) = NasBench201Space().sample(1, rng=9)
         with AsyncPopulationExecutor(n_workers=1, chunk_size=2,
-                                     mode="serial",
                                      telemetry=tel) as executor:
             assert executor.submit_population(engine, [genotype]) == 1
             # The same candidate while its chunk is still in flight:

@@ -37,7 +37,7 @@ def micronas_result(tiny_proxy_config, shared_latency_estimator):
         macro_config=MacroConfig.full(),
         latency_estimator=shared_latency_estimator,
     )
-    return MicroNASSearch(objective, seed=0).search()
+    return MicroNASSearch(objective).search()
 
 
 class TestSearchMechanics:
@@ -69,10 +69,18 @@ class TestSearchMechanics:
         assert micronas_result.weights_used["latency"] == 0.5
 
     def test_deterministic_given_seed(self, objective):
-        a = MicroNASSearch(objective, seed=0).search().genotype
-        b = MicroNASSearch(objective.with_weights(objective.weights),
-                           seed=0).search().genotype
+        a = MicroNASSearch(objective).search().genotype
+        b = MicroNASSearch(
+            objective.with_weights(objective.weights)).search().genotype
         assert a == b
+
+    def test_searches_take_no_seed(self, objective, tiny_proxy_config):
+        """Every draw seeds from the proxy config, so there is no
+        ``seed=`` to pass."""
+        with pytest.raises(TypeError):
+            MicroNASSearch(objective, seed=0)
+        with pytest.raises(TypeError):
+            TENASSearch(proxy_config=tiny_proxy_config, seed=0)
 
     def test_too_few_ops_rejected(self, objective):
         with pytest.raises(SearchError):
@@ -81,7 +89,7 @@ class TestSearchMechanics:
     def test_restricted_op_set(self, tiny_proxy_config):
         obj = HybridObjective(proxy_config=tiny_proxy_config)
         result = MicroNASSearch(
-            obj, candidate_ops=("none", "skip_connect", "nor_conv_1x1"), seed=0
+            obj, candidate_ops=("none", "skip_connect", "nor_conv_1x1")
         ).search()
         assert set(result.genotype.ops) <= {"none", "skip_connect", "nor_conv_1x1"}
 
@@ -89,13 +97,13 @@ class TestSearchMechanics:
 class TestHardwareAwareness:
     def test_latency_weight_reduces_latency(self, tiny_proxy_config,
                                             shared_latency_estimator):
-        proxy_only = TENASSearch(proxy_config=tiny_proxy_config, seed=0).search()
+        proxy_only = TENASSearch(proxy_config=tiny_proxy_config).search()
         hw = HybridObjective(
             proxy_config=tiny_proxy_config,
             weights=ObjectiveWeights(latency=2.0),
             latency_estimator=shared_latency_estimator,
         )
-        hw_result = MicroNASSearch(hw, seed=0).search()
+        hw_result = MicroNASSearch(hw).search()
         lat_proxy = shared_latency_estimator.estimate_ms(proxy_only.genotype)
         lat_hw = shared_latency_estimator.estimate_ms(hw_result.genotype)
         assert lat_hw < lat_proxy
@@ -109,7 +117,7 @@ class TestHardwareAwareness:
             weights=ObjectiveWeights(),  # hardware weights start at zero
             latency_estimator=shared_latency_estimator,
         )
-        searcher = MicroNASSearch(objective, seed=0)
+        searcher = MicroNASSearch(objective)
         checker = ConstraintChecker(constraints,
                                     latency_estimator=shared_latency_estimator)
         result = searcher.search_with_constraints(constraints, checker=checker,
@@ -142,7 +150,7 @@ class TestHardwareAwareness:
         constraints = HardwareConstraints(max_latency_ms=400.0)
         checker = ConstraintChecker(constraints,
                                     latency_estimator=shared_latency_estimator)
-        MicroNASSearch(objective, seed=0).search_with_constraints(
+        MicroNASSearch(objective).search_with_constraints(
             constraints, checker=checker, max_outer_rounds=2)
         cached = [key[1] for key, _ in engine.cache.items()
                   if key[0] == "supernet_ntk"]
@@ -152,7 +160,7 @@ class TestHardwareAwareness:
 
 class TestTENAS:
     def test_tenas_ignores_hardware(self, tiny_proxy_config):
-        search = TENASSearch(proxy_config=tiny_proxy_config, seed=0)
+        search = TENASSearch(proxy_config=tiny_proxy_config)
         assert search.objective.weights.flops == 0.0
         assert search.objective.weights.latency == 0.0
         assert search.algorithm_name == "tenas"
@@ -185,7 +193,7 @@ class TestConnectivityGuard:
             proxy_config=replace(tiny_proxy_config, seed=seed),
             weights=ObjectiveWeights(flops=flops, latency=latency),
             latency_estimator=shared_latency_estimator)
-        result = MicroNASSearch(objective, seed=seed).search()
+        result = MicroNASSearch(objective).search()
         assert extract_features(result.genotype).is_connected
         for record in result.history:
             for edge, op in record.get("passed_over", {}).items():
@@ -196,7 +204,7 @@ class TestConnectivityGuard:
         search prunes every live op, and the guard passes that over."""
         objective = HybridObjective(proxy_config=tiny_proxy_config,
                                     weights=ObjectiveWeights(flops=50.0))
-        result = MicroNASSearch(objective, seed=0).search()
+        result = MicroNASSearch(objective).search()
         assert extract_features(result.genotype).is_connected
         assert any("passed_over" in record for record in result.history)
 
@@ -209,7 +217,7 @@ class TestConnectivityGuard:
         objective = HybridObjective(
             proxy_config=reduced_proxy_config(seed=seed),
             weights=ObjectiveWeights(flops=0.5, latency=0.5))
-        result = MicroNASSearch(objective, seed=seed).search()
+        result = MicroNASSearch(objective).search()
         assert extract_features(result.genotype).is_connected
         assert result.genotype.to_index() == arch
         assert any("passed_over" in record
